@@ -26,19 +26,19 @@ from .errors import (
     InvalidParam,
     ParseError,
 )
-from .gsgw import aggregate
 from .laplacian import laplacian_matrices
 from .mesh_io import load_mesh, make_synthetic, write_mesh
 from .pipeline import (
     DatasetManifest,
     RunConfig,
+    gsgw_for_mesh,
     make_null_manifest,
     make_two_class_manifest,
     parameter_sweep,
     run_group_comparison,
 )
 from .reconstruct import nmse_curve
-from .sgws import KernelConfig, signature_matrix, write_signature_csv
+from .sgws import KernelConfig, signature_length, signature_matrix, write_signature_csv
 from .svgplot import heatmap, line_plot
 
 __all__ = ["main", "build_parser"]
@@ -74,26 +74,32 @@ def _positive_int(text: str) -> int:
 
 
 def _config_from_args(args) -> RunConfig:
+    batch = {}
+    if hasattr(args, "n_perm"):
+        batch = {
+            "pca_dims": args.pca_dims,
+            "n_perm": args.n_perm,
+            "seed": args.seed,
+            "jobs": args.jobs,
+        }
     return RunConfig(
         k=args.k,
         R=args.R,
-        pca_dims=args.pca_dims,
-        n_perm=args.n_perm,
-        seed=args.seed,
         kernel_id=args.kernel,
         lumping=args.lumping,
         area_factor=not args.no_area_factor,
         normalize=args.normalize,
         method=args.method,
         cache_dir=args.cache_dir,
-        jobs=args.jobs,
+        **batch,
     )
 
 
-def _add_config_flags(parser, with_stats=True):
+def _add_config_flags(parser, batch=True):
+    """Descriptor flags; batch adds the statistics and --jobs flags."""
     parser.add_argument("--k", type=int, default=31, help="eigenpair count (default 31)")
     parser.add_argument("--R", type=int, default=30, help="resolution levels (default 30)")
-    if with_stats:
+    if batch:
         parser.add_argument(
             "--pca-dims", dest="pca_dims", type=int, default=18,
             help="PCA dimension before MANOVA (default 18)",
@@ -103,6 +109,9 @@ def _add_config_flags(parser, with_stats=True):
             help="permutation count (default 1000)",
         )
         parser.add_argument("--seed", type=int, default=0, help="permutation seed (default 0)")
+        parser.add_argument(
+            "--jobs", type=_positive_int, default=1, help="shape-level parallelism (default 1)"
+        )
     parser.add_argument(
         "--kernel", default="mexhat", help="band-pass kernel id (default mexhat)"
     )
@@ -122,9 +131,6 @@ def _add_config_flags(parser, with_stats=True):
         help="eigensolver route (default auto)",
     )
     parser.add_argument("--cache-dir", default=None, help="content-addressed cache directory")
-    parser.add_argument(
-        "--jobs", type=_positive_int, default=1, help="shape-level parallelism (default 1)"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +210,6 @@ def _cmd_eigen(args) -> int:
     return 0
 
 
-def _mesh_basis(args, mesh):
-    stiffness, mass = laplacian_matrices(mesh, lumping=args.lumping)
-    return solve_eigen(stiffness, mass, args.k, method=args.method)
-
-
 def _cmd_signature(args) -> int:
     _announce("signature", {
         "mesh": args.mesh, "k": args.k, "R": args.R, "kernel": args.kernel,
@@ -216,7 +217,8 @@ def _cmd_signature(args) -> int:
         "method": args.method, "out": args.out,
     })
     mesh = load_mesh(args.mesh)
-    basis = _mesh_basis(args, mesh)
+    stiffness, mass = laplacian_matrices(mesh, lumping=args.lumping)
+    basis = solve_eigen(stiffness, mass, args.k, method=args.method)
     cfg = KernelConfig.from_eigen(
         basis, args.R, area_factor=not args.no_area_factor, kernel_id=args.kernel
     )
@@ -232,24 +234,18 @@ def _cmd_gsgw(args) -> int:
         raise InvalidParam(
             f"{len(labels)} labels for {len(args.meshes)} meshes"
         )
+    cfg = _config_from_args(args)
     _announce("gsgw", {
-        "meshes": len(args.meshes), "k": args.k, "R": args.R,
-        "kernel": args.kernel, "lumping": args.lumping,
-        "area_factor": not args.no_area_factor, "normalize": args.normalize,
-        "method": args.method, "out": args.out,
+        "meshes": len(args.meshes), "k": cfg.k, "R": cfg.R,
+        "kernel": cfg.kernel_id, "lumping": cfg.lumping,
+        "area_factor": cfg.area_factor, "normalize": cfg.normalize,
+        "method": cfg.method, "cache_dir": cfg.cache_dir, "out": args.out,
     })
-    rows = []
-    p = None
-    for mesh_path, label in zip(args.meshes, labels):
-        mesh = load_mesh(mesh_path)
-        basis = _mesh_basis(args, mesh)
-        cfg = KernelConfig.from_eigen(
-            basis, args.R, area_factor=not args.no_area_factor, kernel_id=args.kernel
-        )
-        sig = signature_matrix(basis, cfg)
-        vec = aggregate(sig, basis.vertex_areas, mesh.content_hash, normalize=args.normalize)
-        p = vec.p
-        rows.append((mesh_path, label, vec.values))
+    rows = [
+        (mesh_path, label, gsgw_for_mesh(load_mesh(mesh_path), cfg).values)
+        for mesh_path, label in zip(args.meshes, labels)
+    ]
+    p = signature_length(cfg.R)
     header = "id,label," + ",".join(f"v{i + 1}" for i in range(p))
     lines = [header]
     lines += [
@@ -496,13 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sig = sub.add_parser("signature", help="per-vertex signature matrix of one mesh")
     sig.add_argument("mesh")
-    _add_config_flags(sig, with_stats=False)
+    _add_config_flags(sig, batch=False)
     sig.add_argument("--out", required=True, help="output CSV path")
     sig.set_defaults(func=_cmd_signature)
 
     gs = sub.add_parser("gsgw", help="global descriptors of one or more meshes")
     gs.add_argument("meshes", nargs="+")
-    _add_config_flags(gs, with_stats=False)
+    _add_config_flags(gs, batch=False)
     gs.add_argument("--labels", default="", help="comma-separated labels, one per mesh")
     gs.add_argument("--out", required=True, help="output CSV path")
     gs.set_defaults(func=_cmd_gsgw)

@@ -198,6 +198,9 @@ def solve_eigen(stiffness, mass, k: int, method: str = "auto") -> EigenBasis:
 def spectrum_bounds(basis: EigenBasis) -> tuple[float, float]:
     """Kernel design bounds (lambda_max / 20, lambda_max) from a basis.
 
+    Only ``k`` and ``eigenvalues`` are read, so a ``SpectralSummary`` of the
+    same pairs gives the same bounds.
+
     lambda_max is the largest computed eigenvalue; lambda_min is pinned at
     a twentieth of it, which keeps the band-pass scales anchored to the
     resolved part of the spectrum. Needs at least 2 eigenpairs, otherwise

@@ -117,9 +117,11 @@ class TriangleMesh:
                 )
 
         edges = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
-        uniq, counts = np.unique(edges, axis=0, return_counts=True)
+        # edge (i, j), i < j, as the key i*m + j: keys sort like the pairs,
+        # and a 1-D unique is far cheaper than a row-wise one
+        keys, counts = np.unique(edges[:, 0] * m + edges[:, 1], return_counts=True)
         if (counts > 2).any():
-            i, j = uniq[np.argmax(counts > 2)]
+            i, j = divmod(int(keys[np.argmax(counts > 2)]), m)
             raise ValidationError(f"edge ({i}, {j}) is shared by more than two triangles")
 
         referenced = np.zeros(m, dtype=bool)

@@ -2,15 +2,18 @@
 
 A manifest CSV (header ``path,subject,group,bone,side``) lists one mesh
 per row. Rows sharing a (bone, side) pair form a stratum; each stratum is
-analyzed independently: load meshes, solve eigenpairs, build signatures,
-aggregate global descriptors, then run the PCA + MANOVA + permutation
-chain. Failures stay local to their stratum and are recorded in the
-report instead of aborting the run.
+analyzed independently: global descriptors of its meshes, then the PCA +
+MANOVA + permutation chain. Failures stay local to their stratum and are
+recorded in the report instead of aborting the run.
 
-Descriptors and eigensystems are cached under a content-addressed scheme
-(mesh geometry hash plus the parameters that shape the result), with
-atomic write-then-rename updates. A rerun against a warm cache performs
-no eigensolves and produces byte-identical reports.
+Each mesh file is loaded, eigensolved and reduced to its spectral summary
+(eigenvalues plus two weight vectors, see ``gsgw``) once per run; every
+descriptor then follows in closed form from a summary, so a sweep over
+(R, k) costs O(pk) per shape and cell after that single pass. Summaries are
+cached under a content-addressed scheme (mesh geometry hash plus lumping),
+with atomic write-then-rename updates; a summary stored at K pairs serves
+any k <= K. A rerun against a warm cache performs no eigensolves and
+produces byte-identical reports.
 """
 
 from __future__ import annotations
@@ -26,17 +29,17 @@ from pathlib import Path
 import numpy as np
 
 from . import stats
-from .eigen import EigenBasis, solve_eigen
+from .eigen import solve_eigen
 from .errors import (
     NUMERICAL_ERRORS,
     InvalidParam,
     SgwError,
     ValidationError,
 )
-from .gsgw import GsgwVector, aggregate
+from .gsgw import GsgwVector, SpectralSummary, descriptor_from_summary, summarize
 from .laplacian import laplacian_matrices
 from .mesh_io import TriangleMesh, load_mesh, make_synthetic, write_mesh
-from .sgws import KernelConfig, mexican_hat, signature_matrix
+from .sgws import KernelConfig, mexican_hat
 
 __all__ = [
     "ManifestEntry",
@@ -183,16 +186,17 @@ class RunConfig:
 
 @dataclass
 class RunDiagnostics:
-    """In-memory counters; never written into reports."""
+    """In-memory counters; never written into reports.
+
+    ``eigen_cache_hits`` counts spectral summaries served from the cache.
+    """
 
     eigensolves: int = 0
     eigen_cache_hits: int = 0
-    gsgw_cache_hits: int = 0
 
     def absorb(self, other: "RunDiagnostics") -> None:
         self.eigensolves += other.eigensolves
         self.eigen_cache_hits += other.eigen_cache_hits
-        self.gsgw_cache_hits += other.gsgw_cache_hits
 
 
 @dataclass(frozen=True)
@@ -239,6 +243,26 @@ _REPORT_COLUMNS = [
 ]
 
 
+def _csv_cells(row: dict) -> list:
+    """A stratum's report row as CSV cells, in _REPORT_COLUMNS order."""
+    cells = []
+    for col in _REPORT_COLUMNS:
+        value = row[col]
+        if value is None:
+            cells.append("")
+        elif col == "groups":
+            cells.append("|".join(value))
+        elif isinstance(value, bool):
+            cells.append(str(value).lower())
+        elif isinstance(value, float):
+            cells.append(repr(value))
+        elif col == "error":
+            cells.append('"' + str(value).replace('"', "'") + '"')
+        else:
+            cells.append(str(value))
+    return cells
+
+
 @dataclass(frozen=True)
 class RunResult:
     strata: tuple
@@ -257,24 +281,7 @@ class RunResult:
 
     def write_csv(self, path) -> None:
         lines = [",".join(_REPORT_COLUMNS)]
-        for stratum in self.strata:
-            row = stratum.row()
-            cells = []
-            for col in _REPORT_COLUMNS:
-                value = row[col]
-                if value is None:
-                    cells.append("")
-                elif col == "groups":
-                    cells.append("|".join(value))
-                elif isinstance(value, bool):
-                    cells.append(str(value).lower())
-                elif isinstance(value, float):
-                    cells.append(repr(value))
-                elif col == "error":
-                    cells.append('"' + str(value).replace('"', "'") + '"')
-                else:
-                    cells.append(str(value))
-            lines.append(",".join(cells))
+        lines += [",".join(_csv_cells(stratum.row())) for stratum in self.strata]
         _atomic_write_bytes(Path(path), ("\n".join(lines) + "\n").encode())
 
     def summary_table(self) -> str:
@@ -352,60 +359,71 @@ def _read_blob(path: Path, kind: str):
         return None
 
 
-def _gsgw_cache_key(cfg: RunConfig) -> str:
-    return (
-        f"{cfg.lumping}-k{cfg.k}-R{cfg.R}-{cfg.kernel_id}"
-        f"-af{int(cfg.area_factor)}-n{int(cfg.normalize)}"
-    )
+def _load_or_solve_summary(
+    mesh: TriangleMesh, cfg: RunConfig, diagnostics: RunDiagnostics
+) -> SpectralSummary:
+    """Spectral summary of at least cfg.k pairs, cached by mesh hash and lumping.
 
-
-def _load_or_solve_eigen(
-    mesh: TriangleMesh, cfg: RunConfig, diagnostics: RunDiagnostics, k: int | None = None
-) -> EigenBasis:
-    """Eigen cache lookup keyed by mesh hash and lumping; k may exceed cfg.k."""
-    want_k = cfg.k if k is None else k
+    A stored summary of K >= cfg.k pairs is a hit and is returned whole; a
+    miss solves exactly cfg.k pairs and replaces the stored summary.
+    """
     cache_path = None
     if cfg.cache_dir is not None:
-        name = f"eigen-{mesh.content_hash}-{cfg.lumping}.sgwc"
+        name = f"spectrum-{mesh.content_hash}-{cfg.lumping}.sgwc"
         cache_path = Path(cfg.cache_dir) / name
-        hit = _read_blob(cache_path, "eigen")
+        hit = _read_blob(cache_path, "spectrum")
         if hit is not None:
             meta, arrays = hit
             if (
                 meta.get("mesh_hash") == mesh.content_hash
                 and meta.get("lumping") == cfg.lumping
-                and meta.get("k", 0) >= want_k
+                and meta.get("k", 0) >= cfg.k
             ):
                 diagnostics.eigen_cache_hits += 1
-                basis = EigenBasis(
+                return SpectralSummary(
                     arrays["eigenvalues"],
-                    arrays["eigenvectors"],
-                    arrays["vertex_areas"],
-                    method=meta.get("method", "dense"),
+                    arrays["w_area"],
+                    arrays["w_plain"],
+                    meta["total_area"],
+                    method=meta["method"],
                 )
-                return basis.truncate(want_k)
 
     stiffness, mass = laplacian_matrices(mesh, lumping=cfg.lumping)
-    basis = solve_eigen(stiffness, mass, want_k, method=cfg.method)
+    summary = summarize(solve_eigen(stiffness, mass, cfg.k, method=cfg.method))
     diagnostics.eigensolves += 1
     if cache_path is not None:
         _write_blob(
             cache_path,
-            "eigen",
+            "spectrum",
             {
                 "mesh_hash": mesh.content_hash,
                 "lumping": cfg.lumping,
-                "k": basis.k,
-                "m": basis.m,
-                "method": basis.method,
+                "k": summary.k,
+                "method": summary.method,
+                "total_area": summary.total_area,
             },
             {
-                "eigenvalues": basis.eigenvalues,
-                "eigenvectors": basis.eigenvectors,
-                "vertex_areas": basis.vertex_areas,
+                "eigenvalues": summary.eigenvalues,
+                "w_area": summary.w_area,
+                "w_plain": summary.w_plain,
             },
         )
-    return basis
+    return summary
+
+
+def _descriptor(summary: SpectralSummary, cfg: RunConfig, mesh_hash: str = "") -> GsgwVector:
+    """Closed-form descriptor at cfg's (R, k) from a summary of >= cfg.k pairs."""
+    summary = summary.truncate(cfg.k)
+    kernel_cfg = KernelConfig.from_eigen(
+        summary,
+        cfg.R,
+        kernel=KERNELS[cfg.kernel_id],
+        area_factor=cfg.area_factor,
+        kernel_id=cfg.kernel_id,
+    )
+    return descriptor_from_summary(
+        summary, kernel_cfg, mesh_hash=mesh_hash, normalize=cfg.normalize
+    )
 
 
 def gsgw_for_mesh(
@@ -414,39 +432,8 @@ def gsgw_for_mesh(
     """Global descriptor of one mesh under cfg, using the cache when set."""
     if diagnostics is None:
         diagnostics = RunDiagnostics()
-    cache_path = None
-    if cfg.cache_dir is not None:
-        name = f"gsgw-{mesh.content_hash}-{_gsgw_cache_key(cfg)}.sgwc"
-        cache_path = Path(cfg.cache_dir) / name
-        hit = _read_blob(cache_path, "gsgw")
-        if hit is not None:
-            meta, arrays = hit
-            if meta.get("mesh_hash") == mesh.content_hash and meta.get(
-                "key"
-            ) == _gsgw_cache_key(cfg):
-                diagnostics.gsgw_cache_hits += 1
-                return GsgwVector(arrays["g"], R=cfg.R, mesh_hash=mesh.content_hash)
-
-    basis = _load_or_solve_eigen(mesh, cfg, diagnostics)
-    kernel_cfg = KernelConfig.from_eigen(
-        basis,
-        cfg.R,
-        kernel=KERNELS[cfg.kernel_id],
-        area_factor=cfg.area_factor,
-        kernel_id=cfg.kernel_id,
-    )
-    sig = signature_matrix(basis, kernel_cfg)
-    vector = aggregate(
-        sig, basis.vertex_areas, mesh_hash=mesh.content_hash, normalize=cfg.normalize
-    )
-    if cache_path is not None:
-        _write_blob(
-            cache_path,
-            "gsgw",
-            {"mesh_hash": mesh.content_hash, "key": _gsgw_cache_key(cfg)},
-            {"g": vector.values},
-        )
-    return vector
+    summary = _load_or_solve_summary(mesh, cfg, diagnostics)
+    return _descriptor(summary, cfg, mesh.content_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -459,35 +446,47 @@ def _stratum_seed(seed: int, bone: str, side: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _descriptor_rows(entries, cfg: RunConfig):
-    """GSGW vectors for the stratum's entries, preserving order.
+def _groups(entries) -> tuple:
+    return tuple(dict.fromkeys(entry.group for entry in entries))
 
-    Returns (matrix rows, per-shape diagnostics). Raises the first shape
-    error annotated with subject and stage.
+
+def _summarize_meshes(manifest: DatasetManifest, cfg: RunConfig):
+    """Load, solve and summarise each mesh file once, at cfg.k pairs.
+
+    Only files listed in a stratum with exactly two groups are touched.
+    Returns (path -> SpectralSummary or (stage, SgwError), diagnostics): a
+    failure is kept, not raised, so that every stratum listing the file
+    reports it and the others still run.
     """
+    paths = list(
+        dict.fromkeys(
+            entry.path
+            for entries in manifest.strata().values()
+            if len(_groups(entries)) == 2
+            for entry in entries
+        )
+    )
 
-    def one(entry: ManifestEntry):
+    def one(path):
         local = RunDiagnostics()
         stage = "load"
         try:
-            mesh = load_mesh(entry.path)
+            mesh = load_mesh(path)
             stage = "descriptor"
-            vector = gsgw_for_mesh(mesh, cfg, local)
+            outcome = _load_or_solve_summary(mesh, cfg, local)
         except SgwError as exc:
-            kind = "numerical" if isinstance(exc, NUMERICAL_ERRORS) else "usage"
-            raise _StratumFailure(f"{entry.subject} [{stage}]: {exc}", kind) from exc
-        return vector.values, local
+            outcome = (stage, exc)
+        return outcome, local
 
-    if cfg.jobs > 1 and len(entries) > 1:
+    if cfg.jobs > 1 and len(paths) > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(one, entries))
+            outcomes = list(pool.map(one, paths))
     else:
-        outcomes = [one(entry) for entry in entries]
-    rows = [vec for vec, _ in outcomes]
-    diag = RunDiagnostics()
+        outcomes = [one(path) for path in paths]
+    diagnostics = RunDiagnostics()
     for _, local in outcomes:
-        diag.absorb(local)
-    return rows, diag
+        diagnostics.absorb(local)
+    return dict(zip(paths, (outcome for outcome, _ in outcomes))), diagnostics
 
 
 class _StratumFailure(Exception):
@@ -496,17 +495,34 @@ class _StratumFailure(Exception):
         self.kind = kind
 
 
-def run_group_comparison(manifest: DatasetManifest, cfg: RunConfig) -> RunResult:
-    """Full pipeline over every (bone, side) stratum of the manifest.
+def _shape_failure(subject: str, stage: str, exc: SgwError) -> _StratumFailure:
+    kind = "numerical" if isinstance(exc, NUMERICAL_ERRORS) else "usage"
+    return _StratumFailure(f"{subject} [{stage}]: {exc}", kind)
 
-    Strata are processed independently; a failure (missing group, corrupt
-    mesh, numerical breakdown) is recorded on its stratum and does not
-    abort the others.
+
+def _descriptor_rows(entries, summaries: dict, cfg: RunConfig) -> list:
+    """Descriptor values of the stratum's entries, in order.
+
+    Raises the first shape error annotated with subject and stage.
     """
-    diagnostics = RunDiagnostics()
+    rows = []
+    for entry in entries:
+        outcome = summaries[entry.path]
+        if isinstance(outcome, tuple):
+            stage, exc = outcome
+            raise _shape_failure(entry.subject, stage, exc) from exc
+        try:
+            rows.append(_descriptor(outcome, cfg).values)
+        except SgwError as exc:
+            raise _shape_failure(entry.subject, "descriptor", exc) from exc
+    return rows
+
+
+def _compare_strata(manifest: DatasetManifest, summaries: dict, cfg: RunConfig) -> tuple:
+    """One StratumResult per (bone, side) stratum, from precomputed summaries."""
     results = []
     for (bone, side), entries in manifest.strata().items():
-        groups = tuple(dict.fromkeys(entry.group for entry in entries))
+        groups = _groups(entries)
         base = {
             "bone": bone,
             "side": side,
@@ -523,10 +539,8 @@ def run_group_comparison(manifest: DatasetManifest, cfg: RunConfig) -> RunResult
             )
             continue
         try:
-            rows, stratum_diag = _descriptor_rows(entries, cfg)
-            diagnostics.absorb(stratum_diag)
             data = stats.DataMatrix(
-                np.vstack(rows),
+                np.vstack(_descriptor_rows(entries, summaries, cfg)),
                 labels=tuple(entry.group for entry in entries),
                 ids=tuple(entry.subject for entry in entries),
             )
@@ -543,7 +557,20 @@ def run_group_comparison(manifest: DatasetManifest, cfg: RunConfig) -> RunResult
             )
             continue
         results.append(StratumResult(**base, comparison=comparison))
-    return RunResult(strata=tuple(results), config=cfg, diagnostics=diagnostics)
+    return tuple(results)
+
+
+def run_group_comparison(manifest: DatasetManifest, cfg: RunConfig) -> RunResult:
+    """Full pipeline over every (bone, side) stratum of the manifest.
+
+    Strata are processed independently; a failure (missing group, corrupt
+    mesh, numerical breakdown) is recorded on its stratum and does not
+    abort the others.
+    """
+    summaries, diagnostics = _summarize_meshes(manifest, cfg)
+    return RunResult(
+        strata=_compare_strata(manifest, summaries, cfg), config=cfg, diagnostics=diagnostics
+    )
 
 
 @dataclass(frozen=True)
@@ -560,32 +587,19 @@ class SweepResult:
 
     def write_csv(self, path) -> None:
         lines = ["R,k," + ",".join(_REPORT_COLUMNS)]
-        for cell in self.cells:
-            row = cell.stratum.row()
-            cells = [str(cell.R), str(cell.k)]
-            for col in _REPORT_COLUMNS:
-                value = row[col]
-                if value is None:
-                    cells.append("")
-                elif col == "groups":
-                    cells.append("|".join(value))
-                elif isinstance(value, bool):
-                    cells.append(str(value).lower())
-                elif isinstance(value, float):
-                    cells.append(repr(value))
-                elif col == "error":
-                    cells.append('"' + str(value).replace('"', "'") + '"')
-                else:
-                    cells.append(str(value))
-            lines.append(",".join(cells))
+        lines += [
+            ",".join([str(cell.R), str(cell.k), *_csv_cells(cell.stratum.row())])
+            for cell in self.cells
+        ]
         _atomic_write_bytes(Path(path), ("\n".join(lines) + "\n").encode())
 
 
 def parameter_sweep(manifest: DatasetManifest, cfg: RunConfig, Rs, ks) -> SweepResult:
-    """run_group_comparison over an (R, k) grid, reusing cached spectra.
+    """run_group_comparison over an (R, k) grid, solving each mesh once.
 
-    When a cache directory is set, each mesh is eigensolved once at the
-    largest k of the grid and every grid cell truncates from that cache.
+    Every mesh is loaded, eigensolved (or read from the cache) and
+    summarised once at the largest k of the grid; each grid cell then takes
+    its descriptors from a prefix of those summaries in memory.
     """
     Rs = [int(r) for r in Rs]
     ks = [int(k) for k in ks]
@@ -598,18 +612,12 @@ def parameter_sweep(manifest: DatasetManifest, cfg: RunConfig, Rs, ks) -> SweepR
         if k < 2:
             raise InvalidParam(f"k must be >= 2, got {k}")
 
-    diagnostics = RunDiagnostics()
-    if cfg.cache_dir is not None:
-        k_top = max(ks)
-        for path in dict.fromkeys(entry.path for entry in manifest.entries):
-            _load_or_solve_eigen(load_mesh(path), cfg, diagnostics, k=k_top)
-
+    summaries, diagnostics = _summarize_meshes(manifest, replace(cfg, k=max(ks)))
     cells = []
     for r in Rs:
         for k in ks:
-            run = run_group_comparison(manifest, replace(cfg, R=r, k=k))
-            diagnostics.absorb(run.diagnostics)
-            cells.extend(SweepCell(R=r, k=k, stratum=s) for s in run.strata)
+            strata = _compare_strata(manifest, summaries, replace(cfg, R=r, k=k))
+            cells.extend(SweepCell(R=r, k=k, stratum=s) for s in strata)
     return SweepResult(cells=tuple(cells), diagnostics=diagnostics)
 
 

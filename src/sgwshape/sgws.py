@@ -118,16 +118,16 @@ class KernelConfig:
 
     @classmethod
     def from_eigen(cls, basis: EigenBasis, R: int, **kwargs) -> "KernelConfig":
-        """Config with bounds (lambda_max/20, lambda_max) from a basis."""
+        """Config with bounds (lambda_max/20, lambda_max) from a basis.
+
+        Only the eigenvalues are read, so a ``SpectralSummary`` serves too.
+        """
         lam_min, lam_max = spectrum_bounds(basis)
         return cls(R=R, lambda_min=lam_min, lambda_max=lam_max, **kwargs)
 
     @property
     def p(self) -> int:
         return signature_length(self.R)
-
-    def scaling_values(self, eigenvalues: np.ndarray) -> np.ndarray:
-        return scaling_kernel(eigenvalues, self)
 
 
 def scaling_kernel(x, cfg: KernelConfig):
@@ -165,22 +165,27 @@ class SignatureMatrix:
         return self.values.shape[1]
 
 
-def _kernel_rows(basis: EigenBasis, cfg: KernelConfig) -> np.ndarray:
+def _kernel_rows(eigenvalues: np.ndarray, cfg: KernelConfig) -> np.ndarray:
     """(p, k) matrix of kernel evaluations, one row per signature entry.
 
     Row r holds the weights applied to the k eigenvalue terms for entry r,
-    so every vertex signature is this matrix times phi(j)^2.
+    so every vertex signature is this matrix times phi(j)^2. All band-pass
+    rows come from one broadcast product; each entry is the same scalar
+    arithmetic as evaluating the kernel row by row.
     """
-    lam = basis.eigenvalues
-    rows = np.empty((cfg.p, basis.k))
-    low_pass = scaling_kernel(lam, cfg)
-    r = 0
-    for level in range(1, cfg.R + 1):
-        for t in wavelet_scales(level, cfg.lambda_min, cfg.lambda_max):
-            rows[r] = cfg.kernel(t * lam)
-            r += 1
-        rows[r] = low_pass
-        r += 1
+    lam = np.asarray(eigenvalues, dtype=np.float64)
+    levels = range(1, cfg.R + 1)
+    scales = np.concatenate(
+        [wavelet_scales(level, cfg.lambda_min, cfg.lambda_max) for level in levels]
+    )
+    # level L holds L band-pass rows and then its low-pass row, which
+    # therefore sits at index L(L+3)/2 - 1
+    low_pass = np.array([level * (level + 3) // 2 - 1 for level in levels])
+    band_pass = np.ones(cfg.p, dtype=bool)
+    band_pass[low_pass] = False
+    rows = np.empty((cfg.p, lam.shape[0]))
+    rows[band_pass] = cfg.kernel(scales[:, None] * lam)
+    rows[low_pass] = scaling_kernel(lam, cfg)
     return rows
 
 
@@ -195,7 +200,7 @@ def vertex_signature(basis: EigenBasis, cfg: KernelConfig, j: int) -> np.ndarray
     if not 0 <= j < basis.m:
         raise InvalidParam(f"vertex index {j} outside [0, {basis.m})")
     phi_sq = basis.eigenvectors[j] ** 2
-    sig = _kernel_rows(basis, cfg) @ phi_sq
+    sig = _kernel_rows(basis.eigenvalues, cfg) @ phi_sq
     if cfg.area_factor:
         sig = sig * basis.vertex_areas[j] ** 2
     return sig
@@ -209,7 +214,7 @@ def signature_matrix(basis: EigenBasis, cfg: KernelConfig) -> SignatureMatrix:
     """
     if basis.k < 2:
         raise InvalidParam(f"signatures need k >= 2 eigenpairs, got {basis.k}")
-    rows = _kernel_rows(basis, cfg)
+    rows = _kernel_rows(basis.eigenvalues, cfg)
     values = np.empty((cfg.p, basis.m))
     for j in range(basis.m):
         col = rows @ (basis.eigenvectors[j] ** 2)

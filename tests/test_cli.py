@@ -147,6 +147,22 @@ class TestSignatureAndGsgw:
         vec = np.array([float(t) for t in rows[0][2:]])
         assert np.all(np.isfinite(vec))
 
+    def test_gsgw_rejects_unknown_kernel(self, mesh_file, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        code = main(["gsgw", str(mesh_file), *FAST[:4], "--kernel", "bogus", "--out", str(out)])
+        assert code == 2
+        assert "unknown kernel 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gsgw_honours_cache_dir(self, mesh_file, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        argv = ["gsgw", str(mesh_file), *FAST[:4], "--cache-dir", str(cache)]
+        assert main([*argv, "--out", str(tmp_path / "cold.csv")]) == 0
+        assert [p.name[:9] for p in cache.glob("*.sgwc")] == ["spectrum-"]
+        assert main([*argv, "--out", str(tmp_path / "warm.csv")]) == 0
+        assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
+        capsys.readouterr()
+
     def test_label_count_mismatch(self, mesh_file, tmp_path, capsys):
         code = main(
             ["gsgw", str(mesh_file), "--labels", "a,b", "--out", str(tmp_path / "g.csv")]

@@ -1,10 +1,12 @@
-"""Area-weighted aggregation of signatures into one global descriptor."""
+"""Area-weighted aggregation of signatures into one global descriptor, and its closed form."""
 
 import numpy as np
 import pytest
 
 import sgwshape as sg
 from sgwshape.errors import DimensionMismatch, InvalidParam
+from sgwshape.gsgw import summarize
+from sgwshape.sgws import _kernel_rows
 
 from conftest import random_rotation
 
@@ -91,3 +93,62 @@ class TestIsometryInvariance:
 
         scale = np.linalg.norm(ref.values)
         assert sg.gsgw_distance(ref, moved_vec) < 1e-10 * scale
+
+
+def _relative_gap(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+class TestClosedForm:
+    """gsgw_for_mesh uses g = K w; aggregate(signature_matrix(...)) is the reference."""
+
+    @pytest.mark.parametrize("method", ["dense", "sparse"])
+    @pytest.mark.parametrize("area_factor", [True, False])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_matches_signature_aggregate(self, bumpy2, method, area_factor, normalize):
+        cfg = sg.RunConfig(
+            k=31, R=6, method=method, area_factor=area_factor, normalize=normalize
+        )
+        got = sg.gsgw_for_mesh(bumpy2, cfg)
+
+        stiffness, mass = sg.laplacian_matrices(bumpy2)
+        basis = sg.solve_eigen(stiffness, mass, 31, method=method)
+        kernel_cfg = sg.KernelConfig.from_eigen(basis, R=6, area_factor=area_factor)
+        want = sg.aggregate(
+            sg.signature_matrix(basis, kernel_cfg), basis.vertex_areas, normalize=normalize
+        )
+        assert got.values.shape == want.values.shape
+        assert _relative_gap(got.values, want.values) <= 1e-14
+
+    def test_prefix_of_stored_summary(self, bumpy2, tmp_path):
+        cfg = sg.RunConfig(k=20, R=5, cache_dir=str(tmp_path / "cache"))
+        sg.gsgw_for_mesh(bumpy2, cfg)
+        diag = sg.RunDiagnostics()
+        got = sg.gsgw_for_mesh(bumpy2, sg.RunConfig(k=9, R=5, cache_dir=cfg.cache_dir), diag)
+        assert diag.eigensolves == 0 and diag.eigen_cache_hits == 1
+
+        stiffness, mass = sg.laplacian_matrices(bumpy2)
+        basis = sg.solve_eigen(stiffness, mass, 20).truncate(9)
+        kernel_cfg = sg.KernelConfig.from_eigen(basis, R=5)
+        want = sg.aggregate(sg.signature_matrix(basis, kernel_cfg), basis.vertex_areas)
+        assert _relative_gap(got.values, want.values) <= 1e-14
+
+    def test_plain_weights_are_one(self, bumpy2_basis):
+        # w_plain is the diagonal of Phi^T A Phi = I
+        summary = summarize(bumpy2_basis)
+        assert np.abs(summary.w_plain - 1.0).max() <= 1e-14
+
+    def test_no_area_factor_depends_on_eigenvalues_alone(self, bumpy2, bumpy2_basis):
+        cfg = sg.RunConfig(k=31, R=6, area_factor=False)
+        got = sg.gsgw_for_mesh(bumpy2, cfg)
+        kernel_cfg = sg.KernelConfig.from_eigen(bumpy2_basis, R=6, area_factor=False)
+        rows = _kernel_rows(bumpy2_basis.eigenvalues, kernel_cfg)
+        assert _relative_gap(got.values, rows @ np.ones(31)) <= 1e-14
+
+    def test_summary_truncate_is_a_prefix(self, bumpy2_basis):
+        summary = summarize(bumpy2_basis)
+        short = summary.truncate(7)
+        assert short.k == 7 and summary.truncate(31) is summary
+        np.testing.assert_array_equal(short.w_area, summary.w_area[:7])
+        with pytest.raises(InvalidParam):
+            summary.truncate(32)

@@ -84,6 +84,26 @@ class TestTriangleMesh:
         with pytest.raises(ValidationError, match="edge"):
             sg.TriangleMesh(vertices, tris)
 
+    def test_edge_error_names_first_pair_in_sorted_order(self):
+        vertices = np.array(
+            [
+                [0.0, 0.0, 0.0],
+                [1.0, 0.0, 0.0],
+                [0.0, 1.0, 0.0],
+                [0.0, 0.0, 1.0],
+                [1.0, 1.0, 0.5],
+                [0.3, -1.0, 0.2],
+                [-1.0, 0.4, 0.7],
+            ]
+        )
+        # edges (1, 2) and (0, 4) each carry three triangles; (1, 2) comes
+        # first in the triangle list, (0, 4) first in sorted order
+        tris = [[1, 2, 3], [1, 2, 5], [2, 1, 6], [0, 4, 3], [4, 0, 5], [0, 4, 6]]
+        with pytest.raises(
+            ValidationError, match=r"^edge \(0, 4\) is shared by more than two triangles$"
+        ):
+            sg.TriangleMesh(vertices, tris)
+
     def test_rejects_isolated_vertex(self):
         vertices = np.vstack([TET_VERTICES, [5.0, 5.0, 5.0]])
         with pytest.raises(ValidationError, match="isolated"):

@@ -152,12 +152,12 @@ class TestDescriptorCache:
         cold = RunDiagnostics()
         first = gsgw_for_mesh(mesh, cfg, cold)
         assert cold.eigensolves == 1
-        assert cold.gsgw_cache_hits == 0
+        assert cold.eigen_cache_hits == 0
 
         warm = RunDiagnostics()
         second = gsgw_for_mesh(mesh, cfg, warm)
         assert warm.eigensolves == 0
-        assert warm.gsgw_cache_hits == 1
+        assert warm.eigen_cache_hits == 1
         np.testing.assert_array_equal(first.values, second.values)
 
     def test_eigen_cache_serves_smaller_k(self, tmp_path):
@@ -200,10 +200,13 @@ class TestDescriptorCache:
         gsgw_for_mesh(mesh, cfg, RunDiagnostics())
 
         names = sorted(p.name for p in cache.glob("*.sgwc"))
-        assert any(n.startswith("eigen-") for n in names)
-        assert any(n.startswith("gsgw-") for n in names)
-        for blob in cache.glob("*.sgwc"):
-            assert blob.read_bytes().startswith(b"SGWCACHE1\n")
+        assert names == [f"spectrum-{mesh.content_hash}-{cfg.lumping}.sgwc"]
+        magic, header = (cache / names[0]).read_bytes().split(b"\n")[:2]
+        assert magic == b"SGWCACHE1"
+        header = json.loads(header)
+        assert header["kind"] == "spectrum"
+        assert header["meta"]["k"] == cfg.k
+        assert [a["name"] for a in header["arrays"]] == ["eigenvalues", "w_area", "w_plain"]
 
     def test_no_cache_dir_still_works(self):
         mesh = sg.make_synthetic("bumpy_sphere", 1, seed=9)
@@ -391,6 +394,28 @@ class TestParameterSweep:
         assert cell.stratum.comparison is None
         assert cell.stratum.error_kind == "numerical"
         assert "[stats]" in cell.stratum.error
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_bad_mesh_recorded_on_every_cell(self, tmp_path, cached):
+        manifest_path = sg.make_two_class_manifest(tmp_path, n_per_group=3, subdivisions=1)
+        bad = tmp_path / "sphere_001.off"
+        lines = bad.read_text().splitlines(keepends=True)
+        bad.write_text("".join(lines[: len(lines) // 2]))
+        manifest = sg.DatasetManifest.load(manifest_path)
+        cache_dir = str(tmp_path / "cache") if cached else None
+        cfg = sg.RunConfig(cache_dir=cache_dir, **SMALL)
+
+        sweep = sg.parameter_sweep(manifest, cfg, Rs=[2, 3], ks=[8, 10])
+        assert len(sweep.cells) == 4
+        for cell in sweep.cells:
+            assert cell.stratum.comparison is None
+            assert cell.stratum.error_kind == "usage"
+            assert cell.stratum.error.startswith("s001 [load]: ")
+            assert "truncated" in cell.stratum.error
+        # the other five meshes are still solved, once each
+        assert sweep.diagnostics.eigensolves == 5
+        compare = sg.run_group_comparison(manifest, replace(cfg, k=10))
+        assert compare.strata[0].error == sweep.cells[0].stratum.error
 
     def test_validation(self, two_class):
         cfg = sg.RunConfig(**SMALL)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import sgwshape as sg
 from sgwshape.errors import InvalidParam
+from sgwshape.sgws import _kernel_rows
 
 PEAK = math.exp(-1.0)
 
@@ -111,6 +112,20 @@ class TestKernelConfig:
             sg.KernelConfig(R=0, lambda_min=1.0, lambda_max=2.0)
         with pytest.raises(InvalidParam):
             sg.KernelConfig(R=2, lambda_min=2.0, lambda_max=1.0)
+
+
+class TestKernelRows:
+    @pytest.mark.parametrize("R", [1, 2, 10, 20, 30])
+    @pytest.mark.parametrize("k", [2, 11, 21, 31])
+    def test_broadcast_equals_row_by_row(self, icosphere2_basis, R, k):
+        lam = icosphere2_basis.eigenvalues[:k]
+        cfg = sg.KernelConfig.from_eigen(icosphere2_basis.truncate(k), R=R)
+        loop = []
+        for level in range(1, R + 1):
+            for t in sg.wavelet_scales(level, cfg.lambda_min, cfg.lambda_max):
+                loop.append(sg.mexican_hat(t * lam))
+            loop.append(sg.scaling_kernel(lam, cfg))
+        np.testing.assert_array_equal(_kernel_rows(lam, cfg), np.array(loop))
 
 
 class TestVertexSignature:
