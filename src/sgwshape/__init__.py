@@ -27,7 +27,6 @@ from .laplacian import (
     laplacian_matrices,
     mass_matrix,
     stiffness_matrix,
-    write_coordinate_text,
 )
 from .mesh_io import (
     MeshProvenance,
@@ -64,7 +63,6 @@ from .sgws import (
     scaling_kernel,
     signature_length,
     signature_matrix,
-    signature_of_mesh,
     vertex_signature,
     wavelet_scales,
     write_signature_csv,
@@ -101,7 +99,6 @@ __all__ = [
     "mass_matrix",
     "laplacian_matrices",
     "apply_operator",
-    "write_coordinate_text",
     "EigenBasis",
     "solve_eigen",
     "spectrum_bounds",
@@ -114,7 +111,6 @@ __all__ = [
     "signature_length",
     "vertex_signature",
     "signature_matrix",
-    "signature_of_mesh",
     "write_signature_csv",
     "GsgwVector",
     "aggregate",

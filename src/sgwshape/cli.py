@@ -85,7 +85,6 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(
         k=args.k,
         R=args.R,
-        kernel_id=args.kernel,
         lumping=args.lumping,
         area_factor=not args.no_area_factor,
         normalize=args.normalize,
@@ -95,10 +94,27 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
-def _add_config_flags(parser, batch=True):
-    """Descriptor flags; batch adds the statistics and --jobs flags."""
+def _add_signature_flags(parser):
+    """Flags of the per-vertex signature, shared by every descriptor command."""
     parser.add_argument("--k", type=int, default=31, help="eigenpair count (default 31)")
     parser.add_argument("--R", type=int, default=30, help="resolution levels (default 30)")
+    parser.add_argument(
+        "--lumping", default="mixed", choices=["mixed", "barycentric"],
+        help="vertex area scheme (default mixed)",
+    )
+    parser.add_argument(
+        "--no-area-factor", action="store_true",
+        help="drop the squared vertex-area factor from signatures",
+    )
+    parser.add_argument(
+        "--method", default="auto", choices=["auto", "dense", "sparse"],
+        help="eigensolver route (default auto)",
+    )
+
+
+def _add_config_flags(parser, batch=True):
+    """Descriptor flags: signature flags, --normalize, --cache-dir; batch adds stats, --jobs."""
+    _add_signature_flags(parser)
     if batch:
         parser.add_argument(
             "--pca-dims", dest="pca_dims", type=int, default=18,
@@ -113,22 +129,7 @@ def _add_config_flags(parser, batch=True):
             "--jobs", type=_positive_int, default=1, help="shape-level parallelism (default 1)"
         )
     parser.add_argument(
-        "--kernel", default="mexhat", help="band-pass kernel id (default mexhat)"
-    )
-    parser.add_argument(
-        "--lumping", default="mixed", choices=["mixed", "barycentric"],
-        help="vertex area scheme (default mixed)",
-    )
-    parser.add_argument(
-        "--no-area-factor", action="store_true",
-        help="drop the squared vertex-area factor from signatures",
-    )
-    parser.add_argument(
         "--normalize", action="store_true", help="divide descriptors by total area"
-    )
-    parser.add_argument(
-        "--method", default="auto", choices=["auto", "dense", "sparse"],
-        help="eigensolver route (default auto)",
     )
     parser.add_argument("--cache-dir", default=None, help="content-addressed cache directory")
 
@@ -212,16 +213,13 @@ def _cmd_eigen(args) -> int:
 
 def _cmd_signature(args) -> int:
     _announce("signature", {
-        "mesh": args.mesh, "k": args.k, "R": args.R, "kernel": args.kernel,
-        "lumping": args.lumping, "area_factor": not args.no_area_factor,
-        "method": args.method, "out": args.out,
+        "mesh": args.mesh, "k": args.k, "R": args.R, "lumping": args.lumping,
+        "area_factor": not args.no_area_factor, "method": args.method, "out": args.out,
     })
     mesh = load_mesh(args.mesh)
     stiffness, mass = laplacian_matrices(mesh, lumping=args.lumping)
     basis = solve_eigen(stiffness, mass, args.k, method=args.method)
-    cfg = KernelConfig.from_eigen(
-        basis, args.R, area_factor=not args.no_area_factor, kernel_id=args.kernel
-    )
+    cfg = KernelConfig.from_eigen(basis, args.R, area_factor=not args.no_area_factor)
     sig = signature_matrix(basis, cfg)
     write_signature_csv(sig, args.out)
     print(f"wrote {args.out} ({sig.p} rows x {sig.m} columns)")
@@ -236,8 +234,7 @@ def _cmd_gsgw(args) -> int:
         )
     cfg = _config_from_args(args)
     _announce("gsgw", {
-        "meshes": len(args.meshes), "k": cfg.k, "R": cfg.R,
-        "kernel": cfg.kernel_id, "lumping": cfg.lumping,
+        "meshes": len(args.meshes), "k": cfg.k, "R": cfg.R, "lumping": cfg.lumping,
         "area_factor": cfg.area_factor, "normalize": cfg.normalize,
         "method": cfg.method, "cache_dir": cfg.cache_dir, "out": args.out,
     })
@@ -492,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sig = sub.add_parser("signature", help="per-vertex signature matrix of one mesh")
     sig.add_argument("mesh")
-    _add_config_flags(sig, batch=False)
+    _add_signature_flags(sig)
     sig.add_argument("--out", required=True, help="output CSV path")
     sig.set_defaults(func=_cmd_signature)
 

@@ -40,13 +40,10 @@ class GsgwVector:
     values : (p,) float64, finite and nonnegative
     R : int
         Resolution the signature was computed at.
-    mesh_hash : str
-        Content hash of the source mesh, "" when unknown.
     """
 
     values: np.ndarray
     R: int
-    mesh_hash: str = ""
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -63,17 +60,16 @@ class GsgwVector:
         return self.values.shape[0]
 
 
-def aggregate(
-    sig: SignatureMatrix, areas, mesh_hash: str = "", normalize: bool = False
-) -> GsgwVector:
+def aggregate(sig: SignatureMatrix, areas, normalize: bool = False) -> GsgwVector:
     """Aggregate per-vertex signatures into one descriptor, g = S a.
+
+    The pipeline gets the same vector from ``descriptor_from_summary``
+    without building S; this is the definition it is tested against.
 
     Parameters
     ----------
     sig : SignatureMatrix
     areas : (m,) positive vertex areas
-    mesh_hash : str
-        Carried into the result for cache keying.
     normalize : bool
         Divide by the total area, making the descriptor comparable across
         tessellation densities. Off by default.
@@ -88,7 +84,7 @@ def aggregate(
     g = sig.values @ a
     if normalize:
         g = g / a.sum()
-    return GsgwVector(g, R=sig.R, mesh_hash=mesh_hash)
+    return GsgwVector(g, R=sig.R)
 
 
 @dataclass(frozen=True)
@@ -158,7 +154,7 @@ def summarize(basis: EigenBasis) -> SpectralSummary:
 
 
 def descriptor_from_summary(
-    summary: SpectralSummary, cfg: KernelConfig, mesh_hash: str = "", normalize: bool = False
+    summary: SpectralSummary, cfg: KernelConfig, normalize: bool = False
 ) -> GsgwVector:
     """Closed-form g = K w; equals ``aggregate(signature_matrix(...))``.
 
@@ -170,7 +166,7 @@ def descriptor_from_summary(
     g = _kernel_rows(summary.eigenvalues, cfg) @ weights
     if normalize:
         g = g / summary.total_area
-    return GsgwVector(g, R=cfg.R, mesh_hash=mesh_hash)
+    return GsgwVector(g, R=cfg.R)
 
 
 def gsgw_distance(g1: GsgwVector, g2: GsgwVector) -> float:

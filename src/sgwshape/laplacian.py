@@ -16,8 +16,6 @@ reduction, so repeated runs on the same mesh are bitwise identical.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 from scipy import sparse
 
@@ -29,7 +27,6 @@ __all__ = [
     "mass_matrix",
     "laplacian_matrices",
     "apply_operator",
-    "write_coordinate_text",
 ]
 
 LUMPING_SCHEMES = ("mixed", "barycentric")
@@ -127,13 +124,3 @@ def apply_operator(stiffness, mass, f) -> np.ndarray:
         raise DimensionMismatch(f"function has shape {vec.shape}, expected ({m},)")
     return (stiffness @ vec) / mass.diagonal()
 
-
-def write_coordinate_text(matrix, path) -> None:
-    """Dump a sparse matrix as ``i j value`` lines (17 significant digits)."""
-    coo = sparse.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    lines = [
-        f"{coo.row[n]} {coo.col[n]} {coo.data[n]:.17g}"
-        for n in order
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -41,18 +41,14 @@ _ORTHOGONALITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class MeshProvenance:
-    """Where a mesh came from and the group label it carries, verbatim."""
+    """Where a mesh came from: source path and format, verbatim."""
 
     source_path: str
     fmt: str
-    label: str | None = None
 
     def __post_init__(self):
         if self.fmt not in MESH_FORMATS:
             raise InvalidParam(f"unknown mesh format {self.fmt!r}; expected one of {MESH_FORMATS}")
-
-    def with_label(self, label: str | None) -> "MeshProvenance":
-        return MeshProvenance(self.source_path, self.fmt, label)
 
 
 class TriangleMesh:
@@ -171,15 +167,6 @@ class TriangleMesh:
         return TriangleMesh(
             vertices, self.triangles, provenance=self.provenance, check_degenerate=check_degenerate
         )
-
-    def with_label(self, label: str | None) -> "TriangleMesh":
-        prov = self.provenance or MeshProvenance("<unknown>", "synthetic")
-        out = TriangleMesh.__new__(TriangleMesh)
-        out.vertices = self.vertices
-        out.triangles = self.triangles
-        out.provenance = prov.with_label(label)
-        out._hash = self._hash
-        return out
 
     def __repr__(self):
         return f"TriangleMesh(m={self.m}, g={self.g})"

@@ -22,6 +22,7 @@ import csv
 import hashlib
 import json
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -39,7 +40,7 @@ from .errors import (
 from .gsgw import GsgwVector, SpectralSummary, descriptor_from_summary, summarize
 from .laplacian import laplacian_matrices
 from .mesh_io import TriangleMesh, load_mesh, make_synthetic, write_mesh
-from .sgws import KernelConfig, mexican_hat
+from .sgws import KernelConfig
 
 __all__ = [
     "ManifestEntry",
@@ -60,8 +61,6 @@ __all__ = [
 SIDES = ("left", "right")
 
 MANIFEST_HEADER = ["path", "subject", "group", "bone", "side"]
-
-KERNELS = {"mexhat": mexican_hat}
 
 SIGNIFICANCE_LEVEL = 0.05
 
@@ -144,7 +143,6 @@ class RunConfig:
     pca_dims: int = 18
     n_perm: int = 1000
     seed: int = 0
-    kernel_id: str = "mexhat"
     lumping: str = "mixed"
     area_factor: bool = True
     normalize: bool = False
@@ -163,10 +161,6 @@ class RunConfig:
             raise InvalidParam(f"n_perm must be >= 1, got {self.n_perm}")
         if self.jobs < 1:
             raise InvalidParam(f"jobs must be >= 1, got {self.jobs}")
-        if self.kernel_id not in KERNELS:
-            raise InvalidParam(
-                f"unknown kernel {self.kernel_id!r}; expected one of {sorted(KERNELS)}"
-            )
 
     def science_dict(self) -> dict:
         """The parameters that determine results (reported verbatim)."""
@@ -176,7 +170,6 @@ class RunConfig:
             "pca_dims": self.pca_dims,
             "n_perm": self.n_perm,
             "seed": self.seed,
-            "kernel_id": self.kernel_id,
             "lumping": self.lumping,
             "area_factor": self.area_factor,
             "normalize": self.normalize,
@@ -311,10 +304,20 @@ class RunResult:
 
 
 def _atomic_write_bytes(path: Path, payload: bytes) -> None:
+    """Write a temp file, then rename it over path.
+
+    The temp name carries the process and thread ids, so concurrent writers
+    of one blob (identical mesh content under two manifest paths) never
+    rename each other's file away; the last rename wins, and both payloads
+    are whole.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}-{threading.get_ident()}")
+    try:
+        tmp.write_bytes(payload)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _write_blob(path: Path, kind: str, meta: dict, arrays: dict) -> None:
@@ -411,19 +414,11 @@ def _load_or_solve_summary(
     return summary
 
 
-def _descriptor(summary: SpectralSummary, cfg: RunConfig, mesh_hash: str = "") -> GsgwVector:
+def _descriptor(summary: SpectralSummary, cfg: RunConfig) -> GsgwVector:
     """Closed-form descriptor at cfg's (R, k) from a summary of >= cfg.k pairs."""
     summary = summary.truncate(cfg.k)
-    kernel_cfg = KernelConfig.from_eigen(
-        summary,
-        cfg.R,
-        kernel=KERNELS[cfg.kernel_id],
-        area_factor=cfg.area_factor,
-        kernel_id=cfg.kernel_id,
-    )
-    return descriptor_from_summary(
-        summary, kernel_cfg, mesh_hash=mesh_hash, normalize=cfg.normalize
-    )
+    kernel_cfg = KernelConfig.from_eigen(summary, cfg.R, area_factor=cfg.area_factor)
+    return descriptor_from_summary(summary, kernel_cfg, normalize=cfg.normalize)
 
 
 def gsgw_for_mesh(
@@ -433,7 +428,7 @@ def gsgw_for_mesh(
     if diagnostics is None:
         diagnostics = RunDiagnostics()
     summary = _load_or_solve_summary(mesh, cfg, diagnostics)
-    return _descriptor(summary, cfg, mesh.content_hash)
+    return _descriptor(summary, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -605,19 +600,14 @@ def parameter_sweep(manifest: DatasetManifest, cfg: RunConfig, Rs, ks) -> SweepR
     ks = [int(k) for k in ks]
     if not Rs or not ks:
         raise InvalidParam("sweep needs at least one R and one k")
-    for r in Rs:
-        if r < 1:
-            raise InvalidParam(f"R must be >= 1, got {r}")
-    for k in ks:
-        if k < 2:
-            raise InvalidParam(f"k must be >= 2, got {k}")
+    # RunConfig validates every cell before any mesh is loaded
+    grid = [replace(cfg, R=r, k=k) for r in Rs for k in ks]
 
     summaries, diagnostics = _summarize_meshes(manifest, replace(cfg, k=max(ks)))
     cells = []
-    for r in Rs:
-        for k in ks:
-            strata = _compare_strata(manifest, summaries, replace(cfg, R=r, k=k))
-            cells.extend(SweepCell(R=r, k=k, stratum=s) for s in strata)
+    for cell_cfg in grid:
+        strata = _compare_strata(manifest, summaries, cell_cfg)
+        cells.extend(SweepCell(R=cell_cfg.R, k=cell_cfg.k, stratum=s) for s in strata)
     return SweepResult(cells=tuple(cells), diagnostics=diagnostics)
 
 

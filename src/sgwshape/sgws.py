@@ -7,9 +7,10 @@ band-pass coefficients at scales log-equispaced between 2/lambda_min and
     band-pass at scale t:  sum_l a_j^2 g(t lambda_l) phi_l(j)^2
     low-pass:              sum_l a_j^2 h(lambda_l)  phi_l(j)^2
 
-with g the band-pass generating kernel (Mexican hat by default) and
-h(x) = gamma exp(-(x / (0.6 lambda_min))^4). Stacking levels 1..R yields a
-vector of length p = (R+1)(R+2)/2 - 1. Only the squared eigenfunction
+with g the Mexican hat x exp(-x) and h(x) = gamma exp(-(x / (0.6
+lambda_min))^4), gamma = 1/e so that h(0) = max g. This bank is fixed,
+not a setting. Stacking levels 1..R yields a vector of length
+p = (R+1)(R+2)/2 - 1. Only the squared eigenfunction
 values enter, so the signature does not depend on eigenvector signs, nor
 on the choice of basis inside a degenerate eigenspace.
 """
@@ -17,15 +18,13 @@ on the choice of basis inside a degenerate eigenspace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from .eigen import EigenBasis, spectrum_bounds
 from .errors import InvalidParam
-from .mesh_io import TriangleMesh
 
 __all__ = [
     "KernelConfig",
@@ -79,7 +78,7 @@ def wavelet_scales(L: int, lambda_min: float, lambda_max: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Kernel bank for one signature computation.
+    """Scale grid and area setting of the fixed kernel bank.
 
     Attributes
     ----------
@@ -87,25 +86,15 @@ class KernelConfig:
         Number of multiresolution levels, >= 1.
     lambda_min, lambda_max : float
         Spectrum bounds driving the scale grid and the low-pass cutoff.
-    kernel : callable
-        Band-pass generating kernel g, vectorized over numpy arrays.
-    h_gamma : float
-        Low-pass value at zero; defaults to the Mexican hat peak 1/e so
-        that h(0) = max g.
     area_factor : bool
         Include the a_j^2 vertex-area factor (the default). Disabling it
         is a sensitivity knob, not part of the standard descriptor.
-    kernel_id : str
-        Short tag identifying the kernel in caches and reports.
     """
 
     R: int
     lambda_min: float
     lambda_max: float
-    kernel: Callable = field(default=mexican_hat, compare=False)
-    h_gamma: float = _MEXICAN_HAT_PEAK
     area_factor: bool = True
-    kernel_id: str = "mexhat"
 
     def __post_init__(self):
         if self.R < 1:
@@ -131,8 +120,9 @@ class KernelConfig:
 
 
 def scaling_kernel(x, cfg: KernelConfig):
-    """Low-pass kernel h(x) = gamma exp(-(x / (0.6 lambda_min))^4)."""
-    return cfg.h_gamma * np.exp(-((np.asarray(x, dtype=np.float64) / (0.6 * cfg.lambda_min)) ** 4))
+    """Low-pass kernel h(x) = gamma exp(-(x / (0.6 lambda_min))^4), gamma = 1/e."""
+    x = np.asarray(x, dtype=np.float64)
+    return _MEXICAN_HAT_PEAK * np.exp(-((x / (0.6 * cfg.lambda_min)) ** 4))
 
 
 @dataclass(frozen=True)
@@ -146,7 +136,6 @@ class SignatureMatrix:
 
     values: np.ndarray
     R: int
-    kernel_id: str = "mexhat"
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -184,7 +173,7 @@ def _kernel_rows(eigenvalues: np.ndarray, cfg: KernelConfig) -> np.ndarray:
     band_pass = np.ones(cfg.p, dtype=bool)
     band_pass[low_pass] = False
     rows = np.empty((cfg.p, lam.shape[0]))
-    rows[band_pass] = cfg.kernel(scales[:, None] * lam)
+    rows[band_pass] = mexican_hat(scales[:, None] * lam)
     rows[low_pass] = scaling_kernel(lam, cfg)
     return rows
 
@@ -221,7 +210,7 @@ def signature_matrix(basis: EigenBasis, cfg: KernelConfig) -> SignatureMatrix:
         if cfg.area_factor:
             col = col * basis.vertex_areas[j] ** 2
         values[:, j] = col
-    return SignatureMatrix(values, R=cfg.R, kernel_id=cfg.kernel_id)
+    return SignatureMatrix(values, R=cfg.R)
 
 
 def write_signature_csv(sig: SignatureMatrix, path) -> None:
@@ -229,11 +218,3 @@ def write_signature_csv(sig: SignatureMatrix, path) -> None:
     lines = [",".join(f"{x:.12g}" for x in row) for row in sig.values]
     Path(path).write_text("\n".join(lines) + "\n")
 
-
-def signature_of_mesh(mesh: TriangleMesh, basis: EigenBasis, cfg: KernelConfig) -> SignatureMatrix:
-    """Signature matrix with a mesh-size consistency check."""
-    if basis.m != mesh.m:
-        raise InvalidParam(
-            f"basis built on {basis.m} vertices, mesh has {mesh.m}"
-        )
-    return signature_matrix(basis, cfg)

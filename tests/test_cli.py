@@ -1,5 +1,6 @@
 """End-to-end command line behavior, driven in process through main()."""
 
+import argparse
 import json
 import xml.etree.ElementTree as ET
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import sgwshape as sg
-from sgwshape.cli import main
+from sgwshape.cli import build_parser, main
 
 FAST = ["--k", "10", "--R", "3", "--subdivisions", "1"]
 
@@ -148,10 +149,22 @@ class TestSignatureAndGsgw:
         assert np.all(np.isfinite(vec))
 
     def test_gsgw_rejects_unknown_kernel(self, mesh_file, tmp_path, capsys):
+        # the kernel bank is fixed, so --kernel is no flag at all
         out = tmp_path / "g.csv"
-        code = main(["gsgw", str(mesh_file), *FAST[:4], "--kernel", "bogus", "--out", str(out)])
-        assert code == 2
-        assert "unknown kernel 'bogus'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["gsgw", str(mesh_file), *FAST[:4], "--kernel", "bogus", "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --kernel bogus" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--normalize"], ["--cache-dir", "D"]])
+    def test_signature_rejects_descriptor_flags(self, mesh_file, tmp_path, capsys, flag):
+        # the signature needs eigenvectors, which neither flag touches
+        out = tmp_path / "sig.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["signature", str(mesh_file), *FAST[:4], *flag, "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_gsgw_honours_cache_dir(self, mesh_file, tmp_path, capsys):
@@ -309,6 +322,60 @@ class TestParser:
             main(["eigen", "--frobnicate"])
         assert excinfo.value.code == 2
         capsys.readouterr()
+
+    def test_flag_surface(self):
+        """Every subcommand offers exactly the flags it honours."""
+        signature = {"--k", "--R", "--lumping", "--no-area-factor", "--method"}
+        descriptor = signature | {"--normalize", "--cache-dir"}
+        batch = descriptor | {"--pca-dims", "--n-perm", "--seed", "--jobs", "--out-dir"}
+        expected = {
+            "synth mesh": {"--kind", "--subdivisions", "--axes", "--amplitude", "--seed", "--out"},
+            "synth two-class": {
+                "--out", "--n", "--subdivisions", "--axes", "--amplitude", "--seed",
+            },
+            "synth null": {
+                "--out", "--n", "--subdivisions", "--amplitude", "--mesh-seed", "--split-seed",
+            },
+            "eigen": {"--k", "--method", "--lumping", "--out-dir"},
+            "signature": signature | {"--out"},
+            "gsgw": descriptor | {"--labels", "--out"},
+            "reconstruct": {
+                "--ks", "--method", "--lumping", "--unweighted", "--dump-meshes", "--out-dir",
+            },
+            "compare": batch,
+            "sweep": batch | {"--Rs", "--ks-grid"},
+            "plot nmse": {"--out", "--log-y"},
+            "plot gsgw": {"--out", "--max-series"},
+            "plot sweep": {"--out", "--metric", "--bone", "--side"},
+        }
+
+        def leaves(parser, prefix=()):
+            found = {}
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, sub in action.choices.items():
+                        found.update(leaves(sub, (*prefix, name)))
+            if prefix and not found:
+                options = {s for a in parser._actions for s in a.option_strings}
+                found[" ".join(prefix)] = options - {"-h", "--help"}
+            return found
+
+        assert leaves(build_parser()) == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["signature", "m.off", "--out", "s.csv"],
+            ["compare", "manifest.csv", "--out-dir", "o"],
+            ["sweep", "manifest.csv", "--Rs", "3", "--ks-grid", "10", "--out-dir", "o"],
+        ],
+    )
+    def test_kernel_flag_rejected(self, argv, capsys):
+        # gsgw is covered by test_gsgw_rejects_unknown_kernel
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--kernel", "mexhat"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --kernel" in capsys.readouterr().err
 
     def test_help_documents_defaults(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -21,7 +21,7 @@ def toy_signature():
             [4.0, 0.0, 1.0],
         ]
     )
-    return sg.SignatureMatrix(values, R=2, kernel_id="mexhat")
+    return sg.SignatureMatrix(values, R=2)
 
 
 class TestAggregate:
@@ -38,10 +38,6 @@ class TestAggregate:
         plain = sg.aggregate(sig, areas)
         scaled = sg.aggregate(sig, areas, normalize=True)
         np.testing.assert_allclose(scaled.values, plain.values / areas.sum(), rtol=1e-15)
-
-    def test_mesh_hash_is_carried(self):
-        vec = sg.aggregate(toy_signature(), np.ones(3), mesh_hash="abc123")
-        assert vec.mesh_hash == "abc123"
 
     def test_area_length_mismatch(self):
         with pytest.raises(DimensionMismatch):

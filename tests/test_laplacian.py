@@ -131,20 +131,3 @@ class TestApplyOperator:
         with pytest.raises(DimensionMismatch):
             sg.apply_operator(stiffness, mass, np.ones(bumpy2.m + 1))
 
-
-class TestCoordinateExport:
-    def test_round_trip(self, tmp_path):
-        stiffness = sg.stiffness_matrix(right_triangle_mesh())
-        path = tmp_path / "stiffness.txt"
-        sg.write_coordinate_text(stiffness, path)
-        rebuilt = np.zeros((3, 3))
-        for line in path.read_text().splitlines():
-            i, j, val = line.split()
-            rebuilt[int(i), int(j)] = float(val)
-        np.testing.assert_allclose(rebuilt, stiffness.toarray(), rtol=1e-15)
-
-    def test_rows_are_sorted(self, tmp_path, bumpy2):
-        path = tmp_path / "mass.txt"
-        sg.write_coordinate_text(sg.mass_matrix(bumpy2), path)
-        pairs = [tuple(map(int, line.split()[:2])) for line in path.read_text().splitlines()]
-        assert pairs == sorted(pairs)

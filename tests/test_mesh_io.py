@@ -133,10 +133,6 @@ class TestTriangleMesh:
         np.testing.assert_array_equal(out.triangles, mesh.triangles)
         np.testing.assert_allclose(out.vertices, mesh.vertices * 2.0)
 
-    def test_with_label(self):
-        mesh = tetra().with_label("femur_L")
-        assert mesh.provenance.label == "femur_L"
-
 
 class TestOffFormat:
     def test_round_trip(self, tmp_path):

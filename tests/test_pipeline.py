@@ -1,7 +1,9 @@
 """Manifest handling, caching, batch runs, sweeps, synthetic populations."""
 
 import json
-from dataclasses import replace
+import os
+import threading
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import sgwshape as sg
 from sgwshape.errors import InvalidParam, ValidationError
 from sgwshape.pipeline import (
     _REPORT_COLUMNS,
+    _atomic_write_bytes,
     _stratum_seed,
     RunDiagnostics,
     gsgw_for_mesh,
@@ -113,10 +116,14 @@ class TestRunConfig:
     def test_defaults(self):
         cfg = sg.RunConfig()
         assert (cfg.k, cfg.R, cfg.pca_dims, cfg.n_perm) == (31, 30, 18, 1000)
-        assert cfg.kernel_id == "mexhat"
         assert cfg.lumping == "mixed"
         assert cfg.area_factor and not cfg.normalize
         assert cfg.jobs == 1 and cfg.cache_dir is None
+        # the kernel bank is fixed, so no field names it
+        assert [f.name for f in fields(cfg)] == [
+            "k", "R", "pca_dims", "n_perm", "seed", "lumping",
+            "area_factor", "normalize", "method", "cache_dir", "jobs",
+        ]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -126,12 +133,15 @@ class TestRunConfig:
             dict(pca_dims=0),
             dict(n_perm=0),
             dict(jobs=0),
-            dict(kernel_id="sinc"),
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParam):
             sg.RunConfig(**kwargs)
+
+    def test_kernel_id_is_not_a_setting(self):
+        with pytest.raises(TypeError, match="kernel_id"):
+            sg.RunConfig(kernel_id="sinc")
 
     def test_science_dict_excludes_machine_settings(self):
         cfg = sg.RunConfig(cache_dir="/tmp/x", jobs=8, **SMALL)
@@ -140,7 +150,7 @@ class TestRunConfig:
         assert science["k"] == 10 and science["method"] == "auto"
         assert set(science) == {
             "k", "R", "pca_dims", "n_perm", "seed",
-            "kernel_id", "lumping", "area_factor", "normalize", "method",
+            "lumping", "area_factor", "normalize", "method",
         }
 
 
@@ -215,6 +225,36 @@ class TestDescriptorCache:
         vec = gsgw_for_mesh(mesh, cfg, diag)
         assert diag.eigensolves == 1
         assert vec.values.shape == (sg.signature_length(cfg.R),)
+
+    def test_concurrent_writes_of_one_blob(self, tmp_path, monkeypatch):
+        # two threads writing the same blob (two manifest paths holding one
+        # mesh, --jobs > 1) must not rename each other's temp file away
+        barrier = threading.Barrier(2, timeout=10)
+        real_replace = os.replace
+
+        def replace_together(src, dst):
+            barrier.wait()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_together)
+        path = tmp_path / "cache" / "blob.sgwc"
+        payloads = [b"first" * 100, b"second" * 100]
+        errors = []
+
+        def write(payload):
+            try:
+                _atomic_write_bytes(path, payload)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(payload,)) for payload in payloads]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert path.read_bytes() in payloads
+        assert [p.name for p in path.parent.iterdir()] == ["blob.sgwc"]
 
 
 class TestStratumSeed:

@@ -199,17 +199,3 @@ class TestCsvExport:
         assert data.shape == (sig.p, icosphere2_basis.m)
         np.testing.assert_allclose(data, sig.values, rtol=1e-11)
 
-
-class TestSignatureOfMesh:
-    def test_mismatched_mesh_rejected(self, icosphere2, bumpy2_basis):
-        cfg = sg.KernelConfig.from_eigen(bumpy2_basis, R=2)
-        # same vertex count here, so fabricate a mismatch with a smaller mesh
-        small = sg.make_synthetic("unit_sphere", 1)
-        with pytest.raises(InvalidParam):
-            sg.signature_of_mesh(small, bumpy2_basis, cfg)
-
-    def test_agrees_with_signature_matrix(self, icosphere2, icosphere2_basis):
-        cfg = sg.KernelConfig.from_eigen(icosphere2_basis, R=2)
-        a = sg.signature_of_mesh(icosphere2, icosphere2_basis, cfg)
-        b = sg.signature_matrix(icosphere2_basis, cfg)
-        np.testing.assert_array_equal(a.values, b.values)
