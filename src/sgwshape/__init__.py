@@ -8,7 +8,7 @@ and compares two shape populations with MANOVA plus a permutation test.
 
 __version__ = "0.1.0"
 
-from .eigen import DENSE_CUTOFF, EigenBasis, solve_eigen, spectrum_bounds
+from .eigen import DENSE_CUTOFF, EigenBasis, solve_eigen
 from .errors import (
     ConvergenceError,
     DegenerateMass,
@@ -29,7 +29,6 @@ from .laplacian import (
     stiffness_matrix,
 )
 from .mesh_io import (
-    MeshProvenance,
     TriangleMesh,
     load_mesh,
     make_synthetic,
@@ -57,12 +56,12 @@ from .reconstruct import (
     spectral_reconstruct,
 )
 from .sgws import (
-    KernelConfig,
     SignatureMatrix,
     mexican_hat,
     scaling_kernel,
     signature_length,
     signature_matrix,
+    spectrum_bounds,
     vertex_signature,
     wavelet_scales,
     write_signature_csv,
@@ -90,7 +89,6 @@ __all__ = [
     "SingularScatter",
     "GroupCountError",
     "TriangleMesh",
-    "MeshProvenance",
     "load_mesh",
     "write_mesh",
     "make_synthetic",
@@ -103,7 +101,6 @@ __all__ = [
     "solve_eigen",
     "spectrum_bounds",
     "DENSE_CUTOFF",
-    "KernelConfig",
     "SignatureMatrix",
     "mexican_hat",
     "scaling_kernel",

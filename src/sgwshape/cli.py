@@ -19,14 +19,14 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .eigen import solve_eigen
+from .eigen import SOLVER_METHODS, solve_eigen
 from .errors import (
     NUMERICAL_ERRORS,
     USAGE_ERRORS,
     InvalidParam,
     ParseError,
 )
-from .laplacian import laplacian_matrices
+from .laplacian import LUMPING_SCHEMES, laplacian_matrices
 from .mesh_io import load_mesh, make_synthetic, write_mesh
 from .pipeline import (
     DatasetManifest,
@@ -38,7 +38,7 @@ from .pipeline import (
     run_group_comparison,
 )
 from .reconstruct import nmse_curve
-from .sgws import KernelConfig, signature_length, signature_matrix, write_signature_csv
+from .sgws import signature_length, signature_matrix, write_signature_csv
 from .svgplot import heatmap, line_plot
 
 __all__ = ["main", "build_parser"]
@@ -74,23 +74,22 @@ def _positive_int(text: str) -> int:
 
 
 def _config_from_args(args) -> RunConfig:
-    batch = {}
-    if hasattr(args, "n_perm"):
-        batch = {
-            "pca_dims": args.pca_dims,
-            "n_perm": args.n_perm,
-            "seed": args.seed,
-            "jobs": args.jobs,
-        }
+    """RunConfig of the flags the command offers; the others keep their defaults.
+
+    Building it validates every setting before any mesh is read.
+    """
+    offered = {
+        name: getattr(args, name)
+        for name in ("normalize", "cache_dir", "pca_dims", "n_perm", "seed", "jobs")
+        if hasattr(args, name)
+    }
     return RunConfig(
         k=args.k,
         R=args.R,
         lumping=args.lumping,
         area_factor=not args.no_area_factor,
-        normalize=args.normalize,
         method=args.method,
-        cache_dir=args.cache_dir,
-        **batch,
+        **offered,
     )
 
 
@@ -99,7 +98,7 @@ def _add_signature_flags(parser):
     parser.add_argument("--k", type=int, default=31, help="eigenpair count (default 31)")
     parser.add_argument("--R", type=int, default=30, help="resolution levels (default 30)")
     parser.add_argument(
-        "--lumping", default="mixed", choices=["mixed", "barycentric"],
+        "--lumping", default="mixed", choices=LUMPING_SCHEMES,
         help="vertex area scheme (default mixed)",
     )
     parser.add_argument(
@@ -107,7 +106,7 @@ def _add_signature_flags(parser):
         help="drop the squared vertex-area factor from signatures",
     )
     parser.add_argument(
-        "--method", default="auto", choices=["auto", "dense", "sparse"],
+        "--method", default="auto", choices=SOLVER_METHODS,
         help="eigensolver route (default auto)",
     )
 
@@ -212,15 +211,15 @@ def _cmd_eigen(args) -> int:
 
 
 def _cmd_signature(args) -> int:
+    cfg = _config_from_args(args)
     _announce("signature", {
-        "mesh": args.mesh, "k": args.k, "R": args.R, "lumping": args.lumping,
-        "area_factor": not args.no_area_factor, "method": args.method, "out": args.out,
+        "mesh": args.mesh, "k": cfg.k, "R": cfg.R, "lumping": cfg.lumping,
+        "area_factor": cfg.area_factor, "method": cfg.method, "out": args.out,
     })
     mesh = load_mesh(args.mesh)
-    stiffness, mass = laplacian_matrices(mesh, lumping=args.lumping)
-    basis = solve_eigen(stiffness, mass, args.k, method=args.method)
-    cfg = KernelConfig.from_eigen(basis, args.R, area_factor=not args.no_area_factor)
-    sig = signature_matrix(basis, cfg)
+    stiffness, mass = laplacian_matrices(mesh, lumping=cfg.lumping)
+    basis = solve_eigen(stiffness, mass, cfg.k, method=cfg.method)
+    sig = signature_matrix(basis, cfg.R, area_factor=cfg.area_factor)
     write_signature_csv(sig, args.out)
     print(f"wrote {args.out} ({sig.p} rows x {sig.m} columns)")
     return 0
@@ -482,8 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     eig = sub.add_parser("eigen", help="eigenvalues and eigenfunctions of one mesh")
     eig.add_argument("mesh")
     eig.add_argument("--k", type=int, default=31, help="eigenpair count (default 31)")
-    eig.add_argument("--method", default="auto", choices=["auto", "dense", "sparse"])
-    eig.add_argument("--lumping", default="mixed", choices=["mixed", "barycentric"])
+    eig.add_argument("--method", default="auto", choices=SOLVER_METHODS)
+    eig.add_argument("--lumping", default="mixed", choices=LUMPING_SCHEMES)
     eig.add_argument("--out-dir", dest="out_dir", required=True)
     eig.set_defaults(func=_cmd_eigen)
 
@@ -504,8 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("mesh")
     rec.add_argument("--ks", default="1,5,10,20,30,50",
                      help="comma-separated basis sizes (default 1,5,10,20,30,50)")
-    rec.add_argument("--method", default="auto", choices=["auto", "dense", "sparse"])
-    rec.add_argument("--lumping", default="mixed", choices=["mixed", "barycentric"])
+    rec.add_argument("--method", default="auto", choices=SOLVER_METHODS)
+    rec.add_argument("--lumping", default="mixed", choices=LUMPING_SCHEMES)
     rec.add_argument("--unweighted", action="store_true",
                      help="plain vertex sums instead of area-weighted norms")
     rec.add_argument("--dump-meshes", dest="dump_meshes", action="store_true",

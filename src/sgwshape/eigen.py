@@ -28,7 +28,10 @@ from scipy.sparse.linalg import eigsh
 
 from .errors import ConvergenceError, InvalidParam, NumericalError
 
-__all__ = ["EigenBasis", "solve_eigen", "spectrum_bounds", "DENSE_CUTOFF"]
+__all__ = ["EigenBasis", "solve_eigen", "DENSE_CUTOFF"]
+
+# solver routes; "auto" picks dense at or below DENSE_CUTOFF vertices
+SOLVER_METHODS = ("auto", "dense", "sparse")
 
 # largest vertex count solved densely under method="auto"
 DENSE_CUTOFF = 600
@@ -127,8 +130,8 @@ def solve_eigen(stiffness, mass, k: int, method: str = "auto") -> EigenBasis:
         raise InvalidParam("mass matrix diagonal must be positive")
     if not 1 <= k <= m:
         raise InvalidParam(f"k must be in [1, {m}], got {k}")
-    if method not in ("auto", "dense", "sparse"):
-        raise InvalidParam(f"unknown method {method!r}; expected auto/dense/sparse")
+    if method not in SOLVER_METHODS:
+        raise InvalidParam(f"unknown method {method!r}; expected one of {SOLVER_METHODS}")
     if method == "auto":
         method = "dense" if m <= DENSE_CUTOFF else "sparse"
 
@@ -193,22 +196,3 @@ def solve_eigen(stiffness, mass, k: int, method: str = "auto") -> EigenBasis:
         np.ascontiguousarray(areas),
         method=method,
     )
-
-
-def spectrum_bounds(basis: EigenBasis) -> tuple[float, float]:
-    """Kernel design bounds (lambda_max / 20, lambda_max) from a basis.
-
-    Only ``k`` and ``eigenvalues`` are read, so a ``SpectralSummary`` of the
-    same pairs gives the same bounds.
-
-    lambda_max is the largest computed eigenvalue; lambda_min is pinned at
-    a twentieth of it, which keeps the band-pass scales anchored to the
-    resolved part of the spectrum. Needs at least 2 eigenpairs, otherwise
-    lambda_max would be the trivial zero mode.
-    """
-    if basis.k < 2:
-        raise InvalidParam(f"spectrum bounds need k >= 2 eigenpairs, got {basis.k}")
-    lam_max = float(basis.eigenvalues[-1])
-    if lam_max <= 0.0:
-        raise NumericalError("largest eigenvalue is zero; spectrum carries no band to analyze")
-    return lam_max / 20.0, lam_max

@@ -19,7 +19,7 @@ import numpy as np
 
 from .eigen import EigenBasis
 from .errors import DimensionMismatch, InvalidParam
-from .sgws import KernelConfig, SignatureMatrix, _kernel_rows, signature_length
+from .sgws import SignatureMatrix, _kernel_rows, signature_length
 
 __all__ = [
     "GsgwVector",
@@ -154,19 +154,19 @@ def summarize(basis: EigenBasis) -> SpectralSummary:
 
 
 def descriptor_from_summary(
-    summary: SpectralSummary, cfg: KernelConfig, normalize: bool = False
+    summary: SpectralSummary, R: int, area_factor: bool = True, normalize: bool = False
 ) -> GsgwVector:
     """Closed-form g = K w; equals ``aggregate(signature_matrix(...))``.
 
-    The summary's k sets the kernel rows; ``cfg.area_factor`` picks w_area
-    or w_plain and ``normalize`` divides by the total area, as in
-    ``aggregate``.
+    The summary's eigenvalues set the kernel rows at resolution R;
+    ``area_factor`` picks w_area or w_plain and ``normalize`` divides by
+    the total area, as in ``aggregate``.
     """
-    weights = summary.w_area if cfg.area_factor else summary.w_plain
-    g = _kernel_rows(summary.eigenvalues, cfg) @ weights
+    weights = summary.w_area if area_factor else summary.w_plain
+    g = _kernel_rows(summary.eigenvalues, R) @ weights
     if normalize:
         g = g / summary.total_area
-    return GsgwVector(g, R=cfg.R)
+    return GsgwVector(g, R=R)
 
 
 def gsgw_distance(g1: GsgwVector, g2: GsgwVector) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,6 @@ import numpy as np
 from .errors import InvalidParam, ParseError, ValidationError
 
 __all__ = [
-    "MeshProvenance",
     "TriangleMesh",
     "load_mesh",
     "write_mesh",
@@ -27,7 +25,6 @@ __all__ = [
     "rigid_transform",
 ]
 
-MESH_FORMATS = ("off", "obj", "ply", "synthetic")
 SYNTHETIC_KINDS = ("unit_sphere", "ellipsoid", "bumpy_sphere")
 
 _EXTENSION_FORMATS = {".off": "off", ".obj": "obj", ".ply": "ply"}
@@ -39,18 +36,6 @@ _DEGENERATE_REL_TOL = 1e-12
 _ORTHOGONALITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class MeshProvenance:
-    """Where a mesh came from: source path and format, verbatim."""
-
-    source_path: str
-    fmt: str
-
-    def __post_init__(self):
-        if self.fmt not in MESH_FORMATS:
-            raise InvalidParam(f"unknown mesh format {self.fmt!r}; expected one of {MESH_FORMATS}")
-
-
 class TriangleMesh:
     """Immutable triangle mesh: vertex positions plus triangle connectivity.
 
@@ -60,7 +45,6 @@ class TriangleMesh:
         Vertex positions, stored as float64.
     triangles : (g, 3) array_like of int
         Vertex index triples.
-    provenance : MeshProvenance, optional
     check_degenerate : bool
         Reject zero-area triangles. Leave enabled for loaded and generated
         meshes; spectral reconstructions at small truncations are degenerate
@@ -73,9 +57,9 @@ class TriangleMesh:
         triangle, edge shared by more than two faces, or isolated vertex.
     """
 
-    __slots__ = ("vertices", "triangles", "provenance", "_hash")
+    __slots__ = ("vertices", "triangles", "_hash")
 
-    def __init__(self, vertices, triangles, provenance=None, check_degenerate=True):
+    def __init__(self, vertices, triangles, check_degenerate=True):
         v = np.ascontiguousarray(np.asarray(vertices, dtype=np.float64))
         t_raw = np.asarray(triangles)
         if not np.issubdtype(t_raw.dtype, np.integer):
@@ -129,7 +113,6 @@ class TriangleMesh:
         t.setflags(write=False)
         self.vertices = v
         self.triangles = t
-        self.provenance = provenance
         self._hash = None
 
     @property
@@ -163,10 +146,8 @@ class TriangleMesh:
         return float(self.triangle_areas().sum())
 
     def with_vertices(self, vertices, check_degenerate=True) -> "TriangleMesh":
-        """Same connectivity and provenance with replaced vertex positions."""
-        return TriangleMesh(
-            vertices, self.triangles, provenance=self.provenance, check_degenerate=check_degenerate
-        )
+        """Same connectivity with replaced vertex positions."""
+        return TriangleMesh(vertices, self.triangles, check_degenerate=check_degenerate)
 
     def __repr__(self):
         return f"TriangleMesh(m={self.m}, g={self.g})"
@@ -225,7 +206,7 @@ def load_mesh(path, fmt: str | None = None) -> TriangleMesh:
     else:
         raise InvalidParam(f"unknown mesh format {fmt!r}; expected one of off/obj/ply")
     try:
-        return TriangleMesh(vertices, triangles, provenance=MeshProvenance(name, fmt))
+        return TriangleMesh(vertices, triangles)
     except ValidationError as exc:
         raise ValidationError(f"{name}: {exc}") from None
 
@@ -542,8 +523,7 @@ def make_synthetic(
     else:
         radius = 1.0 + amplitude * _bump_field(vertices, seed)
         vertices = vertices * radius[:, None] * axes
-    provenance = MeshProvenance(f"synthetic:{kind}:s{subdivisions}:seed{seed}", "synthetic")
-    return TriangleMesh(vertices, faces, provenance=provenance)
+    return TriangleMesh(vertices, faces)
 
 
 def rigid_transform(mesh: TriangleMesh, rotation, translation) -> TriangleMesh:

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import stats
-from .eigen import solve_eigen
+from .eigen import SOLVER_METHODS, solve_eigen
 from .errors import (
     NUMERICAL_ERRORS,
     InvalidParam,
@@ -38,9 +38,8 @@ from .errors import (
     ValidationError,
 )
 from .gsgw import GsgwVector, SpectralSummary, descriptor_from_summary, summarize
-from .laplacian import laplacian_matrices
+from .laplacian import LUMPING_SCHEMES, laplacian_matrices
 from .mesh_io import TriangleMesh, load_mesh, make_synthetic, write_mesh
-from .sgws import KernelConfig
 
 __all__ = [
     "ManifestEntry",
@@ -161,6 +160,14 @@ class RunConfig:
             raise InvalidParam(f"n_perm must be >= 1, got {self.n_perm}")
         if self.jobs < 1:
             raise InvalidParam(f"jobs must be >= 1, got {self.jobs}")
+        if self.lumping not in LUMPING_SCHEMES:
+            raise InvalidParam(
+                f"unknown lumping {self.lumping!r}; expected one of {LUMPING_SCHEMES}"
+            )
+        if self.method not in SOLVER_METHODS:
+            raise InvalidParam(
+                f"unknown method {self.method!r}; expected one of {SOLVER_METHODS}"
+            )
 
     def science_dict(self) -> dict:
         """The parameters that determine results (reported verbatim)."""
@@ -416,9 +423,9 @@ def _load_or_solve_summary(
 
 def _descriptor(summary: SpectralSummary, cfg: RunConfig) -> GsgwVector:
     """Closed-form descriptor at cfg's (R, k) from a summary of >= cfg.k pairs."""
-    summary = summary.truncate(cfg.k)
-    kernel_cfg = KernelConfig.from_eigen(summary, cfg.R, area_factor=cfg.area_factor)
-    return descriptor_from_summary(summary, kernel_cfg, normalize=cfg.normalize)
+    return descriptor_from_summary(
+        summary.truncate(cfg.k), cfg.R, area_factor=cfg.area_factor, normalize=cfg.normalize
+    )
 
 
 def gsgw_for_mesh(

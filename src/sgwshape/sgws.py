@@ -13,6 +13,12 @@ not a setting. Stacking levels 1..R yields a vector of length
 p = (R+1)(R+2)/2 - 1. Only the squared eigenfunction
 values enter, so the signature does not depend on eigenvector signs, nor
 on the choice of basis inside a degenerate eigenspace.
+
+The scale grid is a function of the spectrum, not a setting: lambda_max
+is the largest of the k eigenvalues the kernels receive and lambda_min =
+lambda_max / 20 (Hammond, Vandergheynst and Gribonval, "Wavelets on graphs
+via spectral graph theory", ACHA 2011). ``spectrum_bounds`` is the one
+place that derives it; every kernel function takes the eigenvalues and R.
 """
 
 from __future__ import annotations
@@ -23,14 +29,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .eigen import EigenBasis, spectrum_bounds
-from .errors import InvalidParam
+from .eigen import EigenBasis
+from .errors import InvalidParam, NumericalError
 
 __all__ = [
-    "KernelConfig",
     "SignatureMatrix",
     "mexican_hat",
     "scaling_kernel",
+    "spectrum_bounds",
     "wavelet_scales",
     "signature_length",
     "vertex_signature",
@@ -76,53 +82,27 @@ def wavelet_scales(L: int, lambda_min: float, lambda_max: float) -> np.ndarray:
     return t
 
 
-@dataclass(frozen=True)
-class KernelConfig:
-    """Scale grid and area setting of the fixed kernel bank.
+def spectrum_bounds(eigenvalues) -> tuple[float, float]:
+    """Scale-grid bounds (lambda_max / 20, lambda_max) of an ascending spectrum.
 
-    Attributes
-    ----------
-    R : int
-        Number of multiresolution levels, >= 1.
-    lambda_min, lambda_max : float
-        Spectrum bounds driving the scale grid and the low-pass cutoff.
-    area_factor : bool
-        Include the a_j^2 vertex-area factor (the default). Disabling it
-        is a sensitivity knob, not part of the standard descriptor.
+    lambda_max is the largest given eigenvalue; lambda_min is pinned at a
+    twentieth of it, which keeps the band-pass scales anchored to the
+    resolved part of the spectrum. Needs at least 2 eigenvalues, otherwise
+    lambda_max would be the trivial zero mode.
     """
-
-    R: int
-    lambda_min: float
-    lambda_max: float
-    area_factor: bool = True
-
-    def __post_init__(self):
-        if self.R < 1:
-            raise InvalidParam(f"resolution must be >= 1, got {self.R}")
-        if not (0.0 < self.lambda_min < self.lambda_max):
-            raise InvalidParam(
-                f"need 0 < lambda_min < lambda_max, got "
-                f"({self.lambda_min}, {self.lambda_max})"
-            )
-
-    @classmethod
-    def from_eigen(cls, basis: EigenBasis, R: int, **kwargs) -> "KernelConfig":
-        """Config with bounds (lambda_max/20, lambda_max) from a basis.
-
-        Only the eigenvalues are read, so a ``SpectralSummary`` serves too.
-        """
-        lam_min, lam_max = spectrum_bounds(basis)
-        return cls(R=R, lambda_min=lam_min, lambda_max=lam_max, **kwargs)
-
-    @property
-    def p(self) -> int:
-        return signature_length(self.R)
+    lam = np.asarray(eigenvalues, dtype=np.float64)
+    if lam.shape[0] < 2:
+        raise InvalidParam(f"spectrum bounds need k >= 2 eigenpairs, got {lam.shape[0]}")
+    lam_max = float(lam[-1])
+    if lam_max <= 0.0:
+        raise NumericalError("largest eigenvalue is zero; spectrum carries no band to analyze")
+    return lam_max / 20.0, lam_max
 
 
-def scaling_kernel(x, cfg: KernelConfig):
+def scaling_kernel(x, lambda_min: float):
     """Low-pass kernel h(x) = gamma exp(-(x / (0.6 lambda_min))^4), gamma = 1/e."""
     x = np.asarray(x, dtype=np.float64)
-    return _MEXICAN_HAT_PEAK * np.exp(-((x / (0.6 * cfg.lambda_min)) ** 4))
+    return _MEXICAN_HAT_PEAK * np.exp(-((x / (0.6 * lambda_min)) ** 4))
 
 
 @dataclass(frozen=True)
@@ -154,63 +134,68 @@ class SignatureMatrix:
         return self.values.shape[1]
 
 
-def _kernel_rows(eigenvalues: np.ndarray, cfg: KernelConfig) -> np.ndarray:
+def _kernel_rows(eigenvalues, R: int) -> np.ndarray:
     """(p, k) matrix of kernel evaluations, one row per signature entry.
 
     Row r holds the weights applied to the k eigenvalue terms for entry r,
-    so every vertex signature is this matrix times phi(j)^2. All band-pass
-    rows come from one broadcast product; each entry is the same scalar
-    arithmetic as evaluating the kernel row by row.
+    so every vertex signature is this matrix times phi(j)^2. The scale grid
+    comes from ``spectrum_bounds(eigenvalues)``. All band-pass rows come
+    from one broadcast product; each entry is the same scalar arithmetic as
+    evaluating the kernel row by row.
     """
+    p = signature_length(R)
     lam = np.asarray(eigenvalues, dtype=np.float64)
-    levels = range(1, cfg.R + 1)
+    lambda_min, lambda_max = spectrum_bounds(lam)
+    levels = range(1, R + 1)
     scales = np.concatenate(
-        [wavelet_scales(level, cfg.lambda_min, cfg.lambda_max) for level in levels]
+        [wavelet_scales(level, lambda_min, lambda_max) for level in levels]
     )
     # level L holds L band-pass rows and then its low-pass row, which
     # therefore sits at index L(L+3)/2 - 1
     low_pass = np.array([level * (level + 3) // 2 - 1 for level in levels])
-    band_pass = np.ones(cfg.p, dtype=bool)
+    band_pass = np.ones(p, dtype=bool)
     band_pass[low_pass] = False
-    rows = np.empty((cfg.p, lam.shape[0]))
+    rows = np.empty((p, lam.shape[0]))
     rows[band_pass] = mexican_hat(scales[:, None] * lam)
-    rows[low_pass] = scaling_kernel(lam, cfg)
+    rows[low_pass] = scaling_kernel(lam, lambda_min)
     return rows
 
 
-def vertex_signature(basis: EigenBasis, cfg: KernelConfig, j: int) -> np.ndarray:
-    """Length-p signature of vertex j.
+def vertex_signature(
+    basis: EigenBasis, R: int, j: int, area_factor: bool = True
+) -> np.ndarray:
+    """Length-p signature of vertex j at resolution R.
 
     Needs at least 2 eigenpairs; the constant zero mode alone carries no
-    band-pass content.
+    band-pass content. ``area_factor`` includes the a_j^2 vertex-area
+    factor (the default); disabling it is a sensitivity knob, not part of
+    the standard descriptor.
     """
-    if basis.k < 2:
-        raise InvalidParam(f"signatures need k >= 2 eigenpairs, got {basis.k}")
     if not 0 <= j < basis.m:
         raise InvalidParam(f"vertex index {j} outside [0, {basis.m})")
     phi_sq = basis.eigenvectors[j] ** 2
-    sig = _kernel_rows(basis.eigenvalues, cfg) @ phi_sq
-    if cfg.area_factor:
+    sig = _kernel_rows(basis.eigenvalues, R) @ phi_sq
+    if area_factor:
         sig = sig * basis.vertex_areas[j] ** 2
     return sig
 
 
-def signature_matrix(basis: EigenBasis, cfg: KernelConfig) -> SignatureMatrix:
+def signature_matrix(
+    basis: EigenBasis, R: int, area_factor: bool = True
+) -> SignatureMatrix:
     """Signatures of every vertex; column j equals vertex_signature(.., j).
 
     Column j is produced by the same kernel-row product as the single
     vertex path, so the two agree bitwise.
     """
-    if basis.k < 2:
-        raise InvalidParam(f"signatures need k >= 2 eigenpairs, got {basis.k}")
-    rows = _kernel_rows(basis.eigenvalues, cfg)
-    values = np.empty((cfg.p, basis.m))
+    rows = _kernel_rows(basis.eigenvalues, R)
+    values = np.empty((rows.shape[0], basis.m))
     for j in range(basis.m):
         col = rows @ (basis.eigenvectors[j] ** 2)
-        if cfg.area_factor:
+        if area_factor:
             col = col * basis.vertex_areas[j] ** 2
         values[:, j] = col
-    return SignatureMatrix(values, R=cfg.R)
+    return SignatureMatrix(values, R=R)
 
 
 def write_signature_csv(sig: SignatureMatrix, path) -> None:

@@ -118,16 +118,14 @@ def test_criterion_03_signature_dimensions():
 def test_criterion_04_isometry_invariance():
     mesh = sg.make_synthetic("bumpy_sphere", 2, seed=5)
     basis = _solve(mesh, 31)
-    cfg = sg.KernelConfig.from_eigen(basis, R=30)
-    ref = sg.aggregate(sg.signature_matrix(basis, cfg), basis.vertex_areas)
+    ref = sg.aggregate(sg.signature_matrix(basis, 30), basis.vertex_areas)
 
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(10):
         moved = sg.rigid_transform(mesh, random_rotation(rng), rng.standard_normal(3))
         mb = _solve(moved, 31)
-        mcfg = sg.KernelConfig.from_eigen(mb, R=30)
-        vec = sg.aggregate(sg.signature_matrix(mb, mcfg), mb.vertex_areas)
+        vec = sg.aggregate(sg.signature_matrix(mb, 30), mb.vertex_areas)
         worst = max(worst, float(np.max(np.abs(vec.values - ref.values) / ref.values)))
     ok = worst < 1e-8
     _report(4, ok, f"10 rigid motions, worst entrywise rel change {worst:.2e} < 1e-8")
@@ -136,8 +134,7 @@ def test_criterion_04_isometry_invariance():
 def test_criterion_05_eigenspace_rotation_invariance():
     mesh = sg.make_synthetic("unit_sphere", 2)
     basis = _solve(mesh, 10)
-    cfg = sg.KernelConfig.from_eigen(basis, R=5)
-    ref = sg.signature_matrix(basis, cfg).values
+    ref = sg.signature_matrix(basis, 5).values
 
     triple = basis.eigenvectors[:, 1:4]  # the degenerate l=1 eigenspace
     rng = np.random.default_rng(11)
@@ -147,7 +144,7 @@ def test_criterion_05_eigenspace_rotation_invariance():
         phi = basis.eigenvectors.copy()
         phi[:, 1:4] = triple @ q
         rotated = sg.EigenBasis(basis.eigenvalues, phi, basis.vertex_areas)
-        vals = sg.signature_matrix(rotated, cfg).values
+        vals = sg.signature_matrix(rotated, 5).values
         worst = max(worst, float(np.abs(vals - ref).max()))
     ok = worst < 1e-10
     _report(5, ok, f"25 eigenspace rotations, worst entry change {worst:.2e} < 1e-10")
@@ -158,9 +155,9 @@ def test_criterion_06_hand_oracle_signature():
     eigenvectors = np.array([[0.3, 0.7], [0.5, -0.2], [0.4, 0.1]])
     areas = np.array([0.9, 1.2, 0.6])
     basis = sg.EigenBasis(eigenvalues, eigenvectors, areas)
+    # the grid is derived from the spectrum: lambda_max = 4, lambda_min = 4/20
     R, lo, hi = 3, 0.2, 4.0
-    cfg = sg.KernelConfig(R=R, lambda_min=lo, lambda_max=hi)
-    got = sg.signature_matrix(basis, cfg).values
+    got = sg.signature_matrix(basis, R).values
 
     # brute force with scalar math only, no shared code with the library
     def g(x):

@@ -1,0 +1,36 @@
+"""The package's public names: a fixed set, each one resolvable."""
+
+import sgwshape as sg
+
+EXPORTED = {
+    "__version__",
+    # errors
+    "SgwError", "ParseError", "ValidationError", "InvalidParam", "DimensionMismatch",
+    "NumericalError", "ConvergenceError", "DegenerateMass", "SingularScatter",
+    "GroupCountError",
+    # meshes
+    "TriangleMesh", "load_mesh", "write_mesh", "make_synthetic", "rigid_transform",
+    # Laplacian and eigenpairs
+    "stiffness_matrix", "mass_matrix", "laplacian_matrices", "apply_operator",
+    "EigenBasis", "solve_eigen", "DENSE_CUTOFF",
+    # signatures and descriptors
+    "spectrum_bounds", "SignatureMatrix", "mexican_hat", "scaling_kernel",
+    "wavelet_scales", "signature_length", "vertex_signature", "signature_matrix",
+    "write_signature_csv", "GsgwVector", "aggregate", "gsgw_distance",
+    # reconstruction
+    "ReconstructionReport", "reconstruct_vertices", "spectral_reconstruct", "nmse_curve",
+    # statistics
+    "DataMatrix", "GroupComparison", "pca_reduce", "wilks_lambda", "manova_two_group",
+    "permutation_test", "compare_groups",
+    # batch runs
+    "ManifestEntry", "DatasetManifest", "RunConfig", "RunDiagnostics", "StratumResult",
+    "RunResult", "SweepResult", "run_group_comparison", "parameter_sweep",
+    "gsgw_for_mesh", "make_two_class_manifest", "make_null_manifest",
+}
+
+
+def test_public_names_are_pinned():
+    """A removed name cannot come back, nor a new one appear, unnoticed."""
+    assert len(sg.__all__) == len(set(sg.__all__))
+    assert set(sg.__all__) == EXPORTED
+    assert [name for name in sg.__all__ if not hasattr(sg, name)] == []

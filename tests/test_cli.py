@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sgwshape as sg
+import sgwshape.cli as cli
 from sgwshape.cli import build_parser, main
 
 FAST = ["--k", "10", "--R", "3", "--subdivisions", "1"]
@@ -132,6 +133,23 @@ class TestSignatureAndGsgw:
         rows = [line.split(",") for line in out.read_text().splitlines()]
         assert len(rows) == sg.signature_length(3)
         assert len(rows[0]) == 42
+
+    @pytest.mark.parametrize("flag", [["--k", "1"], ["--R", "0"]])
+    def test_signature_validates_before_solving(
+        self, mesh_file, tmp_path, capsys, monkeypatch, flag
+    ):
+        solves = []
+
+        def counting_solve(*args, **kwargs):
+            solves.append(args)
+            return sg.solve_eigen(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_eigen", counting_solve)
+        out = tmp_path / "sig.csv"
+        assert main(["signature", str(mesh_file), *flag, "--out", str(out)]) == 2
+        assert solves == []
+        assert not out.exists()
+        capsys.readouterr()
 
     def test_gsgw_table(self, mesh_file, dataset_dir, tmp_path):
         out = tmp_path / "gsgw.csv"

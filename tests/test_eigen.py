@@ -1,4 +1,4 @@
-"""Generalized eigensolver behavior and spectral bounds."""
+"""Generalized eigensolver behavior."""
 
 import numpy as np
 import pytest
@@ -123,33 +123,3 @@ class TestEigenBasis:
     def test_shape_properties(self, bumpy2, bumpy2_basis):
         assert bumpy2_basis.m == bumpy2.m
         assert bumpy2_basis.k == 31
-
-
-class TestSpectrumBounds:
-    def test_anchored_at_largest_eigenvalue(self):
-        basis = sg.EigenBasis(
-            eigenvalues=np.array([0.0, 1.0, 4.0, 20.0]),
-            eigenvectors=np.eye(4),
-            vertex_areas=np.ones(4),
-        )
-        lo, hi = sg.spectrum_bounds(basis)
-        assert hi == 20.0
-        assert lo == 1.0
-
-    def test_requires_two_modes(self):
-        basis = sg.EigenBasis(
-            eigenvalues=np.array([0.0]),
-            eigenvectors=np.ones((4, 1)),
-            vertex_areas=np.ones(4),
-        )
-        with pytest.raises(InvalidParam):
-            sg.spectrum_bounds(basis)
-
-    def test_flat_spectrum_rejected(self):
-        basis = sg.EigenBasis(
-            eigenvalues=np.array([0.0, 0.0]),
-            eigenvectors=np.ones((4, 2)),
-            vertex_areas=np.ones(4),
-        )
-        with pytest.raises(NumericalError):
-            sg.spectrum_bounds(basis)

@@ -72,8 +72,7 @@ class TestDistance:
 
 class TestIsometryInvariance:
     def test_rigid_motion_leaves_descriptor_unchanged(self, icosphere2, icosphere2_basis):
-        cfg = sg.KernelConfig.from_eigen(icosphere2_basis, R=4)
-        sig = sg.signature_matrix(icosphere2_basis, cfg)
+        sig = sg.signature_matrix(icosphere2_basis, 4)
         ref = sg.aggregate(sig, icosphere2_basis.vertex_areas)
 
         rng = np.random.default_rng(12)
@@ -82,10 +81,7 @@ class TestIsometryInvariance:
         )
         stiffness, mass = sg.laplacian_matrices(moved)
         basis = sg.solve_eigen(stiffness, mass, 31)
-        moved_cfg = sg.KernelConfig.from_eigen(basis, R=4)
-        moved_vec = sg.aggregate(
-            sg.signature_matrix(basis, moved_cfg), basis.vertex_areas
-        )
+        moved_vec = sg.aggregate(sg.signature_matrix(basis, 4), basis.vertex_areas)
 
         scale = np.linalg.norm(ref.values)
         assert sg.gsgw_distance(ref, moved_vec) < 1e-10 * scale
@@ -109,9 +105,10 @@ class TestClosedForm:
 
         stiffness, mass = sg.laplacian_matrices(bumpy2)
         basis = sg.solve_eigen(stiffness, mass, 31, method=method)
-        kernel_cfg = sg.KernelConfig.from_eigen(basis, R=6, area_factor=area_factor)
         want = sg.aggregate(
-            sg.signature_matrix(basis, kernel_cfg), basis.vertex_areas, normalize=normalize
+            sg.signature_matrix(basis, 6, area_factor=area_factor),
+            basis.vertex_areas,
+            normalize=normalize,
         )
         assert got.values.shape == want.values.shape
         assert _relative_gap(got.values, want.values) <= 1e-14
@@ -125,8 +122,7 @@ class TestClosedForm:
 
         stiffness, mass = sg.laplacian_matrices(bumpy2)
         basis = sg.solve_eigen(stiffness, mass, 20).truncate(9)
-        kernel_cfg = sg.KernelConfig.from_eigen(basis, R=5)
-        want = sg.aggregate(sg.signature_matrix(basis, kernel_cfg), basis.vertex_areas)
+        want = sg.aggregate(sg.signature_matrix(basis, 5), basis.vertex_areas)
         assert _relative_gap(got.values, want.values) <= 1e-14
 
     def test_plain_weights_are_one(self, bumpy2_basis):
@@ -137,8 +133,7 @@ class TestClosedForm:
     def test_no_area_factor_depends_on_eigenvalues_alone(self, bumpy2, bumpy2_basis):
         cfg = sg.RunConfig(k=31, R=6, area_factor=False)
         got = sg.gsgw_for_mesh(bumpy2, cfg)
-        kernel_cfg = sg.KernelConfig.from_eigen(bumpy2_basis, R=6, area_factor=False)
-        rows = _kernel_rows(bumpy2_basis.eigenvalues, kernel_cfg)
+        rows = _kernel_rows(bumpy2_basis.eigenvalues, 6)
         assert _relative_gap(got.values, rows @ np.ones(31)) <= 1e-14
 
     def test_summary_truncate_is_a_prefix(self, bumpy2_basis):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sgwshape as sg
+import sgwshape.pipeline as pipeline
 from sgwshape.errors import InvalidParam, ValidationError
 from sgwshape.pipeline import (
     _REPORT_COLUMNS,
@@ -133,11 +134,25 @@ class TestRunConfig:
             dict(pca_dims=0),
             dict(n_perm=0),
             dict(jobs=0),
+            dict(lumping="bogus"),
+            dict(method="magic"),
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParam):
             sg.RunConfig(**kwargs)
+
+    def test_bogus_lumping_loads_no_mesh(self, two_class, monkeypatch):
+        loaded = []
+
+        def counting_load(path):
+            loaded.append(path)
+            return sg.load_mesh(path)
+
+        monkeypatch.setattr(pipeline, "load_mesh", counting_load)
+        with pytest.raises(InvalidParam, match="unknown lumping 'bogus'"):
+            sg.run_group_comparison(two_class, sg.RunConfig(lumping="bogus", **SMALL))
+        assert loaded == []
 
     def test_kernel_id_is_not_a_setting(self):
         with pytest.raises(TypeError, match="kernel_id"):

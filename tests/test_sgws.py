@@ -1,4 +1,4 @@
-"""Wavelet kernels, scale grids, and per-vertex signatures."""
+"""Wavelet kernels, spectrum-derived scale grids, and per-vertex signatures."""
 
 import math
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgwshape as sg
-from sgwshape.errors import InvalidParam
+from sgwshape.errors import InvalidParam, NumericalError
 from sgwshape.sgws import _kernel_rows
 
 PEAK = math.exp(-1.0)
@@ -38,14 +38,12 @@ class TestKernels:
         assert 0.0 <= val <= PEAK + 1e-16
 
     def test_scaling_kernel_matches_wavelet_peak(self):
-        cfg = sg.KernelConfig(R=3, lambda_min=1.0, lambda_max=20.0)
-        assert sg.scaling_kernel(0.0, cfg) == pytest.approx(PEAK, rel=1e-15)
+        assert sg.scaling_kernel(0.0, 1.0) == pytest.approx(PEAK, rel=1e-15)
 
     def test_scaling_kernel_width(self):
-        cfg = sg.KernelConfig(R=3, lambda_min=1.0, lambda_max=20.0)
         # quartic roll-off hits gamma/e exactly at 0.6 * lambda_min
-        assert sg.scaling_kernel(0.6, cfg) == pytest.approx(PEAK * math.exp(-1), rel=1e-14)
-        assert sg.scaling_kernel(50.0, cfg) < 1e-300
+        assert sg.scaling_kernel(0.6, 1.0) == pytest.approx(PEAK * math.exp(-1), rel=1e-14)
+        assert sg.scaling_kernel(50.0, 1.0) < 1e-300
 
 
 class TestWaveletScales:
@@ -98,20 +96,30 @@ class TestSignatureLength:
             sg.signature_length(0)
 
 
-class TestKernelConfig:
-    def test_from_eigen_uses_spectrum_bounds(self, icosphere2_basis):
-        cfg = sg.KernelConfig.from_eigen(icosphere2_basis, R=4)
-        lo, hi = sg.spectrum_bounds(icosphere2_basis)
-        assert cfg.lambda_min == lo
-        assert cfg.lambda_max == hi
-        assert cfg.R == 4
-        assert cfg.p == sg.signature_length(4)
+class TestSpectrumBounds:
+    def test_anchored_at_largest_eigenvalue(self):
+        lo, hi = sg.spectrum_bounds(np.array([0.0, 1.0, 4.0, 20.0]))
+        assert hi == 20.0
+        assert lo == 1.0
 
-    def test_validation(self):
+    def test_requires_two_modes(self):
         with pytest.raises(InvalidParam):
-            sg.KernelConfig(R=0, lambda_min=1.0, lambda_max=2.0)
-        with pytest.raises(InvalidParam):
-            sg.KernelConfig(R=2, lambda_min=2.0, lambda_max=1.0)
+            sg.spectrum_bounds(np.array([0.0]))
+
+    def test_flat_spectrum_rejected(self):
+        with pytest.raises(NumericalError):
+            sg.spectrum_bounds(np.array([0.0, 0.0]))
+
+
+def row_by_row(lam, R):
+    """Kernel rows one scale at a time, on the grid spectrum_bounds gives."""
+    lo, hi = sg.spectrum_bounds(lam)
+    loop = []
+    for level in range(1, R + 1):
+        for t in sg.wavelet_scales(level, lo, hi):
+            loop.append(sg.mexican_hat(t * lam))
+        loop.append(sg.scaling_kernel(lam, lo))
+    return np.array(loop)
 
 
 class TestKernelRows:
@@ -119,78 +127,85 @@ class TestKernelRows:
     @pytest.mark.parametrize("k", [2, 11, 21, 31])
     def test_broadcast_equals_row_by_row(self, icosphere2_basis, R, k):
         lam = icosphere2_basis.eigenvalues[:k]
-        cfg = sg.KernelConfig.from_eigen(icosphere2_basis.truncate(k), R=R)
-        loop = []
-        for level in range(1, R + 1):
-            for t in sg.wavelet_scales(level, cfg.lambda_min, cfg.lambda_max):
-                loop.append(sg.mexican_hat(t * lam))
-            loop.append(sg.scaling_kernel(lam, cfg))
-        np.testing.assert_array_equal(_kernel_rows(lam, cfg), np.array(loop))
+        np.testing.assert_array_equal(_kernel_rows(lam, R), row_by_row(lam, R))
+
+    def test_truncated_spectrum_sets_its_own_grid(self, icosphere2_basis):
+        # a prefix of k eigenvalues is anchored at its own lambda_k, not at
+        # the largest eigenvalue of the full basis
+        lam = icosphere2_basis.truncate(11).eigenvalues
+        lo, hi = sg.spectrum_bounds(lam)
+        assert (lo, hi) == (lam[-1] / 20.0, lam[-1])
+        assert hi < icosphere2_basis.eigenvalues[-1]
+        rows = _kernel_rows(lam, 4)
+        assert rows.shape == (sg.signature_length(4), 11)
+        # the finest band-pass scale of the last level is 2 / lambda_k, and
+        # every level's low-pass row rolls off at 0.6 lambda_k / 20
+        np.testing.assert_array_equal(rows[-2], sg.mexican_hat(2.0 / hi * lam))
+        np.testing.assert_array_equal(rows[-1], sg.scaling_kernel(lam, lo))
+        assert not np.array_equal(rows, _kernel_rows(icosphere2_basis.eigenvalues, 4)[:, :11])
 
 
 class TestVertexSignature:
-    def brute_force(self, basis, cfg, j):
-        lam = basis.eigenvalues
+    def brute_force(self, basis, R, j, area_factor):
         phi_sq = basis.eigenvectors[j] ** 2
-        entries = []
-        for level in range(1, cfg.R + 1):
-            for t in sg.wavelet_scales(level, cfg.lambda_min, cfg.lambda_max):
-                entries.append(float(np.sum(sg.mexican_hat(t * lam) * phi_sq)))
-            entries.append(float(np.sum(sg.scaling_kernel(lam, cfg) * phi_sq)))
-        out = np.array(entries)
-        if cfg.area_factor:
+        out = np.array([float(np.sum(row * phi_sq)) for row in row_by_row(basis.eigenvalues, R)])
+        if area_factor:
             out *= basis.vertex_areas[j] ** 2
         return out
 
     @pytest.mark.parametrize("area_factor", [True, False])
     def test_matches_brute_force(self, area_factor):
         basis = toy_basis()
-        cfg = sg.KernelConfig(
-            R=3, lambda_min=0.2, lambda_max=4.0, area_factor=area_factor
-        )
         for j in range(basis.m):
-            got = sg.vertex_signature(basis, cfg, j)
-            np.testing.assert_allclose(got, self.brute_force(basis, cfg, j), rtol=1e-13)
+            got = sg.vertex_signature(basis, 3, j, area_factor=area_factor)
+            want = self.brute_force(basis, 3, j, area_factor)
+            np.testing.assert_allclose(got, want, rtol=1e-13)
 
     def test_level_major_ordering_duplicates(self):
         # level 1 reuses the coarsest level 2 scale, so those rows coincide,
         # as do every level's scaling rows
         basis = toy_basis()
-        cfg = sg.KernelConfig(R=2, lambda_min=0.2, lambda_max=4.0)
-        sig = sg.signature_matrix(basis, cfg).values
+        sig = sg.signature_matrix(basis, 2).values
         np.testing.assert_array_equal(sig[0], sig[2])
         np.testing.assert_array_equal(sig[1], sig[4])
         assert not np.array_equal(sig[2], sig[3])
 
     def test_matrix_columns_match_vertex_calls(self, icosphere2_basis):
-        cfg = sg.KernelConfig.from_eigen(icosphere2_basis, R=3)
-        sig = sg.signature_matrix(icosphere2_basis, cfg)
+        sig = sg.signature_matrix(icosphere2_basis, 3)
         for j in (0, 17, icosphere2_basis.m - 1):
             np.testing.assert_array_equal(
-                sig.values[:, j], sg.vertex_signature(icosphere2_basis, cfg, j)
+                sig.values[:, j], sg.vertex_signature(icosphere2_basis, 3, j)
             )
 
     def test_signature_is_nonnegative(self, icosphere2_basis):
-        cfg = sg.KernelConfig.from_eigen(icosphere2_basis, R=3)
-        assert sg.signature_matrix(icosphere2_basis, cfg).values.min() >= 0.0
+        assert sg.signature_matrix(icosphere2_basis, 3).values.min() >= 0.0
 
     def test_vertex_index_bounds(self):
-        basis = toy_basis()
-        cfg = sg.KernelConfig(R=2, lambda_min=0.2, lambda_max=4.0)
         with pytest.raises(InvalidParam, match="vertex index"):
-            sg.vertex_signature(basis, cfg, 3)
+            sg.vertex_signature(toy_basis(), 2, 3)
+
+    def test_rejects_zero_resolution(self):
+        with pytest.raises(InvalidParam, match="resolution"):
+            sg.signature_matrix(toy_basis(), 0)
+        with pytest.raises(InvalidParam, match="resolution"):
+            sg.vertex_signature(toy_basis(), 0, 0)
+
+    def test_rejects_single_mode(self):
+        basis = sg.EigenBasis(np.array([0.0]), np.ones((3, 1)), np.ones(3))
+        with pytest.raises(InvalidParam, match="k >= 2"):
+            sg.signature_matrix(basis, 2)
+        with pytest.raises(InvalidParam, match="k >= 2"):
+            sg.vertex_signature(basis, 2, 0)
 
     def test_matrix_is_readonly(self, icosphere2_basis):
-        cfg = sg.KernelConfig.from_eigen(icosphere2_basis, R=2)
-        sig = sg.signature_matrix(icosphere2_basis, cfg)
+        sig = sg.signature_matrix(icosphere2_basis, 2)
         with pytest.raises(ValueError):
             sig.values[0, 0] = 1.0
 
 
 class TestCsvExport:
     def test_round_trip_12_digits(self, tmp_path, icosphere2_basis):
-        cfg = sg.KernelConfig.from_eigen(icosphere2_basis, R=2)
-        sig = sg.signature_matrix(icosphere2_basis, cfg)
+        sig = sg.signature_matrix(icosphere2_basis, 2)
         path = tmp_path / "sig.csv"
         sg.write_signature_csv(sig, path)
         lines = path.read_text().splitlines()
