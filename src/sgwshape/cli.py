@@ -556,6 +556,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "out", None):
+        # like the --out-dir commands, a missing directory is created, and
+        # before the work, not when the result is written
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     try:
         return args.func(args)
     except USAGE_ERRORS as exc:

@@ -1,8 +1,11 @@
 """Triangle mesh data model, file parsers, writer, and synthetic generators.
 
 Supported formats: ASCII OFF, Wavefront OBJ (``v``/``f`` records only) and
-ASCII PLY. Non-triangular faces are fan-triangulated on load; binary PLY is
-out of scope. All loaders validate the result: indices in range, no
+ASCII PLY, chosen by file extension. An OFF file is read as a PLY body
+whose header is implicit (``nv`` vertex lines of x y z, then ``nf`` face
+lines), so both go through one element reader. Non-triangular faces are
+fan-triangulated on load; binary PLY is refused. Any malformed input
+raises ParseError. All loaders validate the result: indices in range, no
 degenerate (zero-area) triangles, no edge shared by more than two faces,
 no isolated vertices. Meshes with boundary are accepted.
 """
@@ -26,8 +29,6 @@ __all__ = [
 ]
 
 SYNTHETIC_KINDS = ("unit_sphere", "ellipsoid", "bumpy_sphere")
-
-_EXTENSION_FORMATS = {".off": "off", ".obj": "obj", ".ply": "ply"}
 
 # A triangle is degenerate when twice its area falls below this fraction of
 # the squared longest edge (dimensionless, scale-invariant).
@@ -171,40 +172,32 @@ def _triangle_shape_measures(v, t):
 # parsing
 
 
-def load_mesh(path, fmt: str | None = None) -> TriangleMesh:
+def load_mesh(path) -> TriangleMesh:
     """Load and validate a triangle mesh from an OFF, OBJ, or ASCII PLY file.
 
     Parameters
     ----------
     path : str or Path
-    fmt : {"off", "obj", "ply"}, optional
-        Inferred from the file extension when omitted.
+        The extension (``.off``, ``.obj`` or ``.ply``) picks the format.
 
     Raises
     ------
     ParseError
-        Malformed file; the message carries the offending line number.
+        Unknown extension or malformed file; the message carries the
+        offending line number where there is one.
     ValidationError
         Structurally invalid mesh (see TriangleMesh).
     """
     p = Path(path)
     if not p.is_file():
         raise ParseError(f"{p}: no such file")
-    if fmt is None:
-        fmt = _EXTENSION_FORMATS.get(p.suffix.lower())
-        if fmt is None:
-            raise ParseError(f"{p}: cannot infer format from extension {p.suffix!r}")
-    fmt = fmt.lower()
-    lines = p.read_text().splitlines()
+    parse = _PARSERS.get(p.suffix.lower())
+    if parse is None:
+        raise ParseError(f"{p}: cannot infer format from extension {p.suffix!r}")
+    # undecodable bytes (a binary body) become malformed tokens, not a decode error
+    lines = p.read_bytes().decode(errors="replace").splitlines()
     name = str(p)
-    if fmt == "off":
-        vertices, triangles = _parse_off(lines, name)
-    elif fmt == "obj":
-        vertices, triangles = _parse_obj(lines, name)
-    elif fmt == "ply":
-        vertices, triangles = _parse_ply(lines, name)
-    else:
-        raise InvalidParam(f"unknown mesh format {fmt!r}; expected one of off/obj/ply")
+    vertices, triangles = parse(lines, name)
     try:
         return TriangleMesh(vertices, triangles)
     except ValidationError as exc:
@@ -236,12 +229,93 @@ def _significant_lines(lines):
             yield lineno, body.split()
 
 
-def _parse_off(lines, name):
-    it = _significant_lines(lines)
+def _first_line(it, name):
+    """The first significant line of a file that must not be empty."""
     try:
-        lineno, tokens = next(it)
+        return next(it)
     except StopIteration:
         raise ParseError(f"{name}:1: empty file") from None
+
+
+def _count(token, what, lineno, name, n_lines):
+    """An element count in [0, n_lines]; each instance takes one line of the file."""
+    try:
+        count = int(token)
+    except ValueError:
+        raise ParseError(f"{name}:{lineno}: non-integer {what} count {token!r}") from None
+    if count < 0:
+        raise ParseError(f"{name}:{lineno}: negative {what} count {count}")
+    if count > n_lines:
+        raise ParseError(
+            f"{name}:{lineno}: {what} count {count} exceeds the file's {n_lines} lines"
+            " (truncated or corrupt file)"
+        )
+    return count
+
+
+def _read_elements(it, elements, name):
+    """Read the element blocks a header declared; return (vertices, triangles).
+
+    `elements` lists (element name, count, scalar property names) in file
+    order; every instance occupies one line. A vertex line holds its
+    properties in declared order, of which x, y and z are read; a face line
+    is ``n i_1 .. i_n`` and is fan-triangulated; lines of other elements
+    are skipped.
+    """
+    vertices = None
+    triangles = []
+    # one line at a time: a block's token lists kept alive together set off
+    # full-heap garbage collections
+    for kind, count, props in elements:
+        if kind == "vertex":
+            try:
+                cx, cy, cz = (props.index(axis) for axis in ("x", "y", "z"))
+            except ValueError:
+                raise ParseError(f"{name}: vertex element lacks x/y/z properties") from None
+            n_props = len(props)
+            vertices = np.empty((count, 3))
+            for i in range(count):
+                try:
+                    lineno, tokens = next(it)
+                except StopIteration:
+                    raise ParseError(f"{name}: truncated {kind} data") from None
+                if len(tokens) < n_props:
+                    raise ParseError(f"{name}:{lineno}: vertex line needs {n_props} values")
+                try:
+                    vertices[i] = [float(tokens[cx]), float(tokens[cy]), float(tokens[cz])]
+                except ValueError:
+                    raise ParseError(f"{name}:{lineno}: non-numeric vertex coordinate") from None
+        elif kind == "face":
+            for _ in range(count):
+                try:
+                    lineno, tokens = next(it)
+                except StopIteration:
+                    raise ParseError(f"{name}: truncated {kind} data") from None
+                try:
+                    n = int(tokens[0])
+                    idx = [int(tok) for tok in tokens[1 : 1 + n]]
+                except ValueError:
+                    raise ParseError(f"{name}:{lineno}: non-integer face index") from None
+                if len(idx) != n:
+                    raise ParseError(
+                        f"{name}:{lineno}: face declares {n} indices, lists {len(idx)}"
+                    )
+                triangles.extend(_fan(idx, lineno, name))
+        else:
+            for _ in range(count):
+                try:
+                    next(it)
+                except StopIteration:
+                    raise ParseError(f"{name}: truncated {kind} data") from None
+    if vertices is None:
+        raise ParseError(f"{name}: no vertex element")
+    return vertices, triangles
+
+
+def _parse_off(lines, name):
+    """OFF is a PLY body under an implicit header: 'OFF', then 'nv nf ne'."""
+    it = _significant_lines(lines)
+    lineno, tokens = _first_line(it, name)
     if tokens[0] != "OFF":
         raise ParseError(f"{name}:{lineno}: expected OFF header, got {tokens[0]!r}")
     counts = tokens[1:]
@@ -252,39 +326,11 @@ def _parse_off(lines, name):
             raise ParseError(f"{name}:{lineno}: missing vertex/face counts") from None
     if len(counts) < 2:
         raise ParseError(f"{name}:{lineno}: expected 'nv nf ne' counts")
-    try:
-        n_vertices, n_faces = int(counts[0]), int(counts[1])
-    except ValueError:
-        raise ParseError(f"{name}:{lineno}: non-integer counts {counts[:3]}") from None
-
-    vertices = np.empty((n_vertices, 3))
-    for i in range(n_vertices):
-        try:
-            lineno, tokens = next(it)
-        except StopIteration:
-            raise ParseError(f"{name}: truncated file, expected {n_vertices} vertices") from None
-        if len(tokens) < 3:
-            raise ParseError(f"{name}:{lineno}: vertex line needs 3 coordinates")
-        try:
-            vertices[i] = [float(tokens[0]), float(tokens[1]), float(tokens[2])]
-        except ValueError:
-            raise ParseError(f"{name}:{lineno}: non-numeric vertex coordinate") from None
-
-    triangles = []
-    for _ in range(n_faces):
-        try:
-            lineno, tokens = next(it)
-        except StopIteration:
-            raise ParseError(f"{name}: truncated file, expected {n_faces} faces") from None
-        try:
-            n = int(tokens[0])
-            idx = [int(tok) for tok in tokens[1 : 1 + n]]
-        except ValueError:
-            raise ParseError(f"{name}:{lineno}: non-integer face index") from None
-        if len(idx) != n:
-            raise ParseError(f"{name}:{lineno}: face declares {n} vertices, lists {len(idx)}")
-        triangles.extend(_fan(idx, lineno, name))
-    return vertices, triangles
+    elements = [
+        ("vertex", _count(counts[0], "vertex", lineno, name, len(lines)), ["x", "y", "z"]),
+        ("face", _count(counts[1], "face", lineno, name, len(lines)), []),
+    ]
+    return _read_elements(it, elements, name)
 
 
 def _parse_obj(lines, name):
@@ -318,19 +364,17 @@ def _parse_obj(lines, name):
 
 def _parse_ply(lines, name):
     it = _significant_lines(lines)
-    try:
-        lineno, tokens = next(it)
-    except StopIteration:
-        raise ParseError(f"{name}:1: empty file") from None
+    lineno, tokens = _first_line(it, name)
     if tokens != ["ply"]:
         raise ParseError(f"{name}:{lineno}: expected 'ply' magic")
 
-    elements = []  # (name, count, scalar property names, has_list)
-    current = None
+    elements = []  # (name, count, scalar property names)
     fmt_seen = False
     for lineno, tokens in it:
         key = tokens[0]
         if key == "format":
+            if len(tokens) < 2:
+                raise ParseError(f"{name}:{lineno}: malformed format declaration")
             if tokens[1] != "ascii":
                 raise ParseError(f"{name}:{lineno}: only ASCII PLY is supported")
             fmt_seen = True
@@ -339,19 +383,16 @@ def _parse_ply(lines, name):
         elif key == "element":
             if len(tokens) != 3:
                 raise ParseError(f"{name}:{lineno}: malformed element declaration")
-            try:
-                count = int(tokens[2])
-            except ValueError:
-                raise ParseError(f"{name}:{lineno}: non-integer element count") from None
-            current = {"name": tokens[1], "count": count, "props": [], "list": False}
-            elements.append(current)
+            count = _count(tokens[2], "element", lineno, name, len(lines))
+            elements.append((tokens[1], count, []))
         elif key == "property":
-            if current is None:
+            if len(tokens) < 3:
+                raise ParseError(f"{name}:{lineno}: malformed property declaration")
+            if not elements:
                 raise ParseError(f"{name}:{lineno}: property before any element")
-            if tokens[1] == "list":
-                current["list"] = True
-            else:
-                current["props"].append(tokens[-1])
+            # list properties (the face indices) are read positionally
+            if tokens[1] != "list":
+                elements[-1][2].append(tokens[-1])
         elif key == "end_header":
             break
         else:
@@ -360,52 +401,10 @@ def _parse_ply(lines, name):
         raise ParseError(f"{name}: missing end_header")
     if not fmt_seen:
         raise ParseError(f"{name}: missing format declaration")
+    return _read_elements(it, elements, name)
 
-    vertices = None
-    triangles = []
-    for element in elements:
-        if element["name"] == "vertex":
-            props = element["props"]
-            try:
-                cols = [props.index(axis) for axis in ("x", "y", "z")]
-            except ValueError:
-                raise ParseError(f"{name}: vertex element lacks x/y/z properties") from None
-            vertices = np.empty((element["count"], 3))
-            for i in range(element["count"]):
-                try:
-                    lineno, tokens = next(it)
-                except StopIteration:
-                    raise ParseError(f"{name}: truncated vertex data") from None
-                if len(tokens) < len(props):
-                    raise ParseError(f"{name}:{lineno}: short vertex line")
-                try:
-                    vertices[i] = [float(tokens[c]) for c in cols]
-                except ValueError:
-                    raise ParseError(f"{name}:{lineno}: non-numeric vertex coordinate") from None
-        elif element["name"] == "face":
-            for _ in range(element["count"]):
-                try:
-                    lineno, tokens = next(it)
-                except StopIteration:
-                    raise ParseError(f"{name}: truncated face data") from None
-                try:
-                    n = int(tokens[0])
-                    idx = [int(tok) for tok in tokens[1 : 1 + n]]
-                except ValueError:
-                    raise ParseError(f"{name}:{lineno}: non-integer face index") from None
-                if len(idx) != n:
-                    raise ParseError(f"{name}:{lineno}: face declares {n} indices, lists {len(idx)}")
-                triangles.extend(_fan(idx, lineno, name))
-        else:
-            # unknown element: its instances occupy one line each
-            for _ in range(element["count"]):
-                try:
-                    next(it)
-                except StopIteration:
-                    raise ParseError(f"{name}: truncated {element['name']} data") from None
-    if vertices is None:
-        raise ParseError(f"{name}: no vertex element")
-    return vertices, triangles
+
+_PARSERS = {".off": _parse_off, ".obj": _parse_obj, ".ply": _parse_ply}
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def _kernel_rows(eigenvalues, R: int) -> np.ndarray:
 def vertex_signature(
     basis: EigenBasis, R: int, j: int, area_factor: bool = True
 ) -> np.ndarray:
-    """Length-p signature of vertex j at resolution R.
+    """Length-p signature of vertex j at resolution R: column j of signature_matrix.
 
     Needs at least 2 eigenpairs; the constant zero mode alone carries no
     band-pass content. ``area_factor`` includes the a_j^2 vertex-area
@@ -173,28 +173,16 @@ def vertex_signature(
     """
     if not 0 <= j < basis.m:
         raise InvalidParam(f"vertex index {j} outside [0, {basis.m})")
-    phi_sq = basis.eigenvectors[j] ** 2
-    sig = _kernel_rows(basis.eigenvalues, R) @ phi_sq
-    if area_factor:
-        sig = sig * basis.vertex_areas[j] ** 2
-    return sig
+    return signature_matrix(basis, R, area_factor=area_factor).values[:, j]
 
 
 def signature_matrix(
     basis: EigenBasis, R: int, area_factor: bool = True
 ) -> SignatureMatrix:
-    """Signatures of every vertex; column j equals vertex_signature(.., j).
-
-    Column j is produced by the same kernel-row product as the single
-    vertex path, so the two agree bitwise.
-    """
-    rows = _kernel_rows(basis.eigenvalues, R)
-    values = np.empty((rows.shape[0], basis.m))
-    for j in range(basis.m):
-        col = rows @ (basis.eigenvectors[j] ** 2)
-        if area_factor:
-            col = col * basis.vertex_areas[j] ** 2
-        values[:, j] = col
+    """Signatures of every vertex as one product: kernel rows times (phi^2)^T."""
+    values = _kernel_rows(basis.eigenvalues, R) @ (basis.eigenvectors**2).T
+    if area_factor:
+        values = values * basis.vertex_areas**2
     return SignatureMatrix(values, R=R)
 
 

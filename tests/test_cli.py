@@ -269,6 +269,70 @@ class TestCompare:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "filename, content",
+        [
+            ("bad.off", b"OFF\n-1 1 0\n"),
+            ("bad.ply", b"ply\nformat ascii 1.0\nelement vertex 4\nproperty\n"),
+        ],
+        ids=["negative-count", "bare-property"],
+    )
+    def test_unparseable_mesh_fails_only_its_stratum(
+        self, dataset_dir, tmp_path, capsys, filename, content
+    ):
+        bad = tmp_path / filename
+        bad.write_bytes(content)
+        rows = (dataset_dir / "manifest.csv").read_text().splitlines()[1:]
+        lines = ["path,subject,group,bone,side"]
+        for bone in ("hamate", "lunate"):
+            for row in rows:
+                path, subject, group, _, side = row.split(",")
+                if bone == "lunate" and subject == "s001":
+                    path = str(bad)
+                lines.append(",".join([str(dataset_dir / path), subject, group, bone, side]))
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("\n".join(lines) + "\n")
+        out_dir = tmp_path / "out"
+        code = main(
+            ["compare", str(manifest), "--k", "10", "--R", "3", "--pca-dims", "2",
+             "--n-perm", "50", "--out-dir", str(out_dir)]
+        )
+        capsys.readouterr()
+        assert code == 0
+        assert (out_dir / "report.csv").is_file()
+        strata = {s["bone"]: s for s in json.loads((out_dir / "report.json").read_text())["strata"]}
+        assert strata["hamate"]["error"] is None
+        assert strata["lunate"]["error"].startswith(f"s001 [load]: {bad}:")
+
+
+class TestOutParent:
+    @pytest.mark.parametrize(
+        "argv, inputs",
+        [
+            (["synth", "mesh", "--subdivisions", "0"], {}),
+            (["signature", "MESH", "--k", "10", "--R", "3"], {}),
+            (["gsgw", "MESH", "--k", "10", "--R", "3"], {}),
+            (["plot", "nmse", "nmse.csv"], {"nmse.csv": "k,nmse\n1,0.5\n4,0.1\n"}),
+            (["plot", "gsgw", "g.csv"], {"g.csv": "id,label,v1,v2\na.off,x,1,2\n"}),
+            (
+                ["plot", "sweep", "s.csv"],
+                {"s.csv": "R,k,bone,side,permutation_p\n2,8,b,left,0.5\n3,8,b,left,0.2\n"},
+            ),
+        ],
+        ids=["synth-mesh", "signature", "gsgw", "plot-nmse", "plot-gsgw", "plot-sweep"],
+    )
+    def test_out_parent_is_created(self, mesh_file, tmp_path, capsys, argv, inputs):
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text)
+        resolved = [
+            str(mesh_file) if arg == "MESH" else str(tmp_path / arg) if arg in inputs else arg
+            for arg in argv
+        ]
+        out = tmp_path / "new" / "nested" / "result.out"
+        assert main([*resolved, "--out", str(out)]) == 0
+        assert out.is_file()
+        capsys.readouterr()
+
 
 @pytest.fixture(scope="module")
 def artifacts(dataset_dir, tmp_path_factory):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sgwshape as sg
+from sgwshape.cli import main
 from sgwshape.errors import InvalidParam, ParseError, ValidationError
 
 TET_VERTICES = np.array(
@@ -294,19 +295,196 @@ class TestPlyFormat:
             sg.load_mesh(path)
 
 
+TET_VERTEX_LINES = ["0 0 0", "1 0 0", "0 1 0", "0 0 1"]
+TET_FACE_LINES = ["3 0 2 1", "3 0 1 3", "3 0 3 2", "3 1 2 3"]
+
+
+def header_lines(ext, n_vertices, n_faces):
+    """OFF or ASCII PLY header for an x/y/z vertex block and a face block."""
+    if ext == ".off":
+        return ["OFF", f"{n_vertices} {n_faces} 0"]
+    return [
+        "ply", "format ascii 1.0", f"element vertex {n_vertices}",
+        "property float x", "property float y", "property float z",
+        f"element face {n_faces}", "property list uchar int vertex_indices",
+        "end_header",
+    ]
+
+
+def write_body(tmp_path, ext, vertex_lines, face_lines, n_vertices=None, n_faces=None):
+    """Write a body under an OFF or PLY header; return (path, first body line number).
+
+    The declared counts default to the numbers of lines given.
+    """
+    header = header_lines(
+        ext,
+        len(vertex_lines) if n_vertices is None else n_vertices,
+        len(face_lines) if n_faces is None else n_faces,
+    )
+    path = tmp_path / f"mesh{ext}"
+    path.write_text("\n".join(header + vertex_lines + face_lines) + "\n")
+    return path, len(header) + 1
+
+
+@pytest.mark.parametrize("ext", [".off", ".ply"])
+class TestElementBody:
+    """The vertex and face blocks OFF and PLY share, read by one reader."""
+
+    def test_truncated_vertex_block(self, tmp_path, ext):
+        path, _ = write_body(tmp_path, ext, TET_VERTEX_LINES[:2], [], n_vertices=4, n_faces=4)
+        with pytest.raises(ParseError, match="truncated vertex data"):
+            sg.load_mesh(path)
+
+    def test_truncated_face_block(self, tmp_path, ext):
+        path, _ = write_body(tmp_path, ext, TET_VERTEX_LINES, TET_FACE_LINES[:3], n_faces=4)
+        with pytest.raises(ParseError, match="truncated face data"):
+            sg.load_mesh(path)
+
+    def test_face_count_mismatch(self, tmp_path, ext):
+        faces = TET_FACE_LINES[:1] + ["4 0 1 3"] + TET_FACE_LINES[2:]
+        path, first = write_body(tmp_path, ext, TET_VERTEX_LINES, faces)
+        with pytest.raises(ParseError, match=rf":{first + 5}: face declares 4 indices, lists 3"):
+            sg.load_mesh(path)
+
+    def test_non_integer_face_index(self, tmp_path, ext):
+        faces = TET_FACE_LINES[:2] + ["3 0 3 two"] + TET_FACE_LINES[3:]
+        path, first = write_body(tmp_path, ext, TET_VERTEX_LINES, faces)
+        with pytest.raises(ParseError, match=rf":{first + 6}: non-integer face index"):
+            sg.load_mesh(path)
+
+    def test_short_vertex_line(self, tmp_path, ext):
+        vertices = TET_VERTEX_LINES[:1] + ["1 0"] + TET_VERTEX_LINES[2:]
+        path, first = write_body(tmp_path, ext, vertices, TET_FACE_LINES)
+        with pytest.raises(ParseError, match=rf":{first + 1}: vertex line needs 3 values"):
+            sg.load_mesh(path)
+
+    def test_non_numeric_coordinate(self, tmp_path, ext):
+        vertices = TET_VERTEX_LINES[:3] + ["0 0 one"]
+        path, first = write_body(tmp_path, ext, vertices, TET_FACE_LINES)
+        with pytest.raises(ParseError, match=rf":{first + 3}: non-numeric vertex coordinate"):
+            sg.load_mesh(path)
+
+    @pytest.mark.parametrize("counts", [(-1, 4), (4, -2)])
+    def test_negative_count(self, tmp_path, ext, counts):
+        path, _ = write_body(tmp_path, ext, TET_VERTEX_LINES, TET_FACE_LINES, *counts)
+        with pytest.raises(ParseError, match=r":\d+: negative"):
+            sg.load_mesh(path)
+
+
+def ply_header(*declarations):
+    return "\n".join(["ply", *declarations, "end_header", ""])
+
+
+XYZ = ("property float x", "property float y", "property float z")
+FACE = ("element face 4", "property list uchar int vertex_indices")
+TET_BODY = "\n".join(TET_VERTEX_LINES + TET_FACE_LINES) + "\n"
+
+# every input that once escaped load_mesh as a raw Python exception
+MALFORMED = {
+    "off-negative-count": ("bad.off", b"OFF\n-1 1 0\n"),
+    "off-count-beyond-file": ("bad.off", b"OFF\n100000000000 1 0\n0 0 0\n"),
+    "ply-negative-count": (
+        "bad.ply", ply_header("format ascii 1.0", "element vertex -2", *XYZ).encode()
+    ),
+    "ply-bare-format": ("bad.ply", ply_header("format", "element vertex 4", *XYZ).encode()),
+    "ply-bare-property": (
+        "bad.ply", ply_header("format ascii 1.0", "element vertex 4", "property").encode()
+    ),
+    "ply-binary-body": (
+        "bad.ply",
+        ply_header("format binary_little_endian 1.0", "element vertex 3", *XYZ).encode()
+        + np.arange(9, dtype="<f4").tobytes(),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_a_parse_error(tmp_path, capsys, case):
+    filename, content = MALFORMED[case]
+    path = tmp_path / filename
+    path.write_bytes(content)
+    with pytest.raises(ParseError, match=r"only ASCII|malformed|negative|exceeds"):
+        sg.load_mesh(path)
+    assert main(["gsgw", str(path), "--out", str(tmp_path / "g.csv")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+class TestPlyHeader:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param(
+                ply_header("format ascii 1.0", "element vertex 4", "property float x",
+                           "property float y", *FACE) + TET_BODY,
+                "lacks x/y/z", id="vertex-without-z",
+            ),
+            pytest.param(
+                ply_header("format ascii 1.0", "property float x", "element vertex 4", *XYZ)
+                + TET_BODY,
+                ":3: property before any element", id="property-before-element",
+            ),
+            pytest.param(
+                "\n".join(["ply", "format ascii 1.0", "element vertex 4", *XYZ]) + "\n",
+                "missing end_header", id="missing-end-header",
+            ),
+            pytest.param(
+                ply_header("element vertex 4", *XYZ, *FACE) + TET_BODY,
+                "missing format", id="missing-format",
+            ),
+            pytest.param(
+                ply_header("format ascii 1.0", "element vertex 4 4", *XYZ) + TET_BODY,
+                ":3: malformed element", id="element-extra-token",
+            ),
+            pytest.param(
+                ply_header("format ascii 1.0", "element vertex four", *XYZ) + TET_BODY,
+                ":3: non-integer element count", id="element-count-not-integer",
+            ),
+            pytest.param(
+                ply_header("format ascii 1.0", "element edge 4", "property int a", *FACE)
+                + TET_BODY,
+                "no vertex element", id="no-vertex-element",
+            ),
+        ],
+    )
+    def test_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.ply"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message):
+            sg.load_mesh(path)
+
+    def test_unknown_element_is_skipped(self, tmp_path):
+        header = ply_header(
+            "format ascii 1.0", "element vertex 4", *XYZ,
+            "element edge 2", "property int vertex1", "property int vertex2", *FACE,
+        )
+        body = TET_VERTEX_LINES + ["0 1", "2 3"] + TET_FACE_LINES
+        path = tmp_path / "edges.ply"
+        path.write_text(header + "\n".join(body) + "\n")
+        mesh = sg.load_mesh(path)
+        np.testing.assert_array_equal(mesh.vertices, TET_VERTICES)
+        np.testing.assert_array_equal(mesh.triangles, TET_TRIANGLES)
+
+
+def test_one_tetrahedron_in_every_format(tmp_path):
+    obj = ["v " + line for line in TET_VERTEX_LINES]
+    obj += ["f " + " ".join(str(int(i) + 1) for i in line.split()[1:]) for line in TET_FACE_LINES]
+    (tmp_path / "mesh.obj").write_text("\n".join(obj) + "\n")
+    for ext in (".off", ".ply"):
+        write_body(tmp_path, ext, TET_VERTEX_LINES, TET_FACE_LINES)
+    meshes = [sg.load_mesh(tmp_path / f"mesh{ext}") for ext in (".off", ".ply", ".obj")]
+    for mesh in meshes:
+        assert mesh.vertices.dtype == np.float64 and mesh.triangles.dtype == np.int64
+        np.testing.assert_array_equal(mesh.vertices, TET_VERTICES)
+        np.testing.assert_array_equal(mesh.triangles, TET_TRIANGLES)
+    assert len({mesh.content_hash for mesh in meshes}) == 1
+
+
 class TestLoadDispatch:
     def test_unknown_extension(self, tmp_path):
         path = tmp_path / "mesh.stl"
         path.write_text("whatever")
         with pytest.raises(ParseError, match="format"):
             sg.load_mesh(path)
-
-    def test_explicit_fmt_overrides_extension(self, tmp_path):
-        path = tmp_path / "mesh.dat"
-        sg.write_mesh(tetra(), tmp_path / "tet.off")
-        path.write_text((tmp_path / "tet.off").read_text())
-        mesh = sg.load_mesh(path, fmt="off")
-        assert mesh.m == 4
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="no such file"):
