@@ -145,6 +145,7 @@ def _cmd_synth_mesh(args) -> int:
     mesh = make_synthetic(
         args.kind, args.subdivisions, axes=args.axes, amplitude=args.amplitude, seed=args.seed
     )
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_mesh(mesh, args.out)
     print(f"wrote {args.out} ({mesh.m} vertices, {mesh.g} triangles)")
     return 0
@@ -216,6 +217,7 @@ def _cmd_signature(args) -> int:
         "mesh": args.mesh, "k": cfg.k, "R": cfg.R, "lumping": cfg.lumping,
         "area_factor": cfg.area_factor, "method": cfg.method, "out": args.out,
     })
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     mesh = load_mesh(args.mesh)
     stiffness, mass = laplacian_matrices(mesh, lumping=cfg.lumping)
     basis = solve_eigen(stiffness, mass, cfg.k, method=cfg.method)
@@ -237,6 +239,7 @@ def _cmd_gsgw(args) -> int:
         "area_factor": cfg.area_factor, "normalize": cfg.normalize,
         "method": cfg.method, "cache_dir": cfg.cache_dir, "out": args.out,
     })
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     rows = [
         (mesh_path, label, gsgw_for_mesh(load_mesh(mesh_path), cfg).values)
         for mesh_path, label in zip(args.meshes, labels)
@@ -360,6 +363,7 @@ def _cmd_plot_nmse(args) -> int:
         raise ParseError(f"{args.csv}: malformed data row") from None
     if not ks:
         raise ParseError(f"{args.csv}: no data rows")
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     line_plot(
         [("nmse", ks, vals)], args.out,
         title="Spectral reconstruction error", xlabel="eigenfunctions",
@@ -384,6 +388,7 @@ def _cmd_plot_gsgw(args) -> int:
         series.append((label, list(range(1, len(values) + 1)), values))
     if not series:
         raise ParseError(f"{args.csv}: no data rows")
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     line_plot(
         series, args.out, title="Global descriptors",
         xlabel="descriptor index", ylabel="value",
@@ -421,6 +426,7 @@ def _cmd_plot_sweep(args) -> int:
     r_values = sorted({r for r, _ in cells})
     k_values = sorted({k for _, k in cells})
     grid = [[cells.get((r, k)) for k in k_values] for r in r_values]
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     heatmap(
         grid, [f"R={r}" for r in r_values], [f"k={k}" for k in k_values], args.out,
         title=f"Sweep: {args.metric}", xlabel="eigenpairs", ylabel="resolution",
@@ -556,10 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "out", None):
-        # like the --out-dir commands, a missing directory is created, and
-        # before the work, not when the result is written
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     try:
         return args.func(args)
     except USAGE_ERRORS as exc:

@@ -544,7 +544,6 @@ def _compare_strata(manifest: DatasetManifest, summaries: dict, cfg: RunConfig) 
             data = stats.DataMatrix(
                 np.vstack(_descriptor_rows(entries, summaries, cfg)),
                 labels=tuple(entry.group for entry in entries),
-                ids=tuple(entry.subject for entry in entries),
             )
             comparison = stats.compare_groups(
                 data, cfg.pca_dims, cfg.n_perm, _stratum_seed(cfg.seed, bone, side)

@@ -7,15 +7,18 @@ reshuffles group labels under a seeded generator.
 
 Wilks' lambda is det(E) / det(E + H) with E the within-group and H the
 between-group scatter matrix; smaller values mean stronger separation.
-For two groups the F transform is exact, with (d, n - d - 1) degrees of
-freedom at feature dimension d.
+For two groups H has rank one: lambda = 1 - (n1 n2 / n) ||delta||^2 for any
+split, with delta the difference of the group means of the rows of U, the
+left singular vectors of the centred data (the Hotelling T^2 equivalence;
+Anderson, *An Introduction to Multivariate Statistical Analysis*, ch. 5).
+The F transform is exact for two groups, with (d, n - d - 1) degrees of freedom.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 from scipy.stats import f as f_distribution
@@ -32,6 +35,9 @@ __all__ = [
     "compare_groups",
 ]
 
+# Masks scored per batch, so memory stays flat as n_perm grows.
+_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class DataMatrix:
@@ -41,12 +47,10 @@ class DataMatrix:
     ----------
     X : (n, p) float64, finite
     labels : length-n tuple of group labels
-    ids : length-n tuple of shape identifiers
     """
 
     X: np.ndarray
     labels: tuple
-    ids: tuple = ()
 
     def __post_init__(self):
         x = np.ascontiguousarray(np.asarray(self.X, dtype=np.float64))
@@ -59,16 +63,12 @@ class DataMatrix:
         labels = tuple(self.labels)
         if len(labels) != x.shape[0]:
             raise InvalidParam(f"{len(labels)} labels for {x.shape[0]} rows")
-        ids = tuple(self.ids) if self.ids else tuple(str(i) for i in range(x.shape[0]))
-        if len(ids) != x.shape[0]:
-            raise InvalidParam(f"{len(ids)} ids for {x.shape[0]} rows")
         for label in dict.fromkeys(labels):
             if labels.count(label) < 2:
                 raise InvalidParam(f"group {label!r} has fewer than 2 members")
         x.setflags(write=False)
         object.__setattr__(self, "X", x)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "ids", ids)
 
     @property
     def n(self) -> int:
@@ -98,9 +98,7 @@ class GroupComparison:
     statistic: float  # Wilks' lambda on the true labels
     manova_p: float
     permutation_p: float
-    pca_dims: int
     n_permutations: int
-    seed: int
 
     def __post_init__(self):
         if not (0.0 <= self.manova_p <= 1.0 and 0.0 <= self.permutation_p <= 1.0):
@@ -115,7 +113,7 @@ def pca_reduce(data: DataMatrix, d: int) -> DataMatrix:
 
     Directions are ordered by singular value and sign-fixed so that each
     loading vector's largest-magnitude entry is positive, making the output
-    deterministic. Labels and ids are preserved.
+    deterministic. Labels are preserved.
     """
     limit = min(data.n - 1, data.p)
     if not 1 <= d <= limit:
@@ -126,32 +124,37 @@ def pca_reduce(data: DataMatrix, d: int) -> DataMatrix:
     lead = np.abs(components).argmax(axis=1)
     signs = np.sign(components[np.arange(d), lead])
     signs[signs == 0.0] = 1.0
-    return DataMatrix(centered @ (components * signs[:, None]).T, data.labels, data.ids)
+    return DataMatrix(centered @ (components * signs[:, None]).T, data.labels)
+
+
+def _group_basis(X: np.ndarray) -> np.ndarray:
+    """Left singular vectors of the centred X: its rows whitened by the total scatter."""
+    centered = X - X.mean(axis=0)
+    sign, logdet = np.linalg.slogdet(centered.T @ centered)
+    if sign <= 0.0 or not math.isfinite(logdet):
+        raise SingularScatter("total scatter matrix is singular")
+    return np.linalg.svd(centered, full_matrices=False)[0]
+
+
+def _lambdas(U: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Wilks' lambda of each row of the (B, n) boolean `masks` over the basis U."""
+    n_first = masks.sum(axis=1)
+    n_second = U.shape[0] - n_first
+    weights = np.where(masks, (1.0 / n_first)[:, None], (-1.0 / n_second)[:, None])
+    # Exact by construction: elementwise sums in a fixed order over U's rows, then its
+    # columns, so the true mask ties the observed lambda in any batch (BLAS may not).
+    delta = sum(w[:, None] * u for w, u in zip(weights.T, U))
+    lam = 1.0 - (n_first * n_second / U.shape[0]) * sum(c * c for c in delta.T)
+    if np.any(lam <= 0.0):
+        raise SingularScatter(
+            "within-group scatter matrix is singular; reduce the feature dimension"
+        )
+    return lam
 
 
 def wilks_lambda(X: np.ndarray, mask: np.ndarray) -> float:
     """Wilks' lambda det(E) / det(E + H) for the two-group split `mask`."""
-    first = X[mask]
-    second = X[~mask]
-    mu1 = first.mean(axis=0)
-    mu2 = second.mean(axis=0)
-    mu = X.mean(axis=0)
-    r1 = first - mu1
-    r2 = second - mu2
-    within = r1.T @ r1 + r2.T @ r2
-    d1 = mu1 - mu
-    d2 = mu2 - mu
-    between = len(first) * np.outer(d1, d1) + len(second) * np.outer(d2, d2)
-
-    sign_e, logdet_e = np.linalg.slogdet(within)
-    if sign_e <= 0.0 or not math.isfinite(logdet_e):
-        raise SingularScatter(
-            "within-group scatter matrix is singular; reduce the feature dimension"
-        )
-    sign_t, logdet_t = np.linalg.slogdet(within + between)
-    if sign_t <= 0.0 or not math.isfinite(logdet_t):
-        raise SingularScatter("total scatter matrix is singular")
-    return float(math.exp(logdet_e - logdet_t))
+    return float(_lambdas(_group_basis(X), mask[None])[0])
 
 
 def manova_two_group(data: DataMatrix) -> tuple[float, float]:
@@ -173,40 +176,39 @@ def manova_two_group(data: DataMatrix) -> tuple[float, float]:
     return lam, float(f_distribution.sf(f_stat, d, dof2))
 
 
+def _replicates(data: DataMatrix, n_perm: int) -> tuple[int, bool]:
+    """(masks scored, whether enumerated): all C(n, n1) splits when that is <= n_perm."""
+    space = math.comb(data.n, data.labels.count(data.labels[0]))
+    return (space, True) if space <= n_perm else (n_perm, False)
+
+
 def permutation_test(data: DataMatrix, n_perm: int, seed: int) -> tuple[float, float]:
     """Permutation test on Wilks' lambda: returns (observed, p_value).
 
-    Labels are reshuffled n_perm times with per-replicate seeded substreams,
-    so replicates can run in any order (or concurrently) with identical
-    results. The p-value uses the add-one estimator
-    ``(1 + #{permuted lambda <= observed}) / (n_perm + 1)``. When the whole
-    label-assignment space is no larger than n_perm it is enumerated
-    instead and the p-value becomes the exact fraction over that space.
+    Labels are reshuffled n_perm times, one seeded substream per replicate,
+    kept as it is so that p-values do not move. The p-value uses the add-one
+    estimator ``(1 + #{permuted lambda <= observed}) / (n_perm + 1)``. When
+    the whole label-assignment space is no larger than n_perm it is
+    enumerated instead and the p-value becomes the exact fraction over it.
     """
     if n_perm < 1:
         raise InvalidParam(f"need n_perm >= 1, got {n_perm}")
     mask = data.two_group_mask()
-    observed = wilks_lambda(data.X, mask)
+    basis = _group_basis(data.X)
+    observed = float(_lambdas(basis, mask[None])[0])
 
-    n = data.n
-    n_first = int(mask.sum())
-    space = math.comb(n, n_first)
-    if space <= n_perm:
-        hits = 0
-        for chosen in combinations(range(n), n_first):
-            trial = np.zeros(n, dtype=bool)
-            trial[list(chosen)] = True
-            if wilks_lambda(data.X, trial) <= observed:
-                hits += 1
-        return observed, hits / space
-
+    count, exhaustive = _replicates(data, n_perm)
+    splits = combinations(range(data.n), int(mask.sum()))
+    root = None if exhaustive else np.random.SeedSequence(seed)  # enumeration ignores the seed
     hits = 0
-    for child in np.random.SeedSequence(seed).spawn(n_perm):
-        rng = np.random.default_rng(child)
-        trial = mask[rng.permutation(n)]
-        if wilks_lambda(data.X, trial) <= observed:
-            hits += 1
-    return observed, (1 + hits) / (n_perm + 1)
+    for start in range(0, count, _BLOCK):
+        size = min(_BLOCK, count - start)
+        if exhaustive:
+            block = [np.bincount(first, minlength=data.n) > 0 for first in islice(splits, size)]
+        else:  # spawn() continues the child numbering: the stream of one spawn(n_perm)
+            block = [mask[np.random.default_rng(c).permutation(data.n)] for c in root.spawn(size)]
+        hits += int(np.count_nonzero(_lambdas(basis, np.array(block)) <= observed))
+    return observed, hits / count if exhaustive else (1 + hits) / (count + 1)
 
 
 def compare_groups(data: DataMatrix, pca_dims: int, n_perm: int, seed: int) -> GroupComparison:
@@ -214,12 +216,9 @@ def compare_groups(data: DataMatrix, pca_dims: int, n_perm: int, seed: int) -> G
     reduced = pca_reduce(data, pca_dims)
     lam, manova_p = manova_two_group(reduced)
     _, perm_p = permutation_test(reduced, n_perm, seed)
-    space = math.comb(data.n, int(reduced.two_group_mask().sum()))
     return GroupComparison(
         statistic=lam,
         manova_p=manova_p,
         permutation_p=perm_p,
-        pca_dims=pca_dims,
-        n_permutations=space if space <= n_perm else n_perm,
-        seed=seed,
+        n_permutations=_replicates(reduced, n_perm)[0],
     )

@@ -333,6 +333,20 @@ class TestOutParent:
         assert out.is_file()
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["signature", "MESH", "--k", "1", "--R", "3"],
+            ["gsgw", "MESH", "MESH", "--labels", "a", "--k", "10", "--R", "3"],
+        ],
+        ids=["signature-bad-k", "gsgw-label-mismatch"],
+    )
+    def test_rejected_command_creates_no_directory(self, mesh_file, tmp_path, capsys, argv):
+        resolved = [str(mesh_file) if arg == "MESH" else arg for arg in argv]
+        assert main([*resolved, "--out", str(tmp_path / "new" / "result.csv")]) == 2
+        assert not (tmp_path / "new").exists()
+        capsys.readouterr()
+
 
 @pytest.fixture(scope="module")
 def artifacts(dataset_dir, tmp_path_factory):

@@ -393,9 +393,7 @@ class TestReports:
             statistic=0.02,
             manova_p=0.001,
             permutation_p=0.3,
-            pca_dims=2,
             n_permutations=100,
-            seed=0,
         )
         stratum = sg.StratumResult(
             bone="femur", side="left", n_shapes=10,
