@@ -217,11 +217,11 @@ def _cmd_signature(args) -> int:
         "mesh": args.mesh, "k": cfg.k, "R": cfg.R, "lumping": cfg.lumping,
         "area_factor": cfg.area_factor, "method": cfg.method, "out": args.out,
     })
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     mesh = load_mesh(args.mesh)
     stiffness, mass = laplacian_matrices(mesh, lumping=cfg.lumping)
     basis = solve_eigen(stiffness, mass, cfg.k, method=cfg.method)
     sig = signature_matrix(basis, cfg.R, area_factor=cfg.area_factor)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_signature_csv(sig, args.out)
     print(f"wrote {args.out} ({sig.p} rows x {sig.m} columns)")
     return 0
@@ -239,9 +239,8 @@ def _cmd_gsgw(args) -> int:
         "area_factor": cfg.area_factor, "normalize": cfg.normalize,
         "method": cfg.method, "cache_dir": cfg.cache_dir, "out": args.out,
     })
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     rows = [
-        (mesh_path, label, gsgw_for_mesh(load_mesh(mesh_path), cfg).values)
+        (mesh_path, label, gsgw_for_mesh(mesh_path, cfg).values)
         for mesh_path, label in zip(args.meshes, labels)
     ]
     p = signature_length(cfg.R)
@@ -251,6 +250,7 @@ def _cmd_gsgw(args) -> int:
         f"{mesh_path},{label}," + ",".join(f"{x:.12g}" for x in values)
         for mesh_path, label, values in rows
     ]
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     Path(args.out).write_text("\n".join(lines) + "\n")
     print(f"wrote {args.out} ({len(rows)} shapes, p={p})")
     return 0

@@ -13,7 +13,7 @@ so the descriptor never needs the p x m signature matrix: a per-mesh
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,8 +102,6 @@ class SpectralSummary:
         round-off and that descriptor depends on the eigenvalues alone.
     total_area : float
         Sum of the vertex areas, the divisor under ``normalize``.
-    method : str
-        Eigensolver route that produced the pairs.
 
     Every entry of a prefix depends only on its own eigenpair, so a
     summary of K pairs serves any k <= K through ``truncate``.
@@ -113,7 +111,6 @@ class SpectralSummary:
     w_area: np.ndarray
     w_plain: np.ndarray
     total_area: float
-    method: str = field(default="dense", compare=False)
 
     def __post_init__(self):
         for arr in (self.eigenvalues, self.w_area, self.w_plain):
@@ -134,7 +131,6 @@ class SpectralSummary:
             self.w_area[:k],
             self.w_plain[:k],
             self.total_area,
-            method=self.method,
         )
 
 
@@ -149,7 +145,6 @@ def summarize(basis: EigenBasis) -> SpectralSummary:
         phi_sq.T @ a**3,
         phi_sq.T @ a,
         float(a.sum()),
-        method=basis.method,
     )
 
 

@@ -12,7 +12,6 @@ no isolated vertices. Meshes with boundary are accepted.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from pathlib import Path
 
@@ -23,6 +22,8 @@ from .errors import InvalidParam, ParseError, ValidationError
 __all__ = [
     "TriangleMesh",
     "load_mesh",
+    "read_mesh_bytes",
+    "parse_mesh",
     "write_mesh",
     "make_synthetic",
     "rigid_transform",
@@ -58,7 +59,7 @@ class TriangleMesh:
         triangle, edge shared by more than two faces, or isolated vertex.
     """
 
-    __slots__ = ("vertices", "triangles", "_hash")
+    __slots__ = ("vertices", "triangles")
 
     def __init__(self, vertices, triangles, check_degenerate=True):
         v = np.ascontiguousarray(np.asarray(vertices, dtype=np.float64))
@@ -114,7 +115,6 @@ class TriangleMesh:
         t.setflags(write=False)
         self.vertices = v
         self.triangles = t
-        self._hash = None
 
     @property
     def m(self) -> int:
@@ -125,18 +125,6 @@ class TriangleMesh:
     def g(self) -> int:
         """Triangle count."""
         return self.triangles.shape[0]
-
-    @property
-    def content_hash(self) -> str:
-        """SHA-256 over geometry and connectivity; identifies cached results."""
-        if self._hash is None:
-            h = hashlib.sha256()
-            h.update(b"sgwshape.mesh.v1")
-            h.update(np.int64([self.m, self.g]).tobytes())
-            h.update(self.vertices.tobytes())
-            h.update(self.triangles.tobytes())
-            object.__setattr__(self, "_hash", h.hexdigest())
-        return self._hash
 
     def triangle_areas(self) -> np.ndarray:
         """Per-triangle areas."""
@@ -183,19 +171,33 @@ def load_mesh(path) -> TriangleMesh:
     Raises
     ------
     ParseError
-        Unknown extension or malformed file; the message carries the
-        offending line number where there is one.
+        Missing file, unknown extension or malformed file; the message
+        carries the offending line number where there is one.
     ValidationError
         Structurally invalid mesh (see TriangleMesh).
     """
+    return parse_mesh(read_mesh_bytes(path), path)
+
+
+def read_mesh_bytes(path) -> bytes:
+    """The bytes of a mesh file whose extension names a known format."""
     p = Path(path)
     if not p.is_file():
         raise ParseError(f"{p}: no such file")
-    parse = _PARSERS.get(p.suffix.lower())
-    if parse is None:
-        raise ParseError(f"{p}: cannot infer format from extension {p.suffix!r}")
+    _parser_for(p)
+    return p.read_bytes()
+
+
+def parse_mesh(data: bytes, path) -> TriangleMesh:
+    """Parse and validate the bytes of a mesh file; see load_mesh.
+
+    `path` picks the format by its extension and names the file in error
+    messages; it is not read.
+    """
+    p = Path(path)
+    parse = _parser_for(p)
     # undecodable bytes (a binary body) become malformed tokens, not a decode error
-    lines = p.read_bytes().decode(errors="replace").splitlines()
+    lines = data.decode(errors="replace").splitlines()
     name = str(p)
     vertices, triangles = parse(lines, name)
     try:
@@ -405,6 +407,13 @@ def _parse_ply(lines, name):
 
 
 _PARSERS = {".off": _parse_off, ".obj": _parse_obj, ".ply": _parse_ply}
+
+
+def _parser_for(p: Path):
+    parse = _PARSERS.get(p.suffix.lower())
+    if parse is None:
+        raise ParseError(f"{p}: cannot infer format from extension {p.suffix!r}")
+    return parse
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,14 @@ analyzed independently: global descriptors of its meshes, then the PCA +
 MANOVA + permutation chain. Failures stay local to their stratum and are
 recorded in the report instead of aborting the run.
 
-Each mesh file is loaded, eigensolved and reduced to its spectral summary
+Each mesh file is read, eigensolved and reduced to its spectral summary
 (eigenvalues plus two weight vectors, see ``gsgw``) once per run; every
 descriptor then follows in closed form from a summary, so a sweep over
 (R, k) costs O(pk) per shape and cell after that single pass. Summaries are
-cached under a content-addressed scheme (mesh geometry hash plus lumping),
-with atomic write-then-rename updates; a summary stored at K pairs serves
-any k <= K. A rerun against a warm cache performs no eigensolves and
-produces byte-identical reports.
+cached under the SHA-256 of the mesh file's bytes plus lumping and solver
+method, with atomic write-then-rename updates; a summary stored at K pairs
+serves any k <= K. A rerun against a warm cache parses no mesh, performs no
+eigensolves and produces byte-identical reports.
 """
 
 from __future__ import annotations
@@ -34,12 +34,13 @@ from .eigen import SOLVER_METHODS, solve_eigen
 from .errors import (
     NUMERICAL_ERRORS,
     InvalidParam,
+    ParseError,
     SgwError,
     ValidationError,
 )
 from .gsgw import GsgwVector, SpectralSummary, descriptor_from_summary, summarize
 from .laplacian import LUMPING_SCHEMES, laplacian_matrices
-from .mesh_io import TriangleMesh, load_mesh, make_synthetic, write_mesh
+from .mesh_io import make_synthetic, parse_mesh, read_mesh_bytes, write_mesh
 
 __all__ = [
     "ManifestEntry",
@@ -314,7 +315,7 @@ def _atomic_write_bytes(path: Path, payload: bytes) -> None:
     """Write a temp file, then rename it over path.
 
     The temp name carries the process and thread ids, so concurrent writers
-    of one blob (identical mesh content under two manifest paths) never
+    of one blob (identical mesh files under two manifest paths) never
     rename each other's file away; the last rename wins, and both payloads
     are whole.
     """
@@ -369,49 +370,38 @@ def _read_blob(path: Path, kind: str):
         return None
 
 
-def _load_or_solve_summary(
-    mesh: TriangleMesh, cfg: RunConfig, diagnostics: RunDiagnostics
-) -> SpectralSummary:
-    """Spectral summary of at least cfg.k pairs, cached by mesh hash and lumping.
+def _summary_for_path(path, cfg: RunConfig, diagnostics: RunDiagnostics) -> SpectralSummary:
+    """Spectral summary of at least cfg.k pairs of the mesh file at path.
 
-    A stored summary of K >= cfg.k pairs is a hit and is returned whole; a
-    miss solves exactly cfg.k pairs and replaces the stored summary.
+    The cache key is the SHA-256 of the file's bytes plus lumping and
+    method. A stored summary of K >= cfg.k pairs is a hit and is returned
+    whole without parsing the file; a miss parses the very bytes that were
+    hashed, solves exactly cfg.k pairs and replaces the stored summary.
     """
+    data = read_mesh_bytes(path)
     cache_path = None
     if cfg.cache_dir is not None:
-        name = f"spectrum-{mesh.content_hash}-{cfg.lumping}.sgwc"
-        cache_path = Path(cfg.cache_dir) / name
+        digest = hashlib.sha256(data).hexdigest()
+        key = {"file_sha256": digest, "lumping": cfg.lumping, "method": cfg.method}
+        cache_path = Path(cfg.cache_dir) / f"spectrum-{digest}-{cfg.lumping}-{cfg.method}.sgwc"
         hit = _read_blob(cache_path, "spectrum")
         if hit is not None:
             meta, arrays = hit
-            if (
-                meta.get("mesh_hash") == mesh.content_hash
-                and meta.get("lumping") == cfg.lumping
-                and meta.get("k", 0) >= cfg.k
-            ):
+            # a blob copied under another file's name fails here and is a miss
+            if {name: meta.get(name) for name in key} == key and meta.get("k", 0) >= cfg.k:
                 diagnostics.eigen_cache_hits += 1
                 return SpectralSummary(
-                    arrays["eigenvalues"],
-                    arrays["w_area"],
-                    arrays["w_plain"],
-                    meta["total_area"],
-                    method=meta["method"],
+                    arrays["eigenvalues"], arrays["w_area"], arrays["w_plain"], meta["total_area"]
                 )
 
-    stiffness, mass = laplacian_matrices(mesh, lumping=cfg.lumping)
+    stiffness, mass = laplacian_matrices(parse_mesh(data, path), lumping=cfg.lumping)
     summary = summarize(solve_eigen(stiffness, mass, cfg.k, method=cfg.method))
     diagnostics.eigensolves += 1
     if cache_path is not None:
         _write_blob(
             cache_path,
             "spectrum",
-            {
-                "mesh_hash": mesh.content_hash,
-                "lumping": cfg.lumping,
-                "k": summary.k,
-                "method": summary.method,
-                "total_area": summary.total_area,
-            },
+            {**key, "k": summary.k, "total_area": summary.total_area},
             {
                 "eigenvalues": summary.eigenvalues,
                 "w_area": summary.w_area,
@@ -428,13 +418,9 @@ def _descriptor(summary: SpectralSummary, cfg: RunConfig) -> GsgwVector:
     )
 
 
-def gsgw_for_mesh(
-    mesh: TriangleMesh, cfg: RunConfig, diagnostics: RunDiagnostics | None = None
-) -> GsgwVector:
-    """Global descriptor of one mesh under cfg, using the cache when set."""
-    if diagnostics is None:
-        diagnostics = RunDiagnostics()
-    summary = _load_or_solve_summary(mesh, cfg, diagnostics)
+def gsgw_for_mesh(path, cfg: RunConfig, diagnostics: RunDiagnostics | None = None) -> GsgwVector:
+    """Global descriptor of the mesh file at path under cfg, using the cache when set."""
+    summary = _summary_for_path(path, cfg, RunDiagnostics() if diagnostics is None else diagnostics)
     return _descriptor(summary, cfg)
 
 
@@ -453,7 +439,7 @@ def _groups(entries) -> tuple:
 
 
 def _summarize_meshes(manifest: DatasetManifest, cfg: RunConfig):
-    """Load, solve and summarise each mesh file once, at cfg.k pairs.
+    """Read, solve and summarise each mesh file once, at cfg.k pairs.
 
     Only files listed in a stratum with exactly two groups are touched.
     Returns (path -> SpectralSummary or (stage, SgwError), diagnostics): a
@@ -471,12 +457,10 @@ def _summarize_meshes(manifest: DatasetManifest, cfg: RunConfig):
 
     def one(path):
         local = RunDiagnostics()
-        stage = "load"
         try:
-            mesh = load_mesh(path)
-            stage = "descriptor"
-            outcome = _load_or_solve_summary(mesh, cfg, local)
+            outcome = _summary_for_path(path, cfg, local)
         except SgwError as exc:
+            stage = "load" if isinstance(exc, (ParseError, ValidationError)) else "descriptor"
             outcome = (stage, exc)
         return outcome, local
 
@@ -598,7 +582,7 @@ class SweepResult:
 def parameter_sweep(manifest: DatasetManifest, cfg: RunConfig, Rs, ks) -> SweepResult:
     """run_group_comparison over an (R, k) grid, solving each mesh once.
 
-    Every mesh is loaded, eigensolved (or read from the cache) and
+    Every mesh is read, eigensolved (or served from the cache) and
     summarised once at the largest k of the grid; each grid cell then takes
     its descriptors from a prefix of those summaries in memory.
     """

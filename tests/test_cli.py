@@ -338,11 +338,16 @@ class TestOutParent:
         [
             ["signature", "MESH", "--k", "1", "--R", "3"],
             ["gsgw", "MESH", "MESH", "--labels", "a", "--k", "10", "--R", "3"],
+            ["signature", "MISSING", "--k", "10", "--R", "3"],
+            ["gsgw", "MISSING", "--k", "10", "--R", "3"],
         ],
-        ids=["signature-bad-k", "gsgw-label-mismatch"],
+        ids=[
+            "signature-bad-k", "gsgw-label-mismatch", "signature-missing-mesh", "gsgw-missing-mesh"
+        ],
     )
     def test_rejected_command_creates_no_directory(self, mesh_file, tmp_path, capsys, argv):
-        resolved = [str(mesh_file) if arg == "MESH" else arg for arg in argv]
+        paths = {"MESH": str(mesh_file), "MISSING": str(tmp_path / "missing.off")}
+        resolved = [paths.get(arg, arg) for arg in argv]
         assert main([*resolved, "--out", str(tmp_path / "new" / "result.csv")]) == 2
         assert not (tmp_path / "new").exists()
         capsys.readouterr()

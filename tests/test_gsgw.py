@@ -91,19 +91,28 @@ def _relative_gap(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
+@pytest.fixture
+def bumpy2_file(bumpy2, tmp_path):
+    """bumpy2 written as OFF. The file keeps 12 significant digits, so
+    references are computed from the mesh read back from it."""
+    path = tmp_path / "bumpy2.off"
+    sg.write_mesh(bumpy2, path)
+    return path
+
+
 class TestClosedForm:
     """gsgw_for_mesh uses g = K w; aggregate(signature_matrix(...)) is the reference."""
 
     @pytest.mark.parametrize("method", ["dense", "sparse"])
     @pytest.mark.parametrize("area_factor", [True, False])
     @pytest.mark.parametrize("normalize", [False, True])
-    def test_matches_signature_aggregate(self, bumpy2, method, area_factor, normalize):
+    def test_matches_signature_aggregate(self, bumpy2_file, method, area_factor, normalize):
         cfg = sg.RunConfig(
             k=31, R=6, method=method, area_factor=area_factor, normalize=normalize
         )
-        got = sg.gsgw_for_mesh(bumpy2, cfg)
+        got = sg.gsgw_for_mesh(bumpy2_file, cfg)
 
-        stiffness, mass = sg.laplacian_matrices(bumpy2)
+        stiffness, mass = sg.laplacian_matrices(sg.load_mesh(bumpy2_file))
         basis = sg.solve_eigen(stiffness, mass, 31, method=method)
         want = sg.aggregate(
             sg.signature_matrix(basis, 6, area_factor=area_factor),
@@ -113,14 +122,14 @@ class TestClosedForm:
         assert got.values.shape == want.values.shape
         assert _relative_gap(got.values, want.values) <= 1e-14
 
-    def test_prefix_of_stored_summary(self, bumpy2, tmp_path):
+    def test_prefix_of_stored_summary(self, bumpy2_file, tmp_path):
         cfg = sg.RunConfig(k=20, R=5, cache_dir=str(tmp_path / "cache"))
-        sg.gsgw_for_mesh(bumpy2, cfg)
+        sg.gsgw_for_mesh(bumpy2_file, cfg)
         diag = sg.RunDiagnostics()
-        got = sg.gsgw_for_mesh(bumpy2, sg.RunConfig(k=9, R=5, cache_dir=cfg.cache_dir), diag)
+        got = sg.gsgw_for_mesh(bumpy2_file, sg.RunConfig(k=9, R=5, cache_dir=cfg.cache_dir), diag)
         assert diag.eigensolves == 0 and diag.eigen_cache_hits == 1
 
-        stiffness, mass = sg.laplacian_matrices(bumpy2)
+        stiffness, mass = sg.laplacian_matrices(sg.load_mesh(bumpy2_file))
         basis = sg.solve_eigen(stiffness, mass, 20).truncate(9)
         want = sg.aggregate(sg.signature_matrix(basis, 5), basis.vertex_areas)
         assert _relative_gap(got.values, want.values) <= 1e-14
@@ -130,10 +139,11 @@ class TestClosedForm:
         summary = summarize(bumpy2_basis)
         assert np.abs(summary.w_plain - 1.0).max() <= 1e-14
 
-    def test_no_area_factor_depends_on_eigenvalues_alone(self, bumpy2, bumpy2_basis):
+    def test_no_area_factor_depends_on_eigenvalues_alone(self, bumpy2_file):
         cfg = sg.RunConfig(k=31, R=6, area_factor=False)
-        got = sg.gsgw_for_mesh(bumpy2, cfg)
-        rows = _kernel_rows(bumpy2_basis.eigenvalues, 6)
+        got = sg.gsgw_for_mesh(bumpy2_file, cfg)
+        stiffness, mass = sg.laplacian_matrices(sg.load_mesh(bumpy2_file))
+        rows = _kernel_rows(sg.solve_eigen(stiffness, mass, 31).eigenvalues, 6)
         assert _relative_gap(got.values, rows @ np.ones(31)) <= 1e-14
 
     def test_summary_truncate_is_a_prefix(self, bumpy2_basis):

@@ -118,16 +118,6 @@ class TestTriangleMesh:
         np.testing.assert_allclose(np.sort(areas), np.sort(expected), rtol=1e-14)
         assert np.isclose(mesh.total_area(), areas.sum())
 
-    def test_content_hash_is_stable(self):
-        assert tetra().content_hash == tetra().content_hash
-
-    def test_content_hash_tracks_geometry_and_topology(self):
-        base = tetra()
-        moved = base.with_vertices(base.vertices + 1e-9)
-        assert base.content_hash != moved.content_hash
-        reordered = sg.TriangleMesh(TET_VERTICES, TET_TRIANGLES[::-1])
-        assert base.content_hash != reordered.content_hash
-
     def test_with_vertices_keeps_topology(self):
         mesh = tetra()
         out = mesh.with_vertices(mesh.vertices * 2.0)
@@ -476,7 +466,6 @@ def test_one_tetrahedron_in_every_format(tmp_path):
         assert mesh.vertices.dtype == np.float64 and mesh.triangles.dtype == np.int64
         np.testing.assert_array_equal(mesh.vertices, TET_VERTICES)
         np.testing.assert_array_equal(mesh.triangles, TET_TRIANGLES)
-    assert len({mesh.content_hash for mesh in meshes}) == 1
 
 
 class TestLoadDispatch:

@@ -1,7 +1,9 @@
 """Manifest handling, caching, batch runs, sweeps, synthetic populations."""
 
+import hashlib
 import json
 import os
+import shutil
 import threading
 from dataclasses import fields, replace
 from pathlib import Path
@@ -11,7 +13,8 @@ import pytest
 
 import sgwshape as sg
 import sgwshape.pipeline as pipeline
-from sgwshape.errors import InvalidParam, ValidationError
+from sgwshape.errors import InvalidParam, ParseError, ValidationError
+from sgwshape.mesh_io import parse_mesh, read_mesh_bytes
 from sgwshape.pipeline import (
     _REPORT_COLUMNS,
     _atomic_write_bytes,
@@ -21,6 +24,13 @@ from sgwshape.pipeline import (
 )
 
 SMALL = dict(k=10, R=3, pca_dims=2, n_perm=50, seed=0)
+
+
+def bumpy_file(directory, name="bumpy.off", seed=9):
+    """A 42-vertex bumpy sphere written as OFF; returns its path."""
+    path = Path(directory) / name
+    sg.write_mesh(sg.make_synthetic("bumpy_sphere", 1, seed=seed), path)
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -143,16 +153,16 @@ class TestRunConfig:
             sg.RunConfig(**kwargs)
 
     def test_bogus_lumping_loads_no_mesh(self, two_class, monkeypatch):
-        loaded = []
+        read = []
 
-        def counting_load(path):
-            loaded.append(path)
-            return sg.load_mesh(path)
+        def counting_read(path):
+            read.append(path)
+            return read_mesh_bytes(path)
 
-        monkeypatch.setattr(pipeline, "load_mesh", counting_load)
+        monkeypatch.setattr(pipeline, "read_mesh_bytes", counting_read)
         with pytest.raises(InvalidParam, match="unknown lumping 'bogus'"):
             sg.run_group_comparison(two_class, sg.RunConfig(lumping="bogus", **SMALL))
-        assert loaded == []
+        assert read == []
 
     def test_kernel_id_is_not_a_setting(self):
         with pytest.raises(TypeError, match="kernel_id"):
@@ -171,7 +181,7 @@ class TestRunConfig:
 
 class TestDescriptorCache:
     def test_cold_then_warm(self, tmp_path):
-        mesh = sg.make_synthetic("bumpy_sphere", 1, seed=9)
+        mesh = bumpy_file(tmp_path)
         cfg = sg.RunConfig(cache_dir=str(tmp_path / "cache"), **SMALL)
 
         cold = RunDiagnostics()
@@ -186,7 +196,7 @@ class TestDescriptorCache:
         np.testing.assert_array_equal(first.values, second.values)
 
     def test_eigen_cache_serves_smaller_k(self, tmp_path):
-        mesh = sg.make_synthetic("bumpy_sphere", 1, seed=9)
+        mesh = bumpy_file(tmp_path)
         big = sg.RunConfig(cache_dir=str(tmp_path / "cache"), **SMALL)
         gsgw_for_mesh(mesh, big, RunDiagnostics())
 
@@ -197,7 +207,7 @@ class TestDescriptorCache:
         assert diag.eigen_cache_hits == 1
 
     def test_larger_k_is_a_miss(self, tmp_path):
-        mesh = sg.make_synthetic("bumpy_sphere", 1, seed=9)
+        mesh = bumpy_file(tmp_path)
         cfg = sg.RunConfig(cache_dir=str(tmp_path / "cache"), **SMALL)
         gsgw_for_mesh(mesh, cfg, RunDiagnostics())
 
@@ -206,7 +216,7 @@ class TestDescriptorCache:
         assert diag.eigensolves == 1
 
     def test_corrupt_blob_is_a_miss(self, tmp_path):
-        mesh = sg.make_synthetic("bumpy_sphere", 1, seed=9)
+        mesh = bumpy_file(tmp_path)
         cache = tmp_path / "cache"
         cfg = sg.RunConfig(cache_dir=str(cache), **SMALL)
         reference = gsgw_for_mesh(mesh, cfg, RunDiagnostics())
@@ -219,22 +229,78 @@ class TestDescriptorCache:
         np.testing.assert_array_equal(again.values, reference.values)
 
     def test_blob_layout(self, tmp_path):
-        mesh = sg.make_synthetic("bumpy_sphere", 1, seed=9)
+        mesh = bumpy_file(tmp_path)
         cache = tmp_path / "cache"
         cfg = sg.RunConfig(cache_dir=str(cache), **SMALL)
         gsgw_for_mesh(mesh, cfg, RunDiagnostics())
 
+        digest = hashlib.sha256(mesh.read_bytes()).hexdigest()
         names = sorted(p.name for p in cache.glob("*.sgwc"))
-        assert names == [f"spectrum-{mesh.content_hash}-{cfg.lumping}.sgwc"]
+        assert names == [f"spectrum-{digest}-{cfg.lumping}-{cfg.method}.sgwc"]
         magic, header = (cache / names[0]).read_bytes().split(b"\n")[:2]
         assert magic == b"SGWCACHE1"
         header = json.loads(header)
         assert header["kind"] == "spectrum"
-        assert header["meta"]["k"] == cfg.k
+        assert header["meta"] == {
+            "file_sha256": digest,
+            "lumping": cfg.lumping,
+            "method": cfg.method,
+            "k": cfg.k,
+            "total_area": header["meta"]["total_area"],
+        }
         assert [a["name"] for a in header["arrays"]] == ["eigenvalues", "w_area", "w_plain"]
 
-    def test_no_cache_dir_still_works(self):
-        mesh = sg.make_synthetic("bumpy_sphere", 1, seed=9)
+    def test_method_is_part_of_the_key(self, tmp_path):
+        mesh = bumpy_file(tmp_path)
+        dense = sg.RunConfig(cache_dir=str(tmp_path / "cache"), method="dense", **SMALL)
+        gsgw_for_mesh(mesh, dense, RunDiagnostics())
+
+        sparse = replace(dense, method="sparse")
+        diag = RunDiagnostics()
+        got = gsgw_for_mesh(mesh, sparse, diag)
+        assert diag.eigensolves == 1 and diag.eigen_cache_hits == 0
+        uncached = gsgw_for_mesh(mesh, replace(sparse, cache_dir=None))
+        np.testing.assert_array_equal(got.values, uncached.values)
+
+    def test_rewritten_file_is_a_miss(self, tmp_path):
+        mesh = bumpy_file(tmp_path)
+        cfg = sg.RunConfig(cache_dir=str(tmp_path / "cache"), **SMALL)
+        before = gsgw_for_mesh(mesh, cfg, RunDiagnostics())
+
+        bumpy_file(tmp_path, seed=10)
+        diag = RunDiagnostics()
+        after = gsgw_for_mesh(mesh, cfg, diag)
+        assert diag.eigensolves == 1 and diag.eigen_cache_hits == 0
+        assert not np.array_equal(after.values, before.values)
+        uncached = gsgw_for_mesh(mesh, replace(cfg, cache_dir=None))
+        np.testing.assert_array_equal(after.values, uncached.values)
+
+    def test_blob_under_another_files_name_is_a_miss(self, tmp_path):
+        first = bumpy_file(tmp_path, "first.off", seed=9)
+        second = bumpy_file(tmp_path, "second.off", seed=10)
+        cache = tmp_path / "cache"
+        cfg = sg.RunConfig(cache_dir=str(cache), **SMALL)
+        gsgw_for_mesh(first, cfg, RunDiagnostics())
+        (blob,) = cache.glob("*.sgwc")
+        digest = hashlib.sha256(second.read_bytes()).hexdigest()
+        shutil.copyfile(blob, cache / f"spectrum-{digest}-{cfg.lumping}-{cfg.method}.sgwc")
+
+        diag = RunDiagnostics()
+        got = gsgw_for_mesh(second, cfg, diag)
+        assert diag.eigensolves == 1 and diag.eigen_cache_hits == 0
+        uncached = gsgw_for_mesh(second, replace(cfg, cache_dir=None))
+        np.testing.assert_array_equal(got.values, uncached.values)
+
+    def test_unknown_extension_is_never_served(self, tmp_path):
+        mesh = bumpy_file(tmp_path)
+        cfg = sg.RunConfig(cache_dir=str(tmp_path / "cache"), **SMALL)
+        gsgw_for_mesh(mesh, cfg, RunDiagnostics())
+        same_bytes = shutil.copyfile(mesh, tmp_path / "bumpy.stl")
+        with pytest.raises(ParseError, match="format"):
+            gsgw_for_mesh(same_bytes, cfg, RunDiagnostics())
+
+    def test_no_cache_dir_still_works(self, tmp_path):
+        mesh = bumpy_file(tmp_path)
         cfg = sg.RunConfig(**SMALL)
         diag = RunDiagnostics()
         vec = gsgw_for_mesh(mesh, cfg, diag)
@@ -304,6 +370,30 @@ class TestRunGroupComparison:
         cfg = sg.RunConfig(cache_dir=str(tmp_path / "c3"), jobs=3, **SMALL)
         parallel = sg.run_group_comparison(two_class, cfg)
         assert parallel.report_dict()["strata"] == small_run.report_dict()["strata"]
+
+    def test_warm_run_parses_nothing(self, two_class, tmp_path, monkeypatch):
+        parsed = []
+
+        def counting_parse(data, path):
+            parsed.append(path)
+            return parse_mesh(data, path)
+
+        monkeypatch.setattr(pipeline, "parse_mesh", counting_parse)
+        cfg = sg.RunConfig(cache_dir=str(tmp_path / "cache"), **SMALL)
+        cold = sg.run_group_comparison(two_class, cfg)
+        assert len(parsed) == cold.diagnostics.eigensolves == 6
+
+        parsed.clear()
+        warm = sg.run_group_comparison(two_class, cfg)
+        assert parsed == []
+        assert warm.diagnostics.eigensolves == 0
+        assert warm.diagnostics.eigen_cache_hits == 6
+        for tag, result in (("cold", cold), ("warm", warm)):
+            result.write_json(tmp_path / f"{tag}.json")
+            result.write_csv(tmp_path / f"{tag}.csv")
+        for ext in ("json", "csv"):
+            cold_bytes = (tmp_path / f"cold.{ext}").read_bytes()
+            assert (tmp_path / f"warm.{ext}").read_bytes() == cold_bytes
 
     def test_single_group_stratum_is_skipped(self, tmp_path):
         mesh_path = tmp_path / "m.off"
