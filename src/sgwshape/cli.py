@@ -244,14 +244,14 @@ def _cmd_gsgw(args) -> int:
         for mesh_path, label in zip(args.meshes, labels)
     ]
     p = signature_length(cfg.R)
-    header = "id,label," + ",".join(f"v{i + 1}" for i in range(p))
-    lines = [header]
-    lines += [
-        f"{mesh_path},{label}," + ",".join(f"{x:.12g}" for x in values)
-        for mesh_path, label, values in rows
-    ]
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    with open(args.out, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["id", "label", *(f"v{i + 1}" for i in range(p))])
+        writer.writerows(
+            [mesh_path, label, *(f"{x:.12g}" for x in values)]
+            for mesh_path, label, values in rows
+        )
     print(f"wrote {args.out} ({len(rows)} shapes, p={p})")
     return 0
 

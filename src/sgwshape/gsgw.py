@@ -96,12 +96,12 @@ class SpectralSummary:
     eigenvalues : (K,) float64, ascending
     w_area : (K,) float64
         sum_j a_j^3 phi_l(j)^2, the weights of the standard descriptor.
-    w_plain : (K,) float64
-        sum_j a_j phi_l(j)^2, the weights without the a_j^2 area factor.
-        These are the diagonal of Phi^T A Phi = I, so they equal 1 up to
-        round-off and that descriptor depends on the eigenvalues alone.
     total_area : float
         Sum of the vertex areas, the divisor under ``normalize``.
+
+    Without the a_j^2 area factor the weights are sum_j a_j phi_l(j)^2,
+    the diagonal of Phi^T A Phi = I, so they are taken as exact ones and
+    are not stored.
 
     Every entry of a prefix depends only on its own eigenpair, so a
     summary of K pairs serves any k <= K through ``truncate``.
@@ -109,11 +109,10 @@ class SpectralSummary:
 
     eigenvalues: np.ndarray
     w_area: np.ndarray
-    w_plain: np.ndarray
     total_area: float
 
     def __post_init__(self):
-        for arr in (self.eigenvalues, self.w_area, self.w_plain):
+        for arr in (self.eigenvalues, self.w_area):
             arr.setflags(write=False)
 
     @property
@@ -126,26 +125,15 @@ class SpectralSummary:
             raise InvalidParam(f"cannot truncate a {self.k}-pair summary to k={k}")
         if k == self.k:
             return self
-        return SpectralSummary(
-            self.eigenvalues[:k],
-            self.w_area[:k],
-            self.w_plain[:k],
-            self.total_area,
-        )
+        return SpectralSummary(self.eigenvalues[:k], self.w_area[:k], self.total_area)
 
 
 def summarize(basis: EigenBasis) -> SpectralSummary:
-    """Spectral summary of a basis: eigenvalues plus the per-pair weights."""
+    """Spectral summary of a basis: eigenvalues plus the per-pair area weights."""
     a = basis.vertex_areas
     if (a <= 0).any():
         raise InvalidParam("vertex areas must be positive")
-    phi_sq = basis.eigenvectors**2
-    return SpectralSummary(
-        basis.eigenvalues,
-        phi_sq.T @ a**3,
-        phi_sq.T @ a,
-        float(a.sum()),
-    )
+    return SpectralSummary(basis.eigenvalues, (basis.eigenvectors**2).T @ a**3, float(a.sum()))
 
 
 def descriptor_from_summary(
@@ -153,11 +141,13 @@ def descriptor_from_summary(
 ) -> GsgwVector:
     """Closed-form g = K w; equals ``aggregate(signature_matrix(...))``.
 
-    The summary's eigenvalues set the kernel rows at resolution R;
-    ``area_factor`` picks w_area or w_plain and ``normalize`` divides by
-    the total area, as in ``aggregate``.
+    The summary's eigenvalues set the kernel rows at resolution R. With
+    ``area_factor`` the weights are w_area; without it they are ones, the
+    diagonal of Phi^T A Phi = I, so that descriptor is a function of the
+    eigenvalues alone. ``normalize`` divides by the total area, as in
+    ``aggregate``.
     """
-    weights = summary.w_area if area_factor else summary.w_plain
+    weights = summary.w_area if area_factor else np.ones(summary.k)
     g = _kernel_rows(summary.eigenvalues, R) @ weights
     if normalize:
         g = g / summary.total_area

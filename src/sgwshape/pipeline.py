@@ -7,13 +7,15 @@ MANOVA + permutation chain. Failures stay local to their stratum and are
 recorded in the report instead of aborting the run.
 
 Each mesh file is read, eigensolved and reduced to its spectral summary
-(eigenvalues plus two weight vectors, see ``gsgw``) once per run; every
+(eigenvalues, area weights and total area, see ``gsgw``) once per run; every
 descriptor then follows in closed form from a summary, so a sweep over
 (R, k) costs O(pk) per shape and cell after that single pass. Summaries are
 cached under the SHA-256 of the mesh file's bytes plus lumping and solver
-method, with atomic write-then-rename updates; a summary stored at K pairs
-serves any k <= K. A rerun against a warm cache parses no mesh, performs no
-eigensolves and produces byte-identical reports.
+method, one fixed-layout blob each (a key line, then 2K+1 float64 values),
+with atomic write-then-rename updates; a summary stored at K pairs serves
+any k <= K, and a blob of any other shape is a miss. A rerun against a warm
+cache parses no mesh, performs no eigensolves and produces byte-identical
+reports.
 """
 
 from __future__ import annotations
@@ -63,8 +65,6 @@ SIDES = ("left", "right")
 MANIFEST_HEADER = ["path", "subject", "group", "bone", "side"]
 
 SIGNIFICANCE_LEVEL = 0.05
-
-_CACHE_MAGIC = b"SGWCACHE1\n"
 
 
 @dataclass(frozen=True)
@@ -169,6 +169,9 @@ class RunConfig:
             raise InvalidParam(
                 f"unknown method {self.method!r}; expected one of {SOLVER_METHODS}"
             )
+        cache = None if self.cache_dir is None else Path(self.cache_dir)
+        if cache is not None and cache.exists() and not cache.is_dir():
+            raise InvalidParam(f"cache_dir {self.cache_dir} exists and is not a directory")
 
     def science_dict(self) -> dict:
         """The parameters that determine results (reported verbatim)."""
@@ -328,86 +331,41 @@ def _atomic_write_bytes(path: Path, payload: bytes) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _write_blob(path: Path, kind: str, meta: dict, arrays: dict) -> None:
-    """Versioned binary blob: magic, JSON header line, raw array bytes."""
-    header = {
-        "kind": kind,
-        "meta": meta,
-        "arrays": [
-            {"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)}
-            for name, arr in arrays.items()
-        ],
-    }
-    payload = _CACHE_MAGIC + (json.dumps(header, sort_keys=True) + "\n").encode()
-    payload += b"".join(np.ascontiguousarray(arr).tobytes() for arr in arrays.values())
-    _atomic_write_bytes(path, payload)
-
-
-def _read_blob(path: Path, kind: str):
-    """Return (meta, arrays) or None when missing/corrupt/mismatched."""
-    try:
-        data = path.read_bytes()
-    except OSError:
-        return None
-    if not data.startswith(_CACHE_MAGIC):
-        return None
-    try:
-        end = data.index(b"\n", len(_CACHE_MAGIC))
-        header = json.loads(data[len(_CACHE_MAGIC) : end])
-        if header["kind"] != kind:
-            return None
-        arrays = {}
-        offset = end + 1
-        for spec in header["arrays"]:
-            dtype = np.dtype(spec["dtype"])
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            arr = np.frombuffer(data, dtype=dtype, count=count, offset=offset).reshape(shape)
-            offset += arr.nbytes
-            arrays[spec["name"]] = arr
-        return header["meta"], arrays
-    except (KeyError, ValueError, TypeError, json.JSONDecodeError):
-        return None
-
-
 def _summary_for_path(path, cfg: RunConfig, diagnostics: RunDiagnostics) -> SpectralSummary:
     """Spectral summary of at least cfg.k pairs of the mesh file at path.
 
     The cache key is the SHA-256 of the file's bytes plus lumping and
-    method. A stored summary of K >= cfg.k pairs is a hit and is returned
-    whole without parsing the file; a miss parses the very bytes that were
-    hashed, solves exactly cfg.k pairs and replaces the stored summary.
+    method. A blob is one head line naming that key, then little-endian
+    float64 values: the total area, K eigenvalues and K area weights. It is
+    a hit only when its head line is exactly the expected one and its body
+    holds 2K+1 floats with K >= cfg.k; a hit is returned whole without
+    parsing the file. Anything else is a miss, which parses the very bytes
+    that were hashed, solves exactly cfg.k pairs and replaces the blob.
     """
     data = read_mesh_bytes(path)
     cache_path = None
     if cfg.cache_dir is not None:
         digest = hashlib.sha256(data).hexdigest()
-        key = {"file_sha256": digest, "lumping": cfg.lumping, "method": cfg.method}
         cache_path = Path(cfg.cache_dir) / f"spectrum-{digest}-{cfg.lumping}-{cfg.method}.sgwc"
-        hit = _read_blob(cache_path, "spectrum")
-        if hit is not None:
-            meta, arrays = hit
-            # a blob copied under another file's name fails here and is a miss
-            if {name: meta.get(name) for name in key} == key and meta.get("k", 0) >= cfg.k:
-                diagnostics.eigen_cache_hits += 1
-                return SpectralSummary(
-                    arrays["eigenvalues"], arrays["w_area"], arrays["w_plain"], meta["total_area"]
-                )
+        # a blob copied under another file's name has another head line
+        head = f"SGWSPEC2 {digest} {cfg.lumping} {cfg.method}\n".encode()
+        try:
+            blob = cache_path.read_bytes()
+        except OSError:
+            blob = b""
+        n_floats, ragged = divmod(len(blob) - len(head), 8)
+        if blob.startswith(head) and not ragged and n_floats % 2 and n_floats >= 2 * cfg.k + 1:
+            values = np.frombuffer(blob, dtype="<f8", offset=len(head))
+            k = n_floats // 2
+            diagnostics.eigen_cache_hits += 1
+            return SpectralSummary(values[1 : k + 1], values[k + 1 :], float(values[0]))
 
     stiffness, mass = laplacian_matrices(parse_mesh(data, path), lumping=cfg.lumping)
     summary = summarize(solve_eigen(stiffness, mass, cfg.k, method=cfg.method))
     diagnostics.eigensolves += 1
     if cache_path is not None:
-        _write_blob(
-            cache_path,
-            "spectrum",
-            {**key, "k": summary.k, "total_area": summary.total_area},
-            {
-                "eigenvalues": summary.eigenvalues,
-                "w_area": summary.w_area,
-                "w_plain": summary.w_plain,
-            },
-        )
+        body = np.concatenate(([summary.total_area], summary.eigenvalues, summary.w_area))
+        _atomic_write_bytes(cache_path, head + body.astype("<f8").tobytes())
     return summary
 
 

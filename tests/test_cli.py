@@ -1,6 +1,7 @@
 """End-to-end command line behavior, driven in process through main()."""
 
 import argparse
+import csv
 import json
 import xml.etree.ElementTree as ET
 
@@ -9,6 +10,7 @@ import pytest
 
 import sgwshape as sg
 import sgwshape.cli as cli
+import sgwshape.pipeline as pipeline
 from sgwshape.cli import build_parser, main
 
 FAST = ["--k", "10", "--R", "3", "--subdivisions", "1"]
@@ -194,6 +196,19 @@ class TestSignatureAndGsgw:
         assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
         capsys.readouterr()
 
+    def test_gsgw_table_quotes_ids(self, mesh_file, tmp_path, capsys):
+        # an id holding the delimiter is quoted, so plot gsgw reads the table back
+        odd = tmp_path / "a,b.off"
+        odd.write_bytes(mesh_file.read_bytes())
+        table = tmp_path / "gsgw.csv"
+        assert main(["gsgw", str(odd), *FAST[:4], "--labels", "x", "--out", str(table)]) == 0
+        with table.open(newline="") as handle:
+            header, row = list(csv.reader(handle))
+        assert row[:2] == [str(odd), "x"]
+        assert len(row) == len(header) == 2 + sg.signature_length(3)
+        assert main(["plot", "gsgw", str(table), "--out", str(tmp_path / "g.svg")]) == 0
+        capsys.readouterr()
+
     def test_label_count_mismatch(self, mesh_file, tmp_path, capsys):
         code = main(
             ["gsgw", str(mesh_file), "--labels", "a,b", "--out", str(tmp_path / "g.csv")]
@@ -261,6 +276,22 @@ class TestCompare:
         code = self.run_compare(dataset_dir, tmp_path, "--pca-dims", "5")
         assert code == 3
         capsys.readouterr()
+
+    def test_cache_dir_that_is_a_file_exits_2(self, dataset_dir, tmp_path, capsys, monkeypatch):
+        solves = []
+
+        def counting_solve(*args, **kwargs):
+            solves.append(args)
+            return sg.solve_eigen(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "solve_eigen", counting_solve)
+        not_a_dir = tmp_path / "cache"
+        not_a_dir.write_bytes(b"a file")
+        out_dir = tmp_path / "out"
+        code = self.run_compare(dataset_dir, out_dir, "--cache-dir", str(not_a_dir))
+        assert code == 2
+        assert "not a directory" in capsys.readouterr().err
+        assert solves == [] and not out_dir.exists()
 
     def test_bad_manifest_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "m.csv"

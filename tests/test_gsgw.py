@@ -135,9 +135,10 @@ class TestClosedForm:
         assert _relative_gap(got.values, want.values) <= 1e-14
 
     def test_plain_weights_are_one(self, bumpy2_basis):
-        # w_plain is the diagonal of Phi^T A Phi = I
-        summary = summarize(bumpy2_basis)
-        assert np.abs(summary.w_plain - 1.0).max() <= 1e-14
+        # without the area factor the weights are the diagonal of
+        # Phi^T A Phi = I, which descriptor_from_summary takes as exact ones
+        phi, a = bumpy2_basis.eigenvectors, bumpy2_basis.vertex_areas
+        assert np.abs((phi**2).T @ a - 1.0).max() <= 1e-14
 
     def test_no_area_factor_depends_on_eigenvalues_alone(self, bumpy2_file):
         cfg = sg.RunConfig(k=31, R=6, area_factor=False)

@@ -33,6 +33,39 @@ def bumpy_file(directory, name="bumpy.off", seed=9):
     return path
 
 
+def _earlier_format_blob(head, body):
+    """A blob in the earlier JSON-header format whose header lacks total_area."""
+    _, digest, lumping, method = head.decode().split()
+    values = np.frombuffer(body, dtype="<f8")
+    k = len(values) // 2
+    arrays = {"eigenvalues": values[1 : k + 1], "w_area": values[k + 1 :], "w_plain": np.ones(k)}
+    header = {
+        "kind": "spectrum",
+        "meta": {"file_sha256": digest, "lumping": lumping, "method": method, "k": k},
+        "arrays": [{"name": name, "dtype": "float64", "shape": [k]} for name in arrays],
+    }
+    text = b"SGWCACHE1\n" + (json.dumps(header, sort_keys=True) + "\n").encode()
+    return text + b"".join(arr.tobytes() for arr in arrays.values())
+
+
+# each maps a valid blob's (head line, body) to a malformed blob
+MALFORMED_BLOBS = {
+    "not-a-cache-file": lambda head, body: b"not a cache file",
+    "earlier-format-without-total-area": _earlier_format_blob,
+    "truncated-body": lambda head, body: head + b"\n" + body[: len(body) // 2 + 3],
+    "one-float-short": lambda head, body: head + b"\n" + body[:-8],
+    "one-float-long": lambda head, body: head + b"\n" + body + body[-8:],
+    "trailing-byte": lambda head, body: head + b"\n" + body + b"\0",
+    "empty-file": lambda head, body: b"",
+    "head-line-only": lambda head, body: head + b"\n",
+}
+
+
+def _malform(blob_path, case):
+    head, body = blob_path.read_bytes().split(b"\n", 1)
+    blob_path.write_bytes(MALFORMED_BLOBS[case](head, body))
+
+
 @pytest.fixture(scope="module")
 def two_class(tmp_path_factory):
     out = tmp_path_factory.mktemp("twoclass")
@@ -164,6 +197,21 @@ class TestRunConfig:
             sg.run_group_comparison(two_class, sg.RunConfig(lumping="bogus", **SMALL))
         assert read == []
 
+    def test_cache_dir_that_is_a_file_loads_no_mesh(self, two_class, tmp_path, monkeypatch):
+        read = []
+
+        def counting_read(path):
+            read.append(path)
+            return read_mesh_bytes(path)
+
+        monkeypatch.setattr(pipeline, "read_mesh_bytes", counting_read)
+        not_a_dir = tmp_path / "cache"
+        not_a_dir.write_bytes(b"a file")
+        with pytest.raises(InvalidParam, match="not a directory"):
+            sg.run_group_comparison(two_class, sg.RunConfig(cache_dir=str(not_a_dir), **SMALL))
+        assert read == []
+        assert not_a_dir.read_bytes() == b"a file"
+
     def test_kernel_id_is_not_a_setting(self):
         with pytest.raises(TypeError, match="kernel_id"):
             sg.RunConfig(kernel_id="sinc")
@@ -215,17 +263,18 @@ class TestDescriptorCache:
         gsgw_for_mesh(mesh, replace(cfg, k=12), diag)
         assert diag.eigensolves == 1
 
-    def test_corrupt_blob_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize("case", sorted(MALFORMED_BLOBS))
+    def test_malformed_blob_is_a_miss(self, tmp_path, case):
         mesh = bumpy_file(tmp_path)
         cache = tmp_path / "cache"
         cfg = sg.RunConfig(cache_dir=str(cache), **SMALL)
         reference = gsgw_for_mesh(mesh, cfg, RunDiagnostics())
 
-        for blob in cache.glob("*.sgwc"):
-            blob.write_bytes(b"not a cache file")
+        (blob,) = cache.glob("*.sgwc")
+        _malform(blob, case)
         diag = RunDiagnostics()
         again = gsgw_for_mesh(mesh, cfg, diag)
-        assert diag.eigensolves == 1
+        assert diag.eigensolves == 1 and diag.eigen_cache_hits == 0
         np.testing.assert_array_equal(again.values, reference.values)
 
     def test_blob_layout(self, tmp_path):
@@ -237,18 +286,11 @@ class TestDescriptorCache:
         digest = hashlib.sha256(mesh.read_bytes()).hexdigest()
         names = sorted(p.name for p in cache.glob("*.sgwc"))
         assert names == [f"spectrum-{digest}-{cfg.lumping}-{cfg.method}.sgwc"]
-        magic, header = (cache / names[0]).read_bytes().split(b"\n")[:2]
-        assert magic == b"SGWCACHE1"
-        header = json.loads(header)
-        assert header["kind"] == "spectrum"
-        assert header["meta"] == {
-            "file_sha256": digest,
-            "lumping": cfg.lumping,
-            "method": cfg.method,
-            "k": cfg.k,
-            "total_area": header["meta"]["total_area"],
-        }
-        assert [a["name"] for a in header["arrays"]] == ["eigenvalues", "w_area", "w_plain"]
+        head, body = (cache / names[0]).read_bytes().split(b"\n", 1)
+        assert head == f"SGWSPEC2 {digest} {cfg.lumping} {cfg.method}".encode()
+        assert len(body) == 8 * (2 * cfg.k + 1)
+        areas = sg.mass_matrix(sg.load_mesh(mesh), lumping=cfg.lumping).diagonal()
+        assert np.frombuffer(body, dtype="<f8")[0] == areas.sum()
 
     def test_method_is_part_of_the_key(self, tmp_path):
         mesh = bumpy_file(tmp_path)
@@ -394,6 +436,17 @@ class TestRunGroupComparison:
         for ext in ("json", "csv"):
             cold_bytes = (tmp_path / f"cold.{ext}").read_bytes()
             assert (tmp_path / f"warm.{ext}").read_bytes() == cold_bytes
+
+    def test_malformed_blob_in_cache_matches_cold_run(self, two_class, tmp_path):
+        cfg = sg.RunConfig(cache_dir=str(tmp_path / "cache"), **SMALL)
+        cold = sg.run_group_comparison(two_class, cfg)
+        blob = sorted((tmp_path / "cache").glob("*.sgwc"))[0]
+        _malform(blob, "earlier-format-without-total-area")
+
+        again = sg.run_group_comparison(two_class, cfg)
+        assert again.diagnostics.eigensolves == 1
+        assert again.diagnostics.eigen_cache_hits == 5
+        assert again.report_dict() == cold.report_dict()
 
     def test_single_group_stratum_is_skipped(self, tmp_path):
         mesh_path = tmp_path / "m.off"
