@@ -148,9 +148,11 @@ def solve_eigen(stiffness, mass, k: int, method: str = "auto") -> EigenBasis:
     else:
         if k >= m:
             raise InvalidParam(f"sparse route needs k < m, got k={k}, m={m}")
-        # Solve past the requested window and with a generous Krylov space:
-        # restarted Lanczos can drop members of a degenerate cluster sitting
-        # exactly at the window edge, and both margins push that edge out.
+        # Solve past the requested window: restarted Lanczos can drop members
+        # of a degenerate cluster sitting exactly at the window edge, and the
+        # oversolve buffer pushes that edge out. ARPACK's default Krylov size,
+        # max(2 * k_solve + 1, 20), then finds every member of a cluster
+        # inside it.
         k_solve = min(k + _CLUSTER_BUFFER, m - 1)
         diag_scale = float(np.mean(b.diagonal()))
         rng = np.random.default_rng(_LANCZOS_SEED)
@@ -162,7 +164,6 @@ def solve_eigen(stiffness, mass, k: int, method: str = "auto") -> EigenBasis:
                 sigma=-0.01 * diag_scale,
                 which="LM",
                 v0=v0,
-                ncv=min(m, max(4 * k_solve + 1, 40)),
                 tol=0,
                 maxiter=max(1000, 50 * k_solve),
             )

@@ -3,7 +3,9 @@
 Supported formats: ASCII OFF, Wavefront OBJ (``v``/``f`` records only) and
 ASCII PLY, chosen by file extension. An OFF file is read as a PLY body
 whose header is implicit (``nv`` vertex lines of x y z, then ``nf`` face
-lines), so both go through one element reader. Non-triangular faces are
+lines), so both go through one element reader. It reads an all-triangle
+body in one numpy call per block and any other body line by line, with
+line-numbered errors. Non-triangular faces are
 fan-triangulated on load; binary PLY is refused. Any malformed input
 raises ParseError. All loaders validate the result: indices in range, no
 degenerate (zero-area) triangles, no edge shared by more than two faces,
@@ -13,6 +15,7 @@ no isolated vertices. Meshes with boundary are accepted.
 from __future__ import annotations
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -223,9 +226,9 @@ def _fan(indices, lineno, name):
     return [(indices[0], indices[i], indices[i + 1]) for i in range(1, len(indices) - 1)]
 
 
-def _significant_lines(lines):
-    """Yield (lineno, tokens) for non-empty lines with comments stripped."""
-    for lineno, raw in enumerate(lines, 1):
+def _significant_lines(lines, start=0):
+    """Yield (lineno, tokens) for non-empty lines from `start` on, comments stripped."""
+    for lineno, raw in enumerate(lines[start:], start + 1):
         body = raw.split("#", 1)[0].strip()
         if body:
             yield lineno, body.split()
@@ -255,15 +258,78 @@ def _count(token, what, lineno, name, n_lines):
     return count
 
 
-def _read_elements(it, elements, name):
+def _read_elements(lines, start, elements, name):
     """Read the element blocks a header declared; return (vertices, triangles).
 
+    `lines` are the file's lines and the body starts at index `start`.
     `elements` lists (element name, count, scalar property names) in file
     order; every instance occupies one line. A vertex line holds its
     properties in declared order, of which x, y and z are read; a face line
     is ``n i_1 .. i_n`` and is fan-triangulated; lines of other elements
-    are skipped.
+    are skipped. An all-triangle body is read in one numpy call per block;
+    any other body goes to the line reader.
     """
+    arrays = _read_triangle_body(lines[start:], elements)
+    if arrays is not None:
+        return arrays
+    return _read_element_lines(_significant_lines(lines, start), elements, name)
+
+
+def _read_triangle_body(body, elements):
+    """(vertices, triangles) of one vertex block and one all-triangle face block.
+
+    Returns None unless the body is exactly that: no comment, every vertex
+    line holding one value per declared property, every face line reading
+    ``3 i j k``, nothing after the face block, every value parsed by numpy
+    as ``float()`` and ``int()`` would parse it, finite coordinates and
+    indices in range. The line reader then takes the file, so whatever it
+    accepts or rejects (with its line number) is unchanged.
+    """
+    if [kind for kind, _, _ in elements] != ["vertex", "face"]:
+        return None
+    (_, n_vertices, props), (_, n_faces, _) = elements
+    if n_faces == 0 or not {"x", "y", "z"} <= set(props):
+        return None
+    per_line = np.fromiter(map(len, map(str.split, body)), np.intp, len(body))
+    filled = np.flatnonzero(per_line)
+    if filled.size != n_vertices + n_faces:
+        return None
+    if (per_line[filled[:n_vertices]] != len(props)).any() or (
+        per_line[filled[n_vertices:]] != 4
+    ).any():
+        return None
+    split = filled[n_vertices]
+    vertex_text, face_text = "\n".join(body[:split]), "\n".join(body[split:])
+    if "#" in vertex_text or "#" in face_text:
+        return None
+    with warnings.catch_warnings():
+        # older numpy warns instead of raising when a block does not parse to its end
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(vertex_text, sep=" ")
+            faces = np.fromstring(face_text, dtype=np.int64, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    # a token numpy reads as two values changes the count
+    if values.size != n_vertices * len(props) or faces.size != 4 * n_faces:
+        return None
+    vertices = values.reshape(n_vertices, len(props))[:, [props.index(a) for a in "xyz"]]
+    faces = faces.reshape(n_faces, 4)
+    triangles = faces[:, 1:]
+    # numpy reads "nan(1)", which float() refuses, and clamps an index past
+    # int64, which int() keeps
+    if (
+        not np.isfinite(vertices).all()
+        or (faces[:, 0] != 3).any()
+        or triangles.min() < 0
+        or triangles.max() >= n_vertices
+    ):
+        return None
+    return vertices, triangles
+
+
+def _read_element_lines(it, elements, name):
+    """The line reader behind _read_elements; `it` yields its (lineno, tokens)."""
     vertices = None
     triangles = []
     # one line at a time: a block's token lists kept alive together set off
@@ -332,7 +398,7 @@ def _parse_off(lines, name):
         ("vertex", _count(counts[0], "vertex", lineno, name, len(lines)), ["x", "y", "z"]),
         ("face", _count(counts[1], "face", lineno, name, len(lines)), []),
     ]
-    return _read_elements(it, elements, name)
+    return _read_elements(lines, lineno, elements, name)
 
 
 def _parse_obj(lines, name):
@@ -403,7 +469,7 @@ def _parse_ply(lines, name):
         raise ParseError(f"{name}: missing end_header")
     if not fmt_seen:
         raise ParseError(f"{name}: missing format declaration")
-    return _read_elements(it, elements, name)
+    return _read_elements(lines, lineno, elements, name)
 
 
 _PARSERS = {".off": _parse_off, ".obj": _parse_obj, ".ply": _parse_ply}

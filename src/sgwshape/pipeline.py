@@ -260,11 +260,26 @@ def _csv_cells(row: dict) -> list:
             cells.append(str(value).lower())
         elif isinstance(value, float):
             cells.append(repr(value))
-        elif col == "error":
-            cells.append('"' + str(value).replace('"', "'") + '"')
         else:
             cells.append(str(value))
     return cells
+
+
+def _csv_bytes(rows) -> bytes:
+    """Rows of string cells as CSV, each line ending in "\n".
+
+    A cell holding a comma, a double quote, "\n" or "\r" is quoted, its
+    quotes doubled; any other cell is written as it is. csv.writer under a
+    "\n" terminator leaves a lone "\r" bare, which csv.reader then splits.
+    """
+    lines = [
+        ",".join(
+            '"' + cell.replace('"', '""') + '"' if any(c in cell for c in ',"\n\r') else cell
+            for cell in row
+        )
+        for row in rows
+    ]
+    return ("\n".join(lines) + "\n").encode()
 
 
 @dataclass(frozen=True)
@@ -284,9 +299,8 @@ class RunResult:
         _atomic_write_bytes(Path(path), (text + "\n").encode())
 
     def write_csv(self, path) -> None:
-        lines = [",".join(_REPORT_COLUMNS)]
-        lines += [",".join(_csv_cells(stratum.row())) for stratum in self.strata]
-        _atomic_write_bytes(Path(path), ("\n".join(lines) + "\n").encode())
+        rows = [_REPORT_COLUMNS] + [_csv_cells(stratum.row()) for stratum in self.strata]
+        _atomic_write_bytes(Path(path), _csv_bytes(rows))
 
     def summary_table(self) -> str:
         """Human-readable table; * marks p below the significance level."""
@@ -529,12 +543,11 @@ class SweepResult:
     diagnostics: RunDiagnostics = field(compare=False, default_factory=RunDiagnostics)
 
     def write_csv(self, path) -> None:
-        lines = ["R,k," + ",".join(_REPORT_COLUMNS)]
-        lines += [
-            ",".join([str(cell.R), str(cell.k), *_csv_cells(cell.stratum.row())])
-            for cell in self.cells
+        rows = [["R", "k", *_REPORT_COLUMNS]]
+        rows += [
+            [str(cell.R), str(cell.k), *_csv_cells(cell.stratum.row())] for cell in self.cells
         ]
-        _atomic_write_bytes(Path(path), ("\n".join(lines) + "\n").encode())
+        _atomic_write_bytes(Path(path), _csv_bytes(rows))
 
 
 def parameter_sweep(manifest: DatasetManifest, cfg: RunConfig, Rs, ks) -> SweepResult:
@@ -561,12 +574,6 @@ def parameter_sweep(manifest: DatasetManifest, cfg: RunConfig, Rs, ks) -> SweepR
 
 # ---------------------------------------------------------------------------
 # synthetic populations
-
-
-def _write_manifest_csv(path: Path, rows) -> None:
-    lines = [",".join(MANIFEST_HEADER)]
-    lines += [",".join(row) for row in rows]
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
 
 
 def make_two_class_manifest(
@@ -605,7 +612,7 @@ def make_two_class_manifest(
         write_mesh(mesh, out / name)
         rows.append([name, f"e{i:03d}", "ellipsoid", bone, side])
     manifest_path = out / "manifest.csv"
-    _write_manifest_csv(manifest_path, rows)
+    _atomic_write_bytes(manifest_path, _csv_bytes([MANIFEST_HEADER, *rows]))
     return manifest_path
 
 
@@ -645,5 +652,5 @@ def make_null_manifest(
         rows.append([names[i], f"p{i:03d}", group, bone, side])
     rows.sort(key=lambda row: row[0])
     manifest_path = out / f"manifest_split{split_seed}.csv"
-    _write_manifest_csv(manifest_path, rows)
+    _atomic_write_bytes(manifest_path, _csv_bytes([MANIFEST_HEADER, *rows]))
     return manifest_path

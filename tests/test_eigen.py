@@ -59,6 +59,17 @@ class TestSolveEigen:
         scale = dense.eigenvalues[-1]
         assert np.abs(dense.eigenvalues - sparse.eigenvalues).max() < 1e-9 * scale
 
+    @pytest.mark.parametrize("k", [9, 16, 25, 31, 36, 49])
+    def test_sparse_keeps_degenerate_clusters(self, icosphere3, k):
+        # the icosphere's spectrum comes in exactly degenerate clusters (the
+        # l = 5 band is indices 25-35); at ARPACK's default Krylov size the
+        # sparse route must still return every member at the window edge
+        dense = small_problem(icosphere3, k=k, method="dense")
+        sparse = small_problem(icosphere3, k=k, method="sparse")
+        assert sparse.method == "sparse"
+        scale = dense.eigenvalues[-1]
+        assert np.abs(dense.eigenvalues - sparse.eigenvalues).max() < 1e-9 * scale
+
     def test_rigid_motion_preserves_spectrum(self, bumpy2, bumpy2_basis):
         rng = np.random.default_rng(3)
         moved = sg.rigid_transform(bumpy2, random_rotation(rng), rng.standard_normal(3))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sgwshape as sg
+import sgwshape.mesh_io as mesh_io
 from sgwshape.cli import main
 from sgwshape.errors import InvalidParam, ParseError, ValidationError
 
@@ -453,6 +454,152 @@ class TestPlyHeader:
         mesh = sg.load_mesh(path)
         np.testing.assert_array_equal(mesh.vertices, TET_VERTICES)
         np.testing.assert_array_equal(mesh.triangles, TET_TRIANGLES)
+
+
+def _outcome(path):
+    """("ok", vertex bytes, triangle bytes) or (error type, message) of loading path."""
+    try:
+        mesh = sg.load_mesh(path)
+    except (ParseError, ValidationError) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", mesh.vertices.tobytes(), mesh.triangles.tobytes()
+
+
+def _line_reader_outcome(path, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(mesh_io, "_read_triangle_body", lambda body, elements: None)
+        return _outcome(path)
+
+
+def _fast_reader_spy(monkeypatch):
+    """Record, per body, whether the one-call reader took it."""
+    taken = []
+    real = mesh_io._read_triangle_body
+
+    def spy(body, elements):
+        arrays = real(body, elements)
+        taken.append(arrays is not None)
+        return arrays
+
+    monkeypatch.setattr(mesh_io, "_read_triangle_body", spy)
+    return taken
+
+
+class TestOneCallBody:
+    """The one-call body reader returns the line reader's arrays or steps aside."""
+
+    @pytest.mark.parametrize("ext, extra", [(".off", False), (".ply", False), (".ply", True)])
+    def test_bitwise_equal_to_line_reader(self, tmp_path, monkeypatch, ext, extra):
+        mesh = sg.make_synthetic("bumpy_sphere", 2, seed=4)
+        rng = np.random.default_rng(0)
+        coords = mesh.vertices * 10.0 ** rng.integers(-30, 30)
+        formats = [repr, "{:.12g}".format, "{:.3e}".format]
+        vertex_lines = [
+            " ".join(formats[i % 3](float(x)) for x in row) + (" 0.5" if extra else "")
+            for i, row in enumerate(coords)
+        ]
+        face_lines = ["3 {} {} {}".format(*tri) for tri in mesh.triangles]
+        header = header_lines(ext, mesh.m, mesh.g)
+        if extra:
+            header.insert(6, "property float confidence")
+        path = tmp_path / f"mesh{ext}"
+        path.write_text("\n".join(header + vertex_lines + face_lines) + "\n")
+        taken = _fast_reader_spy(monkeypatch)
+        fast = _outcome(path)
+        assert taken == [True]
+        assert fast[0] == "ok"
+        assert fast == _line_reader_outcome(path, monkeypatch)
+
+    def test_every_generated_file_is_read_in_one_call(self, tmp_path, monkeypatch):
+        taken = _fast_reader_spy(monkeypatch)
+        manifest = sg.make_two_class_manifest(tmp_path, n_per_group=3, subdivisions=1)
+        result = sg.run_group_comparison(
+            sg.DatasetManifest.load(manifest), sg.RunConfig(k=10, R=3, pca_dims=2, n_perm=50)
+        )
+        assert result.strata[0].error is None
+        for kind in mesh_io.SYNTHETIC_KINDS:
+            for subdivisions in range(4):
+                sg.write_mesh(sg.make_synthetic(kind, subdivisions), tmp_path / "one.off")
+                sg.load_mesh(tmp_path / "one.off")
+        assert taken == [True] * (6 + 3 * 4)
+
+    def test_index_past_int64_is_left_to_line_reader(self):
+        # numpy clamps it to the int64 maximum, int() keeps it whole
+        elements = [("vertex", 4, ["x", "y", "z"]), ("face", 4, [])]
+        body = TET_VERTEX_LINES + TET_FACE_LINES[:3] + [f"3 1 2 {2**63}"]
+        assert mesh_io._read_triangle_body(TET_VERTEX_LINES + TET_FACE_LINES, elements)
+        assert mesh_io._read_triangle_body(body, elements) is None
+
+    # case -> ((vertex lines, face lines), outcome); the outcome is ("ok",) or
+    # (error type, line of the error counted from the first body line or None,
+    # message)
+    CASES = {
+        "comment": (
+            (TET_VERTEX_LINES[:1] + ["1 0 0 # corner"] + TET_VERTEX_LINES[2:], TET_FACE_LINES),
+            ("ok",),
+        ),
+        "comment-line": ((TET_VERTEX_LINES, ["# faces"] + TET_FACE_LINES), ("ok",)),
+        "quad-face": (
+            (TET_VERTEX_LINES, ["4 0 1 2 3"] + TET_FACE_LINES[1:]),
+            ("ValidationError", None, "edge (0, 2) is shared by more than two triangles"),
+        ),
+        "float-face-index": (
+            (TET_VERTEX_LINES, TET_FACE_LINES[:1] + ["3 0 1.0 3"] + TET_FACE_LINES[2:]),
+            ("ParseError", 5, "non-integer face index"),
+        ),
+        "underscore-coordinate": (
+            (TET_VERTEX_LINES[:1] + ["1_000 0 0"] + TET_VERTEX_LINES[2:], TET_FACE_LINES),
+            ("ok",),
+        ),
+        "one-token-short": (
+            (TET_VERTEX_LINES, TET_FACE_LINES[:3] + ["3 1 2"]),
+            ("ParseError", 7, "face declares 3 indices, lists 2"),
+        ),
+        "one-token-long": ((TET_VERTEX_LINES, TET_FACE_LINES[:3] + ["3 1 2 3 0"]), ("ok",)),
+        "trailing-junk": ((TET_VERTEX_LINES, TET_FACE_LINES + ["junk"]), ("ok",)),
+        "binary-bytes": (
+            (TET_VERTEX_LINES[:2] + ["\x00\xff\xfe"] + TET_VERTEX_LINES[3:], TET_FACE_LINES),
+            ("ParseError", 2, "vertex line needs 3 values"),
+        ),
+        "nan-with-payload": (
+            (TET_VERTEX_LINES[:1] + ["nan(1) 0 0"] + TET_VERTEX_LINES[2:], TET_FACE_LINES),
+            ("ParseError", 1, "non-numeric vertex coordinate"),
+        ),
+        "vertex-break-moved": (
+            (["0 0 0 1", "0 0"] + TET_VERTEX_LINES[2:], TET_FACE_LINES),
+            ("ParseError", 1, "vertex line needs 3 values"),
+        ),
+        "face-break-moved": (
+            (TET_VERTEX_LINES, ["3 0 2 1 3", "0 1 3"] + TET_FACE_LINES[2:]),
+            ("ParseError", 5, "face with fewer than 3 vertices"),
+        ),
+        "glued-tokens": (
+            (TET_VERTEX_LINES[:1] + ["1-0 0"] + TET_VERTEX_LINES[2:], TET_FACE_LINES),
+            ("ParseError", 1, "vertex line needs 3 values"),
+        ),
+        "blank-and-tab": (
+            (["0\t0  0"] + TET_VERTEX_LINES[1:] + [""], [""] + TET_FACE_LINES + [""]),
+            ("ok",),
+        ),
+    }
+
+    @pytest.mark.parametrize("ext", [".off", ".ply"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_odd_body_keeps_line_reader_outcome(self, tmp_path, monkeypatch, ext, case):
+        (vertex_lines, face_lines), expected = self.CASES[case]
+        header = header_lines(ext, 4, 4)
+        path = tmp_path / f"mesh{ext}"
+        path.write_bytes(
+            ("\n".join(header + vertex_lines + face_lines) + "\n").encode("latin-1")
+        )
+        got = _outcome(path)
+        assert got == _line_reader_outcome(path, monkeypatch)
+        if expected[0] == "ok":
+            assert got[0] == "ok"
+        else:
+            kind, offset, text = expected
+            where = "" if offset is None else f":{len(header) + 1 + offset}"
+            assert got == (kind, f"{path}{where}: {text}")
 
 
 def test_one_tetrahedron_in_every_format(tmp_path):

@@ -1,5 +1,6 @@
 """Manifest handling, caching, batch runs, sweeps, synthetic populations."""
 
+import csv
 import hashlib
 import json
 import os
@@ -531,6 +532,48 @@ class TestReports:
         comparison = small_run.strata[0].comparison
         assert float(row["wilks_lambda"]) == comparison.statistic
 
+    def quoting_run(self):
+        """Strata whose bone, groups and error hold CSV delimiters."""
+        comparison = sg.GroupComparison(
+            statistic=0.02, manova_p=0.001, permutation_p=0.3, n_permutations=100
+        )
+        strata = (
+            sg.StratumResult(
+                bone="hamate, left hand", side="left", n_shapes=10,
+                groups=("sphere,x", "ellipsoid,x"), comparison=comparison,
+            ),
+            sg.StratumResult(
+                bone='a "b"\r', side="right", n_shapes=3, groups=("a",),
+                error='need 2 groups, got "a"\nonly', error_kind="usage",
+            ),
+            sg.StratumResult(
+                bone="femur", side="left", n_shapes=10, groups=("a", "b"), comparison=comparison
+            ),
+        )
+        return sg.RunResult(strata=strata, config=sg.RunConfig(**SMALL))
+
+    def test_csv_quotes_cells_holding_delimiters(self, tmp_path):
+        result = self.quoting_run()
+        result.write_csv(tmp_path / "report.csv")
+        cells = [pipeline.SweepCell(R=3, k=10, stratum=s) for s in result.strata]
+        pipeline.SweepResult(cells=tuple(cells)).write_csv(tmp_path / "sweep.csv")
+        for name, lead in (("report.csv", []), ("sweep.csv", ["3", "10"])):
+            with (tmp_path / name).open(newline="") as handle:
+                header, *rows = csv.reader(handle)
+            assert header == ["R", "k", *_REPORT_COLUMNS][2 - len(lead):]
+            assert [len(row) for row in rows] == [len(header)] * 3
+            first, second, _ = (dict(zip(header, row)) for row in rows)
+            assert first["bone"] == "hamate, left hand"
+            assert first["groups"] == "sphere,x|ellipsoid,x"
+            assert first["wilks_lambda"] == "0.02" and first["error"] == ""
+            assert second["bone"] == 'a "b"\r' and second["side"] == "right"
+            assert second["error"] == 'need 2 groups, got "a"\nonly'
+
+    def test_plain_csv_rows_are_unquoted(self, tmp_path):
+        self.quoting_run().write_csv(tmp_path / "report.csv")
+        lines = (tmp_path / "report.csv").read_bytes().split(b"\n")
+        assert lines[-2] == b"femur,left,10,a|b,0.02,0.001,0.3,true,false,100,"
+
     def test_summary_marks_significance(self):
         comparison = sg.GroupComparison(
             statistic=0.02,
@@ -636,6 +679,12 @@ class TestSyntheticPopulations:
             "sphere_000.off",
             "sphere_001.off",
         ]
+
+    def test_delimiter_in_bone_round_trips(self, tmp_path):
+        path = sg.make_two_class_manifest(tmp_path, n_per_group=2, subdivisions=0, bone="a,b")
+        manifest = sg.DatasetManifest.load(path)
+        assert list(manifest.strata()) == [("a,b", "left")]
+        assert path.read_text().splitlines()[1] == 'sphere_000.off,s000,sphere,"a,b",left'
 
     def test_two_class_is_deterministic(self, tmp_path):
         a = sg.make_two_class_manifest(tmp_path / "a", n_per_group=2, subdivisions=0)
