@@ -31,6 +31,8 @@ from .mesh_io import load_mesh, make_synthetic, write_mesh
 from .pipeline import (
     DatasetManifest,
     RunConfig,
+    _atomic_write_bytes,
+    _csv_bytes,
     gsgw_for_mesh,
     make_null_manifest,
     make_two_class_manifest,
@@ -244,14 +246,11 @@ def _cmd_gsgw(args) -> int:
         for mesh_path, label in zip(args.meshes, labels)
     ]
     p = signature_length(cfg.R)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", "label", *(f"v{i + 1}" for i in range(p))])
-        writer.writerows(
-            [mesh_path, label, *(f"{x:.12g}" for x in values)]
-            for mesh_path, label, values in rows
-        )
+    table = [["id", "label", *(f"v{i + 1}" for i in range(p))]]
+    table += [
+        [mesh_path, label, *(f"{x:.12g}" for x in values)] for mesh_path, label, values in rows
+    ]
+    _atomic_write_bytes(Path(args.out), _csv_bytes(table))
     print(f"wrote {args.out} ({len(rows)} shapes, p={p})")
     return 0
 

@@ -67,11 +67,16 @@ class TriangleMesh:
     def __init__(self, vertices, triangles, check_degenerate=True):
         v = np.ascontiguousarray(np.asarray(vertices, dtype=np.float64))
         t_raw = np.asarray(triangles)
+        # an index past int64 names no vertex; -1 keeps it out of range
+        # without an invalid cast (numpy holds one past uint64 as a Python int)
+        if t_raw.dtype == object:
+            t_raw = np.frompyfunc(lambda x: -1 if abs(x) >= 2**63 else x, 1, 1)(t_raw)
+            t_raw = t_raw.astype(np.float64)
         if not np.issubdtype(t_raw.dtype, np.integer):
             rounded = np.rint(t_raw)
             if not np.array_equal(rounded, t_raw):
                 raise ValidationError("triangle indices must be integers")
-            t_raw = rounded
+            t_raw = np.where(np.abs(rounded) < 2.0**63, rounded, -1)
         t = np.ascontiguousarray(t_raw.astype(np.int64))
 
         if v.ndim != 2 or v.shape[1] != 3:

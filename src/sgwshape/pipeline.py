@@ -458,6 +458,11 @@ def _shape_failure(subject: str, stage: str, exc: SgwError) -> _StratumFailure:
     return _StratumFailure(f"{subject} [{stage}]: {exc}", kind)
 
 
+def _stats_failure(base: dict, exc: SgwError) -> StratumResult:
+    kind = "numerical" if isinstance(exc, NUMERICAL_ERRORS) else "usage"
+    return StratumResult(**base, error=f"[stats] {exc}", error_kind=kind)
+
+
 def _descriptor_rows(entries, summaries: dict, cfg: RunConfig) -> list:
     """Descriptor values of the stratum's entries, in order.
 
@@ -476,9 +481,16 @@ def _descriptor_rows(entries, summaries: dict, cfg: RunConfig) -> list:
     return rows
 
 
-def _compare_strata(manifest: DatasetManifest, summaries: dict, cfg: RunConfig) -> tuple:
-    """One StratumResult per (bone, side) stratum, from precomputed summaries."""
-    results = []
+def _compare_strata(manifest: DatasetManifest, summaries: dict, grid: list) -> list:
+    """Per cell config of grid, one StratumResult per stratum of manifest.strata().
+
+    The cells differ only in R and k. Each stratum builds every cell's
+    descriptor matrix, then compares them all in one stats.compare_cells
+    call, so its permutation masks are drawn once for the whole grid. A
+    failure stays on its own cell and stratum.
+    """
+    cfg = grid[0]
+    columns = []  # per stratum, one StratumResult per cell
     for (bone, side), entries in manifest.strata().items():
         groups = _groups(entries)
         base = {
@@ -488,33 +500,32 @@ def _compare_strata(manifest: DatasetManifest, summaries: dict, cfg: RunConfig) 
             "groups": groups,
         }
         if len(groups) != 2:
-            results.append(
-                StratumResult(
-                    **base,
-                    error=f"need exactly 2 groups, found {len(groups)}: {list(groups)}",
-                    error_kind="usage",
-                )
-            )
+            error = f"need exactly 2 groups, found {len(groups)}: {list(groups)}"
+            columns.append([StratumResult(**base, error=error, error_kind="usage")] * len(grid))
             continue
-        try:
-            data = stats.DataMatrix(
-                np.vstack(_descriptor_rows(entries, summaries, cfg)),
-                labels=tuple(entry.group for entry in entries),
+        labels = tuple(entry.group for entry in entries)
+        outcomes = []  # per cell: a DataMatrix to compare, or its finished StratumResult
+        for cell_cfg in grid:
+            try:
+                rows = _descriptor_rows(entries, summaries, cell_cfg)
+                outcomes.append(stats.DataMatrix(np.vstack(rows), labels=labels))
+            except _StratumFailure as exc:
+                outcomes.append(StratumResult(**base, error=str(exc), error_kind=exc.kind))
+            except SgwError as exc:
+                outcomes.append(_stats_failure(base, exc))
+        live = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, stats.DataMatrix)]
+        compared = stats.compare_cells(
+            [outcomes[i] for i in live],
+            cfg.pca_dims, cfg.n_perm, _stratum_seed(cfg.seed, bone, side),
+        )
+        for i, result in zip(live, compared):
+            outcomes[i] = (
+                _stats_failure(base, result)
+                if isinstance(result, SgwError)
+                else StratumResult(**base, comparison=result)
             )
-            comparison = stats.compare_groups(
-                data, cfg.pca_dims, cfg.n_perm, _stratum_seed(cfg.seed, bone, side)
-            )
-        except _StratumFailure as exc:
-            results.append(StratumResult(**base, error=str(exc), error_kind=exc.kind))
-            continue
-        except SgwError as exc:
-            kind = "numerical" if isinstance(exc, NUMERICAL_ERRORS) else "usage"
-            results.append(
-                StratumResult(**base, error=f"[stats] {exc}", error_kind=kind)
-            )
-            continue
-        results.append(StratumResult(**base, comparison=comparison))
-    return tuple(results)
+        columns.append(outcomes)
+    return [tuple(column[i] for column in columns) for i in range(len(grid))]
 
 
 def run_group_comparison(manifest: DatasetManifest, cfg: RunConfig) -> RunResult:
@@ -525,9 +536,8 @@ def run_group_comparison(manifest: DatasetManifest, cfg: RunConfig) -> RunResult
     abort the others.
     """
     summaries, diagnostics = _summarize_meshes(manifest, cfg)
-    return RunResult(
-        strata=_compare_strata(manifest, summaries, cfg), config=cfg, diagnostics=diagnostics
-    )
+    (strata,) = _compare_strata(manifest, summaries, [cfg])
+    return RunResult(strata=strata, config=cfg, diagnostics=diagnostics)
 
 
 @dataclass(frozen=True)
@@ -555,7 +565,8 @@ def parameter_sweep(manifest: DatasetManifest, cfg: RunConfig, Rs, ks) -> SweepR
 
     Every mesh is read, eigensolved (or served from the cache) and
     summarised once at the largest k of the grid; each grid cell then takes
-    its descriptors from a prefix of those summaries in memory.
+    its descriptors from a prefix of those summaries in memory, and each
+    stratum draws its permutation masks once for every cell.
     """
     Rs = [int(r) for r in Rs]
     ks = [int(k) for k in ks]
@@ -565,11 +576,12 @@ def parameter_sweep(manifest: DatasetManifest, cfg: RunConfig, Rs, ks) -> SweepR
     grid = [replace(cfg, R=r, k=k) for r in Rs for k in ks]
 
     summaries, diagnostics = _summarize_meshes(manifest, replace(cfg, k=max(ks)))
-    cells = []
-    for cell_cfg in grid:
-        strata = _compare_strata(manifest, summaries, cell_cfg)
-        cells.extend(SweepCell(R=cell_cfg.R, k=cell_cfg.k, stratum=s) for s in strata)
-    return SweepResult(cells=tuple(cells), diagnostics=diagnostics)
+    cells = tuple(
+        SweepCell(R=cell_cfg.R, k=cell_cfg.k, stratum=stratum)
+        for cell_cfg, strata in zip(grid, _compare_strata(manifest, summaries, grid))
+        for stratum in strata
+    )
+    return SweepResult(cells=cells, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,12 @@ split, with delta the difference of the group means of the rows of U, the
 left singular vectors of the centred data (the Hotelling T^2 equivalence;
 Anderson, *An Introduction to Multivariate Statistical Analysis*, ch. 5).
 The F transform is exact for two groups, with (d, n - d - 1) degrees of freedom.
+
+The permutation masks depend only on the labels, n_perm and the seed, so
+``compare_cells`` tests several data matrices over one label tuple (the
+(R, k) cells of a sweep stratum) in one walk: each block of masks is drawn
+once and scored against every cell, and each cell's result equals its own
+``compare_groups``.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from itertools import combinations, islice
 import numpy as np
 from scipy.stats import f as f_distribution
 
-from .errors import GroupCountError, InvalidParam, SingularScatter
+from .errors import GroupCountError, InvalidParam, SgwError, SingularScatter
 
 __all__ = [
     "DataMatrix",
@@ -33,6 +39,7 @@ __all__ = [
     "manova_two_group",
     "permutation_test",
     "compare_groups",
+    "compare_cells",
 ]
 
 # Masks scored per batch, so memory stays flat as n_perm grows.
@@ -176,49 +183,124 @@ def manova_two_group(data: DataMatrix) -> tuple[float, float]:
     return lam, float(f_distribution.sf(f_stat, d, dof2))
 
 
-def _replicates(data: DataMatrix, n_perm: int) -> tuple[int, bool]:
+def _replicates(mask: np.ndarray, n_perm: int) -> tuple[int, bool]:
     """(masks scored, whether enumerated): all C(n, n1) splits when that is <= n_perm."""
-    space = math.comb(data.n, data.labels.count(data.labels[0]))
+    space = math.comb(len(mask), int(mask.sum()))
     return (space, True) if space <= n_perm else (n_perm, False)
+
+
+def _mask_blocks(mask: np.ndarray, n_perm: int, seed: int):
+    """The permutation masks of the split `mask`, as (B, n) boolean blocks of <= _BLOCK rows.
+
+    Enumerated when _replicates says so (the seed is then ignored), else one
+    seeded substream per replicate, kept as it is so that p-values do not move.
+    """
+    n = len(mask)
+    count, exhaustive = _replicates(mask, n_perm)
+    splits = combinations(range(n), int(mask.sum()))
+    root = None if exhaustive else np.random.SeedSequence(seed)
+    for start in range(0, count, _BLOCK):
+        size = min(_BLOCK, count - start)
+        if exhaustive:
+            yield np.array([np.bincount(first, minlength=n) > 0 for first in islice(splits, size)])
+        else:  # spawn() continues the child numbering: the stream of one spawn(n_perm)
+            yield np.array([mask[np.random.default_rng(c).permutation(n)] for c in root.spawn(size)])
+
+
+def _permutation_ps(cells: list, mask: np.ndarray, n_perm: int, seed: int) -> list:
+    """Permutation p-value of each (basis, observed) cell, from one walk over the masks.
+
+    Every cell is scored against each block as it is drawn, so one block is
+    live at a time. An SgwError entry, or a cell whose scoring raises one,
+    keeps that error and leaves the walk; the walk stops when no cell is left,
+    and at least one must enter it. The p-value is
+    ``(1 + #{permuted lambda <= observed}) / (n_perm + 1)``, or the exact
+    fraction over an enumerated space.
+    """
+    outcomes = [cell if isinstance(cell, SgwError) else 0 for cell in cells]
+    live = [i for i, cell in enumerate(cells) if not isinstance(cell, SgwError)]
+    for block in _mask_blocks(mask, n_perm, seed):
+        for i in live:
+            basis, observed = cells[i]
+            try:
+                outcomes[i] += int(np.count_nonzero(_lambdas(basis, block) <= observed))
+            except SgwError as exc:
+                outcomes[i] = exc
+        live = [i for i in live if not isinstance(outcomes[i], SgwError)]
+        if not live:
+            break
+    count, exhaustive = _replicates(mask, n_perm)
+    return [
+        hits if isinstance(hits, SgwError)
+        else (hits / count if exhaustive else (1 + hits) / (count + 1))
+        for hits in outcomes
+    ]
+
+
+def _observed(data: DataMatrix, n_perm: int) -> tuple:
+    """(basis, observed lambda) of the true split: what a permutation test scores against."""
+    if n_perm < 1:
+        raise InvalidParam(f"need n_perm >= 1, got {n_perm}")
+    basis = _group_basis(data.X)
+    return basis, float(_lambdas(basis, data.two_group_mask()[None])[0])
 
 
 def permutation_test(data: DataMatrix, n_perm: int, seed: int) -> tuple[float, float]:
     """Permutation test on Wilks' lambda: returns (observed, p_value).
 
-    Labels are reshuffled n_perm times, one seeded substream per replicate,
-    kept as it is so that p-values do not move. The p-value uses the add-one
-    estimator ``(1 + #{permuted lambda <= observed}) / (n_perm + 1)``. When
-    the whole label-assignment space is no larger than n_perm it is
-    enumerated instead and the p-value becomes the exact fraction over it.
+    Labels are reshuffled n_perm times, one seeded substream per replicate.
+    The p-value uses the add-one estimator
+    ``(1 + #{permuted lambda <= observed}) / (n_perm + 1)``. When the whole
+    label-assignment space is no larger than n_perm it is enumerated instead
+    and the p-value becomes the exact fraction over it.
     """
-    if n_perm < 1:
-        raise InvalidParam(f"need n_perm >= 1, got {n_perm}")
-    mask = data.two_group_mask()
-    basis = _group_basis(data.X)
-    observed = float(_lambdas(basis, mask[None])[0])
+    cell = _observed(data, n_perm)
+    (p,) = _permutation_ps([cell], data.two_group_mask(), n_perm, seed)
+    if isinstance(p, SgwError):
+        raise p
+    return cell[1], p
 
-    count, exhaustive = _replicates(data, n_perm)
-    splits = combinations(range(data.n), int(mask.sum()))
-    root = None if exhaustive else np.random.SeedSequence(seed)  # enumeration ignores the seed
-    hits = 0
-    for start in range(0, count, _BLOCK):
-        size = min(_BLOCK, count - start)
-        if exhaustive:
-            block = [np.bincount(first, minlength=data.n) > 0 for first in islice(splits, size)]
-        else:  # spawn() continues the child numbering: the stream of one spawn(n_perm)
-            block = [mask[np.random.default_rng(c).permutation(data.n)] for c in root.spawn(size)]
-        hits += int(np.count_nonzero(_lambdas(basis, np.array(block)) <= observed))
-    return observed, hits / count if exhaustive else (1 + hits) / (count + 1)
+
+def compare_cells(datas, pca_dims: int, n_perm: int, seed: int) -> list:
+    """compare_groups of each data matrix, all sharing one label tuple and one mask walk.
+
+    Each matrix is reduced, tested by MANOVA and given its basis and observed
+    lambda on its own; then every cell is scored against each block of masks
+    as it is drawn, so the masks are drawn once for all of them. Returns one
+    GroupComparison or SgwError per matrix, in order: a cell whose PCA,
+    MANOVA or scoring raises keeps that error and the others go on.
+    """
+    datas = list(datas)
+    if any(data.labels != datas[0].labels for data in datas):
+        raise InvalidParam("compare_cells needs one label tuple for every data matrix")
+    setups = []
+    for data in datas:
+        try:
+            reduced = pca_reduce(data, pca_dims)
+            lam, manova_p = manova_two_group(reduced)
+            setups.append((lam, manova_p, _observed(reduced, n_perm)))
+        except SgwError as exc:
+            setups.append(exc)
+    if all(isinstance(setup, SgwError) for setup in setups):
+        return setups  # no mask is drawn
+    mask = datas[0].two_group_mask()  # a live cell has exactly two groups
+    count = _replicates(mask, n_perm)[0]
+    ps = _permutation_ps(
+        [setup if isinstance(setup, SgwError) else setup[2] for setup in setups],
+        mask, n_perm, seed,
+    )
+    return [
+        p if isinstance(p, SgwError)
+        else GroupComparison(
+            statistic=setup[0], manova_p=setup[1], permutation_p=p, n_permutations=count
+        )
+        for setup, p in zip(setups, ps)
+    ]
 
 
 def compare_groups(data: DataMatrix, pca_dims: int, n_perm: int, seed: int) -> GroupComparison:
     """PCA reduction, MANOVA, and permutation test in one pass."""
-    reduced = pca_reduce(data, pca_dims)
-    lam, manova_p = manova_two_group(reduced)
-    _, perm_p = permutation_test(reduced, n_perm, seed)
-    return GroupComparison(
-        statistic=lam,
-        manova_p=manova_p,
-        permutation_p=perm_p,
-        n_permutations=_replicates(reduced, n_perm)[0],
-    )
+    (result,) = compare_cells([data], pca_dims, n_perm, seed)
+    if isinstance(result, SgwError):
+        raise result
+    return result

@@ -197,16 +197,26 @@ class TestSignatureAndGsgw:
         capsys.readouterr()
 
     def test_gsgw_table_quotes_ids(self, mesh_file, tmp_path, capsys):
-        # an id holding the delimiter is quoted, so plot gsgw reads the table back
-        odd = tmp_path / "a,b.off"
-        odd.write_bytes(mesh_file.read_bytes())
+        # an id holding the delimiter or a bare "\r" is quoted, so plot gsgw reads the table back
+        for name in ("a,b.off", "a\rb.off"):
+            odd = tmp_path / name
+            odd.write_bytes(mesh_file.read_bytes())
+            table = tmp_path / "gsgw.csv"
+            assert main(["gsgw", str(odd), *FAST[:4], "--labels", "x", "--out", str(table)]) == 0
+            with table.open(newline="") as handle:
+                header, row = list(csv.reader(handle))
+            assert row[:2] == [str(odd), "x"]
+            assert len(row) == len(header) == 2 + sg.signature_length(3)
+            assert main(["plot", "gsgw", str(table), "--out", str(tmp_path / "g.svg")]) == 0
+        capsys.readouterr()
+
+    def test_gsgw_table_plain_rows_are_unquoted(self, mesh_file, tmp_path, capsys):
         table = tmp_path / "gsgw.csv"
-        assert main(["gsgw", str(odd), *FAST[:4], "--labels", "x", "--out", str(table)]) == 0
-        with table.open(newline="") as handle:
-            header, row = list(csv.reader(handle))
-        assert row[:2] == [str(odd), "x"]
-        assert len(row) == len(header) == 2 + sg.signature_length(3)
-        assert main(["plot", "gsgw", str(table), "--out", str(tmp_path / "g.svg")]) == 0
+        assert main(["gsgw", str(mesh_file), *FAST[:4], "--labels", "x", "--out", str(table)]) == 0
+        header, row = table.read_bytes().decode().split("\n")[:2]
+        assert header == ",".join(["id", "label", *(f"v{i + 1}" for i in range(9))])
+        assert row.startswith(f"{mesh_file},x,") and '"' not in row
+        assert table.read_bytes().endswith(b"\n") and b"\r" not in table.read_bytes()
         capsys.readouterr()
 
     def test_label_count_mismatch(self, mesh_file, tmp_path, capsys):

@@ -54,6 +54,11 @@ class TestTriangleMesh:
         with pytest.raises(ValidationError, match="index"):
             sg.TriangleMesh(TET_VERTICES, [[0, 1, -1], [0, 2, 1]])
 
+    @pytest.mark.parametrize("index", [2**63, 10**30, 10**400])
+    def test_rejects_index_past_int64(self, index):
+        with pytest.raises(ValidationError, match="triangle 0 references a vertex index"):
+            sg.TriangleMesh(TET_VERTICES, [[0, 1, index], [0, 2, 1]])
+
     def test_rejects_repeated_vertex_in_triangle(self):
         tris = TET_TRIANGLES.copy()
         tris[0] = [1, 1, 2]
@@ -342,6 +347,18 @@ class TestElementBody:
         path, first = write_body(tmp_path, ext, TET_VERTEX_LINES, faces)
         with pytest.raises(ParseError, match=rf":{first + 6}: non-integer face index"):
             sg.load_mesh(path)
+
+    @pytest.mark.parametrize("index", [2**63, 10**30])
+    def test_face_index_past_int64(self, tmp_path, ext, index):
+        # rejected as any other out-of-range index, with no cast warning
+        errors = []
+        for bad in (4, index):
+            faces = TET_FACE_LINES[:2] + [f"3 0 3 {bad}"] + TET_FACE_LINES[3:]
+            path, _ = write_body(tmp_path, ext, TET_VERTEX_LINES, faces)
+            with pytest.raises(ValidationError, match="outside") as raised:
+                sg.load_mesh(path)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]
 
     def test_short_vertex_line(self, tmp_path, ext):
         vertices = TET_VERTEX_LINES[:1] + ["1 0"] + TET_VERTEX_LINES[2:]

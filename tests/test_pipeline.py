@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import shutil
+import sys
 import threading
 from dataclasses import fields, replace
 from pathlib import Path
@@ -19,6 +20,7 @@ from sgwshape.mesh_io import parse_mesh, read_mesh_bytes
 from sgwshape.pipeline import (
     _REPORT_COLUMNS,
     _atomic_write_bytes,
+    _csv_cells,
     _stratum_seed,
     RunDiagnostics,
     gsgw_for_mesh,
@@ -71,6 +73,17 @@ def _malform(blob_path, case):
 def two_class(tmp_path_factory):
     out = tmp_path_factory.mktemp("twoclass")
     manifest_path = sg.make_two_class_manifest(out, n_per_group=3, subdivisions=1)
+    return sg.DatasetManifest.load(manifest_path)
+
+
+@pytest.fixture(scope="module")
+def two_strata(tmp_path_factory):
+    """The n = 6 two-class population as a left stratum and, rows reversed, a right one."""
+    out = tmp_path_factory.mktemp("twostrata")
+    manifest_path = sg.make_two_class_manifest(out, n_per_group=3, subdivisions=1)
+    header, *rows = manifest_path.read_text().splitlines()
+    right = [row.replace(",left", ",right") for row in reversed(rows)]
+    manifest_path.write_text("\n".join([header, *rows, *right]) + "\n")
     return sg.DatasetManifest.load(manifest_path)
 
 
@@ -655,6 +668,59 @@ class TestParameterSweep:
         assert sweep.diagnostics.eigensolves == 5
         compare = sg.run_group_comparison(manifest, replace(cfg, k=10))
         assert compare.strata[0].error == sweep.cells[0].stratum.error
+
+    @staticmethod
+    def assert_sweep_equals_cells(manifest, cfg, Rs, ks):
+        """Every sweep row equals the one-cell compare at its (R, k); returns the sweep."""
+        sweep = sg.parameter_sweep(manifest, cfg, Rs=Rs, ks=ks)
+        expected = [
+            (r, k, stratum)
+            for r in Rs
+            for k in ks
+            for stratum in sg.run_group_comparison(manifest, replace(cfg, R=r, k=k)).strata
+        ]
+        assert [(c.R, c.k, _csv_cells(c.stratum.row())) for c in sweep.cells] == [
+            (r, k, _csv_cells(stratum.row())) for r, k, stratum in expected
+        ]
+        assert [c.stratum for c in sweep.cells] == [stratum for _, _, stratum in expected]
+        return sweep
+
+    # C(6, 3) = 20 splits: enumerated at 50 permutations, sampled at 10
+    @pytest.mark.parametrize("n_perm, scored", [(50, 20), (10, 10)])
+    def test_sweep_equals_its_cells(self, two_strata, n_perm, scored):
+        cfg = sg.RunConfig(**{**SMALL, "n_perm": n_perm})
+        sweep = self.assert_sweep_equals_cells(two_strata, cfg, Rs=[2, 3], ks=[8, 10])
+        assert len(sweep.cells) == 8
+        assert {c.stratum.side for c in sweep.cells} == {"left", "right"}
+        assert {c.stratum.comparison.n_permutations for c in sweep.cells} == {scored}
+
+    @pytest.mark.parametrize("n_perm", [50, 10])
+    def test_failing_cell_keeps_its_error(self, two_strata, n_perm):
+        # at R = 1 the signature has 2 entries, too few for 3 PCA dimensions
+        cfg = sg.RunConfig(**{**SMALL, "pca_dims": 3, "n_perm": n_perm})
+        sweep = self.assert_sweep_equals_cells(two_strata, cfg, Rs=[1, 3], ks=[8, 10])
+        for cell in sweep.cells:
+            if cell.R == 1:
+                assert cell.stratum.error == "[stats] pca dimension must be in [1, 2], got 3"
+                assert cell.stratum.error_kind == "usage"
+            else:
+                assert cell.stratum.error is None
+
+    def test_masks_are_drawn_once_per_stratum(self, two_strata, monkeypatch):
+        drawn = []
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == "sgwshape.stats":
+                drawn.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr("sgwshape.stats.np.random.default_rng", counting)
+        cfg = sg.RunConfig(**{**SMALL, "n_perm": 10})
+        sweep = sg.parameter_sweep(two_strata, cfg, Rs=[1, 2, 3], ks=[6, 8, 10])
+        assert len(sweep.cells) == 18
+        assert {c.stratum.comparison.n_permutations for c in sweep.cells} == {10}
+        assert len(drawn) == 2 * cfg.n_perm
 
     def test_validation(self, two_class):
         cfg = sg.RunConfig(**SMALL)

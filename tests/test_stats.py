@@ -273,3 +273,58 @@ class TestBatchedLambda:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+class TestCompareCells:
+    """Many data matrices over one label tuple, scored in one walk over the masks."""
+
+    @staticmethod
+    def cells():
+        return [gaussian_two_groups(n_per=8, p=4, shift=0.3 * i, seed=40 + i) for i in range(3)]
+
+    @pytest.mark.parametrize("n_per, n_perm", [(3, 100), (8, 300), (8, 3000)])
+    def test_each_cell_equals_compare_groups(self, n_per, n_perm):
+        # C(6, 3) = 20 is enumerated; 3000 masks span 3 blocks
+        datas = [gaussian_two_groups(n_per=n_per, p=4, shift=0.3 * i, seed=i) for i in range(3)]
+        results = sg.stats.compare_cells(datas, 2, n_perm, 7)
+        assert results == [sg.compare_groups(data, 2, n_perm, 7) for data in datas]
+
+    def test_setup_error_stays_on_its_cell(self):
+        datas = self.cells()
+        datas[1] = sg.DataMatrix(datas[1].X[:, :1], datas[1].labels)  # one column: no 2-d PCA
+        results = sg.stats.compare_cells(datas, 2, 300, 0)
+        assert isinstance(results[1], InvalidParam)
+        with pytest.raises(InvalidParam) as raised:
+            sg.compare_groups(datas[1], 2, 300, 0)
+        assert str(results[1]) == str(raised.value)
+        for i in (0, 2):
+            assert results[i] == sg.compare_groups(datas[i], 2, 300, 0)
+
+    def test_scoring_error_stays_on_its_cell(self, monkeypatch):
+        datas = self.cells()
+        expected = [sg.compare_groups(data, 2, 300, 0) for data in datas]
+        doomed = sg.stats._group_basis(sg.pca_reduce(datas[1], 2).X)
+        lambdas = sg.stats._lambdas
+
+        def failing(basis, masks):
+            if len(masks) > 1 and np.array_equal(basis, doomed):
+                raise SingularScatter("within-group scatter matrix is singular")
+            return lambdas(basis, masks)
+
+        monkeypatch.setattr(sg.stats, "_lambdas", failing)
+        results = sg.stats.compare_cells(datas, 2, 300, 0)
+        assert isinstance(results[1], SingularScatter)
+        assert [results[0], results[2]] == [expected[0], expected[2]]
+
+    def test_no_live_cell_draws_no_mask(self, monkeypatch):
+        monkeypatch.setattr(sg.stats, "_mask_blocks", None)  # any walk would fail
+        datas = self.cells()
+        results = sg.stats.compare_cells(datas, 9, 300, 0)
+        assert all(isinstance(result, InvalidParam) for result in results)
+        assert sg.stats.compare_cells([], 2, 300, 0) == []
+
+    def test_rejects_mixed_labels(self):
+        datas = self.cells()
+        datas[2] = sg.DataMatrix(datas[2].X[::-1], datas[2].labels[::-1])
+        with pytest.raises(InvalidParam, match="one label tuple"):
+            sg.stats.compare_cells(datas, 2, 300, 0)
