@@ -28,11 +28,10 @@ from .errors import (
 )
 from .laplacian import LUMPING_SCHEMES, laplacian_matrices
 from .mesh_io import load_mesh, make_synthetic, write_mesh
+from .outputs import _atomic_write_bytes, _csv_bytes
 from .pipeline import (
     DatasetManifest,
     RunConfig,
-    _atomic_write_bytes,
-    _csv_bytes,
     gsgw_for_mesh,
     make_null_manifest,
     make_two_class_manifest,
@@ -73,6 +72,16 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _check_output(args) -> None:
+    """Reject the command's output path, of the wrong kind or under a file, before any work."""
+    is_dir = hasattr(args, "out_dir")
+    path = Path(args.out_dir if is_dir else args.out)
+    found = next(a for a in (path, *path.parents) if a.exists())
+    if found.is_dir() != (is_dir or found != path):  # an ancestor must be a directory
+        kind = "a directory" if found.is_dir() else "not a directory"
+        raise InvalidParam(f"output path {path}: {found} is {kind}")
 
 
 def _config_from_args(args) -> RunConfig:
@@ -147,7 +156,6 @@ def _cmd_synth_mesh(args) -> int:
     mesh = make_synthetic(
         args.kind, args.subdivisions, axes=args.axes, amplitude=args.amplitude, seed=args.seed
     )
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_mesh(mesh, args.out)
     print(f"wrote {args.out} ({mesh.m} vertices, {mesh.g} triangles)")
     return 0
@@ -155,11 +163,11 @@ def _cmd_synth_mesh(args) -> int:
 
 def _cmd_synth_two_class(args) -> int:
     _announce("synth two-class", {
-        "out": args.out, "n": args.n, "subdivisions": args.subdivisions,
+        "out": args.out_dir, "n": args.n, "subdivisions": args.subdivisions,
         "axes": args.axes, "amplitude": args.amplitude, "seed": args.seed,
     })
     manifest = make_two_class_manifest(
-        args.out, n_per_group=args.n, subdivisions=args.subdivisions,
+        args.out_dir, n_per_group=args.n, subdivisions=args.subdivisions,
         axes=args.axes, amplitude=args.amplitude, seed=args.seed,
     )
     print(f"wrote {manifest}")
@@ -168,12 +176,12 @@ def _cmd_synth_two_class(args) -> int:
 
 def _cmd_synth_null(args) -> int:
     _announce("synth null", {
-        "out": args.out, "n": args.n, "subdivisions": args.subdivisions,
+        "out": args.out_dir, "n": args.n, "subdivisions": args.subdivisions,
         "amplitude": args.amplitude, "mesh_seed": args.mesh_seed,
         "split_seed": args.split_seed,
     })
     manifest = make_null_manifest(
-        args.out, n=args.n, subdivisions=args.subdivisions, amplitude=args.amplitude,
+        args.out_dir, n=args.n, subdivisions=args.subdivisions, amplitude=args.amplitude,
         mesh_seed=args.mesh_seed, split_seed=args.split_seed,
     )
     print(f"wrote {manifest}")
@@ -192,24 +200,16 @@ def _cmd_eigen(args) -> int:
     basis = solve_eigen(stiffness, mass, args.k, method=args.method)
 
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    values_path = out / "eigenvalues.csv"
-    lines = ["index,eigenvalue"]
-    lines += [f"{i + 1},{float(val)!r}" for i, val in enumerate(basis.eigenvalues)]
-    values_path.write_text("\n".join(lines) + "\n")
-
-    functions_path = out / "eigenfunctions.csv"
-    header = ",".join(f"phi_{i + 1}" for i in range(basis.k))
-    rows = [",".join(repr(float(x)) for x in row) for row in basis.eigenvectors]
-    functions_path.write_text(header + "\n" + "\n".join(rows) + "\n")
-
-    areas_path = out / "vertex_areas.csv"
-    areas_path.write_text(
-        "area\n" + "\n".join(repr(float(a)) for a in basis.vertex_areas) + "\n"
-    )
-    print(f"wrote {values_path}")
-    print(f"wrote {functions_path}")
-    print(f"wrote {areas_path}")
+    values = [[str(i), repr(val)] for i, val in enumerate(basis.eigenvalues.tolist(), 1)]
+    functions = [[repr(x) for x in row] for row in basis.eigenvectors.tolist()]
+    areas = [[repr(a)] for a in basis.vertex_areas.tolist()]
+    for name, header, rows in (
+        ("eigenvalues.csv", ["index", "eigenvalue"], values),
+        ("eigenfunctions.csv", [f"phi_{i + 1}" for i in range(basis.k)], functions),
+        ("vertex_areas.csv", ["area"], areas),
+    ):
+        _atomic_write_bytes(out / name, _csv_bytes([header, *rows]))
+        print(f"wrote {out / name}")
     return 0
 
 
@@ -223,7 +223,6 @@ def _cmd_signature(args) -> int:
     stiffness, mass = laplacian_matrices(mesh, lumping=cfg.lumping)
     basis = solve_eigen(stiffness, mass, cfg.k, method=cfg.method)
     sig = signature_matrix(basis, cfg.R, area_factor=cfg.area_factor)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_signature_csv(sig, args.out)
     print(f"wrote {args.out} ({sig.p} rows x {sig.m} columns)")
     return 0
@@ -241,17 +240,14 @@ def _cmd_gsgw(args) -> int:
         "area_factor": cfg.area_factor, "normalize": cfg.normalize,
         "method": cfg.method, "cache_dir": cfg.cache_dir, "out": args.out,
     })
-    rows = [
-        (mesh_path, label, gsgw_for_mesh(mesh_path, cfg).values)
-        for mesh_path, label in zip(args.meshes, labels)
-    ]
     p = signature_length(cfg.R)
     table = [["id", "label", *(f"v{i + 1}" for i in range(p))]]
     table += [
-        [mesh_path, label, *(f"{x:.12g}" for x in values)] for mesh_path, label, values in rows
+        [mesh_path, label, *(f"{x:.12g}" for x in gsgw_for_mesh(mesh_path, cfg).values.tolist())]
+        for mesh_path, label in zip(args.meshes, labels)
     ]
-    _atomic_write_bytes(Path(args.out), _csv_bytes(table))
-    print(f"wrote {args.out} ({len(rows)} shapes, p={p})")
+    _atomic_write_bytes(args.out, _csv_bytes(table))
+    print(f"wrote {args.out} ({len(table) - 1} shapes, p={p})")
     return 0
 
 
@@ -270,7 +266,6 @@ def _cmd_reconstruct(args) -> int:
         mesh, basis, ks, keep_meshes=args.dump_meshes, weighted=not args.unweighted
     )
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     nmse_path = out / "nmse.csv"
     report.write_csv(nmse_path)
     print(f"wrote {nmse_path}")
@@ -305,7 +300,6 @@ def _cmd_compare(args) -> int:
     _warn_fragile_dims(manifest, cfg)
     result = run_group_comparison(manifest, cfg)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     json_path = out / "report.json"
     csv_path = out / "report.csv"
     result.write_json(json_path)
@@ -326,9 +320,7 @@ def _cmd_sweep(args) -> int:
                         **cfg.science_dict(), "cache_dir": cfg.cache_dir})
     manifest = DatasetManifest.load(args.manifest)
     result = parameter_sweep(manifest, cfg, Rs, ks)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    sweep_path = out / "sweep.csv"
+    sweep_path = Path(args.out_dir) / "sweep.csv"
     result.write_csv(sweep_path)
     print(f"wrote {sweep_path}")
     if all(cell.stratum.comparison is None for cell in result.cells):
@@ -362,7 +354,6 @@ def _cmd_plot_nmse(args) -> int:
         raise ParseError(f"{args.csv}: malformed data row") from None
     if not ks:
         raise ParseError(f"{args.csv}: no data rows")
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     line_plot(
         [("nmse", ks, vals)], args.out,
         title="Spectral reconstruction error", xlabel="eigenfunctions",
@@ -387,7 +378,6 @@ def _cmd_plot_gsgw(args) -> int:
         series.append((label, list(range(1, len(values) + 1)), values))
     if not series:
         raise ParseError(f"{args.csv}: no data rows")
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     line_plot(
         series, args.out, title="Global descriptors",
         xlabel="descriptor index", ylabel="value",
@@ -425,7 +415,6 @@ def _cmd_plot_sweep(args) -> int:
     r_values = sorted({r for r, _ in cells})
     k_values = sorted({k for _, k in cells})
     grid = [[cells.get((r, k)) for k in k_values] for r in r_values]
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     heatmap(
         grid, [f"R={r}" for r in r_values], [f"k={k}" for k in k_values], args.out,
         title=f"Sweep: {args.metric}", xlabel="eigenpairs", ylabel="resolution",
@@ -465,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     sm.set_defaults(func=_cmd_synth_mesh)
 
     st = synth_sub.add_parser("two-class", help="two-class population with manifest")
-    st.add_argument("--out", required=True, help="output directory")
+    st.add_argument("--out", dest="out_dir", required=True, help="output directory")
     st.add_argument("--n", type=_positive_int, default=10, help="shapes per class")
     st.add_argument("--subdivisions", type=int, default=3)
     st.add_argument("--axes", type=_float_triple, default=(1.3, 1.0, 1.0),
@@ -475,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     st.set_defaults(func=_cmd_synth_two_class)
 
     sn = synth_sub.add_parser("null", help="one-population manifest with a random split")
-    sn.add_argument("--out", required=True, help="output directory")
+    sn.add_argument("--out", dest="out_dir", required=True, help="output directory")
     sn.add_argument("--n", type=_positive_int, default=20)
     sn.add_argument("--subdivisions", type=int, default=3)
     sn.add_argument("--amplitude", type=float, default=0.05)
@@ -562,6 +551,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output(args)
         return args.func(args)
     except USAGE_ERRORS as exc:
         _report_error(args, exc, 2)

@@ -71,8 +71,8 @@ def aggregate(sig: SignatureMatrix, areas, normalize: bool = False) -> GsgwVecto
     sig : SignatureMatrix
     areas : (m,) positive vertex areas
     normalize : bool
-        Divide by the total area, making the descriptor comparable across
-        tessellation densities. Off by default.
+        Divide by the total area, which removes surface size but not the
+        dependence on tessellation density. Off by default.
     """
     a = np.asarray(areas, dtype=np.float64)
     if a.shape != (sig.m,):

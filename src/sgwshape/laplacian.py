@@ -60,9 +60,12 @@ def _corner_geometry(mesh: TriangleMesh):
 
 def stiffness_matrix(mesh: TriangleMesh) -> sparse.csr_matrix:
     """Symmetric positive semidefinite cotangent stiffness matrix, (m, m) CSR."""
+    return _stiffness(mesh, _corner_geometry(mesh)[0])
+
+
+def _stiffness(mesh: TriangleMesh, cots: np.ndarray) -> sparse.csr_matrix:
     m = mesh.m
     t = mesh.triangles
-    cots, _, _ = _corner_geometry(mesh)
 
     # each corner contributes half its cotangent to the opposite edge
     half = 0.5 * cots
@@ -82,10 +85,15 @@ def mass_matrix(mesh: TriangleMesh, lumping: str = "mixed") -> sparse.dia_matrix
     Raises DegenerateMass if any vertex patch comes out non-positive, which
     only happens on degenerate geometry.
     """
+    return _mass(mesh, lumping, None)
+
+
+def _mass(mesh: TriangleMesh, lumping: str, geometry) -> sparse.dia_matrix:
+    """mass_matrix, from the mesh's _corner_geometry when it is given."""
     if lumping not in LUMPING_SCHEMES:
         raise InvalidParam(f"unknown lumping {lumping!r}; expected one of {LUMPING_SCHEMES}")
     t = mesh.triangles
-    cots, edge_sq, areas = _corner_geometry(mesh)
+    cots, edge_sq, areas = geometry or _corner_geometry(mesh)
 
     if lumping == "barycentric":
         corner_area = np.repeat(areas[:, None] / 3.0, 3, axis=1)
@@ -109,8 +117,9 @@ def mass_matrix(mesh: TriangleMesh, lumping: str = "mixed") -> sparse.dia_matrix
 
 
 def laplacian_matrices(mesh: TriangleMesh, lumping: str = "mixed"):
-    """Return (W, A): stiffness and mass matrices of the mesh."""
-    return stiffness_matrix(mesh), mass_matrix(mesh, lumping=lumping)
+    """Return (W, A): stiffness and mass matrices of the mesh, from one corner-geometry pass."""
+    geometry = _corner_geometry(mesh)
+    return _stiffness(mesh, geometry[0]), _mass(mesh, lumping, geometry)
 
 
 def apply_operator(stiffness, mass, f) -> np.ndarray:

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidParam, ParseError, ValidationError
+from .outputs import _atomic_write_bytes
 
 __all__ = [
     "TriangleMesh",
@@ -217,11 +218,9 @@ def parse_mesh(data: bytes, path) -> TriangleMesh:
 def write_mesh(mesh: TriangleMesh, path) -> None:
     """Write a mesh as ASCII OFF with 12 significant digits."""
     lines = ["OFF", f"{mesh.m} {mesh.g} 0"]
-    for x, y, z in mesh.vertices:
-        lines.append(f"{x:.12g} {y:.12g} {z:.12g}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"3 {a} {b} {c}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    lines += [f"{x:.12g} {y:.12g} {z:.12g}" for x, y, z in mesh.vertices.tolist()]
+    lines += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles.tolist()]
+    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
 
 
 def _fan(indices, lineno, name):

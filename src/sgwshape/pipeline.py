@@ -23,8 +23,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -43,6 +41,7 @@ from .errors import (
 from .gsgw import GsgwVector, SpectralSummary, descriptor_from_summary, summarize
 from .laplacian import LUMPING_SCHEMES, laplacian_matrices
 from .mesh_io import make_synthetic, parse_mesh, read_mesh_bytes, write_mesh
+from .outputs import _atomic_write_bytes, _csv_bytes
 
 __all__ = [
     "ManifestEntry",
@@ -81,14 +80,12 @@ class DatasetManifest:
     """Validated dataset listing; every path resolves at load time."""
 
     entries: tuple
-    root: str
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":
         p = Path(path)
         if not p.is_file():
             raise ValidationError(f"{p}: no such manifest file")
-        root = p.parent
         with p.open(newline="") as handle:
             reader = csv.reader(handle)
             try:
@@ -110,9 +107,7 @@ class DatasetManifest:
                     raise ValidationError(
                         f"{p}:{lineno}: side must be one of {SIDES}, got {side!r}"
                     )
-                resolved = Path(mesh_path)
-                if not resolved.is_absolute():
-                    resolved = root / resolved
+                resolved = p.parent / mesh_path  # an absolute mesh_path replaces p.parent
                 if not resolved.is_file():
                     raise ValidationError(f"{p}:{lineno}: mesh file {resolved} does not exist")
                 entries.append(ManifestEntry(str(resolved), subject, group, bone, side))
@@ -124,7 +119,7 @@ class DatasetManifest:
             if key in seen:
                 raise ValidationError(f"{p}: duplicate (subject, bone, side) triple {key}")
             seen[key] = entry
-        return cls(entries=tuple(entries), root=str(root))
+        return cls(entries=tuple(entries))
 
     def strata(self) -> dict:
         """Entries grouped by (bone, side), keys sorted, manifest order kept."""
@@ -265,23 +260,6 @@ def _csv_cells(row: dict) -> list:
     return cells
 
 
-def _csv_bytes(rows) -> bytes:
-    """Rows of string cells as CSV, each line ending in "\n".
-
-    A cell holding a comma, a double quote, "\n" or "\r" is quoted, its
-    quotes doubled; any other cell is written as it is. csv.writer under a
-    "\n" terminator leaves a lone "\r" bare, which csv.reader then splits.
-    """
-    lines = [
-        ",".join(
-            '"' + cell.replace('"', '""') + '"' if any(c in cell for c in ',"\n\r') else cell
-            for cell in row
-        )
-        for row in rows
-    ]
-    return ("\n".join(lines) + "\n").encode()
-
-
 @dataclass(frozen=True)
 class RunResult:
     strata: tuple
@@ -296,11 +274,11 @@ class RunResult:
 
     def write_json(self, path) -> None:
         text = json.dumps(self.report_dict(), sort_keys=True, indent=2)
-        _atomic_write_bytes(Path(path), (text + "\n").encode())
+        _atomic_write_bytes(path, (text + "\n").encode())
 
     def write_csv(self, path) -> None:
         rows = [_REPORT_COLUMNS] + [_csv_cells(stratum.row()) for stratum in self.strata]
-        _atomic_write_bytes(Path(path), _csv_bytes(rows))
+        _atomic_write_bytes(path, _csv_bytes(rows))
 
     def summary_table(self) -> str:
         """Human-readable table; * marks p below the significance level."""
@@ -326,23 +304,6 @@ class RunResult:
 
 # ---------------------------------------------------------------------------
 # content-addressed cache
-
-
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    """Write a temp file, then rename it over path.
-
-    The temp name carries the process and thread ids, so concurrent writers
-    of one blob (identical mesh files under two manifest paths) never
-    rename each other's file away; the last rename wins, and both payloads
-    are whole.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}-{threading.get_ident()}")
-    try:
-        tmp.write_bytes(payload)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _summary_for_path(path, cfg: RunConfig, diagnostics: RunDiagnostics) -> SpectralSummary:
@@ -557,7 +518,7 @@ class SweepResult:
         rows += [
             [str(cell.R), str(cell.k), *_csv_cells(cell.stratum.row())] for cell in self.cells
         ]
-        _atomic_write_bytes(Path(path), _csv_bytes(rows))
+        _atomic_write_bytes(path, _csv_bytes(rows))
 
 
 def parameter_sweep(manifest: DatasetManifest, cfg: RunConfig, Rs, ks) -> SweepResult:
@@ -605,24 +566,16 @@ def make_two_class_manifest(
     the seeded perturbations alone. Returns the manifest path.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for i in range(n_per_group):
-        mesh = make_synthetic(
-            "bumpy_sphere", subdivisions, axes=(1.0, 1.0, 1.0),
-            amplitude=amplitude, seed=seed + i,
-        )
-        name = f"sphere_{i:03d}.off"
-        write_mesh(mesh, out / name)
-        rows.append([name, f"s{i:03d}", "sphere", bone, side])
-    for i in range(n_per_group):
-        mesh = make_synthetic(
-            "bumpy_sphere", subdivisions, axes=axes,
-            amplitude=amplitude, seed=seed + n_per_group + i,
-        )
-        name = f"ellipsoid_{i:03d}.off"
-        write_mesh(mesh, out / name)
-        rows.append([name, f"e{i:03d}", "ellipsoid", bone, side])
+    for c, (group, group_axes) in enumerate((("sphere", (1.0, 1.0, 1.0)), ("ellipsoid", axes))):
+        for i in range(n_per_group):
+            mesh = make_synthetic(
+                "bumpy_sphere", subdivisions, axes=group_axes,
+                amplitude=amplitude, seed=seed + c * n_per_group + i,
+            )
+            name = f"{group}_{i:03d}.off"
+            write_mesh(mesh, out / name)
+            rows.append([name, f"{group[0]}{i:03d}", group, bone, side])
     manifest_path = out / "manifest.csv"
     _atomic_write_bytes(manifest_path, _csv_bytes([MANIFEST_HEADER, *rows]))
     return manifest_path
@@ -648,20 +601,15 @@ def make_null_manifest(
     if n < 4 or n % 2:
         raise InvalidParam(f"need an even population of at least 4, got {n}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    names = []
+    first_group = set(np.random.default_rng(split_seed).permutation(n)[: n // 2].tolist())
+    rows = []
     for i in range(n):
         name = f"pop_{i:03d}.off"
         mesh = make_synthetic(
             "bumpy_sphere", subdivisions, amplitude=amplitude, seed=mesh_seed + i
         )
         write_mesh(mesh, out / name)
-        names.append(name)
-    order = np.random.default_rng(split_seed).permutation(n)
-    rows = []
-    for rank, i in enumerate(order):
-        group = "a" if rank < n // 2 else "b"
-        rows.append([names[i], f"p{i:03d}", group, bone, side])
+        rows.append([name, f"p{i:03d}", "a" if i in first_group else "b", bone, side])
     rows.sort(key=lambda row: row[0])
     manifest_path = out / f"manifest_split{split_seed}.csv"
     _atomic_write_bytes(manifest_path, _csv_bytes([MANIFEST_HEADER, *rows]))

@@ -10,13 +10,13 @@ decreases toward 0 as k grows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .eigen import EigenBasis
 from .errors import InvalidParam
 from .mesh_io import TriangleMesh
+from .outputs import _atomic_write_bytes, _csv_bytes
 
 __all__ = ["ReconstructionReport", "reconstruct_vertices", "spectral_reconstruct", "nmse_curve"]
 
@@ -30,9 +30,8 @@ class ReconstructionReport:
     meshes: dict = field(default_factory=dict, repr=False)
 
     def write_csv(self, path) -> None:
-        lines = ["k,nmse"]
-        lines += [f"{k},{val!r}" for k, val in zip(self.ks, self.nmse)]
-        Path(path).write_text("\n".join(lines) + "\n")
+        rows = [["k", "nmse"], *([str(k), repr(val)] for k, val in zip(self.ks, self.nmse))]
+        _atomic_write_bytes(path, _csv_bytes(rows))
 
 
 def reconstruct_vertices(mesh: TriangleMesh, basis: EigenBasis, k: int) -> np.ndarray:

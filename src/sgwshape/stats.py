@@ -164,12 +164,8 @@ def wilks_lambda(X: np.ndarray, mask: np.ndarray) -> float:
     return float(_lambdas(_group_basis(X), mask[None])[0])
 
 
-def manova_two_group(data: DataMatrix) -> tuple[float, float]:
-    """One-way two-group MANOVA: returns (wilks_lambda, p_value).
-
-    Uses the exact F transform F = ((n - d - 1) / d) (1 - L) / L with
-    (d, n - d - 1) degrees of freedom, valid for two groups.
-    """
+def _manova(data: DataMatrix) -> tuple:
+    """manova_two_group's (wilks_lambda, p_value), plus the basis a permutation walk scores."""
     mask = data.two_group_mask()
     n, d = data.n, data.p
     if d > n - 2:
@@ -177,10 +173,20 @@ def manova_two_group(data: DataMatrix) -> tuple[float, float]:
             f"feature dimension {d} exceeds within-group degrees of freedom {n - 2}; "
             "reduce the dimension"
         )
-    lam = wilks_lambda(data.X, mask)
+    basis = _group_basis(data.X)
+    lam = float(_lambdas(basis, mask[None])[0])
     dof2 = n - d - 1
     f_stat = (dof2 / d) * (1.0 - lam) / lam
-    return lam, float(f_distribution.sf(f_stat, d, dof2))
+    return lam, float(f_distribution.sf(f_stat, d, dof2)), basis
+
+
+def manova_two_group(data: DataMatrix) -> tuple[float, float]:
+    """One-way two-group MANOVA: returns (wilks_lambda, p_value).
+
+    Uses the exact F transform F = ((n - d - 1) / d) (1 - L) / L with
+    (d, n - d - 1) degrees of freedom, valid for two groups.
+    """
+    return _manova(data)[:2]
 
 
 def _replicates(mask: np.ndarray, n_perm: int) -> tuple[int, bool]:
@@ -237,14 +243,6 @@ def _permutation_ps(cells: list, mask: np.ndarray, n_perm: int, seed: int) -> li
     ]
 
 
-def _observed(data: DataMatrix, n_perm: int) -> tuple:
-    """(basis, observed lambda) of the true split: what a permutation test scores against."""
-    if n_perm < 1:
-        raise InvalidParam(f"need n_perm >= 1, got {n_perm}")
-    basis = _group_basis(data.X)
-    return basis, float(_lambdas(basis, data.two_group_mask()[None])[0])
-
-
 def permutation_test(data: DataMatrix, n_perm: int, seed: int) -> tuple[float, float]:
     """Permutation test on Wilks' lambda: returns (observed, p_value).
 
@@ -254,11 +252,15 @@ def permutation_test(data: DataMatrix, n_perm: int, seed: int) -> tuple[float, f
     label-assignment space is no larger than n_perm it is enumerated instead
     and the p-value becomes the exact fraction over it.
     """
-    cell = _observed(data, n_perm)
-    (p,) = _permutation_ps([cell], data.two_group_mask(), n_perm, seed)
+    if n_perm < 1:
+        raise InvalidParam(f"need n_perm >= 1, got {n_perm}")
+    basis = _group_basis(data.X)
+    mask = data.two_group_mask()
+    observed = float(_lambdas(basis, mask[None])[0])
+    (p,) = _permutation_ps([(basis, observed)], mask, n_perm, seed)
     if isinstance(p, SgwError):
         raise p
-    return cell[1], p
+    return observed, p
 
 
 def compare_cells(datas, pca_dims: int, n_perm: int, seed: int) -> list:
@@ -276,9 +278,10 @@ def compare_cells(datas, pca_dims: int, n_perm: int, seed: int) -> list:
     setups = []
     for data in datas:
         try:
-            reduced = pca_reduce(data, pca_dims)
-            lam, manova_p = manova_two_group(reduced)
-            setups.append((lam, manova_p, _observed(reduced, n_perm)))
+            lam, manova_p, basis = _manova(pca_reduce(data, pca_dims))
+            if n_perm < 1:
+                raise InvalidParam(f"need n_perm >= 1, got {n_perm}")
+            setups.append((lam, manova_p, (basis, lam)))
         except SgwError as exc:
             setups.append(exc)
     if all(isinstance(setup, SgwError) for setup in setups):

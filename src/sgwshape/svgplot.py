@@ -8,9 +8,9 @@ Output is deterministic for identical inputs.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 from .errors import InvalidParam
+from .outputs import _atomic_write_bytes
 
 __all__ = ["line_plot", "heatmap"]
 
@@ -263,4 +263,4 @@ def _write_svg(path, parts) -> None:
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>\n'
         f"{body}\n</svg>\n"
     )
-    Path(path).write_text(doc)
+    _atomic_write_bytes(path, doc.encode())

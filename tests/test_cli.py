@@ -393,6 +393,57 @@ class TestOutParent:
         assert not (tmp_path / "new").exists()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("blocked", ["target", "parent"])
+    @pytest.mark.parametrize(
+        "argv, wants_dir",
+        [
+            (["synth", "mesh", "--out"], False),
+            (["signature", "MESH", "--k", "10", "--R", "3", "--out"], False),
+            (["gsgw", "MESH", "--k", "10", "--R", "3", "--out"], False),
+            (["plot", "nmse", "nmse.csv", "--out"], False),
+            (["plot", "gsgw", "gsgw.csv", "--out"], False),
+            (["plot", "sweep", "sweep.csv", "--out"], False),
+            (["synth", "two-class", "--n", "2", "--out"], True),
+            (["synth", "null", "--n", "4", "--out"], True),
+            (["eigen", "MESH", "--k", "5", "--out-dir"], True),
+            (["reconstruct", "MESH", "--ks", "1,2", "--out-dir"], True),
+            (["compare", "MANIFEST", "--out-dir"], True),
+            (["sweep", "MANIFEST", "--Rs", "3", "--ks-grid", "10", "--out-dir"], True),
+        ],
+        ids=[
+            "synth-mesh", "signature", "gsgw", "plot-nmse", "plot-gsgw", "plot-sweep",
+            "synth-two-class", "synth-null", "eigen", "reconstruct", "compare", "sweep",
+        ],
+    )
+    def test_output_of_the_wrong_kind_exits_2_before_any_work(
+        self, mesh_file, dataset_dir, tmp_path, capsys, monkeypatch, argv, wants_dir, blocked
+    ):
+        def no_read(*args, **kwargs):
+            raise AssertionError("a mesh was read")
+
+        monkeypatch.setattr(cli, "load_mesh", no_read)
+        monkeypatch.setattr(pipeline, "read_mesh_bytes", no_read)
+        if blocked == "parent":
+            blocker = tmp_path / "a_file"
+            blocker.write_bytes(b"kept")
+            out, kind = blocker / "result", "not a directory"
+        elif wants_dir:
+            blocker = out = tmp_path / "result"
+            blocker.write_bytes(b"kept")
+            kind = "not a directory"
+        else:
+            blocker = out = tmp_path / "result"
+            blocker.mkdir()
+            kind = "a directory"
+        paths = {"MESH": str(mesh_file), "MANIFEST": str(dataset_dir / "manifest.csv")}
+        resolved = [paths.get(arg, arg) for arg in argv]
+        assert main([*resolved, str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: output path {out}: {blocker} is {kind}"
+        ]
+        assert blocker.is_dir() or blocker.read_bytes() == b"kept"
+        assert [p.name for p in tmp_path.iterdir()] == [blocker.name]
+
 
 @pytest.fixture(scope="module")
 def artifacts(dataset_dir, tmp_path_factory):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sgwshape as sg
+import sgwshape.laplacian as laplacian
 from sgwshape.errors import DimensionMismatch, InvalidParam
 
 from conftest import planar_grid, random_rotation
@@ -101,6 +102,24 @@ class TestMass:
     def test_rejects_unknown_lumping(self, bumpy2):
         with pytest.raises(InvalidParam, match="lumping"):
             sg.mass_matrix(bumpy2, lumping="voronoi")
+
+
+@pytest.mark.parametrize("lumping", ["mixed", "barycentric"])
+def test_pair_equals_separate_assembly_from_one_geometry_pass(bumpy2, monkeypatch, lumping):
+    calls = []
+    corner_geometry = laplacian._corner_geometry
+
+    def counting(mesh):
+        calls.append(mesh)
+        return corner_geometry(mesh)
+
+    monkeypatch.setattr(laplacian, "_corner_geometry", counting)
+    stiffness, mass = sg.laplacian_matrices(bumpy2, lumping=lumping)
+    assert len(calls) == 1
+    for pair, alone in ((stiffness, sg.stiffness_matrix(bumpy2)),
+                        (mass, sg.mass_matrix(bumpy2, lumping))):
+        assert type(pair) is type(alone)
+        assert pair.toarray().tobytes() == alone.toarray().tobytes()
 
 
 class TestApplyOperator:
