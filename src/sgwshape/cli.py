@@ -127,8 +127,8 @@ def _add_config_flags(parser, batch=True):
     _add_signature_flags(parser)
     if batch:
         parser.add_argument(
-            "--pca-dims", dest="pca_dims", type=int, default=18,
-            help="PCA dimension before MANOVA (default 18)",
+            "--pca-dims", dest="pca_dims", type=int, default=8,
+            help="PCA dimension before MANOVA (default 8)",
         )
         parser.add_argument(
             "--n-perm", dest="n_perm", type=int, default=1000,
@@ -255,6 +255,8 @@ def _cmd_reconstruct(args) -> int:
     ks = _int_list(args.ks)
     if not ks:
         raise InvalidParam("--ks must name at least one basis size")
+    if min(ks) < 1:
+        raise InvalidParam(f"k must be >= 1, got {min(ks)}")
     _announce("reconstruct", {
         "mesh": args.mesh, "ks": ks, "lumping": args.lumping, "method": args.method,
         "weighted": not args.unweighted, "out_dir": args.out_dir,
@@ -276,17 +278,6 @@ def _cmd_reconstruct(args) -> int:
     return 0
 
 
-def _warn_fragile_dims(manifest: DatasetManifest, cfg: RunConfig) -> None:
-    for (bone, side), entries in manifest.strata().items():
-        if cfg.pca_dims > len(entries) / 2:
-            print(
-                f"warning: stratum ({bone}, {side}) has {len(entries)} shapes; "
-                f"pca_dims={cfg.pca_dims} exceeds half of that and the MANOVA "
-                "F-test will have very few denominator degrees of freedom",
-                file=sys.stderr,
-            )
-
-
 def _exit_code_for_failed_run(strata) -> int:
     kinds = {s.error_kind for s in strata if s.error_kind}
     return 3 if "numerical" in kinds else 2
@@ -296,9 +287,7 @@ def _cmd_compare(args) -> int:
     cfg = _config_from_args(args)
     _announce("compare", {"manifest": args.manifest, **cfg.science_dict(),
                           "cache_dir": cfg.cache_dir, "jobs": cfg.jobs})
-    manifest = DatasetManifest.load(args.manifest)
-    _warn_fragile_dims(manifest, cfg)
-    result = run_group_comparison(manifest, cfg)
+    result = run_group_comparison(DatasetManifest.load(args.manifest), cfg)
     out = Path(args.out_dir)
     json_path = out / "report.json"
     csv_path = out / "report.csv"

@@ -135,7 +135,7 @@ class RunConfig:
 
     k: int = 31
     R: int = 30
-    pca_dims: int = 18
+    pca_dims: int = 8
     n_perm: int = 1000
     seed: int = 0
     lumping: str = "mixed"

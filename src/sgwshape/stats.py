@@ -5,6 +5,12 @@ group separation with a one-way two-group MANOVA (Wilks' lambda and its
 exact F transform), and back it with a nonparametric permutation test that
 reshuffles group labels under a seeded generator.
 
+Each comparison takes its basis from one SVD of the centred descriptor
+matrix: its first d left singular vectors span the top-d PCA scores, and
+Wilks' lambda is invariant under a rotation of that basis. The singular
+values are the one rank check: those under 1e-8 of the largest are
+round-off, and a d above the numerical rank raises SingularScatter.
+
 Wilks' lambda is det(E) / det(E + H) with E the within-group and H the
 between-group scatter matrix; smaller values mean stronger separation.
 For two groups H has rank one: lambda = 1 - (n1 n2 / n) ||delta||^2 for any
@@ -44,6 +50,9 @@ __all__ = [
 
 # Masks scored per batch, so memory stays flat as n_perm grows.
 _BLOCK = 1024
+
+# Singular values below this fraction of the largest count as round-off, not rank.
+_RANK_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -115,6 +124,12 @@ class GroupComparison:
             )
 
 
+def _check_pca_dims(data: DataMatrix, d: int) -> None:
+    limit = min(data.n - 1, data.p)
+    if not 1 <= d <= limit:
+        raise InvalidParam(f"pca dimension must be in [1, {limit}], got {d}")
+
+
 def pca_reduce(data: DataMatrix, d: int) -> DataMatrix:
     """Project rows onto the top d principal directions of the centered X.
 
@@ -122,9 +137,7 @@ def pca_reduce(data: DataMatrix, d: int) -> DataMatrix:
     loading vector's largest-magnitude entry is positive, making the output
     deterministic. Labels are preserved.
     """
-    limit = min(data.n - 1, data.p)
-    if not 1 <= d <= limit:
-        raise InvalidParam(f"pca dimension must be in [1, {limit}], got {d}")
+    _check_pca_dims(data, d)
     centered = data.X - data.X.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     components = vt[:d]
@@ -134,13 +147,22 @@ def pca_reduce(data: DataMatrix, d: int) -> DataMatrix:
     return DataMatrix(centered @ (components * signs[:, None]).T, data.labels)
 
 
-def _group_basis(X: np.ndarray) -> np.ndarray:
-    """Left singular vectors of the centred X: its rows whitened by the total scatter."""
-    centered = X - X.mean(axis=0)
-    sign, logdet = np.linalg.slogdet(centered.T @ centered)
-    if sign <= 0.0 or not math.isfinite(logdet):
-        raise SingularScatter("total scatter matrix is singular")
-    return np.linalg.svd(centered, full_matrices=False)[0]
+def _group_basis(X: np.ndarray, d: int | None = None) -> np.ndarray:
+    """The first d (default: every column) left singular vectors of the centred X.
+
+    Raises SingularScatter when X is not finite or its numerical rank is below d.
+    """
+    if not np.isfinite(X).all():
+        raise SingularScatter("X contains non-finite entries")
+    d = X.shape[1] if d is None else d
+    u, s, _ = np.linalg.svd(X - X.mean(axis=0), full_matrices=False)
+    rank = int(np.count_nonzero(s > _RANK_FLOOR * s[0]))
+    if rank < d:
+        raise SingularScatter(
+            f"numerical rank {rank} is below the dimension {d} (singular values under "
+            f"{_RANK_FLOOR:g} of the largest are round-off); reduce the dimension"
+        )
+    return u[:, :d]
 
 
 def _lambdas(U: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -164,16 +186,17 @@ def wilks_lambda(X: np.ndarray, mask: np.ndarray) -> float:
     return float(_lambdas(_group_basis(X), mask[None])[0])
 
 
-def _manova(data: DataMatrix) -> tuple:
-    """manova_two_group's (wilks_lambda, p_value), plus the basis a permutation walk scores."""
+def _manova(data: DataMatrix, d: int | None = None) -> tuple:
+    """manova_two_group's (wilks_lambda, p_value) on the top-d PCA basis of the data
+    (default: every column), plus that basis, which a permutation walk scores."""
     mask = data.two_group_mask()
-    n, d = data.n, data.p
+    n, d = data.n, data.p if d is None else d
     if d > n - 2:
         raise SingularScatter(
             f"feature dimension {d} exceeds within-group degrees of freedom {n - 2}; "
             "reduce the dimension"
         )
-    basis = _group_basis(data.X)
+    basis = _group_basis(data.X, d)
     lam = float(_lambdas(basis, mask[None])[0])
     dof2 = n - d - 1
     f_stat = (dof2 / d) * (1.0 - lam) / lam
@@ -266,11 +289,11 @@ def permutation_test(data: DataMatrix, n_perm: int, seed: int) -> tuple[float, f
 def compare_cells(datas, pca_dims: int, n_perm: int, seed: int) -> list:
     """compare_groups of each data matrix, all sharing one label tuple and one mask walk.
 
-    Each matrix is reduced, tested by MANOVA and given its basis and observed
-    lambda on its own; then every cell is scored against each block of masks
-    as it is drawn, so the masks are drawn once for all of them. Returns one
-    GroupComparison or SgwError per matrix, in order: a cell whose PCA,
-    MANOVA or scoring raises keeps that error and the others go on.
+    Each matrix gets its basis (one SVD), MANOVA and observed lambda on its
+    own; then every cell is scored against each block of masks as it is
+    drawn, so the masks are drawn once for all of them. Returns one
+    GroupComparison or SgwError per matrix, in order: a cell whose PCA range,
+    MANOVA, rank check or scoring raises keeps that error and the others go on.
     """
     datas = list(datas)
     if any(data.labels != datas[0].labels for data in datas):
@@ -278,7 +301,8 @@ def compare_cells(datas, pca_dims: int, n_perm: int, seed: int) -> list:
     setups = []
     for data in datas:
         try:
-            lam, manova_p, basis = _manova(pca_reduce(data, pca_dims))
+            _check_pca_dims(data, pca_dims)
+            lam, manova_p, basis = _manova(data, pca_dims)
             if n_perm < 1:
                 raise InvalidParam(f"need n_perm >= 1, got {n_perm}")
             setups.append((lam, manova_p, (basis, lam)))

@@ -8,6 +8,7 @@ Output is deterministic for identical inputs.
 from __future__ import annotations
 
 import math
+from html import escape
 
 from .errors import InvalidParam
 from .outputs import _atomic_write_bytes
@@ -27,10 +28,19 @@ _SERIES_COLORS = (
 )
 
 _FONT = 'font-family="Helvetica,Arial,sans-serif"'
+_MIDDLE = ' text-anchor="middle"'
 
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
+
+
+def _text(x, y, size, content, attrs="") -> str:
+    """A <text> element; `content` is escaped, so any label keeps the document well-formed."""
+    return (
+        f'<text x="{x}" y="{y}" {_FONT} font-size="{size}"{attrs}>'
+        f"{escape(str(content), quote=False)}</text>"
+    )
 
 
 def _ticks(lo: float, hi: float, count: int = 5):
@@ -72,10 +82,7 @@ def _axes(lo_x, hi_x, lo_y, hi_y, xlabel, ylabel, title, log_y=False):
             f'<line x1="{_fmt(x)}" y1="{_MARGIN_T + plot_h}" x2="{_fmt(x)}" '
             f'y2="{_MARGIN_T + plot_h + 5}" stroke="#333333"/>'
         )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_MARGIN_T + plot_h + 18}" {_FONT} font-size="11" '
-            f'text-anchor="middle">{_fmt(t)}</text>'
-        )
+        parts.append(_text(_fmt(x), _MARGIN_T + plot_h + 18, 11, _fmt(t), _MIDDLE))
     for t in _ticks(lo_y, hi_y):
         y = sy(t)
         label = _fmt(10.0**t) if log_y else _fmt(t)
@@ -83,24 +90,18 @@ def _axes(lo_x, hi_x, lo_y, hi_y, xlabel, ylabel, title, log_y=False):
             f'<line x1="{_MARGIN_L - 5}" y1="{_fmt(y)}" x2="{_MARGIN_L}" '
             f'y2="{_fmt(y)}" stroke="#333333"/>'
         )
-        parts.append(
-            f'<text x="{_MARGIN_L - 8}" y="{_fmt(y + 4)}" {_FONT} font-size="11" '
-            f'text-anchor="end">{label}</text>'
-        )
-    parts.append(
-        f'<text x="{_MARGIN_L + plot_w / 2}" y="{_HEIGHT - 12}" {_FONT} font-size="13" '
-        f'text-anchor="middle">{xlabel}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_MARGIN_T + plot_h / 2}" {_FONT} font-size="13" '
-        f'text-anchor="middle" transform="rotate(-90 16 {_MARGIN_T + plot_h / 2})">'
-        f"{ylabel}</text>"
-    )
-    parts.append(
-        f'<text x="{_WIDTH / 2}" y="22" {_FONT} font-size="15" '
-        f'text-anchor="middle">{title}</text>'
-    )
+        parts.append(_text(_MARGIN_L - 8, _fmt(y + 4), 11, label, ' text-anchor="end"'))
+    parts += _axis_labels(plot_w, plot_h, xlabel, ylabel)
+    parts.append(_text(_WIDTH / 2, 22, 15, title, _MIDDLE))
     return parts, sx, sy
+
+
+def _axis_labels(plot_w, plot_h, xlabel, ylabel) -> list:
+    mid_y = _MARGIN_T + plot_h / 2
+    return [
+        _text(_MARGIN_L + plot_w / 2, _HEIGHT - 12, 13, xlabel, _MIDDLE),
+        _text(16, mid_y, 13, ylabel, f'{_MIDDLE} transform="rotate(-90 16 {mid_y})"'),
+    ]
 
 
 def line_plot(series, path, title="", xlabel="", ylabel="", log_y=False) -> None:
@@ -149,9 +150,7 @@ def line_plot(series, path, title="", xlabel="", ylabel="", log_y=False) -> None
             f'<line x1="{_WIDTH - _MARGIN_R - 120}" y1="{ly - 4}" '
             f'x2="{_WIDTH - _MARGIN_R - 100}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(
-            f'<text x="{_WIDTH - _MARGIN_R - 94}" y="{ly}" {_FONT} font-size="11">{label}</text>'
-        )
+        parts.append(_text(_WIDTH - _MARGIN_R - 94, ly, 11, label))
     _write_svg(path, parts)
 
 
@@ -201,9 +200,7 @@ def heatmap(grid, row_labels, col_labels, path, title="", xlabel="", ylabel="") 
     cell_w = plot_w / len(rows[0])
     cell_h = plot_h / len(rows)
 
-    parts = [
-        f'<text x="{_WIDTH / 2}" y="22" {_FONT} font-size="15" text-anchor="middle">{title}</text>'
-    ]
+    parts = [_text(_WIDTH / 2, 22, 15, title, _MIDDLE)]
     for i, row in enumerate(rows):
         for j, value in enumerate(row):
             x = _MARGIN_L + j * cell_w
@@ -214,28 +211,20 @@ def heatmap(grid, row_labels, col_labels, path, title="", xlabel="", ylabel="") 
                 f'height="{_fmt(cell_h)}" fill="{color}" stroke="#ffffff" stroke-width="0.5"/>'
             )
             if value is not None:
-                parts.append(
-                    f'<text x="{_fmt(x + cell_w / 2)}" y="{_fmt(y + cell_h / 2 + 4)}" {_FONT} '
-                    f'font-size="10" text-anchor="middle" fill="#ffffff">{_fmt(value)}</text>'
-                )
+                parts.append(_text(
+                    _fmt(x + cell_w / 2), _fmt(y + cell_h / 2 + 4), 10, _fmt(value),
+                    f'{_MIDDLE} fill="#ffffff"',
+                ))
     for j, label in enumerate(col_labels):
-        parts.append(
-            f'<text x="{_fmt(_MARGIN_L + (j + 0.5) * cell_w)}" y="{_MARGIN_T + plot_h + 16}" '
-            f'{_FONT} font-size="11" text-anchor="middle">{label}</text>'
-        )
+        parts.append(_text(
+            _fmt(_MARGIN_L + (j + 0.5) * cell_w), _MARGIN_T + plot_h + 16, 11, label, _MIDDLE
+        ))
     for i, label in enumerate(row_labels):
-        parts.append(
-            f'<text x="{_MARGIN_L - 8}" y="{_fmt(_MARGIN_T + (i + 0.5) * cell_h + 4)}" '
-            f'{_FONT} font-size="11" text-anchor="end">{label}</text>'
-        )
-    parts.append(
-        f'<text x="{_MARGIN_L + plot_w / 2}" y="{_HEIGHT - 12}" {_FONT} font-size="13" '
-        f'text-anchor="middle">{xlabel}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_MARGIN_T + plot_h / 2}" {_FONT} font-size="13" '
-        f'text-anchor="middle" transform="rotate(-90 16 {_MARGIN_T + plot_h / 2})">{ylabel}</text>'
-    )
+        parts.append(_text(
+            _MARGIN_L - 8, _fmt(_MARGIN_T + (i + 0.5) * cell_h + 4), 11, label,
+            ' text-anchor="end"',
+        ))
+    parts += _axis_labels(plot_w, plot_h, xlabel, ylabel)
     # vertical scale bar
     bar_x = _MARGIN_L + plot_w + 20
     steps = 32
@@ -246,12 +235,8 @@ def heatmap(grid, row_labels, col_labels, path, title="", xlabel="", ylabel="") 
             f'<rect x="{bar_x}" y="{_fmt(y)}" width="14" height="{_fmt(plot_h / steps + 0.5)}" '
             f'fill="{_viridis(u)}"/>'
         )
-    parts.append(
-        f'<text x="{bar_x + 18}" y="{_MARGIN_T + 10}" {_FONT} font-size="10">{_fmt(hi)}</text>'
-    )
-    parts.append(
-        f'<text x="{bar_x + 18}" y="{_MARGIN_T + plot_h}" {_FONT} font-size="10">{_fmt(lo)}</text>'
-    )
+    parts.append(_text(bar_x + 18, _MARGIN_T + 10, 10, _fmt(hi)))
+    parts.append(_text(bar_x + 18, _MARGIN_T + plot_h, 10, _fmt(lo)))
     _write_svg(path, parts)
 
 

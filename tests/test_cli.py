@@ -12,6 +12,7 @@ import sgwshape as sg
 import sgwshape.cli as cli
 import sgwshape.pipeline as pipeline
 from sgwshape.cli import build_parser, main
+from sgwshape.svgplot import heatmap, line_plot
 
 FAST = ["--k", "10", "--R", "3", "--subdivisions", "1"]
 
@@ -249,6 +250,60 @@ class TestReconstruct:
         assert code == 2
         capsys.readouterr()
 
+    def test_bad_ks_exits_2_before_loading(self, mesh_file, tmp_path, capsys, monkeypatch):
+        def no_load(path):
+            raise AssertionError(f"{path} loaded before --ks was checked")
+
+        monkeypatch.setattr(cli, "load_mesh", no_load)
+        code = main(
+            ["reconstruct", str(mesh_file), "--ks", "5,0,40", "--out-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert "k must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def rank4_dir(tmp_path_factory):
+    """20 shapes whose descriptors at R = 3 have numerical rank 4."""
+    out = tmp_path_factory.mktemp("rank4")
+    code = main(["synth", "two-class", "--out", str(out), "--n", "10", "--subdivisions", "1"])
+    assert code == 0
+    return out
+
+
+class TestNumericalRank:
+    def run_compare(self, rank4_dir, out_dir, d):
+        return main(
+            ["compare", str(rank4_dir / "manifest.csv"), "--k", "10", "--R", "3",
+             "--pca-dims", str(d), "--n-perm", "200", "--out-dir", str(out_dir)]
+        )
+
+    def test_compare_at_the_rank_reports(self, rank4_dir, tmp_path, capsys):
+        assert self.run_compare(rank4_dir, tmp_path, 4) == 0
+        capsys.readouterr()
+        (row,) = csv.DictReader((tmp_path / "report.csv").read_text().splitlines())
+        assert row["error"] == "" and float(row["manova_p"]) < 1e-12
+
+    def test_compare_past_the_rank_exits_3(self, rank4_dir, tmp_path, capsys):
+        assert self.run_compare(rank4_dir, tmp_path, 5) == 3
+        assert "[stats] numerical rank 4 is below the dimension 5" in capsys.readouterr().out
+        (row,) = csv.DictReader((tmp_path / "report.csv").read_text().splitlines())
+        assert row["error"].startswith("[stats] numerical rank 4 ")
+        assert row["wilks_lambda"] == row["manova_p"] == row["permutation_p"] == ""
+
+    def test_sweep_fails_only_the_cells_past_the_rank(self, rank4_dir, tmp_path, capsys):
+        code = main(
+            ["sweep", str(rank4_dir / "manifest.csv"), "--Rs", "3,10", "--ks-grid", "10,20",
+             "--pca-dims", "5", "--out-dir", str(tmp_path)]
+        )
+        assert code == 0
+        capsys.readouterr()
+        rows = list(csv.DictReader((tmp_path / "sweep.csv").read_text().splitlines()))
+        failed = [(row["R"], row["k"]) for row in rows if row["error"]]
+        assert failed == [("3", "10"), ("3", "20")]
+        assert all("numerical rank 4" in row["error"] for row in rows if row["error"])
+        assert all(float(row["wilks_lambda"]) > 0.0 for row in rows if row["R"] == "10")
+
 
 class TestCompare:
     def run_compare(self, dataset_dir, out_dir, *extra):
@@ -276,11 +331,6 @@ class TestCompare:
         capsys.readouterr()
         assert (a_dir / "report.json").read_bytes() == (b_dir / "report.json").read_bytes()
         assert (a_dir / "report.csv").read_bytes() == (b_dir / "report.csv").read_bytes()
-
-    def test_fragile_dims_warning(self, dataset_dir, tmp_path, capsys):
-        code = self.run_compare(dataset_dir, tmp_path, "--pca-dims", "4")
-        assert code == 0
-        assert "pca_dims=4 exceeds half" in capsys.readouterr().err
 
     def test_all_strata_failed_numerically_exits_3(self, dataset_dir, tmp_path, capsys):
         code = self.run_compare(dataset_dir, tmp_path, "--pca-dims", "5")
@@ -490,17 +540,38 @@ class TestSweepAndPlots:
         self.assert_valid_svg(out)
 
     def test_plot_gsgw(self, artifacts, dataset_dir, tmp_path):
+        self.plot_gsgw(dataset_dir, tmp_path, "s,e")
+
+    def test_plot_gsgw_escapes_labels(self, dataset_dir, tmp_path):
+        self.plot_gsgw(dataset_dir, tmp_path, "s&e,<e>")
+
+    def plot_gsgw(self, dataset_dir, tmp_path, labels):
         table = tmp_path / "gsgw.csv"
         code = main(
             ["gsgw", str(dataset_dir / "sphere_000.off"),
              str(dataset_dir / "ellipsoid_000.off"),
-             "--k", "10", "--R", "3", "--labels", "s,e", "--out", str(table)]
+             "--k", "10", "--R", "3", "--labels", labels, "--out", str(table)]
         )
         assert code == 0
         out = tmp_path / "gsgw.svg"
         code = main(["plot", "gsgw", str(table), "--out", str(out)])
         assert code == 0
         self.assert_valid_svg(out)
+
+    def test_labels_are_escaped(self, tmp_path):
+        odd = "a&b <c> d"
+        line_plot(
+            [(odd, [1, 2], [1.0, 0.5])], tmp_path / "line.svg",
+            title=odd, xlabel=odd, ylabel=odd,
+        )
+        heatmap(
+            [[0.1, 0.2]], [odd], [odd, odd], tmp_path / "grid.svg",
+            title=odd, xlabel=odd, ylabel=odd,
+        )
+        # title, both axis labels, and the legend entry or the three grid labels
+        for name, count in (("line.svg", 4), ("grid.svg", 6)):
+            root = ET.parse(tmp_path / name).getroot()
+            assert [el.text for el in root if el.tag.endswith("text")].count(odd) == count
 
 
 class TestParser:
@@ -577,5 +648,5 @@ class TestParser:
         text = capsys.readouterr().out
         assert "default 31" in text
         assert "default 30" in text
-        assert "default 18" in text
+        assert "(default 8)" in text
         assert "default 1000" in text

@@ -173,7 +173,7 @@ class TestManifest:
 class TestRunConfig:
     def test_defaults(self):
         cfg = sg.RunConfig()
-        assert (cfg.k, cfg.R, cfg.pca_dims, cfg.n_perm) == (31, 30, 18, 1000)
+        assert (cfg.k, cfg.R, cfg.pca_dims, cfg.n_perm) == (31, 30, 8, 1000)
         assert cfg.lumping == "mixed"
         assert cfg.area_factor and not cfg.normalize
         assert cfg.jobs == 1 and cfg.cache_dir is None

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgwshape as sg
-from sgwshape.errors import GroupCountError, InvalidParam, SingularScatter
+from sgwshape.errors import GroupCountError, InvalidParam, SgwError, SingularScatter
 
 
 def gaussian_two_groups(n_per=8, p=4, shift=0.0, seed=0):
@@ -120,6 +120,24 @@ class TestWilksLambda:
         data = gaussian_two_groups(n_per=6, p=2, seed=10)
         x = np.column_stack([data.X, data.X[:, 0]])
         with pytest.raises(SingularScatter):
+            sg.wilks_lambda(x, data.two_group_mask())
+
+    def test_rank_floor(self):
+        # a third column equal to the first up to 1e-8 noise has its smallest singular
+        # value at 5.2e-9 of the largest, under the floor; with 1e-6 noise it is 5.2e-7
+        data = gaussian_two_groups(n_per=6, p=2, seed=10)
+        noise = np.random.default_rng(0).standard_normal(data.n)
+        mask = data.two_group_mask()
+        with pytest.raises(SingularScatter, match="numerical rank 2 is below the dimension 3"):
+            sg.wilks_lambda(np.column_stack([data.X, data.X[:, 0] + 1e-8 * noise]), mask)
+        assert 0.0 < sg.wilks_lambda(np.column_stack([data.X, data.X[:, 0] + 1e-6 * noise]), mask)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry_is_an_sgw_error(self, bad):
+        data = gaussian_two_groups(n_per=6, p=3, seed=10)
+        x = data.X.copy()
+        x[4, 1] = bad
+        with pytest.raises(SgwError):
             sg.wilks_lambda(x, data.two_group_mask())
 
 
@@ -303,7 +321,7 @@ class TestCompareCells:
     def test_scoring_error_stays_on_its_cell(self, monkeypatch):
         datas = self.cells()
         expected = [sg.compare_groups(data, 2, 300, 0) for data in datas]
-        doomed = sg.stats._group_basis(sg.pca_reduce(datas[1], 2).X)
+        doomed = sg.stats._group_basis(datas[1].X, 2)
         lambdas = sg.stats._lambdas
 
         def failing(basis, masks):
@@ -315,6 +333,42 @@ class TestCompareCells:
         results = sg.stats.compare_cells(datas, 2, 300, 0)
         assert isinstance(results[1], SingularScatter)
         assert [results[0], results[2]] == [expected[0], expected[2]]
+
+    def test_one_svd_per_live_cell(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        datas = self.cells()
+        datas.append(sg.DataMatrix(datas[0].X[:, :1], datas[0].labels))  # no 2-d PCA: no SVD
+        results = sg.stats.compare_cells(datas, 2, 300, 0)
+        assert [isinstance(result, SgwError) for result in results] == [False] * 3 + [True]
+        assert calls == [data.X.shape for data in datas[:3]]
+
+    @pytest.mark.parametrize(
+        "d, groups, error, match",
+        [
+            (6, 3, InvalidParam, r"pca dimension must be in \[1, 5\], got 6"),
+            (5, 3, GroupCountError, "exactly 2 groups"),
+            (5, 2, SingularScatter, "exceeds within-group degrees of freedom 4"),
+            (3, 2, SingularScatter, "numerical rank 2 is below the dimension 3"),
+            (2, 2, InvalidParam, "n_perm >= 1"),
+        ],
+    )
+    def test_setup_error_order(self, d, groups, error, match):
+        # six rows of rank 2 in five columns, and n_perm = 0: each case passes the
+        # checks before its own
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 5))
+        labels = ["a", "a", "b", "b", "c", "c"] if groups == 3 else ["a"] * 3 + ["b"] * 3
+        (result,) = sg.stats.compare_cells([sg.DataMatrix(x, labels)], d, 0, 0)
+        assert isinstance(result, error)
+        with pytest.raises(error, match=match):
+            raise result
 
     def test_no_live_cell_draws_no_mask(self, monkeypatch):
         monkeypatch.setattr(sg.stats, "_mask_blocks", None)  # any walk would fail
