@@ -91,12 +91,10 @@ def _config_from_args(args) -> RunConfig:
     """
     offered = {
         name: getattr(args, name)
-        for name in ("normalize", "cache_dir", "pca_dims", "n_perm", "seed", "jobs")
-        if hasattr(args, name)
+        for name in ("k", "R", "normalize", "cache_dir", "pca_dims", "n_perm", "seed", "jobs")
+        if getattr(args, name, None) is not None
     }
     return RunConfig(
-        k=args.k,
-        R=args.R,
         lumping=args.lumping,
         area_factor=not args.no_area_factor,
         method=args.method,
@@ -104,10 +102,17 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
-def _add_signature_flags(parser):
-    """Flags of the per-vertex signature, shared by every descriptor command."""
-    parser.add_argument("--k", type=int, default=31, help="eigenpair count (default 31)")
-    parser.add_argument("--R", type=int, default=30, help="resolution levels (default 30)")
+def _add_signature_flags(parser, grid=False):
+    """Flags of the per-vertex signature, shared by every descriptor command.
+
+    A grid command takes k and R from its own grid flags. There --k and --R
+    are hidden and default to None: they still parse, because existing
+    command lines pass them, and the command says that it ignores them.
+    """
+    parser.add_argument("--k", type=int, default=None if grid else 31,
+                        help=argparse.SUPPRESS if grid else "eigenpair count (default 31)")
+    parser.add_argument("--R", type=int, default=None if grid else 30,
+                        help=argparse.SUPPRESS if grid else "resolution levels (default 30)")
     parser.add_argument(
         "--lumping", default="mixed", choices=LUMPING_SCHEMES,
         help="vertex area scheme (default mixed)",
@@ -122,9 +127,9 @@ def _add_signature_flags(parser):
     )
 
 
-def _add_config_flags(parser, batch=True):
+def _add_config_flags(parser, batch=True, grid=False):
     """Descriptor flags: signature flags, --normalize, --cache-dir; batch adds stats, --jobs."""
-    _add_signature_flags(parser)
+    _add_signature_flags(parser, grid)
     if batch:
         parser.add_argument(
             "--pca-dims", dest="pca_dims", type=int, default=8,
@@ -302,11 +307,16 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    for flag, value, grid_flag in (("k", args.k, "--ks-grid"), ("R", args.R, "--Rs")):
+        if value is not None:
+            print(f"[sweep] note: --{flag} {value} is ignored; each cell takes {flag} "
+                  f"from {grid_flag}", file=sys.stderr)
     cfg = _config_from_args(args)
     Rs = _int_list(args.Rs)
     ks = _int_list(args.ks_grid)
+    science = {key: value for key, value in cfg.science_dict().items() if key not in ("k", "R")}
     _announce("sweep", {"manifest": args.manifest, "Rs": Rs, "ks": ks,
-                        **cfg.science_dict(), "cache_dir": cfg.cache_dir})
+                        **science, "cache_dir": cfg.cache_dir})
     manifest = DatasetManifest.load(args.manifest)
     result = parameter_sweep(manifest, cfg, Rs, ks)
     sweep_path = Path(args.out_dir) / "sweep.csv"
@@ -503,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="compare over an (R, k) grid")
     sw.add_argument("manifest")
-    _add_config_flags(sw)
+    _add_config_flags(sw, grid=True)
     sw.add_argument("--Rs", required=True, help="comma-separated resolutions")
     sw.add_argument("--ks-grid", dest="ks_grid", required=True,
                     help="comma-separated eigenpair counts")

@@ -146,13 +146,19 @@ def _kernel_rows(eigenvalues, R: int) -> np.ndarray:
     p = signature_length(R)
     lam = np.asarray(eigenvalues, dtype=np.float64)
     lambda_min, lambda_max = spectrum_bounds(lam)
-    levels = range(1, R + 1)
-    scales = np.concatenate(
-        [wavelet_scales(level, lambda_min, lambda_max) for level in levels]
-    )
+    t_coarse, t_fine = 2.0 / lambda_min, 2.0 / lambda_max
+    start, stop = math.log(t_coarse), math.log(t_fine)
+    levels = np.arange(1, R + 1)
+    # Every level's wavelet_scales in one pass of the same arithmetic: linspace's
+    # i * ((stop - start) / (L - 1)) + start, one exp, then the endpoints pinned.
+    # Row L - 1 of the lower triangle holds level L's L scales, i = 0 .. L - 1.
+    step = (stop - start) / np.maximum(levels - 1, 1)
+    scales = np.exp((np.arange(R) * step[:, None] + start)[np.tri(R, dtype=bool)])
+    scales[(levels * (levels + 1) // 2 - 1)[1:]] = t_fine
+    scales[levels * (levels - 1) // 2] = t_coarse
     # level L holds L band-pass rows and then its low-pass row, which
     # therefore sits at index L(L+3)/2 - 1
-    low_pass = np.array([level * (level + 3) // 2 - 1 for level in levels])
+    low_pass = levels * (levels + 3) // 2 - 1
     band_pass = np.ones(p, dtype=bool)
     band_pass[low_pass] = False
     rows = np.empty((p, lam.shape[0]))

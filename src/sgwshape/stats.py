@@ -3,7 +3,7 @@
 The analysis chain is: reduce the n x p descriptor matrix with PCA, test
 group separation with a one-way two-group MANOVA (Wilks' lambda and its
 exact F transform), and back it with a nonparametric permutation test that
-reshuffles group labels under a seeded generator.
+reshuffles group labels with one seeded generator per call.
 
 Each comparison takes its basis from one SVD of the centred descriptor
 matrix: its first d left singular vectors span the top-d PCA scores, and
@@ -19,11 +19,12 @@ left singular vectors of the centred data (the Hotelling T^2 equivalence;
 Anderson, *An Introduction to Multivariate Statistical Analysis*, ch. 5).
 The F transform is exact for two groups, with (d, n - d - 1) degrees of freedom.
 
-The permutation masks depend only on the labels, n_perm and the seed, so
-``compare_cells`` tests several data matrices over one label tuple (the
-(R, k) cells of a sweep stratum) in one walk: each block of masks is drawn
-once and scored against every cell, and each cell's result equals its own
-``compare_groups``.
+The permutation masks depend only on the labels, n_perm and the seed: one
+generator shuffles the true mask row by row, or, when the label space is no
+larger than n_perm, every split is enumerated. So ``compare_cells`` tests
+several data matrices over one label tuple (the (R, k) cells of a sweep
+stratum) in one walk: each block of masks is drawn once and scored against
+every cell, and each cell's result equals its own ``compare_groups``.
 """
 
 from __future__ import annotations
@@ -221,19 +222,20 @@ def _replicates(mask: np.ndarray, n_perm: int) -> tuple[int, bool]:
 def _mask_blocks(mask: np.ndarray, n_perm: int, seed: int):
     """The permutation masks of the split `mask`, as (B, n) boolean blocks of <= _BLOCK rows.
 
-    Enumerated when _replicates says so (the seed is then ignored), else one
-    seeded substream per replicate, kept as it is so that p-values do not move.
+    Enumerated when _replicates says so (the seed is then ignored), else
+    shuffled by one generator per call: ``permuted`` shuffles a block row by
+    row, so the first masks depend neither on _BLOCK nor on n_perm.
     """
     n = len(mask)
     count, exhaustive = _replicates(mask, n_perm)
     splits = combinations(range(n), int(mask.sum()))
-    root = None if exhaustive else np.random.SeedSequence(seed)
+    rng = None if exhaustive else np.random.default_rng(seed)
     for start in range(0, count, _BLOCK):
         size = min(_BLOCK, count - start)
         if exhaustive:
             yield np.array([np.bincount(first, minlength=n) > 0 for first in islice(splits, size)])
-        else:  # spawn() continues the child numbering: the stream of one spawn(n_perm)
-            yield np.array([mask[np.random.default_rng(c).permutation(n)] for c in root.spawn(size)])
+        else:
+            yield rng.permuted(np.tile(mask, (size, 1)), axis=1)
 
 
 def _permutation_ps(cells: list, mask: np.ndarray, n_perm: int, seed: int) -> list:
@@ -269,7 +271,7 @@ def _permutation_ps(cells: list, mask: np.ndarray, n_perm: int, seed: int) -> li
 def permutation_test(data: DataMatrix, n_perm: int, seed: int) -> tuple[float, float]:
     """Permutation test on Wilks' lambda: returns (observed, p_value).
 
-    Labels are reshuffled n_perm times, one seeded substream per replicate.
+    Labels are reshuffled n_perm times by one generator seeded with `seed`.
     The p-value uses the add-one estimator
     ``(1 + #{permuted lambda <= observed}) / (n_perm + 1)``. When the whole
     label-assignment space is no larger than n_perm it is enumerated instead

@@ -524,6 +524,41 @@ class TestSweepAndPlots:
         assert header[:2] == ["R", "k"]
         assert len(rows) == 4
 
+    def run_sweep(self, dataset_dir, out_dir, *extra):
+        return main(
+            ["sweep", str(dataset_dir / "manifest.csv"), "--Rs", "2", "--ks-grid", "8",
+             "--pca-dims", "2", "--n-perm", "10", "--out-dir", str(out_dir), *extra]
+        )
+
+    @pytest.mark.parametrize(
+        "flag, value, grid_flag", [("--k", "5", "--ks-grid"), ("--R", "4", "--Rs")]
+    )
+    def test_sweep_notes_that_it_ignores_k_and_R(
+        self, dataset_dir, tmp_path, capsys, flag, value, grid_flag
+    ):
+        assert self.run_sweep(dataset_dir, tmp_path / "plain") == 0
+        assert "note" not in capsys.readouterr().err
+        assert self.run_sweep(dataset_dir, tmp_path / "flag", flag, value) == 0
+        err = capsys.readouterr().err
+        note = f"[sweep] note: {flag} {value} is ignored; each cell takes {flag[2:]} from "
+        assert note + grid_flag in err
+        plain, flagged = (tmp_path / run / "sweep.csv" for run in ("plain", "flag"))
+        assert flagged.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("extra", [(), ("--k", "5", "--R", "4")])
+    def test_sweep_config_line_names_only_the_grid(self, dataset_dir, tmp_path, capsys, extra):
+        assert self.run_sweep(dataset_dir, tmp_path, *extra) == 0
+        (line,) = [ln for ln in capsys.readouterr().err.splitlines() if "resolved config" in ln]
+        assert " Rs=[2] ks=[8] pca_dims=2 " in line
+        assert " k=" not in line and " R=" not in line
+
+    def test_sweep_help_hides_k_and_R(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        text = capsys.readouterr().out
+        assert "--ks-grid" in text and "--Rs" in text
+        assert "--k " not in text and "--R " not in text
+
     def test_plot_nmse(self, artifacts, tmp_path):
         out = tmp_path / "nmse.svg"
         code = main(["plot", "nmse", str(artifacts / "nmse.csv"), "--out", str(out)])

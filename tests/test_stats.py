@@ -273,7 +273,7 @@ class TestBatchedLambda:
             (8, 3, 0.5, 17, 200, 5, 0.4427860696517413),
             (10, 4, 0.3, 21, 999, 7, 0.772),
             (3, 2, 0.0, 14, 100, 0, 0.5),  # C(6, 3) = 20 <= 100: enumerated
-            (10, 8, 0.3, 3, 3000, 11, 0.07197600799733422),  # spans 3 blocks of masks
+            (10, 8, 0.3, 3, 3000, 11, 0.06664445184938354),  # spans 3 blocks of masks
         ],
     )
     def test_p_values_are_pinned(self, n_per, p, shift, data_seed, n_perm, seed, expected):
@@ -291,6 +291,33 @@ class TestBatchedLambda:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+class TestMaskStream:
+    """Sampled masks come from one generator per call, shuffled row by row."""
+
+    MASK = np.array([True] * 6 + [False] * 9)  # C(15, 6) = 5005 splits
+
+    @staticmethod
+    def masks(mask, n_perm, seed):
+        return np.concatenate(list(sg.stats._mask_blocks(mask, n_perm, seed)))
+
+    def test_first_masks_do_not_depend_on_block_size(self, monkeypatch):
+        full = self.masks(self.MASK, 3000, 4)
+        monkeypatch.setattr(sg.stats, "_BLOCK", 7)
+        small = self.masks(self.MASK, 3000, 4)
+        assert small.shape == full.shape == (3000, 15)
+        assert np.array_equal(small, full)
+
+    def test_first_masks_do_not_depend_on_n_perm(self):
+        assert np.array_equal(self.masks(self.MASK, 500, 4), self.masks(self.MASK, 3000, 4)[:500])
+
+    @pytest.mark.parametrize("mask", [MASK, MASK[::-1], np.arange(15) % 2 == 0])
+    def test_every_row_keeps_the_group_sizes(self, mask):
+        masks = self.masks(mask, 2500, 9)
+        assert masks.dtype == bool and masks.shape == (2500, 15)
+        assert (masks.sum(axis=1) == mask.sum()).all()
+        assert len({row.tobytes() for row in masks}) > 1500  # about 1970 expected from 5005
 
 
 class TestCompareCells:
