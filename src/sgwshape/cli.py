@@ -13,7 +13,6 @@ switches error reporting to a single machine-readable JSON line.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -32,6 +31,7 @@ from .outputs import _atomic_write_bytes, _csv_bytes
 from .pipeline import (
     DatasetManifest,
     RunConfig,
+    _csv_rows,
     gsgw_for_mesh,
     make_null_manifest,
     make_two_class_manifest,
@@ -334,8 +334,7 @@ def _read_csv_rows(path) -> list:
     p = Path(path)
     if not p.is_file():
         raise ParseError(f"{p}: no such file")
-    with p.open(newline="") as handle:
-        rows = list(csv.reader(handle))
+    rows = _csv_rows(p)
     if not rows:
         raise ParseError(f"{p}: empty CSV")
     return rows

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -66,6 +67,18 @@ MANIFEST_HEADER = ["path", "subject", "group", "bone", "side"]
 SIGNIFICANCE_LEVEL = 0.05
 
 
+def _csv_rows(path: Path) -> list:
+    """The rows of the UTF-8 CSV file at path, a leading byte-order mark skipped.
+
+    Decoding does not depend on the locale; bytes that are not UTF-8 are a ParseError.
+    """
+    try:
+        text = path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
 @dataclass(frozen=True)
 class ManifestEntry:
     path: str
@@ -86,31 +99,27 @@ class DatasetManifest:
         p = Path(path)
         if not p.is_file():
             raise ValidationError(f"{p}: no such manifest file")
-        with p.open(newline="") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValidationError(f"{p}: empty manifest") from None
-            if [h.strip() for h in header] != MANIFEST_HEADER:
-                raise ValidationError(
-                    f"{p}: header must be {','.join(MANIFEST_HEADER)}, got {','.join(header)}"
-                )
-            entries = []
-            for lineno, row in enumerate(reader, 2):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) != 5:
-                    raise ValidationError(f"{p}:{lineno}: expected 5 fields, got {len(row)}")
-                mesh_path, subject, group, bone, side = (cell.strip() for cell in row)
-                if side not in SIDES:
-                    raise ValidationError(
-                        f"{p}:{lineno}: side must be one of {SIDES}, got {side!r}"
-                    )
-                resolved = p.parent / mesh_path  # an absolute mesh_path replaces p.parent
-                if not resolved.is_file():
-                    raise ValidationError(f"{p}:{lineno}: mesh file {resolved} does not exist")
-                entries.append(ManifestEntry(str(resolved), subject, group, bone, side))
+        rows = _csv_rows(p)
+        if not rows:
+            raise ValidationError(f"{p}: empty manifest")
+        header = rows[0]
+        if [h.strip() for h in header] != MANIFEST_HEADER:
+            raise ValidationError(
+                f"{p}: header must be {','.join(MANIFEST_HEADER)}, got {','.join(header)}"
+            )
+        entries = []
+        for lineno, row in enumerate(rows[1:], 2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != 5:
+                raise ValidationError(f"{p}:{lineno}: expected 5 fields, got {len(row)}")
+            mesh_path, subject, group, bone, side = (cell.strip() for cell in row)
+            if side not in SIDES:
+                raise ValidationError(f"{p}:{lineno}: side must be one of {SIDES}, got {side!r}")
+            resolved = p.parent / mesh_path  # an absolute mesh_path replaces p.parent
+            if not resolved.is_file():
+                raise ValidationError(f"{p}:{lineno}: mesh file {resolved} does not exist")
+            entries.append(ManifestEntry(str(resolved), subject, group, bone, side))
         if not entries:
             raise ValidationError(f"{p}: manifest has no data rows")
         seen = {}

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 
 import numpy as np
-from scipy.stats import f as f_distribution
+from scipy.special import fdtrc
 
 from .errors import GroupCountError, InvalidParam, SgwError, SingularScatter
 
@@ -200,8 +200,10 @@ def _manova(data: DataMatrix, d: int | None = None) -> tuple:
     basis = _group_basis(data.X, d)
     lam = float(_lambdas(basis, mask[None])[0])
     dof2 = n - d - 1
+    # f_stat >= 0 because _lambdas gives lam <= 1; fdtrc (the F survival function, the
+    # same call scipy.stats.f.sf makes) returns NaN, not 1, for a negative argument.
     f_stat = (dof2 / d) * (1.0 - lam) / lam
-    return lam, float(f_distribution.sf(f_stat, d, dof2)), basis
+    return lam, float(fdtrc(d, dof2, f_stat)), basis
 
 
 def manova_two_group(data: DataMatrix) -> tuple[float, float]:

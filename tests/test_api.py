@@ -1,4 +1,9 @@
-"""The package's public names: a fixed set, each one resolvable."""
+"""The package's public names: a fixed set, each one resolvable, and what importing it loads."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import sgwshape as sg
 
@@ -34,3 +39,13 @@ def test_public_names_are_pinned():
     assert len(sg.__all__) == len(set(sg.__all__))
     assert set(sg.__all__) == EXPORTED
     assert [name for name in sg.__all__ if not hasattr(sg, name)] == []
+
+
+def test_import_loads_no_scipy_stats():
+    """The MANOVA takes its F tail from scipy.special; scipy.stats costs ~0.6 s to import."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import sys, sgwshape, sgwshape.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -574,6 +574,17 @@ class TestSweepAndPlots:
         assert code == 0
         self.assert_valid_svg(out)
 
+    def test_plot_sweep_reads_a_byte_order_mark(self, artifacts, tmp_path):
+        svgs = []
+        for name, prefix in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+            table = tmp_path / name / "sweep.csv"
+            table.parent.mkdir()
+            table.write_bytes(prefix + (artifacts / "sweep.csv").read_bytes())
+            out = tmp_path / name / "sweep.svg"
+            assert main(["plot", "sweep", str(table), "--out", str(out)]) == 0
+            svgs.append(out.read_bytes())
+        assert svgs[0] == svgs[1]
+
     def test_plot_gsgw(self, artifacts, dataset_dir, tmp_path):
         self.plot_gsgw(dataset_dir, tmp_path, "s,e")
 

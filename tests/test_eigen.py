@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 import sgwshape as sg
@@ -69,6 +70,20 @@ class TestSolveEigen:
         assert sparse.method == "sparse"
         scale = dense.eigenvalues[-1]
         assert np.abs(dense.eigenvalues - sparse.eigenvalues).max() < 1e-9 * scale
+
+    def test_sparse_keeps_degenerate_clusters_at_m2562(self):
+        # at m = 2562 the default k = 31 cuts the l = 5 band (indices 25-35), and an
+        # oversolve buffer of 4 drops a member there; the oracle is the dense solve of
+        # the same similarity-transformed matrix, restricted to its first k pairs
+        mesh = sg.make_synthetic("unit_sphere", 4)
+        stiffness, mass = sg.laplacian_matrices(mesh)
+        inv_sqrt = sp.diags(1.0 / np.sqrt(mass.diagonal()))
+        b = (inv_sqrt @ stiffness @ inv_sqrt).toarray()
+        expected = scipy.linalg.eigh((b + b.T) * 0.5, eigvals_only=True, subset_by_index=[0, 30])
+        sparse = sg.solve_eigen(stiffness, mass, 31, method="sparse")
+        assert mesh.m == 2562 and sparse.method == "sparse"
+        scale = expected[-1]
+        assert np.abs(np.maximum(expected, 0.0) - sparse.eigenvalues).max() < 1e-9 * scale
 
     def test_rigid_motion_preserves_spectrum(self, bumpy2, bumpy2_basis):
         rng = np.random.default_rng(3)

@@ -121,6 +121,20 @@ class TestManifest:
             ("tibia", "left"),
         ]
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # spreadsheets save "CSV UTF-8" with a leading BOM
+        plain = sg.make_two_class_manifest(tmp_path, n_per_group=2, subdivisions=0)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+        assert sg.DatasetManifest.load(marked) == sg.DatasetManifest.load(plain)
+
+    def test_rejects_bytes_that_are_not_utf8(self, tmp_path):
+        plain = sg.make_two_class_manifest(tmp_path, n_per_group=2, subdivisions=0)
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(Path(plain).read_bytes().replace(b"sphere", b"sph\xe9re", 1))
+        with pytest.raises(ParseError, match="not UTF-8 text"):
+            sg.DatasetManifest.load(latin1)
+
     def test_rejects_wrong_header(self, tmp_path):
         bad = tmp_path / "m.csv"
         bad.write_text("file,subject,group,bone,side\n")

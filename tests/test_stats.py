@@ -157,6 +157,26 @@ class TestManova:
         assert lam < 0.2
         assert p < 1e-6
 
+    @pytest.mark.parametrize("n_per, p, d", [(5, 1, None), (5, 3, 2), (8, 4, None), (13, 6, 3)])
+    @pytest.mark.parametrize("shift", [0.0, 0.8, 3.0])
+    def test_p_value_is_the_f_tail(self, n_per, p, d, shift):
+        from scipy.stats import f
+
+        data = gaussian_two_groups(n_per=n_per, p=p, shift=shift, seed=n_per * p)
+        lam, p_value, _ = sg.stats._manova(data, d)
+        d = p if d is None else d
+        dof2 = data.n - d - 1
+        f_stat = (dof2 / d) * (1.0 - lam) / lam
+        assert p_value == float(f.sf(f_stat, d, dof2))
+
+    def test_coinciding_group_means_give_p_one(self):
+        # both groups are centred on the origin, so Wilks' lambda is 1 and F is 0
+        x = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        data = sg.DataMatrix(np.vstack([x, 2.0 * x @ [[0.6, 0.8], [-0.8, 0.6]]]), "aaaabbbb")
+        lam, p = sg.manova_two_group(data)
+        assert lam == 1.0
+        assert p == 1.0
+
     def test_dimension_guard(self):
         data = gaussian_two_groups(n_per=3, p=5, seed=13)  # d = 5 > n - 2 = 4
         with pytest.raises(SingularScatter, match="reduce the dimension"):
