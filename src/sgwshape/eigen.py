@@ -11,6 +11,14 @@ shift-invert Lanczos one (scipy.sparse.linalg.eigsh, used for large meshes
 where only the low end of the spectrum is needed). ``method="auto"`` picks
 dense at or below 600 vertices.
 
+The sparse route's shift sigma is negative and B is positive semidefinite
+(W is the P1 finite-element stiffness matrix), so ``B - sigma I`` is
+positive definite. Its reverse Cuthill-McKee ordering has a narrow band,
+and Lanczos applies ``(B - sigma I)^{-1}`` through one LAPACK banded
+Cholesky factor (dpbtrf, then dpbtrs per vector). No such factor exists
+when B has an eigenvalue at or below sigma, or when B is zero (then sigma
+is zero); the solve is then rejected as not positive semidefinite.
+
 Determinism: the Lanczos starting vector is drawn from a fixed-seed
 generator, and every eigenvector's sign is normalized so its
 largest-magnitude entry is positive. Repeated solves on the same matrices
@@ -24,7 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
-from scipy.sparse.linalg import eigsh
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ConvergenceError, InvalidParam, NumericalError
 
@@ -100,6 +110,35 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
+def _shift_invert(b, sigma: float) -> LinearOperator:
+    """``x -> (B - sigma I)^{-1} x`` from one banded Cholesky factor.
+
+    C is the shifted matrix in reverse Cuthill-McKee order, stored in LAPACK
+    upper band form ``ab[bw + i - j, j] = C[i, j]`` for i <= j.
+    """
+    m = b.shape[0]
+    shifted = b - sigma * sparse.identity(m, format="csr")
+    perm = reverse_cuthill_mckee(shifted, symmetric_mode=True)
+    upper = sparse.triu(shifted[perm][:, perm]).tocoo()
+    bw = int(np.max(upper.col - upper.row, initial=0))
+    ab = np.zeros((bw + 1, m))
+    ab[bw + upper.row - upper.col, upper.col] = upper.data
+    factor, info = dpbtrf(ab, overwrite_ab=1)
+    if info != 0:
+        raise NumericalError(
+            f"the shifted matrix B - ({sigma:.3e}) I has no Cholesky factor "
+            f"(LAPACK dpbtrf info {info}); the stiffness matrix is not positive "
+            "semidefinite, or is zero"
+        )
+
+    def solve(x):
+        out = np.empty(m)
+        out[perm] = dpbtrs(factor, x[perm])[0]
+        return out
+
+    return LinearOperator((m, m), matvec=solve, dtype=np.float64)
+
+
 def solve_eigen(stiffness, mass, k: int, method: str = "auto") -> EigenBasis:
     """Compute the k smallest eigenpairs of ``W phi = lambda A phi``.
 
@@ -115,7 +154,8 @@ def solve_eigen(stiffness, mass, k: int, method: str = "auto") -> EigenBasis:
     ConvergenceError
         Lanczos failure, or a residual above 1e-8 on any returned pair.
     NumericalError
-        Eigenvalues negative beyond round-off.
+        Eigenvalues negative beyond round-off, or (sparse route) a shifted
+        matrix ``B - sigma I`` with no Cholesky factor.
     """
     w = sparse.csr_matrix(stiffness)
     m = w.shape[0]
@@ -154,18 +194,20 @@ def solve_eigen(stiffness, mass, k: int, method: str = "auto") -> EigenBasis:
         # max(2 * k_solve + 1, 20), then finds every member of a cluster
         # inside it.
         k_solve = min(k + _CLUSTER_BUFFER, m - 1)
-        diag_scale = float(np.mean(b.diagonal()))
+        sigma = -0.01 * float(np.mean(b.diagonal()))
         rng = np.random.default_rng(_LANCZOS_SEED)
         v0 = rng.standard_normal(m)
+        op_inv = _shift_invert(b, sigma)
         try:
             vals, vecs = eigsh(
                 b,
                 k=k_solve,
-                sigma=-0.01 * diag_scale,
+                sigma=sigma,
                 which="LM",
                 v0=v0,
                 tol=0,
                 maxiter=max(1000, 50 * k_solve),
+                OPinv=op_inv,
             )
         except Exception as exc:
             raise ConvergenceError(f"sparse eigensolver failed: {exc}") from exc

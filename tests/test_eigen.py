@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 import sgwshape as sg
 from sgwshape.errors import InvalidParam, NumericalError
+from sgwshape.gsgw import summarize
 
 from conftest import random_rotation
 
@@ -85,6 +86,32 @@ class TestSolveEigen:
         scale = expected[-1]
         assert np.abs(np.maximum(expected, 0.0) - sparse.eigenvalues).max() < 1e-9 * scale
 
+    def test_sparse_keeps_degenerate_clusters_at_m10242(self):
+        # at m = 10242 the l = 5 band splits into clusters of 5, 3 and 3 (near
+        # 29.915, 29.9295 and 29.9382), so k = 31 cuts a 3-fold cluster; a dense
+        # oracle would take 840 MB here, so the reference is a wider sparse solve
+        mesh = sg.make_synthetic("unit_sphere", 5)
+        stiffness, mass = sg.laplacian_matrices(mesh)
+        cut = sg.solve_eigen(stiffness, mass, 31, method="sparse")
+        wide = sg.solve_eigen(stiffness, mass, 48, method="sparse")
+        assert mesh.m == 10242 and cut.method == "sparse"
+        scale = cut.eigenvalues[-1]
+        assert np.abs(wide.eigenvalues[:31] - cut.eigenvalues).max() < 1e-9 * scale
+
+    def test_relabelled_vertices_give_the_same_spectrum(self):
+        # the sparse route's band ordering depends on the vertex labels; the
+        # eigenvalues and the area weights must not
+        mesh = sg.make_synthetic("bumpy_sphere", 3, seed=2)
+        order = np.random.default_rng(11).permutation(mesh.m)
+        new_label = np.argsort(order)
+        relabelled = sg.TriangleMesh(mesh.vertices[order], new_label[mesh.triangles])
+        assert mesh.m == 642
+        base = small_problem(mesh, k=31, method="sparse")
+        moved = small_problem(relabelled, k=31, method="sparse")
+        np.testing.assert_allclose(moved.eigenvalues[1:], base.eigenvalues[1:], rtol=1e-10)
+        assert moved.eigenvalues[0] < 1e-10 * moved.eigenvalues[-1]
+        np.testing.assert_allclose(summarize(moved).w_area, summarize(base).w_area, rtol=1e-9)
+
     def test_rigid_motion_preserves_spectrum(self, bumpy2, bumpy2_basis):
         rng = np.random.default_rng(3)
         moved = sg.rigid_transform(bumpy2, random_rotation(rng), rng.standard_normal(3))
@@ -127,6 +154,16 @@ class TestSolveEigen:
         mass = sp.identity(6, format="csr")
         with pytest.raises(NumericalError, match="negative"):
             sg.solve_eigen(stiffness, mass, 3)
+
+    @pytest.mark.parametrize(
+        "stiffness", [-sp.identity(20), sp.csr_matrix((20, 20))], ids=["minus-identity", "zero"]
+    )
+    def test_indefinite_operator_rejected_on_sparse_route(self, stiffness):
+        # the shifted matrix has no Cholesky factor; solving with a partial
+        # factor would hand Lanczos a wrong operator
+        mass = sp.identity(20, format="csr")
+        with pytest.raises(NumericalError, match="stiffness matrix is not positive semidefinite"):
+            sg.solve_eigen(stiffness, mass, 3, method="sparse")
 
 
 class TestEigenBasis:
