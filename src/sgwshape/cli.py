@@ -74,6 +74,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _one_job(text: str) -> int:
+    value = int(text)
+    if value != 1:
+        raise argparse.ArgumentTypeError(f"shapes run one at a time, so only 1 is accepted, "
+                                         f"got {value}")
+    return value
+
+
 def _check_output(args) -> None:
     """Reject the command's output path, of the wrong kind or under a file, before any work."""
     is_dir = hasattr(args, "out_dir")
@@ -91,7 +99,7 @@ def _config_from_args(args) -> RunConfig:
     """
     offered = {
         name: getattr(args, name)
-        for name in ("k", "R", "normalize", "cache_dir", "pca_dims", "n_perm", "seed", "jobs")
+        for name in ("k", "R", "normalize", "cache_dir", "pca_dims", "n_perm", "seed")
         if getattr(args, name, None) is not None
     }
     return RunConfig(
@@ -128,7 +136,11 @@ def _add_signature_flags(parser, grid=False):
 
 
 def _add_config_flags(parser, batch=True, grid=False):
-    """Descriptor flags: signature flags, --normalize, --cache-dir; batch adds stats, --jobs."""
+    """Descriptor flags: signature flags, --normalize, --cache-dir; batch adds the stats flags.
+
+    A batch command also parses a hidden --jobs that accepts only 1: existing
+    command lines pass --jobs 1, and shapes run one at a time.
+    """
     _add_signature_flags(parser, grid)
     if batch:
         parser.add_argument(
@@ -140,9 +152,7 @@ def _add_config_flags(parser, batch=True, grid=False):
             help="permutation count (default 1000)",
         )
         parser.add_argument("--seed", type=int, default=0, help="permutation seed (default 0)")
-        parser.add_argument(
-            "--jobs", type=_positive_int, default=1, help="shape-level parallelism (default 1)"
-        )
+        parser.add_argument("--jobs", type=_one_job, default=1, help=argparse.SUPPRESS)
     parser.add_argument(
         "--normalize", action="store_true", help="divide descriptors by total area"
     )
@@ -291,7 +301,7 @@ def _exit_code_for_failed_run(strata) -> int:
 def _cmd_compare(args) -> int:
     cfg = _config_from_args(args)
     _announce("compare", {"manifest": args.manifest, **cfg.science_dict(),
-                          "cache_dir": cfg.cache_dir, "jobs": cfg.jobs})
+                          "cache_dir": cfg.cache_dir})
     result = run_group_comparison(DatasetManifest.load(args.manifest), cfg)
     out = Path(args.out_dir)
     json_path = out / "report.json"
@@ -425,8 +435,24 @@ def _cmd_plot_sweep(args) -> int:
 # parser assembly
 
 
+class _ArgvError(Exception):
+    """An argument error, raised for main to report as argparse does or as one JSON line."""
+
+    def __init__(self, parser, message):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose errors raise _ArgvError; its subcommand parsers share the class."""
+
+    def error(self, message):
+        raise _ArgvError(self, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The sgwshape parser. An argument error raises _ArgvError, which main reports."""
+    parser = _Parser(
         prog="sgwshape",
         description="Spectral graph wavelet shape descriptors and group comparison.",
     )
@@ -546,25 +572,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _ArgvError as exc:
+        if "--json-errors" not in argv:
+            argparse.ArgumentParser.error(exc.parser, str(exc))  # usage and message, exit 2
+        _report_error(True, "ArgumentError", str(exc), 2)
+        raise SystemExit(2) from None
     try:
         _check_output(args)
         return args.func(args)
     except USAGE_ERRORS as exc:
-        _report_error(args, exc, 2)
+        _report_error(args.json_errors, type(exc).__name__, str(exc), 2)
         return 2
     except NUMERICAL_ERRORS as exc:
-        _report_error(args, exc, 3)
+        _report_error(args.json_errors, type(exc).__name__, str(exc), 3)
         return 3
 
 
-def _report_error(args, exc, code: int) -> None:
-    if getattr(args, "json_errors", False):
-        payload = {"error": str(exc), "kind": type(exc).__name__, "exit_code": code}
+def _report_error(json_errors: bool, kind: str, message: str, code: int) -> None:
+    if json_errors:
+        payload = {"error": message, "kind": kind, "exit_code": code}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     else:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,8 @@ line-numbered errors. Non-triangular faces are
 fan-triangulated on load; binary PLY is refused. Any malformed input
 raises ParseError. All loaders validate the result: indices in range, no
 degenerate (zero-area) triangles, no edge shared by more than two faces,
-no isolated vertices. Meshes with boundary are accepted.
+no isolated vertices, one connected component. Meshes with boundary are
+accepted.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidParam, ParseError, ValidationError
 from .outputs import _atomic_write_bytes
@@ -38,6 +41,9 @@ SYNTHETIC_KINDS = ("unit_sphere", "ellipsoid", "bumpy_sphere")
 # A triangle is degenerate when twice its area falls below this fraction of
 # the squared longest edge (dimensionless, scale-invariant).
 _DEGENERATE_REL_TOL = 1e-12
+
+# A disconnected mesh's error names this many component sizes, largest first.
+_SHOWN_COMPONENTS = 10
 
 _ORTHOGONALITY_TOL = 1e-10
 
@@ -60,7 +66,8 @@ class TriangleMesh:
     ------
     ValidationError
         Index out of range, repeated vertex inside a triangle, degenerate
-        triangle, edge shared by more than two faces, or isolated vertex.
+        triangle, edge shared by more than two faces, isolated vertex, or
+        more than one connected component.
     """
 
     __slots__ = ("vertices", "triangles")
@@ -119,6 +126,19 @@ class TriangleMesh:
         referenced[t.ravel()] = True
         if not referenced.all():
             raise ValidationError(f"vertex {int(np.flatnonzero(~referenced)[0])} is isolated")
+
+        # an island adds its own spectrum to the solved window, so the
+        # descriptor would change with no warning
+        adjacency = sparse.coo_matrix((np.ones(keys.size), divmod(keys, m)), shape=(m, m))
+        n_parts, labels = connected_components(adjacency, directed=False)
+        if n_parts > 1:
+            sizes = [str(size) for size in sorted(np.bincount(labels).tolist(), reverse=True)]
+            shown = ", ".join(sizes[:_SHOWN_COMPONENTS])
+            if n_parts > _SHOWN_COMPONENTS:
+                shown += f" and {n_parts - _SHOWN_COMPONENTS} more"
+            raise ValidationError(
+                f"mesh has {n_parts} connected components (vertex counts {shown})"
+            )
 
         v.setflags(write=False)
         t.setflags(write=False)

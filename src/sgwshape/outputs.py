@@ -16,9 +16,9 @@ def _atomic_write_bytes(path, payload: bytes) -> None:
     """Create path's parent, write a temp file beside path, rename it over path.
 
     The temp name carries the process and thread ids, so concurrent writers
-    of one blob (identical mesh files under two manifest paths) never
-    rename each other's file away; the last rename wins, and both payloads
-    are whole.
+    of one path (two processes sharing a cache directory, or a library
+    caller's own threads) never rename each other's file away; the last
+    rename wins, and both payloads are whole.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -14,8 +14,11 @@ cached under the SHA-256 of the mesh file's bytes plus lumping and solver
 method, one fixed-layout blob each (a key line, then 2K+1 float64 values),
 with atomic write-then-rename updates; a summary stored at K pairs serves
 any k <= K, and a blob of any other shape is a miss. A rerun against a warm
-cache parses no mesh, performs no eigensolves and produces byte-identical
-reports.
+cache parses no mesh and performs no eigensolves. Its reports are
+byte-identical to a cold run's when the cache was filled at the same k, or
+when every mesh takes the dense route. A sparse-route blob of K > k pairs is
+not: the sparse solver's first k pairs depend in the last bits on how many
+it solves, so they differ from those of a fresh k-pair solve.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import csv
 import hashlib
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -152,7 +154,6 @@ class RunConfig:
     normalize: bool = False
     method: str = "auto"
     cache_dir: str | None = None
-    jobs: int = 1
 
     def __post_init__(self):
         if self.k < 2:
@@ -163,8 +164,6 @@ class RunConfig:
             raise InvalidParam(f"pca_dims must be >= 1, got {self.pca_dims}")
         if self.n_perm < 1:
             raise InvalidParam(f"n_perm must be >= 1, got {self.n_perm}")
-        if self.jobs < 1:
-            raise InvalidParam(f"jobs must be >= 1, got {self.jobs}")
         if self.lumping not in LUMPING_SCHEMES:
             raise InvalidParam(
                 f"unknown lumping {self.lumping!r}; expected one of {LUMPING_SCHEMES}"
@@ -201,10 +200,6 @@ class RunDiagnostics:
 
     eigensolves: int = 0
     eigen_cache_hits: int = 0
-
-    def absorb(self, other: "RunDiagnostics") -> None:
-        self.eigensolves += other.eigensolves
-        self.eigen_cache_hits += other.eigen_cache_hits
 
 
 @dataclass(frozen=True)
@@ -388,33 +383,21 @@ def _summarize_meshes(manifest: DatasetManifest, cfg: RunConfig):
     failure is kept, not raised, so that every stratum listing the file
     reports it and the others still run.
     """
-    paths = list(
-        dict.fromkeys(
-            entry.path
-            for entries in manifest.strata().values()
-            if len(_groups(entries)) == 2
-            for entry in entries
-        )
+    paths = dict.fromkeys(
+        entry.path
+        for entries in manifest.strata().values()
+        if len(_groups(entries)) == 2
+        for entry in entries
     )
-
-    def one(path):
-        local = RunDiagnostics()
+    summaries = {}
+    diagnostics = RunDiagnostics()
+    for path in paths:
         try:
-            outcome = _summary_for_path(path, cfg, local)
+            summaries[path] = _summary_for_path(path, cfg, diagnostics)
         except SgwError as exc:
             stage = "load" if isinstance(exc, (ParseError, ValidationError)) else "descriptor"
-            outcome = (stage, exc)
-        return outcome, local
-
-    if cfg.jobs > 1 and len(paths) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(one, paths))
-    else:
-        outcomes = [one(path) for path in paths]
-    diagnostics = RunDiagnostics()
-    for _, local in outcomes:
-        diagnostics.absorb(local)
-    return dict(zip(paths, (outcome for outcome, _ in outcomes))), diagnostics
+            summaries[path] = (stage, exc)
+    return summaries, diagnostics
 
 
 class _StratumFailure(Exception):

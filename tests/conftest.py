@@ -26,6 +26,17 @@ def random_rotation(rng):
     return q * np.sign(np.diag(r))
 
 
+def write_two_tetrahedra(path):
+    """Write two disjoint tetrahedra, 4 vertices each, as one OFF file."""
+    tet = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    faces = [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]]
+    lines = ["OFF", "8 8 0"]
+    lines += [f"{x!r} {y!r} {z!r}" for x, y, z in np.vstack([tet, tet + 3.0]).tolist()]
+    lines += [f"3 {i + s} {j + s} {k + s}" for s in (0, 4) for i, j, k in faces]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 @pytest.fixture(scope="session")
 def icosphere2():
     return sg.make_synthetic("unit_sphere", 2)

@@ -283,7 +283,7 @@ def test_criterion_09_end_to_end_discrimination(tmp_path):
     cache = tmp_path / "cache"
 
     manifest = sg.DatasetManifest.load(sg.make_two_class_manifest(tmp_path / "two"))
-    cfg = sg.RunConfig(cache_dir=str(cache), jobs=4)
+    cfg = sg.RunConfig(cache_dir=str(cache))
     run = sg.run_group_comparison(manifest, cfg)
     comparison = run.strata[0].comparison
     detect_ok = (
@@ -298,7 +298,7 @@ def test_criterion_09_end_to_end_discrimination(tmp_path):
         path = sg.make_null_manifest(
             null_dir, mesh_seed=100, split_seed=split_seed
         )
-        null_cfg = sg.RunConfig(cache_dir=str(cache), jobs=4, seed=split_seed)
+        null_cfg = sg.RunConfig(cache_dir=str(cache), seed=split_seed)
         null_run = sg.run_group_comparison(sg.DatasetManifest.load(path), null_cfg)
         null_cmp = null_run.strata[0].comparison
         if null_cmp is not None and null_cmp.permutation_p >= 0.05:

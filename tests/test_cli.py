@@ -11,7 +11,9 @@ import pytest
 import sgwshape as sg
 import sgwshape.cli as cli
 import sgwshape.pipeline as pipeline
+from conftest import write_two_tetrahedra
 from sgwshape.cli import build_parser, main
+from sgwshape.mesh_io import read_mesh_bytes
 from sgwshape.svgplot import heatmap, line_plot
 
 FAST = ["--k", "10", "--R", "3", "--subdivisions", "1"]
@@ -126,6 +128,18 @@ class TestEigen:
         assert payload["exit_code"] == 2
         assert payload["kind"] == "ParseError"
         assert "ghost.off" in payload["error"]
+
+    def test_json_errors_covers_argument_errors(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--json-errors", "compare", "x.csv", "--jobs", "0",
+                  "--out-dir", str(tmp_path / "d")])
+        assert excinfo.value.code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {
+            "error": "argument --jobs: shapes run one at a time, so only 1 is accepted, got 0",
+            "kind": "ArgumentError",
+            "exit_code": 2,
+        }
 
 
 class TestSignatureAndGsgw:
@@ -353,6 +367,19 @@ class TestCompare:
         assert "not a directory" in capsys.readouterr().err
         assert solves == [] and not out_dir.exists()
 
+    def test_two_component_mesh_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        sg.make_two_class_manifest(data, n_per_group=3, subdivisions=1)
+        write_two_tetrahedra(data / "sphere_000.off")
+        out_dir = tmp_path / "out"
+        assert self.run_compare(data, out_dir) == 2
+        capsys.readouterr()
+        (stratum,) = json.loads((out_dir / "report.json").read_text())["strata"]
+        assert stratum["error"] == (
+            f"s000 [load]: {data / 'sphere_000.off'}: "
+            "mesh has 2 connected components (vertex counts 4, 4)"
+        )
+
     def test_bad_manifest_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "m.csv"
         bad.write_text("path,subject,group,bone,side\n")
@@ -394,6 +421,53 @@ class TestCompare:
         strata = {s["bone"]: s for s in json.loads((out_dir / "report.json").read_text())["strata"]}
         assert strata["hamate"]["error"] is None
         assert strata["lunate"]["error"].startswith(f"s001 [load]: {bad}:")
+
+
+class TestJobsFlag:
+    """--jobs still parses on compare and sweep, hidden, and accepts only 1."""
+
+    @staticmethod
+    def argv(command, dataset_dir, out_dir):
+        grid = ["--Rs", "2", "--ks-grid", "8"] if command == "sweep" else ["--k", "8", "--R", "2"]
+        return [command, str(dataset_dir / "manifest.csv"), *grid, "--pca-dims", "2",
+                "--n-perm", "10", "--out-dir", str(out_dir)]
+
+    @pytest.mark.parametrize("command", ["compare", "sweep"])
+    def test_other_than_one_exits_2_reading_nothing(
+        self, command, dataset_dir, tmp_path, capsys, monkeypatch
+    ):
+        read = []
+
+        def counting_read(path):
+            read.append(path)
+            return read_mesh_bytes(path)
+
+        monkeypatch.setattr(pipeline, "read_mesh_bytes", counting_read)
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main([*self.argv(command, dataset_dir, out_dir), "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "--jobs: shapes run one at a time, so only 1 is accepted, got 2" in (
+            capsys.readouterr().err
+        )
+        assert read == [] and not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["compare", "sweep"])
+    def test_one_writes_the_same_bytes(self, command, dataset_dir, tmp_path, capsys):
+        plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+        assert main(self.argv(command, dataset_dir, plain)) == 0
+        assert main([*self.argv(command, dataset_dir, flagged), "--jobs", "1"]) == 0
+        capsys.readouterr()
+        names = sorted(path.name for path in plain.iterdir())
+        assert names == sorted(path.name for path in flagged.iterdir())
+        for name in names:
+            assert (flagged / name).read_bytes() == (plain / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["compare", "sweep"])
+    def test_help_hides_it(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--jobs" not in capsys.readouterr().out
 
 
 class TestOutParent:

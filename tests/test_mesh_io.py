@@ -5,6 +5,7 @@ import pytest
 
 import sgwshape as sg
 import sgwshape.mesh_io as mesh_io
+from conftest import write_two_tetrahedra
 from sgwshape.cli import main
 from sgwshape.errors import InvalidParam, ParseError, ValidationError
 
@@ -115,6 +116,25 @@ class TestTriangleMesh:
         vertices = np.vstack([TET_VERTICES, [5.0, 5.0, 5.0]])
         with pytest.raises(ValidationError, match="isolated"):
             sg.TriangleMesh(vertices, TET_TRIANGLES)
+
+    def test_rejects_second_component(self):
+        # a 12-vertex icosahedron floating beside the tetrahedron
+        island = sg.make_synthetic("unit_sphere", 0)
+        vertices = np.vstack([TET_VERTICES, island.vertices + 5.0])
+        triangles = np.vstack([TET_TRIANGLES, island.triangles + 4])
+        with pytest.raises(
+            ValidationError, match=r"^mesh has 2 connected components \(vertex counts 12, 4\)$"
+        ):
+            sg.TriangleMesh(vertices, triangles)
+
+    def test_component_sizes_shown_are_capped(self):
+        vertices = np.random.default_rng(0).random((36, 3))
+        triangles = np.arange(36).reshape(12, 3)  # twelve separate triangles
+        with pytest.raises(
+            ValidationError,
+            match=r"^mesh has 12 connected components \(vertex counts 3(, 3){9} and 2 more\)$",
+        ):
+            sg.TriangleMesh(vertices, triangles)
 
     def test_triangle_areas(self):
         mesh = tetra()
@@ -415,6 +435,15 @@ def test_malformed_input_is_a_parse_error(tmp_path, capsys, case):
         sg.load_mesh(path)
     assert main(["gsgw", str(path), "--out", str(tmp_path / "g.csv")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_two_component_file_is_rejected(tmp_path, capsys):
+    path = write_two_tetrahedra(tmp_path / "two.off")
+    with pytest.raises(ValidationError, match=r"two.off: mesh has 2 connected components"):
+        sg.load_mesh(path)
+    assert main(["eigen", str(path), "--k", "2", "--out-dir", str(tmp_path / "e")]) == 2
+    assert "2 connected components (vertex counts 4, 4)" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
 
 
 class TestPlyHeader:
