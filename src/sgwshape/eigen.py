@@ -13,11 +13,15 @@ dense at or below 600 vertices.
 
 The sparse route's shift sigma is negative and B is positive semidefinite
 (W is the P1 finite-element stiffness matrix), so ``B - sigma I`` is
-positive definite. Its reverse Cuthill-McKee ordering has a narrow band,
-and Lanczos applies ``(B - sigma I)^{-1}`` through one LAPACK banded
-Cholesky factor (dpbtrf, then dpbtrs per vector). No such factor exists
-when B has an eigenvalue at or below sigma, or when B is zero (then sigma
-is zero); the solve is then rejected as not positive semidefinite.
+positive definite. B's reverse Cuthill-McKee ordering has a narrow band, and
+the whole Lanczos solve runs in that order: the upper triangle of B goes
+straight into LAPACK band storage, sigma comes off its diagonal row, and
+one banded Cholesky factor (dpbtrf) serves every application of
+``(B - sigma I)^{-1}`` as a bare dpbtrs call. The starting vector enters
+in band order and the eigenvectors return to vertex order once, after the
+solve. No such factor exists when B has an eigenvalue at or below sigma,
+or when B is zero (then sigma is zero); the solve is then rejected as not
+positive semidefinite.
 
 Determinism: the Lanczos starting vector is drawn from a fixed-seed
 generator, and every eigenvector's sign is normalized so its
@@ -110,19 +114,27 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def _shift_invert(b, sigma: float) -> LinearOperator:
-    """``x -> (B - sigma I)^{-1} x`` from one banded Cholesky factor.
+def _shift_invert(b, sigma: float) -> tuple[LinearOperator, np.ndarray]:
+    """``x -> (B - sigma I)^{-1} x`` in band order, from one banded Cholesky factor.
 
-    C is the shifted matrix in reverse Cuthill-McKee order, stored in LAPACK
-    upper band form ``ab[bw + i - j, j] = C[i, j]`` for i <= j.
+    Returns the operator and the reverse Cuthill-McKee order ``perm`` of B:
+    the operator acts on vectors indexed in that order, so band position i
+    holds vertex ``perm[i]``. C is the shifted matrix in that order, stored in
+    LAPACK upper band form ``ab[bw + i - j, j] = C[i, j]`` for i <= j and
+    filled straight from the entries of B.
     """
     m = b.shape[0]
-    shifted = b - sigma * sparse.identity(m, format="csr")
-    perm = reverse_cuthill_mckee(shifted, symmetric_mode=True)
-    upper = sparse.triu(shifted[perm][:, perm]).tocoo()
-    bw = int(np.max(upper.col - upper.row, initial=0))
+    perm = reverse_cuthill_mckee(b, symmetric_mode=True)
+    rank = np.empty(m, dtype=np.intp)
+    rank[perm] = np.arange(m)
+    entries = b.tocoo()
+    row, col = rank[entries.row], rank[entries.col]
+    upper = row <= col
+    row, col = row[upper], col[upper]
+    bw = int(np.max(col - row, initial=0))
     ab = np.zeros((bw + 1, m))
-    ab[bw + upper.row - upper.col, upper.col] = upper.data
+    ab[bw + row - col, col] = entries.data[upper]
+    ab[bw] -= sigma
     factor, info = dpbtrf(ab, overwrite_ab=1)
     if info != 0:
         raise NumericalError(
@@ -130,13 +142,8 @@ def _shift_invert(b, sigma: float) -> LinearOperator:
             f"(LAPACK dpbtrf info {info}); the stiffness matrix is not positive "
             "semidefinite, or is zero"
         )
-
-    def solve(x):
-        out = np.empty(m)
-        out[perm] = dpbtrs(factor, x[perm])[0]
-        return out
-
-    return LinearOperator((m, m), matvec=solve, dtype=np.float64)
+    op = LinearOperator((m, m), matvec=lambda x: dpbtrs(factor, x)[0], dtype=np.float64)
+    return op, perm
 
 
 def solve_eigen(stiffness, mass, k: int, method: str = "auto") -> EigenBasis:
@@ -197,14 +204,16 @@ def solve_eigen(stiffness, mass, k: int, method: str = "auto") -> EigenBasis:
         sigma = -0.01 * float(np.mean(b.diagonal()))
         rng = np.random.default_rng(_LANCZOS_SEED)
         v0 = rng.standard_normal(m)
-        op_inv = _shift_invert(b, sigma)
+        op_inv, perm = _shift_invert(b, sigma)
         try:
-            vals, vecs = eigsh(
-                b,
+            # Lanczos runs in band order; with OPinv given, eigsh reads only the
+            # shape and dtype of its first argument
+            vals, band_vecs = eigsh(
+                op_inv,
                 k=k_solve,
                 sigma=sigma,
                 which="LM",
-                v0=v0,
+                v0=v0[perm],
                 tol=0,
                 maxiter=max(1000, 50 * k_solve),
                 OPinv=op_inv,
@@ -212,7 +221,9 @@ def solve_eigen(stiffness, mass, k: int, method: str = "auto") -> EigenBasis:
         except Exception as exc:
             raise ConvergenceError(f"sparse eigensolver failed: {exc}") from exc
         order = np.argsort(vals)[:k]
-        vals, vecs = vals[order], vecs[:, order]
+        vals = vals[order]
+        vecs = np.empty((m, k))
+        vecs[perm] = band_vecs[:, order]
 
     scale = max(abs(float(vals[0])), abs(float(vals[-1])), 1.0)
     if vals[0] < -_NEGATIVE_REL_TOL * scale:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemv
 
 from .eigen import EigenBasis
 from .errors import DimensionMismatch, InvalidParam
@@ -133,7 +134,11 @@ def summarize(basis: EigenBasis) -> SpectralSummary:
     a = basis.vertex_areas
     if (a <= 0).any():
         raise InvalidParam("vertex areas must be positive")
-    return SpectralSummary(basis.eigenvalues, (basis.eigenvectors**2).T @ a**3, float(a.sum()))
+    # einsum's own loop, not a BLAS product: no call into numpy's OpenBLAS thread pool
+    # (see the stats module), and no dependence on the thread count (the BLAS product
+    # of this shape changed with it at m = 40962, k = 60)
+    w_area = np.einsum("ij,i->j", basis.eigenvectors**2, a**3)
+    return SpectralSummary(basis.eigenvalues, w_area, float(a.sum()))
 
 
 def descriptor_from_summary(
@@ -148,7 +153,9 @@ def descriptor_from_summary(
     ``aggregate``.
     """
     weights = summary.w_area if area_factor else np.ones(summary.k)
-    g = _kernel_rows(summary.eigenvalues, R) @ weights
+    # scipy's BLAS, not numpy's (see summarize); the transposed view of the C-ordered
+    # rows is Fortran-ordered, so nothing is copied, and each entry is one dot product
+    g = dgemv(1.0, _kernel_rows(summary.eigenvalues, R).T, weights, trans=1)
     if normalize:
         g = g / summary.total_area
     return GsgwVector(g, R=R)

@@ -525,6 +525,10 @@ def parameter_sweep(manifest: DatasetManifest, cfg: RunConfig, Rs, ks) -> SweepR
     ks = [int(k) for k in ks]
     if not Rs or not ks:
         raise InvalidParam("sweep needs at least one R and one k")
+    for name, values in (("R", Rs), ("k", ks)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise InvalidParam(f"sweep grid lists {name} = {repeated[0]} more than once")
     # RunConfig validates every cell before any mesh is loaded
     grid = [replace(cfg, R=r, k=k) for r in Rs for k in ks]
 

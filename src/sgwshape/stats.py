@@ -9,7 +9,10 @@ Each comparison takes its basis from one SVD of the centred descriptor
 matrix: its first d left singular vectors span the top-d PCA scores, and
 Wilks' lambda is invariant under a rotation of that basis. The singular
 values are the one rank check: those under 1e-8 of the largest are
-round-off, and a d above the numerical rank raises SingularScatter.
+round-off, and a d above the numerical rank raises SingularScatter. The SVD
+is scipy's, as is every BLAS and LAPACK call of the eigensolver: the numpy
+and scipy wheels each bundle an OpenBLAS with its own thread pool, and a
+pool's worker left spinning after a call slows the other pool's calls.
 
 Wilks' lambda is det(E) / det(E + H) with E the within-group and H the
 between-group scatter matrix; smaller values mean stronger separation.
@@ -34,6 +37,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 
 import numpy as np
+from scipy import linalg
 from scipy.special import fdtrc
 
 from .errors import GroupCountError, InvalidParam, SgwError, SingularScatter
@@ -140,7 +144,7 @@ def pca_reduce(data: DataMatrix, d: int) -> DataMatrix:
     """
     _check_pca_dims(data, d)
     centered = data.X - data.X.mean(axis=0)
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
+    _, _, vt = linalg.svd(centered, full_matrices=False, check_finite=False)
     components = vt[:d]
     lead = np.abs(components).argmax(axis=1)
     signs = np.sign(components[np.arange(d), lead])
@@ -156,7 +160,7 @@ def _group_basis(X: np.ndarray, d: int | None = None) -> np.ndarray:
     if not np.isfinite(X).all():
         raise SingularScatter("X contains non-finite entries")
     d = X.shape[1] if d is None else d
-    u, s, _ = np.linalg.svd(X - X.mean(axis=0), full_matrices=False)
+    u, s, _ = linalg.svd(X - X.mean(axis=0), full_matrices=False, check_finite=False)
     rank = int(np.count_nonzero(s > _RANK_FLOOR * s[0]))
     if rank < d:
         raise SingularScatter(

@@ -604,6 +604,25 @@ class TestSweepAndPlots:
              "--pca-dims", "2", "--n-perm", "10", "--out-dir", str(out_dir), *extra]
         )
 
+    def test_repeated_grid_value_exits_2_reading_nothing(
+        self, dataset_dir, tmp_path, capsys, monkeypatch
+    ):
+        read = []
+
+        def counting_read(path):
+            read.append(path)
+            return read_mesh_bytes(path)
+
+        monkeypatch.setattr(pipeline, "read_mesh_bytes", counting_read)
+        code = main(
+            ["sweep", str(dataset_dir / "manifest.csv"), "--Rs", "10,10", "--ks-grid", "5,5",
+             "--pca-dims", "2", "--n-perm", "10", "--out-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert "error: sweep grid lists R = 10 more than once" in capsys.readouterr().err
+        assert read == []
+        assert not (tmp_path / "sweep.csv").exists()
+
     @pytest.mark.parametrize(
         "flag, value, grid_flag", [("--k", "5", "--ks-grid"), ("--R", "4", "--Rs")]
     )

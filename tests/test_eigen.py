@@ -98,6 +98,21 @@ class TestSolveEigen:
         scale = cut.eigenvalues[-1]
         assert np.abs(wide.eigenvalues[:31] - cut.eigenvalues).max() < 1e-9 * scale
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sparse_matches_dense_pair_by_pair(self, seed):
+        # the sparse route solves in band order and puts the eigenvectors back in
+        # vertex order; a wrong reordering moves the vectors and the area weights
+        mesh = sg.make_synthetic("bumpy_sphere", 3, seed=seed)
+        dense = small_problem(mesh, k=31, method="dense")
+        sparse = small_problem(mesh, k=31, method="sparse")
+        assert mesh.m == 642 and sparse.method == "sparse"
+        scale = dense.eigenvalues[-1]
+        assert np.abs(sparse.eigenvalues - dense.eigenvalues).max() <= 1e-12 * scale
+        np.testing.assert_allclose(summarize(sparse).w_area, summarize(dense).w_area, rtol=1e-10)
+        np.testing.assert_allclose(
+            np.abs(sparse.eigenvectors[:, :9]), np.abs(dense.eigenvectors[:, :9]), rtol=0, atol=1e-8
+        )
+
     def test_relabelled_vertices_give_the_same_spectrum(self):
         # the sparse route's band ordering depends on the vertex labels; the
         # eigenvalues and the area weights must not

@@ -140,6 +140,12 @@ class TestClosedForm:
         phi, a = bumpy2_basis.eigenvectors, bumpy2_basis.vertex_areas
         assert np.abs((phi**2).T @ a - 1.0).max() <= 1e-14
 
+    def test_area_weights_equal_the_matrix_product(self, bumpy2_basis):
+        # summarize sums without BLAS; the product (phi^2)^T a^3 is the reference
+        phi, a = bumpy2_basis.eigenvectors, bumpy2_basis.vertex_areas
+        got = summarize(bumpy2_basis).w_area
+        np.testing.assert_allclose(got, (phi**2).T @ a**3, rtol=1e-13, atol=0)
+
     def test_no_area_factor_depends_on_eigenvalues_alone(self, bumpy2_file):
         cfg = sg.RunConfig(k=31, R=6, area_factor=False)
         got = sg.gsgw_for_mesh(bumpy2_file, cfg)

@@ -458,6 +458,16 @@ class TestRunGroupComparison:
         warm = sg.run_group_comparison(manifest, sg.RunConfig(k=11, pca_dims=2, cache_dir=cache))
         assert warm.report_dict() == cold.report_dict()
 
+    def test_no_call_reaches_numpys_lapack(self, two_class, small_run, tmp_path, monkeypatch):
+        # numpy's and scipy's wheels bundle separate OpenBLAS thread pools; the
+        # eigensolver and the stats run in scipy's alone
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.svd was called")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        cfg = sg.RunConfig(cache_dir=str(tmp_path / "cache"), **SMALL)
+        assert sg.run_group_comparison(two_class, cfg).report_dict() == small_run.report_dict()
+
     def test_warm_run_parses_nothing(self, two_class, tmp_path, monkeypatch):
         parsed = []
 
@@ -780,6 +790,22 @@ class TestParameterSweep:
             sg.parameter_sweep(two_class, cfg, Rs=[], ks=[10])
         with pytest.raises(InvalidParam):
             sg.parameter_sweep(two_class, cfg, Rs=[3], ks=[1])
+
+    @pytest.mark.parametrize(
+        "Rs, ks, message",
+        [([3, 3], [10], "R = 3"), ([2, 3], [8, 10, 8], "k = 8"), ([10, 10], [5, 5], "R = 10")],
+    )
+    def test_repeated_grid_value_reads_no_mesh(self, two_class, monkeypatch, Rs, ks, message):
+        read = []
+
+        def counting_read(path):
+            read.append(path)
+            return read_mesh_bytes(path)
+
+        monkeypatch.setattr(pipeline, "read_mesh_bytes", counting_read)
+        with pytest.raises(InvalidParam, match=f"sweep grid lists {message} more than once"):
+            sg.parameter_sweep(two_class, sg.RunConfig(**SMALL), Rs=Rs, ks=ks)
+        assert read == []
 
 
 class TestSyntheticPopulations:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -383,18 +384,30 @@ class TestCompareCells:
 
     def test_one_svd_per_live_cell(self, monkeypatch):
         calls = []
-        svd = np.linalg.svd
+        svd = scipy.linalg.svd
 
         def counting(*args, **kwargs):
             calls.append(args[0].shape)
             return svd(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        monkeypatch.setattr(scipy.linalg, "svd", counting)
         datas = self.cells()
         datas.append(sg.DataMatrix(datas[0].X[:, :1], datas[0].labels))  # no 2-d PCA: no SVD
         results = sg.stats.compare_cells(datas, 2, 300, 0)
         assert [isinstance(result, SgwError) for result in results] == [False] * 3 + [True]
         assert calls == [data.X.shape for data in datas[:3]]
+
+    def test_no_call_reaches_numpys_lapack(self, monkeypatch):
+        # numpy's and scipy's wheels bundle separate OpenBLAS thread pools; every
+        # SVD goes through scipy's, the one the eigensolver uses
+        expected = sg.stats.compare_cells(self.cells(), 2, 300, 0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.svd was called")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        assert sg.stats.compare_cells(self.cells(), 2, 300, 0) == expected
+        assert sg.pca_reduce(self.cells()[0], 2).X.shape == (16, 2)
 
     @pytest.mark.parametrize(
         "d, groups, error, match",
