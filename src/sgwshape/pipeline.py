@@ -13,12 +13,13 @@ descriptor then follows in closed form from a summary, so a sweep over
 cached under the SHA-256 of the mesh file's bytes plus lumping and solver
 method, one fixed-layout blob each (a key line, then 2K+1 float64 values),
 with atomic write-then-rename updates; a summary stored at K pairs serves
-any k <= K, and a blob of any other shape is a miss. A rerun against a warm
-cache parses no mesh and performs no eigensolves. Its reports are
-byte-identical to a cold run's when the cache was filled at the same k, or
-when every mesh takes the dense route. A sparse-route blob of K > k pairs is
-not: the sparse solver's first k pairs depend in the last bits on how many
-it solves, so they differ from those of a fresh k-pair solve.
+any k <= K, and a blob of any other shape, or of values no solve writes
+(see _summary_for_path), is a miss. A rerun against a warm cache parses no
+mesh and performs no eigensolves. Its reports are byte-identical to a cold
+run's when the cache was filled at the same k, or when every mesh takes the
+dense route. A sparse-route blob of K > k pairs is not: the sparse solver's
+first k pairs depend in the last bits on how many it solves, so they differ
+from those of a fresh k-pair solve.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -177,18 +178,8 @@ class RunConfig:
             raise InvalidParam(f"cache_dir {self.cache_dir} exists and is not a directory")
 
     def science_dict(self) -> dict:
-        """The parameters that determine results (reported verbatim)."""
-        return {
-            "k": self.k,
-            "R": self.R,
-            "pca_dims": self.pca_dims,
-            "n_perm": self.n_perm,
-            "seed": self.seed,
-            "lumping": self.lumping,
-            "area_factor": self.area_factor,
-            "normalize": self.normalize,
-            "method": self.method,
-        }
+        """The parameters that determine results (reported verbatim): all but cache_dir."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "cache_dir"}
 
 
 @dataclass
@@ -316,10 +307,12 @@ def _summary_for_path(path, cfg: RunConfig, diagnostics: RunDiagnostics) -> Spec
     The cache key is the SHA-256 of the file's bytes plus lumping and
     method. A blob is one head line naming that key, then little-endian
     float64 values: the total area, K eigenvalues and K area weights. It is
-    a hit only when its head line is exactly the expected one and its body
-    holds 2K+1 floats with K >= cfg.k; a hit is returned whole without
-    parsing the file. Anything else is a miss, which parses the very bytes
-    that were hashed, solves exactly cfg.k pairs and replaces the blob.
+    a hit only when its head line is exactly the expected one, its body
+    holds 2K+1 floats with K >= cfg.k, and those are values a solve could
+    have written: all finite, a total area > 0, eigenvalues that start at
+    >= 0 and do not descend, and weights >= 0. A hit is returned whole
+    without parsing the file. Anything else is a miss, which parses the very
+    bytes that were hashed, solves exactly cfg.k pairs and replaces the blob.
     """
     data = read_mesh_bytes(path)
     cache_path = None
@@ -336,8 +329,16 @@ def _summary_for_path(path, cfg: RunConfig, diagnostics: RunDiagnostics) -> Spec
         if blob.startswith(head) and not ragged and n_floats % 2 and n_floats >= 2 * cfg.k + 1:
             values = np.frombuffer(blob, dtype="<f8", offset=len(head))
             k = n_floats // 2
-            diagnostics.eigen_cache_hits += 1
-            return SpectralSummary(values[1 : k + 1], values[k + 1 :], float(values[0]))
+            total_area, eigenvalues, w_area = values[0], values[1 : k + 1], values[k + 1 :]
+            if (
+                np.isfinite(values).all()
+                and total_area > 0
+                and eigenvalues[0] >= 0
+                and (eigenvalues[1:] >= eigenvalues[:-1]).all()
+                and w_area.min() >= 0
+            ):
+                diagnostics.eigen_cache_hits += 1
+                return SpectralSummary(eigenvalues, w_area, float(total_area))
 
     stiffness, mass = laplacian_matrices(parse_mesh(data, path), lumping=cfg.lumping)
     summary = summarize(solve_eigen(stiffness, mass, cfg.k, method=cfg.method))
@@ -400,38 +401,32 @@ def _summarize_meshes(manifest: DatasetManifest, cfg: RunConfig):
     return summaries, diagnostics
 
 
-class _StratumFailure(Exception):
-    def __init__(self, message: str, kind: str):
-        super().__init__(message)
-        self.kind = kind
-
-
-def _shape_failure(subject: str, stage: str, exc: SgwError) -> _StratumFailure:
+def _failure(base: dict, error: str, exc: SgwError) -> StratumResult:
+    """The failed StratumResult that reports error, of the kind of exc."""
     kind = "numerical" if isinstance(exc, NUMERICAL_ERRORS) else "usage"
-    return _StratumFailure(f"{subject} [{stage}]: {exc}", kind)
+    return StratumResult(**base, error=error, error_kind=kind)
 
 
-def _stats_failure(base: dict, exc: SgwError) -> StratumResult:
-    kind = "numerical" if isinstance(exc, NUMERICAL_ERRORS) else "usage"
-    return StratumResult(**base, error=f"[stats] {exc}", error_kind=kind)
+def _cell_matrix(entries, summaries: dict, cfg: RunConfig, base: dict):
+    """The stratum's descriptor matrix under cfg, or the StratumResult of its first failure.
 
-
-def _descriptor_rows(entries, summaries: dict, cfg: RunConfig) -> list:
-    """Descriptor values of the stratum's entries, in order.
-
-    Raises the first shape error annotated with subject and stage.
+    A shape's failure names its subject and stage, and the first in manifest
+    order wins; a matrix that stats rejects fails as a whole.
     """
     rows = []
     for entry in entries:
         outcome = summaries[entry.path]
         if isinstance(outcome, tuple):
             stage, exc = outcome
-            raise _shape_failure(entry.subject, stage, exc) from exc
+            return _failure(base, f"{entry.subject} [{stage}]: {exc}", exc)
         try:
             rows.append(_descriptor(outcome, cfg).values)
         except SgwError as exc:
-            raise _shape_failure(entry.subject, "descriptor", exc) from exc
-    return rows
+            return _failure(base, f"{entry.subject} [descriptor]: {exc}", exc)
+    try:
+        return stats.DataMatrix(np.vstack(rows), labels=tuple(entry.group for entry in entries))
+    except SgwError as exc:
+        return _failure(base, f"[stats] {exc}", exc)
 
 
 def _compare_strata(manifest: DatasetManifest, summaries: dict, grid: list) -> list:
@@ -456,16 +451,8 @@ def _compare_strata(manifest: DatasetManifest, summaries: dict, grid: list) -> l
             error = f"need exactly 2 groups, found {len(groups)}: {list(groups)}"
             columns.append([StratumResult(**base, error=error, error_kind="usage")] * len(grid))
             continue
-        labels = tuple(entry.group for entry in entries)
-        outcomes = []  # per cell: a DataMatrix to compare, or its finished StratumResult
-        for cell_cfg in grid:
-            try:
-                rows = _descriptor_rows(entries, summaries, cell_cfg)
-                outcomes.append(stats.DataMatrix(np.vstack(rows), labels=labels))
-            except _StratumFailure as exc:
-                outcomes.append(StratumResult(**base, error=str(exc), error_kind=exc.kind))
-            except SgwError as exc:
-                outcomes.append(_stats_failure(base, exc))
+        # per cell: a DataMatrix to compare, or its finished StratumResult
+        outcomes = [_cell_matrix(entries, summaries, cell_cfg, base) for cell_cfg in grid]
         live = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, stats.DataMatrix)]
         compared = stats.compare_cells(
             [outcomes[i] for i in live],
@@ -473,7 +460,7 @@ def _compare_strata(manifest: DatasetManifest, summaries: dict, grid: list) -> l
         )
         for i, result in zip(live, compared):
             outcomes[i] = (
-                _stats_failure(base, result)
+                _failure(base, f"[stats] {result}", result)
                 if isinstance(result, SgwError)
                 else StratumResult(**base, comparison=result)
             )

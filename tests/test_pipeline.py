@@ -52,6 +52,13 @@ def _earlier_format_blob(head, body):
     return text + b"".join(arr.tobytes() for arr in arrays.values())
 
 
+def _with_value(body, index, value):
+    """A blob body (total area, K eigenvalues, K weights) with float index set to value."""
+    values = np.frombuffer(body, dtype="<f8").copy()
+    values[index] = value
+    return values.tobytes()
+
+
 # each maps a valid blob's (head line, body) to a malformed blob
 MALFORMED_BLOBS = {
     "not-a-cache-file": lambda head, body: b"not a cache file",
@@ -62,7 +69,23 @@ MALFORMED_BLOBS = {
     "trailing-byte": lambda head, body: head + b"\n" + body + b"\0",
     "empty-file": lambda head, body: b"",
     "head-line-only": lambda head, body: head + b"\n",
+    # the right shape, but values that no solve writes
+    "nan-eigenvalue": lambda head, body: head + b"\n" + _with_value(body, 3, np.nan),
+    "infinite-weight": lambda head, body: head + b"\n" + _with_value(body, -1, np.inf),
+    "zero-total-area": lambda head, body: head + b"\n" + _with_value(body, 0, 0.0),
+    "negative-total-area": lambda head, body: head + b"\n" + _with_value(body, 0, -1.0),
+    "negative-first-eigenvalue": lambda head, body: head + b"\n" + _with_value(body, 1, -1e-300),
+    "descending-eigenvalues": lambda head, body: head + b"\n" + _with_value(body, 3, 0.0),
+    "negative-weight": lambda head, body: head + b"\n" + _with_value(body, -1, -1e-300),
 }
+
+
+def _set_blob_value(blob_path, index, value):
+    """Overwrite float index of the blob's body with value; returns the blob's earlier bytes."""
+    written = blob_path.read_bytes()
+    head, body = written.split(b"\n", 1)
+    blob_path.write_bytes(head + b"\n" + _with_value(body, index, value))
+    return written
 
 
 def _malform(blob_path, case):
@@ -310,6 +333,20 @@ class TestDescriptorCache:
         assert diag.eigensolves == 1 and diag.eigen_cache_hits == 0
         np.testing.assert_array_equal(again.values, reference.values)
 
+    def test_tied_eigenvalues_and_a_zero_weight_are_a_hit(self, tmp_path):
+        mesh = bumpy_file(tmp_path)
+        cache = tmp_path / "cache"
+        cfg = sg.RunConfig(cache_dir=str(cache), **SMALL)
+        gsgw_for_mesh(mesh, cfg, RunDiagnostics())
+
+        (blob,) = cache.glob("*.sgwc")
+        values = np.frombuffer(blob.read_bytes().split(b"\n", 1)[1], dtype="<f8")
+        _set_blob_value(blob, 3, values[2])
+        _set_blob_value(blob, cfg.k + 3, 0.0)
+        diag = RunDiagnostics()
+        gsgw_for_mesh(mesh, cfg, diag)
+        assert diag.eigensolves == 0 and diag.eigen_cache_hits == 1
+
     def test_blob_layout(self, tmp_path):
         mesh = bumpy_file(tmp_path)
         cache = tmp_path / "cache"
@@ -503,6 +540,19 @@ class TestRunGroupComparison:
         assert again.diagnostics.eigen_cache_hits == 5
         assert again.report_dict() == cold.report_dict()
 
+    def test_blob_of_values_no_solve_gives_is_rewritten(self, two_class, tmp_path):
+        # a NaN eigenvalue in the cache used to fail the descriptor of every later run
+        cfg = sg.RunConfig(cache_dir=str(tmp_path / "cache"), **SMALL)
+        cold = sg.run_group_comparison(two_class, cfg)
+        blob = sorted((tmp_path / "cache").glob("*.sgwc"))[0]
+        written = _set_blob_value(blob, 3, np.nan)
+
+        warm = sg.run_group_comparison(two_class, cfg)
+        assert warm.diagnostics.eigensolves == 1
+        assert warm.diagnostics.eigen_cache_hits == 5
+        assert warm.report_dict() == cold.report_dict()
+        assert blob.read_bytes() == written
+
     def test_single_group_stratum_is_skipped(self, tmp_path):
         mesh_path = tmp_path / "m.off"
         sg.write_mesh(sg.make_synthetic("unit_sphere", 1), mesh_path)
@@ -672,6 +722,62 @@ class TestReports:
         )
         result = sg.RunResult(strata=(stratum,), config=sg.RunConfig(**SMALL))
         assert "skipped: need exactly 2 groups" in result.summary_table()
+
+
+class TestFailedStrata:
+    """A stratum that cannot be compared: its row from compare and from each sweep cell."""
+
+    @staticmethod
+    def assert_fails_alike(directory, rows, error):
+        """Load the manifest of rows (path, subject, group); every result carries error."""
+        manifest_path = directory / "failing.csv"
+        lines = [",".join(pipeline.MANIFEST_HEADER)]
+        lines += [f"{path},{subject},{group},synthetic,left" for path, subject, group in rows]
+        manifest_path.write_text("\n".join(lines) + "\n")
+        manifest = sg.DatasetManifest.load(manifest_path)
+        cfg = sg.RunConfig(**SMALL)
+
+        (compared,) = sg.run_group_comparison(manifest, cfg).strata
+        sweep = sg.parameter_sweep(manifest, cfg, Rs=[2, 3], ks=[8, 10])
+        assert len(sweep.cells) == 4
+        for stratum in (compared, *(cell.stratum for cell in sweep.cells)):
+            assert stratum.comparison is None
+            assert stratum.error == error
+            assert stratum.error_kind == "usage"
+
+    @pytest.mark.parametrize(
+        "n_spheres, error",
+        [
+            (2, "[stats] need at least 4 rows, got 3"),
+            (3, "[stats] group 'ellipsoid' has fewer than 2 members"),
+        ],
+    )
+    def test_stats_rejects_the_matrix(self, tmp_path, n_spheres, error):
+        # n_spheres spheres and one ellipsoid
+        sg.make_two_class_manifest(tmp_path, n_per_group=3, subdivisions=1)
+        rows = [(f"sphere_{i:03d}.off", f"s{i}", "sphere") for i in range(n_spheres)]
+        rows.append(("ellipsoid_000.off", "e0", "ellipsoid"))
+        self.assert_fails_alike(tmp_path, rows, error)
+
+    def test_first_bad_mesh_in_manifest_order_names_the_error(self, tmp_path):
+        sg.make_two_class_manifest(tmp_path, n_per_group=3, subdivisions=1)
+        lines = (tmp_path / "sphere_000.off").read_text().splitlines(keepends=True)
+        truncated = "".join(lines[: len(lines) // 2])
+        # the later shape in the manifest sorts first by path and by subject
+        (tmp_path / "z_bad.off").write_text(truncated)
+        (tmp_path / "a_bad.off").write_text(truncated)
+        rows = [
+            ("z_bad.off", "s9", "sphere"),
+            ("sphere_001.off", "s2", "sphere"),
+            ("a_bad.off", "s1", "ellipsoid"),
+            ("ellipsoid_001.off", "s3", "ellipsoid"),
+        ]
+        bad = tmp_path / "z_bad.off"
+        error = (
+            f"s9 [load]: {bad}:2: face count 80 exceeds the file's 62 lines "
+            "(truncated or corrupt file)"
+        )
+        self.assert_fails_alike(tmp_path, rows, error)
 
 
 class TestParameterSweep:
