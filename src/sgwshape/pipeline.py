@@ -6,10 +6,12 @@ analyzed independently: global descriptors of its meshes, then the PCA +
 MANOVA + permutation chain. Failures stay local to their stratum and are
 recorded in the report instead of aborting the run.
 
-Each mesh file is read, eigensolved and reduced to its spectral summary
-(eigenvalues, area weights and total area, see ``gsgw``) once per run; every
-descriptor then follows in closed form from a summary, so a sweep over
-(R, k) costs O(pk) per shape and cell after that single pass. Summaries are
+A run walks the strata once, in sorted order. A stratum with two groups
+reads, eigensolves and reduces to its spectral summary (eigenvalues, area
+weights and total area, see ``gsgw``) each mesh file that no earlier stratum
+did, then compares its cells. Every descriptor follows in closed form from a
+summary, so a sweep over (R, k) costs O(pk) per shape and cell after each
+file's one solve. Summaries are
 cached under the SHA-256 of the mesh file's bytes plus lumping and solver
 method, one fixed-layout blob each (a key line, then 2K+1 float64 values),
 with atomic write-then-rename updates; a summary stored at K pairs serves
@@ -28,6 +30,8 @@ import csv
 import hashlib
 import io
 import json
+import operator
+import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -141,6 +145,16 @@ class DatasetManifest:
         return {key: grouped[key] for key in sorted(grouped)}
 
 
+def _integer(name: str, value) -> int:
+    """value as a Python int; InvalidParam for a bool or anything that is not an integer."""
+    if not isinstance(value, bool):
+        try:
+            return int(operator.index(value))
+        except TypeError:
+            pass
+    raise InvalidParam(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Parameters of one batch run. Defaults follow the reference setup."""
@@ -157,6 +171,13 @@ class RunConfig:
     cache_dir: str | None = None
 
     def __post_init__(self):
+        for name in ("k", "R", "pca_dims", "n_perm", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("area_factor", "normalize"):
+            if not isinstance(getattr(self, name), bool):
+                raise InvalidParam(f"{name} must be True or False, got {getattr(self, name)!r}")
+        if not (self.cache_dir is None or isinstance(self.cache_dir, (str, os.PathLike))):
+            raise InvalidParam(f"cache_dir must be None or a path, got {self.cache_dir!r}")
         if self.k < 2:
             raise InvalidParam(f"k must be >= 2, got {self.k}")
         if self.R < 1:
@@ -372,35 +393,6 @@ def _stratum_seed(seed: int, bone: str, side: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _groups(entries) -> tuple:
-    return tuple(dict.fromkeys(entry.group for entry in entries))
-
-
-def _summarize_meshes(manifest: DatasetManifest, cfg: RunConfig):
-    """Read, solve and summarise each mesh file once, at cfg.k pairs.
-
-    Only files listed in a stratum with exactly two groups are touched.
-    Returns (path -> SpectralSummary or (stage, SgwError), diagnostics): a
-    failure is kept, not raised, so that every stratum listing the file
-    reports it and the others still run.
-    """
-    paths = dict.fromkeys(
-        entry.path
-        for entries in manifest.strata().values()
-        if len(_groups(entries)) == 2
-        for entry in entries
-    )
-    summaries = {}
-    diagnostics = RunDiagnostics()
-    for path in paths:
-        try:
-            summaries[path] = _summary_for_path(path, cfg, diagnostics)
-        except SgwError as exc:
-            stage = "load" if isinstance(exc, (ParseError, ValidationError)) else "descriptor"
-            summaries[path] = (stage, exc)
-    return summaries, diagnostics
-
-
 def _failure(base: dict, error: str, exc: SgwError) -> StratumResult:
     """The failed StratumResult that reports error, of the kind of exc."""
     kind = "numerical" if isinstance(exc, NUMERICAL_ERRORS) else "usage"
@@ -410,17 +402,18 @@ def _failure(base: dict, error: str, exc: SgwError) -> StratumResult:
 def _cell_matrix(entries, summaries: dict, cfg: RunConfig, base: dict):
     """The stratum's descriptor matrix under cfg, or the StratumResult of its first failure.
 
-    A shape's failure names its subject and stage, and the first in manifest
+    A shape's failure names its subject and stage: [load] for a stored
+    ParseError or ValidationError, else [descriptor]. The first in manifest
     order wins; a matrix that stats rejects fails as a whole.
     """
     rows = []
     for entry in entries:
-        outcome = summaries[entry.path]
-        if isinstance(outcome, tuple):
-            stage, exc = outcome
-            return _failure(base, f"{entry.subject} [{stage}]: {exc}", exc)
+        summary = summaries[entry.path]
+        if isinstance(summary, SgwError):
+            stage = "load" if isinstance(summary, (ParseError, ValidationError)) else "descriptor"
+            return _failure(base, f"{entry.subject} [{stage}]: {summary}", summary)
         try:
-            rows.append(_descriptor(outcome, cfg).values)
+            rows.append(_descriptor(summary, cfg).values)
         except SgwError as exc:
             return _failure(base, f"{entry.subject} [descriptor]: {exc}", exc)
     try:
@@ -429,18 +422,23 @@ def _cell_matrix(entries, summaries: dict, cfg: RunConfig, base: dict):
         return _failure(base, f"[stats] {exc}", exc)
 
 
-def _compare_strata(manifest: DatasetManifest, summaries: dict, grid: list) -> list:
-    """Per cell config of grid, one StratumResult per stratum of manifest.strata().
+def _compare_strata(manifest: DatasetManifest, grid: list, solve_cfg: RunConfig):
+    """The run's one walk over manifest.strata(): per cell config of grid, its strata.
 
-    The cells differ only in R and k. Each stratum builds every cell's
-    descriptor matrix, then compares them all in one stats.compare_cells
-    call, so its permutation masks are drawn once for the whole grid. A
-    failure stays on its own cell and stratum.
+    Returns one tuple of StratumResults per cell, and the RunDiagnostics. A
+    stratum with two groups first summarises each of its mesh files that no
+    earlier stratum did, at solve_cfg.k pairs, keeping an SgwError in the
+    summary's place. It then compares every cell's descriptor matrix (the
+    cells differ only in R and k) in one stats.compare_cells call, so its
+    permutation masks are drawn once for the whole grid. A failure stays on
+    its own cell and stratum.
     """
     cfg = grid[0]
+    summaries = {}  # path -> SpectralSummary, or the SgwError that summarising it raised
+    diagnostics = RunDiagnostics()
     columns = []  # per stratum, one StratumResult per cell
     for (bone, side), entries in manifest.strata().items():
-        groups = _groups(entries)
+        groups = tuple(dict.fromkeys(entry.group for entry in entries))
         base = {
             "bone": bone,
             "side": side,
@@ -451,6 +449,12 @@ def _compare_strata(manifest: DatasetManifest, summaries: dict, grid: list) -> l
             error = f"need exactly 2 groups, found {len(groups)}: {list(groups)}"
             columns.append([StratumResult(**base, error=error, error_kind="usage")] * len(grid))
             continue
+        for entry in entries:
+            if entry.path not in summaries:
+                try:
+                    summaries[entry.path] = _summary_for_path(entry.path, solve_cfg, diagnostics)
+                except SgwError as exc:
+                    summaries[entry.path] = exc
         # per cell: a DataMatrix to compare, or its finished StratumResult
         outcomes = [_cell_matrix(entries, summaries, cell_cfg, base) for cell_cfg in grid]
         live = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, stats.DataMatrix)]
@@ -465,7 +469,7 @@ def _compare_strata(manifest: DatasetManifest, summaries: dict, grid: list) -> l
                 else StratumResult(**base, comparison=result)
             )
         columns.append(outcomes)
-    return [tuple(column[i] for column in columns) for i in range(len(grid))]
+    return [tuple(column[i] for column in columns) for i in range(len(grid))], diagnostics
 
 
 def run_group_comparison(manifest: DatasetManifest, cfg: RunConfig) -> RunResult:
@@ -475,8 +479,7 @@ def run_group_comparison(manifest: DatasetManifest, cfg: RunConfig) -> RunResult
     mesh, numerical breakdown) is recorded on its stratum and does not
     abort the others.
     """
-    summaries, diagnostics = _summarize_meshes(manifest, cfg)
-    (strata,) = _compare_strata(manifest, summaries, [cfg])
+    (strata,), diagnostics = _compare_strata(manifest, [cfg], cfg)
     return RunResult(strata=strata, config=cfg, diagnostics=diagnostics)
 
 
@@ -508,8 +511,8 @@ def parameter_sweep(manifest: DatasetManifest, cfg: RunConfig, Rs, ks) -> SweepR
     its descriptors from a prefix of those summaries in memory, and each
     stratum draws its permutation masks once for every cell.
     """
-    Rs = [int(r) for r in Rs]
-    ks = [int(k) for k in ks]
+    Rs = [_integer("R", r) for r in Rs]
+    ks = [_integer("k", k) for k in ks]
     if not Rs or not ks:
         raise InvalidParam("sweep needs at least one R and one k")
     for name, values in (("R", Rs), ("k", ks)):
@@ -519,10 +522,10 @@ def parameter_sweep(manifest: DatasetManifest, cfg: RunConfig, Rs, ks) -> SweepR
     # RunConfig validates every cell before any mesh is loaded
     grid = [replace(cfg, R=r, k=k) for r in Rs for k in ks]
 
-    summaries, diagnostics = _summarize_meshes(manifest, replace(cfg, k=max(ks)))
+    per_cell, diagnostics = _compare_strata(manifest, grid, replace(cfg, k=max(ks)))
     cells = tuple(
         SweepCell(R=cell_cfg.R, k=cell_cfg.k, stratum=stratum)
-        for cell_cfg, strata in zip(grid, _compare_strata(manifest, summaries, grid))
+        for cell_cfg, strata in zip(grid, per_cell)
         for stratum in strata
     )
     return SweepResult(cells=cells, diagnostics=diagnostics)

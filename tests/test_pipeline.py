@@ -230,11 +230,29 @@ class TestRunConfig:
             dict(n_perm=0),
             dict(lumping="bogus"),
             dict(method="magic"),
+            # integer fields take integers only, bools excluded
+            dict(k=10.5),
+            dict(R=2.5),
+            dict(pca_dims=2.5),
+            dict(n_perm=10.5),
+            dict(seed=1.5),
+            dict(R=True),
+            dict(k="10"),
+            dict(area_factor="no"),
+            dict(normalize=1),
+            dict(cache_dir=3),
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParam):
             sg.RunConfig(**kwargs)
+
+    def test_numpy_integer_is_stored_as_int(self, tmp_path):
+        cfg = sg.RunConfig(k=np.int64(11))
+        assert type(cfg.k) is int and cfg.k == 11
+        path = tmp_path / "report.json"
+        sg.RunResult(strata=(), config=cfg).write_json(path)
+        assert json.loads(path.read_text())["config"]["k"] == 11
 
     def test_bogus_lumping_loads_no_mesh(self, two_class, monkeypatch):
         read = []
@@ -780,6 +798,73 @@ class TestFailedStrata:
         self.assert_fails_alike(tmp_path, rows, error)
 
 
+class TestWalkOverStrata:
+    """Which mesh files a run reads and solves, and in which order, across strata."""
+
+    # rows out of stratum order: hamate has one group; scaphoid shares a good
+    # file (sphere_000) and a truncated one (cut) with lunate
+    ROWS = [
+        "ellipsoid_001.off,c1,ellipsoid,scaphoid,left",
+        "cut.off,c2,sphere,scaphoid,left",
+        "sphere_000.off,c3,sphere,scaphoid,left",
+        "ellipsoid_002.off,c4,ellipsoid,scaphoid,left",
+        "sphere_002.off,h1,sphere,hamate,left",
+        "only_hamate.off,h2,sphere,hamate,left",
+        "sphere_000.off,l1,sphere,lunate,left",
+        "sphere_001.off,l2,sphere,lunate,left",
+        "cut.off,l3,ellipsoid,lunate,left",
+        "ellipsoid_000.off,l4,ellipsoid,lunate,left",
+    ]
+    # sorted strata (lunate, then scaphoid), manifest order within each, each file once
+    SOLVED = [
+        "sphere_000.off", "sphere_001.off", "cut.off",
+        "ellipsoid_000.off", "ellipsoid_001.off", "ellipsoid_002.off",
+    ]
+
+    @pytest.mark.parametrize("command", ["compare", "sweep"])
+    def test_each_file_once_in_stratum_order(self, tmp_path, monkeypatch, command):
+        sg.make_two_class_manifest(tmp_path, n_per_group=3, subdivisions=1)
+        lines = (tmp_path / "sphere_000.off").read_text().splitlines(keepends=True)
+        (tmp_path / "cut.off").write_text("".join(lines[: len(lines) // 2]))
+        shutil.copy(tmp_path / "sphere_002.off", tmp_path / "only_hamate.off")
+        manifest_path = tmp_path / "three.csv"
+        manifest_path.write_text("\n".join([",".join(pipeline.MANIFEST_HEADER), *self.ROWS]) + "\n")
+        manifest = sg.DatasetManifest.load(manifest_path)
+
+        read, summarised = [], []
+        summary_for_path = pipeline._summary_for_path
+
+        def counting_read(path):
+            read.append(Path(path).name)
+            return read_mesh_bytes(path)
+
+        def counting_summary(path, cfg, diagnostics):
+            summarised.append((Path(path).name, cfg.k))
+            return summary_for_path(path, cfg, diagnostics)
+
+        monkeypatch.setattr(pipeline, "read_mesh_bytes", counting_read)
+        monkeypatch.setattr(pipeline, "_summary_for_path", counting_summary)
+        cfg = sg.RunConfig(**SMALL)
+        if command == "compare":
+            run = sg.run_group_comparison(manifest, cfg)
+            per_cell = [run.strata]
+        else:
+            run = sg.parameter_sweep(manifest, cfg, Rs=[2, 3], ks=[8, 9])
+            per_cell = [[cell.stratum for cell in run.cells[i : i + 3]] for i in range(0, 12, 3)]
+            assert len(run.cells) == 12
+
+        solve_k = 10 if command == "compare" else 9
+        assert summarised == [(name, solve_k) for name in self.SOLVED]
+        assert read == self.SOLVED  # the one-group stratum's files are never read
+        assert run.diagnostics.eigensolves == 5  # the distinct good files
+        cut = tmp_path / "cut.off"
+        for hamate, lunate, scaphoid in per_cell:
+            assert hamate.error == "need exactly 2 groups, found 1: ['sphere']"
+            assert lunate.error.startswith(f"l3 [load]: {cut}:")
+            assert scaphoid.error.startswith(f"c2 [load]: {cut}:")
+            assert lunate.error_kind == scaphoid.error_kind == "usage"
+
+
 class TestParameterSweep:
     def test_grid_and_cache_reuse(self, two_class, tmp_path):
         cfg = sg.RunConfig(cache_dir=str(tmp_path / "cache"), **SMALL)
@@ -896,6 +981,10 @@ class TestParameterSweep:
             sg.parameter_sweep(two_class, cfg, Rs=[], ks=[10])
         with pytest.raises(InvalidParam):
             sg.parameter_sweep(two_class, cfg, Rs=[3], ks=[1])
+        with pytest.raises(InvalidParam, match="R must be an integer, got 3.7"):
+            sg.parameter_sweep(two_class, cfg, Rs=[3.7], ks=[10])
+        with pytest.raises(InvalidParam, match="R must be an integer, got True"):
+            sg.parameter_sweep(two_class, cfg, Rs=[True], ks=[10])
 
     @pytest.mark.parametrize(
         "Rs, ks, message",
@@ -911,6 +1000,18 @@ class TestParameterSweep:
         monkeypatch.setattr(pipeline, "read_mesh_bytes", counting_read)
         with pytest.raises(InvalidParam, match=f"sweep grid lists {message} more than once"):
             sg.parameter_sweep(two_class, sg.RunConfig(**SMALL), Rs=Rs, ks=ks)
+        assert read == []
+
+    def test_non_integer_grid_value_reads_no_mesh(self, two_class, monkeypatch):
+        read = []
+
+        def counting_read(path):
+            read.append(path)
+            return read_mesh_bytes(path)
+
+        monkeypatch.setattr(pipeline, "read_mesh_bytes", counting_read)
+        with pytest.raises(InvalidParam, match="k must be an integer, got 10.0"):
+            sg.parameter_sweep(two_class, sg.RunConfig(**SMALL), Rs=[2, 3], ks=[8, 10.0])
         assert read == []
 
 
