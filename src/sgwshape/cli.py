@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
 )
 from .laplacian import LUMPING_SCHEMES, laplacian_matrices
-from .mesh_io import load_mesh, make_synthetic, write_mesh
+from .mesh_io import _synthetic_settings, load_mesh, make_synthetic, write_mesh
 from .outputs import _atomic_write_bytes, _csv_bytes
 from .pipeline import (
     DatasetManifest,
@@ -164,13 +164,13 @@ def _add_config_flags(parser, batch=True, grid=False):
 
 
 def _cmd_synth_mesh(args) -> int:
-    _announce("synth mesh", {
-        "kind": args.kind, "subdivisions": args.subdivisions, "axes": args.axes,
-        "amplitude": args.amplitude, "seed": args.seed, "out": args.out,
-    })
-    mesh = make_synthetic(
-        args.kind, args.subdivisions, axes=args.axes, amplitude=args.amplitude, seed=args.seed
+    settings = _synthetic_settings(
+        args.kind, axes=args.axes, amplitude=args.amplitude, seed=args.seed
     )
+    _announce("synth mesh", {
+        "kind": args.kind, "subdivisions": args.subdivisions, **settings, "out": args.out,
+    })
+    mesh = make_synthetic(args.kind, args.subdivisions, **settings)
     write_mesh(mesh, args.out)
     print(f"wrote {args.out} ({mesh.m} vertices, {mesh.g} triangles)")
     return 0
@@ -470,10 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
     sm.add_argument("--kind", default="unit_sphere",
                     choices=["unit_sphere", "ellipsoid", "bumpy_sphere"])
     sm.add_argument("--subdivisions", type=int, default=3)
-    sm.add_argument("--axes", type=_float_triple, default=(1.0, 1.0, 1.0),
-                    help="axis scales a,b,c")
-    sm.add_argument("--amplitude", type=float, default=0.05)
-    sm.add_argument("--seed", type=int, default=0)
+    sm.add_argument("--axes", type=_float_triple,
+                    help="axis scales a,b,c (ellipsoid, bumpy_sphere; default 1,1,1)")
+    sm.add_argument("--amplitude", type=float, help="bump height (bumpy_sphere; default 0.05)")
+    sm.add_argument("--seed", type=int, help="bump field seed (bumpy_sphere; default 0)")
     sm.add_argument("--out", required=True)
     sm.set_defaults(func=_cmd_synth_mesh)
 

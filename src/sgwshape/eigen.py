@@ -240,9 +240,7 @@ def solve_eigen(stiffness, mass, k: int, method: str = "auto") -> EigenBasis:
     rel = np.linalg.norm(residual, axis=0) / np.maximum(denom, np.finfo(np.float64).tiny)
     worst = float(rel.max())
     if worst > _RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"eigenpair residual {worst:.3e} exceeds {_RESIDUAL_TOL:.0e}", residual=worst
-        )
+        raise ConvergenceError(f"eigenpair residual {worst:.3e} exceeds {_RESIDUAL_TOL:.0e}")
 
     return EigenBasis(
         np.ascontiguousarray(vals),

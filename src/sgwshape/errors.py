@@ -2,7 +2,10 @@
 
 The CLI maps these onto exit codes: input/usage problems (parse,
 validation, bad parameters) exit with 2, numerical failures with 3.
+``_integer`` is the one rule by which every integer setting is read.
 """
+
+import operator
 
 
 class SgwError(Exception):
@@ -30,14 +33,7 @@ class NumericalError(SgwError):
 
 
 class ConvergenceError(SgwError):
-    """The eigensolver exhausted its iteration budget.
-
-    Carries the residual that was attained so callers can report it.
-    """
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """The eigensolver failed, or a returned pair's residual is too large."""
 
 
 class DegenerateMass(SgwError):
@@ -57,3 +53,21 @@ USAGE_ERRORS = (ParseError, ValidationError, InvalidParam, DimensionMismatch, Gr
 
 #: Errors caused by numerical failure (CLI exit code 3).
 NUMERICAL_ERRORS = (NumericalError, ConvergenceError, DegenerateMass, SingularScatter)
+
+
+def _integer(name: str, value, minimum=None) -> int:
+    """value as a Python int, at least `minimum` when one is given.
+
+    InvalidParam for a bool, for anything that is not an integer, and for a
+    value below `minimum`.
+    """
+    if not isinstance(value, bool):
+        try:
+            number = int(operator.index(value))
+        except TypeError:
+            pass
+        else:
+            if minimum is None or number >= minimum:
+                return number
+            raise InvalidParam(f"{name} must be >= {minimum}, got {number}")
+    raise InvalidParam(f"{name} must be an integer, got {value!r}")

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DegenerateMass, DimensionMismatch, InvalidParam
-from .mesh_io import TriangleMesh
+from .mesh_io import TriangleMesh, _triangle_geometry
 
 __all__ = [
     "stiffness_matrix",
@@ -38,21 +38,10 @@ def _corner_geometry(mesh: TriangleMesh):
     Corner order follows the triangle arrays: corner 0 is vertex
     ``triangles[:, 0]`` and its opposite edge is (1, 2), and so on.
     """
-    v = mesh.vertices
-    t = mesh.triangles
-    p = v[t]  # (g, 3, 3)
-    # edge vectors opposite each corner: e0 = p2 - p1, e1 = p0 - p2, e2 = p1 - p0
-    e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
-    edge_sq = (e**2).sum(axis=2)
-    double_area = np.linalg.norm(np.cross(e[:, 1], e[:, 2]), axis=1)
+    (e0, e1, e2), edge_sq, double_area = _triangle_geometry(mesh.vertices, mesh.triangles)
     # cot at corner k = -e_{k+1} . e_{k+2} / (2 * area)
     dots = np.stack(
-        [
-            -(e[:, 1] * e[:, 2]).sum(axis=1),
-            -(e[:, 2] * e[:, 0]).sum(axis=1),
-            -(e[:, 0] * e[:, 1]).sum(axis=1),
-        ],
-        axis=1,
+        [-(e1 * e2).sum(axis=1), -(e2 * e0).sum(axis=1), -(e0 * e1).sum(axis=1)], axis=1
     )
     cots = dots / double_area[:, None]
     return cots, edge_sq, 0.5 * double_area
@@ -85,15 +74,15 @@ def mass_matrix(mesh: TriangleMesh, lumping: str = "mixed") -> sparse.dia_matrix
     Raises DegenerateMass if any vertex patch comes out non-positive, which
     only happens on degenerate geometry.
     """
-    return _mass(mesh, lumping, None)
+    return _mass(mesh, lumping, _corner_geometry(mesh))
 
 
 def _mass(mesh: TriangleMesh, lumping: str, geometry) -> sparse.dia_matrix:
-    """mass_matrix, from the mesh's _corner_geometry when it is given."""
+    """mass_matrix, from the mesh's _corner_geometry."""
     if lumping not in LUMPING_SCHEMES:
         raise InvalidParam(f"unknown lumping {lumping!r}; expected one of {LUMPING_SCHEMES}")
     t = mesh.triangles
-    cots, edge_sq, areas = geometry or _corner_geometry(mesh)
+    cots, edge_sq, areas = geometry
 
     if lumping == "barycentric":
         corner_area = np.repeat(areas[:, None] / 3.0, 3, axis=1)

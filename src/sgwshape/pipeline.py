@@ -30,7 +30,6 @@ import csv
 import hashlib
 import io
 import json
-import operator
 import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -45,10 +44,11 @@ from .errors import (
     ParseError,
     SgwError,
     ValidationError,
+    _integer,
 )
 from .gsgw import GsgwVector, SpectralSummary, descriptor_from_summary, summarize
 from .laplacian import LUMPING_SCHEMES, laplacian_matrices
-from .mesh_io import make_synthetic, parse_mesh, read_mesh_bytes, write_mesh
+from .mesh_io import _synthetic_settings, make_synthetic, parse_mesh, read_mesh_bytes, write_mesh
 from .outputs import _atomic_write_bytes, _csv_bytes
 
 __all__ = [
@@ -145,16 +145,6 @@ class DatasetManifest:
         return {key: grouped[key] for key in sorted(grouped)}
 
 
-def _integer(name: str, value) -> int:
-    """value as a Python int; InvalidParam for a bool or anything that is not an integer."""
-    if not isinstance(value, bool):
-        try:
-            return int(operator.index(value))
-        except TypeError:
-            pass
-    raise InvalidParam(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Parameters of one batch run. Defaults follow the reference setup."""
@@ -171,21 +161,13 @@ class RunConfig:
     cache_dir: str | None = None
 
     def __post_init__(self):
-        for name in ("k", "R", "pca_dims", "n_perm", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name, minimum in (("k", 2), ("R", 1), ("pca_dims", 1), ("n_perm", 1), ("seed", None)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
         for name in ("area_factor", "normalize"):
             if not isinstance(getattr(self, name), bool):
                 raise InvalidParam(f"{name} must be True or False, got {getattr(self, name)!r}")
         if not (self.cache_dir is None or isinstance(self.cache_dir, (str, os.PathLike))):
             raise InvalidParam(f"cache_dir must be None or a path, got {self.cache_dir!r}")
-        if self.k < 2:
-            raise InvalidParam(f"k must be >= 2, got {self.k}")
-        if self.R < 1:
-            raise InvalidParam(f"R must be >= 1, got {self.R}")
-        if self.pca_dims < 1:
-            raise InvalidParam(f"pca_dims must be >= 1, got {self.pca_dims}")
-        if self.n_perm < 1:
-            raise InvalidParam(f"n_perm must be >= 1, got {self.n_perm}")
         if self.lumping not in LUMPING_SCHEMES:
             raise InvalidParam(
                 f"unknown lumping {self.lumping!r}; expected one of {LUMPING_SCHEMES}"
@@ -551,6 +533,10 @@ def make_two_class_manifest(
     carries its own bump-field seed, so within-class variation comes from
     the seeded perturbations alone. Returns the manifest path.
     """
+    n_per_group = _integer("n_per_group", n_per_group, 1)
+    subdivisions = _integer("subdivisions", subdivisions, 0)
+    seed = _integer("seed", seed, 0)
+    _synthetic_settings("bumpy_sphere", axes=axes, amplitude=amplitude)  # before any write
     out = Path(out_dir)
     rows = []
     for c, (group, group_axes) in enumerate((("sphere", (1.0, 1.0, 1.0)), ("ellipsoid", axes))):
@@ -584,6 +570,10 @@ def make_null_manifest(
     the group assignment changes. Returns the manifest path, which carries
     the split seed in its name.
     """
+    n = _integer("n", n)
+    subdivisions = _integer("subdivisions", subdivisions, 0)
+    mesh_seed = _integer("mesh_seed", mesh_seed, 0)
+    split_seed = _integer("split_seed", split_seed, 0)
     if n < 4 or n % 2:
         raise InvalidParam(f"need an even population of at least 4, got {n}")
     out = Path(out_dir)

@@ -109,7 +109,7 @@ def line_plot(series, path, title="", xlabel="", ylabel="", log_y=False) -> None
 
     Parameters
     ----------
-    series : list of (label, xs, ys)
+    series : list of (label, xs, ys); every value must be finite
     path : output .svg path
     log_y : plot log10 of the y values (positive values required)
     """
@@ -121,6 +121,9 @@ def line_plot(series, path, title="", xlabel="", ylabel="", log_y=False) -> None
         ys = [float(y) for y in ys]
         if len(xs) != len(ys) or not xs:
             raise InvalidParam(f"series {label!r}: x and y lengths differ or empty")
+        bad = [x for x in xs + ys if not math.isfinite(x)]
+        if bad:
+            raise InvalidParam(f"series {label!r}: values must be finite, got {bad[0]}")
         if log_y:
             if min(ys) <= 0:
                 raise InvalidParam(f"series {label!r}: log scale needs positive values")
@@ -179,7 +182,8 @@ def _viridis(u: float) -> str:
 def heatmap(grid, row_labels, col_labels, path, title="", xlabel="", ylabel="") -> None:
     """Write a colored grid with min/max legend.
 
-    `grid` is a list of rows (row-major); None cells render gray.
+    `grid` is a list of rows (row-major); None cells render gray, and every
+    other cell must be finite.
     """
     rows = [list(r) for r in grid]
     if not rows or not rows[0]:
@@ -192,6 +196,9 @@ def heatmap(grid, row_labels, col_labels, path, title="", xlabel="", ylabel="") 
     values = [v for r in rows for v in r if v is not None]
     if not values:
         raise InvalidParam("heatmap grid holds no values")
+    bad = [v for v in values if not math.isfinite(v)]
+    if bad:
+        raise InvalidParam(f"heatmap values must be finite, got {bad[0]}")
     lo, hi = min(values), max(values)
     span = (hi - lo) or 1.0
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sgwshape as sg
+import sgwshape.mesh_io as mesh_io
 
 
 def planar_grid(nx=8, ny=8, spacing=1.0):
@@ -35,6 +36,20 @@ def write_two_tetrahedra(path):
     lines += [f"3 {i + s} {j + s} {k + s}" for s in (0, 4) for i, j, k in faces]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def reference_synthetic(kind, subdivisions, axes=(1.0, 1.0, 1.0), amplitude=0.05, seed=0):
+    """make_synthetic's mesh, by its arithmetic written out.
+
+    unit_sphere uses none of the keyword arguments, ellipsoid only `axes`.
+    """
+    vertices, faces = mesh_io._icosphere(subdivisions)
+    if kind == "ellipsoid":
+        vertices = vertices * np.asarray(axes, dtype=np.float64)
+    elif kind == "bumpy_sphere":
+        radius = 1.0 + amplitude * mesh_io._bump_field(vertices, seed)
+        vertices = vertices * radius[:, None] * np.asarray(axes, dtype=np.float64)
+    return sg.TriangleMesh(vertices, faces)
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ import pytest
 import sgwshape as sg
 import sgwshape.cli as cli
 import sgwshape.pipeline as pipeline
-from conftest import write_two_tetrahedra
+from conftest import reference_synthetic, write_two_tetrahedra
 from sgwshape.cli import build_parser, main
 from sgwshape.mesh_io import read_mesh_bytes
 from sgwshape.svgplot import heatmap, line_plot
@@ -711,6 +711,146 @@ class TestSweepAndPlots:
         for name, count in (("line.svg", 4), ("grid.svg", 6)):
             root = ET.parse(tmp_path / name).getroot()
             assert [el.text for el in root if el.tag.endswith("text")].count(odd) == count
+
+
+class TestBadSynthAndPlotInput:
+    @pytest.mark.parametrize(
+        "argv, inputs, message",
+        [
+            (["synth", "mesh", "--kind", "bumpy_sphere", "--seed", "-1"], {},
+             "seed must be >= 0, got -1"),
+            (["synth", "mesh", "--kind", "unit_sphere", "--axes", "3,1,1"], {},
+             "unit_sphere takes no axes, got (3.0, 1.0, 1.0)"),
+            (["synth", "mesh", "--kind", "unit_sphere", "--amplitude", "0.5"], {},
+             "unit_sphere takes no amplitude, got 0.5"),
+            (["synth", "mesh", "--kind", "unit_sphere", "--seed", "7"], {},
+             "unit_sphere takes no seed, got 7"),
+            (["synth", "mesh", "--kind", "ellipsoid", "--amplitude", "0.5", "--seed", "7"], {},
+             "ellipsoid takes no amplitude, got 0.5"),
+            (["synth", "mesh", "--kind", "ellipsoid", "--seed", "7"], {},
+             "ellipsoid takes no seed, got 7"),
+            (["synth", "mesh", "--kind", "bumpy_sphere", "--amplitude", "nan"], {},
+             "|amplitude| must be < 1, got nan"),
+            (["synth", "mesh", "--kind", "bumpy_sphere", "--axes", "inf,1,1"], {},
+             "axis lengths (axes) must be finite and positive, got (inf, 1.0, 1.0)"),
+            (["synth", "mesh", "--kind", "ellipsoid", "--axes", "1,nan,1"], {},
+             "axis lengths (axes) must be finite and positive, got (1.0, nan, 1.0)"),
+            (["synth", "mesh", "--subdivisions", "-1"], {}, "subdivisions must be >= 0, got -1"),
+            (["synth", "two-class", "--n", "2", "--seed", "-1"], {},
+             "seed must be >= 0, got -1"),
+            (["synth", "two-class", "--n", "2", "--axes", "inf,1,1"], {},
+             "axis lengths (axes) must be finite and positive, got (inf, 1.0, 1.0)"),
+            (["synth", "two-class", "--n", "2", "--amplitude", "nan"], {},
+             "|amplitude| must be < 1, got nan"),
+            (["synth", "null", "--n", "4", "--split-seed", "-1"], {},
+             "split_seed must be >= 0, got -1"),
+            (["synth", "null", "--n", "4", "--mesh-seed", "-1"], {},
+             "mesh_seed must be >= 0, got -1"),
+            (["plot", "nmse", "IN"], {"IN": "k,nmse\n1,0.5\n2,inf\n"},
+             "series 'nmse': values must be finite, got inf"),
+            (["plot", "nmse", "IN"], {"IN": "k,nmse\n1,0.5\n2,nan\n"},
+             "series 'nmse': values must be finite, got nan"),
+            (["plot", "nmse", "IN", "--log-y"], {"IN": "k,nmse\n1,0.5\n2,inf\n"},
+             "series 'nmse': values must be finite, got inf"),
+            (["plot", "gsgw", "IN"], {"IN": "id,label,v1,v2\na.off,x,1,inf\n"},
+             "series 'a.off (x)': values must be finite, got inf"),
+            (["plot", "sweep", "IN"],
+             {"IN": "R,k,bone,side,permutation_p\n2,8,b,left,nan\n3,8,b,left,0.2\n"},
+             "heatmap values must be finite, got nan"),
+        ],
+        ids=[
+            "mesh-negative-seed", "sphere-axes", "sphere-amplitude", "sphere-seed",
+            "ellipsoid-amplitude", "ellipsoid-seed", "mesh-nan-amplitude", "mesh-inf-axes",
+            "ellipsoid-nan-axes", "mesh-negative-subdivisions", "two-class-negative-seed",
+            "two-class-inf-axes", "two-class-nan-amplitude", "null-negative-split-seed",
+            "null-negative-mesh-seed", "nmse-inf", "nmse-nan", "nmse-inf-log", "gsgw-inf",
+            "sweep-nan",
+        ],
+    )
+    def test_exits_2_with_one_error_line_and_no_output(
+        self, tmp_path, capsys, argv, inputs, message
+    ):
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text)
+        resolved = [str(tmp_path / arg) if arg in inputs else arg for arg in argv]
+        out = tmp_path / "out" / ("result" if argv[0] == "synth" and argv[1] != "mesh" else "r.x")
+        assert main([*resolved, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: {message}"]
+        assert err.splitlines()[-1] == errors[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "mesh"],
+            ["synth", "mesh", "--kind", "ellipsoid"],
+            ["synth", "mesh", "--kind", "bumpy_sphere"],
+            ["synth", "mesh", "--kind", "bumpy_sphere", "--axes", "1.3,1,0.8",
+             "--amplitude", "0.1", "--seed", "7"],
+            ["synth", "two-class"],
+            ["synth", "null"],
+        ],
+        ids=["unit-sphere", "ellipsoid", "bumpy-sphere", "bumpy-sphere-flags", "two-class",
+             "null"],
+    )
+    def test_default_command_writes_the_same_bytes(self, tmp_path, capsys, argv):
+        """Each file equals the one written from the generators' arithmetic, spelled out."""
+        out = tmp_path / "new"
+        assert main([*argv, "--out", str(out / "mesh.off" if argv[1] == "mesh" else out)]) == 0
+        capsys.readouterr()
+        if argv[1] == "mesh":
+            kind = argv[argv.index("--kind") + 1] if "--kind" in argv else "unit_sphere"
+            kwargs = {}
+            if "--seed" in argv:
+                kwargs = dict(axes=(1.3, 1.0, 0.8), amplitude=0.1, seed=7)
+            expected = {"mesh.off": reference_synthetic(kind, 3, **kwargs)}
+        elif argv[1] == "two-class":
+            expected = {
+                f"{group}_{i:03d}.off": reference_synthetic(
+                    "bumpy_sphere", 3, axes=axes, seed=c * 10 + i
+                )
+                for c, (group, axes) in enumerate(
+                    (("sphere", (1.0, 1.0, 1.0)), ("ellipsoid", (1.3, 1.0, 1.0)))
+                )
+                for i in range(10)
+            }
+        else:
+            expected = {
+                f"pop_{i:03d}.off": reference_synthetic("bumpy_sphere", 3, seed=i)
+                for i in range(20)
+            }
+        old = tmp_path / "old"
+        for name, mesh in expected.items():
+            sg.write_mesh(mesh, old / name)
+        written = sorted(p.name for p in out.glob("*.off"))
+        assert written == sorted(expected)
+        for name in written:
+            assert (out / name).read_bytes() == (old / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda path: line_plot([("s", [1, 2], [1.0, float("inf")])], path),
+            lambda path: line_plot([("s", [1, float("nan")], [1.0, 2.0])], path),
+            lambda path: line_plot([("s", [1, 2], [1.0, float("nan")])], path, log_y=True),
+            lambda path: heatmap([[0.1, float("nan")]], ["r"], ["a", "b"], path),
+            lambda path: heatmap([[None, float("-inf")]], ["r"], ["a", "b"], path),
+        ],
+        ids=["line-inf-y", "line-nan-x", "line-nan-log-y", "heatmap-nan", "heatmap-minus-inf"],
+    )
+    def test_plot_refuses_a_value_that_is_not_finite(self, tmp_path, draw):
+        with pytest.raises(sg.InvalidParam, match="must be finite"):
+            draw(tmp_path / "plot.svg")
+        assert not (tmp_path / "plot.svg").exists()
+
+    def test_none_heatmap_cell_stays_gray(self, tmp_path):
+        heatmap([[None, 0.2], [0.1, 0.3]], ["r1", "r2"], ["a", "b"], tmp_path / "grid.svg")
+        root = ET.parse(tmp_path / "grid.svg").getroot()
+        fills = [el.get("fill") for el in root if el.tag.endswith("rect")]
+        assert fills.count("#bbbbbb") == 1
 
 
 class TestParser:

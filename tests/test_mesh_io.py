@@ -5,7 +5,8 @@ import pytest
 
 import sgwshape as sg
 import sgwshape.mesh_io as mesh_io
-from conftest import write_two_tetrahedra
+from conftest import reference_synthetic, write_two_tetrahedra
+from sgwshape import laplacian
 from sgwshape.cli import main
 from sgwshape.errors import InvalidParam, ParseError, ValidationError
 
@@ -149,6 +150,24 @@ class TestTriangleMesh:
         out = mesh.with_vertices(mesh.vertices * 2.0)
         np.testing.assert_array_equal(out.triangles, mesh.triangles)
         np.testing.assert_allclose(out.vertices, mesh.vertices * 2.0)
+
+
+class TestTriangleGeometry:
+    @pytest.mark.parametrize("subdivisions", [2, 3])
+    def test_areas_are_the_laplacian_areas(self, subdivisions):
+        mesh = sg.make_synthetic("bumpy_sphere", subdivisions, seed=1)
+        assert np.array_equal(mesh.triangle_areas(), laplacian._corner_geometry(mesh)[2])
+
+    @pytest.mark.parametrize("subdivisions", [2, 3])
+    def test_lengths_and_area_match_the_textbook_expressions(self, subdivisions):
+        # bit for bit: a sum over axis 1, and the cross product of two edges at corner 0
+        mesh = sg.make_synthetic("bumpy_sphere", subdivisions, seed=1)
+        p0, p1, p2 = (mesh.vertices[mesh.triangles[:, k]] for k in range(3))
+        edges, edge_sq, double_area = mesh_io._triangle_geometry(mesh.vertices, mesh.triangles)
+        for got, want in zip(edges, (p2 - p1, p0 - p2, p1 - p0)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(edge_sq, np.stack([(e**2).sum(axis=1) for e in edges], axis=1))
+        assert np.array_equal(double_area, np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=1))
 
 
 class TestOffFormat:
@@ -715,6 +734,47 @@ class TestSynthetic:
             sg.make_synthetic("ellipsoid", 1, axes=(1.0, -1.0, 1.0))
         with pytest.raises(InvalidParam, match="amplitude"):
             sg.make_synthetic("bumpy_sphere", 1, amplitude=1.0)
+
+
+class TestSyntheticArguments:
+    @pytest.mark.parametrize(
+        "kind, kwargs, message",
+        [
+            ("bumpy_sphere", dict(seed=-1), "seed must be >= 0, got -1"),
+            ("bumpy_sphere", dict(seed=1.5), "seed must be an integer, got 1.5"),
+            ("bumpy_sphere", dict(seed=True), "seed must be an integer, got True"),
+            ("bumpy_sphere", dict(subdivisions=1.5), "subdivisions must be an integer"),
+            ("unit_sphere", dict(subdivisions=True), "subdivisions must be an integer"),
+            ("bumpy_sphere", dict(amplitude=float("nan")), r"\|amplitude\| must be < 1, got nan"),
+            ("bumpy_sphere", dict(amplitude=float("inf")), r"\|amplitude\| must be < 1, got inf"),
+            ("bumpy_sphere", dict(axes=(float("inf"), 1, 1)), r"axes\) must be finite"),
+            ("ellipsoid", dict(axes=(1, float("nan"), 1)), r"axes\) must be finite"),
+            ("unit_sphere", dict(axes=(3, 1, 1)), "unit_sphere takes no axes"),
+            ("unit_sphere", dict(amplitude=0.5), "unit_sphere takes no amplitude"),
+            ("unit_sphere", dict(seed=7), "unit_sphere takes no seed"),
+            ("ellipsoid", dict(amplitude=0.5), "ellipsoid takes no amplitude"),
+            ("ellipsoid", dict(seed=7), "ellipsoid takes no seed"),
+        ],
+    )
+    def test_refused(self, kind, kwargs, message):
+        kwargs = {"subdivisions": 0, **kwargs}
+        with pytest.raises(InvalidParam, match=message):
+            sg.make_synthetic(kind, **kwargs)
+
+    @pytest.mark.parametrize(
+        "kind, kwargs",
+        [
+            ("unit_sphere", {}),
+            ("ellipsoid", {}),
+            ("ellipsoid", dict(axes=(1.3, 1.0, 0.8))),
+            ("bumpy_sphere", {}),
+            ("bumpy_sphere", dict(axes=(1.3, 1.0, 1.0), amplitude=0.1, seed=7)),
+        ],
+    )
+    def test_mesh_is_unchanged(self, kind, kwargs):
+        new, old = sg.make_synthetic(kind, 2, **kwargs), reference_synthetic(kind, 2, **kwargs)
+        assert np.array_equal(new.vertices, old.vertices)
+        assert np.array_equal(new.triangles, old.triangles)
 
 
 class TestRigidTransform:

@@ -1073,3 +1073,49 @@ class TestSyntheticPopulations:
             sg.make_null_manifest(tmp_path, n=5, subdivisions=0)
         with pytest.raises(InvalidParam):
             sg.make_null_manifest(tmp_path, n=2, subdivisions=0)
+
+
+class TestSyntheticPopulationArguments:
+    @pytest.mark.parametrize(
+        "make, kwargs, message",
+        [
+            ("two_class", dict(n_per_group=2.5), "n_per_group must be an integer, got 2.5"),
+            ("two_class", dict(n_per_group=True), "n_per_group must be an integer, got True"),
+            ("two_class", dict(n_per_group=0), "n_per_group must be >= 1, got 0"),
+            ("two_class", dict(subdivisions=1.5), "subdivisions must be an integer, got 1.5"),
+            ("two_class", dict(subdivisions=-1), "subdivisions must be >= 0, got -1"),
+            ("two_class", dict(seed=-1), "seed must be >= 0, got -1"),
+            ("two_class", dict(seed=np.float64(2)), "seed must be an integer"),
+            ("two_class", dict(axes=(float("inf"), 1, 1)), r"axes\) must be finite"),
+            ("two_class", dict(amplitude=float("nan")), r"\|amplitude\| must be < 1, got nan"),
+            ("null", dict(n=4.0), "n must be an integer, got 4.0"),
+            ("null", dict(n=True), "n must be an integer, got True"),
+            ("null", dict(subdivisions=-1), "subdivisions must be >= 0, got -1"),
+            ("null", dict(mesh_seed=-1), "mesh_seed must be >= 0, got -1"),
+            ("null", dict(split_seed=-1), "split_seed must be >= 0, got -1"),
+            ("null", dict(split_seed=1.5), "split_seed must be an integer, got 1.5"),
+            ("null", dict(amplitude=float("inf")), r"\|amplitude\| must be < 1, got inf"),
+        ],
+    )
+    def test_refused_before_any_file_is_written(self, tmp_path, make, kwargs, message):
+        out = tmp_path / "population"
+        if make == "two_class":
+            make_population = sg.make_two_class_manifest
+            kwargs = {"n_per_group": 2, "subdivisions": 0, **kwargs}
+        else:
+            make_population = sg.make_null_manifest
+            kwargs = {"n": 4, "subdivisions": 0, **kwargs}
+        with pytest.raises(InvalidParam, match=message):
+            make_population(out, **kwargs)
+        assert not out.exists()
+
+    def test_numpy_integers_are_read_as_int(self, tmp_path):
+        plain = sg.make_two_class_manifest(tmp_path / "a", n_per_group=2, subdivisions=0)
+        numpy = sg.make_two_class_manifest(
+            tmp_path / "b", n_per_group=np.int64(2), subdivisions=np.int32(0), seed=np.int64(0)
+        )
+        assert sorted(p.name for p in plain.parent.iterdir()) == sorted(
+            p.name for p in numpy.parent.iterdir()
+        )
+        for path in plain.parent.iterdir():
+            assert (numpy.parent / path.name).read_bytes() == path.read_bytes()
