@@ -2,9 +2,11 @@
 
 The CLI maps these onto exit codes: input/usage problems (parse,
 validation, bad parameters) exit with 2, numerical failures with 3.
-``_integer`` is the one rule by which every integer setting is read.
+``_integer`` is the one rule by which every integer setting is read, and
+``_real`` the one by which every real-valued synthetic setting is read.
 """
 
+import numbers
 import operator
 
 
@@ -71,3 +73,17 @@ def _integer(name: str, value, minimum=None) -> int:
                 return number
             raise InvalidParam(f"{name} must be >= {minimum}, got {number}")
     raise InvalidParam(f"{name} must be an integer, got {value!r}")
+
+
+def _real(name: str, value) -> float:
+    """value as a Python float.
+
+    InvalidParam for a bool, a string, a complex number and anything else
+    that is not a real number, and for an integer past the float range.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise InvalidParam(f"{name} must be finite, got {value!r}") from None
+    raise InvalidParam(f"{name} must be a real number, got {value!r}")

@@ -38,12 +38,47 @@ def write_two_tetrahedra(path):
     return path
 
 
+def reference_icosphere(subdivisions):
+    """The icosphere as a loop over faces, one midpoint at a time.
+
+    A frozen oracle for mesh_io._icosphere: each new vertex is numbered when
+    its edge is first met and divided by its ``np.linalg.norm``.
+    """
+    vertices = [v / np.linalg.norm(v) for v in mesh_io._ICOSAHEDRON_VERTICES]
+    faces = [tuple(f) for f in mesh_io._ICOSAHEDRON_FACES]
+    for _ in range(subdivisions):
+        midpoint = {}
+
+        def split(a, b):
+            key = (a, b) if a < b else (b, a)
+            if key not in midpoint:
+                mid = vertices[a] + vertices[b]
+                vertices.append(mid / np.linalg.norm(mid))
+                midpoint[key] = len(vertices) - 1
+            return midpoint[key]
+
+        next_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = split(a, b), split(b, c), split(c, a)
+            next_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = next_faces
+    return np.asarray(vertices), np.asarray(faces, dtype=np.int64)
+
+
+def reference_off_bytes(mesh):
+    """The bytes write_mesh writes for `mesh`, one f-string per line."""
+    lines = ["OFF", f"{mesh.m} {mesh.g} 0"]
+    lines += [f"{x:.12g} {y:.12g} {z:.12g}" for x, y, z in mesh.vertices.tolist()]
+    lines += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles.tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
 def reference_synthetic(kind, subdivisions, axes=(1.0, 1.0, 1.0), amplitude=0.05, seed=0):
     """make_synthetic's mesh, by its arithmetic written out.
 
     unit_sphere uses none of the keyword arguments, ellipsoid only `axes`.
     """
-    vertices, faces = mesh_io._icosphere(subdivisions)
+    vertices, faces = reference_icosphere(subdivisions)
     if kind == "ellipsoid":
         vertices = vertices * np.asarray(axes, dtype=np.float64)
     elif kind == "bumpy_sphere":

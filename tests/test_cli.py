@@ -11,7 +11,7 @@ import pytest
 import sgwshape as sg
 import sgwshape.cli as cli
 import sgwshape.pipeline as pipeline
-from conftest import reference_synthetic, write_two_tetrahedra
+from conftest import reference_off_bytes, reference_synthetic, write_two_tetrahedra
 from sgwshape.cli import build_parser, main
 from sgwshape.mesh_io import read_mesh_bytes
 from sgwshape.svgplot import heatmap, line_plot
@@ -822,13 +822,10 @@ class TestBadSynthAndPlotInput:
                 f"pop_{i:03d}.off": reference_synthetic("bumpy_sphere", 3, seed=i)
                 for i in range(20)
             }
-        old = tmp_path / "old"
-        for name, mesh in expected.items():
-            sg.write_mesh(mesh, old / name)
         written = sorted(p.name for p in out.glob("*.off"))
         assert written == sorted(expected)
         for name in written:
-            assert (out / name).read_bytes() == (old / name).read_bytes()
+            assert (out / name).read_bytes() == reference_off_bytes(expected[name])
 
     @pytest.mark.parametrize(
         "draw",

@@ -5,7 +5,12 @@ import pytest
 
 import sgwshape as sg
 import sgwshape.mesh_io as mesh_io
-from conftest import reference_synthetic, write_two_tetrahedra
+from conftest import (
+    reference_icosphere,
+    reference_off_bytes,
+    reference_synthetic,
+    write_two_tetrahedra,
+)
 from sgwshape import laplacian
 from sgwshape.cli import main
 from sgwshape.errors import InvalidParam, ParseError, ValidationError
@@ -178,6 +183,19 @@ class TestOffFormat:
         back = sg.load_mesh(path)
         np.testing.assert_allclose(back.vertices, mesh.vertices, rtol=1e-11, atol=1e-14)
         np.testing.assert_array_equal(back.triangles, mesh.triangles)
+
+    def test_writer_bytes_equal_the_reference(self, tmp_path):
+        mesh = sg.make_synthetic("bumpy_sphere", 3, seed=3)
+        sg.write_mesh(mesh, tmp_path / "bumpy.off")
+        assert (tmp_path / "bumpy.off").read_bytes() == reference_off_bytes(mesh)
+
+    def test_writer_bytes_equal_the_reference_on_awkward_floats(self, tmp_path):
+        vertices = [[-0.0, 1e-300, 1.5e300], [123456789012.5, -0.0, 1e-300], [1.5e300, 0.1, -2.5]]
+        mesh = sg.TriangleMesh(vertices, [[0, 1, 2]], check_degenerate=False)
+        sg.write_mesh(mesh, tmp_path / "awkward.off")
+        written = (tmp_path / "awkward.off").read_bytes()
+        assert written == reference_off_bytes(mesh)
+        assert written.splitlines()[2:4] == [b"-0 1e-300 1.5e+300", b"123456789012 -0 1e-300"]
 
     def test_counts_on_separate_line_and_comments(self, tmp_path):
         text = "\n".join(
@@ -736,6 +754,16 @@ class TestSynthetic:
             sg.make_synthetic("bumpy_sphere", 1, amplitude=1.0)
 
 
+class TestIcosphere:
+    @pytest.mark.parametrize("subdivisions", [0, 1, 2, 3, 4, 5])
+    def test_equals_the_face_loop_bitwise(self, subdivisions):
+        vertices, faces = mesh_io._icosphere(subdivisions)
+        old_vertices, old_faces = reference_icosphere(subdivisions)
+        assert vertices.dtype == np.float64 and faces.dtype == np.int64
+        assert np.array_equal(vertices, old_vertices)
+        assert np.array_equal(faces, old_faces)
+
+
 class TestSyntheticArguments:
     @pytest.mark.parametrize(
         "kind, kwargs, message",
@@ -760,6 +788,25 @@ class TestSyntheticArguments:
         kwargs = {"subdivisions": 0, **kwargs}
         with pytest.raises(InvalidParam, match=message):
             sg.make_synthetic(kind, **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(amplitude="0.1"), "amplitude must be a real number, got '0.1'"),
+            (dict(axes=("a", 1, 1)), r"axes\[0\] must be a real number, got 'a'"),
+            (dict(axes=(1, True, 1)), r"axes\[1\] must be a real number, got True"),
+            (dict(amplitude=0.1 + 0j), r"amplitude must be a real number, got \(0.1\+0j\)"),
+            (dict(amplitude=True), "amplitude must be a real number, got True"),
+            (dict(axes=(1, 1, 10**400)), r"axes\[2\] must be finite, got 1000"),
+        ],
+        ids=[
+            "str-amplitude", "str-axis", "bool-axis", "complex-amplitude", "bool-amplitude",
+            "int-axis-past-float-range",
+        ],
+    )
+    def test_non_real_refused(self, kwargs, message):
+        with pytest.raises(InvalidParam, match=message):
+            sg.make_synthetic("bumpy_sphere", 0, **kwargs)
 
     @pytest.mark.parametrize(
         "kind, kwargs",

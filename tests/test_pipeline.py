@@ -1109,6 +1109,23 @@ class TestSyntheticPopulationArguments:
             make_population(out, **kwargs)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(amplitude="0.1"), "amplitude must be a real number, got '0.1'"),
+            (dict(axes=("a", 1, 1)), r"axes\[0\] must be a real number, got 'a'"),
+            (dict(axes=(1, True, 1)), r"axes\[1\] must be a real number, got True"),
+            (dict(amplitude=0.1 + 0j), r"amplitude must be a real number, got \(0.1\+0j\)"),
+            (dict(amplitude=True), "amplitude must be a real number, got True"),
+        ],
+        ids=["str-amplitude", "str-axis", "bool-axis", "complex-amplitude", "bool-amplitude"],
+    )
+    def test_non_real_refused_before_any_file_is_written(self, tmp_path, kwargs, message):
+        out = tmp_path / "population"
+        with pytest.raises(InvalidParam, match=message):
+            sg.make_two_class_manifest(out, n_per_group=2, subdivisions=0, **kwargs)
+        assert not out.exists()
+
     def test_numpy_integers_are_read_as_int(self, tmp_path):
         plain = sg.make_two_class_manifest(tmp_path / "a", n_per_group=2, subdivisions=0)
         numpy = sg.make_two_class_manifest(
