@@ -23,6 +23,15 @@ solve. No such factor exists when B has an eigenvalue at or below sigma,
 or when B is zero (then sigma is zero); the solve is then rejected as not
 positive semidefinite.
 
+Threads: a sparse solve at m <= _ONE_THREAD_MAX_M vertices sets every
+OpenBLAS loaded into the process to one thread for the band factor and the
+Lanczos loop, and puts back the thread counts it found when it returns or
+raises. At these sizes the loop makes many small BLAS calls, and a second
+thread only spins through them; above the cutoff it pays. The libraries are
+found once per process, from ``/proc/self/maps``; where none is found
+(another BLAS, another OS) the solve runs at the default count. The dense
+route never changes the count.
+
 Determinism: the Lanczos starting vector is drawn from a fixed-seed
 generator, and every eigenvector's sign is normalized so its
 largest-magnitude entry is positive. Repeated solves on the same matrices
@@ -31,7 +40,12 @@ return bitwise-identical results.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -40,7 +54,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .errors import ConvergenceError, InvalidParam, NumericalError
+from .errors import ConvergenceError, InvalidParam, NumericalError, _integer
 
 __all__ = ["EigenBasis", "solve_eigen", "DENSE_CUTOFF"]
 
@@ -60,6 +74,19 @@ _CLUSTER_BUFFER = 8
 _NEGATIVE_REL_TOL = 1e-10
 
 _RESIDUAL_TOL = 1e-8
+
+# largest vertex count whose sparse solve runs at one OpenBLAS thread
+_ONE_THREAD_MAX_M = 6000
+
+# (prefix, suffix) of the thread-count symbols: the numpy and scipy wheels'
+# OpenBLAS builds, then a plain OpenBLAS
+_OPENBLAS_SYMBOLS = (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", ""))
+
+# thread counts are process-wide, and so is the state that restores them: the
+# number of callers inside _one_blas_thread and the counts the first one found
+_THREADS_LOCK = threading.Lock()
+_one_thread_depth = 0
+_saved_threads: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -94,6 +121,7 @@ class EigenBasis:
 
     def truncate(self, k: int) -> "EigenBasis":
         """Basis of the first k <= self.k pairs (self when k == self.k)."""
+        k = _integer("k", k)
         if not 1 <= k <= self.k:
             raise InvalidParam(f"cannot truncate a {self.k}-pair basis to k={k}")
         if k == self.k:
@@ -112,6 +140,63 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
     signs[signs == 0.0] = 1.0
     return vectors * signs
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS loaded into this process.
+
+    Read once per process from ``/proc/self/maps``; empty where that file
+    cannot be read or no mapped library is an OpenBLAS.
+    """
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return ()
+    paths = sorted({
+        parts[-1] for parts in (line.split() for line in maps.splitlines())
+        if len(parts) == 6 and "openblas" in Path(parts[-1]).name
+    })
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in _OPENBLAS_SYMBOLS:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                controls.append((get, put))
+                break
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Every loaded OpenBLAS at one thread while any caller is inside.
+
+    The first caller in saves the counts it finds, and the last one out puts
+    them back, so concurrent solves restore the counts from before either.
+    """
+    global _one_thread_depth, _saved_threads
+    controls = _openblas_thread_controls()
+    with _THREADS_LOCK:
+        if _one_thread_depth == 0:
+            _saved_threads = tuple(get() for get, _ in controls)
+            for _, put in controls:
+                put(1)
+        _one_thread_depth += 1
+    try:
+        yield
+    finally:
+        with _THREADS_LOCK:
+            _one_thread_depth -= 1
+            if _one_thread_depth == 0:
+                for (_, put), count in zip(controls, _saved_threads):
+                    put(count)
 
 
 def _shift_invert(b, sigma: float) -> tuple[LinearOperator, np.ndarray]:
@@ -155,6 +240,8 @@ def solve_eigen(stiffness, mass, k: int, method: str = "auto") -> EigenBasis:
     mass : (m, m) diagonal sparse matrix with positive diagonal
     k : int, 1 <= k <= m
     method : {"auto", "dense", "sparse"}
+        The sparse route runs at one OpenBLAS thread up to a size cutoff
+        (see the module docstring).
 
     Raises
     ------
@@ -175,6 +262,7 @@ def solve_eigen(stiffness, mass, k: int, method: str = "auto") -> EigenBasis:
         raise InvalidParam("mass matrix shape does not match the stiffness matrix")
     if (areas <= 0.0).any():
         raise InvalidParam("mass matrix diagonal must be positive")
+    k = _integer("k", k)
     if not 1 <= k <= m:
         raise InvalidParam(f"k must be in [1, {m}], got {k}")
     if method not in SOLVER_METHODS:
@@ -204,22 +292,23 @@ def solve_eigen(stiffness, mass, k: int, method: str = "auto") -> EigenBasis:
         sigma = -0.01 * float(np.mean(b.diagonal()))
         rng = np.random.default_rng(_LANCZOS_SEED)
         v0 = rng.standard_normal(m)
-        op_inv, perm = _shift_invert(b, sigma)
-        try:
-            # Lanczos runs in band order; with OPinv given, eigsh reads only the
-            # shape and dtype of its first argument
-            vals, band_vecs = eigsh(
-                op_inv,
-                k=k_solve,
-                sigma=sigma,
-                which="LM",
-                v0=v0[perm],
-                tol=0,
-                maxiter=max(1000, 50 * k_solve),
-                OPinv=op_inv,
-            )
-        except Exception as exc:
-            raise ConvergenceError(f"sparse eigensolver failed: {exc}") from exc
+        with _one_blas_thread() if m <= _ONE_THREAD_MAX_M else nullcontext():
+            op_inv, perm = _shift_invert(b, sigma)
+            try:
+                # Lanczos runs in band order; with OPinv given, eigsh reads only
+                # the shape and dtype of its first argument
+                vals, band_vecs = eigsh(
+                    op_inv,
+                    k=k_solve,
+                    sigma=sigma,
+                    which="LM",
+                    v0=v0[perm],
+                    tol=0,
+                    maxiter=max(1000, 50 * k_solve),
+                    OPinv=op_inv,
+                )
+            except Exception as exc:
+                raise ConvergenceError(f"sparse eigensolver failed: {exc}") from exc
         order = np.argsort(vals)[:k]
         vals = vals[order]
         vecs = np.empty((m, k))

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg.blas import dgemv
 
 from .eigen import EigenBasis
-from .errors import DimensionMismatch, InvalidParam
+from .errors import DimensionMismatch, InvalidParam, _integer
 from .sgws import SignatureMatrix, _kernel_rows, signature_length
 
 __all__ = [
@@ -122,6 +122,7 @@ class SpectralSummary:
 
     def truncate(self, k: int) -> "SpectralSummary":
         """Summary of the first k <= self.k pairs (self when k == self.k)."""
+        k = _integer("k", k)
         if not 1 <= k <= self.k:
             raise InvalidParam(f"cannot truncate a {self.k}-pair summary to k={k}")
         if k == self.k:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigen import EigenBasis
-from .errors import InvalidParam
+from .errors import InvalidParam, _integer
 from .mesh_io import TriangleMesh
 from .outputs import _atomic_write_bytes, _csv_bytes
 
@@ -42,6 +42,7 @@ def reconstruct_vertices(mesh: TriangleMesh, basis: EigenBasis, k: int) -> np.nd
     """
     if basis.m != mesh.m:
         raise InvalidParam(f"basis built on {basis.m} vertices, mesh has {mesh.m}")
+    k = _integer("k", k)
     if not 1 <= k <= basis.k:
         raise InvalidParam(f"k must be in [1, {basis.k}], got {k}")
     phi = basis.eigenvectors[:, :k]
@@ -90,7 +91,7 @@ def nmse_curve(
     weighted : bool
         Area-weighted norms (the default) or plain vertex sums.
     """
-    ks = [int(k) for k in ks]
+    ks = [_integer("k", k) for k in ks]
     if not ks:
         raise InvalidParam("need at least one basis size")
     for k in ks:

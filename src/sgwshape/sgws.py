@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import EigenBasis
-from .errors import InvalidParam, NumericalError
+from .errors import InvalidParam, NumericalError, _integer
 from .outputs import _atomic_write_bytes, _csv_bytes
 
 __all__ = [
@@ -55,8 +55,7 @@ def mexican_hat(x):
 
 def signature_length(R: int) -> int:
     """Signature dimension p = (R+1)(R+2)/2 - 1 for resolution R."""
-    if R < 1:
-        raise InvalidParam(f"resolution must be >= 1, got {R}")
+    R = _integer("resolution R", R, 1)
     return (R + 1) * (R + 2) // 2 - 1
 
 
@@ -66,8 +65,7 @@ def wavelet_scales(L: int, lambda_min: float, lambda_max: float) -> np.ndarray:
     Endpoints are exact; the sequence is strictly decreasing. L = 1 returns
     just the coarsest scale 2/lambda_min.
     """
-    if L < 1:
-        raise InvalidParam(f"need at least one scale, got L={L}")
+    L = _integer("L", L, 1)
     if not (0.0 < lambda_min < lambda_max):
         raise InvalidParam(
             f"need 0 < lambda_min < lambda_max, got ({lambda_min}, {lambda_max})"
@@ -177,6 +175,7 @@ def vertex_signature(
     factor (the default); disabling it is a sensitivity knob, not part of
     the standard descriptor.
     """
+    j = _integer("j", j)
     if not 0 <= j < basis.m:
         raise InvalidParam(f"vertex index {j} outside [0, {basis.m})")
     return signature_matrix(basis, R, area_factor=area_factor).values[:, j]
@@ -186,6 +185,7 @@ def signature_matrix(
     basis: EigenBasis, R: int, area_factor: bool = True
 ) -> SignatureMatrix:
     """Signatures of every vertex as one product: kernel rows times (phi^2)^T."""
+    R = _integer("resolution R", R, 1)
     values = _kernel_rows(basis.eigenvalues, R) @ (basis.eigenvectors**2).T
     if area_factor:
         values = values * basis.vertex_areas**2

@@ -1,15 +1,30 @@
 """Generalized eigensolver behavior."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
 import sgwshape as sg
-from sgwshape.errors import InvalidParam, NumericalError
+from sgwshape import eigen
+from sgwshape.errors import ConvergenceError, InvalidParam, NumericalError
 from sgwshape.gsgw import summarize
 
 from conftest import random_rotation
+
+
+# the OpenBLAS thread controls this process found, before any test replaces the lookup
+_CONTROLS = eigen._openblas_thread_controls()
+
+_NEEDS_OPENBLAS = pytest.mark.skipif(not _CONTROLS, reason="no OpenBLAS is loaded into this process")
+
+
+def _threads():
+    return [get() for get, _ in _CONTROLS]
 
 
 def small_problem(mesh, k=10, method="auto"):
@@ -201,3 +216,148 @@ class TestEigenBasis:
     def test_shape_properties(self, bumpy2, bumpy2_basis):
         assert bumpy2_basis.m == bumpy2.m
         assert bumpy2_basis.k == 31
+
+
+@pytest.fixture(scope="module")
+def bumpy3_matrices():
+    stiffness, mass = sg.laplacian_matrices(sg.make_synthetic("bumpy_sphere", 3, seed=1))
+    assert stiffness.shape[0] == 642
+    return stiffness, mass
+
+
+@pytest.fixture
+def two_threads():
+    """Every OpenBLAS found at two threads, so that a count left at one shows
+    even where the process started at one; the counts found are put back after.
+    (Three, on a 2-core host, made one 642-vertex solve take 4 s.)"""
+    found = _threads()
+    for _, put in _CONTROLS:
+        put(2)
+    yield [2] * len(_CONTROLS)
+    for (_, put), count in zip(_CONTROLS, found):
+        put(count)
+
+
+@pytest.fixture
+def eigsh_threads(monkeypatch):
+    """The thread counts of every OpenBLAS found, recorded at each eigsh call."""
+    seen = []
+    real = eigen.eigsh
+
+    def spy(*args, **kwargs):
+        seen.append(_threads())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(eigen, "eigsh", spy)
+    return seen
+
+
+@_NEEDS_OPENBLAS
+class TestSparseSolveThreads:
+    def test_sparse_solve_runs_at_one_thread(self, bumpy3_matrices, two_threads, eigsh_threads):
+        assert 642 <= eigen._ONE_THREAD_MAX_M
+        sg.solve_eigen(*bumpy3_matrices, 31)
+        assert eigsh_threads == [[1] * len(_CONTROLS)]
+
+    def test_count_left_alone_above_the_cutoff(
+        self, monkeypatch, bumpy3_matrices, two_threads, eigsh_threads
+    ):
+        monkeypatch.setattr(eigen, "_ONE_THREAD_MAX_M", 641)
+        sg.solve_eigen(*bumpy3_matrices, 31)
+        assert eigsh_threads == [two_threads]
+
+    def test_counts_are_back_after_the_solve(self, bumpy3_matrices, two_threads):
+        sg.solve_eigen(*bumpy3_matrices, 31)
+        assert _threads() == two_threads
+
+    def test_counts_are_back_after_the_solve_raises(self, monkeypatch, bumpy3_matrices, two_threads):
+        def fail(*args, **kwargs):
+            raise ConvergenceError("no convergence")
+
+        monkeypatch.setattr(eigen, "eigsh", fail)
+        with pytest.raises(ConvergenceError, match="no convergence"):
+            sg.solve_eigen(*bumpy3_matrices, 31)
+        assert _threads() == two_threads
+
+    def test_counts_are_back_after_concurrent_solves(self, monkeypatch, bumpy3_matrices, two_threads):
+        # both solves meet inside eigsh; the one in this thread goes on only
+        # after the pool's solve has returned, and must still run at one thread
+        both_in = threading.Barrier(2, timeout=60)
+        first_out = threading.Event()
+        here = threading.current_thread()
+        seen = []
+        real = eigen.eigsh
+
+        def meet(*args, **kwargs):
+            both_in.wait()
+            if threading.current_thread() is here:
+                first_out.wait(60)
+                seen.append(_threads())
+            return real(*args, **kwargs)
+
+        def first():
+            try:
+                return sg.solve_eigen(*bumpy3_matrices, 31)
+            finally:
+                first_out.set()
+
+        monkeypatch.setattr(eigen, "eigsh", meet)
+        with ThreadPoolExecutor(1) as pool:
+            future = pool.submit(first)
+            second = sg.solve_eigen(*bumpy3_matrices, 31)
+        assert first_out.is_set() and seen == [[1] * len(_CONTROLS)]
+        assert _threads() == two_threads
+        np.testing.assert_array_equal(future.result().eigenvalues, second.eigenvalues)
+
+    def test_counts_hold_while_many_threads_enter_and_leave(self, two_threads):
+        # more threads than cores, switching often: a lost update of the depth
+        # count would show a library at its old count inside the block, or
+        # leave it at one thread after
+        def enter_and_leave():
+            for _ in range(200):
+                with eigen._one_blas_thread():
+                    assert _threads() == [1] * len(_CONTROLS)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(enter_and_leave) for _ in range(4)]
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert eigen._one_thread_depth == 0
+        assert _threads() == two_threads
+
+    def test_no_openblas_found_gives_the_same_eigenpairs(self, monkeypatch, bumpy3_matrices):
+        one_thread = sg.solve_eigen(*bumpy3_matrices, 31)
+        monkeypatch.setattr(eigen, "_openblas_thread_controls", lambda: ())
+        default = sg.solve_eigen(*bumpy3_matrices, 31)
+        np.testing.assert_array_equal(default.eigenvalues, one_thread.eigenvalues)
+        np.testing.assert_array_equal(default.eigenvectors, one_thread.eigenvectors)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mesh, basis, w, a: sg.solve_eigen(w, a, 2.5, method="sparse"),
+        lambda mesh, basis, w, a: sg.solve_eigen(w, a, 2.5, method="dense"),
+        lambda mesh, basis, w, a: sg.solve_eigen(w, a, True, method="dense"),
+        lambda mesh, basis, w, a: basis.truncate(2.0),
+        lambda mesh, basis, w, a: summarize(basis).truncate(2.0),
+        lambda mesh, basis, w, a: sg.signature_matrix(basis, 2.5),
+        lambda mesh, basis, w, a: sg.vertex_signature(basis, 3, 2.5),
+        lambda mesh, basis, w, a: sg.wavelet_scales(2.5, 1.0, 20.0),
+        lambda mesh, basis, w, a: sg.spectral_reconstruct(mesh, basis, 2.5),
+        lambda mesh, basis, w, a: sg.nmse_curve(mesh, basis, [2.5]),
+    ],
+    ids=[
+        "solve-sparse-k", "solve-dense-k", "solve-bool-k", "basis-truncate", "summary-truncate",
+        "signature-R", "vertex-index", "scales-L", "reconstruct-k", "nmse-k",
+    ],
+)
+def test_counts_that_are_not_integers_are_invalid(bumpy2, bumpy2_basis, call):
+    stiffness, mass = sg.laplacian_matrices(bumpy2)
+    with pytest.raises(InvalidParam, match="must be an integer"):
+        call(bumpy2, bumpy2_basis, stiffness, mass)
