@@ -21,20 +21,9 @@ from .errors import (
     SingularScatter,
     ValidationError,
 )
-from .gsgw import GsgwVector, aggregate, gsgw_distance
-from .laplacian import (
-    apply_operator,
-    laplacian_matrices,
-    mass_matrix,
-    stiffness_matrix,
-)
-from .mesh_io import (
-    TriangleMesh,
-    load_mesh,
-    make_synthetic,
-    rigid_transform,
-    write_mesh,
-)
+from .gsgw import GsgwVector, aggregate
+from .laplacian import laplacian_matrices, mass_matrix, stiffness_matrix
+from .mesh_io import TriangleMesh, load_mesh, make_synthetic, write_mesh
 from .pipeline import (
     DatasetManifest,
     ManifestEntry,
@@ -62,19 +51,10 @@ from .sgws import (
     signature_length,
     signature_matrix,
     spectrum_bounds,
-    vertex_signature,
     wavelet_scales,
     write_signature_csv,
 )
-from .stats import (
-    DataMatrix,
-    GroupComparison,
-    compare_groups,
-    manova_two_group,
-    pca_reduce,
-    permutation_test,
-    wilks_lambda,
-)
+from .stats import DataMatrix, GroupComparison, compare_groups
 
 __all__ = [
     "__version__",
@@ -92,11 +72,9 @@ __all__ = [
     "load_mesh",
     "write_mesh",
     "make_synthetic",
-    "rigid_transform",
     "stiffness_matrix",
     "mass_matrix",
     "laplacian_matrices",
-    "apply_operator",
     "EigenBasis",
     "solve_eigen",
     "spectrum_bounds",
@@ -106,22 +84,16 @@ __all__ = [
     "scaling_kernel",
     "wavelet_scales",
     "signature_length",
-    "vertex_signature",
     "signature_matrix",
     "write_signature_csv",
     "GsgwVector",
     "aggregate",
-    "gsgw_distance",
     "ReconstructionReport",
     "reconstruct_vertices",
     "spectral_reconstruct",
     "nmse_curve",
     "DataMatrix",
     "GroupComparison",
-    "pca_reduce",
-    "wilks_lambda",
-    "manova_two_group",
-    "permutation_test",
     "compare_groups",
     "ManifestEntry",
     "DatasetManifest",

@@ -28,7 +28,6 @@ __all__ = [
     "aggregate",
     "summarize",
     "descriptor_from_summary",
-    "gsgw_distance",
 ]
 
 
@@ -160,12 +159,3 @@ def descriptor_from_summary(
     if normalize:
         g = g / summary.total_area
     return GsgwVector(g, R=R)
-
-
-def gsgw_distance(g1: GsgwVector, g2: GsgwVector) -> float:
-    """Euclidean distance between two descriptors of equal resolution."""
-    if g1.R != g2.R or g1.p != g2.p:
-        raise DimensionMismatch(
-            f"descriptors disagree: R={g1.R} p={g1.p} vs R={g2.R} p={g2.p}"
-        )
-    return float(np.linalg.norm(g1.values - g2.values))

@@ -19,14 +19,13 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .errors import DegenerateMass, DimensionMismatch, InvalidParam
+from .errors import DegenerateMass, InvalidParam
 from .mesh_io import TriangleMesh, _triangle_geometry
 
 __all__ = [
     "stiffness_matrix",
     "mass_matrix",
     "laplacian_matrices",
-    "apply_operator",
 ]
 
 LUMPING_SCHEMES = ("mixed", "barycentric")
@@ -109,16 +108,3 @@ def laplacian_matrices(mesh: TriangleMesh, lumping: str = "mixed"):
     """Return (W, A): stiffness and mass matrices of the mesh, from one corner-geometry pass."""
     geometry = _corner_geometry(mesh)
     return _stiffness(mesh, geometry[0]), _mass(mesh, lumping, geometry)
-
-
-def apply_operator(stiffness, mass, f) -> np.ndarray:
-    """Apply the discrete Laplacian ``A^{-1} W`` to a vertex function.
-
-    Constants map to zero; an eigenfunction phi maps to lambda * phi.
-    """
-    vec = np.asarray(f, dtype=np.float64)
-    m = stiffness.shape[0]
-    if vec.shape != (m,):
-        raise DimensionMismatch(f"function has shape {vec.shape}, expected ({m},)")
-    return (stiffness @ vec) / mass.diagonal()
-

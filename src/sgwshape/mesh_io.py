@@ -33,7 +33,6 @@ __all__ = [
     "parse_mesh",
     "write_mesh",
     "make_synthetic",
-    "rigid_transform",
 ]
 
 # The keyword arguments each synthetic kind takes, with their defaults.
@@ -50,9 +49,6 @@ _DEGENERATE_REL_TOL = 1e-12
 
 # A disconnected mesh's error names this many component sizes, largest first.
 _SHOWN_COMPONENTS = 10
-
-_ORTHOGONALITY_TOL = 1e-10
-
 
 class TriangleMesh:
     """Immutable triangle mesh: vertex positions plus triangle connectivity.
@@ -666,21 +662,3 @@ def _synthetic_settings(kind, axes=None, amplitude=None, seed=None) -> dict:
     if "seed" in settings:
         settings["seed"] = _integer("seed", settings["seed"], 0)
     return settings
-
-
-def rigid_transform(mesh: TriangleMesh, rotation, translation) -> TriangleMesh:
-    """Apply ``x -> R x + t`` to every vertex; connectivity is unchanged.
-
-    `rotation` must be orthogonal to within 1e-10; reflections (det = -1)
-    are accepted.
-    """
-    rot = np.asarray(rotation, dtype=np.float64)
-    if rot.shape != (3, 3):
-        raise InvalidParam(f"rotation must be 3x3, got {rot.shape}")
-    defect = np.abs(rot.T @ rot - np.eye(3)).max()
-    if defect > _ORTHOGONALITY_TOL:
-        raise InvalidParam(f"rotation matrix is not orthogonal (defect {defect:.3e})")
-    shift = np.asarray(translation, dtype=np.float64)
-    if shift.shape != (3,):
-        raise InvalidParam(f"translation must be a 3-vector, got shape {shift.shape}")
-    return mesh.with_vertices(mesh.vertices @ rot.T + shift, check_degenerate=False)

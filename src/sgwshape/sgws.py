@@ -39,7 +39,6 @@ __all__ = [
     "spectrum_bounds",
     "wavelet_scales",
     "signature_length",
-    "vertex_signature",
     "signature_matrix",
     "write_signature_csv",
 ]
@@ -163,22 +162,6 @@ def _kernel_rows(eigenvalues, R: int) -> np.ndarray:
     rows[band_pass] = mexican_hat(scales[:, None] * lam)
     rows[low_pass] = scaling_kernel(lam, lambda_min)
     return rows
-
-
-def vertex_signature(
-    basis: EigenBasis, R: int, j: int, area_factor: bool = True
-) -> np.ndarray:
-    """Length-p signature of vertex j at resolution R: column j of signature_matrix.
-
-    Needs at least 2 eigenpairs; the constant zero mode alone carries no
-    band-pass content. ``area_factor`` includes the a_j^2 vertex-area
-    factor (the default); disabling it is a sensitivity knob, not part of
-    the standard descriptor.
-    """
-    j = _integer("j", j)
-    if not 0 <= j < basis.m:
-        raise InvalidParam(f"vertex index {j} outside [0, {basis.m})")
-    return signature_matrix(basis, R, area_factor=area_factor).values[:, j]
 
 
 def signature_matrix(

@@ -1,9 +1,11 @@
 """Two-group comparison of shape descriptors.
 
-The analysis chain is: reduce the n x p descriptor matrix with PCA, test
-group separation with a one-way two-group MANOVA (Wilks' lambda and its
-exact F transform), and back it with a nonparametric permutation test that
-reshuffles group labels with one seeded generator per call.
+``compare_groups`` is the one entry, and ``compare_cells`` its batch form
+over several data matrices that share one label tuple. Each comparison
+reduces the n x p descriptor matrix to its top ``pca_dims`` PCA scores,
+tests group separation with a one-way two-group MANOVA (Wilks' lambda and
+its exact F transform), and backs it with a nonparametric permutation test
+that reshuffles group labels with one seeded generator per call.
 
 Each comparison takes its basis from one SVD of the centred descriptor
 matrix: its first d left singular vectors span the top-d PCA scores, and
@@ -40,15 +42,11 @@ import numpy as np
 from scipy import linalg
 from scipy.special import fdtrc
 
-from .errors import GroupCountError, InvalidParam, SgwError, SingularScatter
+from .errors import GroupCountError, InvalidParam, SgwError, SingularScatter, _integer
 
 __all__ = [
     "DataMatrix",
     "GroupComparison",
-    "pca_reduce",
-    "wilks_lambda",
-    "manova_two_group",
-    "permutation_test",
     "compare_groups",
     "compare_cells",
 ]
@@ -129,37 +127,20 @@ class GroupComparison:
             )
 
 
-def _check_pca_dims(data: DataMatrix, d: int) -> None:
+def _pca_dims(data: DataMatrix, d) -> int:
+    """d as an int in [1, min(n - 1, p)], the PCA dimensions the data allow."""
+    d = _integer("pca dimension", d)
     limit = min(data.n - 1, data.p)
     if not 1 <= d <= limit:
         raise InvalidParam(f"pca dimension must be in [1, {limit}], got {d}")
+    return d
 
 
-def pca_reduce(data: DataMatrix, d: int) -> DataMatrix:
-    """Project rows onto the top d principal directions of the centered X.
+def _group_basis(X: np.ndarray, d: int) -> np.ndarray:
+    """The first d left singular vectors of the centred, finite X.
 
-    Directions are ordered by singular value and sign-fixed so that each
-    loading vector's largest-magnitude entry is positive, making the output
-    deterministic. Labels are preserved.
+    Raises SingularScatter when the numerical rank of X is below d.
     """
-    _check_pca_dims(data, d)
-    centered = data.X - data.X.mean(axis=0)
-    _, _, vt = linalg.svd(centered, full_matrices=False, check_finite=False)
-    components = vt[:d]
-    lead = np.abs(components).argmax(axis=1)
-    signs = np.sign(components[np.arange(d), lead])
-    signs[signs == 0.0] = 1.0
-    return DataMatrix(centered @ (components * signs[:, None]).T, data.labels)
-
-
-def _group_basis(X: np.ndarray, d: int | None = None) -> np.ndarray:
-    """The first d (default: every column) left singular vectors of the centred X.
-
-    Raises SingularScatter when X is not finite or its numerical rank is below d.
-    """
-    if not np.isfinite(X).all():
-        raise SingularScatter("X contains non-finite entries")
-    d = X.shape[1] if d is None else d
     u, s, _ = linalg.svd(X - X.mean(axis=0), full_matrices=False, check_finite=False)
     rank = int(np.count_nonzero(s > _RANK_FLOOR * s[0]))
     if rank < d:
@@ -186,16 +167,11 @@ def _lambdas(U: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return lam
 
 
-def wilks_lambda(X: np.ndarray, mask: np.ndarray) -> float:
-    """Wilks' lambda det(E) / det(E + H) for the two-group split `mask`."""
-    return float(_lambdas(_group_basis(X), mask[None])[0])
-
-
-def _manova(data: DataMatrix, d: int | None = None) -> tuple:
-    """manova_two_group's (wilks_lambda, p_value) on the top-d PCA basis of the data
-    (default: every column), plus that basis, which a permutation walk scores."""
+def _manova(data: DataMatrix, d: int) -> tuple:
+    """(Wilks' lambda, its F-tail p-value) on the top-d PCA basis of the data, plus
+    that basis, which a permutation walk scores."""
     mask = data.two_group_mask()
-    n, d = data.n, data.p if d is None else d
+    n = data.n
     if d > n - 2:
         raise SingularScatter(
             f"feature dimension {d} exceeds within-group degrees of freedom {n - 2}; "
@@ -208,15 +184,6 @@ def _manova(data: DataMatrix, d: int | None = None) -> tuple:
     # same call scipy.stats.f.sf makes) returns NaN, not 1, for a negative argument.
     f_stat = (dof2 / d) * (1.0 - lam) / lam
     return lam, float(fdtrc(d, dof2, f_stat)), basis
-
-
-def manova_two_group(data: DataMatrix) -> tuple[float, float]:
-    """One-way two-group MANOVA: returns (wilks_lambda, p_value).
-
-    Uses the exact F transform F = ((n - d - 1) / d) (1 - L) / L with
-    (d, n - d - 1) degrees of freedom, valid for two groups.
-    """
-    return _manova(data)[:2]
 
 
 def _replicates(mask: np.ndarray, n_perm: int) -> tuple[int, bool]:
@@ -274,34 +241,15 @@ def _permutation_ps(cells: list, mask: np.ndarray, n_perm: int, seed: int) -> li
     ]
 
 
-def permutation_test(data: DataMatrix, n_perm: int, seed: int) -> tuple[float, float]:
-    """Permutation test on Wilks' lambda: returns (observed, p_value).
-
-    Labels are reshuffled n_perm times by one generator seeded with `seed`.
-    The p-value uses the add-one estimator
-    ``(1 + #{permuted lambda <= observed}) / (n_perm + 1)``. When the whole
-    label-assignment space is no larger than n_perm it is enumerated instead
-    and the p-value becomes the exact fraction over it.
-    """
-    if n_perm < 1:
-        raise InvalidParam(f"need n_perm >= 1, got {n_perm}")
-    basis = _group_basis(data.X)
-    mask = data.two_group_mask()
-    observed = float(_lambdas(basis, mask[None])[0])
-    (p,) = _permutation_ps([(basis, observed)], mask, n_perm, seed)
-    if isinstance(p, SgwError):
-        raise p
-    return observed, p
-
-
 def compare_cells(datas, pca_dims: int, n_perm: int, seed: int) -> list:
     """compare_groups of each data matrix, all sharing one label tuple and one mask walk.
 
     Each matrix gets its basis (one SVD), MANOVA and observed lambda on its
     own; then every cell is scored against each block of masks as it is
-    drawn, so the masks are drawn once for all of them. Returns one
-    GroupComparison or SgwError per matrix, in order: a cell whose PCA range,
-    MANOVA, rank check or scoring raises keeps that error and the others go on.
+    drawn, so the masks are drawn once for all of them. pca_dims, n_perm
+    (>= 1) and seed (>= 0) must be integers. Returns one GroupComparison or
+    SgwError per matrix, in order: a cell whose PCA range, MANOVA, rank
+    check, counts or scoring raises keeps that error and the others go on.
     """
     datas = list(datas)
     if any(data.labels != datas[0].labels for data in datas):
@@ -309,10 +257,12 @@ def compare_cells(datas, pca_dims: int, n_perm: int, seed: int) -> list:
     setups = []
     for data in datas:
         try:
-            _check_pca_dims(data, pca_dims)
+            pca_dims = _pca_dims(data, pca_dims)
             lam, manova_p, basis = _manova(data, pca_dims)
+            n_perm = _integer("n_perm", n_perm)
             if n_perm < 1:
                 raise InvalidParam(f"need n_perm >= 1, got {n_perm}")
+            seed = _integer("seed", seed, 0)
             setups.append((lam, manova_p, (basis, lam)))
         except SgwError as exc:
             setups.append(exc)

@@ -27,6 +27,16 @@ def random_rotation(rng):
     return q * np.sign(np.diag(r))
 
 
+def rigid_transform(mesh, rotation, translation):
+    """The mesh moved by ``x -> R x + t``; connectivity is unchanged."""
+    return mesh.with_vertices(mesh.vertices @ rotation.T + translation, check_degenerate=False)
+
+
+def apply_operator(stiffness, mass, f):
+    """The discrete Laplacian ``A^{-1} W`` applied to the vertex function f."""
+    return (stiffness @ f) / mass.diagonal()
+
+
 def write_two_tetrahedra(path):
     """Write two disjoint tetrahedra, 4 vertices each, as one OFF file."""
     tet = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])

@@ -15,7 +15,7 @@ from scipy.stats import kstest, ttest_ind
 
 import sgwshape as sg
 
-from conftest import random_rotation
+from conftest import random_rotation, rigid_transform
 
 _reporter = None
 
@@ -123,7 +123,7 @@ def test_criterion_04_isometry_invariance():
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(10):
-        moved = sg.rigid_transform(mesh, random_rotation(rng), rng.standard_normal(3))
+        moved = rigid_transform(mesh, random_rotation(rng), rng.standard_normal(3))
         mb = _solve(moved, 31)
         vec = sg.aggregate(sg.signature_matrix(mb, 30), mb.vertex_areas)
         worst = max(worst, float(np.max(np.abs(vec.values - ref.values) / ref.values)))
@@ -237,7 +237,8 @@ def test_criterion_08_statistics_correctness():
         x = rng.standard_normal((n, d))
         mask = np.zeros(n, dtype=bool)
         mask[:n1] = True
-        lam = sg.wilks_lambda(x, mask)
+        data = sg.DataMatrix(x, ["a"] * n1 + ["b"] * n2)
+        lam = sg.compare_groups(data, pca_dims=d, n_perm=1, seed=0).statistic
 
         diff = x[mask].mean(axis=0) - x[~mask].mean(axis=0)
         r1 = x[mask] - x[mask].mean(axis=0)
@@ -253,7 +254,7 @@ def test_criterion_08_statistics_correctness():
         gen = np.random.default_rng(500 + trial)
         x = np.concatenate([gen.standard_normal(9), gen.standard_normal(9) + 0.4])
         data = sg.DataMatrix(x[:, None], ["a"] * 9 + ["b"] * 9)
-        _, p = sg.manova_two_group(data)
+        p = sg.compare_groups(data, pca_dims=1, n_perm=1, seed=0).manova_p
         t_p = float(ttest_ind(x[:9], x[9:]).pvalue)
         worst_t = max(worst_t, abs(p - t_p))
     ttest_ok = worst_t < 1e-10
@@ -264,7 +265,7 @@ def test_criterion_08_statistics_correctness():
     pvals = []
     for seed in range(200):
         data = sg.DataMatrix(gen.standard_normal((16, 3)), labels)
-        pvals.append(sg.permutation_test(data, n_perm=199, seed=seed)[1])
+        pvals.append(sg.compare_groups(data, pca_dims=3, n_perm=199, seed=seed).permutation_p)
     ks_stat = float(kstest(pvals, "uniform").statistic)
     uniform_ok = ks_stat < 0.1
 

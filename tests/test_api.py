@@ -1,6 +1,8 @@
 """The package's public names: a fixed set, each one resolvable, and what importing it loads."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,19 +16,18 @@ EXPORTED = {
     "NumericalError", "ConvergenceError", "DegenerateMass", "SingularScatter",
     "GroupCountError",
     # meshes
-    "TriangleMesh", "load_mesh", "write_mesh", "make_synthetic", "rigid_transform",
+    "TriangleMesh", "load_mesh", "write_mesh", "make_synthetic",
     # Laplacian and eigenpairs
-    "stiffness_matrix", "mass_matrix", "laplacian_matrices", "apply_operator",
+    "stiffness_matrix", "mass_matrix", "laplacian_matrices",
     "EigenBasis", "solve_eigen", "DENSE_CUTOFF",
     # signatures and descriptors
     "spectrum_bounds", "SignatureMatrix", "mexican_hat", "scaling_kernel",
-    "wavelet_scales", "signature_length", "vertex_signature", "signature_matrix",
-    "write_signature_csv", "GsgwVector", "aggregate", "gsgw_distance",
+    "wavelet_scales", "signature_length", "signature_matrix",
+    "write_signature_csv", "GsgwVector", "aggregate",
     # reconstruction
     "ReconstructionReport", "reconstruct_vertices", "spectral_reconstruct", "nmse_curve",
     # statistics
-    "DataMatrix", "GroupComparison", "pca_reduce", "wilks_lambda", "manova_two_group",
-    "permutation_test", "compare_groups",
+    "DataMatrix", "GroupComparison", "compare_groups",
     # batch runs
     "ManifestEntry", "DatasetManifest", "RunConfig", "RunDiagnostics", "StratumResult",
     "RunResult", "SweepResult", "run_group_comparison", "parameter_sweep",
@@ -39,6 +40,19 @@ def test_public_names_are_pinned():
     assert len(sg.__all__) == len(set(sg.__all__))
     assert set(sg.__all__) == EXPORTED
     assert [name for name in sg.__all__ if not hasattr(sg, name)] == []
+
+
+def test_every_submodule_export_resolves():
+    """A stale ``__all__`` entry breaks ``from sgwshape.<module> import *``; fail here instead."""
+    union = set()
+    for info in pkgutil.iter_modules(sg.__path__):
+        module = importlib.import_module(f"sgwshape.{info.name}")
+        exported = getattr(module, "__all__", ())
+        assert [name for name in exported if not hasattr(module, name)] == [], info.name
+        union.update(exported)
+    errors = {name for name, value in vars(sg.errors).items()
+              if isinstance(value, type) and issubclass(value, sg.SgwError)}
+    assert set(sg.__all__) <= union | errors | {"__version__"}
 
 
 def test_import_loads_no_scipy_stats():

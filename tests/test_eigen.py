@@ -14,7 +14,7 @@ from sgwshape import eigen
 from sgwshape.errors import ConvergenceError, InvalidParam, NumericalError
 from sgwshape.gsgw import summarize
 
-from conftest import random_rotation
+from conftest import random_rotation, rigid_transform
 
 
 # the OpenBLAS thread controls this process found, before any test replaces the lookup
@@ -144,7 +144,7 @@ class TestSolveEigen:
 
     def test_rigid_motion_preserves_spectrum(self, bumpy2, bumpy2_basis):
         rng = np.random.default_rng(3)
-        moved = sg.rigid_transform(bumpy2, random_rotation(rng), rng.standard_normal(3))
+        moved = rigid_transform(bumpy2, random_rotation(rng), rng.standard_normal(3))
         moved_basis = small_problem(moved, k=31)
         np.testing.assert_allclose(
             moved_basis.eigenvalues[1:],
@@ -347,14 +347,13 @@ class TestSparseSolveThreads:
         lambda mesh, basis, w, a: basis.truncate(2.0),
         lambda mesh, basis, w, a: summarize(basis).truncate(2.0),
         lambda mesh, basis, w, a: sg.signature_matrix(basis, 2.5),
-        lambda mesh, basis, w, a: sg.vertex_signature(basis, 3, 2.5),
         lambda mesh, basis, w, a: sg.wavelet_scales(2.5, 1.0, 20.0),
         lambda mesh, basis, w, a: sg.spectral_reconstruct(mesh, basis, 2.5),
         lambda mesh, basis, w, a: sg.nmse_curve(mesh, basis, [2.5]),
     ],
     ids=[
         "solve-sparse-k", "solve-dense-k", "solve-bool-k", "basis-truncate", "summary-truncate",
-        "signature-R", "vertex-index", "scales-L", "reconstruct-k", "nmse-k",
+        "signature-R", "scales-L", "reconstruct-k", "nmse-k",
     ],
 )
 def test_counts_that_are_not_integers_are_invalid(bumpy2, bumpy2_basis, call):

@@ -822,28 +822,3 @@ class TestSyntheticArguments:
         new, old = sg.make_synthetic(kind, 2, **kwargs), reference_synthetic(kind, 2, **kwargs)
         assert np.array_equal(new.vertices, old.vertices)
         assert np.array_equal(new.triangles, old.triangles)
-
-
-class TestRigidTransform:
-    def test_known_rotation(self):
-        mesh = tetra()
-        rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        shift = np.array([1.0, 2.0, 3.0])
-        out = sg.rigid_transform(mesh, rot, shift)
-        np.testing.assert_allclose(out.vertices, mesh.vertices @ rot.T + shift)
-        np.testing.assert_array_equal(out.triangles, mesh.triangles)
-
-    def test_reflection_allowed(self):
-        mesh = tetra()
-        flip = np.diag([-1.0, 1.0, 1.0])
-        out = sg.rigid_transform(mesh, flip, np.zeros(3))
-        assert out.vertices[1, 0] == -1.0
-
-    def test_non_orthogonal_rejected(self):
-        with pytest.raises(InvalidParam, match="orthogonal"):
-            sg.rigid_transform(tetra(), np.diag([2.0, 1.0, 1.0]), np.zeros(3))
-
-    def test_bad_translation_shape(self):
-        rot = np.eye(3)
-        with pytest.raises(InvalidParam, match="translation"):
-            sg.rigid_transform(tetra(), rot, np.zeros(2))

@@ -6,7 +6,7 @@ import pytest
 import sgwshape as sg
 from sgwshape.errors import InvalidParam
 
-from conftest import random_rotation
+from conftest import random_rotation, rigid_transform
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +103,7 @@ class TestRigidEquivariance:
         rot = random_rotation(rng)
         shift = rng.standard_normal(3)
 
-        moved = sg.rigid_transform(bumpy2, rot, shift)
+        moved = rigid_transform(bumpy2, rot, shift)
         stiffness, mass = sg.laplacian_matrices(moved)
         moved_basis = sg.solve_eigen(stiffness, mass, 31)
 

@@ -145,7 +145,7 @@ class TestKernelRows:
         assert not np.array_equal(rows, _kernel_rows(icosphere2_basis.eigenvalues, 4)[:, :11])
 
 
-class TestVertexSignature:
+class TestSignatureMatrix:
     def brute_force(self, basis, R, j, area_factor):
         phi_sq = basis.eigenvectors[j] ** 2
         out = np.array([float(np.sum(row * phi_sq)) for row in row_by_row(basis.eigenvalues, R)])
@@ -156,10 +156,10 @@ class TestVertexSignature:
     @pytest.mark.parametrize("area_factor", [True, False])
     def test_matches_brute_force(self, area_factor):
         basis = toy_basis()
+        sig = sg.signature_matrix(basis, 3, area_factor=area_factor)
         for j in range(basis.m):
-            got = sg.vertex_signature(basis, 3, j, area_factor=area_factor)
             want = self.brute_force(basis, 3, j, area_factor)
-            np.testing.assert_allclose(got, want, rtol=1e-13)
+            np.testing.assert_allclose(sig.values[:, j], want, rtol=1e-13)
 
     def test_level_major_ordering_duplicates(self):
         # level 1 reuses the coarsest level 2 scale, so those rows coincide,
@@ -170,32 +170,17 @@ class TestVertexSignature:
         np.testing.assert_array_equal(sig[1], sig[4])
         assert not np.array_equal(sig[2], sig[3])
 
-    def test_matrix_columns_match_vertex_calls(self, icosphere2_basis):
-        sig = sg.signature_matrix(icosphere2_basis, 3)
-        for j in (0, 17, icosphere2_basis.m - 1):
-            np.testing.assert_array_equal(
-                sig.values[:, j], sg.vertex_signature(icosphere2_basis, 3, j)
-            )
-
     def test_signature_is_nonnegative(self, icosphere2_basis):
         assert sg.signature_matrix(icosphere2_basis, 3).values.min() >= 0.0
-
-    def test_vertex_index_bounds(self):
-        with pytest.raises(InvalidParam, match="vertex index"):
-            sg.vertex_signature(toy_basis(), 2, 3)
 
     def test_rejects_zero_resolution(self):
         with pytest.raises(InvalidParam, match="resolution"):
             sg.signature_matrix(toy_basis(), 0)
-        with pytest.raises(InvalidParam, match="resolution"):
-            sg.vertex_signature(toy_basis(), 0, 0)
 
     def test_rejects_single_mode(self):
         basis = sg.EigenBasis(np.array([0.0]), np.ones((3, 1)), np.ones(3))
         with pytest.raises(InvalidParam, match="k >= 2"):
             sg.signature_matrix(basis, 2)
-        with pytest.raises(InvalidParam, match="k >= 2"):
-            sg.vertex_signature(basis, 2, 0)
 
     def test_matrix_is_readonly(self, icosphere2_basis):
         sig = sg.signature_matrix(icosphere2_basis, 2)

@@ -1,6 +1,4 @@
-"""PCA reduction, two-group MANOVA, and the permutation test."""
-
-import math
+"""The one statistics entry: PCA basis, two-group MANOVA, and the permutation test."""
 
 import numpy as np
 import pytest
@@ -51,87 +49,56 @@ class TestDataMatrix:
             data.two_group_mask()
 
 
-class TestPcaReduce:
-    def test_output_shape_and_metadata(self):
-        data = gaussian_two_groups(n_per=10, p=6, seed=1)
-        reduced = sg.pca_reduce(data, 3)
-        assert reduced.X.shape == (20, 3)
-        assert reduced.labels == data.labels
-
-    def test_scores_are_centered_with_decreasing_variance(self):
-        data = gaussian_two_groups(n_per=10, p=6, seed=2)
-        reduced = sg.pca_reduce(data, 4)
-        np.testing.assert_allclose(reduced.X.mean(axis=0), 0.0, atol=1e-12)
-        variances = reduced.X.var(axis=0)
-        assert np.all(np.diff(variances) <= 1e-12)
-
-    def test_full_rank_preserves_pairwise_distances(self):
-        data = gaussian_two_groups(n_per=6, p=4, seed=3)
-        reduced = sg.pca_reduce(data, 4)
-        from scipy.spatial.distance import pdist
-
-        np.testing.assert_allclose(pdist(reduced.X), pdist(data.X), rtol=1e-10)
-
-    def test_deterministic(self):
-        data = gaussian_two_groups(seed=4)
-        a = sg.pca_reduce(data, 2).X
-        b = sg.pca_reduce(data, 2).X
-        np.testing.assert_array_equal(a, b)
-
-    def test_dimension_limits(self):
-        data = gaussian_two_groups(n_per=3, p=10, seed=5)  # n = 6 caps d at 5
-        with pytest.raises(InvalidParam, match=r"\[1, 5\]"):
-            sg.pca_reduce(data, 6)
-        with pytest.raises(InvalidParam):
-            sg.pca_reduce(data, 0)
+def wilks(data, d):
+    """Wilks' lambda of the data on its top-d PCA basis, from the one entry."""
+    return sg.compare_groups(data, pca_dims=d, n_perm=1, seed=0).statistic
 
 
 class TestWilksLambda:
     def test_univariate_hand_value(self):
         x = np.array([[1.0], [2.0], [5.0], [6.0]])
-        mask = np.array([True, True, False, False])
         within = 0.5 + 0.5
         between = 2 * (1.5 - 3.5) ** 2 + 2 * (5.5 - 3.5) ** 2
         expected = within / (within + between)
-        assert sg.wilks_lambda(x, mask) == pytest.approx(expected, rel=1e-12)
+        assert wilks(sg.DataMatrix(x, "aabb"), 1) == pytest.approx(expected, rel=1e-12)
 
     def test_range(self):
         data = gaussian_two_groups(n_per=8, p=3, seed=6)
-        lam = sg.wilks_lambda(data.X, data.two_group_mask())
-        assert 0.0 < lam <= 1.0
+        assert 0.0 < wilks(data, 3) <= 1.0
 
     def test_affine_invariance(self):
         data = gaussian_two_groups(n_per=9, p=3, shift=0.8, seed=7)
-        mask = data.two_group_mask()
         rng = np.random.default_rng(8)
         transform = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
         offset = rng.standard_normal(3)
-        lam = sg.wilks_lambda(data.X, mask)
-        lam_affine = sg.wilks_lambda(data.X @ transform + offset, mask)
-        assert lam_affine == pytest.approx(lam, abs=1e-8)
+        moved = sg.DataMatrix(data.X @ transform + offset, data.labels)
+        assert wilks(moved, 3) == pytest.approx(wilks(data, 3), abs=1e-8)
 
     def test_label_swap_symmetry(self):
+        # reversed rows put a "b" row first, so the tested mask is the complement
         data = gaussian_two_groups(n_per=7, p=2, shift=1.0, seed=9)
-        mask = data.two_group_mask()
-        assert sg.wilks_lambda(data.X, mask) == pytest.approx(
-            sg.wilks_lambda(data.X, ~mask), rel=1e-12
-        )
+        swapped = sg.DataMatrix(data.X[::-1], data.labels[::-1])
+        assert np.array_equal(swapped.two_group_mask()[::-1], ~data.two_group_mask())
+        assert wilks(swapped, 2) == pytest.approx(wilks(data, 2), rel=1e-12)
 
     def test_duplicate_feature_is_singular(self):
         data = gaussian_two_groups(n_per=6, p=2, seed=10)
         x = np.column_stack([data.X, data.X[:, 0]])
         with pytest.raises(SingularScatter):
-            sg.wilks_lambda(x, data.two_group_mask())
+            wilks(sg.DataMatrix(x, data.labels), 3)
 
     def test_rank_floor(self):
         # a third column equal to the first up to 1e-8 noise has its smallest singular
         # value at 5.2e-9 of the largest, under the floor; with 1e-6 noise it is 5.2e-7
         data = gaussian_two_groups(n_per=6, p=2, seed=10)
         noise = np.random.default_rng(0).standard_normal(data.n)
-        mask = data.two_group_mask()
+
+        def widened(scale):
+            return sg.DataMatrix(np.column_stack([data.X, data.X[:, 0] + scale * noise]), data.labels)
+
         with pytest.raises(SingularScatter, match="numerical rank 2 is below the dimension 3"):
-            sg.wilks_lambda(np.column_stack([data.X, data.X[:, 0] + 1e-8 * noise]), mask)
-        assert 0.0 < sg.wilks_lambda(np.column_stack([data.X, data.X[:, 0] + 1e-6 * noise]), mask)
+            wilks(widened(1e-8), 3)
+        assert 0.0 < wilks(widened(1e-6), 3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_entry_is_an_sgw_error(self, bad):
@@ -139,7 +106,7 @@ class TestWilksLambda:
         x = data.X.copy()
         x[4, 1] = bad
         with pytest.raises(SgwError):
-            sg.wilks_lambda(x, data.two_group_mask())
+            wilks(sg.DataMatrix(x, data.labels), 3)
 
 
 class TestManova:
@@ -147,80 +114,80 @@ class TestManova:
         from scipy.stats import ttest_ind
 
         data = gaussian_two_groups(n_per=9, p=1, shift=0.7, seed=11)
-        lam, p = sg.manova_two_group(data)
+        p = sg.compare_groups(data, pca_dims=1, n_perm=1, seed=0).manova_p
         mask = data.two_group_mask()
         t_p = ttest_ind(data.X[mask, 0], data.X[~mask, 0]).pvalue
         assert p == pytest.approx(t_p, abs=1e-12)
 
     def test_strong_separation_is_significant(self):
         data = gaussian_two_groups(n_per=10, p=3, shift=4.0, seed=12)
-        lam, p = sg.manova_two_group(data)
-        assert lam < 0.2
-        assert p < 1e-6
+        result = sg.compare_groups(data, pca_dims=3, n_perm=1, seed=0)
+        assert result.statistic < 0.2
+        assert result.manova_p < 1e-6
 
-    @pytest.mark.parametrize("n_per, p, d", [(5, 1, None), (5, 3, 2), (8, 4, None), (13, 6, 3)])
+    @pytest.mark.parametrize("n_per, p, d", [(5, 1, 1), (5, 3, 2), (8, 4, 4), (13, 6, 3)])
     @pytest.mark.parametrize("shift", [0.0, 0.8, 3.0])
     def test_p_value_is_the_f_tail(self, n_per, p, d, shift):
         from scipy.stats import f
 
         data = gaussian_two_groups(n_per=n_per, p=p, shift=shift, seed=n_per * p)
-        lam, p_value, _ = sg.stats._manova(data, d)
-        d = p if d is None else d
+        result = sg.compare_groups(data, pca_dims=d, n_perm=1, seed=0)
+        lam = result.statistic
         dof2 = data.n - d - 1
         f_stat = (dof2 / d) * (1.0 - lam) / lam
-        assert p_value == float(f.sf(f_stat, d, dof2))
+        assert result.manova_p == float(f.sf(f_stat, d, dof2))
 
     def test_coinciding_group_means_give_p_one(self):
         # both groups are centred on the origin, so Wilks' lambda is 1 and F is 0
         x = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         data = sg.DataMatrix(np.vstack([x, 2.0 * x @ [[0.6, 0.8], [-0.8, 0.6]]]), "aaaabbbb")
-        lam, p = sg.manova_two_group(data)
-        assert lam == 1.0
-        assert p == 1.0
+        result = sg.compare_groups(data, pca_dims=2, n_perm=1, seed=0)
+        assert result.statistic == 1.0
+        assert result.manova_p == 1.0
 
     def test_dimension_guard(self):
         data = gaussian_two_groups(n_per=3, p=5, seed=13)  # d = 5 > n - 2 = 4
         with pytest.raises(SingularScatter, match="reduce the dimension"):
-            sg.manova_two_group(data)
+            sg.compare_groups(data, pca_dims=5, n_perm=1, seed=0)
 
 
 class TestPermutationTest:
     def test_enumerates_small_space(self):
         data = gaussian_two_groups(n_per=3, p=2, seed=14)  # C(6, 3) = 20
-        observed, p = sg.permutation_test(data, n_perm=100, seed=0)
+        p = sg.compare_groups(data, pca_dims=2, n_perm=100, seed=0).permutation_p
         assert p * 20 == pytest.approx(round(p * 20), abs=1e-12)
         # enumeration ignores the seed entirely
-        assert p == sg.permutation_test(data, n_perm=100, seed=99)[1]
+        assert p == sg.compare_groups(data, pca_dims=2, n_perm=100, seed=99).permutation_p
 
     def test_enumeration_includes_identity(self):
         data = gaussian_two_groups(n_per=3, p=2, shift=50.0, seed=15)
-        _, p = sg.permutation_test(data, n_perm=25, seed=0)
+        p = sg.compare_groups(data, pca_dims=2, n_perm=25, seed=0).permutation_p
         # identity and its complement are the only hits for huge separation
         assert p == pytest.approx(2 / 20, abs=1e-12)
 
     def test_sampled_path_uses_add_one_estimator(self):
         data = gaussian_two_groups(n_per=10, p=2, shift=8.0, seed=16)
-        _, p = sg.permutation_test(data, n_perm=999, seed=3)
+        p = sg.compare_groups(data, pca_dims=2, n_perm=999, seed=3).permutation_p
         assert p == pytest.approx(1 / 1000, abs=1e-15)
 
     def test_sampled_determinism_and_seed_sensitivity(self):
         data = gaussian_two_groups(n_per=8, p=3, shift=0.5, seed=17)
-        p1 = sg.permutation_test(data, n_perm=200, seed=5)[1]
-        p2 = sg.permutation_test(data, n_perm=200, seed=5)[1]
-        p3 = sg.permutation_test(data, n_perm=200, seed=6)[1]
+        p1 = sg.compare_groups(data, pca_dims=3, n_perm=200, seed=5).permutation_p
+        p2 = sg.compare_groups(data, pca_dims=3, n_perm=200, seed=5).permutation_p
+        p3 = sg.compare_groups(data, pca_dims=3, n_perm=200, seed=6).permutation_p
         assert p1 == p2
         assert p1 != p3  # different draws, and n is large enough to show it
 
     def test_rejects_bad_n_perm(self):
         data = gaussian_two_groups()
         with pytest.raises(InvalidParam):
-            sg.permutation_test(data, n_perm=0, seed=0)
+            sg.compare_groups(data, pca_dims=2, n_perm=0, seed=0)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31), shift=st.floats(0.0, 3.0))
     def test_p_value_always_in_unit_interval(self, seed, shift):
         data = gaussian_two_groups(n_per=5, p=2, shift=shift, seed=seed % 1000)
-        _, p = sg.permutation_test(data, n_perm=50, seed=seed)
+        p = sg.compare_groups(data, pca_dims=2, n_perm=50, seed=seed).permutation_p
         assert 0.0 < p <= 1.0
 
 
@@ -242,6 +209,29 @@ class TestCompareGroups:
         result = sg.compare_groups(data, pca_dims=2, n_perm=199, seed=1)
         assert 0.0 < result.manova_p <= 1.0
         assert 0.0 < result.permutation_p <= 1.0
+
+    def test_dimension_limits(self):
+        data = gaussian_two_groups(n_per=3, p=10, seed=5)  # n = 6 caps d at 5
+        with pytest.raises(InvalidParam, match=r"\[1, 5\]"):
+            sg.compare_groups(data, pca_dims=6, n_perm=1, seed=0)
+        with pytest.raises(InvalidParam):
+            sg.compare_groups(data, pca_dims=0, n_perm=1, seed=0)
+
+    @pytest.mark.parametrize(
+        "pca_dims, n_perm, seed, match",
+        [
+            (2.5, 99, 0, "pca dimension must be an integer, got 2.5"),
+            (True, 99, 0, "pca dimension must be an integer, got True"),
+            (2, True, 0, "n_perm must be an integer, got True"),
+            (2, 99, 0.5, "seed must be an integer, got 0.5"),
+            (2, 99, -1, "seed must be >= 0, got -1"),
+        ],
+        ids=["float-pca-dims", "bool-pca-dims", "bool-n-perm", "float-seed", "negative-seed"],
+    )
+    def test_counts_are_read_as_integers(self, pca_dims, n_perm, seed, match):
+        data = gaussian_two_groups(n_per=10, p=6, seed=21)  # 20 x 6
+        with pytest.raises(InvalidParam, match=match):
+            sg.compare_groups(data, pca_dims, n_perm, seed)
 
 
 class TestBatchedLambda:
@@ -268,15 +258,17 @@ class TestBatchedLambda:
             masks = self.random_masks(rng, n, batch)
             row = int(rng.integers(batch))
             masks[row] = mask
-            lam = sg.stats._lambdas(sg.stats._group_basis(x), masks)[row]
-            assert lam == sg.wilks_lambda(x, mask)
+            lam = sg.stats._lambdas(sg.stats._group_basis(x, x.shape[1]), masks)[row]
+            if not mask[0]:  # compare_groups tests the group of the first row
+                mask = ~mask
+            assert lam == wilks(sg.DataMatrix(x, mask.tolist()), x.shape[1])
 
     def test_matches_determinant_ratio(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
             x, n = self.random_case(rng)
             masks = self.random_masks(rng, n, 20)
-            lams = sg.stats._lambdas(sg.stats._group_basis(x), masks)
+            lams = sg.stats._lambdas(sg.stats._group_basis(x, x.shape[1]), masks)
             for mask, lam in zip(masks, lams):
                 first, second = x[mask], x[~mask]
                 r1 = first - first.mean(axis=0)
@@ -299,7 +291,7 @@ class TestBatchedLambda:
     )
     def test_p_values_are_pinned(self, n_per, p, shift, data_seed, n_perm, seed, expected):
         data = gaussian_two_groups(n_per=n_per, p=p, shift=shift, seed=data_seed)
-        assert sg.permutation_test(data, n_perm=n_perm, seed=seed)[1] == expected
+        assert sg.compare_groups(data, p, n_perm, seed).permutation_p == expected
 
     def test_memory_stays_flat_in_n_perm(self):
         import tracemalloc
@@ -307,7 +299,7 @@ class TestBatchedLambda:
         data = gaussian_two_groups(n_per=10, p=8, shift=0.2, seed=4)
         tracemalloc.start()
         try:
-            sg.permutation_test(data, n_perm=100_000, seed=1)
+            sg.compare_groups(data, pca_dims=8, n_perm=100_000, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -407,7 +399,6 @@ class TestCompareCells:
 
         monkeypatch.setattr(np.linalg, "svd", refuse)
         assert sg.stats.compare_cells(self.cells(), 2, 300, 0) == expected
-        assert sg.pca_reduce(self.cells()[0], 2).X.shape == (16, 2)
 
     @pytest.mark.parametrize(
         "d, groups, error, match",
