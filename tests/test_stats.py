@@ -49,6 +49,17 @@ class TestDataMatrix:
             data.two_group_mask()
 
 
+# (pca_dims, n_perm, seed) that are not counts, each with the InvalidParam it raises
+BAD_COUNTS = [
+    (2.5, 99, 0, "pca dimension must be an integer, got 2.5"),
+    (True, 99, 0, "pca dimension must be an integer, got True"),
+    (2, True, 0, "n_perm must be an integer, got True"),
+    (2, 99, 0.5, "seed must be an integer, got 0.5"),
+    (2, 99, -1, "seed must be >= 0, got -1"),
+]
+BAD_COUNT_IDS = ["float-pca-dims", "bool-pca-dims", "bool-n-perm", "float-seed", "negative-seed"]
+
+
 def wilks(data, d):
     """Wilks' lambda of the data on its top-d PCA basis, from the one entry."""
     return sg.compare_groups(data, pca_dims=d, n_perm=1, seed=0).statistic
@@ -107,6 +118,37 @@ class TestWilksLambda:
         x[4, 1] = bad
         with pytest.raises(SgwError):
             wilks(sg.DataMatrix(x, data.labels), 3)
+
+
+class TestGroupBasis:
+    """The PCA basis every comparison scores: one SVD of the centred descriptors."""
+
+    def test_shape_and_orthonormal_columns(self):
+        data = gaussian_two_groups(n_per=10, p=6, seed=1)
+        basis = sg.stats._group_basis(data.X, 3)
+        assert basis.shape == (20, 3)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(3), atol=1e-12)
+
+    def test_columns_are_centred(self):
+        # an uncentred X would put the mean direction into the first column
+        data = gaussian_two_groups(n_per=10, p=6, shift=5.0, seed=2)
+        basis = sg.stats._group_basis(data.X + 100.0, 4)
+        np.testing.assert_allclose(basis.sum(axis=0), 0.0, atol=1e-12)
+
+    def test_spans_the_top_pca_scores(self):
+        data = gaussian_two_groups(n_per=10, p=6, seed=3)
+        centred = data.X - data.X.mean(axis=0)
+        variances, axes = np.linalg.eigh(centred.T @ centred)  # ascending
+        scores = centred @ axes[:, ::-1][:, :3]
+        basis = sg.stats._group_basis(data.X, 3)
+        np.testing.assert_allclose(basis @ (basis.T @ scores), scores, atol=1e-10)
+        assert np.all(np.diff(scores.var(axis=0)) <= 1e-12)
+
+    def test_deterministic(self):
+        data = gaussian_two_groups(seed=4)
+        a = sg.stats._group_basis(data.X, 2)
+        b = sg.stats._group_basis(data.X, 2)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestManova:
@@ -217,17 +259,7 @@ class TestCompareGroups:
         with pytest.raises(InvalidParam):
             sg.compare_groups(data, pca_dims=0, n_perm=1, seed=0)
 
-    @pytest.mark.parametrize(
-        "pca_dims, n_perm, seed, match",
-        [
-            (2.5, 99, 0, "pca dimension must be an integer, got 2.5"),
-            (True, 99, 0, "pca dimension must be an integer, got True"),
-            (2, True, 0, "n_perm must be an integer, got True"),
-            (2, 99, 0.5, "seed must be an integer, got 0.5"),
-            (2, 99, -1, "seed must be >= 0, got -1"),
-        ],
-        ids=["float-pca-dims", "bool-pca-dims", "bool-n-perm", "float-seed", "negative-seed"],
-    )
+    @pytest.mark.parametrize("pca_dims, n_perm, seed, match", BAD_COUNTS, ids=BAD_COUNT_IDS)
     def test_counts_are_read_as_integers(self, pca_dims, n_perm, seed, match):
         data = gaussian_two_groups(n_per=10, p=6, seed=21)  # 20 x 6
         with pytest.raises(InvalidParam, match=match):
@@ -420,6 +452,16 @@ class TestCompareCells:
         assert isinstance(result, error)
         with pytest.raises(error, match=match):
             raise result
+
+    @pytest.mark.parametrize("pca_dims, n_perm, seed, match", BAD_COUNTS, ids=BAD_COUNT_IDS)
+    def test_counts_are_read_per_cell(self, monkeypatch, pca_dims, n_perm, seed, match):
+        monkeypatch.setattr(sg.stats, "_mask_blocks", None)  # any walk would fail
+        results = sg.stats.compare_cells(self.cells(), pca_dims, n_perm, seed)
+        assert len(results) == 3
+        for result in results:
+            assert isinstance(result, InvalidParam)
+            with pytest.raises(InvalidParam, match=match):
+                raise result
 
     def test_no_live_cell_draws_no_mask(self, monkeypatch):
         monkeypatch.setattr(sg.stats, "_mask_blocks", None)  # any walk would fail
