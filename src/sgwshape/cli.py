@@ -27,7 +27,7 @@ from .errors import (
 )
 from .laplacian import LUMPING_SCHEMES, laplacian_matrices
 from .mesh_io import _synthetic_settings, load_mesh, make_synthetic, write_mesh
-from .outputs import _atomic_write_bytes, _csv_bytes
+from .outputs import _atomic_write_bytes, _csv_bytes, _nearest_existing
 from .pipeline import (
     DatasetManifest,
     RunConfig,
@@ -77,8 +77,8 @@ def _positive_int(text: str) -> int:
 def _one_job(text: str) -> int:
     value = int(text)
     if value != 1:
-        raise argparse.ArgumentTypeError(f"shapes run one at a time, so only 1 is accepted, "
-                                         f"got {value}")
+        raise argparse.ArgumentTypeError(f"only 1 is accepted; the worker count follows the "
+                                         f"usable CPUs, got {value}")
     return value
 
 
@@ -86,7 +86,7 @@ def _check_output(args) -> None:
     """Reject the command's output path, of the wrong kind or under a file, before any work."""
     is_dir = hasattr(args, "out_dir")
     path = Path(args.out_dir if is_dir else args.out)
-    found = next(a for a in (path, *path.parents) if a.exists())
+    found = _nearest_existing(path)
     if found.is_dir() != (is_dir or found != path):  # an ancestor must be a directory
         kind = "a directory" if found.is_dir() else "not a directory"
         raise InvalidParam(f"output path {path}: {found} is {kind}")
@@ -138,8 +138,9 @@ def _add_signature_flags(parser, grid=False):
 def _add_config_flags(parser, batch=True, grid=False):
     """Descriptor flags: signature flags, --normalize, --cache-dir; batch adds the stats flags.
 
-    A batch command also parses a hidden --jobs that accepts only 1: existing
-    command lines pass --jobs 1, and shapes run one at a time.
+    A batch command also parses a hidden --jobs that accepts only 1, because
+    existing command lines pass --jobs 1. It sets nothing: a run solves its
+    cold meshes in one worker process per usable CPU (see pipeline).
     """
     _add_signature_flags(parser, grid)
     if batch:

@@ -30,7 +30,9 @@ raises. At these sizes the loop makes many small BLAS calls, and a second
 thread only spins through them; above the cutoff it pays. The libraries are
 found once per process, from ``/proc/self/maps``; where none is found
 (another BLAS, another OS) the solve runs at the default count. The dense
-route never changes the count.
+route never changes the count. The batch runs of ``pipeline`` call every
+solve inside ``_one_blas_thread``, so there both routes run at one thread
+at any size.
 
 Determinism: the Lanczos starting vector is drawn from a fixed-seed
 generator, and every eigenvector's sign is normalized so its

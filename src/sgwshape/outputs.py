@@ -2,7 +2,9 @@
 
 Meshes, tables, reports, manifests, cache blobs and plots are all written
 by ``_atomic_write_bytes``, so a reader never sees a partial file and a
-failed write leaves the old one whole.
+failed write leaves the old one whole. ``_nearest_existing`` is the one rule
+by which an output path is checked before any work: the nearest of the path
+and its ancestors that exists must be a directory, or the path itself.
 """
 
 from __future__ import annotations
@@ -28,6 +30,12 @@ def _atomic_write_bytes(path, payload: bytes) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _nearest_existing(path) -> Path:
+    """The first of path and its ancestors, nearest first, that exists."""
+    path = Path(path)
+    return next(a for a in (path, *path.parents) if a.exists())
 
 
 def _csv_bytes(rows) -> bytes:

@@ -6,38 +6,49 @@ analyzed independently: global descriptors of its meshes, then the PCA +
 MANOVA + permutation chain. Failures stay local to their stratum and are
 recorded in the report instead of aborting the run.
 
-A run walks the strata once, in sorted order. A stratum with two groups
-reads, eigensolves and reduces to its spectral summary (eigenvalues, area
-weights and total area, see ``gsgw``) each mesh file that no earlier stratum
-did, then compares its cells. Every descriptor follows in closed form from a
-summary, so a sweep over (R, k) costs O(pk) per shape and cell after each
-file's one solve. Summaries are
-cached under the SHA-256 of the mesh file's bytes plus lumping and solver
-method, one fixed-layout blob each (a key line, then 2K+1 float64 values),
-with atomic write-then-rename updates; a summary stored at K pairs serves
-any k <= K, and a blob of any other shape, or of values no solve writes
-(see _summary_for_path), is a miss. A rerun against a warm cache parses no
-mesh and performs no eigensolves. Its reports are byte-identical to a cold
-run's when the cache was filled at the same k, or when every mesh takes the
-dense route. A sparse-route blob of K > k pairs is not: the sparse solver's
-first k pairs depend in the last bits on how many it solves, so they differ
-from those of a fresh k-pair solve.
+A run first reduces each mesh file of its two-group strata, once, to a
+spectral summary (eigenvalues, area weights and total area, see ``gsgw``).
+The run's own process reads, hashes and looks up every such file in the
+cache and serves the hits; it keeps no mesh bytes. The misses are then
+solved, each from its file read anew: in forked worker processes, one per
+usable CPU and at most one per miss, when there are at least two of both on
+Linux; else one after another in the run's process. Every solve of a run
+runs at one OpenBLAS thread, in a worker or not, so no report depends on the
+worker count (``taskset`` sets it) and the workers' BLAS threads never
+outnumber the cores. The run then walks the strata once, in sorted order,
+and compares each one's cells. Every descriptor follows in closed form from
+a summary, so a sweep over (R, k) costs O(pk) per shape and cell after each
+file's one solve. Summaries are cached under the SHA-256 of the mesh file's
+bytes plus lumping and solver method, one fixed-layout blob each (a key
+line, then 2K+1 float64 values), with atomic write-then-rename updates; a
+summary stored at K pairs serves any k <= K, and a blob of any other shape,
+or of values no solve writes (see _summary_for_path), is a miss. A rerun
+against a warm cache parses no mesh and performs no eigensolves. Its reports
+are byte-identical to a cold run's when the cache was filled at the same k,
+or when every mesh takes the dense route. A sparse-route blob of K > k pairs
+is not: the sparse solver's first k pairs depend in the last bits on how
+many it solves, so they differ from those of a fresh k-pair solve.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import io
+import itertools
 import json
+import multiprocessing
 import os
+import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import stats
-from .eigen import SOLVER_METHODS, solve_eigen
+from .eigen import SOLVER_METHODS, _one_blas_thread, solve_eigen
 from .errors import (
     NUMERICAL_ERRORS,
     InvalidParam,
@@ -49,7 +60,7 @@ from .errors import (
 from .gsgw import GsgwVector, SpectralSummary, descriptor_from_summary, summarize
 from .laplacian import LUMPING_SCHEMES, laplacian_matrices
 from .mesh_io import _synthetic_settings, make_synthetic, parse_mesh, read_mesh_bytes, write_mesh
-from .outputs import _atomic_write_bytes, _csv_bytes
+from .outputs import _atomic_write_bytes, _csv_bytes, _nearest_existing
 
 __all__ = [
     "ManifestEntry",
@@ -176,9 +187,10 @@ class RunConfig:
             raise InvalidParam(
                 f"unknown method {self.method!r}; expected one of {SOLVER_METHODS}"
             )
-        cache = None if self.cache_dir is None else Path(self.cache_dir)
-        if cache is not None and cache.exists() and not cache.is_dir():
-            raise InvalidParam(f"cache_dir {self.cache_dir} exists and is not a directory")
+        if self.cache_dir is not None:
+            found = _nearest_existing(self.cache_dir)  # the rule of every output path
+            if not found.is_dir():
+                raise InvalidParam(f"cache_dir {self.cache_dir}: {found} is not a directory")
 
     def science_dict(self) -> dict:
         """The parameters that determine results (reported verbatim): all but cache_dir."""
@@ -304,6 +316,37 @@ class RunResult:
 # content-addressed cache
 
 
+def _cache_entry(data: bytes, cfg: RunConfig) -> tuple:
+    """(blob path, head line) of the mesh file bytes `data` in cfg's cache."""
+    digest = hashlib.sha256(data).hexdigest()
+    cache_path = Path(cfg.cache_dir) / f"spectrum-{digest}-{cfg.lumping}-{cfg.method}.sgwc"
+    # a blob copied under another file's name has another head line
+    return cache_path, f"SGWSPEC2 {digest} {cfg.lumping} {cfg.method}\n".encode()
+
+
+def _cached_summary(cache_path: Path, head: bytes, k: int) -> SpectralSummary | None:
+    """The summary stored at cache_path under head with at least k pairs, or None on a miss."""
+    try:
+        blob = cache_path.read_bytes()
+    except OSError:
+        return None
+    n_floats, ragged = divmod(len(blob) - len(head), 8)
+    if not (blob.startswith(head) and not ragged and n_floats % 2 and n_floats >= 2 * k + 1):
+        return None
+    values = np.frombuffer(blob, dtype="<f8", offset=len(head))
+    stored_k = n_floats // 2
+    total_area, eigenvalues, w_area = values[0], values[1 : stored_k + 1], values[stored_k + 1 :]
+    if not (
+        np.isfinite(values).all()
+        and total_area > 0
+        and eigenvalues[0] >= 0
+        and (eigenvalues[1:] >= eigenvalues[:-1]).all()
+        and w_area.min() >= 0
+    ):
+        return None
+    return SpectralSummary(eigenvalues, w_area, float(total_area))
+
+
 def _summary_for_path(path, cfg: RunConfig, diagnostics: RunDiagnostics) -> SpectralSummary:
     """Spectral summary of at least cfg.k pairs of the mesh file at path.
 
@@ -318,38 +361,107 @@ def _summary_for_path(path, cfg: RunConfig, diagnostics: RunDiagnostics) -> Spec
     bytes that were hashed, solves exactly cfg.k pairs and replaces the blob.
     """
     data = read_mesh_bytes(path)
-    cache_path = None
     if cfg.cache_dir is not None:
-        digest = hashlib.sha256(data).hexdigest()
-        cache_path = Path(cfg.cache_dir) / f"spectrum-{digest}-{cfg.lumping}-{cfg.method}.sgwc"
-        # a blob copied under another file's name has another head line
-        head = f"SGWSPEC2 {digest} {cfg.lumping} {cfg.method}\n".encode()
-        try:
-            blob = cache_path.read_bytes()
-        except OSError:
-            blob = b""
-        n_floats, ragged = divmod(len(blob) - len(head), 8)
-        if blob.startswith(head) and not ragged and n_floats % 2 and n_floats >= 2 * cfg.k + 1:
-            values = np.frombuffer(blob, dtype="<f8", offset=len(head))
-            k = n_floats // 2
-            total_area, eigenvalues, w_area = values[0], values[1 : k + 1], values[k + 1 :]
-            if (
-                np.isfinite(values).all()
-                and total_area > 0
-                and eigenvalues[0] >= 0
-                and (eigenvalues[1:] >= eigenvalues[:-1]).all()
-                and w_area.min() >= 0
-            ):
-                diagnostics.eigen_cache_hits += 1
-                return SpectralSummary(eigenvalues, w_area, float(total_area))
+        cache_path, head = _cache_entry(data, cfg)
+        summary = _cached_summary(cache_path, head, cfg.k)
+        if summary is not None:
+            diagnostics.eigen_cache_hits += 1
+            return summary
 
     stiffness, mass = laplacian_matrices(parse_mesh(data, path), lumping=cfg.lumping)
-    summary = summarize(solve_eigen(stiffness, mass, cfg.k, method=cfg.method))
+    with _one_blas_thread():
+        basis = solve_eigen(stiffness, mass, cfg.k, method=cfg.method)
+    summary = summarize(basis)
     diagnostics.eigensolves += 1
-    if cache_path is not None:
+    if cfg.cache_dir is not None:
         body = np.concatenate(([summary.total_area], summary.eigenvalues, summary.w_area))
         _atomic_write_bytes(cache_path, head + body.astype("<f8").tobytes())
     return summary
+
+
+def _summary_or_error(path, cfg: RunConfig) -> tuple:
+    """(summary of path, or the SgwError that summarising it raised; its RunDiagnostics).
+
+    One task of a run's solves, in a worker process or in this one.
+    """
+    diagnostics = RunDiagnostics()
+    try:
+        return _summary_for_path(path, cfg, diagnostics), diagnostics
+    except SgwError as exc:
+        return exc, diagnostics
+
+
+def _pool_size(misses: int) -> int:
+    """Worker processes for a run's misses: one per usable CPU, at most one per miss.
+
+    1 (no pool) off Linux, where fork is unsafe (macOS) or missing (Windows).
+    """
+    if sys.platform != "linux":
+        return 1
+    return min(misses, len(os.sched_getaffinity(0)))
+
+
+def _solve_misses(misses: list, cfg: RunConfig) -> list:
+    """_summary_or_error of each path of misses, in order.
+
+    With _pool_size of 2 or more they run in that many forked worker
+    processes, else one after another in this one. A worker that dies ends
+    the run with BrokenProcessPool, and an exception other than an SgwError
+    propagates; either way the pool's processes are gone when this returns.
+    """
+    workers = _pool_size(len(misses))
+    if workers < 2:
+        return [_summary_or_error(path, cfg) for path in misses]
+    # Forked inside a one-thread region, a worker inherits the count of 1 and the
+    # libraries found in /proc/self/maps, so it never sets a count: that would
+    # re-create the OpenBLAS thread pools that fork shut down, and each new
+    # thread spins for about 65 ms before it sleeps. gc.freeze keeps the
+    # worker's collections off the objects it inherits, so their pages are not
+    # copied.
+    with _one_blas_thread():
+        pool = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"), initializer=gc.freeze
+        )
+        try:
+            return list(pool.map(_summary_or_error, misses, itertools.repeat(cfg)))
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
+def _summaries(paths, cfg: RunConfig, diagnostics: RunDiagnostics) -> dict:
+    """path -> SpectralSummary, or the SgwError that summarising it raised, for each of paths.
+
+    This process first reads, hashes and looks up each file in cfg's cache
+    and serves the hits; it keeps no mesh bytes. _solve_misses then
+    summarises the misses, each from the file read anew. A file whose bytes
+    equal an earlier miss's is summarised after them, from the blob that
+    miss wrote, so the counts in diagnostics are those of one file at a time.
+    """
+    summaries, misses, repeats, blobs = {}, [], [], set()
+    for path in paths:
+        if cfg.cache_dir is None:
+            misses.append(path)
+            continue
+        try:
+            cache_path, head = _cache_entry(read_mesh_bytes(path), cfg)
+        except SgwError as exc:
+            summaries[path] = exc
+            continue
+        summary = _cached_summary(cache_path, head, cfg.k)
+        if summary is not None:
+            diagnostics.eigen_cache_hits += 1
+            summaries[path] = summary
+        elif cache_path in blobs:
+            repeats.append(path)
+        else:
+            blobs.add(cache_path)
+            misses.append(path)
+    solved = _solve_misses(misses, cfg) + [_summary_or_error(path, cfg) for path in repeats]
+    for path, (summary, counts) in zip(misses + repeats, solved):
+        summaries[path] = summary
+        diagnostics.eigensolves += counts.eigensolves
+        diagnostics.eigen_cache_hits += counts.eigen_cache_hits
+    return summaries
 
 
 def _descriptor(summary: SpectralSummary, cfg: RunConfig) -> GsgwVector:
@@ -407,20 +519,28 @@ def _cell_matrix(entries, summaries: dict, cfg: RunConfig, base: dict):
 def _compare_strata(manifest: DatasetManifest, grid: list, solve_cfg: RunConfig):
     """The run's one walk over manifest.strata(): per cell config of grid, its strata.
 
-    Returns one tuple of StratumResults per cell, and the RunDiagnostics. A
-    stratum with two groups first summarises each of its mesh files that no
-    earlier stratum did, at solve_cfg.k pairs, keeping an SgwError in the
-    summary's place. It then compares every cell's descriptor matrix (the
-    cells differ only in R and k) in one stats.compare_cells call, so its
-    permutation masks are drawn once for the whole grid. A failure stays on
-    its own cell and stratum.
+    Returns one tuple of StratumResults per cell, and the RunDiagnostics.
+    Before any stratum is compared, each mesh file of a stratum with two
+    groups is summarised once, at solve_cfg.k pairs (see _summaries), with an
+    SgwError kept in the summary's place. Each such stratum then compares
+    every cell's descriptor matrix (the cells differ only in R and k) in one
+    stats.compare_cells call, so its permutation masks are drawn once for
+    the whole grid. A failure stays on its own cell and stratum.
     """
     cfg = grid[0]
-    summaries = {}  # path -> SpectralSummary, or the SgwError that summarising it raised
+    strata = {
+        key: (entries, tuple(dict.fromkeys(entry.group for entry in entries)))
+        for key, entries in manifest.strata().items()
+    }
     diagnostics = RunDiagnostics()
+    paths = dict.fromkeys(
+        entry.path
+        for entries, groups in strata.values() if len(groups) == 2
+        for entry in entries
+    )
+    summaries = _summaries(paths, solve_cfg, diagnostics)
     columns = []  # per stratum, one StratumResult per cell
-    for (bone, side), entries in manifest.strata().items():
-        groups = tuple(dict.fromkeys(entry.group for entry in entries))
+    for (bone, side), (entries, groups) in strata.items():
         base = {
             "bone": bone,
             "side": side,
@@ -431,12 +551,6 @@ def _compare_strata(manifest: DatasetManifest, grid: list, solve_cfg: RunConfig)
             error = f"need exactly 2 groups, found {len(groups)}: {list(groups)}"
             columns.append([StratumResult(**base, error=error, error_kind="usage")] * len(grid))
             continue
-        for entry in entries:
-            if entry.path not in summaries:
-                try:
-                    summaries[entry.path] = _summary_for_path(entry.path, solve_cfg, diagnostics)
-                except SgwError as exc:
-                    summaries[entry.path] = exc
         # per cell: a DataMatrix to compare, or its finished StratumResult
         outcomes = [_cell_matrix(entries, summaries, cell_cfg, base) for cell_cfg in grid]
         live = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, stats.DataMatrix)]

@@ -14,7 +14,10 @@ values are the one rank check: those under 1e-8 of the largest are
 round-off, and a d above the numerical rank raises SingularScatter. The SVD
 is scipy's, as is every BLAS and LAPACK call of the eigensolver: the numpy
 and scipy wheels each bundle an OpenBLAS with its own thread pool, and a
-pool's worker left spinning after a call slows the other pool's calls.
+pool's worker left spinning after a call slows the other pool's calls. It
+runs at one OpenBLAS thread (``eigen._one_blas_thread``): on a 2-core host
+a 2-thread SVD of a 20 x 495 descriptor matrix took 40-56 ms in 6 of 10
+fresh processes, and 0.34-1.0 ms at one thread.
 
 Wilks' lambda is det(E) / det(E + H) with E the within-group and H the
 between-group scatter matrix; smaller values mean stronger separation.
@@ -42,6 +45,7 @@ import numpy as np
 from scipy import linalg
 from scipy.special import fdtrc
 
+from .eigen import _one_blas_thread
 from .errors import GroupCountError, InvalidParam, SgwError, SingularScatter, _integer
 
 __all__ = [
@@ -141,7 +145,8 @@ def _group_basis(X: np.ndarray, d: int) -> np.ndarray:
 
     Raises SingularScatter when the numerical rank of X is below d.
     """
-    u, s, _ = linalg.svd(X - X.mean(axis=0), full_matrices=False, check_finite=False)
+    with _one_blas_thread():
+        u, s, _ = linalg.svd(X - X.mean(axis=0), full_matrices=False, check_finite=False)
     rank = int(np.count_nonzero(s > _RANK_FLOOR * s[0]))
     if rank < d:
         raise SingularScatter(

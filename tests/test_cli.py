@@ -136,7 +136,8 @@ class TestEigen:
         assert excinfo.value.code == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert json.loads(line) == {
-            "error": "argument --jobs: shapes run one at a time, so only 1 is accepted, got 0",
+            "error": "argument --jobs: only 1 is accepted; the worker count follows the usable "
+            "CPUs, got 0",
             "kind": "ArgumentError",
             "exit_code": 2,
         }
@@ -367,6 +368,28 @@ class TestCompare:
         assert "not a directory" in capsys.readouterr().err
         assert solves == [] and not out_dir.exists()
 
+    def test_cache_dir_under_a_file_exits_2(self, dataset_dir, tmp_path, capsys, monkeypatch):
+        # the cache directory cannot be made there; this used to surface as a
+        # NotADirectoryError traceback after the first solve
+        read = []
+
+        def counting_read(path):
+            read.append(path)
+            return read_mesh_bytes(path)
+
+        monkeypatch.setattr(pipeline, "read_mesh_bytes", counting_read)
+        a_file = tmp_path / "afile"
+        a_file.write_bytes(b"a file")
+        out_dir = tmp_path / "out"
+        code = self.run_compare(dataset_dir, out_dir, "--cache-dir", str(a_file / "sub"))
+        assert code == 2
+        err = capsys.readouterr().err
+        last = f"error: cache_dir {a_file / 'sub'}: {a_file} is not a directory"
+        assert err.splitlines()[-1] == last
+        assert "Traceback" not in err
+        assert read == [] and not out_dir.exists()
+        assert a_file.read_bytes() == b"a file"
+
     def test_two_component_mesh_exits_2(self, tmp_path, capsys):
         data = tmp_path / "data"
         sg.make_two_class_manifest(data, n_per_group=3, subdivisions=1)
@@ -447,7 +470,7 @@ class TestJobsFlag:
         with pytest.raises(SystemExit) as excinfo:
             main([*self.argv(command, dataset_dir, out_dir), "--jobs", "2"])
         assert excinfo.value.code == 2
-        assert "--jobs: shapes run one at a time, so only 1 is accepted, got 2" in (
+        assert "--jobs: only 1 is accepted; the worker count follows the usable CPUs, got 2" in (
             capsys.readouterr().err
         )
         assert read == [] and not out_dir.exists()

@@ -5,6 +5,7 @@ import pytest
 
 import sgwshape as sg
 import sgwshape.mesh_io as mesh_io
+import sgwshape.pipeline as pipeline
 from conftest import (
     reference_icosphere,
     reference_off_bytes,
@@ -595,6 +596,8 @@ class TestOneCallBody:
 
     def test_every_generated_file_is_read_in_one_call(self, tmp_path, monkeypatch):
         taken = _fast_reader_spy(monkeypatch)
+        # the spy records in this process, so the run's meshes are parsed here too
+        monkeypatch.setattr(pipeline, "_pool_size", lambda misses: 1)
         manifest = sg.make_two_class_manifest(tmp_path, n_per_group=3, subdivisions=1)
         result = sg.run_group_comparison(
             sg.DatasetManifest.load(manifest), sg.RunConfig(k=10, R=3, pca_dims=2, n_perm=50)

@@ -3,10 +3,14 @@
 import csv
 import hashlib
 import json
+import multiprocessing
 import os
 import shutil
+import signal
 import sys
 import threading
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -16,6 +20,7 @@ import pytest
 import sgwshape as sg
 import sgwshape.pipeline as pipeline
 from conftest import write_two_tetrahedra
+from sgwshape import eigen
 from sgwshape.errors import InvalidParam, ParseError, ValidationError
 from sgwshape.mesh_io import parse_mesh, read_mesh_bytes
 from sgwshape.pipeline import (
@@ -281,12 +286,28 @@ class TestRunConfig:
         assert read == []
         assert not_a_dir.read_bytes() == b"a file"
 
+    def test_cache_dir_under_a_file_loads_no_mesh(self, two_class, tmp_path, monkeypatch):
+        read = []
+
+        def counting_read(path):
+            read.append(path)
+            return read_mesh_bytes(path)
+
+        monkeypatch.setattr(pipeline, "read_mesh_bytes", counting_read)
+        a_file = tmp_path / "afile"
+        a_file.write_bytes(b"a file")
+        for cache_dir in (a_file / "sub", a_file / "sub" / "deeper"):
+            with pytest.raises(InvalidParam, match=f"{a_file} is not a directory"):
+                sg.run_group_comparison(two_class, sg.RunConfig(cache_dir=str(cache_dir), **SMALL))
+        assert read == []
+        assert a_file.read_bytes() == b"a file"
+
     def test_kernel_id_is_not_a_setting(self):
         with pytest.raises(TypeError, match="kernel_id"):
             sg.RunConfig(kernel_id="sinc")
 
     def test_jobs_is_not_a_setting(self):
-        # shapes run one at a time, so no field sets a thread count
+        # the worker count follows the usable CPUs, so no field sets it
         with pytest.raises(TypeError, match="jobs"):
             sg.RunConfig(jobs=2)
 
@@ -525,6 +546,8 @@ class TestRunGroupComparison:
 
     def test_warm_run_parses_nothing(self, two_class, tmp_path, monkeypatch):
         parsed = []
+        # the spy records in this process, so the cold run's meshes are parsed here too
+        monkeypatch.setattr(pipeline, "_pool_size", lambda misses: 1)
 
         def counting_parse(data, path):
             parsed.append(path)
@@ -844,6 +867,8 @@ class TestWalkOverStrata:
 
         monkeypatch.setattr(pipeline, "read_mesh_bytes", counting_read)
         monkeypatch.setattr(pipeline, "_summary_for_path", counting_summary)
+        # the spies record in this process, so the run's meshes are solved here too
+        monkeypatch.setattr(pipeline, "_pool_size", lambda misses: 1)
         cfg = sg.RunConfig(**SMALL)
         if command == "compare":
             run = sg.run_group_comparison(manifest, cfg)
@@ -863,6 +888,237 @@ class TestWalkOverStrata:
             assert lunate.error.startswith(f"l3 [load]: {cut}:")
             assert scaphoid.error.startswith(f"c2 [load]: {cut}:")
             assert lunate.error_kind == scaphoid.error_kind == "usage"
+
+
+@pytest.fixture(scope="module")
+def sparse_class(tmp_path_factory):
+    """3 + 3 bumpy shapes at m = 642, which take the sparse route."""
+    out = tmp_path_factory.mktemp("sparseclass")
+    return sg.DatasetManifest.load(
+        sg.make_two_class_manifest(out, n_per_group=3, subdivisions=3)
+    )
+
+
+def _pool_of_two(monkeypatch):
+    """Run every later run's misses in a pool of 2 workers, whatever the host's CPU
+    count; returns the list of pools made."""
+    made = []
+    real = pipeline.ProcessPoolExecutor
+
+    def recording(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(pipeline, "_pool_size", lambda misses: min(misses, 2))
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", recording)
+    return made
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in this thread if the block runs longer than seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _in_worker(parent_pid, path, name):
+    """Whether this call runs in a worker process, on the mesh file called name."""
+    if os.getpid() == parent_pid:
+        raise AssertionError("a pooled run parsed a mesh in the parent")
+    return Path(path).name == name
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the pool forks, on Linux only")
+class TestWorkerPool:
+    """A run's cache misses are solved in forked worker processes with the serial results."""
+
+    @staticmethod
+    def run(command, manifest, cache, out):
+        """The command's run on cache, its reports written under out; returns the result."""
+        cfg = sg.RunConfig(cache_dir=str(cache), **SMALL)
+        if command == "compare":
+            result = sg.run_group_comparison(manifest, cfg)
+            result.write_json(out / "report.json")
+            result.write_csv(out / "report.csv")
+        else:
+            result = sg.parameter_sweep(manifest, cfg, Rs=[2, 3], ks=[8, 10])
+            result.write_csv(out / "sweep.csv")
+        return result
+
+    @staticmethod
+    def tree(directory):
+        return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+    @pytest.mark.parametrize("command", ["compare", "sweep"])
+    @pytest.mark.parametrize("data", ["two_class", "sparse_class"])
+    def test_pooled_runs_write_the_one_worker_bytes(self, command, data, request, tmp_path,
+                                                    monkeypatch):
+        manifest = request.getfixturevalue(data)
+        runs = {}
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "_pool_size", lambda misses: 1)
+            for phase in ("cold", "warm"):
+                (tmp_path / f"one-{phase}").mkdir()
+                runs["one", phase] = self.run(
+                    command, manifest, tmp_path / "one-cache", tmp_path / f"one-{phase}"
+                )
+        made = _pool_of_two(monkeypatch)
+        for phase in ("cold", "warm"):
+            (tmp_path / f"pool-{phase}").mkdir()
+            runs["pool", phase] = self.run(
+                command, manifest, tmp_path / "pool-cache", tmp_path / f"pool-{phase}"
+            )
+        assert len(made) == 1  # the cold run's; the warm one creates no executor
+
+        reports = self.tree(tmp_path / "one-cold")
+        for workers, phase in runs:
+            assert self.tree(tmp_path / f"{workers}-{phase}") == reports
+        blobs = self.tree(tmp_path / "one-cache")
+        assert len(blobs) == 6
+        assert self.tree(tmp_path / "pool-cache") == blobs
+        for phase, solves, hits in (("cold", 6, 0), ("warm", 0, 6)):
+            for workers in ("one", "pool"):
+                diagnostics = runs[workers, phase].diagnostics
+                assert (diagnostics.eigensolves, diagnostics.eigen_cache_hits) == (solves, hits)
+
+    def test_errors_in_workers_carry_the_serial_text(self, tmp_path, monkeypatch):
+        manifest_path = sg.make_two_class_manifest(tmp_path, n_per_group=3, subdivisions=1)
+        lines = (tmp_path / "sphere_001.off").read_text().splitlines(keepends=True)
+        (tmp_path / "sphere_001.off").write_text("".join(lines[: len(lines) // 2]))
+        write_two_tetrahedra(tmp_path / "two.off")
+        with manifest_path.open("a") as handle:
+            handle.write("two.off,x00,sphere,synthetic,right\n"
+                         "sphere_000.off,x01,sphere,synthetic,right\n"
+                         "ellipsoid_000.off,x02,ellipsoid,synthetic,right\n"
+                         "ellipsoid_001.off,x03,ellipsoid,synthetic,right\n")
+        manifest = sg.DatasetManifest.load(manifest_path)
+        cfg = sg.RunConfig(**SMALL)
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "_pool_size", lambda misses: 1)
+            serial = sg.run_group_comparison(manifest, cfg)
+        made = _pool_of_two(monkeypatch)
+        pooled = sg.run_group_comparison(manifest, cfg)
+        assert len(made) == 1
+        assert [s.error_kind for s in pooled.strata] == ["usage", "usage"]
+        assert pooled.strata[0].error.startswith("s001 [load]: ")
+        assert pooled.strata[1].error.startswith("x00 [load]: ")
+        assert pooled.strata == serial.strata
+        assert pooled.diagnostics == serial.diagnostics
+
+    def test_repeated_bytes_count_as_one_file_at_a_time(self, tmp_path, monkeypatch):
+        # a copy of a missed file is served from the blob that its original's
+        # solve wrote, even when the two would be solved side by side
+        manifest_path = sg.make_two_class_manifest(tmp_path, n_per_group=3, subdivisions=1)
+        shutil.copy(tmp_path / "sphere_000.off", tmp_path / "copy.off")
+        header, first, *rows = manifest_path.read_text().splitlines()
+        manifest_path.write_text(
+            "\n".join([header, first, "copy.off,s900,sphere,synthetic,left", *rows]) + "\n"
+        )
+        manifest = sg.DatasetManifest.load(manifest_path)
+        results = {}
+        for workers in (1, 2):
+            with monkeypatch.context() as patch:
+                if workers == 1:
+                    patch.setattr(pipeline, "_pool_size", lambda misses: 1)
+                else:
+                    _pool_of_two(patch)
+                cfg = sg.RunConfig(cache_dir=str(tmp_path / f"cache{workers}"), **SMALL)
+                results[workers] = sg.run_group_comparison(manifest, cfg)
+        for result in results.values():
+            assert (result.diagnostics.eigensolves, result.diagnostics.eigen_cache_hits) == (6, 1)
+        assert results[1].strata == results[2].strata
+
+    def test_one_miss_or_all_hits_create_no_executor(self, two_class, tmp_path, monkeypatch):
+        made = _pool_of_two(monkeypatch)
+        cfg = sg.RunConfig(cache_dir=str(tmp_path / "cache"), **SMALL)
+        cold = sg.run_group_comparison(two_class, cfg)
+        assert len(made) == 1
+        warm = sg.run_group_comparison(two_class, cfg)
+        assert (warm.diagnostics.eigensolves, warm.diagnostics.eigen_cache_hits) == (0, 6)
+        _malform(sorted((tmp_path / "cache").glob("*.sgwc"))[0], "empty-file")
+        one_miss = sg.run_group_comparison(two_class, cfg)
+        assert (one_miss.diagnostics.eigensolves, one_miss.diagnostics.eigen_cache_hits) == (1, 5)
+        assert len(made) == 1
+        assert warm.strata == one_miss.strata == cold.strata
+
+    def test_killed_worker_ends_the_run(self, two_class, monkeypatch):
+        parent_pid = os.getpid()
+
+        def dying_parse(data, path):
+            if _in_worker(parent_pid, path, "sphere_001.off"):
+                os._exit(9)
+            return parse_mesh(data, path)
+
+        monkeypatch.setattr(pipeline, "parse_mesh", dying_parse)
+        _pool_of_two(monkeypatch)
+        with _deadline(60), pytest.raises(BrokenProcessPool):
+            sg.run_group_comparison(two_class, sg.RunConfig(**SMALL))
+        assert multiprocessing.active_children() == []
+
+    def test_other_exception_in_a_worker_propagates(self, two_class, monkeypatch):
+        parent_pid = os.getpid()
+
+        def failing_parse(data, path):
+            if _in_worker(parent_pid, path, "ellipsoid_002.off"):
+                raise RuntimeError("not an SgwError")
+            return parse_mesh(data, path)
+
+        monkeypatch.setattr(pipeline, "parse_mesh", failing_parse)
+        _pool_of_two(monkeypatch)
+        with _deadline(60), pytest.raises(RuntimeError, match="not an SgwError"):
+            sg.run_group_comparison(two_class, sg.RunConfig(**SMALL))
+        assert multiprocessing.active_children() == []
+
+    def test_every_solve_runs_at_one_blas_thread(self, two_class, sparse_class, tmp_path,
+                                                 monkeypatch):
+        # workers inherit the count of 1 from the parent; a spy in a worker
+        # records into a file, which the parent then reads
+        controls = eigen._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS thread control found")
+        record = tmp_path / "counts.jsonl"
+
+        def recording_solve(*args, **kwargs):
+            with record.open("a") as handle:
+                handle.write(json.dumps([os.getpid(), [get() for get, _ in controls]]) + "\n")
+            return sg.solve_eigen(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "solve_eigen", recording_solve)
+        before = [get() for get, _ in controls]
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "_pool_size", lambda misses: 1)
+            sg.run_group_comparison(two_class, sg.RunConfig(**SMALL))
+        _pool_of_two(monkeypatch)
+        sg.run_group_comparison(sparse_class, sg.RunConfig(**SMALL))
+        calls = [json.loads(line) for line in record.read_text().splitlines()]
+        assert len(calls) == 12
+        assert all(counts == [1] * len(controls) for _, counts in calls)
+        assert {pid for pid, _ in calls[:6]} == {os.getpid()}
+        assert os.getpid() not in {pid for pid, _ in calls[6:]}
+        assert [get() for get, _ in controls] == before
+
+
+class TestPoolSize:
+    def test_one_worker_per_usable_cpu_and_miss(self, monkeypatch):
+        monkeypatch.setattr(sys, "platform", "linux")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert [pipeline._pool_size(misses) for misses in (0, 1, 3, 4, 20)] == [0, 1, 3, 4, 4]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
+        assert pipeline._pool_size(20) == 1
+
+    @pytest.mark.parametrize("platform", ["darwin", "win32"])
+    def test_no_pool_off_linux(self, platform, monkeypatch):
+        monkeypatch.setattr(sys, "platform", platform)
+        assert pipeline._pool_size(20) == 1
 
 
 class TestParameterSweep:

@@ -123,6 +123,23 @@ class TestWilksLambda:
 class TestGroupBasis:
     """The PCA basis every comparison scores: one SVD of the centred descriptors."""
 
+    def test_svd_runs_at_one_blas_thread(self, monkeypatch):
+        controls = sg.eigen._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS thread control found")
+        counts = []
+        real_svd = scipy.linalg.svd
+
+        def recording_svd(*args, **kwargs):
+            counts.append([get() for get, _ in controls])
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(sg.stats.linalg, "svd", recording_svd)
+        before = [get() for get, _ in controls]
+        sg.compare_groups(gaussian_two_groups(n_per=10, p=6, seed=1), 3, n_perm=10, seed=0)
+        assert counts == [[1] * len(controls)]
+        assert [get() for get, _ in controls] == before
+
     def test_shape_and_orthonormal_columns(self):
         data = gaussian_two_groups(n_per=10, p=6, seed=1)
         basis = sg.stats._group_basis(data.X, 3)
