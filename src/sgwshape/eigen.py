@@ -30,9 +30,9 @@ raises. At these sizes the loop makes many small BLAS calls, and a second
 thread only spins through them; above the cutoff it pays. The libraries are
 found once per process, from ``/proc/self/maps``; where none is found
 (another BLAS, another OS) the solve runs at the default count. The dense
-route never changes the count. The batch runs of ``pipeline`` call every
-solve inside ``_one_blas_thread``, so there both routes run at one thread
-at any size.
+route never changes the count. A batch run of ``pipeline`` is one
+``_one_blas_thread`` region, so there both routes run at one thread at any
+size, and so do its descriptor products and SVDs.
 
 Determinism: the Lanczos starting vector is drawn from a fixed-seed
 generator, and every eigenvector's sign is normalized so its

@@ -9,6 +9,16 @@ K phi(j)^2 a_j^2, with K the (p, k) kernel-row matrix. Summing over
 vertices gives the closed form g = K w with w_l = sum_j a_j^3 phi_l(j)^2,
 so the descriptor never needs the p x m signature matrix: a per-mesh
 ``SpectralSummary`` of k eigenvalues and k weights is enough.
+
+``_descriptor_into`` is the one place that computes g = K w. The public
+``descriptor_from_summary`` calls it for one shape; a batch run of
+``pipeline`` calls it for every (R, k) cell of a stratum, writing each row
+of the cell's descriptor matrix in place. The kernel rows of level L do not
+depend on R (see ``sgws``), so the run evaluates each shape's bank once per
+k, at the grid's largest R, and each cell's row is the product over the
+first p(R) of those rows. Slicing the rows, not the product, keeps every
+entry bitwise equal to ``descriptor_from_summary`` at R: OpenBLAS blocks
+the matrix-vector product by its row count.
 """
 
 from __future__ import annotations
@@ -29,6 +39,11 @@ __all__ = [
     "summarize",
     "descriptor_from_summary",
 ]
+
+
+def _require_finite(g: np.ndarray) -> None:
+    if not np.isfinite(g).all():
+        raise InvalidParam("descriptor entries must be finite")
 
 
 @dataclass(frozen=True)
@@ -52,8 +67,7 @@ class GsgwVector:
                 f"descriptor has length {self.values.shape}, "
                 f"expected ({signature_length(self.R)},) for R={self.R}"
             )
-        if not np.isfinite(self.values).all():
-            raise InvalidParam("descriptor entries must be finite")
+        _require_finite(self.values)
 
     @property
     def p(self) -> int:
@@ -141,21 +155,36 @@ def summarize(basis: EigenBasis) -> SpectralSummary:
     return SpectralSummary(basis.eigenvalues, w_area, float(a.sum()))
 
 
+def _descriptor_into(
+    g: np.ndarray, rows: np.ndarray, summary: SpectralSummary, area_factor: bool, normalize: bool
+) -> None:
+    """Write g = K w into the contiguous (p,) float64 array g.
+
+    K is ``rows``, the (p, k) kernel rows of the summary's first k pairs.
+    With ``area_factor`` the weights are the first k of w_area; without it
+    they are ones, the diagonal of Phi^T A Phi = I, so that descriptor is a
+    function of the eigenvalues alone. ``normalize`` divides by the total
+    area, as in ``aggregate``. Raises InvalidParam when an entry is not finite.
+    """
+    k = rows.shape[1]
+    weights = summary.w_area[:k] if area_factor else np.ones(k)
+    # scipy's BLAS, not numpy's (see summarize); the transposed view of C-ordered
+    # rows is Fortran-ordered, so nothing is copied, and each entry is one dot product
+    dgemv(1.0, rows.T, weights, y=g, trans=1, overwrite_y=1)
+    if normalize:
+        g /= summary.total_area
+    _require_finite(g)
+
+
 def descriptor_from_summary(
     summary: SpectralSummary, R: int, area_factor: bool = True, normalize: bool = False
 ) -> GsgwVector:
     """Closed-form g = K w; equals ``aggregate(signature_matrix(...))``.
 
-    The summary's eigenvalues set the kernel rows at resolution R. With
-    ``area_factor`` the weights are w_area; without it they are ones, the
-    diagonal of Phi^T A Phi = I, so that descriptor is a function of the
-    eigenvalues alone. ``normalize`` divides by the total area, as in
-    ``aggregate``.
+    The summary's eigenvalues set the kernel rows at resolution R; the
+    weights and ``normalize`` are those of ``_descriptor_into``.
     """
-    weights = summary.w_area if area_factor else np.ones(summary.k)
-    # scipy's BLAS, not numpy's (see summarize); the transposed view of the C-ordered
-    # rows is Fortran-ordered, so nothing is copied, and each entry is one dot product
-    g = dgemv(1.0, _kernel_rows(summary.eigenvalues, R).T, weights, trans=1)
-    if normalize:
-        g = g / summary.total_area
+    rows = _kernel_rows(summary.eigenvalues, R)
+    g = np.zeros(rows.shape[0])
+    _descriptor_into(g, rows, summary, area_factor, normalize)
     return GsgwVector(g, R=R)

@@ -12,17 +12,22 @@ The run's own process reads, hashes and looks up every such file in the
 cache and serves the hits; it keeps no mesh bytes. The misses are then
 solved, each from its file read anew: in forked worker processes, one per
 usable CPU and at most one per miss, when there are at least two of both on
-Linux; else one after another in the run's process. Every solve of a run
-runs at one OpenBLAS thread, in a worker or not, so no report depends on the
-worker count (``taskset`` sets it) and the workers' BLAS threads never
-outnumber the cores. The run then walks the strata once, in sorted order,
-and compares each one's cells. Every descriptor follows in closed form from
-a summary, so a sweep over (R, k) costs O(pk) per shape and cell after each
-file's one solve. Summaries are cached under the SHA-256 of the mesh file's
-bytes plus lumping and solver method, one fixed-layout blob each (a key
-line, then 2K+1 float64 values), with atomic write-then-rename updates; a
-summary stored at K pairs serves any k <= K, and a blob of any other shape,
-or of values no solve writes (see _summary_for_path), is a miss. A rerun
+Linux; else one after another in the run's process. A run is one
+one-thread OpenBLAS region, from its first cache lookup to its last
+comparison: every solve runs at one thread, in a worker or not, so no report
+depends on the worker count (``taskset`` sets it) and the workers' BLAS
+threads never outnumber the cores, and the counts are put back once, when
+the run returns. The run then walks the strata once, in sorted order, and
+compares each one's cells. Every descriptor follows in closed form from a
+summary, g = K w (see ``gsgw``): a stratum evaluates each shape's kernel
+bank once per k of the grid, at its largest R, and every (R, k) cell takes
+the product over a prefix of those rows, so a sweep costs O(pk) per shape
+and cell after each file's one solve. Summaries are cached under the
+SHA-256 of the mesh file's bytes plus lumping and solver method, one
+fixed-layout blob each (a key line, then 2K+1 float64 values), with atomic
+write-then-rename updates; a summary stored at K pairs serves any k <= K,
+and a blob of any other shape, or of values no solve writes (see
+_summary_for_path), is a miss. A rerun
 against a warm cache parses no mesh and performs no eigensolves. Its reports
 are byte-identical to a cold run's when the cache was filled at the same k,
 or when every mesh takes the dense route. A sparse-route blob of K > k pairs
@@ -57,10 +62,11 @@ from .errors import (
     ValidationError,
     _integer,
 )
-from .gsgw import GsgwVector, SpectralSummary, descriptor_from_summary, summarize
+from .gsgw import GsgwVector, SpectralSummary, _descriptor_into, descriptor_from_summary, summarize
 from .laplacian import LUMPING_SCHEMES, laplacian_matrices
 from .mesh_io import _synthetic_settings, make_synthetic, parse_mesh, read_mesh_bytes, write_mesh
 from .outputs import _atomic_write_bytes, _csv_bytes, _nearest_existing
+from .sgws import _kernel_rows, signature_length
 
 __all__ = [
     "ManifestEntry",
@@ -408,24 +414,24 @@ def _solve_misses(misses: list, cfg: RunConfig) -> list:
     processes, else one after another in this one. A worker that dies ends
     the run with BrokenProcessPool, and an exception other than an SgwError
     propagates; either way the pool's processes are gone when this returns.
+    Only a run calls this, inside its one-thread region (see _compare_strata).
     """
     workers = _pool_size(len(misses))
     if workers < 2:
         return [_summary_or_error(path, cfg) for path in misses]
-    # Forked inside a one-thread region, a worker inherits the count of 1 and the
-    # libraries found in /proc/self/maps, so it never sets a count: that would
-    # re-create the OpenBLAS thread pools that fork shut down, and each new
+    # Forked inside the run's one-thread region, a worker inherits the count of 1
+    # and the libraries found in /proc/self/maps, so it never sets a count: that
+    # would re-create the OpenBLAS thread pools that fork shut down, and each new
     # thread spins for about 65 ms before it sleeps. gc.freeze keeps the
     # worker's collections off the objects it inherits, so their pages are not
     # copied.
-    with _one_blas_thread():
-        pool = ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"), initializer=gc.freeze
-        )
-        try:
-            return list(pool.map(_summary_or_error, misses, itertools.repeat(cfg)))
-        finally:
-            pool.shutdown(cancel_futures=True)
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"), initializer=gc.freeze
+    )
+    try:
+        return list(pool.map(_summary_or_error, misses, itertools.repeat(cfg)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _summaries(paths, cfg: RunConfig, diagnostics: RunDiagnostics) -> dict:
@@ -464,17 +470,12 @@ def _summaries(paths, cfg: RunConfig, diagnostics: RunDiagnostics) -> dict:
     return summaries
 
 
-def _descriptor(summary: SpectralSummary, cfg: RunConfig) -> GsgwVector:
-    """Closed-form descriptor at cfg's (R, k) from a summary of >= cfg.k pairs."""
-    return descriptor_from_summary(
-        summary.truncate(cfg.k), cfg.R, area_factor=cfg.area_factor, normalize=cfg.normalize
-    )
-
-
 def gsgw_for_mesh(path, cfg: RunConfig, diagnostics: RunDiagnostics | None = None) -> GsgwVector:
     """Global descriptor of the mesh file at path under cfg, using the cache when set."""
     summary = _summary_for_path(path, cfg, RunDiagnostics() if diagnostics is None else diagnostics)
-    return _descriptor(summary, cfg)
+    return descriptor_from_summary(
+        summary.truncate(cfg.k), cfg.R, area_factor=cfg.area_factor, normalize=cfg.normalize
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -493,27 +494,57 @@ def _failure(base: dict, error: str, exc: SgwError) -> StratumResult:
     return StratumResult(**base, error=error, error_kind=kind)
 
 
-def _cell_matrix(entries, summaries: dict, cfg: RunConfig, base: dict):
-    """The stratum's descriptor matrix under cfg, or the StratumResult of its first failure.
+def _cell_matrices(entries, summaries: dict, grid: list, base: dict) -> list:
+    """Per cell config of grid, the stratum's descriptor matrix, or the StratumResult
+    of that cell's first failure.
 
+    One walk over the entries, in manifest order. A shape's kernel rows are
+    evaluated once per distinct k of the grid, at its largest R; each cell's
+    row is the product over the first p(R) of them (see gsgw), written into
+    the cell's (n, p) matrix, and the rows are dropped before the next shape.
     A shape's failure names its subject and stage: [load] for a stored
     ParseError or ValidationError, else [descriptor]. The first in manifest
     order wins; a matrix that stats rejects fails as a whole.
     """
-    rows = []
-    for entry in entries:
+    cfg = grid[0]
+    R_max = max(cell_cfg.R for cell_cfg in grid)
+    outcomes = [np.zeros((len(entries), signature_length(cell_cfg.R))) for cell_cfg in grid]
+    cells_at_k: dict = {}
+    for i, cell_cfg in enumerate(grid):
+        cells_at_k.setdefault(cell_cfg.k, []).append(i)
+    for row, entry in enumerate(entries):
         summary = summaries[entry.path]
         if isinstance(summary, SgwError):
             stage = "load" if isinstance(summary, (ParseError, ValidationError)) else "descriptor"
-            return _failure(base, f"{entry.subject} [{stage}]: {summary}", summary)
-        try:
-            rows.append(_descriptor(summary, cfg).values)
-        except SgwError as exc:
-            return _failure(base, f"{entry.subject} [descriptor]: {exc}", exc)
-    try:
-        return stats.DataMatrix(np.vstack(rows), labels=tuple(entry.group for entry in entries))
-    except SgwError as exc:
-        return _failure(base, f"[stats] {exc}", exc)
+            failed = _failure(base, f"{entry.subject} [{stage}]: {summary}", summary)
+            return [o if isinstance(o, StratumResult) else failed for o in outcomes]
+        for k, cells in cells_at_k.items():
+            live = [i for i in cells if not isinstance(outcomes[i], StratumResult)]
+            if not live:
+                continue
+            try:
+                rows = _kernel_rows(summary.eigenvalues[:k], R_max)
+            except SgwError as exc:
+                for i in live:
+                    outcomes[i] = _failure(base, f"{entry.subject} [descriptor]: {exc}", exc)
+                continue
+            for i in live:
+                matrix = outcomes[i]
+                try:
+                    _descriptor_into(
+                        matrix[row], rows[: matrix.shape[1]], summary,
+                        cfg.area_factor, cfg.normalize,
+                    )
+                except SgwError as exc:
+                    outcomes[i] = _failure(base, f"{entry.subject} [descriptor]: {exc}", exc)
+    labels = tuple(entry.group for entry in entries)
+    for i, outcome in enumerate(outcomes):
+        if not isinstance(outcome, StratumResult):
+            try:
+                outcomes[i] = stats.DataMatrix(outcome, labels=labels)
+            except SgwError as exc:
+                outcomes[i] = _failure(base, f"[stats] {exc}", exc)
+    return outcomes
 
 
 def _compare_strata(manifest: DatasetManifest, grid: list, solve_cfg: RunConfig):
@@ -526,46 +557,54 @@ def _compare_strata(manifest: DatasetManifest, grid: list, solve_cfg: RunConfig)
     every cell's descriptor matrix (the cells differ only in R and k) in one
     stats.compare_cells call, so its permutation masks are drawn once for
     the whole grid. A failure stays on its own cell and stratum.
+
+    The whole walk is one _one_blas_thread region: the cache lookups, the
+    worker pool, the descriptor matrices and the stats. Each OpenBLAS is set
+    to one thread once and put back once, when the run returns; the regions
+    of _summary_for_path and the stats' SVD are nested no-ops inside it.
+    Putting the counts back re-creates the thread pools that a fork shut
+    down, so that happens after the run's last BLAS call.
     """
-    cfg = grid[0]
-    strata = {
-        key: (entries, tuple(dict.fromkeys(entry.group for entry in entries)))
-        for key, entries in manifest.strata().items()
-    }
-    diagnostics = RunDiagnostics()
-    paths = dict.fromkeys(
-        entry.path
-        for entries, groups in strata.values() if len(groups) == 2
-        for entry in entries
-    )
-    summaries = _summaries(paths, solve_cfg, diagnostics)
-    columns = []  # per stratum, one StratumResult per cell
-    for (bone, side), (entries, groups) in strata.items():
-        base = {
-            "bone": bone,
-            "side": side,
-            "n_shapes": len(entries),
-            "groups": groups,
+    with _one_blas_thread():
+        cfg = grid[0]
+        strata = {
+            key: (entries, tuple(dict.fromkeys(entry.group for entry in entries)))
+            for key, entries in manifest.strata().items()
         }
-        if len(groups) != 2:
-            error = f"need exactly 2 groups, found {len(groups)}: {list(groups)}"
-            columns.append([StratumResult(**base, error=error, error_kind="usage")] * len(grid))
-            continue
-        # per cell: a DataMatrix to compare, or its finished StratumResult
-        outcomes = [_cell_matrix(entries, summaries, cell_cfg, base) for cell_cfg in grid]
-        live = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, stats.DataMatrix)]
-        compared = stats.compare_cells(
-            [outcomes[i] for i in live],
-            cfg.pca_dims, cfg.n_perm, _stratum_seed(cfg.seed, bone, side),
+        diagnostics = RunDiagnostics()
+        paths = dict.fromkeys(
+            entry.path
+            for entries, groups in strata.values() if len(groups) == 2
+            for entry in entries
         )
-        for i, result in zip(live, compared):
-            outcomes[i] = (
-                _failure(base, f"[stats] {result}", result)
-                if isinstance(result, SgwError)
-                else StratumResult(**base, comparison=result)
+        summaries = _summaries(paths, solve_cfg, diagnostics)
+        columns = []  # per stratum, one StratumResult per cell
+        for (bone, side), (entries, groups) in strata.items():
+            base = {
+                "bone": bone,
+                "side": side,
+                "n_shapes": len(entries),
+                "groups": groups,
+            }
+            if len(groups) != 2:
+                error = f"need exactly 2 groups, found {len(groups)}: {list(groups)}"
+                columns.append([StratumResult(**base, error=error, error_kind="usage")] * len(grid))
+                continue
+            # per cell: a DataMatrix to compare, or its finished StratumResult
+            outcomes = _cell_matrices(entries, summaries, grid, base)
+            live = [i for i, o in enumerate(outcomes) if isinstance(o, stats.DataMatrix)]
+            compared = stats.compare_cells(
+                [outcomes[i] for i in live],
+                cfg.pca_dims, cfg.n_perm, _stratum_seed(cfg.seed, bone, side),
             )
-        columns.append(outcomes)
-    return [tuple(column[i] for column in columns) for i in range(len(grid))], diagnostics
+            for i, result in zip(live, compared):
+                outcomes[i] = (
+                    _failure(base, f"[stats] {result}", result)
+                    if isinstance(result, SgwError)
+                    else StratumResult(**base, comparison=result)
+                )
+            columns.append(outcomes)
+        return [tuple(column[i] for column in columns) for i in range(len(grid))], diagnostics
 
 
 def run_group_comparison(manifest: DatasetManifest, cfg: RunConfig) -> RunResult:

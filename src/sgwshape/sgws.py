@@ -23,6 +23,7 @@ place that derives it; every kernel function takes the eigenvalues and R.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -131,6 +132,37 @@ class SignatureMatrix:
         return self.values.shape[1]
 
 
+@functools.lru_cache(maxsize=32)
+def _level_layout(R: int) -> tuple:
+    """The index layout of ``_kernel_rows`` at resolution R, built once per R
+    (for the 32 latest).
+
+    (divisors, positions, triangle, fine, coarse, low_pass, band_pass), all
+    read-only: each level's linspace divisor max(L - 1, 1) and the positions
+    0 .. R - 1; the lower-triangle mask whose row L - 1 holds level L's L
+    scales; the indices, among all scales, of every level's finest scale
+    (levels >= 2) and coarsest scale; and the rows of the low-pass and
+    band-pass kernels among the p rows. Level L holds L band-pass rows and
+    then its low-pass row, which therefore sits at index L(L+3)/2 - 1.
+    """
+    levels = np.arange(1, R + 1)
+    low_pass = levels * (levels + 3) // 2 - 1
+    band_pass = np.ones(signature_length(R), dtype=bool)
+    band_pass[low_pass] = False
+    layout = (
+        np.maximum(levels - 1, 1),
+        np.arange(R),
+        np.tri(R, dtype=bool),
+        (levels * (levels + 1) // 2 - 1)[1:],
+        levels * (levels - 1) // 2,
+        low_pass,
+        band_pass,
+    )
+    for array in layout:
+        array.setflags(write=False)
+    return layout
+
+
 def _kernel_rows(eigenvalues, R: int) -> np.ndarray:
     """(p, k) matrix of kernel evaluations, one row per signature entry.
 
@@ -138,26 +170,21 @@ def _kernel_rows(eigenvalues, R: int) -> np.ndarray:
     so every vertex signature is this matrix times phi(j)^2. The scale grid
     comes from ``spectrum_bounds(eigenvalues)``. All band-pass rows come
     from one broadcast product; each entry is the same scalar arithmetic as
-    evaluating the kernel row by row.
+    evaluating the kernel row by row. No row depends on R, only on its
+    level, so the rows at R are the first p(R) rows at any larger R.
     """
     p = signature_length(R)
+    divisors, positions, triangle, fine, coarse, low_pass, band_pass = _level_layout(R)
     lam = np.asarray(eigenvalues, dtype=np.float64)
     lambda_min, lambda_max = spectrum_bounds(lam)
     t_coarse, t_fine = 2.0 / lambda_min, 2.0 / lambda_max
     start, stop = math.log(t_coarse), math.log(t_fine)
-    levels = np.arange(1, R + 1)
     # Every level's wavelet_scales in one pass of the same arithmetic: linspace's
     # i * ((stop - start) / (L - 1)) + start, one exp, then the endpoints pinned.
-    # Row L - 1 of the lower triangle holds level L's L scales, i = 0 .. L - 1.
-    step = (stop - start) / np.maximum(levels - 1, 1)
-    scales = np.exp((np.arange(R) * step[:, None] + start)[np.tri(R, dtype=bool)])
-    scales[(levels * (levels + 1) // 2 - 1)[1:]] = t_fine
-    scales[levels * (levels - 1) // 2] = t_coarse
-    # level L holds L band-pass rows and then its low-pass row, which
-    # therefore sits at index L(L+3)/2 - 1
-    low_pass = levels * (levels + 3) // 2 - 1
-    band_pass = np.ones(p, dtype=bool)
-    band_pass[low_pass] = False
+    step = (stop - start) / divisors
+    scales = np.exp((positions * step[:, None] + start)[triangle])
+    scales[fine] = t_fine
+    scales[coarse] = t_coarse
     rows = np.empty((p, lam.shape[0]))
     rows[band_pass] = mexican_hat(scales[:, None] * lam)
     rows[low_pass] = scaling_kernel(lam, lambda_min)

@@ -17,7 +17,9 @@ and scipy wheels each bundle an OpenBLAS with its own thread pool, and a
 pool's worker left spinning after a call slows the other pool's calls. It
 runs at one OpenBLAS thread (``eigen._one_blas_thread``): on a 2-core host
 a 2-thread SVD of a 20 x 495 descriptor matrix took 40-56 ms in 6 of 10
-fresh processes, and 0.34-1.0 ms at one thread.
+fresh processes, and 0.34-1.0 ms at one thread. A library call sets and
+puts back the counts around each SVD; inside a ``pipeline`` run, which is
+one such region from start to end, that is a nested no-op.
 
 Wilks' lambda is det(E) / det(E + H) with E the within-group and H the
 between-group scatter matrix; smaller values mean stronger separation.

@@ -20,7 +20,7 @@ import pytest
 import sgwshape as sg
 import sgwshape.pipeline as pipeline
 from conftest import write_two_tetrahedra
-from sgwshape import eigen
+from sgwshape import eigen, gsgw, stats
 from sgwshape.errors import InvalidParam, ParseError, ValidationError
 from sgwshape.mesh_io import parse_mesh, read_mesh_bytes
 from sgwshape.pipeline import (
@@ -1106,6 +1106,54 @@ class TestWorkerPool:
         assert os.getpid() not in {pid for pid, _ in calls[6:]}
         assert [get() for get, _ in controls] == before
 
+    def test_one_thread_count_region_per_run(self, two_class, monkeypatch):
+        # a pooled sweep sets each OpenBLAS to one thread once, before its first
+        # descriptor product and SVD, and puts it back once, after its last
+        # comparison
+        controls = eigen._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS thread control found")
+        events = []  # (name, arguments, the thread counts at the event)
+
+        def spy(name, call, after=False):
+            def recording(*args, **kwargs):
+                if not after:
+                    events.append((name, args, [get() for get, _ in controls]))
+                result = call(*args, **kwargs)
+                if after:
+                    events.append((name, (), [get() for get, _ in controls]))
+                return result
+            return recording
+
+        def setter(index, put):
+            def recording(count):
+                events.append(("set", (index, count), None))
+                put(count)
+            return recording
+
+        spied = tuple((get, setter(i, put)) for i, (get, put) in enumerate(controls))
+        monkeypatch.setattr(eigen, "_openblas_thread_controls", lambda: spied)
+        monkeypatch.setattr(gsgw, "dgemv", spy("dgemv", gsgw.dgemv))
+        monkeypatch.setattr(stats.linalg, "svd", spy("svd", stats.linalg.svd))
+        monkeypatch.setattr(
+            stats, "compare_cells", spy("compare_cells", stats.compare_cells, after=True)
+        )
+        made = _pool_of_two(monkeypatch)
+        before = [get() for get, _ in controls]
+        sweep = sg.parameter_sweep(two_class, sg.RunConfig(**SMALL), Rs=[1, 2, 3], ks=[6, 8, 10])
+        assert len(made) == 1 and len(sweep.cells) == 9
+        assert [get() for get, _ in controls] == before
+
+        n = len(controls)
+        names = [name for name, _, _ in events]
+        assert [args for _, args, _ in events[:n]] == [(i, 1) for i in range(n)]
+        assert [args for _, args, _ in events[-n:]] == list(enumerate(before))
+        inside = events[n:-n]
+        assert names[n:-n].count("set") == 0
+        assert names[-n - 1] == "compare_cells" and names.count("compare_cells") == 1
+        assert names.count("dgemv") == 6 * 9 and names.count("svd") == 9
+        assert all(counts == [1] * n for _, _, counts in inside)
+
 
 class TestPoolSize:
     def test_one_worker_per_usable_cpu_and_miss(self, monkeypatch):
@@ -1195,11 +1243,18 @@ class TestParameterSweep:
         return sweep
 
     # C(6, 3) = 20 splits: enumerated at 50 permutations, sampled at 10
-    @pytest.mark.parametrize("n_perm, scored", [(50, 20), (10, 10)])
-    def test_sweep_equals_its_cells(self, two_strata, n_perm, scored):
+    @pytest.mark.parametrize(
+        "n_perm, scored, Rs, ks",
+        [
+            pytest.param(50, 20, [2, 3], [8, 10], id="50-20"),
+            pytest.param(10, 10, [2, 3], [8, 10], id="10-10"),
+            pytest.param(10, 10, [3, 1, 2], [10, 8], id="10-10-unsorted"),
+        ],
+    )
+    def test_sweep_equals_its_cells(self, two_strata, n_perm, scored, Rs, ks):
         cfg = sg.RunConfig(**{**SMALL, "n_perm": n_perm})
-        sweep = self.assert_sweep_equals_cells(two_strata, cfg, Rs=[2, 3], ks=[8, 10])
-        assert len(sweep.cells) == 8
+        sweep = self.assert_sweep_equals_cells(two_strata, cfg, Rs=Rs, ks=ks)
+        assert len(sweep.cells) == 2 * len(Rs) * len(ks)
         assert {c.stratum.side for c in sweep.cells} == {"left", "right"}
         assert {c.stratum.comparison.n_permutations for c in sweep.cells} == {scored}
 
@@ -1214,6 +1269,60 @@ class TestParameterSweep:
                 assert cell.stratum.error_kind == "usage"
             else:
                 assert cell.stratum.error is None
+
+    def test_descriptor_failures_stay_on_their_cells(self, two_class, monkeypatch):
+        # s001's first 8 eigenvalues are zero, so only its k = 8 cells have no
+        # scale grid; e000's weights overflow g = K w in every cell, which is
+        # the first failure in manifest order on the k = 10 cells
+        summaries = pipeline._summaries
+
+        def doctored(paths, cfg, diagnostics):
+            found = summaries(paths, cfg, diagnostics)
+            for path, summary in found.items():
+                if Path(path).name == "sphere_001.off":
+                    eigenvalues = summary.eigenvalues.copy()
+                    eigenvalues[:8] = 0.0
+                    found[path] = replace(summary, eigenvalues=eigenvalues)
+                elif Path(path).name == "ellipsoid_000.off":
+                    found[path] = replace(summary, w_area=np.full(summary.k, 1.5e308))
+            return found
+
+        monkeypatch.setattr(pipeline, "_summaries", doctored)
+        cfg = sg.RunConfig(**SMALL)
+        sweep = self.assert_sweep_equals_cells(two_class, cfg, Rs=[2, 3], ks=[8, 10])
+        for cell in sweep.cells:
+            if cell.k == 8:
+                assert cell.stratum.error == (
+                    "s001 [descriptor]: largest eigenvalue is zero; spectrum carries no band "
+                    "to analyze"
+                )
+                assert cell.stratum.error_kind == "numerical"
+            else:
+                assert cell.stratum.error == "e000 [descriptor]: descriptor entries must be finite"
+                assert cell.stratum.error_kind == "usage"
+
+    def test_one_kernel_evaluation_per_shape_and_k(self, two_class, monkeypatch):
+        # a stratum evaluates each shape's kernel bank once per k of the grid, at
+        # its largest R, and every cell takes a prefix of those rows
+        evaluated = []
+
+        def spy(module):
+            real = module._kernel_rows
+
+            def counting(eigenvalues, R):
+                evaluated.append((len(eigenvalues), R))
+                return real(eigenvalues, R)
+
+            monkeypatch.setattr(module, "_kernel_rows", counting)
+
+        spy(pipeline)
+        spy(gsgw)
+        cfg = sg.RunConfig(**SMALL)
+        sg.parameter_sweep(two_class, cfg, Rs=[1, 3, 2], ks=[8, 6, 10])
+        assert sorted(evaluated) == sorted((k, 3) for k in (6, 8, 10) for _ in range(6))
+        evaluated.clear()
+        sg.run_group_comparison(two_class, cfg)
+        assert evaluated == [(10, 3)] * 6
 
     def test_masks_are_drawn_once_per_stratum(self, two_strata, monkeypatch):
         drawn = []

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import dgemv
 
 import sgwshape as sg
 from sgwshape.errors import InvalidParam, NumericalError
+from sgwshape.gsgw import descriptor_from_summary, summarize
 from sgwshape.sgws import _kernel_rows
 
 PEAK = math.exp(-1.0)
@@ -143,6 +145,18 @@ class TestKernelRows:
         np.testing.assert_array_equal(rows[-2], sg.mexican_hat(2.0 / hi * lam))
         np.testing.assert_array_equal(rows[-1], sg.scaling_kernel(lam, lo))
         assert not np.array_equal(rows, _kernel_rows(icosphere2_basis.eigenvalues, 4)[:, :11])
+
+    @pytest.mark.parametrize("k", [2, 11, 31])
+    def test_rows_at_R_are_a_prefix_of_the_rows_at_a_larger_R(self, icosphere2_basis, k):
+        # no row depends on R, so a sweep evaluates the bank once, at its
+        # largest R; the product over a prefix of those rows is the descriptor
+        summary = summarize(icosphere2_basis.truncate(k))
+        largest = _kernel_rows(summary.eigenvalues, 30)
+        for R in range(1, 31):
+            prefix = largest[: sg.signature_length(R)]
+            np.testing.assert_array_equal(_kernel_rows(summary.eigenvalues, R), prefix)
+            g = dgemv(1.0, prefix.T, summary.w_area, trans=1)
+            np.testing.assert_array_equal(g, descriptor_from_summary(summary, R).values)
 
 
 class TestSignatureMatrix:
