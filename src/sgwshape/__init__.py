@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .gsgw import GsgwVector, aggregate
-from .laplacian import laplacian_matrices, mass_matrix, stiffness_matrix
+from .laplacian import laplacian_matrices
 from .mesh_io import TriangleMesh, load_mesh, make_synthetic, write_mesh
 from .pipeline import (
     DatasetManifest,
@@ -72,8 +72,6 @@ __all__ = [
     "load_mesh",
     "write_mesh",
     "make_synthetic",
-    "stiffness_matrix",
-    "mass_matrix",
     "laplacian_matrices",
     "EigenBasis",
     "solve_eigen",

@@ -155,7 +155,9 @@ def _add_config_flags(parser, batch=True, grid=False):
         parser.add_argument("--seed", type=int, default=0, help="permutation seed (default 0)")
         parser.add_argument("--jobs", type=_one_job, default=1, help=argparse.SUPPRESS)
     parser.add_argument(
-        "--normalize", action="store_true", help="divide descriptors by total area"
+        "--normalize", action="store_true",
+        help="divide descriptors by the total area squared, which removes size "
+        "(needs the area factor)",
     )
     parser.add_argument("--cache-dir", default=None, help="content-addressed cache directory")
 

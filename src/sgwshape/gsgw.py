@@ -74,7 +74,7 @@ class GsgwVector:
         return self.values.shape[0]
 
 
-def aggregate(sig: SignatureMatrix, areas, normalize: bool = False) -> GsgwVector:
+def aggregate(sig: SignatureMatrix, areas) -> GsgwVector:
     """Aggregate per-vertex signatures into one descriptor, g = S a.
 
     The pipeline gets the same vector from ``descriptor_from_summary``
@@ -84,9 +84,6 @@ def aggregate(sig: SignatureMatrix, areas, normalize: bool = False) -> GsgwVecto
     ----------
     sig : SignatureMatrix
     areas : (m,) positive vertex areas
-    normalize : bool
-        Divide by the total area, which removes surface size but not the
-        dependence on tessellation density. Off by default.
     """
     a = np.asarray(areas, dtype=np.float64)
     if a.shape != (sig.m,):
@@ -95,10 +92,7 @@ def aggregate(sig: SignatureMatrix, areas, normalize: bool = False) -> GsgwVecto
         )
     if (a <= 0).any():
         raise InvalidParam("vertex areas must be positive")
-    g = sig.values @ a
-    if normalize:
-        g = g / a.sum()
-    return GsgwVector(g, R=sig.R)
+    return GsgwVector(sig.values @ a, R=sig.R)
 
 
 @dataclass(frozen=True)
@@ -111,7 +105,7 @@ class SpectralSummary:
     w_area : (K,) float64
         sum_j a_j^3 phi_l(j)^2, the weights of the standard descriptor.
     total_area : float
-        Sum of the vertex areas, the divisor under ``normalize``.
+        Sum of the vertex areas; its square is the divisor under ``normalize``.
 
     Without the a_j^2 area factor the weights are sum_j a_j phi_l(j)^2,
     the diagonal of Phi^T A Phi = I, so they are taken as exact ones and
@@ -164,7 +158,9 @@ def _descriptor_into(
     With ``area_factor`` the weights are the first k of w_area; without it
     they are ones, the diagonal of Phi^T A Phi = I, so that descriptor is a
     function of the eigenvalues alone. ``normalize`` divides by the total
-    area, as in ``aggregate``. Raises InvalidParam when an entry is not finite.
+    area squared: under the area factor g goes as length^4, so this removes
+    surface size, but not the dependence on tessellation density. Raises
+    InvalidParam when an entry is not finite.
     """
     k = rows.shape[1]
     weights = summary.w_area[:k] if area_factor else np.ones(k)
@@ -172,7 +168,7 @@ def _descriptor_into(
     # rows is Fortran-ordered, so nothing is copied, and each entry is one dot product
     dgemv(1.0, rows.T, weights, y=g, trans=1, overwrite_y=1)
     if normalize:
-        g /= summary.total_area
+        g /= summary.total_area**2
     _require_finite(g)
 
 
@@ -182,8 +178,11 @@ def descriptor_from_summary(
     """Closed-form g = K w; equals ``aggregate(signature_matrix(...))``.
 
     The summary's eigenvalues set the kernel rows at resolution R; the
-    weights and ``normalize`` are those of ``_descriptor_into``.
+    weights and ``normalize`` are those of ``_descriptor_into``. Without the
+    area factor there is no size to divide out, so ``normalize`` is refused.
     """
+    if normalize and not area_factor:
+        raise InvalidParam("normalize needs the area factor")
     rows = _kernel_rows(summary.eigenvalues, R)
     g = np.zeros(rows.shape[0])
     _descriptor_into(g, rows, summary, area_factor, normalize)

@@ -22,11 +22,7 @@ from scipy import sparse
 from .errors import DegenerateMass, InvalidParam
 from .mesh_io import TriangleMesh, _triangle_geometry
 
-__all__ = [
-    "stiffness_matrix",
-    "mass_matrix",
-    "laplacian_matrices",
-]
+__all__ = ["laplacian_matrices"]
 
 LUMPING_SCHEMES = ("mixed", "barycentric")
 
@@ -46,12 +42,8 @@ def _corner_geometry(mesh: TriangleMesh):
     return cots, edge_sq, 0.5 * double_area
 
 
-def stiffness_matrix(mesh: TriangleMesh) -> sparse.csr_matrix:
-    """Symmetric positive semidefinite cotangent stiffness matrix, (m, m) CSR."""
-    return _stiffness(mesh, _corner_geometry(mesh)[0])
-
-
 def _stiffness(mesh: TriangleMesh, cots: np.ndarray) -> sparse.csr_matrix:
+    """Symmetric positive semidefinite cotangent stiffness matrix, (m, m) CSR."""
     m = mesh.m
     t = mesh.triangles
 
@@ -67,17 +59,12 @@ def _stiffness(mesh: TriangleMesh, cots: np.ndarray) -> sparse.csr_matrix:
     return (off + sparse.diags(diag, format="csr")).tocsr()
 
 
-def mass_matrix(mesh: TriangleMesh, lumping: str = "mixed") -> sparse.dia_matrix:
-    """Diagonal vertex-area mass matrix, (m, m).
+def _mass(mesh: TriangleMesh, lumping: str, geometry) -> sparse.dia_matrix:
+    """Diagonal vertex-area mass matrix, (m, m), from the mesh's _corner_geometry.
 
     Raises DegenerateMass if any vertex patch comes out non-positive, which
     only happens on degenerate geometry.
     """
-    return _mass(mesh, lumping, _corner_geometry(mesh))
-
-
-def _mass(mesh: TriangleMesh, lumping: str, geometry) -> sparse.dia_matrix:
-    """mass_matrix, from the mesh's _corner_geometry."""
     if lumping not in LUMPING_SCHEMES:
         raise InvalidParam(f"unknown lumping {lumping!r}; expected one of {LUMPING_SCHEMES}")
     t = mesh.triangles

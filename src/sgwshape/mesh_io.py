@@ -157,13 +157,6 @@ class TriangleMesh:
         """Triangle count."""
         return self.triangles.shape[0]
 
-    def triangle_areas(self) -> np.ndarray:
-        """Per-triangle areas."""
-        return 0.5 * _triangle_geometry(self.vertices, self.triangles)[2]
-
-    def total_area(self) -> float:
-        return float(self.triangle_areas().sum())
-
     def with_vertices(self, vertices, check_degenerate=True) -> "TriangleMesh":
         """Same connectivity with replaced vertex positions."""
         return TriangleMesh(vertices, self.triangles, check_degenerate=check_degenerate)

@@ -183,6 +183,11 @@ class RunConfig:
         for name in ("area_factor", "normalize"):
             if not isinstance(getattr(self, name), bool):
                 raise InvalidParam(f"{name} must be True or False, got {getattr(self, name)!r}")
+        if self.normalize and not self.area_factor:
+            raise InvalidParam(
+                "normalize needs the area factor: without it the descriptor "
+                "does not depend on size, so there is nothing to divide out"
+            )
         if not (self.cache_dir is None or isinstance(self.cache_dir, (str, os.PathLike))):
             raise InvalidParam(f"cache_dir must be None or a path, got {self.cache_dir!r}")
         if self.lumping not in LUMPING_SCHEMES:

@@ -32,6 +32,19 @@ def rigid_transform(mesh, rotation, translation):
     return mesh.with_vertices(mesh.vertices @ rotation.T + translation, check_degenerate=False)
 
 
+def triangle_areas(mesh):
+    """Per-triangle areas of the mesh, from the geometry pass assembly uses."""
+    return 0.5 * mesh_io._triangle_geometry(mesh.vertices, mesh.triangles)[2]
+
+
+def first_pairs(basis, k):
+    """The basis of the first k pairs of `basis`."""
+    return sg.EigenBasis(
+        basis.eigenvalues[:k].copy(), basis.eigenvectors[:, :k].copy(), basis.vertex_areas,
+        method=basis.method,
+    )
+
+
 def apply_operator(stiffness, mass, f):
     """The discrete Laplacian ``A^{-1} W`` applied to the vertex function f."""
     return (stiffness @ f) / mass.diagonal()

@@ -493,6 +493,35 @@ class TestJobsFlag:
         assert "--jobs" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["compare", "sweep", "gsgw"])
+def test_normalize_without_area_factor_exits_2_writing_nothing(
+    command, mesh_file, dataset_dir, tmp_path, capsys, monkeypatch
+):
+    # without the area factor the descriptor has no size to divide out
+    read = []
+
+    def counting_read(path):
+        read.append(path)
+        return read_mesh_bytes(path)
+
+    monkeypatch.setattr(pipeline, "read_mesh_bytes", counting_read)
+    out = tmp_path / "out"
+    argv = {
+        "compare": ["compare", str(dataset_dir / "manifest.csv"), "--out-dir", str(out)],
+        "sweep": ["sweep", str(dataset_dir / "manifest.csv"), "--Rs", "2", "--ks-grid", "8",
+                  "--out-dir", str(out)],
+        "gsgw": ["gsgw", str(mesh_file), "--out", str(out)],
+    }[command]
+    assert main([*argv, "--normalize", "--no-area-factor"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        "error: normalize needs the area factor: without it the descriptor "
+        "does not depend on size, so there is nothing to divide out"
+    )
+    assert "Traceback" not in err
+    assert read == [] and not out.exists()
+
+
 class TestOutParent:
     @pytest.mark.parametrize(
         "argv, inputs",

@@ -196,23 +196,74 @@ class TestSolveEigen:
             sg.solve_eigen(stiffness, mass, 3, method="sparse")
 
 
+def scaled_problem(subdivisions, c):
+    """(W, A) of make_synthetic("bumpy_sphere", subdivisions, seed=0) with every vertex times c."""
+    mesh = sg.make_synthetic("bumpy_sphere", subdivisions, seed=0)
+    return sg.laplacian_matrices(mesh.with_vertices(c * mesh.vertices))
+
+
+_SCALES = [1e-3, 1.0, 1e3]
+
+
+class TestLengthUnit:
+    """The solver's checks carry no length unit: under x -> c x, W is unchanged,
+    A goes as c^2 and each eigenvalue as 1/c^2, so a mesh in metres and the same
+    mesh in millimetres are held to the same bar."""
+
+    @pytest.mark.parametrize(
+        "subdivisions, method", [(2, "auto"), (3, "auto"), (4, "auto"), (2, "sparse"), (3, "dense")]
+    )
+    def test_every_scale_solves(self, subdivisions, method):
+        reference = sg.solve_eigen(*scaled_problem(subdivisions, 1.0), 31, method=method)
+        for c in (1e-3, 1e3):
+            got = sg.solve_eigen(*scaled_problem(subdivisions, c), 31, method=method)
+            assert got.method == reference.method
+            scaled = got.eigenvalues * c**2
+            assert scaled[0] <= 1e-10 * reference.eigenvalues[-1]
+            np.testing.assert_allclose(scaled[1:], reference.eigenvalues[1:], rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("method", ["dense", "sparse"])
+    def test_one_pair_is_checked_against_lambda_2(self, method):
+        # lambda_1 of a closed mesh is zero, so it cannot set the scale
+        for c in _SCALES:
+            stiffness, mass = scaled_problem(2, c)
+            basis = sg.solve_eigen(stiffness, mass, 1, method=method)
+            assert basis.eigenvalues[0] <= 1e-10 / c**2
+            np.testing.assert_allclose(
+                basis.eigenvectors[:, 0], 1.0 / np.sqrt(mass.diagonal().sum()), rtol=1e-8
+            )
+
+    @pytest.mark.parametrize("c", _SCALES)
+    @pytest.mark.parametrize(
+        "subdivisions, method, solver", [(2, "dense", "eigh"), (3, "sparse", "eigsh")]
+    )
+    def test_a_perturbed_pair_is_refused(self, monkeypatch, c, subdivisions, method, solver):
+        # every eigenvalue 1e-6 relative off; the gate with a unit, 1e-8 on
+        # ||W phi - lambda A phi|| / ||A phi||, let this through at c = 1e3
+        found = getattr(eigen, solver)
+
+        def perturbed(*args, **kwargs):
+            vals, vecs = found(*args, **kwargs)
+            return vals * (1.0 + 1e-6), vecs
+
+        monkeypatch.setattr(eigen, solver, perturbed)
+        with pytest.raises(ConvergenceError, match=r"residual .* \(relative to lambda_k\) exceeds"):
+            sg.solve_eigen(*scaled_problem(subdivisions, c), 31, method=method)
+
+    @pytest.mark.parametrize("c", _SCALES)
+    @pytest.mark.parametrize("method", ["dense", "sparse"])
+    def test_a_negative_eigenvalue_is_refused(self, c, method):
+        # W - delta A has the pairs of (W, A) with each eigenvalue lowered by
+        # delta, so its lowest is -delta = -1e-6 lambda_k: far outside round-off
+        # at every scale. The check's old floor of 1.0 (a unit of 1/length^2)
+        # clamped it to zero at c = 1e3
+        stiffness, mass = scaled_problem(2, c)
+        lam_k = sg.solve_eigen(stiffness, mass, 31, method=method).eigenvalues[-1]
+        with pytest.raises(NumericalError, match="negative beyond round-off"):
+            sg.solve_eigen(stiffness - 1e-6 * lam_k * mass, mass, 31, method=method)
+
+
 class TestEigenBasis:
-    def test_truncate(self, bumpy2_basis):
-        cut = bumpy2_basis.truncate(7)
-        assert cut.k == 7
-        np.testing.assert_array_equal(cut.eigenvalues, bumpy2_basis.eigenvalues[:7])
-        np.testing.assert_array_equal(cut.eigenvectors, bumpy2_basis.eigenvectors[:, :7])
-        np.testing.assert_array_equal(cut.vertex_areas, bumpy2_basis.vertex_areas)
-
-    def test_truncate_full_is_self(self, bumpy2_basis):
-        assert bumpy2_basis.truncate(bumpy2_basis.k) is bumpy2_basis
-
-    def test_truncate_invalid(self, bumpy2_basis):
-        with pytest.raises(InvalidParam):
-            bumpy2_basis.truncate(0)
-        with pytest.raises(InvalidParam):
-            bumpy2_basis.truncate(bumpy2_basis.k + 1)
-
     def test_shape_properties(self, bumpy2, bumpy2_basis):
         assert bumpy2_basis.m == bumpy2.m
         assert bumpy2_basis.k == 31
@@ -344,7 +395,6 @@ class TestSparseSolveThreads:
         lambda mesh, basis, w, a: sg.solve_eigen(w, a, 2.5, method="sparse"),
         lambda mesh, basis, w, a: sg.solve_eigen(w, a, 2.5, method="dense"),
         lambda mesh, basis, w, a: sg.solve_eigen(w, a, True, method="dense"),
-        lambda mesh, basis, w, a: basis.truncate(2.0),
         lambda mesh, basis, w, a: summarize(basis).truncate(2.0),
         lambda mesh, basis, w, a: sg.signature_matrix(basis, 2.5),
         lambda mesh, basis, w, a: sg.wavelet_scales(2.5, 1.0, 20.0),
@@ -352,7 +402,7 @@ class TestSparseSolveThreads:
         lambda mesh, basis, w, a: sg.nmse_curve(mesh, basis, [2.5]),
     ],
     ids=[
-        "solve-sparse-k", "solve-dense-k", "solve-bool-k", "basis-truncate", "summary-truncate",
+        "solve-sparse-k", "solve-dense-k", "solve-bool-k", "summary-truncate",
         "signature-R", "scales-L", "reconstruct-k", "nmse-k",
     ],
 )

@@ -5,10 +5,10 @@ import pytest
 
 import sgwshape as sg
 from sgwshape.errors import DimensionMismatch, InvalidParam
-from sgwshape.gsgw import summarize
+from sgwshape.gsgw import descriptor_from_summary, summarize
 from sgwshape.sgws import _kernel_rows
 
-from conftest import random_rotation, rigid_transform
+from conftest import first_pairs, random_rotation, rigid_transform
 
 
 def toy_signature():
@@ -31,13 +31,6 @@ class TestAggregate:
         vec = sg.aggregate(sig, areas)
         np.testing.assert_allclose(vec.values, sig.values @ areas, rtol=1e-15)
         assert vec.R == 2
-
-    def test_normalize_divides_by_total_area(self):
-        sig = toy_signature()
-        areas = np.array([0.5, 1.0, 2.0])
-        plain = sg.aggregate(sig, areas)
-        scaled = sg.aggregate(sig, areas, normalize=True)
-        np.testing.assert_allclose(scaled.values, plain.values / areas.sum(), rtol=1e-15)
 
     def test_area_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -90,8 +83,10 @@ class TestClosedForm:
     """gsgw_for_mesh uses g = K w; aggregate(signature_matrix(...)) is the reference."""
 
     @pytest.mark.parametrize("method", ["dense", "sparse"])
-    @pytest.mark.parametrize("area_factor", [True, False])
-    @pytest.mark.parametrize("normalize", [False, True])
+    # normalize needs the area factor (RunConfig refuses it alone)
+    @pytest.mark.parametrize(
+        "normalize, area_factor", [(False, True), (False, False), (True, True)]
+    )
     def test_matches_signature_aggregate(self, bumpy2_file, method, area_factor, normalize):
         cfg = sg.RunConfig(
             k=31, R=6, method=method, area_factor=area_factor, normalize=normalize
@@ -101,10 +96,10 @@ class TestClosedForm:
         stiffness, mass = sg.laplacian_matrices(sg.load_mesh(bumpy2_file))
         basis = sg.solve_eigen(stiffness, mass, 31, method=method)
         want = sg.aggregate(
-            sg.signature_matrix(basis, 6, area_factor=area_factor),
-            basis.vertex_areas,
-            normalize=normalize,
+            sg.signature_matrix(basis, 6, area_factor=area_factor), basis.vertex_areas
         )
+        if normalize:
+            want = sg.GsgwVector(want.values / basis.vertex_areas.sum() ** 2, R=6)
         assert got.values.shape == want.values.shape
         assert _relative_gap(got.values, want.values) <= 1e-14
 
@@ -116,7 +111,7 @@ class TestClosedForm:
         assert diag.eigensolves == 0 and diag.eigen_cache_hits == 1
 
         stiffness, mass = sg.laplacian_matrices(sg.load_mesh(bumpy2_file))
-        basis = sg.solve_eigen(stiffness, mass, 20).truncate(9)
+        basis = first_pairs(sg.solve_eigen(stiffness, mass, 20), 9)
         want = sg.aggregate(sg.signature_matrix(basis, 5), basis.vertex_areas)
         assert _relative_gap(got.values, want.values) <= 1e-14
 
@@ -138,6 +133,29 @@ class TestClosedForm:
         stiffness, mass = sg.laplacian_matrices(sg.load_mesh(bumpy2_file))
         rows = _kernel_rows(sg.solve_eigen(stiffness, mass, 31).eigenvalues, 6)
         assert _relative_gap(got.values, rows @ np.ones(31)) <= 1e-14
+
+    @pytest.mark.parametrize("subdivisions", [2, 3])
+    def test_normalize_removes_size(self, subdivisions):
+        # under the area factor w_l = sum_j a_j^3 phi_l(j)^2 goes as c^4 for a
+        # mesh scaled by c, and so does the total area squared; the kernel rows
+        # are anchored at lambda_k and do not move
+        mesh = sg.make_synthetic("bumpy_sphere", subdivisions, seed=0)
+
+        def descriptors(c):
+            stiffness, mass = sg.laplacian_matrices(mesh.with_vertices(c * mesh.vertices))
+            summary = summarize(sg.solve_eigen(stiffness, mass, 31))
+            return [descriptor_from_summary(summary, 30, normalize=normalize).values
+                    for normalize in (False, True)]
+
+        plain, normalized = descriptors(1.0)
+        for c in (2.0, 10.0):
+            scaled_plain, scaled_normalized = descriptors(c)
+            assert _relative_gap(scaled_plain, c**4 * plain) <= 1e-12
+            assert _relative_gap(scaled_normalized, normalized) <= 1e-12
+
+    def test_normalize_needs_the_area_factor(self, bumpy2_basis):
+        with pytest.raises(InvalidParam, match="normalize needs the area factor"):
+            descriptor_from_summary(summarize(bumpy2_basis), 5, area_factor=False, normalize=True)
 
     def test_summary_truncate_is_a_prefix(self, bumpy2_basis):
         summary = summarize(bumpy2_basis)

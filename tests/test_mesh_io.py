@@ -10,9 +10,9 @@ from conftest import (
     reference_icosphere,
     reference_off_bytes,
     reference_synthetic,
+    triangle_areas,
     write_two_tetrahedra,
 )
-from sgwshape import laplacian
 from sgwshape.cli import main
 from sgwshape.errors import InvalidParam, ParseError, ValidationError
 
@@ -143,14 +143,6 @@ class TestTriangleMesh:
         ):
             sg.TriangleMesh(vertices, triangles)
 
-    def test_triangle_areas(self):
-        mesh = tetra()
-        areas = mesh.triangle_areas()
-        # three unit right triangles plus the diagonal face
-        expected = np.array([0.5, 0.5, 0.5, np.sqrt(3) / 2])
-        np.testing.assert_allclose(np.sort(areas), np.sort(expected), rtol=1e-14)
-        assert np.isclose(mesh.total_area(), areas.sum())
-
     def test_with_vertices_keeps_topology(self):
         mesh = tetra()
         out = mesh.with_vertices(mesh.vertices * 2.0)
@@ -159,10 +151,12 @@ class TestTriangleMesh:
 
 
 class TestTriangleGeometry:
-    @pytest.mark.parametrize("subdivisions", [2, 3])
-    def test_areas_are_the_laplacian_areas(self, subdivisions):
-        mesh = sg.make_synthetic("bumpy_sphere", subdivisions, seed=1)
-        assert np.array_equal(mesh.triangle_areas(), laplacian._corner_geometry(mesh)[2])
+    def test_tetrahedron_areas(self):
+        mesh = tetra()
+        areas = triangle_areas(mesh)
+        # three unit right triangles plus the diagonal face
+        expected = np.array([0.5, 0.5, 0.5, np.sqrt(3) / 2])
+        np.testing.assert_allclose(np.sort(areas), np.sort(expected), rtol=1e-14)
 
     @pytest.mark.parametrize("subdivisions", [2, 3])
     def test_lengths_and_area_match_the_textbook_expressions(self, subdivisions):

@@ -246,6 +246,8 @@ class TestRunConfig:
             dict(area_factor="no"),
             dict(normalize=1),
             dict(cache_dir=3),
+            # nothing to normalize: without the area factor the descriptor has no size
+            dict(normalize=True, area_factor=False),
         ],
     )
     def test_validation(self, kwargs):
@@ -398,7 +400,7 @@ class TestDescriptorCache:
         head, body = (cache / names[0]).read_bytes().split(b"\n", 1)
         assert head == f"SGWSPEC2 {digest} {cfg.lumping} {cfg.method}".encode()
         assert len(body) == 8 * (2 * cfg.k + 1)
-        areas = sg.mass_matrix(sg.load_mesh(mesh), lumping=cfg.lumping).diagonal()
+        areas = sg.laplacian_matrices(sg.load_mesh(mesh), lumping=cfg.lumping)[1].diagonal()
         assert np.frombuffer(body, dtype="<f8")[0] == areas.sum()
 
     def test_method_is_part_of_the_key(self, tmp_path):
@@ -517,6 +519,27 @@ class TestRunGroupComparison:
         cfg = sg.RunConfig(cache_dir=str(tmp_path / "c2"), **SMALL)
         again = sg.run_group_comparison(two_class, cfg)
         assert again.report_dict() == small_run.report_dict()
+
+    def test_the_length_unit_moves_no_result(self, tmp_path):
+        # one population written at three scales; the solver's checks carry no
+        # unit and a uniform scale of every descriptor leaves the MANOVA as it
+        # is (the files keep 12 significant digits, so the reports are not bitwise equal)
+        source = sg.make_two_class_manifest(tmp_path / "source", n_per_group=4, subdivisions=2)
+        cfg = sg.RunConfig(k=20, R=10, pca_dims=4, n_perm=200)
+        found = []
+        for c in (1e-3, 1.0, 1e3):
+            out = tmp_path / f"c{c:g}"
+            out.mkdir()
+            shutil.copy(source, out / "manifest.csv")
+            for entry in sg.DatasetManifest.load(source).entries:
+                mesh = sg.load_mesh(entry.path)
+                sg.write_mesh(mesh.with_vertices(c * mesh.vertices), out / Path(entry.path).name)
+            run = sg.run_group_comparison(sg.DatasetManifest.load(out / "manifest.csv"), cfg)
+            found.append(run.strata[0].comparison)
+        for got in (found[0], found[2]):
+            assert got.statistic == pytest.approx(found[1].statistic, rel=1e-8)
+            assert got.manova_p == pytest.approx(found[1].manova_p, rel=1e-8)
+            assert got.permutation_p == found[1].permutation_p
 
     @pytest.mark.xfail(
         strict=True,

@@ -134,7 +134,7 @@ class TestKernelRows:
     def test_truncated_spectrum_sets_its_own_grid(self, icosphere2_basis):
         # a prefix of k eigenvalues is anchored at its own lambda_k, not at
         # the largest eigenvalue of the full basis
-        lam = icosphere2_basis.truncate(11).eigenvalues
+        lam = icosphere2_basis.eigenvalues[:11]
         lo, hi = sg.spectrum_bounds(lam)
         assert (lo, hi) == (lam[-1] / 20.0, lam[-1])
         assert hi < icosphere2_basis.eigenvalues[-1]
@@ -150,7 +150,7 @@ class TestKernelRows:
     def test_rows_at_R_are_a_prefix_of_the_rows_at_a_larger_R(self, icosphere2_basis, k):
         # no row depends on R, so a sweep evaluates the bank once, at its
         # largest R; the product over a prefix of those rows is the descriptor
-        summary = summarize(icosphere2_basis.truncate(k))
+        summary = summarize(icosphere2_basis).truncate(k)
         largest = _kernel_rows(summary.eigenvalues, 30)
         for R in range(1, 31):
             prefix = largest[: sg.signature_length(R)]
