@@ -196,8 +196,8 @@ def load_mesh(path) -> TriangleMesh:
     Raises
     ------
     ParseError
-        Missing file, unknown extension or malformed file; the message
-        carries the offending line number where there is one.
+        Missing or unreadable file, unknown extension or malformed file;
+        the message carries the offending line number where there is one.
     ValidationError
         Structurally invalid mesh (see TriangleMesh).
     """
@@ -210,7 +210,10 @@ def read_mesh_bytes(path) -> bytes:
     if not p.is_file():
         raise ParseError(f"{p}: no such file")
     _parser_for(p)
-    return p.read_bytes()
+    try:
+        return p.read_bytes()
+    except OSError as exc:
+        raise ParseError(f"{p}: cannot read ({exc.strerror})") from None
 
 
 def parse_mesh(data: bytes, path) -> TriangleMesh:

@@ -9,25 +9,25 @@ recorded in the report instead of aborting the run.
 A run first reduces each mesh file of its two-group strata, once, to a
 spectral summary (eigenvalues, area weights and total area, see ``gsgw``).
 The run's own process reads, hashes and looks up every such file in the
-cache and serves the hits; it keeps no mesh bytes. The misses are then
-solved, each from its file read anew: in forked worker processes, one per
-usable CPU and at most one per miss, when there are at least two of both on
-Linux; else one after another in the run's process. A run is one
-one-thread OpenBLAS region, from its first cache lookup to its last
-comparison: every solve runs at one thread, in a worker or not, so no report
-depends on the worker count (``taskset`` sets it) and the workers' BLAS
-threads never outnumber the cores, and the counts are put back once, when
-the run returns. The run then walks the strata once, in sorted order, and
-compares each one's cells. Every descriptor follows in closed form from a
-summary, g = K w (see ``gsgw``): a stratum evaluates each shape's kernel
-bank once per k of the grid, at its largest R, and every (R, k) cell takes
-the product over a prefix of those rows, so a sweep costs O(pk) per shape
-and cell after each file's one solve. Summaries are cached under the
-SHA-256 of the mesh file's bytes plus lumping and solver method, one
-fixed-layout blob each (a key line, then 2K+1 float64 values), with atomic
-write-then-rename updates; a summary stored at K pairs serves any k <= K,
-and a blob of any other shape, or of values no solve writes (see
-_summary_for_path), is a miss. A rerun
+cache, once, and serves the hits; it keeps no mesh bytes. The misses are
+then solved, each from its file read and hashed anew to key its blob: in
+forked worker processes, one per usable CPU and at most one per miss, when
+there are at least two of both on Linux; else one after another in the run's
+process. A run is one one-thread OpenBLAS region, from its first cache
+lookup to its last comparison: every solve runs at one thread, in a worker
+or not, so no report depends on the worker count (``taskset`` sets it) and
+the workers' BLAS threads never outnumber the cores, and the counts are put
+back once, when the run returns. The run then walks the strata once, in
+sorted order, and compares each one's cells. Every descriptor follows in
+closed form from a summary, g = K w (see ``gsgw``): a stratum evaluates each
+shape's kernel bank once per k of the grid, at its largest R, and every
+(R, k) cell takes the product over a prefix of those rows, so a sweep costs
+O(pk) per shape and cell after each file's one solve. Summaries are cached
+under the SHA-256 of the mesh file's bytes plus lumping and solver method,
+one fixed-layout blob each (a key line, then 2K+1 float64 values), with
+atomic write-then-rename updates; a summary stored at K pairs serves any
+k <= K, and a blob of any other shape, or of values no solve writes (see
+_cached_summary), is a miss. A rerun
 against a warm cache parses no mesh and performs no eigensolves. Its reports
 are byte-identical to a cold run's when the cache was filled at the same k,
 or when every mesh takes the dense route. A sparse-route blob of K > k pairs
@@ -94,10 +94,13 @@ SIGNIFICANCE_LEVEL = 0.05
 def _csv_rows(path: Path) -> list:
     """The rows of the UTF-8 CSV file at path, a leading byte-order mark skipped.
 
-    Decoding does not depend on the locale; bytes that are not UTF-8 are a ParseError.
+    Decoding does not depend on the locale; a file that cannot be read, or
+    bytes that are not UTF-8, are a ParseError.
     """
     try:
         text = path.read_bytes().decode("utf-8-sig")
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read ({exc.strerror})") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return list(csv.reader(io.StringIO(text, newline="")))
@@ -336,7 +339,14 @@ def _cache_entry(data: bytes, cfg: RunConfig) -> tuple:
 
 
 def _cached_summary(cache_path: Path, head: bytes, k: int) -> SpectralSummary | None:
-    """The summary stored at cache_path under head with at least k pairs, or None on a miss."""
+    """The summary stored at cache_path under head with at least k pairs, or None on a miss.
+
+    A blob is its head line, then little-endian float64 values: the total
+    area, K eigenvalues and K area weights. It is a hit only when its head
+    line is exactly head, it holds 2K+1 floats with K >= k, and they are
+    values a solve could have written: all finite, a total area > 0,
+    eigenvalues that start at >= 0 and do not descend, and weights >= 0.
+    """
     try:
         blob = cache_path.read_bytes()
     except OSError:
@@ -358,48 +368,25 @@ def _cached_summary(cache_path: Path, head: bytes, k: int) -> SpectralSummary | 
     return SpectralSummary(eigenvalues, w_area, float(total_area))
 
 
-def _summary_for_path(path, cfg: RunConfig, diagnostics: RunDiagnostics) -> SpectralSummary:
-    """Spectral summary of at least cfg.k pairs of the mesh file at path.
+def _solve(path, cfg: RunConfig):
+    """Summary of exactly cfg.k pairs of the mesh file at path, or the SgwError raised.
 
-    The cache key is the SHA-256 of the file's bytes plus lumping and
-    method. A blob is one head line naming that key, then little-endian
-    float64 values: the total area, K eigenvalues and K area weights. It is
-    a hit only when its head line is exactly the expected one, its body
-    holds 2K+1 floats with K >= cfg.k, and those are values a solve could
-    have written: all finite, a total area > 0, eigenvalues that start at
-    >= 0 and do not descend, and weights >= 0. A hit is returned whole
-    without parsing the file. Anything else is a miss, which parses the very
-    bytes that were hashed, solves exactly cfg.k pairs and replaces the blob.
+    One task of a run's solves, in a worker process or in this one. It looks
+    nothing up (see _summaries), and its caller holds a _one_blas_thread
+    region. It hashes the very bytes it parses, so the blob it writes when
+    cfg.cache_dir is set carries their key.
     """
-    data = read_mesh_bytes(path)
+    try:
+        data = read_mesh_bytes(path)
+        stiffness, mass = laplacian_matrices(parse_mesh(data, path), lumping=cfg.lumping)
+        summary = summarize(solve_eigen(stiffness, mass, cfg.k, method=cfg.method))
+    except SgwError as exc:
+        return exc
     if cfg.cache_dir is not None:
         cache_path, head = _cache_entry(data, cfg)
-        summary = _cached_summary(cache_path, head, cfg.k)
-        if summary is not None:
-            diagnostics.eigen_cache_hits += 1
-            return summary
-
-    stiffness, mass = laplacian_matrices(parse_mesh(data, path), lumping=cfg.lumping)
-    with _one_blas_thread():
-        basis = solve_eigen(stiffness, mass, cfg.k, method=cfg.method)
-    summary = summarize(basis)
-    diagnostics.eigensolves += 1
-    if cfg.cache_dir is not None:
         body = np.concatenate(([summary.total_area], summary.eigenvalues, summary.w_area))
         _atomic_write_bytes(cache_path, head + body.astype("<f8").tobytes())
     return summary
-
-
-def _summary_or_error(path, cfg: RunConfig) -> tuple:
-    """(summary of path, or the SgwError that summarising it raised; its RunDiagnostics).
-
-    One task of a run's solves, in a worker process or in this one.
-    """
-    diagnostics = RunDiagnostics()
-    try:
-        return _summary_for_path(path, cfg, diagnostics), diagnostics
-    except SgwError as exc:
-        return exc, diagnostics
 
 
 def _pool_size(misses: int) -> int:
@@ -413,17 +400,17 @@ def _pool_size(misses: int) -> int:
 
 
 def _solve_misses(misses: list, cfg: RunConfig) -> list:
-    """_summary_or_error of each path of misses, in order.
+    """_solve of each path of misses, in order.
 
     With _pool_size of 2 or more they run in that many forked worker
     processes, else one after another in this one. A worker that dies ends
     the run with BrokenProcessPool, and an exception other than an SgwError
     propagates; either way the pool's processes are gone when this returns.
-    Only a run calls this, inside its one-thread region (see _compare_strata).
+    The caller holds a _one_blas_thread region (see _compare_strata).
     """
     workers = _pool_size(len(misses))
     if workers < 2:
-        return [_summary_or_error(path, cfg) for path in misses]
+        return [_solve(path, cfg) for path in misses]
     # Forked inside the run's one-thread region, a worker inherits the count of 1
     # and the libraries found in /proc/self/maps, so it never sets a count: that
     # would re-create the OpenBLAS thread pools that fork shut down, and each new
@@ -434,7 +421,7 @@ def _solve_misses(misses: list, cfg: RunConfig) -> list:
         workers, mp_context=multiprocessing.get_context("fork"), initializer=gc.freeze
     )
     try:
-        return list(pool.map(_summary_or_error, misses, itertools.repeat(cfg)))
+        return list(pool.map(_solve, misses, itertools.repeat(cfg)))
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -442,13 +429,14 @@ def _solve_misses(misses: list, cfg: RunConfig) -> list:
 def _summaries(paths, cfg: RunConfig, diagnostics: RunDiagnostics) -> dict:
     """path -> SpectralSummary, or the SgwError that summarising it raised, for each of paths.
 
-    This process first reads, hashes and looks up each file in cfg's cache
-    and serves the hits; it keeps no mesh bytes. _solve_misses then
-    summarises the misses, each from the file read anew. A file whose bytes
-    equal an earlier miss's is summarised after them, from the blob that
-    miss wrote, so the counts in diagnostics are those of one file at a time.
+    The one place a file is looked up in cfg's cache: this process reads,
+    hashes and looks up each file and serves the hits; it keeps no mesh
+    bytes. _solve_misses then solves the misses. A file whose bytes equal an
+    earlier miss's takes that miss's summary and counts as a hit, as its
+    blob would have served it; when that miss failed, it is solved on its
+    own, so its error names its own path.
     """
-    summaries, misses, repeats, blobs = {}, [], [], set()
+    summaries, misses, repeats, first_miss = {}, [], {}, {}
     for path in paths:
         if cfg.cache_dir is None:
             misses.append(path)
@@ -462,22 +450,30 @@ def _summaries(paths, cfg: RunConfig, diagnostics: RunDiagnostics) -> dict:
         if summary is not None:
             diagnostics.eigen_cache_hits += 1
             summaries[path] = summary
-        elif cache_path in blobs:
-            repeats.append(path)
+        elif cache_path in first_miss:
+            repeats[path] = first_miss[cache_path]
         else:
-            blobs.add(cache_path)
+            first_miss[cache_path] = path
             misses.append(path)
-    solved = _solve_misses(misses, cfg) + [_summary_or_error(path, cfg) for path in repeats]
-    for path, (summary, counts) in zip(misses + repeats, solved):
-        summaries[path] = summary
-        diagnostics.eigensolves += counts.eigensolves
-        diagnostics.eigen_cache_hits += counts.eigen_cache_hits
+    solved = dict(zip(misses, _solve_misses(misses, cfg)))
+    for path, original in repeats.items():
+        if isinstance(solved[original], SgwError):
+            solved[path] = _solve(path, cfg)
+        else:
+            diagnostics.eigen_cache_hits += 1
+            summaries[path] = solved[original]
+    diagnostics.eigensolves += sum(not isinstance(s, SgwError) for s in solved.values())
+    summaries.update(solved)
     return summaries
 
 
 def gsgw_for_mesh(path, cfg: RunConfig, diagnostics: RunDiagnostics | None = None) -> GsgwVector:
     """Global descriptor of the mesh file at path under cfg, using the cache when set."""
-    summary = _summary_for_path(path, cfg, RunDiagnostics() if diagnostics is None else diagnostics)
+    diagnostics = RunDiagnostics() if diagnostics is None else diagnostics
+    with _one_blas_thread():
+        summary = _summaries([path], cfg, diagnostics)[path]
+    if isinstance(summary, SgwError):
+        raise summary
     return descriptor_from_summary(
         summary.truncate(cfg.k), cfg.R, area_factor=cfg.area_factor, normalize=cfg.normalize
     )
@@ -566,7 +562,7 @@ def _compare_strata(manifest: DatasetManifest, grid: list, solve_cfg: RunConfig)
     The whole walk is one _one_blas_thread region: the cache lookups, the
     worker pool, the descriptor matrices and the stats. Each OpenBLAS is set
     to one thread once and put back once, when the run returns; the regions
-    of _summary_for_path and the stats' SVD are nested no-ops inside it.
+    of solve_eigen and the stats' SVD are nested no-ops inside it.
     Putting the counts back re-creates the thread pools that a fork shut
     down, so that happens after the run's last BLAS call.
     """

@@ -1,5 +1,9 @@
 """Shared fixtures: canonical meshes and their eigen decompositions."""
 
+import errno
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -59,6 +63,19 @@ def write_two_tetrahedra(path):
     lines += [f"3 {i + s} {j + s} {k + s}" for s in (0, 4) for i, j, k in faces]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def make_unreadable(monkeypatch, name):
+    """Make Path.read_bytes refuse every file called name, as a mode of 000 does
+    for any user but root; forked workers inherit the patch."""
+    read_bytes = Path.read_bytes
+
+    def refusing(path):
+        if path.name == name:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", refusing)
 
 
 def reference_icosphere(subdivisions):

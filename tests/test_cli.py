@@ -11,7 +11,12 @@ import pytest
 import sgwshape as sg
 import sgwshape.cli as cli
 import sgwshape.pipeline as pipeline
-from conftest import reference_off_bytes, reference_synthetic, write_two_tetrahedra
+from conftest import (
+    make_unreadable,
+    reference_off_bytes,
+    reference_synthetic,
+    write_two_tetrahedra,
+)
 from sgwshape.cli import build_parser, main
 from sgwshape.mesh_io import read_mesh_bytes
 from sgwshape.svgplot import heatmap, line_plot
@@ -116,6 +121,15 @@ class TestEigen:
         code = main(["eigen", str(tmp_path / "ghost.off"), "--out-dir", str(tmp_path)])
         assert code == 2
         capsys.readouterr()
+
+    def test_unreadable_mesh_exits_2(self, mesh_file, tmp_path, capsys, monkeypatch):
+        make_unreadable(monkeypatch, mesh_file.name)
+        out_dir = tmp_path / "out"
+        code = main(["eigen", str(mesh_file), "--k", "6", "--out-dir", str(out_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"error: {mesh_file}: cannot read (Permission denied)"
+        assert "Traceback" not in err and not out_dir.exists()
 
     def test_json_errors_shape(self, tmp_path, capsys):
         code = main(
@@ -409,6 +423,15 @@ class TestCompare:
         code = main(["compare", str(bad), "--out-dir", str(tmp_path)])
         assert code == 2
         capsys.readouterr()
+
+    def test_unreadable_manifest_exits_2(self, dataset_dir, tmp_path, capsys, monkeypatch):
+        make_unreadable(monkeypatch, "manifest.csv")
+        out_dir = tmp_path / "out"
+        assert self.run_compare(dataset_dir, out_dir) == 2
+        err = capsys.readouterr().err
+        manifest = dataset_dir / "manifest.csv"
+        assert err.splitlines()[-1] == f"error: {manifest}: cannot read (Permission denied)"
+        assert "Traceback" not in err and not out_dir.exists()
 
     @pytest.mark.parametrize(
         "filename, content",

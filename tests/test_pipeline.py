@@ -19,7 +19,7 @@ import pytest
 
 import sgwshape as sg
 import sgwshape.pipeline as pipeline
-from conftest import write_two_tetrahedra
+from conftest import make_unreadable, write_two_tetrahedra
 from sgwshape import eigen, gsgw, stats
 from sgwshape.errors import InvalidParam, ParseError, ValidationError
 from sgwshape.mesh_io import parse_mesh, read_mesh_bytes
@@ -878,18 +878,18 @@ class TestWalkOverStrata:
         manifest = sg.DatasetManifest.load(manifest_path)
 
         read, summarised = [], []
-        summary_for_path = pipeline._summary_for_path
+        solve = pipeline._solve
 
         def counting_read(path):
             read.append(Path(path).name)
             return read_mesh_bytes(path)
 
-        def counting_summary(path, cfg, diagnostics):
+        def counting_solve(path, cfg):
             summarised.append((Path(path).name, cfg.k))
-            return summary_for_path(path, cfg, diagnostics)
+            return solve(path, cfg)
 
         monkeypatch.setattr(pipeline, "read_mesh_bytes", counting_read)
-        monkeypatch.setattr(pipeline, "_summary_for_path", counting_summary)
+        monkeypatch.setattr(pipeline, "_solve", counting_solve)
         # the spies record in this process, so the run's meshes are solved here too
         monkeypatch.setattr(pipeline, "_pool_size", lambda misses: 1)
         cfg = sg.RunConfig(**SMALL)
@@ -911,6 +911,42 @@ class TestWalkOverStrata:
             assert lunate.error.startswith(f"l3 [load]: {cut}:")
             assert scaphoid.error.startswith(f"c2 [load]: {cut}:")
             assert lunate.error_kind == scaphoid.error_kind == "usage"
+
+    def test_a_copy_of_a_failing_file_fails_under_its_own_name(self, tmp_path):
+        # the copy's bytes equal a miss's, but that miss failed, so the copy is
+        # solved on its own and its error names its own path
+        sg.make_two_class_manifest(tmp_path, n_per_group=3, subdivisions=1)
+        lines = (tmp_path / "sphere_000.off").read_text().splitlines(keepends=True)
+        (tmp_path / "cut.off").write_text("".join(lines[: len(lines) // 2]))
+        shutil.copy(tmp_path / "cut.off", tmp_path / "cut_copy.off")
+        shutil.copy(tmp_path / "sphere_002.off", tmp_path / "only_hamate.off")
+        rows = [row.replace("cut.off,c2", "cut_copy.off,c2") for row in self.ROWS]
+        manifest_path = tmp_path / "three.csv"
+        manifest_path.write_text("\n".join([",".join(pipeline.MANIFEST_HEADER), *rows]) + "\n")
+        cfg = sg.RunConfig(cache_dir=str(tmp_path / "cache"), **SMALL)
+        run = sg.run_group_comparison(sg.DatasetManifest.load(manifest_path), cfg)
+        _, lunate, scaphoid = run.strata
+        assert lunate.error.startswith(f"l3 [load]: {tmp_path / 'cut.off'}:")
+        assert scaphoid.error.startswith(f"c2 [load]: {tmp_path / 'cut_copy.off'}:")
+        assert (run.diagnostics.eigensolves, run.diagnostics.eigen_cache_hits) == (5, 0)
+
+    def test_one_cache_lookup_per_file(self, two_class, tmp_path, monkeypatch):
+        lookups = []
+        cached_summary = pipeline._cached_summary
+
+        def counting_lookup(cache_path, head, k):
+            lookups.append(cache_path.name)
+            return cached_summary(cache_path, head, k)
+
+        monkeypatch.setattr(pipeline, "_cached_summary", counting_lookup)
+        # the spy records in this process, so the run's meshes are solved here too
+        monkeypatch.setattr(pipeline, "_pool_size", lambda misses: 1)
+        cfg = sg.RunConfig(cache_dir=str(tmp_path / "cache"), **SMALL)
+        for solves, hits in ((6, 0), (0, 6)):
+            lookups.clear()
+            run = sg.run_group_comparison(two_class, cfg)
+            assert (run.diagnostics.eigensolves, run.diagnostics.eigen_cache_hits) == (solves, hits)
+            assert sorted(lookups) == sorted(p.name for p in (tmp_path / "cache").iterdir())
 
 
 @pytest.fixture(scope="module")
@@ -1036,6 +1072,32 @@ class TestWorkerPool:
         assert pooled.strata[1].error.startswith("x00 [load]: ")
         assert pooled.strata == serial.strata
         assert pooled.diagnostics == serial.diagnostics
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unreadable_file_fails_only_its_stratum(self, tmp_path, monkeypatch, workers,
+                                                     cached):
+        manifest_path = sg.make_two_class_manifest(tmp_path, n_per_group=3, subdivisions=1)
+        with manifest_path.open("a") as handle:
+            handle.write("sphere_000.off,x00,sphere,synthetic,right\n"
+                         "sphere_002.off,x01,sphere,synthetic,right\n"
+                         "ellipsoid_000.off,x02,ellipsoid,synthetic,right\n"
+                         "ellipsoid_001.off,x03,ellipsoid,synthetic,right\n")
+        manifest = sg.DatasetManifest.load(manifest_path)
+        make_unreadable(monkeypatch, "sphere_001.off")
+        if workers == 1:
+            monkeypatch.setattr(pipeline, "_pool_size", lambda misses: 1)
+        else:
+            _pool_of_two(monkeypatch)
+        cache_dir = str(tmp_path / "cache") if cached else None
+        left, right = sg.run_group_comparison(
+            manifest, sg.RunConfig(cache_dir=cache_dir, **SMALL)
+        ).strata
+        assert left.error == (
+            f"s001 [load]: {tmp_path / 'sphere_001.off'}: cannot read (Permission denied)"
+        )
+        assert left.error_kind == "usage"
+        assert right.error is None and right.comparison is not None
 
     def test_repeated_bytes_count_as_one_file_at_a_time(self, tmp_path, monkeypatch):
         # a copy of a missed file is served from the blob that its original's
