@@ -5,6 +5,14 @@ Solves ``W phi = lambda A phi`` through the symmetric similarity transform
 ``phi = A^{-1/2} u``. That keeps the problem symmetric, so eigenvalues are
 real and the eigenvector matrix comes out A-orthonormal by construction.
 
+B is built straight from W's CSR entries: with d = A^{-1/2}, entry (i, j)
+is ``((d_i w_ij) d_j + (d_j w_ji) d_i) / 2``, the symmetric part of D W D,
+rounded as scipy's sparse products and sum would round it, and an entry
+that comes out exactly zero is not stored. W must have a symmetric
+sparsity pattern (its values are symmetrized). B takes W's CSR arrays and
+one transpose of W for the paired entries, with no sparse product, sparse
+sum or COO round trip.
+
 Two routes share this reduction: a dense one (scipy.linalg.eigh on the full
 B, used for small meshes and as the cross-check oracle) and a sparse
 shift-invert Lanczos one (scipy.sparse.linalg.eigsh, used for large meshes
@@ -15,8 +23,9 @@ lambda_k, so no check depends on the length unit.
 The sparse route's shift sigma is negative and B is positive semidefinite
 (W is the P1 finite-element stiffness matrix), so ``B - sigma I`` is
 positive definite. B's reverse Cuthill-McKee ordering has a narrow band, and
-the whole Lanczos solve runs in that order: the upper triangle of B goes
-straight into LAPACK band storage, sigma comes off its diagonal row, and
+the whole Lanczos solve runs in that order: each CSR entry of B whose
+row comes at or before its column in that order goes straight into LAPACK
+band storage, sigma comes off its diagonal row, and
 one banded Cholesky factor (dpbtrf) serves every application of
 ``(B - sigma I)^{-1}`` as a bare dpbtrs call. The starting vector enters
 in band order and the eigenvectors return to vertex order once, after the
@@ -191,6 +200,32 @@ def _one_blas_thread():
                     put(count)
 
 
+def _similarity(w: sparse.csr_matrix, inv_sqrt: np.ndarray) -> sparse.csr_matrix:
+    """B = A^{-1/2} W A^{-1/2}, symmetrized, as a canonical CSR matrix.
+
+    With d = inv_sqrt, entry (i, j) is ``((d_i w_ij) d_j + (d_j w_ji) d_i) / 2``,
+    taken straight from W's CSR entries and their transposes. An entry that
+    comes out exactly zero is not stored. Raises InvalidParam when W's
+    sparsity pattern is not symmetric.
+    """
+    if not w.has_canonical_format:
+        w = w.copy()
+        w.sum_duplicates()
+    m = w.shape[0]
+    transposed = w.T.tocsr()
+    if not (
+        np.array_equal(transposed.indptr, w.indptr)
+        and np.array_equal(transposed.indices, w.indices)
+    ):
+        raise InvalidParam("stiffness matrix must have a symmetric sparsity pattern")
+    rows = np.repeat(np.arange(m), np.diff(w.indptr))
+    d_row, d_col = inv_sqrt[rows], inv_sqrt[w.indices]
+    values = ((d_row * w.data) * d_col + (d_col * transposed.data) * d_row) * 0.5
+    kept = values != 0.0
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[kept], minlength=m))))
+    return sparse.csr_matrix((values[kept], w.indices[kept], indptr), shape=(m, m))
+
+
 def _shift_invert(b, sigma: float) -> tuple[LinearOperator, np.ndarray]:
     """``x -> (B - sigma I)^{-1} x`` in band order, from one banded Cholesky factor.
 
@@ -198,19 +233,19 @@ def _shift_invert(b, sigma: float) -> tuple[LinearOperator, np.ndarray]:
     the operator acts on vectors indexed in that order, so band position i
     holds vertex ``perm[i]``. C is the shifted matrix in that order, stored in
     LAPACK upper band form ``ab[bw + i - j, j] = C[i, j]`` for i <= j and
-    filled straight from the entries of B.
+    filled straight from B's CSR entries.
     """
     m = b.shape[0]
     perm = reverse_cuthill_mckee(b, symmetric_mode=True)
     rank = np.empty(m, dtype=np.intp)
     rank[perm] = np.arange(m)
-    entries = b.tocoo()
-    row, col = rank[entries.row], rank[entries.col]
+    row = rank[np.repeat(np.arange(m), np.diff(b.indptr))]
+    col = rank[b.indices]
     upper = row <= col
     row, col = row[upper], col[upper]
     bw = int(np.max(col - row, initial=0))
     ab = np.zeros((bw + 1, m))
-    ab[bw + row - col, col] = entries.data[upper]
+    ab[bw + row - col, col] = b.data[upper]
     ab[bw] -= sigma
     factor, info = dpbtrf(ab, overwrite_ab=1)
     if info != 0:
@@ -229,14 +264,19 @@ def solve_eigen(stiffness, mass, k: int, method: str = "auto") -> EigenBasis:
     Parameters
     ----------
     stiffness : (m, m) symmetric sparse matrix
+        Its sparsity pattern must be symmetric; its values are symmetrized.
     mass : (m, m) diagonal sparse matrix with positive diagonal
-    k : int, 1 <= k <= m
+    k : int, 1 <= k <= m, and k < m on the sparse route
     method : {"auto", "dense", "sparse"}
         The sparse route runs at one OpenBLAS thread up to a size cutoff
         (see the module docstring).
 
     Raises
     ------
+    InvalidParam
+        A k out of range for the route, a mass diagonal that is not
+        positive, or a stiffness matrix whose sparsity pattern is not
+        symmetric.
     ConvergenceError
         Lanczos failure, or a residual ``||W phi - lambda A phi||`` above
         2e-10 lambda_k ``||A phi||`` on any returned pair.
@@ -262,20 +302,16 @@ def solve_eigen(stiffness, mass, k: int, method: str = "auto") -> EigenBasis:
         raise InvalidParam(f"unknown method {method!r}; expected one of {SOLVER_METHODS}")
     if method == "auto":
         method = "dense" if m <= DENSE_CUTOFF else "sparse"
+    if method == "sparse" and k >= m:
+        raise InvalidParam(f"sparse route needs k < m, got k={k}, m={m}")
 
     inv_sqrt = 1.0 / np.sqrt(areas)
-    scaling = sparse.diags(inv_sqrt)
-    b = (scaling @ w @ scaling).tocsr()
-    # symmetrize: assembly already makes paired entries equal, this guards
-    # against CSR ordering artifacts at no cost to exactness
-    b = (b + b.T) * 0.5
+    b = _similarity(w, inv_sqrt)
 
     if method == "dense":
         solved, vecs = eigh(b.toarray())
         vecs = vecs[:, :k]
     else:
-        if k >= m:
-            raise InvalidParam(f"sparse route needs k < m, got k={k}, m={m}")
         # Solve past the requested window: restarted Lanczos can drop members
         # of a degenerate cluster sitting exactly at the window edge, and the
         # oversolve buffer pushes that edge out. ARPACK's default Krylov size,

@@ -50,6 +50,10 @@ _DEGENERATE_REL_TOL = 1e-12
 # A disconnected mesh's error names this many component sizes, largest first.
 _SHOWN_COMPONENTS = 10
 
+# The bytes a body read in one call may hold: numbers, blanks, tabs and the
+# line breaks it is joined with
+_BODY_BYTES = b"0123456789+-.eE \t\n"
+
 class TriangleMesh:
     """Immutable triangle mesh: vertex positions plus triangle connectivity.
 
@@ -72,7 +76,12 @@ class TriangleMesh:
         more than one connected component.
     """
 
-    __slots__ = ("vertices", "triangles")
+    # _geometry is _triangle_geometry(vertices, triangles), or None when
+    # check_degenerate was off; _edges is the sorted unique edge keys i*m + j
+    # (i < j) and, per triangle side (sides (0, 1), (1, 2), (2, 0) of every
+    # triangle, in three blocks), the index of its edge among them.
+    # Validation computes both, and assembly reuses them
+    __slots__ = ("vertices", "triangles", "_geometry", "_edges")
 
     def __init__(self, vertices, triangles, check_degenerate=True):
         v = np.ascontiguousarray(np.asarray(vertices, dtype=np.float64))
@@ -108,21 +117,35 @@ class TriangleMesh:
         if repeated.any():
             raise ValidationError(f"triangle {int(np.flatnonzero(repeated)[0])} repeats a vertex")
 
+        geometry = None
         if check_degenerate:
-            _, edge_sq, double_area = _triangle_geometry(v, t)
+            geometry = _triangle_geometry(v, t)
+            _, edge_sq, double_area = geometry
             degenerate = double_area <= _DEGENERATE_REL_TOL * edge_sq.max(axis=1)
             if degenerate.any():
                 raise ValidationError(
                     f"triangle {int(np.flatnonzero(degenerate)[0])} has zero area"
                 )
 
-        edges = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
-        # edge (i, j), i < j, as the key i*m + j: keys sort like the pairs,
-        # and a 1-D unique is far cheaper than a row-wise one
-        keys, counts = np.unique(edges[:, 0] * m + edges[:, 1], return_counts=True)
+        # edge (i, j), i < j, of each triangle side as the key i*m + j, sides
+        # (0, 1), (1, 2) and (2, 0) in three blocks: keys sort like the pairs,
+        # and a 1-D sort is far cheaper than a row-wise one
+        g = t.shape[0]
+        a = t.T.ravel()
+        b = np.concatenate((a[g:], a[:g]))
+        side_keys = np.minimum(a, b) * m + np.maximum(a, b)
+        order = np.argsort(side_keys)
+        ordered = side_keys[order]
+        first = np.empty(ordered.size, dtype=bool)
+        first[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        keys = ordered[first]
+        counts = np.diff(np.append(np.flatnonzero(first), ordered.size))
         if (counts > 2).any():
             i, j = divmod(int(keys[np.argmax(counts > 2)]), m)
             raise ValidationError(f"edge ({i}, {j}) is shared by more than two triangles")
+        side_edge = np.empty(ordered.size, dtype=np.intp)
+        side_edge[order] = np.cumsum(first) - 1
 
         referenced = np.zeros(m, dtype=bool)
         referenced[t.ravel()] = True
@@ -131,7 +154,11 @@ class TriangleMesh:
 
         # an island adds its own spectrum to the solved window, so the
         # descriptor would change with no warning
-        adjacency = sparse.coo_matrix((np.ones(keys.size), divmod(keys, m)), shape=(m, m))
+        lo, hi = divmod(keys, m)
+        adjacency = sparse.csr_matrix(
+            (np.ones(keys.size), hi, np.append(0, np.cumsum(np.bincount(lo, minlength=m)))),
+            shape=(m, m),
+        )
         n_parts, labels = connected_components(adjacency, directed=False)
         if n_parts > 1:
             sizes = [str(size) for size in sorted(np.bincount(labels).tolist(), reverse=True)]
@@ -146,6 +173,8 @@ class TriangleMesh:
         t.setflags(write=False)
         self.vertices = v
         self.triangles = t
+        self._geometry = geometry
+        self._edges = (keys, side_edge)
 
     @property
     def m(self) -> int:
@@ -172,7 +201,7 @@ def _triangle_geometry(v, t):
     where corner k is vertex ``t[:, k]``. `edges` is that tuple of (g, 3)
     arrays, the lengths are (g, 3) with column k for edge k.
     """
-    p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+    p0, p1, p2 = v[t.T]
     edges = (p2 - p1, p0 - p2, p1 - p0)
     # (x^2 + y^2) + z^2 is what a sum over axis 1 gives, in a fraction of its
     # time; column-major lengths make a reduction over each triangle cheap too
@@ -301,19 +330,33 @@ def _read_elements(lines, start, elements, name):
 def _read_triangle_body(body, elements):
     """(vertices, triangles) of one vertex block and one all-triangle face block.
 
-    Returns None unless the body is exactly that: no comment, every vertex
-    line holding one value per declared property, every face line reading
-    ``3 i j k``, nothing after the face block, every value parsed by numpy
-    as ``float()`` and ``int()`` would parse it, finite coordinates and
-    indices in range. The line reader then takes the file, so whatever it
-    accepts or rejects (with its line number) is unchanged.
+    `body` is the list of the body's lines. Returns None unless the body is
+    exactly that: no byte but the digits, signs, points and exponent letters
+    of numbers, blanks and tabs (so no comment, no other whitespace and
+    nothing str.split reads otherwise), every vertex line holding one value
+    per declared property, every face line reading ``3 i j k``, nothing after
+    the face block, every value parsed by numpy as ``float()`` and ``int()``
+    would parse it, finite coordinates and indices in range. The lines are
+    checked as one byte string: its tokens per line are counted with numpy,
+    not split in Python. The line reader takes any other body, so whatever
+    it accepts or rejects (with its line number) is unchanged.
     """
     if [kind for kind, _, _ in elements] != ["vertex", "face"]:
         return None
     (_, n_vertices, props), (_, n_faces, _) = elements
     if n_faces == 0 or not {"x", "y", "z"} <= set(props):
         return None
-    per_line = np.fromiter(map(len, map(str.split, body)), np.intp, len(body))
+    text = "\n".join(body).encode()
+    if text.translate(None, _BODY_BYTES):
+        return None
+    raw = np.frombuffer(text, dtype=np.uint8)
+    solid = raw > ord(" ")
+    starts = solid.copy()
+    starts[1:] &= ~solid[:-1]
+    breaks = np.flatnonzero(raw == ord("\n"))
+    per_line = np.diff(
+        np.searchsorted(np.flatnonzero(starts), breaks), prepend=0, append=np.count_nonzero(starts)
+    )
     filled = np.flatnonzero(per_line)
     if filled.size != n_vertices + n_faces:
         return None
@@ -321,10 +364,8 @@ def _read_triangle_body(body, elements):
         per_line[filled[n_vertices:]] != 4
     ).any():
         return None
-    split = filled[n_vertices]
-    vertex_text, face_text = "\n".join(body[:split]), "\n".join(body[split:])
-    if "#" in vertex_text or "#" in face_text:
-        return None
+    split = 0 if filled[n_vertices] == 0 else breaks[filled[n_vertices] - 1] + 1
+    vertex_text, face_text = text[:split], text[split:]
     with warnings.catch_warnings():
         # older numpy warns instead of raising when a block does not parse to its end
         warnings.simplefilter("error", DeprecationWarning)
@@ -339,8 +380,8 @@ def _read_triangle_body(body, elements):
     vertices = values.reshape(n_vertices, len(props))[:, [props.index(a) for a in "xyz"]]
     faces = faces.reshape(n_faces, 4)
     triangles = faces[:, 1:]
-    # numpy reads "nan(1)", which float() refuses, and clamps an index past
-    # int64, which int() keeps
+    # a coordinate past the float range reads as inf, and numpy clamps an
+    # index past int64, which int() keeps
     if (
         not np.isfinite(vertices).all()
         or (faces[:, 0] != 3).any()

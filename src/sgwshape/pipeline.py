@@ -27,8 +27,11 @@ under the SHA-256 of the mesh file's bytes plus lumping and solver method,
 one fixed-layout blob each (a key line, then 2K+1 float64 values), with
 atomic write-then-rename updates; a summary stored at K pairs serves any
 k <= K, and a blob of any other shape, or of values no solve writes (see
-_cached_summary), is a miss. A rerun
-against a warm cache parses no mesh and performs no eigensolves. Its reports
+_cached_summary), is a miss. A sweep solves each mesh at the largest k of
+its grid that the mesh allows, and only the cells of a larger k fail. A
+rerun against a warm cache parses no mesh and performs no eigensolves,
+except for a mesh too small for the grid's largest k, whose blob holds
+fewer pairs than that lookup asks for. Its reports
 are byte-identical to a cold run's when the cache was filled at the same k,
 or when every mesh takes the dense route. A sparse-route blob of K > k pairs
 is not: the sparse solver's first k pairs depend in the last bits on how
@@ -368,25 +371,38 @@ def _cached_summary(cache_path: Path, head: bytes, k: int) -> SpectralSummary | 
     return SpectralSummary(eigenvalues, w_area, float(total_area))
 
 
-def _solve(path, cfg: RunConfig):
-    """Summary of exactly cfg.k pairs of the mesh file at path, or the SgwError raised.
+def _solve(path, cfg: RunConfig, ks) -> dict:
+    """k -> summary or SgwError, for each k of ks, of the mesh file at path.
 
-    One task of a run's solves, in a worker process or in this one. It looks
-    nothing up (see _summaries), and its caller holds a _one_blas_thread
-    region. It hashes the very bytes it parses, so the blob it writes when
-    cfg.cache_dir is set carries their key.
+    One task of a run's solves, in a worker process or in this one. The mesh
+    is solved once, at the largest k of ks that solve_eigen accepts for it:
+    every k up to that one maps to that summary, whose prefixes serve them,
+    and each larger k to the InvalidParam that solve_eigen raised for it. A
+    failure of any other kind maps every k that was not refused to it. It
+    looks nothing up (see _summaries), and its caller holds a
+    _one_blas_thread region. It hashes the very bytes it parses, so the blob
+    it writes when cfg.cache_dir is set carries their key.
     """
+    refused = {}
     try:
         data = read_mesh_bytes(path)
         stiffness, mass = laplacian_matrices(parse_mesh(data, path), lumping=cfg.lumping)
-        summary = summarize(solve_eigen(stiffness, mass, cfg.k, method=cfg.method))
+        for k in sorted(ks, reverse=True):
+            try:
+                basis = solve_eigen(stiffness, mass, k, method=cfg.method)
+                break
+            except InvalidParam as exc:
+                refused[k] = exc
+        else:
+            return refused
+        summary = summarize(basis)
     except SgwError as exc:
-        return exc
+        return {**dict.fromkeys(ks, exc), **refused}
     if cfg.cache_dir is not None:
         cache_path, head = _cache_entry(data, cfg)
         body = np.concatenate(([summary.total_area], summary.eigenvalues, summary.w_area))
         _atomic_write_bytes(cache_path, head + body.astype("<f8").tobytes())
-    return summary
+    return {**dict.fromkeys(ks, summary), **refused}
 
 
 def _pool_size(misses: int) -> int:
@@ -399,8 +415,8 @@ def _pool_size(misses: int) -> int:
     return min(misses, len(os.sched_getaffinity(0)))
 
 
-def _solve_misses(misses: list, cfg: RunConfig) -> list:
-    """_solve of each path of misses, in order.
+def _solve_misses(misses: list, cfg: RunConfig, ks) -> list:
+    """_solve of each path of misses at ks, in order.
 
     With _pool_size of 2 or more they run in that many forked worker
     processes, else one after another in this one. A worker that dies ends
@@ -410,7 +426,7 @@ def _solve_misses(misses: list, cfg: RunConfig) -> list:
     """
     workers = _pool_size(len(misses))
     if workers < 2:
-        return [_solve(path, cfg) for path in misses]
+        return [_solve(path, cfg, ks) for path in misses]
     # Forked inside the run's one-thread region, a worker inherits the count of 1
     # and the libraries found in /proc/self/maps, so it never sets a count: that
     # would re-create the OpenBLAS thread pools that fork shut down, and each new
@@ -421,20 +437,21 @@ def _solve_misses(misses: list, cfg: RunConfig) -> list:
         workers, mp_context=multiprocessing.get_context("fork"), initializer=gc.freeze
     )
     try:
-        return list(pool.map(_solve, misses, itertools.repeat(cfg)))
+        return list(pool.map(_solve, misses, itertools.repeat(cfg), itertools.repeat(ks)))
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _summaries(paths, cfg: RunConfig, diagnostics: RunDiagnostics) -> dict:
-    """path -> SpectralSummary, or the SgwError that summarising it raised, for each of paths.
+def _summaries(paths, cfg: RunConfig, ks, diagnostics: RunDiagnostics) -> dict:
+    """path -> {k: SpectralSummary or SgwError} for each of paths and each k of ks.
 
-    The one place a file is looked up in cfg's cache: this process reads,
-    hashes and looks up each file and serves the hits; it keeps no mesh
-    bytes. _solve_misses then solves the misses. A file whose bytes equal an
-    earlier miss's takes that miss's summary and counts as a hit, as its
-    blob would have served it; when that miss failed, it is solved on its
-    own, so its error names its own path.
+    The one place a file is looked up in cfg's cache, at the largest k of ks:
+    this process reads, hashes and looks up each file and serves the hits;
+    it keeps no mesh bytes. _solve_misses then solves the misses (see _solve
+    for a k too large for a mesh). A file whose bytes equal an earlier
+    miss's takes that miss's outcome and counts as a hit, as its blob would
+    have served it; when that miss failed at any k, it is solved on its own,
+    so its error names its own path.
     """
     summaries, misses, repeats, first_miss = {}, [], {}, {}
     for path in paths:
@@ -444,25 +461,28 @@ def _summaries(paths, cfg: RunConfig, diagnostics: RunDiagnostics) -> dict:
         try:
             cache_path, head = _cache_entry(read_mesh_bytes(path), cfg)
         except SgwError as exc:
-            summaries[path] = exc
+            summaries[path] = dict.fromkeys(ks, exc)
             continue
-        summary = _cached_summary(cache_path, head, cfg.k)
+        summary = _cached_summary(cache_path, head, max(ks))
         if summary is not None:
             diagnostics.eigen_cache_hits += 1
-            summaries[path] = summary
+            summaries[path] = dict.fromkeys(ks, summary)
         elif cache_path in first_miss:
             repeats[path] = first_miss[cache_path]
         else:
             first_miss[cache_path] = path
             misses.append(path)
-    solved = dict(zip(misses, _solve_misses(misses, cfg)))
+    solved = dict(zip(misses, _solve_misses(misses, cfg, ks)))
     for path, original in repeats.items():
-        if isinstance(solved[original], SgwError):
-            solved[path] = _solve(path, cfg)
+        if any(isinstance(s, SgwError) for s in solved[original].values()):
+            solved[path] = _solve(path, cfg, ks)
         else:
             diagnostics.eigen_cache_hits += 1
             summaries[path] = solved[original]
-    diagnostics.eigensolves += sum(not isinstance(s, SgwError) for s in solved.values())
+    diagnostics.eigensolves += sum(
+        any(isinstance(s, SpectralSummary) for s in outcome.values())
+        for outcome in solved.values()
+    )
     summaries.update(solved)
     return summaries
 
@@ -471,7 +491,7 @@ def gsgw_for_mesh(path, cfg: RunConfig, diagnostics: RunDiagnostics | None = Non
     """Global descriptor of the mesh file at path under cfg, using the cache when set."""
     diagnostics = RunDiagnostics() if diagnostics is None else diagnostics
     with _one_blas_thread():
-        summary = _summaries([path], cfg, diagnostics)[path]
+        summary = _summaries([path], cfg, [cfg.k], diagnostics)[path][cfg.k]
     if isinstance(summary, SgwError):
         raise summary
     return descriptor_from_summary(
@@ -503,9 +523,10 @@ def _cell_matrices(entries, summaries: dict, grid: list, base: dict) -> list:
     evaluated once per distinct k of the grid, at its largest R; each cell's
     row is the product over the first p(R) of them (see gsgw), written into
     the cell's (n, p) matrix, and the rows are dropped before the next shape.
-    A shape's failure names its subject and stage: [load] for a stored
-    ParseError or ValidationError, else [descriptor]. The first in manifest
-    order wins; a matrix that stats rejects fails as a whole.
+    A shape's failure at a k, stored or raised here, fails that k's cells
+    and names its subject and stage: [load] for a stored ParseError or
+    ValidationError, else [descriptor]. The first in manifest order wins; a
+    matrix that stats rejects fails as a whole.
     """
     cfg = grid[0]
     R_max = max(cell_cfg.R for cell_cfg in grid)
@@ -514,14 +535,16 @@ def _cell_matrices(entries, summaries: dict, grid: list, base: dict) -> list:
     for i, cell_cfg in enumerate(grid):
         cells_at_k.setdefault(cell_cfg.k, []).append(i)
     for row, entry in enumerate(entries):
-        summary = summaries[entry.path]
-        if isinstance(summary, SgwError):
-            stage = "load" if isinstance(summary, (ParseError, ValidationError)) else "descriptor"
-            failed = _failure(base, f"{entry.subject} [{stage}]: {summary}", summary)
-            return [o if isinstance(o, StratumResult) else failed for o in outcomes]
         for k, cells in cells_at_k.items():
             live = [i for i in cells if not isinstance(outcomes[i], StratumResult)]
             if not live:
+                continue
+            summary = summaries[entry.path][k]
+            if isinstance(summary, SgwError):
+                stage = "load" if isinstance(summary, (ParseError, ValidationError)) else "descriptor"
+                failed = _failure(base, f"{entry.subject} [{stage}]: {summary}", summary)
+                for i in live:
+                    outcomes[i] = failed
                 continue
             try:
                 rows = _kernel_rows(summary.eigenvalues[:k], R_max)
@@ -548,13 +571,14 @@ def _cell_matrices(entries, summaries: dict, grid: list, base: dict) -> list:
     return outcomes
 
 
-def _compare_strata(manifest: DatasetManifest, grid: list, solve_cfg: RunConfig):
+def _compare_strata(manifest: DatasetManifest, grid: list):
     """The run's one walk over manifest.strata(): per cell config of grid, its strata.
 
     Returns one tuple of StratumResults per cell, and the RunDiagnostics.
     Before any stratum is compared, each mesh file of a stratum with two
-    groups is summarised once, at solve_cfg.k pairs (see _summaries), with an
-    SgwError kept in the summary's place. Each such stratum then compares
+    groups is summarised once, at the largest k of the grid that it allows
+    (see _summaries and _solve), with an SgwError kept in the place of a
+    summary, per k. Each such stratum then compares
     every cell's descriptor matrix (the cells differ only in R and k) in one
     stats.compare_cells call, so its permutation masks are drawn once for
     the whole grid. A failure stays on its own cell and stratum.
@@ -578,7 +602,8 @@ def _compare_strata(manifest: DatasetManifest, grid: list, solve_cfg: RunConfig)
             for entries, groups in strata.values() if len(groups) == 2
             for entry in entries
         )
-        summaries = _summaries(paths, solve_cfg, diagnostics)
+        ks = list(dict.fromkeys(cell_cfg.k for cell_cfg in grid))
+        summaries = _summaries(paths, cfg, ks, diagnostics)
         columns = []  # per stratum, one StratumResult per cell
         for (bone, side), (entries, groups) in strata.items():
             base = {
@@ -615,7 +640,7 @@ def run_group_comparison(manifest: DatasetManifest, cfg: RunConfig) -> RunResult
     mesh, numerical breakdown) is recorded on its stratum and does not
     abort the others.
     """
-    (strata,), diagnostics = _compare_strata(manifest, [cfg], cfg)
+    (strata,), diagnostics = _compare_strata(manifest, [cfg])
     return RunResult(strata=strata, config=cfg, diagnostics=diagnostics)
 
 
@@ -645,7 +670,10 @@ def parameter_sweep(manifest: DatasetManifest, cfg: RunConfig, Rs, ks) -> SweepR
     Every mesh is read, eigensolved (or served from the cache) and
     summarised once at the largest k of the grid; each grid cell then takes
     its descriptors from a prefix of those summaries in memory, and each
-    stratum draws its permutation masks once for every cell.
+    stratum draws its permutation masks once for every cell. A mesh too
+    small for some k of the grid is solved at the largest k that it allows,
+    and only the cells of the larger ks fail, each with the error that
+    run_group_comparison gives at that k.
     """
     Rs = [_integer("R", r) for r in Rs]
     ks = [_integer("k", k) for k in ks]
@@ -658,7 +686,7 @@ def parameter_sweep(manifest: DatasetManifest, cfg: RunConfig, Rs, ks) -> SweepR
     # RunConfig validates every cell before any mesh is loaded
     grid = [replace(cfg, R=r, k=k) for r in Rs for k in ks]
 
-    per_cell, diagnostics = _compare_strata(manifest, grid, replace(cfg, k=max(ks)))
+    per_cell, diagnostics = _compare_strata(manifest, grid)
     cells = tuple(
         SweepCell(R=cell_cfg.R, k=cell_cfg.k, stratum=stratum)
         for cell_cfg, strata in zip(grid, per_cell)

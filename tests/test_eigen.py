@@ -185,6 +185,27 @@ class TestSolveEigen:
         with pytest.raises(NumericalError, match="negative"):
             sg.solve_eigen(stiffness, mass, 3)
 
+    def test_asymmetric_pattern_rejected(self):
+        stiffness = sp.csr_matrix(np.triu(np.ones((6, 6))))
+        with pytest.raises(InvalidParam, match="symmetric sparsity pattern"):
+            sg.solve_eigen(stiffness, sp.identity(6, format="csr"), 3)
+
+    @pytest.mark.parametrize("method", ["dense", "sparse"])
+    def test_duplicate_entries_are_summed(self, icosphere2, icosphere2_basis, method):
+        # each entry of W stored as two halves, each row in descending column order
+        stiffness, mass = sg.laplacian_matrices(icosphere2)
+        indices, data = [], []
+        for i in range(stiffness.shape[0]):
+            row = slice(stiffness.indptr[i], stiffness.indptr[i + 1])
+            indices += np.repeat(stiffness.indices[row][::-1], 2).tolist()
+            data += np.repeat(stiffness.data[row][::-1] / 2, 2).tolist()
+        split = sp.csr_matrix((data, indices, 2 * stiffness.indptr), shape=stiffness.shape)
+        assert not split.has_canonical_format
+        basis = sg.solve_eigen(split, mass, 31, method=method)
+        np.testing.assert_allclose(
+            basis.eigenvalues[1:], icosphere2_basis.eigenvalues[1:], rtol=1e-10
+        )
+
     @pytest.mark.parametrize(
         "stiffness", [-sp.identity(20), sp.csr_matrix((20, 20))], ids=["minus-identity", "zero"]
     )

@@ -5,6 +5,7 @@ import pytest
 
 import sgwshape as sg
 import sgwshape.laplacian as laplacian
+import sgwshape.mesh_io as mesh_io
 from sgwshape.errors import InvalidParam
 
 from conftest import apply_operator, random_rotation, rigid_transform, triangle_areas
@@ -124,6 +125,26 @@ def test_assembly_takes_one_geometry_pass(bumpy2, monkeypatch, lumping):
     monkeypatch.setattr(laplacian, "_corner_geometry", counting)
     sg.laplacian_matrices(bumpy2, lumping=lumping)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("check_degenerate", [True, False])
+def test_one_triangle_geometry_pass_from_validation_to_assembly(
+    bumpy2, monkeypatch, check_degenerate
+):
+    # the degeneracy check's geometry pass serves assembly too; a mesh built
+    # without that check gets its one pass at assembly
+    calls = []
+    geometry = mesh_io._triangle_geometry
+
+    def counting(v, t):
+        calls.append(len(t))
+        return geometry(v, t)
+
+    monkeypatch.setattr(mesh_io, "_triangle_geometry", counting)
+    monkeypatch.setattr(laplacian, "_triangle_geometry", counting)
+    mesh = bumpy2.with_vertices(bumpy2.vertices, check_degenerate=check_degenerate)
+    sg.laplacian_matrices(mesh)
+    assert calls == [bumpy2.g]
 
 
 class TestApplyOperator:

@@ -1,7 +1,11 @@
 """Mesh container, file formats, synthetic generators."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sgwshape as sg
 import sgwshape.mesh_io as mesh_io
@@ -661,6 +665,40 @@ class TestOneCallBody:
             (["0\t0  0"] + TET_VERTEX_LINES[1:] + [""], [""] + TET_FACE_LINES + [""]),
             ("ok",),
         ),
+        "crlf": (
+            ([line + "\r" for line in TET_VERTEX_LINES], [line + "\r" for line in TET_FACE_LINES]),
+            ("ok",),
+        ),
+        "lone-cr": (
+            (TET_VERTEX_LINES[:1] + ["1 0\r0"] + TET_VERTEX_LINES[2:], TET_FACE_LINES),
+            ("ParseError", 1, "vertex line needs 3 values"),
+        ),
+        "vertical-tab": (
+            (TET_VERTEX_LINES[:1] + ["1\v0 0"] + TET_VERTEX_LINES[2:], TET_FACE_LINES),
+            ("ParseError", 1, "vertex line needs 3 values"),
+        ),
+        "form-feed": ((TET_VERTEX_LINES, TET_FACE_LINES[:1] + ["3 0 1 3\f"] + TET_FACE_LINES[2:]),
+                      ("ok",)),
+        "trailing-blanks": (
+            ([line + "  " for line in TET_VERTEX_LINES], [line + " \t" for line in TET_FACE_LINES]),
+            ("ok",),
+        ),
+        "plus-sign": ((TET_VERTEX_LINES[:1] + ["+1 0 0"] + TET_VERTEX_LINES[2:], TET_FACE_LINES),
+                      ("ok",)),
+        "inf-coordinate": (
+            (TET_VERTEX_LINES[:1] + ["inf 0 0"] + TET_VERTEX_LINES[2:], TET_FACE_LINES),
+            ("ValidationError", None, "vertex coordinates must be finite"),
+        ),
+        # latin-1 characters, written one byte each: this is UTF-8 for U+00A0,
+        # which str.split reads as whitespace
+        "no-break-space": (
+            (TET_VERTEX_LINES[:1] + ["1\xc2\xa00 0"] + TET_VERTEX_LINES[2:], TET_FACE_LINES),
+            ("ok",),
+        ),
+        "nul-byte": (
+            (TET_VERTEX_LINES[:1] + ["1 0 0\x00"] + TET_VERTEX_LINES[2:], TET_FACE_LINES),
+            ("ParseError", 1, "non-numeric vertex coordinate"),
+        ),
     }
 
     @pytest.mark.parametrize("ext", [".off", ".ply"])
@@ -680,6 +718,56 @@ class TestOneCallBody:
             kind, offset, text = expected
             where = "" if offset is None else f":{len(header) + 1 + offset}"
             assert got == (kind, f"{path}{where}: {text}")
+
+
+def _parse_outcome(data, name):
+    """_outcome of the file bytes `data`, parsed as if read from `name`."""
+    try:
+        mesh = mesh_io.parse_mesh(data, name)
+    except (ParseError, ValidationError) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", mesh.vertices.tobytes(), mesh.triangles.tobytes()
+
+
+# whitespace str.split or str.splitlines reads, bytes numbers are made of,
+# and bytes no number holds, one or more UTF-8 bytes each
+_STRAY = st.sampled_from(
+    [" ", "\t", "\r", "\n", "\v", "\f", "\x00", "\x85", "\xa0", "\u2028", "\ufffd",
+     "#", "+", "-", ".", "e", "E", "1", "_", "x", "n"]
+)
+_EDIT = st.tuples(
+    st.sampled_from(["drop", "duplicate", "join", "insert"]),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    _STRAY,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ext=st.sampled_from([".off", ".ply"]), edits=st.lists(_EDIT, max_size=3))
+def test_perturbed_body_keeps_line_reader_outcome(ext, edits):
+    # drop, duplicate or join body lines, or put a stray byte into one: the
+    # one-call reader must return the line reader's arrays or error, or step aside
+    mesh = sg.make_synthetic("bumpy_sphere", 0, seed=3)
+    body = [" ".join(map(repr, row)) for row in mesh.vertices.tolist()]
+    body += ["3 {} {} {}".format(*tri) for tri in mesh.triangles.tolist()]
+    for op, at, offset, stray in edits:
+        line = at % len(body) if body else 0
+        if not body:
+            body = [stray]
+        elif op == "drop":
+            del body[line]
+        elif op == "duplicate":
+            body.insert(line, body[line])
+        elif op == "join":
+            body[line : line + 2] = [stray.join(body[line : line + 2])]
+        else:
+            cut = offset % (len(body[line]) + 1)
+            body[line] = body[line][:cut] + stray + body[line][cut:]
+    data = ("\n".join(header_lines(ext, mesh.m, mesh.g) + body) + "\n").encode()
+    fast = _parse_outcome(data, f"mesh{ext}")
+    with mock.patch.object(mesh_io, "_read_triangle_body", lambda body, elements: None):
+        assert fast == _parse_outcome(data, f"mesh{ext}")
 
 
 def test_one_tetrahedron_in_every_format(tmp_path):

@@ -884,9 +884,9 @@ class TestWalkOverStrata:
             read.append(Path(path).name)
             return read_mesh_bytes(path)
 
-        def counting_solve(path, cfg):
-            summarised.append((Path(path).name, cfg.k))
-            return solve(path, cfg)
+        def counting_solve(path, cfg, ks):
+            summarised.append((Path(path).name, max(ks)))
+            return solve(path, cfg, ks)
 
         monkeypatch.setattr(pipeline, "read_mesh_bytes", counting_read)
         monkeypatch.setattr(pipeline, "_solve", counting_solve)
@@ -1311,6 +1311,28 @@ class TestParameterSweep:
         compare = sg.run_group_comparison(manifest, replace(cfg, k=10))
         assert compare.strata[0].error == sweep.cells[0].stratum.error
 
+    @pytest.mark.parametrize("method", ["auto", "sparse"])
+    def test_k_past_the_meshes_fails_only_its_cells(self, two_class, tmp_path, method):
+        # the meshes have m = 42: the dense route takes k <= 42, the sparse one k < 42.
+        # Each mesh is solved once, at the largest k of the grid it takes; a cell
+        # of a larger k carries the error compare gives at that k
+        cfg = sg.RunConfig(**{**SMALL, "method": method, "cache_dir": str(tmp_path / "cache")})
+        sweep = self.assert_sweep_equals_cells(two_class, cfg, Rs=[2, 3], ks=[10, 42, 50])
+        assert sweep.diagnostics.eigensolves == 6
+        largest = 10 if method == "sparse" else 42
+        for cell in sweep.cells:
+            if cell.k <= largest:
+                assert cell.stratum.error is None
+            else:
+                assert cell.stratum.error_kind == "usage"
+                assert cell.stratum.error == "s000 [descriptor]: " + (
+                    "k must be in [1, 42], got 50"
+                    if cell.k == 50
+                    else "sparse route needs k < m, got k=42, m=42"
+                )
+        warm = sg.parameter_sweep(two_class, cfg, Rs=[2, 3], ks=[10, 42, 50])
+        assert warm.cells == sweep.cells
+
     @staticmethod
     def assert_sweep_equals_cells(manifest, cfg, Rs, ks):
         """Every sweep row equals the one-cell compare at its (R, k); returns the sweep."""
@@ -1361,15 +1383,16 @@ class TestParameterSweep:
         # the first failure in manifest order on the k = 10 cells
         summaries = pipeline._summaries
 
-        def doctored(paths, cfg, diagnostics):
-            found = summaries(paths, cfg, diagnostics)
-            for path, summary in found.items():
+        def doctored(paths, cfg, ks, diagnostics):
+            found = summaries(paths, cfg, ks, diagnostics)
+            for path, outcome in found.items():
+                summary = outcome[max(ks)]
                 if Path(path).name == "sphere_001.off":
                     eigenvalues = summary.eigenvalues.copy()
                     eigenvalues[:8] = 0.0
-                    found[path] = replace(summary, eigenvalues=eigenvalues)
+                    found[path] = dict.fromkeys(ks, replace(summary, eigenvalues=eigenvalues))
                 elif Path(path).name == "ellipsoid_000.off":
-                    found[path] = replace(summary, w_area=np.full(summary.k, 1.5e308))
+                    found[path] = dict.fromkeys(ks, replace(summary, w_area=np.full(summary.k, 1.5e308)))
             return found
 
         monkeypatch.setattr(pipeline, "_summaries", doctored)
