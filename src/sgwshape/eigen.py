@@ -33,16 +33,15 @@ solve. No such factor exists when B has an eigenvalue at or below sigma,
 or when B is zero (then sigma is zero); the solve is then rejected as not
 positive semidefinite.
 
-Threads: a sparse solve at m <= _ONE_THREAD_MAX_M vertices sets every
-OpenBLAS loaded into the process to one thread for the band factor and the
+Threads: every solve, on either route, sets every OpenBLAS loaded into the
+process to one thread for its dense ``eigh``, or for its band factor and
 Lanczos loop, and puts back the thread counts it found when it returns or
-raises. At these sizes the loop makes many small BLAS calls, and a second
-thread only spins through them; above the cutoff it pays. The libraries are
+raises. So a solve's pairs do not depend on the thread count: a single
+command or library call returns bitwise the pairs whose summaries a batch
+run, which is one ``_one_blas_thread`` region from start to end (its
+descriptor products and SVDs too), stores in its blobs. The libraries are
 found once per process, from ``/proc/self/maps``; where none is found
-(another BLAS, another OS) the solve runs at the default count. The dense
-route never changes the count. A batch run of ``pipeline`` is one
-``_one_blas_thread`` region, so there both routes run at one thread at any
-size, and so do its descriptor products and SVDs.
+(another BLAS, another OS) the solve runs at the default count.
 
 Determinism: the Lanczos starting vector is drawn from a fixed-seed
 generator, and every eigenvector's sign is normalized so its
@@ -55,7 +54,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -89,9 +88,6 @@ _NEGATIVE_REL_TOL = 1e-10
 # the benchmark and acceptance meshes (lambda_k <= 40.4, worst pair 2.2e-14) it
 # refuses all that the 1e-8 gate on ||W phi - lambda A phi|| / ||A phi|| refused
 _RESIDUAL_TOL = 2e-10
-
-# largest vertex count whose sparse solve runs at one OpenBLAS thread
-_ONE_THREAD_MAX_M = 6000
 
 # (prefix, suffix) of the thread-count symbols: the numpy and scipy wheels'
 # OpenBLAS builds, then a plain OpenBLAS
@@ -268,8 +264,7 @@ def solve_eigen(stiffness, mass, k: int, method: str = "auto") -> EigenBasis:
     mass : (m, m) diagonal sparse matrix with positive diagonal
     k : int, 1 <= k <= m, and k < m on the sparse route
     method : {"auto", "dense", "sparse"}
-        The sparse route runs at one OpenBLAS thread up to a size cutoff
-        (see the module docstring).
+        Either route runs at one OpenBLAS thread (see the module docstring).
 
     Raises
     ------
@@ -308,20 +303,19 @@ def solve_eigen(stiffness, mass, k: int, method: str = "auto") -> EigenBasis:
     inv_sqrt = 1.0 / np.sqrt(areas)
     b = _similarity(w, inv_sqrt)
 
-    if method == "dense":
-        solved, vecs = eigh(b.toarray())
-        vecs = vecs[:, :k]
-    else:
-        # Solve past the requested window: restarted Lanczos can drop members
-        # of a degenerate cluster sitting exactly at the window edge, and the
-        # oversolve buffer pushes that edge out. ARPACK's default Krylov size,
-        # max(2 * k_solve + 1, 20), then finds every member of a cluster
-        # inside it.
-        k_solve = min(k + _CLUSTER_BUFFER, m - 1)
-        sigma = -0.01 * float(np.mean(b.diagonal()))
-        rng = np.random.default_rng(_LANCZOS_SEED)
-        v0 = rng.standard_normal(m)
-        with _one_blas_thread() if m <= _ONE_THREAD_MAX_M else nullcontext():
+    with _one_blas_thread():
+        if method == "dense":
+            solved, vecs = eigh(b.toarray())
+            vecs = vecs[:, :k]
+        else:
+            # Solve past the requested window: restarted Lanczos can drop members
+            # of a degenerate cluster sitting exactly at the window edge, and the
+            # oversolve buffer pushes that edge out. ARPACK's default Krylov size,
+            # max(2 * k_solve + 1, 20), then finds every member of a cluster
+            # inside it.
+            k_solve = min(k + _CLUSTER_BUFFER, m - 1)
+            sigma = -0.01 * float(np.mean(b.diagonal()))
+            v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(m)
             op_inv, perm = _shift_invert(b, sigma)
             try:
                 # Lanczos runs in band order; with OPinv given, eigsh reads only
@@ -338,10 +332,10 @@ def solve_eigen(stiffness, mass, k: int, method: str = "auto") -> EigenBasis:
                 )
             except Exception as exc:
                 raise ConvergenceError(f"sparse eigensolver failed: {exc}") from exc
-        order = np.argsort(vals)
-        solved = vals[order]
-        vecs = np.empty((m, k))
-        vecs[perm] = band_vecs[:, order[:k]]
+            order = np.argsort(vals)
+            solved = vals[order]
+            vecs = np.empty((m, k))
+            vecs[perm] = band_vecs[:, order[:k]]
     vals = solved[:k]
 
     # the checks' scale is lambda_k (lambda_2 at k = 1: lambda_1 of a closed mesh

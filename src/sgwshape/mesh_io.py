@@ -54,6 +54,11 @@ _SHOWN_COMPONENTS = 10
 # line breaks it is joined with
 _BODY_BYTES = b"0123456789+-.eE \t\n"
 
+# what a reader hands TriangleMesh for a file with no faces, so that its
+# triangle count check speaks
+_NO_TRIANGLES = np.empty((0, 3), dtype=np.int64)
+
+
 class TriangleMesh:
     """Immutable triangle mesh: vertex positions plus triangle connectivity.
 
@@ -314,12 +319,14 @@ def _read_elements(lines, start, elements, name):
     """Read the element blocks a header declared; return (vertices, triangles).
 
     `lines` are the file's lines and the body starts at index `start`.
-    `elements` lists (element name, count, scalar property names) in file
-    order; every instance occupies one line. A vertex line holds its
-    properties in declared order, of which x, y and z are read; a face line
-    is ``n i_1 .. i_n`` and is fan-triangulated; lines of other elements
-    are skipped. An all-triangle body is read in one numpy call per block;
-    any other body goes to the line reader.
+    `elements` lists (element name, count, scalar property names, positions
+    of the list properties among all its properties) in file order; every
+    instance occupies one line. A vertex line holds its properties in
+    declared order, of which x, y and z are read; a face line holds its
+    first list property ``n i_1 .. i_n`` at its declared position, after the
+    scalars declared before it, and is fan-triangulated; lines of other
+    elements are skipped. An all-triangle body is read in one numpy call per
+    block; any other body goes to the line reader.
     """
     arrays = _read_triangle_body(lines[start:], elements)
     if arrays is not None:
@@ -330,21 +337,22 @@ def _read_elements(lines, start, elements, name):
 def _read_triangle_body(body, elements):
     """(vertices, triangles) of one vertex block and one all-triangle face block.
 
-    `body` is the list of the body's lines. Returns None unless the body is
-    exactly that: no byte but the digits, signs, points and exponent letters
-    of numbers, blanks and tabs (so no comment, no other whitespace and
-    nothing str.split reads otherwise), every vertex line holding one value
-    per declared property, every face line reading ``3 i j k``, nothing after
+    `body` is the list of the body's lines. Returns None unless the face
+    element declares its index list alone and the body is exactly that: no
+    byte but the digits, signs, points and exponent letters of numbers,
+    blanks and tabs (so no comment, no other whitespace and nothing
+    str.split reads otherwise), every vertex line holding one value per
+    declared property, every face line reading ``3 i j k``, nothing after
     the face block, every value parsed by numpy as ``float()`` and ``int()``
     would parse it, finite coordinates and indices in range. The lines are
     checked as one byte string: its tokens per line are counted with numpy,
     not split in Python. The line reader takes any other body, so whatever
     it accepts or rejects (with its line number) is unchanged.
     """
-    if [kind for kind, _, _ in elements] != ["vertex", "face"]:
+    if [kind for kind, *_ in elements] != ["vertex", "face"]:
         return None
-    (_, n_vertices, props), (_, n_faces, _) = elements
-    if n_faces == 0 or not {"x", "y", "z"} <= set(props):
+    (_, n_vertices, props, _), (_, n_faces, face_props, face_lists) = elements
+    if n_faces == 0 or face_props or face_lists != [0] or not {"x", "y", "z"} <= set(props):
         return None
     text = "\n".join(body).encode()
     if text.translate(None, _BODY_BYTES):
@@ -398,7 +406,7 @@ def _read_element_lines(it, elements, name):
     triangles = []
     # one line at a time: a block's token lists kept alive together set off
     # full-heap garbage collections
-    for kind, count, props in elements:
+    for kind, count, props, lists in elements:
         if kind == "vertex":
             try:
                 cx, cy, cz = (props.index(axis) for axis in ("x", "y", "z"))
@@ -418,14 +426,17 @@ def _read_element_lines(it, elements, name):
                 except ValueError:
                     raise ParseError(f"{name}:{lineno}: non-numeric vertex coordinate") from None
         elif kind == "face":
+            at = lists[0]
             for _ in range(count):
                 try:
                     lineno, tokens = next(it)
                 except StopIteration:
                     raise ParseError(f"{name}: truncated {kind} data") from None
+                if len(tokens) <= at:
+                    raise ParseError(f"{name}:{lineno}: face line needs {at + 1} values")
                 try:
-                    n = int(tokens[0])
-                    idx = [int(tok) for tok in tokens[1 : 1 + n]]
+                    n = int(tokens[at])
+                    idx = [int(tok) for tok in tokens[at + 1 : at + 1 + n]]
                 except ValueError:
                     raise ParseError(f"{name}:{lineno}: non-integer face index") from None
                 if len(idx) != n:
@@ -441,7 +452,7 @@ def _read_element_lines(it, elements, name):
                     raise ParseError(f"{name}: truncated {kind} data") from None
     if vertices is None:
         raise ParseError(f"{name}: no vertex element")
-    return vertices, triangles
+    return vertices, triangles or _NO_TRIANGLES
 
 
 def _parse_off(lines, name):
@@ -459,8 +470,8 @@ def _parse_off(lines, name):
     if len(counts) < 2:
         raise ParseError(f"{name}:{lineno}: expected 'nv nf ne' counts")
     elements = [
-        ("vertex", _count(counts[0], "vertex", lineno, name, len(lines)), ["x", "y", "z"]),
-        ("face", _count(counts[1], "face", lineno, name, len(lines)), []),
+        ("vertex", _count(counts[0], "vertex", lineno, name, len(lines)), ["x", "y", "z"], []),
+        ("face", _count(counts[1], "face", lineno, name, len(lines)), [], [0]),
     ]
     return _read_elements(lines, lineno, elements, name)
 
@@ -491,7 +502,7 @@ def _parse_obj(lines, name):
         # all other record types (vn, vt, usemtl, ...) are ignored
     if not vertices:
         raise ParseError(f"{name}: no vertex records found")
-    return np.asarray(vertices, dtype=np.float64), triangles
+    return np.asarray(vertices, dtype=np.float64), triangles or _NO_TRIANGLES
 
 
 def _parse_ply(lines, name):
@@ -500,7 +511,8 @@ def _parse_ply(lines, name):
     if tokens != ["ply"]:
         raise ParseError(f"{name}:{lineno}: expected 'ply' magic")
 
-    elements = []  # (name, count, scalar property names)
+    elements = []  # (name, count, scalar property names, list property positions)
+    declared_at = []  # the header line of each element
     fmt_seen = False
     for lineno, tokens in it:
         key = tokens[0]
@@ -516,15 +528,19 @@ def _parse_ply(lines, name):
             if len(tokens) != 3:
                 raise ParseError(f"{name}:{lineno}: malformed element declaration")
             count = _count(tokens[2], "element", lineno, name, len(lines))
-            elements.append((tokens[1], count, []))
+            elements.append((tokens[1], count, [], []))
+            declared_at.append(lineno)
         elif key == "property":
             if len(tokens) < 3:
                 raise ParseError(f"{name}:{lineno}: malformed property declaration")
             if not elements:
                 raise ParseError(f"{name}:{lineno}: property before any element")
-            # list properties (the face indices) are read positionally
-            if tokens[1] != "list":
-                elements[-1][2].append(tokens[-1])
+            _, _, props, lists = elements[-1]
+            # a list property (the face indices) is read at its position
+            if tokens[1] == "list":
+                lists.append(len(props) + len(lists))
+            else:
+                props.append(tokens[-1])
         elif key == "end_header":
             break
         else:
@@ -533,6 +549,9 @@ def _parse_ply(lines, name):
         raise ParseError(f"{name}: missing end_header")
     if not fmt_seen:
         raise ParseError(f"{name}: missing format declaration")
+    for (kind, _, _, lists), at in zip(elements, declared_at):
+        if kind == "face" and not lists:
+            raise ParseError(f"{name}:{at}: face element declares no list property")
     return _read_elements(lines, lineno, elements, name)
 
 

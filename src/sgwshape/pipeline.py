@@ -196,6 +196,9 @@ class RunConfig:
             )
         if not (self.cache_dir is None or isinstance(self.cache_dir, (str, os.PathLike))):
             raise InvalidParam(f"cache_dir must be None or a path, got {self.cache_dir!r}")
+        if self.cache_dir is not None and not os.fspath(self.cache_dir):
+            # an empty path would put the blobs in the working directory
+            raise InvalidParam("cache_dir must not be empty; omit it to run without a cache")
         if self.lumping not in LUMPING_SCHEMES:
             raise InvalidParam(
                 f"unknown lumping {self.lumping!r}; expected one of {LUMPING_SCHEMES}"
@@ -446,14 +449,13 @@ def _summaries(paths, cfg: RunConfig, ks, diagnostics: RunDiagnostics) -> dict:
     """path -> {k: SpectralSummary or SgwError} for each of paths and each k of ks.
 
     The one place a file is looked up in cfg's cache, at the largest k of ks:
-    this process reads, hashes and looks up each file and serves the hits;
-    it keeps no mesh bytes. _solve_misses then solves the misses (see _solve
-    for a k too large for a mesh). A file whose bytes equal an earlier
-    miss's takes that miss's outcome and counts as a hit, as its blob would
-    have served it; when that miss failed at any k, it is solved on its own,
-    so its error names its own path.
+    this process reads, hashes and looks up each distinct path once and
+    serves the hits; it keeps no mesh bytes. _solve_misses then solves every
+    missed path once (see _solve for a k too large for a mesh). Two files
+    with the same bytes are two misses, solved side by side, and each writes
+    the same blob atomically.
     """
-    summaries, misses, repeats, first_miss = {}, [], {}, {}
+    summaries, misses = {}, []
     for path in paths:
         if cfg.cache_dir is None:
             misses.append(path)
@@ -467,18 +469,9 @@ def _summaries(paths, cfg: RunConfig, ks, diagnostics: RunDiagnostics) -> dict:
         if summary is not None:
             diagnostics.eigen_cache_hits += 1
             summaries[path] = dict.fromkeys(ks, summary)
-        elif cache_path in first_miss:
-            repeats[path] = first_miss[cache_path]
         else:
-            first_miss[cache_path] = path
             misses.append(path)
     solved = dict(zip(misses, _solve_misses(misses, cfg, ks)))
-    for path, original in repeats.items():
-        if any(isinstance(s, SgwError) for s in solved[original].values()):
-            solved[path] = _solve(path, cfg, ks)
-        else:
-            diagnostics.eigen_cache_hits += 1
-            summaries[path] = solved[original]
     diagnostics.eigensolves += sum(
         any(isinstance(s, SpectralSummary) for s in outcome.values())
         for outcome in solved.values()

@@ -404,6 +404,20 @@ class TestCompare:
         assert read == [] and not out_dir.exists()
         assert a_file.read_bytes() == b"a file"
 
+    def test_empty_cache_dir_exits_2(self, dataset_dir, tmp_path, capsys, monkeypatch):
+        # an empty --cache-dir used to write the blobs into the working directory
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        out_dir = tmp_path / "out"
+        code = self.run_compare(dataset_dir, out_dir, "--cache-dir", "")
+        assert code == 2
+        err = capsys.readouterr().err
+        last = "error: cache_dir must not be empty; omit it to run without a cache"
+        assert err.splitlines()[-1] == last
+        assert "Traceback" not in err
+        assert list(work.iterdir()) == [] and not out_dir.exists()
+
     def test_two_component_mesh_exits_2(self, tmp_path, capsys):
         data = tmp_path / "data"
         sg.make_two_class_manifest(data, n_per_group=3, subdivisions=1)
@@ -923,6 +937,64 @@ class TestBadSynthAndPlotInput:
         root = ET.parse(tmp_path / "grid.svg").getroot()
         fills = [el.get("fill") for el in root if el.tag.endswith("rect")]
         assert fills.count("#bbbbbb") == 1
+
+    SWEEP_HEADER = "R,k,bone,side,permutation_p\n"
+
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (["nmse"], None, "no such file"),
+            (["nmse"], "", "empty CSV"),
+            (["nmse"], "k,mse\n1,0.5\n", "expected header k,nmse"),
+            (["nmse"], "k,nmse\n1\n", "malformed data row"),
+            (["nmse"], "k,nmse\none,0.5\n", "malformed data row"),
+            (["nmse"], "k,nmse\n", "no data rows"),
+            (["gsgw"], "", "empty CSV"),
+            (["gsgw"], "id,v1\na.off,1\n", "expected header id,label,v1,..."),
+            (["gsgw"], "id,label,v1\na.off,x,one\n", "malformed descriptor row"),
+            (["gsgw"], "id,label,v1\n", "no data rows"),
+            (["sweep"], None, "no such file"),
+            (["sweep"], "R,k,bone,side\n2,8,b,left\n", "missing column for metric 'permutation_p'"),
+            (["sweep"], SWEEP_HEADER + "two,8,b,left,0.2\n", "malformed sweep row"),
+            (["sweep"], SWEEP_HEADER + "2,8,b,left,p\n", "malformed sweep row"),
+            (["sweep", "--bone", "c"], SWEEP_HEADER + "2,8,b,left,0.2\n", "no matching sweep rows"),
+            (["sweep", "--side", "right"], SWEEP_HEADER + "2,8,b,left,0.2\n",
+             "no matching sweep rows"),
+        ],
+        ids=[
+            "nmse-missing", "nmse-empty", "nmse-header", "nmse-short-row", "nmse-text-k",
+            "nmse-no-rows", "gsgw-empty", "gsgw-header", "gsgw-text-value", "gsgw-no-rows",
+            "sweep-missing", "sweep-no-metric", "sweep-text-R", "sweep-text-value",
+            "sweep-no-bone", "sweep-no-side",
+        ],
+    )
+    def test_plot_of_a_bad_table_exits_2(self, tmp_path, capsys, argv, text, message):
+        table = tmp_path / "table.csv"
+        if text is not None:
+            table.write_text(text)
+        out = tmp_path / "out" / "plot.svg"
+        assert main(["plot", argv[0], str(table), *argv[1:], "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == f"error: {table}: {message}"
+        assert not (tmp_path / "out").exists()
+
+    def test_plot_sweep_keeps_only_the_chosen_bone_and_side(self, tmp_path, capsys):
+        rows = {
+            ("b", "left"): ["2,8,b,left,0.1\n", "3,8,b,left,0.2\n"],
+            ("b", "right"): ["2,8,b,right,0.3\n"],
+            ("c", "left"): ["2,8,c,left,0.4\n", "2,9,c,left,0.5\n"],
+        }
+        (tmp_path / "all.csv").write_text(self.SWEEP_HEADER + "".join(sum(rows.values(), [])))
+        for (bone, side), own in rows.items():
+            (tmp_path / "own.csv").write_text(self.SWEEP_HEADER + "".join(own))
+            svgs = []
+            for table, flags in (("all.csv", ["--bone", bone, "--side", side]), ("own.csv", [])):
+                out = tmp_path / f"{bone}-{side}-{table}.svg"
+                assert main(["plot", "sweep", str(tmp_path / table), *flags, "--out", str(out)]) == 0
+                svgs.append(out.read_bytes())
+            assert svgs[0] == svgs[1]
+        capsys.readouterr()
 
 
 class TestParser:

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 import sgwshape as sg
 from sgwshape import eigen
 from sgwshape.errors import ConvergenceError, InvalidParam, NumericalError
-from sgwshape.gsgw import summarize
+from sgwshape.gsgw import descriptor_from_summary, summarize
 
 from conftest import random_rotation, rigid_transform
 
@@ -311,32 +311,35 @@ def two_threads():
 
 
 @pytest.fixture
-def eigsh_threads(monkeypatch):
-    """The thread counts of every OpenBLAS found, recorded at each eigsh call."""
+def solver_threads(monkeypatch):
+    """The thread counts of every OpenBLAS found, recorded at each eigh or eigsh call."""
     seen = []
-    real = eigen.eigsh
 
-    def spy(*args, **kwargs):
-        seen.append(_threads())
-        return real(*args, **kwargs)
+    def spy(real):
+        def recording(*args, **kwargs):
+            seen.append(_threads())
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(eigen, "eigsh", spy)
+        return recording
+
+    for name in ("eigh", "eigsh"):
+        monkeypatch.setattr(eigen, name, spy(getattr(eigen, name)))
     return seen
+
+
+@pytest.fixture(scope="module")
+def bumpy2_file(tmp_path_factory):
+    """A bumpy sphere at m = 162, which takes the dense route, as an OFF file."""
+    path = tmp_path_factory.mktemp("bumpy2") / "bumpy2.off"
+    sg.write_mesh(sg.make_synthetic("bumpy_sphere", 2, seed=1), path)
+    return path
 
 
 @_NEEDS_OPENBLAS
 class TestSparseSolveThreads:
-    def test_sparse_solve_runs_at_one_thread(self, bumpy3_matrices, two_threads, eigsh_threads):
-        assert 642 <= eigen._ONE_THREAD_MAX_M
+    def test_sparse_solve_runs_at_one_thread(self, bumpy3_matrices, two_threads, solver_threads):
         sg.solve_eigen(*bumpy3_matrices, 31)
-        assert eigsh_threads == [[1] * len(_CONTROLS)]
-
-    def test_count_left_alone_above_the_cutoff(
-        self, monkeypatch, bumpy3_matrices, two_threads, eigsh_threads
-    ):
-        monkeypatch.setattr(eigen, "_ONE_THREAD_MAX_M", 641)
-        sg.solve_eigen(*bumpy3_matrices, 31)
-        assert eigsh_threads == [two_threads]
+        assert solver_threads == [[1] * len(_CONTROLS)]
 
     def test_counts_are_back_after_the_solve(self, bumpy3_matrices, two_threads):
         sg.solve_eigen(*bumpy3_matrices, 31)
@@ -408,6 +411,33 @@ class TestSparseSolveThreads:
         default = sg.solve_eigen(*bumpy3_matrices, 31)
         np.testing.assert_array_equal(default.eigenvalues, one_thread.eigenvalues)
         np.testing.assert_array_equal(default.eigenvectors, one_thread.eigenvectors)
+
+
+@_NEEDS_OPENBLAS
+class TestSolvesAtOneThread:
+    def test_dense_solve_runs_at_one_thread(self, bumpy2_file, two_threads, solver_threads):
+        stiffness, mass = sg.laplacian_matrices(sg.load_mesh(bumpy2_file))
+        assert sg.solve_eigen(stiffness, mass, 31).method == "dense"
+        assert solver_threads == [[1] * len(_CONTROLS)]
+        assert _threads() == two_threads
+
+    @pytest.mark.parametrize("method", ["dense", "sparse"])
+    def test_pairs_do_not_depend_on_the_thread_count(self, bumpy2_file, two_threads, method):
+        # a solve inside a run's one-thread region gives the pairs a run stores
+        stiffness, mass = sg.laplacian_matrices(sg.load_mesh(bumpy2_file))
+        default = sg.solve_eigen(stiffness, mass, 31, method=method)
+        with eigen._one_blas_thread():
+            one_thread = sg.solve_eigen(stiffness, mass, 31, method=method)
+        np.testing.assert_array_equal(default.eigenvalues, one_thread.eigenvalues)
+        np.testing.assert_array_equal(default.eigenvectors, one_thread.eigenvectors)
+
+    def test_gsgw_for_mesh_equals_the_library_chain(self, bumpy2_file, two_threads):
+        cfg = sg.RunConfig(k=31, R=30)
+        stiffness, mass = sg.laplacian_matrices(sg.load_mesh(bumpy2_file), lumping=cfg.lumping)
+        chain = descriptor_from_summary(
+            summarize(sg.solve_eigen(stiffness, mass, cfg.k)), cfg.R
+        )
+        np.testing.assert_array_equal(sg.gsgw_for_mesh(bumpy2_file, cfg).values, chain.values)
 
 
 @pytest.mark.parametrize(

@@ -517,6 +517,18 @@ class TestPlyHeader:
                 + TET_BODY,
                 "no vertex element", id="no-vertex-element",
             ),
+            pytest.param(
+                ply_header("format ascii 1.0", "element vertex 4", *XYZ,
+                           "element face 4", "property uchar flags") + TET_BODY,
+                ":7: face element declares no list property", id="face-without-list",
+            ),
+            pytest.param(
+                ply_header("format ascii 1.0", "element vertex 4", *XYZ,
+                           "element face 4", "property uchar flags",
+                           "property list uchar int vertex_indices")
+                + "\n".join(TET_VERTEX_LINES + ["0 3 0 2 1", "0", "0 3 0 3 2", "0 3 1 2 3"]),
+                ":16: face line needs 2 values", id="face-line-without-list",
+            ),
         ],
     )
     def test_rejected(self, tmp_path, text, message):
@@ -536,6 +548,77 @@ class TestPlyHeader:
         mesh = sg.load_mesh(path)
         np.testing.assert_array_equal(mesh.vertices, TET_VERTICES)
         np.testing.assert_array_equal(mesh.triangles, TET_TRIANGLES)
+
+
+    @pytest.mark.parametrize(
+        "properties, face_lines, one_call",
+        [
+            ((FACE[1],), TET_FACE_LINES, True),
+            (("property uchar flags", FACE[1]), [f"0 {line}" for line in TET_FACE_LINES], False),
+            ((FACE[1], "property uchar flags"), [f"{line} 7" for line in TET_FACE_LINES], False),
+            (
+                ("property uchar flags", FACE[1], "property list uchar float texcoord"),
+                [f"1 {line} 2 0.5 0.5" for line in TET_FACE_LINES],
+                False,
+            ),
+        ],
+        ids=["list-alone", "scalar-before-list", "scalar-after-list", "two-lists"],
+    )
+    def test_face_list_is_read_at_its_position(
+        self, tmp_path, monkeypatch, properties, face_lines, one_call
+    ):
+        # only a face element that declares its index list alone is read in one call
+        header = ply_header("format ascii 1.0", "element vertex 4", *XYZ, FACE[0], *properties)
+        path = tmp_path / "tet.ply"
+        path.write_text(header + "\n".join(TET_VERTEX_LINES + face_lines) + "\n")
+        taken = _fast_reader_spy(monkeypatch)
+        mesh = sg.load_mesh(path)
+        assert taken == [one_call]
+        np.testing.assert_array_equal(mesh.vertices, TET_VERTICES)
+        np.testing.assert_array_equal(mesh.triangles, TET_TRIANGLES)
+
+
+@pytest.mark.parametrize(
+    "filename, text",
+    [
+        ("flat.off", "OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n"),
+        ("flat.ply", ply_header("format ascii 1.0", "element vertex 3", *XYZ, "element face 0",
+                                FACE[1]) + "0 0 0\n1 0 0\n0 1 0\n"),
+        ("flat.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\n"),
+    ],
+    ids=["off", "ply", "obj"],
+)
+def test_vertices_without_faces_need_a_triangle(tmp_path, filename, text):
+    path = tmp_path / filename
+    path.write_text(text)
+    with pytest.raises(ValidationError) as raised:
+        sg.load_mesh(path)
+    assert str(raised.value) == f"{path}: need at least 1 triangle"
+
+
+@pytest.mark.parametrize(
+    "filename, text, message",
+    [
+        ("empty.off", "", ":1: empty file"),
+        ("bare.off", "OFF\n", ":1: missing vertex/face counts"),
+        ("short.off", "OFF\n3\n", ":2: expected 'nv nf ne' counts"),
+        ("short.obj", "v 0 0\n", ":1: vertex record needs 3 coordinates"),
+        ("text.obj", "v 0 0 x\n", ":1: non-numeric vertex coordinate"),
+        ("ref.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf x/1 2 3\n", ":4: bad face reference 'x/1'"),
+        ("normals.obj", "vn 0 0 1\n", ": no vertex records found"),
+        ("magic.ply", "plyx\nformat ascii 1.0\n", ":1: expected 'ply' magic"),
+        ("keyword.ply", ply_header("format ascii 1.0", "bogus") + TET_BODY,
+         ":3: unexpected header keyword 'bogus'"),
+    ],
+    ids=["empty", "no-counts", "one-count", "obj-short-vertex", "obj-text-coordinate",
+         "obj-bad-reference", "obj-no-vertices", "ply-magic", "ply-keyword"],
+)
+def test_parse_error_text(tmp_path, filename, text, message):
+    path = tmp_path / filename
+    path.write_text(text)
+    with pytest.raises(ParseError) as raised:
+        sg.load_mesh(path)
+    assert str(raised.value) == f"{path}{message}"
 
 
 def _outcome(path):
@@ -609,7 +692,7 @@ class TestOneCallBody:
 
     def test_index_past_int64_is_left_to_line_reader(self):
         # numpy clamps it to the int64 maximum, int() keeps it whole
-        elements = [("vertex", 4, ["x", "y", "z"]), ("face", 4, [])]
+        elements = [("vertex", 4, ["x", "y", "z"], []), ("face", 4, [], [0])]
         body = TET_VERTEX_LINES + TET_FACE_LINES[:3] + [f"3 1 2 {2**63}"]
         assert mesh_io._read_triangle_body(TET_VERTEX_LINES + TET_FACE_LINES, elements)
         assert mesh_io._read_triangle_body(body, elements) is None

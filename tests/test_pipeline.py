@@ -288,6 +288,19 @@ class TestRunConfig:
         assert read == []
         assert not_a_dir.read_bytes() == b"a file"
 
+    def test_empty_cache_dir_loads_no_mesh(self, two_class, tmp_path, monkeypatch):
+        read = []
+
+        def counting_read(path):
+            read.append(path)
+            return read_mesh_bytes(path)
+
+        monkeypatch.setattr(pipeline, "read_mesh_bytes", counting_read)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(InvalidParam, match="cache_dir must not be empty"):
+            sg.run_group_comparison(two_class, sg.RunConfig(cache_dir="", **SMALL))
+        assert read == [] and list(tmp_path.iterdir()) == []
+
     def test_cache_dir_under_a_file_loads_no_mesh(self, two_class, tmp_path, monkeypatch):
         read = []
 
@@ -1100,8 +1113,9 @@ class TestWorkerPool:
         assert right.error is None and right.comparison is not None
 
     def test_repeated_bytes_count_as_one_file_at_a_time(self, tmp_path, monkeypatch):
-        # a copy of a missed file is served from the blob that its original's
-        # solve wrote, even when the two would be solved side by side
+        # a copy of a missed file is a miss of its own: the two are solved side
+        # by side, each writes the same blob, and the strata do not depend on
+        # the worker count
         manifest_path = sg.make_two_class_manifest(tmp_path, n_per_group=3, subdivisions=1)
         shutil.copy(tmp_path / "sphere_000.off", tmp_path / "copy.off")
         header, first, *rows = manifest_path.read_text().splitlines()
@@ -1119,7 +1133,7 @@ class TestWorkerPool:
                 cfg = sg.RunConfig(cache_dir=str(tmp_path / f"cache{workers}"), **SMALL)
                 results[workers] = sg.run_group_comparison(manifest, cfg)
         for result in results.values():
-            assert (result.diagnostics.eigensolves, result.diagnostics.eigen_cache_hits) == (6, 1)
+            assert (result.diagnostics.eigensolves, result.diagnostics.eigen_cache_hits) == (7, 0)
         assert results[1].strata == results[2].strata
 
     def test_one_miss_or_all_hits_create_no_executor(self, two_class, tmp_path, monkeypatch):
