@@ -60,11 +60,11 @@ def _int_list(text: str) -> list:
 def _float_triple(text: str) -> tuple:
     parts = [tok for tok in text.split(",") if tok.strip()]
     if len(parts) != 3:
-        raise InvalidParam(f"expected three comma-separated numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected three comma-separated numbers, got {text!r}")
     try:
         return tuple(float(tok) for tok in parts)
     except ValueError:
-        raise InvalidParam(f"non-numeric axis in {text!r}") from None
+        raise argparse.ArgumentTypeError(f"non-numeric axis in {text!r}") from None
 
 
 def _positive_int(text: str) -> int:

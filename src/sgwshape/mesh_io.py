@@ -1,16 +1,18 @@
 """Triangle mesh data model, file parsers, writer, and synthetic generators.
 
 Supported formats: ASCII OFF, Wavefront OBJ (``v``/``f`` records only) and
-ASCII PLY, chosen by file extension. An OFF file is read as a PLY body
-whose header is implicit (``nv`` vertex lines of x y z, then ``nf`` face
-lines), so both go through one element reader. It reads an all-triangle
-body in one numpy call per block and any other body line by line, with
-line-numbered errors. Non-triangular faces are
+ASCII PLY, chosen by file extension. A PLY header must declare one vertex
+element with scalar properties x, y and z and no list property, and an
+index list in each face element; an OFF file is read as a PLY body under
+such a header (``nv`` vertex lines of x y z, then ``nf`` face lines), so
+both go through one element reader. It reads an all-triangle body in one
+numpy call per block and any other body line by line, with line-numbered
+errors; either way it judges only the layout. Non-triangular faces are
 fan-triangulated on load; binary PLY is refused. Any malformed input
-raises ParseError. All loaders validate the result: indices in range, no
-degenerate (zero-area) triangles, no edge shared by more than two faces,
-no isolated vertices, one connected component. Meshes with boundary are
-accepted.
+raises ParseError. TriangleMesh judges the values every loader reads:
+finite coordinates, indices in range, no degenerate (zero-area)
+triangles, no edge shared by more than two faces, no isolated vertices,
+one connected component. Meshes with boundary are accepted.
 """
 
 from __future__ import annotations
@@ -76,9 +78,9 @@ class TriangleMesh:
     Raises
     ------
     ValidationError
-        Index out of range, repeated vertex inside a triangle, degenerate
-        triangle, edge shared by more than two faces, isolated vertex, or
-        more than one connected component.
+        Coordinate not finite, index out of range, repeated vertex inside a
+        triangle, degenerate triangle, edge shared by more than two faces,
+        isolated vertex, or more than one connected component.
     """
 
     # _geometry is _triangle_geometry(vertices, triangles), or None when
@@ -134,23 +136,16 @@ class TriangleMesh:
 
         # edge (i, j), i < j, of each triangle side as the key i*m + j, sides
         # (0, 1), (1, 2) and (2, 0) in three blocks: keys sort like the pairs,
-        # and a 1-D sort is far cheaper than a row-wise one
+        # and a 1-D sort is far cheaper than a row-wise one. np.unique gives the
+        # sorted edge keys, each side's edge among them and each edge's sides
         g = t.shape[0]
         a = t.T.ravel()
         b = np.concatenate((a[g:], a[:g]))
         side_keys = np.minimum(a, b) * m + np.maximum(a, b)
-        order = np.argsort(side_keys)
-        ordered = side_keys[order]
-        first = np.empty(ordered.size, dtype=bool)
-        first[0] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        keys = ordered[first]
-        counts = np.diff(np.append(np.flatnonzero(first), ordered.size))
+        keys, side_edge, counts = np.unique(side_keys, return_inverse=True, return_counts=True)
         if (counts > 2).any():
             i, j = divmod(int(keys[np.argmax(counts > 2)]), m)
             raise ValidationError(f"edge ({i}, {j}) is shared by more than two triangles")
-        side_edge = np.empty(ordered.size, dtype=np.intp)
-        side_edge[order] = np.cumsum(first) - 1
 
         referenced = np.zeros(m, dtype=bool)
         referenced[t.ravel()] = True
@@ -320,12 +315,12 @@ def _read_elements(lines, start, elements, name):
 
     `lines` are the file's lines and the body starts at index `start`.
     `elements` lists (element name, count, scalar property names, positions
-    of the list properties among all its properties) in file order; every
-    instance occupies one line. A vertex line holds its properties in
-    declared order, of which x, y and z are read; a face line holds its
-    first list property ``n i_1 .. i_n`` at its declared position, after the
-    scalars declared before it, and is fan-triangulated; lines of other
-    elements are skipped. An all-triangle body is read in one numpy call per
+    of the list properties among all its properties) in file order, in the
+    layout _parse_ply checks; every instance occupies one line. A vertex
+    line holds its properties in declared order, of which x, y and z are
+    read; a face line holds its first list property ``n i_1 .. i_n`` at its
+    declared position, after the scalars declared before it, and is
+    fan-triangulated; lines of other elements are skipped. An all-triangle body is read in one numpy call per
     block; any other body goes to the line reader.
     """
     arrays = _read_triangle_body(lines[start:], elements)
@@ -343,16 +338,19 @@ def _read_triangle_body(body, elements):
     blanks and tabs (so no comment, no other whitespace and nothing
     str.split reads otherwise), every vertex line holding one value per
     declared property, every face line reading ``3 i j k``, nothing after
-    the face block, every value parsed by numpy as ``float()`` and ``int()``
-    would parse it, finite coordinates and indices in range. The lines are
-    checked as one byte string: its tokens per line are counted with numpy,
-    not split in Python. The line reader takes any other body, so whatever
-    it accepts or rejects (with its line number) is unchanged.
+    the face block, and every value parsed by numpy as ``float()`` and
+    ``int()`` would parse it. The lines are checked as one byte string: its
+    tokens per line are counted with numpy, not split in Python. The line
+    reader takes any other body, so whatever it rejects (with its line
+    number) is unchanged. TriangleMesh judges the values, so an inf
+    coordinate or an index out of range gets the line reader's error; an
+    index past int64, which numpy clamps and int() keeps, is out of range
+    either way.
     """
     if [kind for kind, *_ in elements] != ["vertex", "face"]:
         return None
     (_, n_vertices, props, _), (_, n_faces, face_props, face_lists) = elements
-    if n_faces == 0 or face_props or face_lists != [0] or not {"x", "y", "z"} <= set(props):
+    if n_faces == 0 or face_props or face_lists != [0]:
         return None
     text = "\n".join(body).encode()
     if text.translate(None, _BODY_BYTES):
@@ -385,40 +383,24 @@ def _read_triangle_body(body, elements):
     # a token numpy reads as two values changes the count
     if values.size != n_vertices * len(props) or faces.size != 4 * n_faces:
         return None
-    vertices = values.reshape(n_vertices, len(props))[:, [props.index(a) for a in "xyz"]]
     faces = faces.reshape(n_faces, 4)
-    triangles = faces[:, 1:]
-    # a coordinate past the float range reads as inf, and numpy clamps an
-    # index past int64, which int() keeps
-    if (
-        not np.isfinite(vertices).all()
-        or (faces[:, 0] != 3).any()
-        or triangles.min() < 0
-        or triangles.max() >= n_vertices
-    ):
+    if (faces[:, 0] != 3).any():
         return None
-    return vertices, triangles
+    return values.reshape(n_vertices, len(props))[:, [props.index(a) for a in "xyz"]], faces[:, 1:]
 
 
 def _read_element_lines(it, elements, name):
     """The line reader behind _read_elements; `it` yields its (lineno, tokens)."""
-    vertices = None
     triangles = []
     # one line at a time: a block's token lists kept alive together set off
     # full-heap garbage collections
     for kind, count, props, lists in elements:
         if kind == "vertex":
-            try:
-                cx, cy, cz = (props.index(axis) for axis in ("x", "y", "z"))
-            except ValueError:
-                raise ParseError(f"{name}: vertex element lacks x/y/z properties") from None
+            cx, cy, cz = (props.index(axis) for axis in "xyz")
             n_props = len(props)
             vertices = np.empty((count, 3))
             for i in range(count):
-                try:
-                    lineno, tokens = next(it)
-                except StopIteration:
-                    raise ParseError(f"{name}: truncated {kind} data") from None
+                lineno, tokens = _next_line(it, kind, name)
                 if len(tokens) < n_props:
                     raise ParseError(f"{name}:{lineno}: vertex line needs {n_props} values")
                 try:
@@ -428,10 +410,7 @@ def _read_element_lines(it, elements, name):
         elif kind == "face":
             at = lists[0]
             for _ in range(count):
-                try:
-                    lineno, tokens = next(it)
-                except StopIteration:
-                    raise ParseError(f"{name}: truncated {kind} data") from None
+                lineno, tokens = _next_line(it, kind, name)
                 if len(tokens) <= at:
                     raise ParseError(f"{name}:{lineno}: face line needs {at + 1} values")
                 try:
@@ -446,13 +425,16 @@ def _read_element_lines(it, elements, name):
                 triangles.extend(_fan(idx, lineno, name))
         else:
             for _ in range(count):
-                try:
-                    next(it)
-                except StopIteration:
-                    raise ParseError(f"{name}: truncated {kind} data") from None
-    if vertices is None:
-        raise ParseError(f"{name}: no vertex element")
+                _next_line(it, kind, name)
     return vertices, triangles or _NO_TRIANGLES
+
+
+def _next_line(it, kind, name):
+    """The next (lineno, tokens) of a block of `kind` elements, which the file must hold."""
+    try:
+        return next(it)
+    except StopIteration:
+        raise ParseError(f"{name}: truncated {kind} data") from None
 
 
 def _parse_off(lines, name):
@@ -531,7 +513,8 @@ def _parse_ply(lines, name):
             elements.append((tokens[1], count, [], []))
             declared_at.append(lineno)
         elif key == "property":
-            if len(tokens) < 3:
+            # property <type> <name>, or property list <count type> <item type> <name>
+            if len(tokens) != (5 if tokens[1:2] == ["list"] else 3):
                 raise ParseError(f"{name}:{lineno}: malformed property declaration")
             if not elements:
                 raise ParseError(f"{name}:{lineno}: property before any element")
@@ -549,9 +532,22 @@ def _parse_ply(lines, name):
         raise ParseError(f"{name}: missing end_header")
     if not fmt_seen:
         raise ParseError(f"{name}: missing format declaration")
-    for (kind, _, _, lists), at in zip(elements, declared_at):
-        if kind == "face" and not lists:
+    # the layout both body readers assume: one vertex element of scalars
+    # x, y and z among others, and an index list in each face element
+    vertex_seen = False
+    for (kind, _, props, lists), at in zip(elements, declared_at):
+        if kind == "vertex":
+            if vertex_seen:
+                raise ParseError(f"{name}:{at}: second vertex element")
+            if lists:
+                raise ParseError(f"{name}:{at}: vertex element declares a list property")
+            if not {"x", "y", "z"} <= set(props):
+                raise ParseError(f"{name}:{at}: vertex element lacks x/y/z properties")
+            vertex_seen = True
+        elif kind == "face" and not lists:
             raise ParseError(f"{name}:{at}: face element declares no list property")
+    if not vertex_seen:
+        raise ParseError(f"{name}: no vertex element")
     return _read_elements(lines, lineno, elements, name)
 
 

@@ -75,6 +75,26 @@ class TestSynth:
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["mesh", "--kind", "ellipsoid", "--axes", "1,2"],
+             "argument --axes: expected three comma-separated numbers, got '1,2'"),
+            (["mesh", "--kind", "ellipsoid", "--axes", "a,b,c"],
+             "argument --axes: non-numeric axis in 'a,b,c'"),
+            (["two-class", "--n", "0"], "argument --n: must be >= 1, got 0"),
+        ],
+        ids=["two-axes", "text-axes", "no-shapes"],
+    )
+    def test_refused_argument_exits_2(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["synth", *argv, "--out", str(out)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"sgwshape synth {argv[0]}: error: {message}"
+        assert "Traceback" not in err and not out.exists()
+
     def test_invalid_amplitude_is_usage_error(self, tmp_path, capsys):
         code = main(
             ["synth", "mesh", "--kind", "bumpy_sphere", "--amplitude", "1.0",
@@ -129,6 +149,17 @@ class TestEigen:
         assert code == 2
         err = capsys.readouterr().err
         assert err.splitlines()[-1] == f"error: {mesh_file}: cannot read (Permission denied)"
+        assert "Traceback" not in err and not out_dir.exists()
+
+    def test_numerical_error_exits_3(self, mesh_file, tmp_path, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise sg.ConvergenceError("ARPACK did not converge")
+
+        monkeypatch.setattr(cli, "solve_eigen", no_convergence)
+        out_dir = tmp_path / "out"
+        assert main(["eigen", str(mesh_file), "--k", "6", "--out-dir", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "error: ARPACK did not converge"
         assert "Traceback" not in err and not out_dir.exists()
 
     def test_json_errors_shape(self, tmp_path, capsys):
@@ -278,6 +309,13 @@ class TestReconstruct:
         )
         assert code == 2
         capsys.readouterr()
+
+    def test_empty_ks_exits_2(self, mesh_file, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert main(["reconstruct", str(mesh_file), "--ks", ",", "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "error: --ks must name at least one basis size"
+        assert not out_dir.exists()
 
     def test_bad_ks_exits_2_before_loading(self, mesh_file, tmp_path, capsys, monkeypatch):
         def no_load(path):
@@ -711,6 +749,28 @@ class TestSweepAndPlots:
         assert "error: sweep grid lists R = 10 more than once" in capsys.readouterr().err
         assert read == []
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_non_integer_grid_exits_2(self, dataset_dir, tmp_path, capsys):
+        assert self.run_sweep(dataset_dir, tmp_path, "--Rs", "a") == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "error: expected a comma-separated integer list, got 'a'"
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "extra, code, error",
+        [
+            (("--ks-grid", "50"), 2, "s000 [descriptor]: k must be in [1, 42], got 50"),
+            (("--pca-dims", "5"), 3, "[stats] feature dimension 5 exceeds within-group degrees "
+                                     "of freedom 4; reduce the dimension"),
+        ],
+        ids=["usage", "numerical"],
+    )
+    def test_sweep_whose_every_cell_fails(self, dataset_dir, tmp_path, capsys, extra, code, error):
+        # the exit code of a failed run: 3 if any failure is numerical, else 2
+        assert self.run_sweep(dataset_dir, tmp_path, *extra) == code
+        capsys.readouterr()
+        (row,) = csv.DictReader((tmp_path / "sweep.csv").read_text().splitlines())
+        assert row["error"] == error
 
     @pytest.mark.parametrize(
         "flag, value, grid_flag", [("--k", "5", "--ks-grid"), ("--R", "4", "--Rs")]

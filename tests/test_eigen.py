@@ -173,6 +173,21 @@ class TestSolveEigen:
         with pytest.raises(InvalidParam, match="method"):
             sg.solve_eigen(stiffness, mass, 5, method="magic")
 
+    @pytest.mark.parametrize(
+        "shape, mass_size, message",
+        [
+            ((5, 6), 5, "stiffness must be square, got (5, 6)"),
+            ((5, 5), 6, "mass matrix shape does not match the stiffness matrix"),
+        ],
+        ids=["non-square-stiffness", "mass-size"],
+    )
+    def test_shape_mismatch_rejected(self, shape, mass_size, message):
+        stiffness = sp.eye(*shape, format="csr")
+        mass = sp.identity(mass_size, format="csr")
+        with pytest.raises(InvalidParam) as raised:
+            sg.solve_eigen(stiffness, mass, 2)
+        assert str(raised.value) == message
+
     def test_nonpositive_mass_rejected(self):
         stiffness = sp.identity(5, format="csr")
         mass = sp.diags([1.0, 1.0, 0.0, 1.0, 1.0]).tocsr()

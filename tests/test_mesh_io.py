@@ -529,6 +529,27 @@ class TestPlyHeader:
                 + "\n".join(TET_VERTEX_LINES + ["0 3 0 2 1", "0", "0 3 0 3 2", "0 3 1 2 3"]),
                 ":16: face line needs 2 values", id="face-line-without-list",
             ),
+            pytest.param(
+                ply_header("format ascii 1.0", "element vertex 4",
+                           "property list uchar float extra", *XYZ, *FACE)
+                + "\n".join([f"1 9 {line}" for line in TET_VERTEX_LINES] + TET_FACE_LINES),
+                ":3: vertex element declares a list property", id="vertex-list",
+            ),
+            pytest.param(
+                ply_header("format ascii 1.0", "element vertex 4", *XYZ, "element vertex 4",
+                           *XYZ, *FACE) + "\n".join(TET_VERTEX_LINES) + "\n" + TET_BODY,
+                ":7: second vertex element", id="second-vertex-element",
+            ),
+            pytest.param(
+                ply_header("format ascii 1.0", "element vertex 4", *XYZ, "element face 4",
+                           "property list uchar") + TET_BODY,
+                ":8: malformed property declaration", id="list-without-name",
+            ),
+            pytest.param(
+                ply_header("format ascii 1.0", "element vertex 4", "property float x junk",
+                           *XYZ[1:], *FACE) + TET_BODY,
+                ":4: malformed property declaration", id="scalar-extra-token",
+            ),
         ],
     )
     def test_rejected(self, tmp_path, text, message):
@@ -609,9 +630,13 @@ def test_vertices_without_faces_need_a_triangle(tmp_path, filename, text):
         ("magic.ply", "plyx\nformat ascii 1.0\n", ":1: expected 'ply' magic"),
         ("keyword.ply", ply_header("format ascii 1.0", "bogus") + TET_BODY,
          ":3: unexpected header keyword 'bogus'"),
+        ("edges.ply", ply_header("format ascii 1.0", "element vertex 4", *XYZ, *FACE,
+                                 "element edge 2", "property int vertex1",
+                                 "property int vertex2") + TET_BODY + "0 1\n",
+         ": truncated edge data"),
     ],
     ids=["empty", "no-counts", "one-count", "obj-short-vertex", "obj-text-coordinate",
-         "obj-bad-reference", "obj-no-vertices", "ply-magic", "ply-keyword"],
+         "obj-bad-reference", "obj-no-vertices", "ply-magic", "ply-keyword", "ply-edges"],
 )
 def test_parse_error_text(tmp_path, filename, text, message):
     path = tmp_path / filename
@@ -690,12 +715,21 @@ class TestOneCallBody:
                 sg.load_mesh(tmp_path / "one.off")
         assert taken == [True] * (6 + 3 * 4)
 
-    def test_index_past_int64_is_left_to_line_reader(self):
-        # numpy clamps it to the int64 maximum, int() keeps it whole
+    def test_index_past_int64_gets_the_line_reader_error(self, monkeypatch):
+        # numpy clamps it to the int64 maximum, int() keeps it whole: out of
+        # range either way, which TriangleMesh judges for both readers
         elements = [("vertex", 4, ["x", "y", "z"], []), ("face", 4, [], [0])]
         body = TET_VERTEX_LINES + TET_FACE_LINES[:3] + [f"3 1 2 {2**63}"]
         assert mesh_io._read_triangle_body(TET_VERTEX_LINES + TET_FACE_LINES, elements)
-        assert mesh_io._read_triangle_body(body, elements) is None
+        assert mesh_io._read_triangle_body(body, elements) is not None
+        data = ("\n".join(header_lines(".off", 4, 4) + body) + "\n").encode()
+        fast = _parse_outcome(data, "mesh.off")
+        with monkeypatch.context() as patch:
+            patch.setattr(mesh_io, "_read_triangle_body", lambda body, elements: None)
+            assert fast == _parse_outcome(data, "mesh.off")
+        assert fast == (
+            "ValidationError", "mesh.off: triangle 3 references a vertex index outside [0, 4)"
+        )
 
     # case -> ((vertex lines, face lines), outcome); the outcome is ("ok",) or
     # (error type, line of the error counted from the first body line or None,

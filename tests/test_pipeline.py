@@ -196,6 +196,20 @@ class TestManifest:
         with pytest.raises(ValidationError, match="duplicate"):
             sg.DatasetManifest.load(bad)
 
+    def test_rejects_empty_file(self, tmp_path):
+        bad = tmp_path / "m.csv"
+        bad.write_text("")
+        with pytest.raises(ValidationError) as raised:
+            sg.DatasetManifest.load(bad)
+        assert str(raised.value) == f"{bad}: empty manifest"
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        plain = Path(sg.make_two_class_manifest(tmp_path, n_per_group=2, subdivisions=0))
+        header, *rows = plain.read_text().splitlines()
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text("\n".join([header, "", *rows[:2], ",,,,", " ", *rows[2:], ""]) + "\n")
+        assert sg.DatasetManifest.load(spaced) == sg.DatasetManifest.load(plain)
+
     def test_rejects_header_only(self, tmp_path):
         bad = tmp_path / "m.csv"
         bad.write_text("path,subject,group,bone,side\n")

@@ -42,6 +42,12 @@ class TestReconstruction:
         with pytest.raises(InvalidParam):
             sg.reconstruct_vertices(mesh, basis, basis.k + 1)
 
+    def test_rejects_a_basis_of_another_mesh(self, ico_full_basis, bumpy2):
+        _, basis = ico_full_basis
+        with pytest.raises(InvalidParam) as raised:
+            sg.reconstruct_vertices(bumpy2, basis, 1)
+        assert str(raised.value) == f"basis built on 12 vertices, mesh has {bumpy2.m}"
+
 
 class TestNmseCurve:
     def test_anchor_is_exactly_one(self, bumpy2, bumpy2_basis):

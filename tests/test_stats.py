@@ -282,6 +282,19 @@ class TestCompareGroups:
         with pytest.raises(InvalidParam, match=match):
             sg.compare_groups(data, pca_dims, n_perm, seed)
 
+    @pytest.mark.parametrize("labels", [("a", "a", "b", "b"), ("a", "b", "a", "b")],
+                             ids=["split", "interleaved"])
+    def test_zero_within_group_scatter_is_singular(self, labels):
+        # split: each group is one point, so every lambda is 0. interleaved:
+        # the observed lambda is 1 and passes, and the first enumerated split,
+        # {0, 1}, scores 0 and ends the walk
+        data = sg.DataMatrix([[0.0], [0.0], [1.0], [1.0]], labels)
+        with pytest.raises(SingularScatter) as raised:
+            sg.compare_groups(data, 1, 99, 0)
+        assert str(raised.value) == (
+            "within-group scatter matrix is singular; reduce the feature dimension"
+        )
+
 
 class TestBatchedLambda:
     """The one Wilks' lambda evaluator behind every caller."""
