@@ -38,12 +38,7 @@ from .pipeline import (
     parameter_sweep,
     run_group_comparison,
 )
-from .reconstruct import (
-    ReconstructionReport,
-    nmse_curve,
-    reconstruct_vertices,
-    spectral_reconstruct,
-)
+from .reconstruct import ReconstructionReport, nmse_curve, reconstruct_vertices
 from .sgws import (
     SignatureMatrix,
     mexican_hat,
@@ -88,7 +83,6 @@ __all__ = [
     "aggregate",
     "ReconstructionReport",
     "reconstruct_vertices",
-    "spectral_reconstruct",
     "nmse_curve",
     "DataMatrix",
     "GroupComparison",

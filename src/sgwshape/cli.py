@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
 )
 from .laplacian import LUMPING_SCHEMES, laplacian_matrices
-from .mesh_io import _synthetic_settings, load_mesh, make_synthetic, write_mesh
+from .mesh_io import _off_bytes, _synthetic_settings, load_mesh, make_synthetic, write_mesh
 from .outputs import _atomic_write_bytes, _csv_bytes, _nearest_existing
 from .pipeline import (
     DatasetManifest,
@@ -289,9 +289,9 @@ def _cmd_reconstruct(args) -> int:
     nmse_path = out / "nmse.csv"
     report.write_csv(nmse_path)
     print(f"wrote {nmse_path}")
-    for k, recon in sorted(report.meshes.items()):
+    for k, positions in sorted(report.positions.items()):
         mesh_path = out / f"reconstructed_k{k:05d}.off"
-        write_mesh(recon, mesh_path)
+        _atomic_write_bytes(mesh_path, _off_bytes(positions, mesh.triangles))
         print(f"wrote {mesh_path}")
     return 0
 

@@ -12,6 +12,8 @@ instead.
 W is assembled in scipy CSR form and A in DIA form, from the triangle
 geometry and the sorted edge keys that the mesh's validation computed
 (see ``TriangleMesh``), with no second geometry pass and no sparse sort.
+Every mesh object passed that validation, so no triangle is degenerate and
+every length lies in the range whose areas and cotangents float64 carries.
 Assembly is deterministic, with every sum in a fixed order: an edge's
 weight adds its one or two half cotangents with ``np.bincount``, the
 diagonal adds a row's entries in column order with ``np.add.reduceat``
@@ -26,7 +28,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DegenerateMass, InvalidParam
-from .mesh_io import TriangleMesh, _triangle_geometry
+from .mesh_io import TriangleMesh
 
 __all__ = ["laplacian_matrices"]
 
@@ -38,13 +40,9 @@ def _corner_geometry(mesh: TriangleMesh):
 
     Corner order follows the triangle arrays: corner 0 is vertex
     ``triangles[:, 0]`` and its opposite edge is (1, 2), and so on. The edge
-    vectors and lengths are the ones the mesh's degeneracy check computed,
-    where it ran.
+    vectors and lengths are the ones the mesh's validation computed.
     """
-    geometry = mesh._geometry
-    if geometry is None:
-        geometry = _triangle_geometry(mesh.vertices, mesh.triangles)
-    (e0, e1, e2), edge_sq, double_area = geometry
+    (e0, e1, e2), edge_sq, double_area = mesh._geometry
     # cot at corner k = -e_{k+1} . e_{k+2} / (2 * area)
     dots = np.stack(
         [-(e1 * e2).sum(axis=1), -(e2 * e0).sum(axis=1), -(e0 * e1).sum(axis=1)], axis=1

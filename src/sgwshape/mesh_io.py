@@ -9,10 +9,11 @@ both go through one element reader. It reads an all-triangle body in one
 numpy call per block and any other body line by line, with line-numbered
 errors; either way it judges only the layout. Non-triangular faces are
 fan-triangulated on load; binary PLY is refused. Any malformed input
-raises ParseError. TriangleMesh judges the values every loader reads:
-finite coordinates, indices in range, no degenerate (zero-area)
-triangles, no edge shared by more than two faces, no isolated vertices,
-one connected component. Meshes with boundary are accepted.
+raises ParseError. TriangleMesh judges the values every loader reads, and
+no mesh object skips it: finite coordinates, a length scale inside
+[1e-40, 1e40], indices in range, no degenerate (zero-area) triangles, no
+edge shared by more than two faces, no isolated vertices, one connected
+component. Meshes with boundary are accepted.
 """
 
 from __future__ import annotations
@@ -49,6 +50,11 @@ SYNTHETIC_KINDS = tuple(_SYNTHETIC_DEFAULTS)
 # the squared longest edge (dimensionless, scale-invariant).
 _DEGENERATE_REL_TOL = 1e-12
 
+# The largest absolute coordinate and the shortest edge lie in this range.
+# The descriptor (length^4, with areas cubed inside) of bumpy spheres scaled
+# by 1e-50 to 1e50 was right within 1.6e-14, and wrong past 1e-55 and 1e55
+_LENGTH_SCALE = (1e-40, 1e40)
+
 # A disconnected mesh's error names this many component sizes, largest first.
 _SHOWN_COMPONENTS = 10
 
@@ -70,27 +76,23 @@ class TriangleMesh:
         Vertex positions, stored as float64.
     triangles : (g, 3) array_like of int
         Vertex index triples.
-    check_degenerate : bool
-        Reject zero-area triangles. Leave enabled for loaded and generated
-        meshes; spectral reconstructions at small truncations are degenerate
-        by design and disable it.
 
     Raises
     ------
     ValidationError
-        Coordinate not finite, index out of range, repeated vertex inside a
+        Coordinate not finite, largest absolute coordinate or shortest edge
+        outside [1e-40, 1e40], index out of range, repeated vertex inside a
         triangle, degenerate triangle, edge shared by more than two faces,
         isolated vertex, or more than one connected component.
     """
 
-    # _geometry is _triangle_geometry(vertices, triangles), or None when
-    # check_degenerate was off; _edges is the sorted unique edge keys i*m + j
-    # (i < j) and, per triangle side (sides (0, 1), (1, 2), (2, 0) of every
-    # triangle, in three blocks), the index of its edge among them.
-    # Validation computes both, and assembly reuses them
+    # _geometry is _triangle_geometry(vertices, triangles); _edges is the
+    # sorted unique edge keys i*m + j (i < j) and, per triangle side (sides
+    # (0, 1), (1, 2), (2, 0) of every triangle, in three blocks), the index of
+    # its edge among them. Validation computes both, and assembly reuses them
     __slots__ = ("vertices", "triangles", "_geometry", "_edges")
 
-    def __init__(self, vertices, triangles, check_degenerate=True):
+    def __init__(self, vertices, triangles):
         v = np.ascontiguousarray(np.asarray(vertices, dtype=np.float64))
         t_raw = np.asarray(triangles)
         # an index past int64 names no vertex; -1 keeps it out of range
@@ -115,6 +117,8 @@ class TriangleMesh:
             raise ValidationError("need at least 1 triangle")
         if not np.isfinite(v).all():
             raise ValidationError("vertex coordinates must be finite")
+        # before any arithmetic on coordinates, which overflows past the range
+        _check_length_scale("largest absolute coordinate", float(np.abs(v).max()))
 
         m = v.shape[0]
         if t.min() < 0 or t.max() >= m:
@@ -124,15 +128,13 @@ class TriangleMesh:
         if repeated.any():
             raise ValidationError(f"triangle {int(np.flatnonzero(repeated)[0])} repeats a vertex")
 
-        geometry = None
-        if check_degenerate:
-            geometry = _triangle_geometry(v, t)
-            _, edge_sq, double_area = geometry
-            degenerate = double_area <= _DEGENERATE_REL_TOL * edge_sq.max(axis=1)
-            if degenerate.any():
-                raise ValidationError(
-                    f"triangle {int(np.flatnonzero(degenerate)[0])} has zero area"
-                )
+        geometry = _triangle_geometry(v, t)
+        _, edge_sq, double_area = geometry
+        degenerate = double_area <= _DEGENERATE_REL_TOL * edge_sq.max(axis=1)
+        if degenerate.any():
+            raise ValidationError(f"triangle {int(np.flatnonzero(degenerate)[0])} has zero area")
+        # a zero edge is a degenerate triangle, named as such above
+        _check_length_scale("shortest edge", math.sqrt(edge_sq.min()))
 
         # edge (i, j), i < j, of each triangle side as the key i*m + j, sides
         # (0, 1), (1, 2) and (2, 0) in three blocks: keys sort like the pairs,
@@ -186,12 +188,17 @@ class TriangleMesh:
         """Triangle count."""
         return self.triangles.shape[0]
 
-    def with_vertices(self, vertices, check_degenerate=True) -> "TriangleMesh":
-        """Same connectivity with replaced vertex positions."""
-        return TriangleMesh(vertices, self.triangles, check_degenerate=check_degenerate)
-
     def __repr__(self):
         return f"TriangleMesh(m={self.m}, g={self.g})"
+
+
+def _check_length_scale(what, value):
+    """Raise ValidationError unless the length `value` lies in _LENGTH_SCALE."""
+    low, high = _LENGTH_SCALE
+    if not low <= value <= high:
+        raise ValidationError(
+            f"{what} {value:.3g} is outside the length scale range [{low:g}, {high:g}]"
+        )
 
 
 def _triangle_geometry(v, t):
@@ -265,10 +272,18 @@ def parse_mesh(data: bytes, path) -> TriangleMesh:
 
 def write_mesh(mesh: TriangleMesh, path) -> None:
     """Write a mesh as ASCII OFF with 12 significant digits."""
-    text = f"OFF\n{mesh.m} {mesh.g} 0\n"
-    text += ("%.12g %.12g %.12g\n" * mesh.m) % tuple(mesh.vertices.ravel().tolist())
-    text += ("3 %d %d %d\n" * mesh.g) % tuple(mesh.triangles.ravel().tolist())
-    _atomic_write_bytes(path, text.encode())
+    _atomic_write_bytes(path, _off_bytes(mesh.vertices, mesh.triangles))
+
+
+def _off_bytes(vertices, triangles) -> bytes:
+    """ASCII OFF of (m, 3) vertex positions on (g, 3) triangles, 12 significant digits.
+
+    The positions need not make a valid mesh: a reconstruction may collapse to a point.
+    """
+    text = f"OFF\n{len(vertices)} {len(triangles)} 0\n"
+    text += ("%.12g %.12g %.12g\n" * len(vertices)) % tuple(np.ravel(vertices).tolist())
+    text += ("3 %d %d %d\n" * len(triangles)) % tuple(np.ravel(triangles).tolist())
+    return text.encode()
 
 
 def _fan(indices, lineno, name):

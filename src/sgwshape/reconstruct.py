@@ -4,7 +4,9 @@ Projecting the three coordinate functions onto the first k eigenfunctions
 (under the area-weighted inner product) gives a low-pass filtered version
 of the shape. The error curve NMSE(k) is the area-weighted squared
 residual normalized by the k = 1 residual, so it starts at exactly 1 and
-decreases toward 0 as k grows.
+decreases toward 0 as k grows. A reconstruction is a plain (m, 3) vertex
+array, not a TriangleMesh: at k = 1 every vertex sits on the area-weighted
+centroid, which no mesh may do.
 """
 
 from __future__ import annotations
@@ -18,16 +20,16 @@ from .errors import InvalidParam, _integer
 from .mesh_io import TriangleMesh
 from .outputs import _atomic_write_bytes, _csv_bytes
 
-__all__ = ["ReconstructionReport", "reconstruct_vertices", "spectral_reconstruct", "nmse_curve"]
+__all__ = ["ReconstructionReport", "reconstruct_vertices", "nmse_curve"]
 
 
 @dataclass(frozen=True)
 class ReconstructionReport:
-    """NMSE values over a list of basis sizes, optionally with the meshes."""
+    """NMSE values over a list of basis sizes, optionally with each k's vertex positions."""
 
     ks: tuple
     nmse: tuple
-    meshes: dict = field(default_factory=dict, repr=False)
+    positions: dict = field(default_factory=dict, repr=False)
 
     def write_csv(self, path) -> None:
         rows = [["k", "nmse"], *([str(k), repr(val)] for k, val in zip(self.ks, self.nmse))]
@@ -48,16 +50,6 @@ def reconstruct_vertices(mesh: TriangleMesh, basis: EigenBasis, k: int) -> np.nd
     phi = basis.eigenvectors[:, :k]
     coeffs = phi.T @ (basis.vertex_areas[:, None] * mesh.vertices)
     return phi @ coeffs
-
-
-def spectral_reconstruct(mesh: TriangleMesh, basis: EigenBasis, k: int) -> TriangleMesh:
-    """Mesh with spectrally low-passed geometry; connectivity unchanged.
-
-    Small k collapses vertices toward the area-weighted centroid, so the
-    result may contain degenerate triangles by design; validation of those
-    is off for the returned mesh.
-    """
-    return mesh.with_vertices(reconstruct_vertices(mesh, basis, k), check_degenerate=False)
 
 
 def _weighted_residual(mesh, basis, k, weighted):
@@ -87,7 +79,8 @@ def nmse_curve(
     ----------
     ks : iterable of int, each in [1, basis.k]
     keep_meshes : bool
-        Also return the reconstructed meshes, keyed by k.
+        Also return each k's reconstructed (m, 3) vertex positions, keyed by
+        k, as ``positions``.
     weighted : bool
         Area-weighted norms (the default) or plain vertex sums.
     """
@@ -102,7 +95,5 @@ def nmse_curve(
     if denom == 0.0:
         raise InvalidParam("mesh is a single point at the centroid; NMSE is undefined")
     values = tuple(_weighted_residual(mesh, basis, k, weighted) / denom for k in ks)
-    meshes = {}
-    if keep_meshes:
-        meshes = {k: spectral_reconstruct(mesh, basis, k) for k in ks}
-    return ReconstructionReport(ks=tuple(ks), nmse=values, meshes=meshes)
+    positions = {k: reconstruct_vertices(mesh, basis, k) for k in ks} if keep_meshes else {}
+    return ReconstructionReport(ks=tuple(ks), nmse=values, positions=positions)

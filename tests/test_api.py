@@ -24,7 +24,7 @@ EXPORTED = {
     "wavelet_scales", "signature_length", "signature_matrix",
     "write_signature_csv", "GsgwVector", "aggregate",
     # reconstruction
-    "ReconstructionReport", "reconstruct_vertices", "spectral_reconstruct", "nmse_curve",
+    "ReconstructionReport", "reconstruct_vertices", "nmse_curve",
     # statistics
     "DataMatrix", "GroupComparison", "compare_groups",
     # batch runs

@@ -974,7 +974,8 @@ class TestBadSynthAndPlotInput:
         written = sorted(p.name for p in out.glob("*.off"))
         assert written == sorted(expected)
         for name in written:
-            assert (out / name).read_bytes() == reference_off_bytes(expected[name])
+            mesh = expected[name]
+            assert (out / name).read_bytes() == reference_off_bytes(mesh.vertices, mesh.triangles)
 
     @pytest.mark.parametrize(
         "draw",

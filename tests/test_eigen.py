@@ -153,7 +153,7 @@ class TestSolveEigen:
         )
 
     def test_uniform_scaling_divides_eigenvalues(self, bumpy2, bumpy2_basis):
-        scaled = bumpy2.with_vertices(bumpy2.vertices * 2.0)
+        scaled = sg.TriangleMesh(bumpy2.vertices * 2.0, bumpy2.triangles)
         scaled_basis = small_problem(scaled, k=31)
         np.testing.assert_allclose(
             scaled_basis.eigenvalues[1:] * 4.0,
@@ -235,7 +235,7 @@ class TestSolveEigen:
 def scaled_problem(subdivisions, c):
     """(W, A) of make_synthetic("bumpy_sphere", subdivisions, seed=0) with every vertex times c."""
     mesh = sg.make_synthetic("bumpy_sphere", subdivisions, seed=0)
-    return sg.laplacian_matrices(mesh.with_vertices(c * mesh.vertices))
+    return sg.laplacian_matrices(sg.TriangleMesh(c * mesh.vertices, mesh.triangles))
 
 
 _SCALES = [1e-3, 1.0, 1e3]
@@ -464,7 +464,7 @@ class TestSolvesAtOneThread:
         lambda mesh, basis, w, a: summarize(basis).truncate(2.0),
         lambda mesh, basis, w, a: sg.signature_matrix(basis, 2.5),
         lambda mesh, basis, w, a: sg.wavelet_scales(2.5, 1.0, 20.0),
-        lambda mesh, basis, w, a: sg.spectral_reconstruct(mesh, basis, 2.5),
+        lambda mesh, basis, w, a: sg.reconstruct_vertices(mesh, basis, 2.5),
         lambda mesh, basis, w, a: sg.nmse_curve(mesh, basis, [2.5]),
     ],
     ids=[

@@ -62,7 +62,7 @@ class TestStiffness:
             assert quad >= -1e-10 * (vec @ vec)
 
     def test_scale_invariance(self, bumpy2):
-        scaled = bumpy2.with_vertices(bumpy2.vertices * 2.5)
+        scaled = sg.TriangleMesh(bumpy2.vertices * 2.5, bumpy2.triangles)
         a = stiffness_of(bumpy2)
         b = stiffness_of(scaled)
         np.testing.assert_allclose(b.toarray(), a.toarray(), rtol=1e-12, atol=1e-15)
@@ -127,12 +127,8 @@ def test_assembly_takes_one_geometry_pass(bumpy2, monkeypatch, lumping):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("check_degenerate", [True, False])
-def test_one_triangle_geometry_pass_from_validation_to_assembly(
-    bumpy2, monkeypatch, check_degenerate
-):
-    # the degeneracy check's geometry pass serves assembly too; a mesh built
-    # without that check gets its one pass at assembly
+def test_one_triangle_geometry_pass_from_validation_to_assembly(bumpy2, monkeypatch):
+    # the validation's geometry pass serves assembly too
     calls = []
     geometry = mesh_io._triangle_geometry
 
@@ -141,8 +137,7 @@ def test_one_triangle_geometry_pass_from_validation_to_assembly(
         return geometry(v, t)
 
     monkeypatch.setattr(mesh_io, "_triangle_geometry", counting)
-    monkeypatch.setattr(laplacian, "_triangle_geometry", counting)
-    mesh = bumpy2.with_vertices(bumpy2.vertices, check_degenerate=check_degenerate)
+    mesh = sg.TriangleMesh(bumpy2.vertices, bumpy2.triangles)
     sg.laplacian_matrices(mesh)
     assert calls == [bumpy2.g]
 

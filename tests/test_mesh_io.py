@@ -1,5 +1,6 @@
 """Mesh container, file formats, synthetic generators."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -89,6 +90,28 @@ class TestTriangleMesh:
         with pytest.raises(ValidationError, match="zero area"):
             sg.TriangleMesh(vertices, [[0, 1, 2], [0, 1, 3], [1, 2, 3]])
 
+    @pytest.mark.parametrize("c", [1e-60, 1e60])
+    def test_rejects_a_length_scale_float64_cannot_carry(self, c):
+        # at 1e-60 the a_j^3 weights underflowed to an all-zero descriptor; at
+        # 1e60 they overflowed; both are refused before any arithmetic
+        mesh = sg.make_synthetic("bumpy_sphere", 2, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValidationError,
+                match=r"^largest absolute coordinate \S+ is outside the length scale range "
+                r"\[1e-40, 1e\+40\]$",
+            ):
+                sg.TriangleMesh(c * mesh.vertices, mesh.triangles)
+
+    def test_rejects_an_edge_below_the_length_scale(self):
+        # coordinates near 1e-39 are inside the range; edges of 1e-45 are not
+        with pytest.raises(
+            ValidationError,
+            match=r"^shortest edge 1e-45 is outside the length scale range \[1e-40, 1e\+40\]$",
+        ):
+            sg.TriangleMesh(TET_VERTICES * 1e-45 + 1e-39, TET_TRIANGLES)
+
     def test_rejects_edge_shared_by_three_triangles(self):
         vertices = np.array(
             [
@@ -147,12 +170,6 @@ class TestTriangleMesh:
         ):
             sg.TriangleMesh(vertices, triangles)
 
-    def test_with_vertices_keeps_topology(self):
-        mesh = tetra()
-        out = mesh.with_vertices(mesh.vertices * 2.0)
-        np.testing.assert_array_equal(out.triangles, mesh.triangles)
-        np.testing.assert_allclose(out.vertices, mesh.vertices * 2.0)
-
 
 class TestTriangleGeometry:
     def test_tetrahedron_areas(self):
@@ -186,14 +203,17 @@ class TestOffFormat:
     def test_writer_bytes_equal_the_reference(self, tmp_path):
         mesh = sg.make_synthetic("bumpy_sphere", 3, seed=3)
         sg.write_mesh(mesh, tmp_path / "bumpy.off")
-        assert (tmp_path / "bumpy.off").read_bytes() == reference_off_bytes(mesh)
+        assert (tmp_path / "bumpy.off").read_bytes() == reference_off_bytes(
+            mesh.vertices, mesh.triangles
+        )
 
-    def test_writer_bytes_equal_the_reference_on_awkward_floats(self, tmp_path):
-        vertices = [[-0.0, 1e-300, 1.5e300], [123456789012.5, -0.0, 1e-300], [1.5e300, 0.1, -2.5]]
-        mesh = sg.TriangleMesh(vertices, [[0, 1, 2]], check_degenerate=False)
-        sg.write_mesh(mesh, tmp_path / "awkward.off")
-        written = (tmp_path / "awkward.off").read_bytes()
-        assert written == reference_off_bytes(mesh)
+    def test_encoder_bytes_equal_the_reference_on_awkward_floats(self):
+        # no mesh has these coordinates; the encoder write_mesh uses takes any arrays
+        vertices = np.array(
+            [[-0.0, 1e-300, 1.5e300], [123456789012.5, -0.0, 1e-300], [1.5e300, 0.1, -2.5]]
+        )
+        written = mesh_io._off_bytes(vertices, np.array([[0, 1, 2]]))
+        assert written == reference_off_bytes(vertices, [[0, 1, 2]])
         assert written.splitlines()[2:4] == [b"-0 1e-300 1.5e+300", b"123456789012 -0 1e-300"]
 
     def test_counts_on_separate_line_and_comments(self, tmp_path):
@@ -860,11 +880,12 @@ _EDIT = st.tuples(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(ext=st.sampled_from([".off", ".ply"]), edits=st.lists(_EDIT, max_size=3))
-def test_perturbed_body_keeps_line_reader_outcome(ext, edits):
-    # drop, duplicate or join body lines, or put a stray byte into one: the
-    # one-call reader must return the line reader's arrays or error, or step aside
+def _perturbed_body(ext, edits):
+    """The file bytes of a bumpy sphere whose body lines took `edits`.
+
+    Each edit drops, duplicates or joins body lines, or puts a stray byte
+    into one.
+    """
     mesh = sg.make_synthetic("bumpy_sphere", 0, seed=3)
     body = [" ".join(map(repr, row)) for row in mesh.vertices.tolist()]
     body += ["3 {} {} {}".format(*tri) for tri in mesh.triangles.tolist()]
@@ -881,10 +902,37 @@ def test_perturbed_body_keeps_line_reader_outcome(ext, edits):
         else:
             cut = offset % (len(body[line]) + 1)
             body[line] = body[line][:cut] + stray + body[line][cut:]
-    data = ("\n".join(header_lines(ext, mesh.m, mesh.g) + body) + "\n").encode()
-    fast = _parse_outcome(data, f"mesh{ext}")
+    return ("\n".join(header_lines(ext, mesh.m, mesh.g) + body) + "\n").encode()
+
+
+def _both_readers_outcome(data, name):
+    """_parse_outcome of `data`, after checking that the line reader gives it too."""
+    fast = _parse_outcome(data, name)
     with mock.patch.object(mesh_io, "_read_triangle_body", lambda body, elements: None):
-        assert fast == _parse_outcome(data, f"mesh{ext}")
+        assert fast == _parse_outcome(data, name)
+    return fast
+
+
+@settings(max_examples=300, deadline=None)
+@given(ext=st.sampled_from([".off", ".ply"]), edits=st.lists(_EDIT, max_size=3))
+def test_perturbed_body_keeps_line_reader_outcome(ext, edits):
+    # the one-call reader must return the line reader's arrays or error, or step aside
+    _both_readers_outcome(_perturbed_body(ext, edits), f"mesh{ext}")
+
+
+def test_stray_exponent_is_refused_by_the_length_scale():
+    # a stray "e" turns vertex 0's "-0.511228177003271" into -5.1e270, whose
+    # squared edges overflowed in the geometry pass; the scale check comes first
+    data = _perturbed_body(".off", [("insert", 0, 649629, "e")])
+    assert data.splitlines()[2].startswith(b"-0.511228177003e271 ")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcome = _both_readers_outcome(data, "mesh.off")
+    assert outcome == (
+        "ValidationError",
+        "mesh.off: largest absolute coordinate 5.11e+270 is outside the length scale range "
+        "[1e-40, 1e+40]",
+    )
 
 
 def test_one_tetrahedron_in_every_format(tmp_path):

@@ -560,7 +560,8 @@ class TestRunGroupComparison:
             shutil.copy(source, out / "manifest.csv")
             for entry in sg.DatasetManifest.load(source).entries:
                 mesh = sg.load_mesh(entry.path)
-                sg.write_mesh(mesh.with_vertices(c * mesh.vertices), out / Path(entry.path).name)
+                scaled = sg.TriangleMesh(c * mesh.vertices, mesh.triangles)
+                sg.write_mesh(scaled, out / Path(entry.path).name)
             run = sg.run_group_comparison(sg.DatasetManifest.load(out / "manifest.csv"), cfg)
             found.append(run.strata[0].comparison)
         for got in (found[0], found[2]):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sgwshape as sg
-from sgwshape.errors import InvalidParam
+from sgwshape.errors import InvalidParam, ValidationError
 
 from conftest import random_rotation, rigid_transform
 
@@ -29,11 +29,12 @@ class TestReconstruction:
         centroid = (areas[:, None] * mesh.vertices).sum(axis=0) / areas.sum()
         np.testing.assert_allclose(rebuilt, np.tile(centroid, (mesh.m, 1)), atol=1e-12)
 
-    def test_spectral_reconstruct_allows_degenerate_output(self, ico_full_basis):
+    def test_k1_positions_are_no_mesh(self, ico_full_basis):
+        # every vertex on the centroid: a reconstruction stays a vertex array,
+        # which no validated mesh could hold
         mesh, basis = ico_full_basis
-        flat = sg.spectral_reconstruct(mesh, basis, 1)  # collapses to the centroid
-        assert isinstance(flat, sg.TriangleMesh)
-        np.testing.assert_array_equal(flat.triangles, mesh.triangles)
+        with pytest.raises(ValidationError):
+            sg.TriangleMesh(sg.reconstruct_vertices(mesh, basis, 1), mesh.triangles)
 
     def test_rejects_bad_k(self, ico_full_basis):
         mesh, basis = ico_full_basis
@@ -74,11 +75,12 @@ class TestNmseCurve:
 
     def test_keep_meshes(self, bumpy2, bumpy2_basis):
         report = sg.nmse_curve(bumpy2, bumpy2_basis, [1, 10], keep_meshes=True)
-        assert set(report.meshes) == {1, 10}
-        np.testing.assert_allclose(
-            report.meshes[10].vertices,
-            sg.reconstruct_vertices(bumpy2, bumpy2_basis, 10),
-        )
+        assert set(report.positions) == {1, 10}
+        for k in (1, 10):
+            assert np.array_equal(
+                report.positions[k], sg.reconstruct_vertices(bumpy2, bumpy2_basis, k)
+            )
+        assert sg.nmse_curve(bumpy2, bumpy2_basis, [1, 10]).positions == {}
 
     def test_validation(self, bumpy2, bumpy2_basis):
         with pytest.raises(InvalidParam):
