@@ -102,12 +102,21 @@ def _config_from_args(args) -> RunConfig:
         for name in ("k", "R", "normalize", "cache_dir", "pca_dims", "n_perm", "seed")
         if getattr(args, name, None) is not None
     }
-    return RunConfig(
-        lumping=args.lumping,
-        area_factor=not args.no_area_factor,
-        method=args.method,
-        **offered,
+    return RunConfig(lumping=args.lumping, area_factor=not args.no_area_factor, **offered)
+
+
+def _add_solver_flags(parser, method=True):
+    """--lumping, and --method for a command that solves one mesh outside any run: a
+    run (gsgw, compare, sweep) takes the route from the mesh size alone."""
+    parser.add_argument(
+        "--lumping", default="mixed", choices=LUMPING_SCHEMES,
+        help="vertex area scheme (default mixed)",
     )
+    if method:
+        parser.add_argument(
+            "--method", default="auto", choices=SOLVER_METHODS,
+            help="eigensolver route (default auto: dense up to 600 vertices)",
+        )
 
 
 def _add_signature_flags(parser, grid=False):
@@ -122,16 +131,8 @@ def _add_signature_flags(parser, grid=False):
     parser.add_argument("--R", type=int, default=None if grid else 30,
                         help=argparse.SUPPRESS if grid else "resolution levels (default 30)")
     parser.add_argument(
-        "--lumping", default="mixed", choices=LUMPING_SCHEMES,
-        help="vertex area scheme (default mixed)",
-    )
-    parser.add_argument(
         "--no-area-factor", action="store_true",
         help="drop the squared vertex-area factor from signatures",
-    )
-    parser.add_argument(
-        "--method", default="auto", choices=SOLVER_METHODS,
-        help="eigensolver route (default auto)",
     )
 
 
@@ -143,6 +144,7 @@ def _add_config_flags(parser, batch=True, grid=False):
     cold meshes in one worker process per usable CPU (see pipeline).
     """
     _add_signature_flags(parser, grid)
+    _add_solver_flags(parser, method=False)
     if batch:
         parser.add_argument(
             "--pca-dims", dest="pca_dims", type=int, default=8,
@@ -235,11 +237,11 @@ def _cmd_signature(args) -> int:
     cfg = _config_from_args(args)
     _announce("signature", {
         "mesh": args.mesh, "k": cfg.k, "R": cfg.R, "lumping": cfg.lumping,
-        "area_factor": cfg.area_factor, "method": cfg.method, "out": args.out,
+        "area_factor": cfg.area_factor, "method": args.method, "out": args.out,
     })
     mesh = load_mesh(args.mesh)
     stiffness, mass = laplacian_matrices(mesh, lumping=cfg.lumping)
-    basis = solve_eigen(stiffness, mass, cfg.k, method=cfg.method)
+    basis = solve_eigen(stiffness, mass, cfg.k, method=args.method)
     sig = signature_matrix(basis, cfg.R, area_factor=cfg.area_factor)
     write_signature_csv(sig, args.out)
     print(f"wrote {args.out} ({sig.p} rows x {sig.m} columns)")
@@ -256,7 +258,7 @@ def _cmd_gsgw(args) -> int:
     _announce("gsgw", {
         "meshes": len(args.meshes), "k": cfg.k, "R": cfg.R, "lumping": cfg.lumping,
         "area_factor": cfg.area_factor, "normalize": cfg.normalize,
-        "method": cfg.method, "cache_dir": cfg.cache_dir, "out": args.out,
+        "cache_dir": cfg.cache_dir, "out": args.out,
     })
     p = signature_length(cfg.R)
     table = [["id", "label", *(f"v{i + 1}" for i in range(p))]]
@@ -502,14 +504,14 @@ def build_parser() -> argparse.ArgumentParser:
     eig = sub.add_parser("eigen", help="eigenvalues and eigenfunctions of one mesh")
     eig.add_argument("mesh")
     eig.add_argument("--k", type=int, default=31, help="eigenpair count (default 31)")
-    eig.add_argument("--method", default="auto", choices=SOLVER_METHODS)
-    eig.add_argument("--lumping", default="mixed", choices=LUMPING_SCHEMES)
+    _add_solver_flags(eig)
     eig.add_argument("--out-dir", dest="out_dir", required=True)
     eig.set_defaults(func=_cmd_eigen)
 
     sig = sub.add_parser("signature", help="per-vertex signature matrix of one mesh")
     sig.add_argument("mesh")
     _add_signature_flags(sig)
+    _add_solver_flags(sig)
     sig.add_argument("--out", required=True, help="output CSV path")
     sig.set_defaults(func=_cmd_signature)
 
@@ -524,8 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("mesh")
     rec.add_argument("--ks", default="1,5,10,20,30,50",
                      help="comma-separated basis sizes (default 1,5,10,20,30,50)")
-    rec.add_argument("--method", default="auto", choices=SOLVER_METHODS)
-    rec.add_argument("--lumping", default="mixed", choices=LUMPING_SCHEMES)
+    _add_solver_flags(rec)
     rec.add_argument("--unweighted", action="store_true",
                      help="plain vertex sums instead of area-weighted norms")
     rec.add_argument("--dump-meshes", dest="dump_meshes", action="store_true",

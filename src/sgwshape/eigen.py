@@ -5,13 +5,9 @@ Solves ``W phi = lambda A phi`` through the symmetric similarity transform
 ``phi = A^{-1/2} u``. That keeps the problem symmetric, so eigenvalues are
 real and the eigenvector matrix comes out A-orthonormal by construction.
 
-B is built straight from W's CSR entries: with d = A^{-1/2}, entry (i, j)
-is ``((d_i w_ij) d_j + (d_j w_ji) d_i) / 2``, the symmetric part of D W D,
-rounded as scipy's sparse products and sum would round it, and an entry
-that comes out exactly zero is not stored. W must have a symmetric
-sparsity pattern (its values are symmetrized). B takes W's CSR arrays and
-one transpose of W for the paired entries, with no sparse product, sparse
-sum or COO round trip.
+B is built straight from W's CSR entries, rounded as scipy's sparse
+products and sum would round them (see _similarity). W must have a
+symmetric sparsity pattern (its values are symmetrized).
 
 Two routes share this reduction: a dense one (scipy.linalg.eigh on the full
 B, used for small meshes and as the cross-check oracle) and a sparse
@@ -20,18 +16,21 @@ where only the low end of the spectrum is needed). ``method="auto"`` picks
 dense at or below 600 vertices. Both routes check their pairs against
 lambda_k, so no check depends on the length unit.
 
+The sparse route returns the first k pairs of a window that depends on k
+only through a rung (see _window): Lanczos's pairs move in the last bits
+with how many it solves, so every k of one window gets, bitwise, a prefix of
+one solve. It scales B by the 4^e that puts its mean diagonal in [1/2, 2),
+exactly (the factor scales by 2^e), so Lanczos sees one magnitude at every
+length scale.
+
 The sparse route's shift sigma is negative and B is positive semidefinite
 (W is the P1 finite-element stiffness matrix), so ``B - sigma I`` is
-positive definite. B's reverse Cuthill-McKee ordering has a narrow band, and
-the whole Lanczos solve runs in that order: each CSR entry of B whose
-row comes at or before its column in that order goes straight into LAPACK
-band storage, sigma comes off its diagonal row, and
-one banded Cholesky factor (dpbtrf) serves every application of
-``(B - sigma I)^{-1}`` as a bare dpbtrs call. The starting vector enters
-in band order and the eigenvectors return to vertex order once, after the
-solve. No such factor exists when B has an eigenvalue at or below sigma,
-or when B is zero (then sigma is zero); the solve is then rejected as not
-positive semidefinite.
+positive definite. The whole Lanczos solve runs in B's reverse Cuthill-McKee
+order, whose narrow band holds one banded Cholesky factor (dpbtrf, see
+_shift_invert) that serves every application of ``(B - sigma I)^{-1}``. No
+such factor exists when B has an eigenvalue at or below sigma, or when B is
+zero (then sigma is zero); the solve is then rejected as not positive
+semidefinite.
 
 Threads: every solve, on either route, sets every OpenBLAS loaded into the
 process to one thread for its dense ``eigh``, or for its band factor and
@@ -53,6 +52,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -77,7 +77,7 @@ DENSE_CUTOFF = 600
 
 _LANCZOS_SEED = 20230817
 
-# extra eigenpairs solved (then discarded) beyond the requested k
+# extra eigenpairs solved (then discarded) beyond the requested k, at least
 _CLUSTER_BUFFER = 8
 
 # eigenvalues are clamped to zero when negative but within this round-off band,
@@ -222,6 +222,12 @@ def _similarity(w: sparse.csr_matrix, inv_sqrt: np.ndarray) -> sparse.csr_matrix
     return sparse.csr_matrix((values[kept], w.indices[kept], indptr), shape=(m, m))
 
 
+def _window(k: int) -> int:
+    """Pairs the sparse route solves for k, before the cap at m - 1: the least multiple
+    of 39 (the default k = 31 plus the buffer) that holds k plus the buffer."""
+    return 39 * -(-(k + _CLUSTER_BUFFER) // 39)
+
+
 def _shift_invert(b, sigma: float) -> tuple[LinearOperator, np.ndarray]:
     """``x -> (B - sigma I)^{-1} x`` in band order, from one banded Cholesky factor.
 
@@ -246,7 +252,7 @@ def _shift_invert(b, sigma: float) -> tuple[LinearOperator, np.ndarray]:
     factor, info = dpbtrf(ab, overwrite_ab=1)
     if info != 0:
         raise NumericalError(
-            f"the shifted matrix B - ({sigma:.3e}) I has no Cholesky factor "
+            "the shifted matrix B - sigma I, sigma = -0.01 mean(diag B), has no Cholesky factor "
             f"(LAPACK dpbtrf info {info}); the stiffness matrix is not positive "
             "semidefinite, or is zero"
         )
@@ -308,12 +314,15 @@ def solve_eigen(stiffness, mass, k: int, method: str = "auto") -> EigenBasis:
             solved, vecs = eigh(b.toarray())
             vecs = vecs[:, :k]
         else:
-            # Solve past the requested window: restarted Lanczos can drop members
-            # of a degenerate cluster sitting exactly at the window edge, and the
+            # Solve past the requested k: restarted Lanczos can drop members of a
+            # degenerate cluster sitting exactly at the window edge, and the
             # oversolve buffer pushes that edge out. ARPACK's default Krylov size,
             # max(2 * k_solve + 1, 20), then finds every member of a cluster
             # inside it.
-            k_solve = min(k + _CLUSTER_BUFFER, m - 1)
+            k_solve = min(_window(k), m - 1)
+            # 4^e puts the mean diagonal in [1/2, 2) (e = 0 for a zero B)
+            scale = math.ldexp(1.0, -2 * (math.frexp(float(np.mean(b.diagonal())))[1] // 2))
+            b.data *= scale
             sigma = -0.01 * float(np.mean(b.diagonal()))
             v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(m)
             op_inv, perm = _shift_invert(b, sigma)
@@ -333,7 +342,7 @@ def solve_eigen(stiffness, mass, k: int, method: str = "auto") -> EigenBasis:
             except Exception as exc:
                 raise ConvergenceError(f"sparse eigensolver failed: {exc}") from exc
             order = np.argsort(vals)
-            solved = vals[order]
+            solved = vals[order] / scale
             vecs = np.empty((m, k))
             vecs[perm] = band_vecs[:, order[:k]]
     vals = solved[:k]

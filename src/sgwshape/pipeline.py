@@ -6,36 +6,26 @@ analyzed independently: global descriptors of its meshes, then the PCA +
 MANOVA + permutation chain. Failures stay local to their stratum and are
 recorded in the report instead of aborting the run.
 
-A run first reduces each mesh file of its two-group strata, once, to a
-spectral summary (eigenvalues, area weights and total area, see ``gsgw``).
-The run's own process reads, hashes and looks up every such file in the
-cache, once, and serves the hits; it keeps no mesh bytes. The misses are
-then solved, each from its file read and hashed anew to key its blob: in
-forked worker processes, one per usable CPU and at most one per miss, when
-there are at least two of both on Linux; else one after another in the run's
-process. A run is one one-thread OpenBLAS region, from its first cache
-lookup to its last comparison: every solve runs at one thread, in a worker
-or not, so no report depends on the worker count (``taskset`` sets it) and
-the workers' BLAS threads never outnumber the cores, and the counts are put
-back once, when the run returns. The run then walks the strata once, in
-sorted order, and compares each one's cells. Every descriptor follows in
-closed form from a summary, g = K w (see ``gsgw``): a stratum evaluates each
-shape's kernel bank once per k of the grid, at its largest R, and every
-(R, k) cell takes the product over a prefix of those rows, so a sweep costs
-O(pk) per shape and cell after each file's one solve. Summaries are cached
-under the SHA-256 of the mesh file's bytes plus lumping and solver method,
-one fixed-layout blob each (a key line, then 2K+1 float64 values), with
-atomic write-then-rename updates; a summary stored at K pairs serves any
-k <= K, and a blob of any other shape, or of values no solve writes (see
-_cached_summary), is a miss. A sweep solves each mesh at the largest k of
-its grid that the mesh allows, and only the cells of a larger k fail. A
-rerun against a warm cache parses no mesh and performs no eigensolves,
-except for a mesh too small for the grid's largest k, whose blob holds
-fewer pairs than that lookup asks for. Its reports
-are byte-identical to a cold run's when the cache was filled at the same k,
-or when every mesh takes the dense route. A sparse-route blob of K > k pairs
-is not: the sparse solver's first k pairs depend in the last bits on how
-many it solves, so they differ from those of a fresh k-pair solve.
+A run first reduces each mesh file of its two-group strata to a spectral
+summary (eigenvalues, area weights and total area, see ``gsgw``), once per
+solve window among its ks (see ``eigen``), so every k of one window is
+served, bitwise, by a prefix of one solve. The run's process reads and
+hashes each such file once, looks it up in the cache once per window and
+serves the hits, keeping no mesh bytes; the misses are solved in forked
+worker processes (see _solve_misses), each from its file read anew. A run
+is one one-thread OpenBLAS region (see _compare_strata), so no report
+depends on the worker count (``taskset`` sets it). It then walks the strata
+once, in sorted order. Every descriptor follows in closed form from a
+summary, g = K w (see ``gsgw``): a stratum evaluates each shape's kernel
+bank once per k of the grid, at its largest R, and every (R, k) cell takes
+the product over a prefix of those rows. Summaries are cached under the
+SHA-256 of the mesh file's bytes plus lumping and window, one blob each (a
+head line that ends in the body's SHA-256, then 2K+1 float64 values),
+written atomically; a blob of K pairs serves any k <= K of its window (see
+_cached_summary for a miss). A rerun against a warm cache parses no mesh
+and performs no eigensolves, except for a mesh too small for a window's
+largest k. Its reports are byte-identical to a cold run's, whatever k the
+cache was filled at.
 """
 
 from __future__ import annotations
@@ -56,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from . import stats
-from .eigen import SOLVER_METHODS, _one_blas_thread, solve_eigen
+from .eigen import _one_blas_thread, _window, solve_eigen
 from .errors import (
     NUMERICAL_ERRORS,
     InvalidParam,
@@ -180,7 +170,6 @@ class RunConfig:
     lumping: str = "mixed"
     area_factor: bool = True
     normalize: bool = False
-    method: str = "auto"
     cache_dir: str | None = None
 
     def __post_init__(self):
@@ -202,10 +191,6 @@ class RunConfig:
         if self.lumping not in LUMPING_SCHEMES:
             raise InvalidParam(
                 f"unknown lumping {self.lumping!r}; expected one of {LUMPING_SCHEMES}"
-            )
-        if self.method not in SOLVER_METHODS:
-            raise InvalidParam(
-                f"unknown method {self.method!r}; expected one of {SOLVER_METHODS}"
             )
         if self.cache_dir is not None:
             found = _nearest_existing(self.cache_dir)  # the rule of every output path
@@ -257,19 +242,8 @@ class StratumResult:
         }
 
 
-_REPORT_COLUMNS = [
-    "bone",
-    "side",
-    "n_shapes",
-    "groups",
-    "wilks_lambda",
-    "manova_p",
-    "permutation_p",
-    "manova_significant",
-    "permutation_significant",
-    "n_permutations",
-    "error",
-]
+# a stratum's report columns, in the order of StratumResult.row()
+_REPORT_COLUMNS = list(StratumResult("", "", 0, ()).row())
 
 
 def _csv_cells(row: dict) -> list:
@@ -336,31 +310,36 @@ class RunResult:
 # content-addressed cache
 
 
-def _cache_entry(data: bytes, cfg: RunConfig) -> tuple:
-    """(blob path, head line) of the mesh file bytes `data` in cfg's cache."""
-    digest = hashlib.sha256(data).hexdigest()
-    cache_path = Path(cfg.cache_dir) / f"spectrum-{digest}-{cfg.lumping}-{cfg.method}.sgwc"
+def _cache_entry(digest: str, cfg: RunConfig, window: int) -> tuple:
+    """(blob path, head line up to the body's digest) in cfg's cache of a window's summary
+    of the mesh file whose bytes have the SHA-256 digest."""
+    cache_path = Path(cfg.cache_dir) / f"spectrum-{digest}-{cfg.lumping}-{window}.sgwc"
     # a blob copied under another file's name has another head line
-    return cache_path, f"SGWSPEC2 {digest} {cfg.lumping} {cfg.method}\n".encode()
+    return cache_path, f"SGWSPEC3 {digest} {cfg.lumping} {window} ".encode()
 
 
 def _cached_summary(cache_path: Path, head: bytes, k: int) -> SpectralSummary | None:
     """The summary stored at cache_path under head with at least k pairs, or None on a miss.
 
-    A blob is its head line, then little-endian float64 values: the total
-    area, K eigenvalues and K area weights. It is a hit only when its head
-    line is exactly head, it holds 2K+1 floats with K >= k, and they are
-    values a solve could have written: all finite, a total area > 0,
-    eigenvalues that start at >= 0 and do not descend, and weights >= 0.
+    A blob is a line, head then the body's SHA-256 (hex), then the body:
+    little-endian float64 values, the total area, K eigenvalues and K area
+    weights. It is a hit only when that line is exact, the body holds 2K+1
+    floats with K >= k, and they are values a solve could have written: all
+    finite, a total area > 0, eigenvalues that start at >= 0 and do not
+    descend, and weights >= 0 (a check of input from outside the program).
     """
     try:
         blob = cache_path.read_bytes()
     except OSError:
         return None
-    n_floats, ragged = divmod(len(blob) - len(head), 8)
-    if not (blob.startswith(head) and not ragged and n_floats % 2 and n_floats >= 2 * k + 1):
+    line, _, body = blob.partition(b"\n")
+    n_floats, ragged = divmod(len(body), 8)
+    if not (
+        not ragged and n_floats % 2 and n_floats >= 2 * k + 1
+        and line == head + hashlib.sha256(body).hexdigest().encode()
+    ):
         return None
-    values = np.frombuffer(blob, dtype="<f8", offset=len(head))
+    values = np.frombuffer(body, dtype="<f8")
     stored_k = n_floats // 2
     total_area, eigenvalues, w_area = values[0], values[1 : stored_k + 1], values[stored_k + 1 :]
     if not (
@@ -377,9 +356,9 @@ def _cached_summary(cache_path: Path, head: bytes, k: int) -> SpectralSummary | 
 def _solve(path, cfg: RunConfig, ks) -> dict:
     """k -> summary or SgwError, for each k of ks, of the mesh file at path.
 
-    One task of a run's solves, in a worker process or in this one. The mesh
-    is solved once, at the largest k of ks that solve_eigen accepts for it:
-    every k up to that one maps to that summary, whose prefixes serve them,
+    One task of a run's solves, in a worker process or in this one, for the
+    ks of one window. The mesh is solved once, at the largest k of ks that
+    solve_eigen accepts for it: every k up to that one maps to that summary,
     and each larger k to the InvalidParam that solve_eigen raised for it. A
     failure of any other kind maps every k that was not refused to it. It
     looks nothing up (see _summaries), and its caller holds a
@@ -392,7 +371,7 @@ def _solve(path, cfg: RunConfig, ks) -> dict:
         stiffness, mass = laplacian_matrices(parse_mesh(data, path), lumping=cfg.lumping)
         for k in sorted(ks, reverse=True):
             try:
-                basis = solve_eigen(stiffness, mass, k, method=cfg.method)
+                basis = solve_eigen(stiffness, mass, k)
                 break
             except InvalidParam as exc:
                 refused[k] = exc
@@ -402,9 +381,11 @@ def _solve(path, cfg: RunConfig, ks) -> dict:
     except SgwError as exc:
         return {**dict.fromkeys(ks, exc), **refused}
     if cfg.cache_dir is not None:
-        cache_path, head = _cache_entry(data, cfg)
+        cache_path, head = _cache_entry(hashlib.sha256(data).hexdigest(), cfg, _window(max(ks)))
         body = np.concatenate(([summary.total_area], summary.eigenvalues, summary.w_area))
-        _atomic_write_bytes(cache_path, head + body.astype("<f8").tobytes())
+        body = body.astype("<f8").tobytes()
+        head += hashlib.sha256(body).hexdigest().encode() + b"\n"
+        _atomic_write_bytes(cache_path, head + body)
     return {**dict.fromkeys(ks, summary), **refused}
 
 
@@ -418,8 +399,8 @@ def _pool_size(misses: int) -> int:
     return min(misses, len(os.sched_getaffinity(0)))
 
 
-def _solve_misses(misses: list, cfg: RunConfig, ks) -> list:
-    """_solve of each path of misses at ks, in order.
+def _solve_misses(misses: list, cfg: RunConfig) -> list:
+    """_solve of each (path, ks) of misses, in order.
 
     With _pool_size of 2 or more they run in that many forked worker
     processes, else one after another in this one. A worker that dies ends
@@ -429,7 +410,7 @@ def _solve_misses(misses: list, cfg: RunConfig, ks) -> list:
     """
     workers = _pool_size(len(misses))
     if workers < 2:
-        return [_solve(path, cfg, ks) for path in misses]
+        return [_solve(path, cfg, ks) for path, ks in misses]
     # Forked inside the run's one-thread region, a worker inherits the count of 1
     # and the libraries found in /proc/self/maps, so it never sets a count: that
     # would re-create the OpenBLAS thread pools that fork shut down, and each new
@@ -439,8 +420,9 @@ def _solve_misses(misses: list, cfg: RunConfig, ks) -> list:
     pool = ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"), initializer=gc.freeze
     )
+    paths, kss = zip(*misses)
     try:
-        return list(pool.map(_solve, misses, itertools.repeat(cfg), itertools.repeat(ks)))
+        return list(pool.map(_solve, paths, itertools.repeat(cfg), kss))
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -448,35 +430,36 @@ def _solve_misses(misses: list, cfg: RunConfig, ks) -> list:
 def _summaries(paths, cfg: RunConfig, ks, diagnostics: RunDiagnostics) -> dict:
     """path -> {k: SpectralSummary or SgwError} for each of paths and each k of ks.
 
-    The one place a file is looked up in cfg's cache, at the largest k of ks:
-    this process reads, hashes and looks up each distinct path once and
-    serves the hits; it keeps no mesh bytes. _solve_misses then solves every
-    missed path once (see _solve for a k too large for a mesh). Two files
-    with the same bytes are two misses, solved side by side, and each writes
-    the same blob atomically.
+    The one place a file is looked up in cfg's cache: this process reads and
+    hashes each distinct path once, looks it up once per window of ks, at the
+    window's largest k, and serves the hits. _solve_misses then solves each
+    missed (path, window) once (see _solve for a k too large for a mesh); two
+    files with the same bytes are two misses, each writing one blob atomically.
     """
+    windows: dict = {}  # window -> its ks, ascending
+    for k in sorted(ks):
+        windows.setdefault(_window(k), []).append(k)
     summaries, misses = {}, []
     for path in paths:
+        summaries[path] = {}
         if cfg.cache_dir is None:
-            misses.append(path)
+            misses += [(path, window_ks) for window_ks in windows.values()]
             continue
         try:
-            cache_path, head = _cache_entry(read_mesh_bytes(path), cfg)
+            digest = hashlib.sha256(read_mesh_bytes(path)).hexdigest()
         except SgwError as exc:
             summaries[path] = dict.fromkeys(ks, exc)
             continue
-        summary = _cached_summary(cache_path, head, max(ks))
-        if summary is not None:
-            diagnostics.eigen_cache_hits += 1
-            summaries[path] = dict.fromkeys(ks, summary)
-        else:
-            misses.append(path)
-    solved = dict(zip(misses, _solve_misses(misses, cfg, ks)))
-    diagnostics.eigensolves += sum(
-        any(isinstance(s, SpectralSummary) for s in outcome.values())
-        for outcome in solved.values()
-    )
-    summaries.update(solved)
+        for window, window_ks in windows.items():
+            summary = _cached_summary(*_cache_entry(digest, cfg, window), window_ks[-1])
+            if summary is None:
+                misses.append((path, window_ks))
+            else:
+                diagnostics.eigen_cache_hits += 1
+                summaries[path].update(dict.fromkeys(window_ks, summary))
+    for (path, _), outcome in zip(misses, _solve_misses(misses, cfg)):
+        diagnostics.eigensolves += any(isinstance(s, SpectralSummary) for s in outcome.values())
+        summaries[path].update(outcome)
     return summaries
 
 
@@ -569,12 +552,12 @@ def _compare_strata(manifest: DatasetManifest, grid: list):
 
     Returns one tuple of StratumResults per cell, and the RunDiagnostics.
     Before any stratum is compared, each mesh file of a stratum with two
-    groups is summarised once, at the largest k of the grid that it allows
-    (see _summaries and _solve), with an SgwError kept in the place of a
-    summary, per k. Each such stratum then compares
-    every cell's descriptor matrix (the cells differ only in R and k) in one
-    stats.compare_cells call, so its permutation masks are drawn once for
-    the whole grid. A failure stays on its own cell and stratum.
+    groups is summarised once per solve window of the grid's ks, at the
+    largest k of the window that it allows (see _summaries and _solve), with
+    an SgwError kept in the place of a summary, per k. Each such stratum then
+    compares every cell's descriptor matrix (the cells differ only in R and
+    k) in one stats.compare_cells call, so its permutation masks are drawn
+    once for the whole grid. A failure stays on its own cell and stratum.
 
     The whole walk is one _one_blas_thread region: the cache lookups, the
     worker pool, the descriptor matrices and the stats. Each OpenBLAS is set
@@ -658,15 +641,16 @@ class SweepResult:
 
 
 def parameter_sweep(manifest: DatasetManifest, cfg: RunConfig, Rs, ks) -> SweepResult:
-    """run_group_comparison over an (R, k) grid, solving each mesh once.
+    """run_group_comparison over an (R, k) grid, solving each mesh once per window.
 
     Every mesh is read, eigensolved (or served from the cache) and
-    summarised once at the largest k of the grid; each grid cell then takes
-    its descriptors from a prefix of those summaries in memory, and each
-    stratum draws its permutation masks once for every cell. A mesh too
-    small for some k of the grid is solved at the largest k that it allows,
-    and only the cells of the larger ks fail, each with the error that
-    run_group_comparison gives at that k.
+    summarised once per solve window of the grid's ks (see eigen), at the
+    largest k of that window; each grid cell then takes its descriptors from
+    a prefix of those summaries in memory, bitwise those of a one-cell run,
+    and each stratum draws its permutation masks once for every cell. A mesh
+    too small for some k of a window is solved at the largest k of the window
+    that it allows, and only the cells of the larger ks fail, each with the
+    error that run_group_comparison gives at that k.
     """
     Rs = [_integer("R", r) for r in Rs]
     ks = [_integer("k", k) for k in ks]

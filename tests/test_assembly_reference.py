@@ -3,9 +3,10 @@
 The reference builds W by a COO-to-CSR reduction plus a diagonal, A with
 ``np.add.at``, and B as ``(D W D + (D W D)^T) / 2`` with D = A^{-1/2}, then
 fills B's upper triangle in reverse Cuthill-McKee order into LAPACK band
-storage. laplacian_matrices and solve_eigen must give the same bits: the
-same stored entries, each summed in the same order, so that every summary,
-blob and report is the one these expressions give.
+storage, after scaling B by the even power of two that puts its mean
+diagonal in [1/2, 2). laplacian_matrices and solve_eigen must give the same
+bits: the same stored entries, each summed in the same order, so that every
+summary, blob and report is the one these expressions give.
 """
 
 import numpy as np
@@ -61,6 +62,13 @@ def reference_similarity(stiffness, areas):
     scaling = sp.diags(1.0 / np.sqrt(areas))
     b = (scaling @ stiffness @ scaling).tocsr()
     return (b + b.T) * 0.5
+
+
+def reference_sparse_route_matrix(stiffness, areas):
+    """B times 4^e, the power of four that puts its mean diagonal in [1/2, 2)."""
+    b = reference_similarity(stiffness, areas)
+    exponent = np.frexp(np.mean(b.diagonal()))[1]
+    return b * 2.0 ** (-2 * (exponent // 2))
 
 
 def reference_band(b, sigma):
@@ -137,7 +145,8 @@ def test_band_and_shift_are_the_reference(mesh, monkeypatch):
     monkeypatch.setattr(eigen, "eigsh", eigsh_spy)
     sg.solve_eigen(stiffness, mass, 3, method="sparse")
 
-    b = reference_similarity(stiffness, mass.diagonal())
+    b = reference_sparse_route_matrix(stiffness, mass.diagonal())
+    assert 0.5 <= np.mean(b.diagonal()) < 2.0
     sigma = -0.01 * float(np.mean(b.diagonal()))
     assert seen["sigma"] == sigma
     expected = reference_band(b, sigma)
@@ -177,7 +186,7 @@ def test_stored_zeros_are_not_in_the_band(monkeypatch):
 
     monkeypatch.setattr(eigen, "dpbtrf", band_spy)
     sg.solve_eigen(stiffness, mass, 3, method="sparse")
-    b = reference_similarity(stiffness, mass.diagonal())
+    b = reference_sparse_route_matrix(stiffness, mass.diagonal())
     assert b.nnz == 31
     expected = reference_band(b, -0.01 * float(np.mean(b.diagonal())))
     assert seen[0].shape == expected.shape and seen[0].tobytes() == expected.tobytes()

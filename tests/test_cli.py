@@ -1073,7 +1073,7 @@ class TestParser:
 
     def test_flag_surface(self):
         """Every subcommand offers exactly the flags it honours."""
-        signature = {"--k", "--R", "--lumping", "--no-area-factor", "--method"}
+        signature = {"--k", "--R", "--lumping", "--no-area-factor"}
         descriptor = signature | {"--normalize", "--cache-dir"}
         batch = descriptor | {"--pca-dims", "--n-perm", "--seed", "--jobs", "--out-dir"}
         expected = {
@@ -1085,7 +1085,7 @@ class TestParser:
                 "--out", "--n", "--subdivisions", "--amplitude", "--mesh-seed", "--split-seed",
             },
             "eigen": {"--k", "--method", "--lumping", "--out-dir"},
-            "signature": signature | {"--out"},
+            "signature": signature | {"--method", "--out"},
             "gsgw": descriptor | {"--labels", "--out"},
             "reconstruct": {
                 "--ks", "--method", "--lumping", "--unweighted", "--dump-meshes", "--out-dir",
@@ -1124,6 +1124,21 @@ class TestParser:
             main([*argv, "--kernel", "mexhat"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --kernel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gsgw", "m.off", "--out", "g.csv"],
+            ["compare", "manifest.csv", "--out-dir", "o"],
+            ["sweep", "manifest.csv", "--Rs", "3", "--ks-grid", "10", "--out-dir", "o"],
+        ],
+    )
+    def test_runs_refuse_a_route(self, argv, capsys):
+        # a run takes the route from the mesh size, so its blobs carry no route choice
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--method", "dense"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --method dense" in capsys.readouterr().err
 
     def test_help_documents_defaults(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -298,6 +298,48 @@ class TestLengthUnit:
         with pytest.raises(NumericalError, match="negative beyond round-off"):
             sg.solve_eigen(stiffness - 1e-6 * lam_k * mass, mass, 31, method=method)
 
+    @pytest.mark.parametrize("subdivisions, c", [(3, 1e-12), (4, 1e-11)])
+    def test_tiny_meshes_solve_on_the_sparse_route(self, subdivisions, c):
+        # B's entries go as 1/c^2; scaled by a power of four to a mean diagonal
+        # near 1, Lanczos sees the unit mesh's magnitudes. Unscaled, these two
+        # raised ConvergenceError
+        reference = sg.solve_eigen(*scaled_problem(subdivisions, 1.0), 31, method="sparse")
+        got = sg.solve_eigen(*scaled_problem(subdivisions, c), 31, method="sparse")
+        lam_k = reference.eigenvalues[-1]
+        assert np.abs(got.eigenvalues * c**2 - reference.eigenvalues).max() <= 1e-14 * lam_k
+
+
+class TestWindow:
+    """The sparse route solves a window that depends on k only through its rung."""
+
+    def test_rungs_of_39_with_a_buffer_of_8(self):
+        for k in range(1, 400):
+            window = eigen._window(k)
+            assert window % 39 == 0 and k + 8 <= window < k + 8 + 39
+        assert [eigen._window(k) for k in (1, 31, 32, 70, 71)] == [39, 39, 78, 78, 117]
+
+    def test_every_k_of_a_window_gets_a_prefix_of_one_solve(self, bumpy3_matrices):
+        stiffness, mass = bumpy3_matrices
+        wide = sg.solve_eigen(stiffness, mass, 31, method="sparse")
+        for k in (1, 11, 30):
+            got = sg.solve_eigen(stiffness, mass, k, method="sparse")
+            assert got.eigenvalues.tobytes() == wide.eigenvalues[:k].tobytes()
+            assert got.eigenvectors.tobytes() == wide.eigenvectors[:, :k].copy().tobytes()
+
+    def test_the_window_is_capped_at_m_minus_1(self, monkeypatch):
+        mesh = sg.make_synthetic("bumpy_sphere", 1, seed=3)
+        solved = []
+        eigsh = eigen.eigsh
+
+        def counting_eigsh(*args, **kwargs):
+            solved.append(kwargs["k"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(eigen, "eigsh", counting_eigsh)
+        for k in (3, 35):
+            small_problem(mesh, k=k, method="sparse")
+        assert mesh.m == 42 and solved == [39, 41]
+
 
 class TestEigenBasis:
     def test_shape_properties(self, bumpy2, bumpy2_basis):

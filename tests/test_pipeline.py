@@ -44,13 +44,13 @@ def bumpy_file(directory, name="bumpy.off", seed=9):
 
 def _earlier_format_blob(head, body):
     """A blob in the earlier JSON-header format whose header lacks total_area."""
-    _, digest, lumping, method = head.decode().split()
+    _, digest, lumping, _, _ = head.decode().split()
     values = np.frombuffer(body, dtype="<f8")
     k = len(values) // 2
     arrays = {"eigenvalues": values[1 : k + 1], "w_area": values[k + 1 :], "w_plain": np.ones(k)}
     header = {
         "kind": "spectrum",
-        "meta": {"file_sha256": digest, "lumping": lumping, "method": method, "k": k},
+        "meta": {"file_sha256": digest, "lumping": lumping, "method": "auto", "k": k},
         "arrays": [{"name": name, "dtype": "float64", "shape": [k]} for name in arrays],
     }
     text = b"SGWCACHE1\n" + (json.dumps(header, sort_keys=True) + "\n").encode()
@@ -64,6 +64,19 @@ def _with_value(body, index, value):
     return values.tobytes()
 
 
+def _with_low_bit_flipped(body, index):
+    """A blob body with the lowest mantissa bit of float index flipped."""
+    bits = np.frombuffer(body, dtype="<u8").copy()
+    bits[index] ^= 1
+    return bits.tobytes()
+
+
+def _signed(head, body):
+    """The blob of head's key holding body, its head line ending in body's digest."""
+    key = head.rsplit(b" ", 1)[0]
+    return key + b" " + hashlib.sha256(body).hexdigest().encode() + b"\n" + body
+
+
 # each maps a valid blob's (head line, body) to a malformed blob
 MALFORMED_BLOBS = {
     "not-a-cache-file": lambda head, body: b"not a cache file",
@@ -74,22 +87,26 @@ MALFORMED_BLOBS = {
     "trailing-byte": lambda head, body: head + b"\n" + body + b"\0",
     "empty-file": lambda head, body: b"",
     "head-line-only": lambda head, body: head + b"\n",
-    # the right shape, but values that no solve writes
-    "nan-eigenvalue": lambda head, body: head + b"\n" + _with_value(body, 3, np.nan),
-    "infinite-weight": lambda head, body: head + b"\n" + _with_value(body, -1, np.inf),
-    "zero-total-area": lambda head, body: head + b"\n" + _with_value(body, 0, 0.0),
-    "negative-total-area": lambda head, body: head + b"\n" + _with_value(body, 0, -1.0),
-    "negative-first-eigenvalue": lambda head, body: head + b"\n" + _with_value(body, 1, -1e-300),
-    "descending-eigenvalues": lambda head, body: head + b"\n" + _with_value(body, 3, 0.0),
-    "negative-weight": lambda head, body: head + b"\n" + _with_value(body, -1, -1e-300),
+    # an edited body under the head line of the one it replaced
+    "one-weight-bit-flipped": lambda head, body: head + b"\n" + _with_low_bit_flipped(body, -1),
+    "nan-total-area": lambda head, body: head + b"\n" + _with_value(body, 0, np.nan),
+    # the right shape and body digest, but values that no solve writes
+    "nan-eigenvalue": lambda head, body: _signed(head, _with_value(body, 3, np.nan)),
+    "infinite-weight": lambda head, body: _signed(head, _with_value(body, -1, np.inf)),
+    "zero-total-area": lambda head, body: _signed(head, _with_value(body, 0, 0.0)),
+    "negative-total-area": lambda head, body: _signed(head, _with_value(body, 0, -1.0)),
+    "negative-first-eigenvalue": lambda head, body: _signed(head, _with_value(body, 1, -1e-300)),
+    "descending-eigenvalues": lambda head, body: _signed(head, _with_value(body, 3, 0.0)),
+    "negative-weight": lambda head, body: _signed(head, _with_value(body, -1, -1e-300)),
 }
 
 
 def _set_blob_value(blob_path, index, value):
-    """Overwrite float index of the blob's body with value; returns the blob's earlier bytes."""
+    """Overwrite float index of the blob's body with value, and its digest to match;
+    returns the blob's earlier bytes."""
     written = blob_path.read_bytes()
     head, body = written.split(b"\n", 1)
-    blob_path.write_bytes(head + b"\n" + _with_value(body, index, value))
+    blob_path.write_bytes(_signed(head, _with_value(body, index, value)))
     return written
 
 
@@ -237,7 +254,7 @@ class TestRunConfig:
         # the kernel bank is fixed, so no field names it
         assert [f.name for f in fields(cfg)] == [
             "k", "R", "pca_dims", "n_perm", "seed", "lumping",
-            "area_factor", "normalize", "method", "cache_dir",
+            "area_factor", "normalize", "cache_dir",
         ]
 
     @pytest.mark.parametrize(
@@ -248,7 +265,6 @@ class TestRunConfig:
             dict(pca_dims=0),
             dict(n_perm=0),
             dict(lumping="bogus"),
-            dict(method="magic"),
             # integer fields take integers only, bools excluded
             dict(k=10.5),
             dict(R=2.5),
@@ -340,14 +356,18 @@ class TestRunConfig:
         with pytest.raises(TypeError, match="jobs"):
             sg.RunConfig(jobs=2)
 
+    def test_method_is_not_a_setting(self):
+        # a run takes the solver route from the mesh size, so no field sets it
+        with pytest.raises(TypeError, match="method"):
+            sg.RunConfig(method="dense")
+
     def test_science_dict_excludes_machine_settings(self):
         cfg = sg.RunConfig(cache_dir="/tmp/x", **SMALL)
         science = cfg.science_dict()
         assert "cache_dir" not in science
-        assert science["k"] == 10 and science["method"] == "auto"
+        assert science["k"] == 10
         assert set(science) == {
-            "k", "R", "pca_dims", "n_perm", "seed",
-            "lumping", "area_factor", "normalize", "method",
+            "k", "R", "pca_dims", "n_perm", "seed", "lumping", "area_factor", "normalize",
         }
 
 
@@ -423,24 +443,58 @@ class TestDescriptorCache:
 
         digest = hashlib.sha256(mesh.read_bytes()).hexdigest()
         names = sorted(p.name for p in cache.glob("*.sgwc"))
-        assert names == [f"spectrum-{digest}-{cfg.lumping}-{cfg.method}.sgwc"]
+        # k = 10 and its 8-pair buffer fit the first window, 39 pairs
+        assert names == [f"spectrum-{digest}-{cfg.lumping}-39.sgwc"]
         head, body = (cache / names[0]).read_bytes().split(b"\n", 1)
-        assert head == f"SGWSPEC2 {digest} {cfg.lumping} {cfg.method}".encode()
+        body_digest = hashlib.sha256(body).hexdigest()
+        assert head == f"SGWSPEC3 {digest} {cfg.lumping} 39 {body_digest}".encode()
         assert len(body) == 8 * (2 * cfg.k + 1)
         areas = sg.laplacian_matrices(sg.load_mesh(mesh), lumping=cfg.lumping)[1].diagonal()
         assert np.frombuffer(body, dtype="<f8")[0] == areas.sum()
 
-    def test_method_is_part_of_the_key(self, tmp_path):
+    def test_window_is_part_of_the_key(self, tmp_path):
+        # a blob of 40 pairs (window 78) holds the 10 that k = 10 asks for, but
+        # the sparse route solves k = 10 in window 39, whose pairs differ in the
+        # last bits
         mesh = bumpy_file(tmp_path)
-        dense = sg.RunConfig(cache_dir=str(tmp_path / "cache"), method="dense", **SMALL)
-        gsgw_for_mesh(mesh, dense, RunDiagnostics())
+        cache = tmp_path / "cache"
+        wide = sg.RunConfig(cache_dir=str(cache), **{**SMALL, "k": 40})
+        gsgw_for_mesh(mesh, wide, RunDiagnostics())
 
-        sparse = replace(dense, method="sparse")
+        narrow = replace(wide, k=10)
         diag = RunDiagnostics()
-        got = gsgw_for_mesh(mesh, sparse, diag)
+        got = gsgw_for_mesh(mesh, narrow, diag)
         assert diag.eigensolves == 1 and diag.eigen_cache_hits == 0
-        uncached = gsgw_for_mesh(mesh, replace(sparse, cache_dir=None))
+        assert sorted(p.name.rsplit("-", 1)[1] for p in cache.iterdir()) == [
+            "39.sgwc", "78.sgwc",
+        ]
+        uncached = gsgw_for_mesh(mesh, replace(narrow, cache_dir=None))
         np.testing.assert_array_equal(got.values, uncached.values)
+
+    def test_earlier_format_blob_is_never_read(self, tmp_path, monkeypatch):
+        # an SGWSPEC2 blob, keyed by the solver method, sits under a name no
+        # lookup asks for: the first run solves, and the next one is served
+        mesh = bumpy_file(tmp_path)
+        cache = tmp_path / "cache"
+        cfg = sg.RunConfig(cache_dir=str(cache), **SMALL)
+        digest = hashlib.sha256(mesh.read_bytes()).hexdigest()
+        earlier = cache / f"spectrum-{digest}-{cfg.lumping}-auto.sgwc"
+        cache.mkdir()
+        earlier.write_bytes(f"SGWSPEC2 {digest} {cfg.lumping} auto\n".encode() + bytes(8 * 21))
+        looked_up = []
+        cached_summary = pipeline._cached_summary
+
+        def recording_lookup(cache_path, head, k):
+            looked_up.append(cache_path.name)
+            return cached_summary(cache_path, head, k)
+
+        monkeypatch.setattr(pipeline, "_cached_summary", recording_lookup)
+        for solves, hits in ((1, 0), (0, 1)):
+            diag = RunDiagnostics()
+            gsgw_for_mesh(mesh, cfg, diag)
+            assert (diag.eigensolves, diag.eigen_cache_hits) == (solves, hits)
+        assert earlier.name not in looked_up
+        assert len(list(cache.iterdir())) == 2
 
     def test_rewritten_file_is_a_miss(self, tmp_path):
         mesh = bumpy_file(tmp_path)
@@ -463,7 +517,7 @@ class TestDescriptorCache:
         gsgw_for_mesh(first, cfg, RunDiagnostics())
         (blob,) = cache.glob("*.sgwc")
         digest = hashlib.sha256(second.read_bytes()).hexdigest()
-        shutil.copyfile(blob, cache / f"spectrum-{digest}-{cfg.lumping}-{cfg.method}.sgwc")
+        shutil.copyfile(blob, cache / f"spectrum-{digest}-{cfg.lumping}-39.sgwc")
 
         diag = RunDiagnostics()
         got = gsgw_for_mesh(second, cfg, diag)
@@ -569,21 +623,33 @@ class TestRunGroupComparison:
             assert got.manova_p == pytest.approx(found[1].manova_p, rel=1e-8)
             assert got.permutation_p == found[1].permutation_p
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a sparse-route blob of K > k pairs serves k pairs that differ in the last "
-        "bits from a fresh k-pair solve",
-    )
-    def test_cache_filled_at_a_larger_k_gives_the_cold_report(self, tmp_path):
-        # m = 642 takes the sparse route
-        manifest = sg.DatasetManifest.load(
-            sg.make_two_class_manifest(tmp_path / "data", n_per_group=3, subdivisions=3)
-        )
-        cold = sg.run_group_comparison(manifest, sg.RunConfig(k=11, pca_dims=2))
+    def test_cache_filled_at_a_larger_k_gives_the_cold_report(self, sparse_class, tmp_path):
+        # m = 642 takes the sparse route, whose pairs depend in the last bits on
+        # how many it solves: k = 11 and k = 31 both solve the window of 39
+        cold = sg.run_group_comparison(sparse_class, sg.RunConfig(k=11, pca_dims=2))
         cache = str(tmp_path / "cache")
-        sg.run_group_comparison(manifest, sg.RunConfig(k=31, pca_dims=2, cache_dir=cache))
-        warm = sg.run_group_comparison(manifest, sg.RunConfig(k=11, pca_dims=2, cache_dir=cache))
+        sg.run_group_comparison(sparse_class, sg.RunConfig(k=31, pca_dims=2, cache_dir=cache))
+        warm = sg.run_group_comparison(
+            sparse_class, sg.RunConfig(k=11, pca_dims=2, cache_dir=cache)
+        )
+        assert warm.diagnostics.eigensolves == 0
         assert warm.report_dict() == cold.report_dict()
+        sweep = sg.parameter_sweep(sparse_class, sg.RunConfig(pca_dims=2), Rs=[30], ks=[31, 11])
+        assert sweep.cells[1].k == 11 and sweep.cells[1].stratum == cold.strata[0]
+
+    def test_flipped_bit_in_a_weight_is_solved_again(self, two_class, small_run, tmp_path):
+        # a plausible value passes every range check; the body digest catches it
+        cfg = sg.RunConfig(cache_dir=str(tmp_path / "cache"), **SMALL)
+        sg.run_group_comparison(two_class, cfg)
+        blob = sorted((tmp_path / "cache").glob("*.sgwc"))[0]
+        written = blob.read_bytes()
+        head, body = written.split(b"\n", 1)
+        blob.write_bytes(head + b"\n" + _with_low_bit_flipped(body, cfg.k + 2))
+
+        again = sg.run_group_comparison(two_class, cfg)
+        assert (again.diagnostics.eigensolves, again.diagnostics.eigen_cache_hits) == (1, 5)
+        assert again.report_dict() == small_run.report_dict()
+        assert blob.read_bytes() == written
 
     def test_no_call_reaches_numpys_lapack(self, two_class, small_run, tmp_path, monkeypatch):
         # numpy's and scipy's wheels bundle separate OpenBLAS thread pools; the
@@ -1340,15 +1406,20 @@ class TestParameterSweep:
         compare = sg.run_group_comparison(manifest, replace(cfg, k=10))
         assert compare.strata[0].error == sweep.cells[0].stratum.error
 
-    @pytest.mark.parametrize("method", ["auto", "sparse"])
-    def test_k_past_the_meshes_fails_only_its_cells(self, two_class, tmp_path, method):
+    @pytest.mark.parametrize("route", ["dense", "sparse"])
+    def test_k_past_the_meshes_fails_only_its_cells(self, two_class, tmp_path, monkeypatch,
+                                                    route):
         # the meshes have m = 42: the dense route takes k <= 42, the sparse one k < 42.
-        # Each mesh is solved once, at the largest k of the grid it takes; a cell
-        # of a larger k carries the error compare gives at that k
-        cfg = sg.RunConfig(**{**SMALL, "method": method, "cache_dir": str(tmp_path / "cache")})
+        # The grid spans two windows, 39 (k = 10) and 78 (k = 42 and 50). Each mesh
+        # is solved once per window, at the largest k of it that the mesh takes:
+        # twice on the dense route, and once on the sparse one, which takes no k of
+        # window 78. A cell of a larger k carries the error compare gives at that k
+        if route == "sparse":
+            monkeypatch.setattr(eigen, "DENSE_CUTOFF", 30)
+        cfg = sg.RunConfig(**{**SMALL, "cache_dir": str(tmp_path / "cache")})
         sweep = self.assert_sweep_equals_cells(two_class, cfg, Rs=[2, 3], ks=[10, 42, 50])
-        assert sweep.diagnostics.eigensolves == 6
-        largest = 10 if method == "sparse" else 42
+        assert sweep.diagnostics.eigensolves == (6 if route == "sparse" else 12)
+        largest = 10 if route == "sparse" else 42
         for cell in sweep.cells:
             if cell.k <= largest:
                 assert cell.stratum.error is None
@@ -1393,6 +1464,14 @@ class TestParameterSweep:
         assert len(sweep.cells) == 2 * len(Rs) * len(ks)
         assert {c.stratum.side for c in sweep.cells} == {"left", "right"}
         assert {c.stratum.comparison.n_permutations for c in sweep.cells} == {scored}
+
+    def test_sweep_across_windows_equals_its_cells(self, sparse_class):
+        # m = 642 takes the sparse route: k = 11 and 31 share the window of 39
+        # pairs, and k = 40 solves that of 78, so the sweep solves each mesh twice
+        sweep = self.assert_sweep_equals_cells(
+            sparse_class, sg.RunConfig(**SMALL), Rs=[3], ks=[11, 31, 40]
+        )
+        assert sweep.diagnostics.eigensolves == 12
 
     @pytest.mark.parametrize("n_perm", [50, 10])
     def test_failing_cell_keeps_its_error(self, two_strata, n_perm):
