@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .eigen import SOLVER_METHODS, solve_eigen
+from .eigen import solve_eigen
 from .errors import (
     NUMERICAL_ERRORS,
     USAGE_ERRORS,
@@ -105,18 +105,13 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(lumping=args.lumping, area_factor=not args.no_area_factor, **offered)
 
 
-def _add_solver_flags(parser, method=True):
-    """--lumping, and --method for a command that solves one mesh outside any run: a
-    run (gsgw, compare, sweep) takes the route from the mesh size alone."""
+def _add_solver_flags(parser):
+    """--lumping, the one solver flag: every command takes the eigensolver route from
+    the mesh size alone (see eigen), so a single solve gives the pairs a run stores."""
     parser.add_argument(
         "--lumping", default="mixed", choices=LUMPING_SCHEMES,
         help="vertex area scheme (default mixed)",
     )
-    if method:
-        parser.add_argument(
-            "--method", default="auto", choices=SOLVER_METHODS,
-            help="eigensolver route (default auto: dense up to 600 vertices)",
-        )
 
 
 def _add_signature_flags(parser, grid=False):
@@ -144,7 +139,7 @@ def _add_config_flags(parser, batch=True, grid=False):
     cold meshes in one worker process per usable CPU (see pipeline).
     """
     _add_signature_flags(parser, grid)
-    _add_solver_flags(parser, method=False)
+    _add_solver_flags(parser)
     if batch:
         parser.add_argument(
             "--pca-dims", dest="pca_dims", type=int, default=8,
@@ -212,12 +207,11 @@ def _cmd_eigen(args) -> int:
     if args.k < 1:
         raise InvalidParam(f"--k must be >= 1, got {args.k}")
     _announce("eigen", {
-        "mesh": args.mesh, "k": args.k, "method": args.method,
-        "lumping": args.lumping, "out_dir": args.out_dir,
+        "mesh": args.mesh, "k": args.k, "lumping": args.lumping, "out_dir": args.out_dir,
     })
     mesh = load_mesh(args.mesh)
     stiffness, mass = laplacian_matrices(mesh, lumping=args.lumping)
-    basis = solve_eigen(stiffness, mass, args.k, method=args.method)
+    basis = solve_eigen(stiffness, mass, args.k)
 
     out = Path(args.out_dir)
     values = [[str(i), repr(val)] for i, val in enumerate(basis.eigenvalues.tolist(), 1)]
@@ -237,11 +231,11 @@ def _cmd_signature(args) -> int:
     cfg = _config_from_args(args)
     _announce("signature", {
         "mesh": args.mesh, "k": cfg.k, "R": cfg.R, "lumping": cfg.lumping,
-        "area_factor": cfg.area_factor, "method": args.method, "out": args.out,
+        "area_factor": cfg.area_factor, "out": args.out,
     })
     mesh = load_mesh(args.mesh)
     stiffness, mass = laplacian_matrices(mesh, lumping=cfg.lumping)
-    basis = solve_eigen(stiffness, mass, cfg.k, method=args.method)
+    basis = solve_eigen(stiffness, mass, cfg.k)
     sig = signature_matrix(basis, cfg.R, area_factor=cfg.area_factor)
     write_signature_csv(sig, args.out)
     print(f"wrote {args.out} ({sig.p} rows x {sig.m} columns)")
@@ -278,12 +272,12 @@ def _cmd_reconstruct(args) -> int:
     if min(ks) < 1:
         raise InvalidParam(f"k must be >= 1, got {min(ks)}")
     _announce("reconstruct", {
-        "mesh": args.mesh, "ks": ks, "lumping": args.lumping, "method": args.method,
+        "mesh": args.mesh, "ks": ks, "lumping": args.lumping,
         "weighted": not args.unweighted, "out_dir": args.out_dir,
     })
     mesh = load_mesh(args.mesh)
     stiffness, mass = laplacian_matrices(mesh, lumping=args.lumping)
-    basis = solve_eigen(stiffness, mass, max(ks), method=args.method)
+    basis = solve_eigen(stiffness, mass, max(ks))
     report = nmse_curve(
         mesh, basis, ks, keep_meshes=args.dump_meshes, weighted=not args.unweighted
     )
@@ -410,7 +404,7 @@ def _cmd_plot_sweep(args) -> int:
         col = {name: header.index(name) for name in ("R", "k", "bone", "side", args.metric)}
     except ValueError:
         raise ParseError(f"{args.csv}: missing column for metric {args.metric!r}") from None
-    cells = {}
+    cells, strata = {}, {}
     for row in rows[1:]:
         if args.bone and row[col["bone"]] != args.bone:
             continue
@@ -422,7 +416,11 @@ def _cmd_plot_sweep(args) -> int:
             key = (int(row[col["R"]]), int(row[col["k"]]))
         except ValueError:
             raise ParseError(f"{args.csv}: malformed sweep row") from None
-        cells[key] = value
+        stratum = (row[col["bone"]], row[col["side"]])
+        if key in cells:
+            raise InvalidParam(f"{args.csv}: (bone, side) {strata[key]} and {stratum} share the "
+                               f"cell (R, k) = {key}; pick one stratum with --bone and --side")
+        cells[key], strata[key] = value, stratum
     if not cells:
         raise ParseError(f"{args.csv}: no matching sweep rows")
     r_values = sorted({r for r, _ in cells})

@@ -10,11 +10,11 @@ products and sum would round them (see _similarity). W must have a
 symmetric sparsity pattern (its values are symmetrized).
 
 Two routes share this reduction: a dense one (scipy.linalg.eigh on the full
-B, used for small meshes and as the cross-check oracle) and a sparse
-shift-invert Lanczos one (scipy.sparse.linalg.eigsh, used for large meshes
-where only the low end of the spectrum is needed). ``method="auto"`` picks
-dense at or below 600 vertices. Both routes check their pairs against
-lambda_k, so no check depends on the length unit.
+B) and a sparse shift-invert Lanczos one (scipy.sparse.linalg.eigsh, which
+solves only the low end of the spectrum). The route follows the vertex count
+alone: dense at or below DENSE_CUTOFF = 600 vertices, sparse above it, so
+every caller of one mesh gets the pairs a run stores for it. Both routes
+check their pairs against lambda_k, so no check depends on the length unit.
 
 The sparse route returns the first k pairs of a window that depends on k
 only through a rung (see _window): Lanczos's pairs move in the last bits
@@ -69,10 +69,7 @@ from .errors import ConvergenceError, InvalidParam, NumericalError, _integer
 
 __all__ = ["EigenBasis", "solve_eigen", "DENSE_CUTOFF"]
 
-# solver routes; "auto" picks dense at or below DENSE_CUTOFF vertices
-SOLVER_METHODS = ("auto", "dense", "sparse")
-
-# largest vertex count solved densely under method="auto"
+# largest vertex count solved densely; larger meshes take the sparse route
 DENSE_CUTOFF = 600
 
 _LANCZOS_SEED = 20230817
@@ -260,24 +257,24 @@ def _shift_invert(b, sigma: float) -> tuple[LinearOperator, np.ndarray]:
     return op, perm
 
 
-def solve_eigen(stiffness, mass, k: int, method: str = "auto") -> EigenBasis:
+def solve_eigen(stiffness, mass, k: int) -> EigenBasis:
     """Compute the k smallest eigenpairs of ``W phi = lambda A phi``.
+
+    The route is dense at m <= DENSE_CUTOFF and sparse above it; either runs
+    at one OpenBLAS thread (see the module docstring).
 
     Parameters
     ----------
     stiffness : (m, m) symmetric sparse matrix
         Its sparsity pattern must be symmetric; its values are symmetrized.
     mass : (m, m) diagonal sparse matrix with positive diagonal
-    k : int, 1 <= k <= m, and k < m on the sparse route
-    method : {"auto", "dense", "sparse"}
-        Either route runs at one OpenBLAS thread (see the module docstring).
+    k : int, 1 <= k <= m on the dense route, 1 <= k <= m - 1 on the sparse one
 
     Raises
     ------
     InvalidParam
-        A k out of range for the route, a mass diagonal that is not
-        positive, or a stiffness matrix whose sparsity pattern is not
-        symmetric.
+        A k out of that range, a mass diagonal that is not positive, or a
+        stiffness matrix whose sparsity pattern is not symmetric.
     ConvergenceError
         Lanczos failure, or a residual ``||W phi - lambda A phi||`` above
         2e-10 lambda_k ``||A phi||`` on any returned pair.
@@ -297,14 +294,10 @@ def solve_eigen(stiffness, mass, k: int, method: str = "auto") -> EigenBasis:
     if (areas <= 0.0).any():
         raise InvalidParam("mass matrix diagonal must be positive")
     k = _integer("k", k)
-    if not 1 <= k <= m:
-        raise InvalidParam(f"k must be in [1, {m}], got {k}")
-    if method not in SOLVER_METHODS:
-        raise InvalidParam(f"unknown method {method!r}; expected one of {SOLVER_METHODS}")
-    if method == "auto":
-        method = "dense" if m <= DENSE_CUTOFF else "sparse"
-    if method == "sparse" and k >= m:
-        raise InvalidParam(f"sparse route needs k < m, got k={k}, m={m}")
+    method = "dense" if m <= DENSE_CUTOFF else "sparse"
+    limit = m if method == "dense" else m - 1
+    if not 1 <= k <= limit:
+        raise InvalidParam(f"k must be in [1, {limit}], got {k}")
 
     inv_sqrt = 1.0 / np.sqrt(areas)
     b = _similarity(w, inv_sqrt)

@@ -2,12 +2,15 @@
 
 import errno
 import os
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sgwshape as sg
+import sgwshape.eigen as eigen
 import sgwshape.mesh_io as mesh_io
 
 # hypothesis's pytest plugin reads mypy_extensions.TypedDict while it reports
@@ -88,6 +91,18 @@ def first_pairs(basis, k):
         basis.eigenvalues[:k].copy(), basis.eigenvectors[:, :k].copy(), basis.vertex_areas,
         method=basis.method,
     )
+
+
+@contextmanager
+def solver_route(route):
+    """Every solve inside takes `route`, "dense" or "sparse", whatever the mesh size.
+
+    It moves eigen.DENSE_CUTOFF, the one route lever, through its own
+    MonkeyPatch, so module- and session-scoped fixtures can use it too.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eigen, "DENSE_CUTOFF", {"dense": sys.maxsize, "sparse": 0}[route])
+        yield
 
 
 def apply_operator(stiffness, mass, f):

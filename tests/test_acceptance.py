@@ -15,7 +15,7 @@ from scipy.stats import kstest, ttest_ind
 
 import sgwshape as sg
 
-from conftest import random_rotation, rigid_transform
+from conftest import random_rotation, rigid_transform, solver_route
 
 _reporter = None
 
@@ -36,9 +36,9 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def _solve(mesh, k, method="auto"):
+def _solve(mesh, k):
     stiffness, mass = sg.laplacian_matrices(mesh)
-    return sg.solve_eigen(stiffness, mass, k, method=method)
+    return sg.solve_eigen(stiffness, mass, k)
 
 
 def test_criterion_01_sphere_spectrum():
@@ -88,7 +88,8 @@ def test_criterion_02_dense_oracle_equivalence():
     worst_ortho = 0.0
     for name, mesh, k in meshes:
         stiffness, mass = sg.laplacian_matrices(mesh)
-        sparse = sg.solve_eigen(stiffness, mass, k, method="sparse")
+        with solver_route("sparse"):
+            sparse = sg.solve_eigen(stiffness, mass, k)
         oracle = scipy.linalg.eigh(
             stiffness.toarray(), mass.toarray(), eigvals_only=True
         )[:k]
@@ -197,7 +198,8 @@ def test_criterion_06_hand_oracle_signature():
 
 def test_criterion_07_nmse_anchors():
     small = sg.make_synthetic("unit_sphere", 1)  # m = 42, closed
-    small_basis = _solve(small, small.m, method="dense")
+    with solver_route("dense"):
+        small_basis = _solve(small, small.m)
     full = sg.nmse_curve(small, small_basis, [1, small.m])
     anchor_exact = full.nmse[0] == 1.0
     tail_tiny = full.nmse[-1] < 1e-12

@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 import sgwshape as sg
 from sgwshape import eigen, mesh_io
 
-from conftest import planar_grid
+from conftest import planar_grid, solver_route
 
 
 def reference_corner_geometry(mesh):
@@ -143,7 +143,8 @@ def test_band_and_shift_are_the_reference(mesh, monkeypatch):
 
     monkeypatch.setattr(eigen, "dpbtrf", band_spy)
     monkeypatch.setattr(eigen, "eigsh", eigsh_spy)
-    sg.solve_eigen(stiffness, mass, 3, method="sparse")
+    with solver_route("sparse"):
+        sg.solve_eigen(stiffness, mass, 3)
 
     b = reference_sparse_route_matrix(stiffness, mass.diagonal())
     assert 0.5 <= np.mean(b.diagonal()) < 2.0
@@ -164,7 +165,8 @@ def test_dense_matrix_is_the_reference(mesh, monkeypatch):
         return eigh(matrix)
 
     monkeypatch.setattr(eigen, "eigh", eigh_spy)
-    sg.solve_eigen(stiffness, mass, 3, method="dense")
+    with solver_route("dense"):
+        sg.solve_eigen(stiffness, mass, 3)
     expected = reference_similarity(stiffness, mass.diagonal()).toarray()
     assert seen["matrix"].tobytes() == expected.tobytes()
 
@@ -185,7 +187,8 @@ def test_stored_zeros_are_not_in_the_band(monkeypatch):
         return dpbtrf(ab, **kwargs)
 
     monkeypatch.setattr(eigen, "dpbtrf", band_spy)
-    sg.solve_eigen(stiffness, mass, 3, method="sparse")
+    with solver_route("sparse"):
+        sg.solve_eigen(stiffness, mass, 3)
     b = reference_sparse_route_matrix(stiffness, mass.diagonal())
     assert b.nnz == 31
     expected = reference_band(b, -0.01 * float(np.mean(b.diagonal())))

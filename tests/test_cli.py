@@ -132,6 +132,25 @@ class TestEigen:
         gram = phi.T @ (areas[:, None] * phi)
         assert np.abs(gram - np.eye(12)).max() < 1e-8
 
+    @pytest.mark.parametrize("subdivisions, m", [(2, 162), (3, 642)])
+    def test_eigen_writes_the_pairs_a_run_stores(self, tmp_path, capsys, subdivisions, m):
+        # m = 162 takes the dense route and m = 642 the sparse one; on either, the
+        # eigenvalues eigen writes are, bitwise, those of the blob gsgw stores
+        mesh = tmp_path / "bumpy.off"
+        sg.write_mesh(sg.make_synthetic("bumpy_sphere", subdivisions, seed=1), mesh)
+        assert sg.load_mesh(mesh).m == m
+        cache = tmp_path / "cache"
+        assert main(["eigen", str(mesh), "--k", "31", "--out-dir", str(tmp_path / "eigen")]) == 0
+        assert main(["gsgw", str(mesh), "--k", "31", "--cache-dir", str(cache),
+                     "--out", str(tmp_path / "g.csv")]) == 0
+        capsys.readouterr()
+        (blob,) = cache.glob("*.sgwc")
+        stored = np.frombuffer(blob.read_bytes().partition(b"\n")[2], dtype="<f8")
+        assert stored.size == 2 * 31 + 1  # the total area, 31 eigenvalues, 31 weights
+        _, rows = read_csv(tmp_path / "eigen" / "eigenvalues.csv")
+        written = np.array([float(value) for _, value in rows])
+        assert written.tobytes() == stored[1:32].tobytes()
+
     def test_bad_k_exits_2(self, mesh_file, tmp_path, capsys):
         code = main(["eigen", str(mesh_file), "--k", "0", "--out-dir", str(tmp_path)])
         assert code == 2
@@ -1040,12 +1059,15 @@ class TestBadSynthAndPlotInput:
         assert err.splitlines()[-1] == f"error: {table}: {message}"
         assert not (tmp_path / "out").exists()
 
+    # three strata of a sweep table, whose rows share the cell R = 2, k = 8
+    SWEEP_STRATA = {
+        ("b", "left"): ["2,8,b,left,0.1\n", "3,8,b,left,0.2\n"],
+        ("b", "right"): ["2,8,b,right,0.3\n"],
+        ("c", "left"): ["2,8,c,left,0.4\n", "2,9,c,left,0.5\n"],
+    }
+
     def test_plot_sweep_keeps_only_the_chosen_bone_and_side(self, tmp_path, capsys):
-        rows = {
-            ("b", "left"): ["2,8,b,left,0.1\n", "3,8,b,left,0.2\n"],
-            ("b", "right"): ["2,8,b,right,0.3\n"],
-            ("c", "left"): ["2,8,c,left,0.4\n", "2,9,c,left,0.5\n"],
-        }
+        rows = self.SWEEP_STRATA
         (tmp_path / "all.csv").write_text(self.SWEEP_HEADER + "".join(sum(rows.values(), [])))
         for (bone, side), own in rows.items():
             (tmp_path / "own.csv").write_text(self.SWEEP_HEADER + "".join(own))
@@ -1056,6 +1078,26 @@ class TestBadSynthAndPlotInput:
                 svgs.append(out.read_bytes())
             assert svgs[0] == svgs[1]
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "flags, strata",
+        [([], "('b', 'left') and ('b', 'right')"),
+         (["--bone", "b"], "('b', 'left') and ('b', 'right')"),
+         (["--side", "left"], "('b', 'left') and ('c', 'left')")],
+        ids=["no-flags", "bone-only", "side-only"],
+    )
+    def test_plot_sweep_refuses_strata_that_share_a_cell(self, tmp_path, capsys, flags, strata):
+        # each row used to overwrite the cell, so the heatmap showed the last stratum's value
+        table = tmp_path / "all.csv"
+        table.write_text(self.SWEEP_HEADER + "".join(sum(self.SWEEP_STRATA.values(), [])))
+        out = tmp_path / "out" / "plot.svg"
+        assert main(["plot", "sweep", str(table), *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+        assert err.splitlines()[-1] == (
+            f"error: {table}: (bone, side) {strata} share the cell (R, k) = (2, 8); "
+            "pick one stratum with --bone and --side"
+        )
 
 
 class TestParser:
@@ -1084,12 +1126,10 @@ class TestParser:
             "synth null": {
                 "--out", "--n", "--subdivisions", "--amplitude", "--mesh-seed", "--split-seed",
             },
-            "eigen": {"--k", "--method", "--lumping", "--out-dir"},
-            "signature": signature | {"--method", "--out"},
+            "eigen": {"--k", "--lumping", "--out-dir"},
+            "signature": signature | {"--out"},
             "gsgw": descriptor | {"--labels", "--out"},
-            "reconstruct": {
-                "--ks", "--method", "--lumping", "--unweighted", "--dump-meshes", "--out-dir",
-            },
+            "reconstruct": {"--ks", "--lumping", "--unweighted", "--dump-meshes", "--out-dir"},
             "compare": batch,
             "sweep": batch | {"--Rs", "--ks-grid"},
             "plot nmse": {"--out", "--log-y"},
@@ -1131,10 +1171,14 @@ class TestParser:
             ["gsgw", "m.off", "--out", "g.csv"],
             ["compare", "manifest.csv", "--out-dir", "o"],
             ["sweep", "manifest.csv", "--Rs", "3", "--ks-grid", "10", "--out-dir", "o"],
+            ["eigen", "m.off", "--out-dir", "o"],
+            ["signature", "m.off", "--out", "s.csv"],
+            ["reconstruct", "m.off", "--out-dir", "o"],
         ],
     )
     def test_runs_refuse_a_route(self, argv, capsys):
-        # a run takes the route from the mesh size, so its blobs carry no route choice
+        # every command takes the route from the mesh size, so a single solve writes
+        # the pairs a run stores, and a run's blobs carry no route choice
         with pytest.raises(SystemExit) as excinfo:
             main([*argv, "--method", "dense"])
         assert excinfo.value.code == 2

@@ -3,6 +3,7 @@
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from sgwshape import eigen
 from sgwshape.errors import ConvergenceError, InvalidParam, NumericalError
 from sgwshape.gsgw import descriptor_from_summary, summarize
 
-from conftest import random_rotation, rigid_transform
+from conftest import random_rotation, rigid_transform, solver_route
 
 
 # the OpenBLAS thread controls this process found, before any test replaces the lookup
@@ -27,9 +28,15 @@ def _threads():
     return [get() for get, _ in _CONTROLS]
 
 
-def small_problem(mesh, k=10, method="auto"):
+def small_problem(mesh, k=10):
     stiffness, mass = sg.laplacian_matrices(mesh)
-    return sg.solve_eigen(stiffness, mass, k, method=method)
+    return sg.solve_eigen(stiffness, mass, k)
+
+
+def on_route(route, mesh, k):
+    """small_problem(mesh, k) on the given route."""
+    with solver_route(route):
+        return small_problem(mesh, k=k)
 
 
 class TestSolveEigen:
@@ -71,8 +78,8 @@ class TestSolveEigen:
         np.testing.assert_array_equal(a.eigenvectors, b.eigenvectors)
 
     def test_dense_and_sparse_agree(self, icosphere2):
-        dense = small_problem(icosphere2, k=20, method="dense")
-        sparse = small_problem(icosphere2, k=20, method="sparse")
+        dense = on_route("dense", icosphere2, 20)
+        sparse = on_route("sparse", icosphere2, 20)
         scale = dense.eigenvalues[-1]
         assert np.abs(dense.eigenvalues - sparse.eigenvalues).max() < 1e-9 * scale
 
@@ -81,8 +88,8 @@ class TestSolveEigen:
         # the icosphere's spectrum comes in exactly degenerate clusters (the
         # l = 5 band is indices 25-35); at ARPACK's default Krylov size the
         # sparse route must still return every member at the window edge
-        dense = small_problem(icosphere3, k=k, method="dense")
-        sparse = small_problem(icosphere3, k=k, method="sparse")
+        dense = on_route("dense", icosphere3, k)
+        sparse = on_route("sparse", icosphere3, k)
         assert sparse.method == "sparse"
         scale = dense.eigenvalues[-1]
         assert np.abs(dense.eigenvalues - sparse.eigenvalues).max() < 1e-9 * scale
@@ -96,7 +103,7 @@ class TestSolveEigen:
         inv_sqrt = sp.diags(1.0 / np.sqrt(mass.diagonal()))
         b = (inv_sqrt @ stiffness @ inv_sqrt).toarray()
         expected = scipy.linalg.eigh((b + b.T) * 0.5, eigvals_only=True, subset_by_index=[0, 30])
-        sparse = sg.solve_eigen(stiffness, mass, 31, method="sparse")
+        sparse = sg.solve_eigen(stiffness, mass, 31)
         assert mesh.m == 2562 and sparse.method == "sparse"
         scale = expected[-1]
         assert np.abs(np.maximum(expected, 0.0) - sparse.eigenvalues).max() < 1e-9 * scale
@@ -107,8 +114,8 @@ class TestSolveEigen:
         # oracle would take 840 MB here, so the reference is a wider sparse solve
         mesh = sg.make_synthetic("unit_sphere", 5)
         stiffness, mass = sg.laplacian_matrices(mesh)
-        cut = sg.solve_eigen(stiffness, mass, 31, method="sparse")
-        wide = sg.solve_eigen(stiffness, mass, 48, method="sparse")
+        cut = sg.solve_eigen(stiffness, mass, 31)
+        wide = sg.solve_eigen(stiffness, mass, 48)
         assert mesh.m == 10242 and cut.method == "sparse"
         scale = cut.eigenvalues[-1]
         assert np.abs(wide.eigenvalues[:31] - cut.eigenvalues).max() < 1e-9 * scale
@@ -118,8 +125,8 @@ class TestSolveEigen:
         # the sparse route solves in band order and puts the eigenvectors back in
         # vertex order; a wrong reordering moves the vectors and the area weights
         mesh = sg.make_synthetic("bumpy_sphere", 3, seed=seed)
-        dense = small_problem(mesh, k=31, method="dense")
-        sparse = small_problem(mesh, k=31, method="sparse")
+        dense = on_route("dense", mesh, 31)
+        sparse = small_problem(mesh, k=31)
         assert mesh.m == 642 and sparse.method == "sparse"
         scale = dense.eigenvalues[-1]
         assert np.abs(sparse.eigenvalues - dense.eigenvalues).max() <= 1e-12 * scale
@@ -136,8 +143,8 @@ class TestSolveEigen:
         new_label = np.argsort(order)
         relabelled = sg.TriangleMesh(mesh.vertices[order], new_label[mesh.triangles])
         assert mesh.m == 642
-        base = small_problem(mesh, k=31, method="sparse")
-        moved = small_problem(relabelled, k=31, method="sparse")
+        base = small_problem(mesh, k=31)
+        moved = small_problem(relabelled, k=31)
         np.testing.assert_allclose(moved.eigenvalues[1:], base.eigenvalues[1:], rtol=1e-10)
         assert moved.eigenvalues[0] < 1e-10 * moved.eigenvalues[-1]
         np.testing.assert_allclose(summarize(moved).w_area, summarize(base).w_area, rtol=1e-9)
@@ -168,10 +175,13 @@ class TestSolveEigen:
         with pytest.raises(InvalidParam):
             sg.solve_eigen(stiffness, mass, icosphere2.m + 1)
 
-    def test_unknown_method(self, icosphere2):
+    @pytest.mark.parametrize("route, limit", [("dense", 162), ("sparse", 161)])
+    def test_one_k_range_per_route(self, icosphere2, route, limit):
+        # Lanczos cannot return all m pairs, so the sparse route stops at m - 1
         stiffness, mass = sg.laplacian_matrices(icosphere2)
-        with pytest.raises(InvalidParam, match="method"):
-            sg.solve_eigen(stiffness, mass, 5, method="magic")
+        with solver_route(route), pytest.raises(InvalidParam) as raised:
+            sg.solve_eigen(stiffness, mass, limit + 1)
+        assert str(raised.value) == f"k must be in [1, {limit}], got {limit + 1}"
 
     @pytest.mark.parametrize(
         "shape, mass_size, message",
@@ -205,8 +215,8 @@ class TestSolveEigen:
         with pytest.raises(InvalidParam, match="symmetric sparsity pattern"):
             sg.solve_eigen(stiffness, sp.identity(6, format="csr"), 3)
 
-    @pytest.mark.parametrize("method", ["dense", "sparse"])
-    def test_duplicate_entries_are_summed(self, icosphere2, icosphere2_basis, method):
+    @pytest.mark.parametrize("route", ["dense", "sparse"])
+    def test_duplicate_entries_are_summed(self, icosphere2, icosphere2_basis, route):
         # each entry of W stored as two halves, each row in descending column order
         stiffness, mass = sg.laplacian_matrices(icosphere2)
         indices, data = [], []
@@ -216,7 +226,8 @@ class TestSolveEigen:
             data += np.repeat(stiffness.data[row][::-1] / 2, 2).tolist()
         split = sp.csr_matrix((data, indices, 2 * stiffness.indptr), shape=stiffness.shape)
         assert not split.has_canonical_format
-        basis = sg.solve_eigen(split, mass, 31, method=method)
+        with solver_route(route):
+            basis = sg.solve_eigen(split, mass, 31)
         np.testing.assert_allclose(
             basis.eigenvalues[1:], icosphere2_basis.eigenvalues[1:], rtol=1e-10
         )
@@ -228,8 +239,10 @@ class TestSolveEigen:
         # the shifted matrix has no Cholesky factor; solving with a partial
         # factor would hand Lanczos a wrong operator
         mass = sp.identity(20, format="csr")
-        with pytest.raises(NumericalError, match="stiffness matrix is not positive semidefinite"):
-            sg.solve_eigen(stiffness, mass, 3, method="sparse")
+        with solver_route("sparse"), pytest.raises(
+            NumericalError, match="stiffness matrix is not positive semidefinite"
+        ):
+            sg.solve_eigen(stiffness, mass, 3)
 
 
 def scaled_problem(subdivisions, c):
@@ -247,23 +260,26 @@ class TestLengthUnit:
     mesh in millimetres are held to the same bar."""
 
     @pytest.mark.parametrize(
-        "subdivisions, method", [(2, "auto"), (3, "auto"), (4, "auto"), (2, "sparse"), (3, "dense")]
+        "subdivisions, route", [(2, "auto"), (3, "auto"), (4, "auto"), (2, "sparse"), (3, "dense")]
     )
-    def test_every_scale_solves(self, subdivisions, method):
-        reference = sg.solve_eigen(*scaled_problem(subdivisions, 1.0), 31, method=method)
-        for c in (1e-3, 1e3):
-            got = sg.solve_eigen(*scaled_problem(subdivisions, c), 31, method=method)
-            assert got.method == reference.method
+    def test_every_scale_solves(self, subdivisions, route):
+        # "auto": the route the mesh size gives
+        with nullcontext() if route == "auto" else solver_route(route):
+            reference = sg.solve_eigen(*scaled_problem(subdivisions, 1.0), 31)
+            for c in (1e-3, 1e3):
+                got = sg.solve_eigen(*scaled_problem(subdivisions, c), 31)
+                assert got.method == reference.method
             scaled = got.eigenvalues * c**2
             assert scaled[0] <= 1e-10 * reference.eigenvalues[-1]
             np.testing.assert_allclose(scaled[1:], reference.eigenvalues[1:], rtol=1e-10, atol=0)
 
-    @pytest.mark.parametrize("method", ["dense", "sparse"])
-    def test_one_pair_is_checked_against_lambda_2(self, method):
+    @pytest.mark.parametrize("route", ["dense", "sparse"])
+    def test_one_pair_is_checked_against_lambda_2(self, route):
         # lambda_1 of a closed mesh is zero, so it cannot set the scale
         for c in _SCALES:
             stiffness, mass = scaled_problem(2, c)
-            basis = sg.solve_eigen(stiffness, mass, 1, method=method)
+            with solver_route(route):
+                basis = sg.solve_eigen(stiffness, mass, 1)
             assert basis.eigenvalues[0] <= 1e-10 / c**2
             np.testing.assert_allclose(
                 basis.eigenvectors[:, 0], 1.0 / np.sqrt(mass.diagonal().sum()), rtol=1e-8
@@ -271,9 +287,9 @@ class TestLengthUnit:
 
     @pytest.mark.parametrize("c", _SCALES)
     @pytest.mark.parametrize(
-        "subdivisions, method, solver", [(2, "dense", "eigh"), (3, "sparse", "eigsh")]
+        "subdivisions, route, solver", [(2, "dense", "eigh"), (3, "sparse", "eigsh")]
     )
-    def test_a_perturbed_pair_is_refused(self, monkeypatch, c, subdivisions, method, solver):
+    def test_a_perturbed_pair_is_refused(self, monkeypatch, c, subdivisions, route, solver):
         # every eigenvalue 1e-6 relative off; the gate with a unit, 1e-8 on
         # ||W phi - lambda A phi|| / ||A phi||, let this through at c = 1e3
         found = getattr(eigen, solver)
@@ -283,28 +299,32 @@ class TestLengthUnit:
             return vals * (1.0 + 1e-6), vecs
 
         monkeypatch.setattr(eigen, solver, perturbed)
-        with pytest.raises(ConvergenceError, match=r"residual .* \(relative to lambda_k\) exceeds"):
-            sg.solve_eigen(*scaled_problem(subdivisions, c), 31, method=method)
+        with solver_route(route), pytest.raises(
+            ConvergenceError, match=r"residual .* \(relative to lambda_k\) exceeds"
+        ):
+            sg.solve_eigen(*scaled_problem(subdivisions, c), 31)
 
     @pytest.mark.parametrize("c", _SCALES)
-    @pytest.mark.parametrize("method", ["dense", "sparse"])
-    def test_a_negative_eigenvalue_is_refused(self, c, method):
+    @pytest.mark.parametrize("route", ["dense", "sparse"])
+    def test_a_negative_eigenvalue_is_refused(self, c, route):
         # W - delta A has the pairs of (W, A) with each eigenvalue lowered by
         # delta, so its lowest is -delta = -1e-6 lambda_k: far outside round-off
         # at every scale. The check's old floor of 1.0 (a unit of 1/length^2)
         # clamped it to zero at c = 1e3
         stiffness, mass = scaled_problem(2, c)
-        lam_k = sg.solve_eigen(stiffness, mass, 31, method=method).eigenvalues[-1]
-        with pytest.raises(NumericalError, match="negative beyond round-off"):
-            sg.solve_eigen(stiffness - 1e-6 * lam_k * mass, mass, 31, method=method)
+        with solver_route(route):
+            lam_k = sg.solve_eigen(stiffness, mass, 31).eigenvalues[-1]
+            with pytest.raises(NumericalError, match="negative beyond round-off"):
+                sg.solve_eigen(stiffness - 1e-6 * lam_k * mass, mass, 31)
 
     @pytest.mark.parametrize("subdivisions, c", [(3, 1e-12), (4, 1e-11)])
     def test_tiny_meshes_solve_on_the_sparse_route(self, subdivisions, c):
         # B's entries go as 1/c^2; scaled by a power of four to a mean diagonal
         # near 1, Lanczos sees the unit mesh's magnitudes. Unscaled, these two
         # raised ConvergenceError
-        reference = sg.solve_eigen(*scaled_problem(subdivisions, 1.0), 31, method="sparse")
-        got = sg.solve_eigen(*scaled_problem(subdivisions, c), 31, method="sparse")
+        reference = sg.solve_eigen(*scaled_problem(subdivisions, 1.0), 31)
+        got = sg.solve_eigen(*scaled_problem(subdivisions, c), 31)
+        assert got.method == "sparse"
         lam_k = reference.eigenvalues[-1]
         assert np.abs(got.eigenvalues * c**2 - reference.eigenvalues).max() <= 1e-14 * lam_k
 
@@ -320,9 +340,9 @@ class TestWindow:
 
     def test_every_k_of_a_window_gets_a_prefix_of_one_solve(self, bumpy3_matrices):
         stiffness, mass = bumpy3_matrices
-        wide = sg.solve_eigen(stiffness, mass, 31, method="sparse")
+        wide = sg.solve_eigen(stiffness, mass, 31)
         for k in (1, 11, 30):
-            got = sg.solve_eigen(stiffness, mass, k, method="sparse")
+            got = sg.solve_eigen(stiffness, mass, k)
             assert got.eigenvalues.tobytes() == wide.eigenvalues[:k].tobytes()
             assert got.eigenvectors.tobytes() == wide.eigenvectors[:, :k].copy().tobytes()
 
@@ -337,7 +357,7 @@ class TestWindow:
 
         monkeypatch.setattr(eigen, "eigsh", counting_eigsh)
         for k in (3, 35):
-            small_problem(mesh, k=k, method="sparse")
+            on_route("sparse", mesh, k)
         assert mesh.m == 42 and solved == [39, 41]
 
 
@@ -478,13 +498,14 @@ class TestSolvesAtOneThread:
         assert solver_threads == [[1] * len(_CONTROLS)]
         assert _threads() == two_threads
 
-    @pytest.mark.parametrize("method", ["dense", "sparse"])
-    def test_pairs_do_not_depend_on_the_thread_count(self, bumpy2_file, two_threads, method):
+    @pytest.mark.parametrize("route", ["dense", "sparse"])
+    def test_pairs_do_not_depend_on_the_thread_count(self, bumpy2_file, two_threads, route):
         # a solve inside a run's one-thread region gives the pairs a run stores
         stiffness, mass = sg.laplacian_matrices(sg.load_mesh(bumpy2_file))
-        default = sg.solve_eigen(stiffness, mass, 31, method=method)
-        with eigen._one_blas_thread():
-            one_thread = sg.solve_eigen(stiffness, mass, 31, method=method)
+        with solver_route(route):
+            default = sg.solve_eigen(stiffness, mass, 31)
+            with eigen._one_blas_thread():
+                one_thread = sg.solve_eigen(stiffness, mass, 31)
         np.testing.assert_array_equal(default.eigenvalues, one_thread.eigenvalues)
         np.testing.assert_array_equal(default.eigenvectors, one_thread.eigenvectors)
 
@@ -497,12 +518,21 @@ class TestSolvesAtOneThread:
         np.testing.assert_array_equal(sg.gsgw_for_mesh(bumpy2_file, cfg).values, chain.values)
 
 
+def solve_on(route, k):
+    """A call of solve_eigen on the given route, with the given k."""
+    def call(mesh, basis, w, a):
+        with solver_route(route):
+            return sg.solve_eigen(w, a, k)
+
+    return call
+
+
 @pytest.mark.parametrize(
     "call",
     [
-        lambda mesh, basis, w, a: sg.solve_eigen(w, a, 2.5, method="sparse"),
-        lambda mesh, basis, w, a: sg.solve_eigen(w, a, 2.5, method="dense"),
-        lambda mesh, basis, w, a: sg.solve_eigen(w, a, True, method="dense"),
+        solve_on("sparse", 2.5),
+        solve_on("dense", 2.5),
+        solve_on("dense", True),
         lambda mesh, basis, w, a: summarize(basis).truncate(2.0),
         lambda mesh, basis, w, a: sg.signature_matrix(basis, 2.5),
         lambda mesh, basis, w, a: sg.wavelet_scales(2.5, 1.0, 20.0),

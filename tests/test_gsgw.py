@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 import sgwshape as sg
-from sgwshape import eigen
 from sgwshape.errors import DimensionMismatch, InvalidParam
 from sgwshape.gsgw import descriptor_from_summary, summarize
 from sgwshape.sgws import _kernel_rows
 
-from conftest import first_pairs, folded_sheet, random_rotation, rigid_transform
+from conftest import first_pairs, folded_sheet, random_rotation, rigid_transform, solver_route
 
 
 def toy_signature():
@@ -68,16 +67,17 @@ class TestIsometryInvariance:
 
     @pytest.mark.parametrize("lumping", ["mixed", "barycentric"])
     @pytest.mark.parametrize(
-        "nx, ny, method, bound", [(21, 11, "dense", 2.4e-14), (41, 21, "sparse", 1.2e-14)]
+        "nx, ny, route, bound", [(21, 11, "dense", 2.4e-14), (41, 21, "sparse", 1.2e-14)]
     )
-    def test_bending_leaves_descriptor_unchanged(self, nx, ny, method, bound, lumping):
+    def test_bending_leaves_descriptor_unchanged(self, nx, ny, route, bound, lumping):
         # a fold keeps every edge length, and the cotangent weights and both
         # lumpings depend on edge lengths alone: an isometry that is not rigid.
         # The largest gap was 2.7e-15 over eight diagonal draws (m = 231 and
         # 861), and a 1% stretch moved the descriptor by about 2e-2
         def descriptor(mesh):
             stiffness, mass = sg.laplacian_matrices(mesh, lumping=lumping)
-            basis = sg.solve_eigen(stiffness, mass, 31, method=method)
+            with solver_route(route):
+                basis = sg.solve_eigen(stiffness, mass, 31)
             return descriptor_from_summary(summarize(basis), 30).values
 
         flat = descriptor(folded_sheet(nx, ny, 0.0))
@@ -102,22 +102,18 @@ def bumpy2_file(bumpy2, tmp_path):
 class TestClosedForm:
     """gsgw_for_mesh uses g = K w; aggregate(signature_matrix(...)) is the reference."""
 
-    @pytest.mark.parametrize("method", ["dense", "sparse"])
+    @pytest.mark.parametrize("route", ["dense", "sparse"])
     # normalize needs the area factor (RunConfig refuses it alone)
     @pytest.mark.parametrize(
         "normalize, area_factor", [(False, True), (False, False), (True, True)]
     )
-    def test_matches_signature_aggregate(self, bumpy2_file, method, area_factor, normalize,
-                                         monkeypatch):
-        if method == "sparse":
-            # a run takes the route from the mesh size alone; m = 162
-            monkeypatch.setattr(eigen, "DENSE_CUTOFF", 100)
+    def test_matches_signature_aggregate(self, bumpy2_file, route, area_factor, normalize):
         cfg = sg.RunConfig(k=31, R=6, area_factor=area_factor, normalize=normalize)
-        got = sg.gsgw_for_mesh(bumpy2_file, cfg)
-
         stiffness, mass = sg.laplacian_matrices(sg.load_mesh(bumpy2_file))
-        basis = sg.solve_eigen(stiffness, mass, 31)
-        assert basis.method == method
+        with solver_route(route):
+            got = sg.gsgw_for_mesh(bumpy2_file, cfg)
+            basis = sg.solve_eigen(stiffness, mass, 31)
+        assert basis.method == route
         want = sg.aggregate(
             sg.signature_matrix(basis, 6, area_factor=area_factor), basis.vertex_areas
         )

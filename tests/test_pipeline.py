@@ -19,7 +19,7 @@ import pytest
 
 import sgwshape as sg
 import sgwshape.pipeline as pipeline
-from conftest import make_unreadable, write_two_tetrahedra
+from conftest import make_unreadable, solver_route, write_two_tetrahedra
 from sgwshape import eigen, gsgw, stats
 from sgwshape.errors import InvalidParam, ParseError, ValidationError
 from sgwshape.mesh_io import parse_mesh, read_mesh_bytes
@@ -1407,30 +1407,26 @@ class TestParameterSweep:
         assert compare.strata[0].error == sweep.cells[0].stratum.error
 
     @pytest.mark.parametrize("route", ["dense", "sparse"])
-    def test_k_past_the_meshes_fails_only_its_cells(self, two_class, tmp_path, monkeypatch,
-                                                    route):
+    def test_k_past_the_meshes_fails_only_its_cells(self, two_class, tmp_path, route):
         # the meshes have m = 42: the dense route takes k <= 42, the sparse one k < 42.
         # The grid spans two windows, 39 (k = 10) and 78 (k = 42 and 50). Each mesh
         # is solved once per window, at the largest k of it that the mesh takes:
         # twice on the dense route, and once on the sparse one, which takes no k of
         # window 78. A cell of a larger k carries the error compare gives at that k
-        if route == "sparse":
-            monkeypatch.setattr(eigen, "DENSE_CUTOFF", 30)
         cfg = sg.RunConfig(**{**SMALL, "cache_dir": str(tmp_path / "cache")})
-        sweep = self.assert_sweep_equals_cells(two_class, cfg, Rs=[2, 3], ks=[10, 42, 50])
+        limit = 41 if route == "sparse" else 42
+        with solver_route(route):
+            sweep = self.assert_sweep_equals_cells(two_class, cfg, Rs=[2, 3], ks=[10, 42, 50])
+            warm = sg.parameter_sweep(two_class, cfg, Rs=[2, 3], ks=[10, 42, 50])
         assert sweep.diagnostics.eigensolves == (6 if route == "sparse" else 12)
-        largest = 10 if route == "sparse" else 42
         for cell in sweep.cells:
-            if cell.k <= largest:
+            if cell.k <= limit:
                 assert cell.stratum.error is None
             else:
                 assert cell.stratum.error_kind == "usage"
-                assert cell.stratum.error == "s000 [descriptor]: " + (
-                    "k must be in [1, 42], got 50"
-                    if cell.k == 50
-                    else "sparse route needs k < m, got k=42, m=42"
+                assert cell.stratum.error == (
+                    f"s000 [descriptor]: k must be in [1, {limit}], got {cell.k}"
                 )
-        warm = sg.parameter_sweep(two_class, cfg, Rs=[2, 3], ks=[10, 42, 50])
         assert warm.cells == sweep.cells
 
     @staticmethod

@@ -6,14 +6,15 @@ import pytest
 import sgwshape as sg
 from sgwshape.errors import InvalidParam, ValidationError
 
-from conftest import random_rotation, rigid_transform
+from conftest import random_rotation, rigid_transform, solver_route
 
 
 @pytest.fixture(scope="module")
 def ico_full_basis():
     mesh = sg.make_synthetic("unit_sphere", 0)  # 12 vertices
     stiffness, mass = sg.laplacian_matrices(mesh)
-    return mesh, sg.solve_eigen(stiffness, mass, mesh.m, method="dense")
+    with solver_route("dense"):
+        return mesh, sg.solve_eigen(stiffness, mass, mesh.m)
 
 
 class TestReconstruction:
