@@ -33,12 +33,6 @@ def small_problem(mesh, k=10):
     return sg.solve_eigen(stiffness, mass, k)
 
 
-def on_route(route, mesh, k):
-    """small_problem(mesh, k) on the given route."""
-    with solver_route(route):
-        return small_problem(mesh, k=k)
-
-
 class TestSolveEigen:
     def test_first_mode_is_constant(self, icosphere2_basis):
         basis = icosphere2_basis
@@ -78,8 +72,10 @@ class TestSolveEigen:
         np.testing.assert_array_equal(a.eigenvectors, b.eigenvectors)
 
     def test_dense_and_sparse_agree(self, icosphere2):
-        dense = on_route("dense", icosphere2, 20)
-        sparse = on_route("sparse", icosphere2, 20)
+        with solver_route("dense"):
+            dense = small_problem(icosphere2, k=20)
+        with solver_route("sparse"):
+            sparse = small_problem(icosphere2, k=20)
         scale = dense.eigenvalues[-1]
         assert np.abs(dense.eigenvalues - sparse.eigenvalues).max() < 1e-9 * scale
 
@@ -88,8 +84,10 @@ class TestSolveEigen:
         # the icosphere's spectrum comes in exactly degenerate clusters (the
         # l = 5 band is indices 25-35); at ARPACK's default Krylov size the
         # sparse route must still return every member at the window edge
-        dense = on_route("dense", icosphere3, k)
-        sparse = on_route("sparse", icosphere3, k)
+        with solver_route("dense"):
+            dense = small_problem(icosphere3, k=k)
+        with solver_route("sparse"):
+            sparse = small_problem(icosphere3, k=k)
         assert sparse.method == "sparse"
         scale = dense.eigenvalues[-1]
         assert np.abs(dense.eigenvalues - sparse.eigenvalues).max() < 1e-9 * scale
@@ -125,7 +123,8 @@ class TestSolveEigen:
         # the sparse route solves in band order and puts the eigenvectors back in
         # vertex order; a wrong reordering moves the vectors and the area weights
         mesh = sg.make_synthetic("bumpy_sphere", 3, seed=seed)
-        dense = on_route("dense", mesh, 31)
+        with solver_route("dense"):
+            dense = small_problem(mesh, k=31)
         sparse = small_problem(mesh, k=31)
         assert mesh.m == 642 and sparse.method == "sparse"
         scale = dense.eigenvalues[-1]
@@ -269,9 +268,9 @@ class TestLengthUnit:
             for c in (1e-3, 1e3):
                 got = sg.solve_eigen(*scaled_problem(subdivisions, c), 31)
                 assert got.method == reference.method
-            scaled = got.eigenvalues * c**2
-            assert scaled[0] <= 1e-10 * reference.eigenvalues[-1]
-            np.testing.assert_allclose(scaled[1:], reference.eigenvalues[1:], rtol=1e-10, atol=0)
+                scaled = got.eigenvalues * c**2
+                assert scaled[0] <= 1e-10 * reference.eigenvalues[-1]
+                np.testing.assert_allclose(scaled[1:], reference.eigenvalues[1:], rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("route", ["dense", "sparse"])
     def test_one_pair_is_checked_against_lambda_2(self, route):
@@ -356,8 +355,9 @@ class TestWindow:
             return eigsh(*args, **kwargs)
 
         monkeypatch.setattr(eigen, "eigsh", counting_eigsh)
-        for k in (3, 35):
-            on_route("sparse", mesh, k)
+        with solver_route("sparse"):
+            for k in (3, 35):
+                small_problem(mesh, k=k)
         assert mesh.m == 42 and solved == [39, 41]
 
 
@@ -518,33 +518,27 @@ class TestSolvesAtOneThread:
         np.testing.assert_array_equal(sg.gsgw_for_mesh(bumpy2_file, cfg).values, chain.values)
 
 
-def solve_on(route, k):
-    """A call of solve_eigen on the given route, with the given k."""
-    def call(mesh, basis, w, a):
-        with solver_route(route):
-            return sg.solve_eigen(w, a, k)
-
-    return call
-
-
 @pytest.mark.parametrize(
-    "call",
+    "route, call",
     [
-        solve_on("sparse", 2.5),
-        solve_on("dense", 2.5),
-        solve_on("dense", True),
-        lambda mesh, basis, w, a: summarize(basis).truncate(2.0),
-        lambda mesh, basis, w, a: sg.signature_matrix(basis, 2.5),
-        lambda mesh, basis, w, a: sg.wavelet_scales(2.5, 1.0, 20.0),
-        lambda mesh, basis, w, a: sg.reconstruct_vertices(mesh, basis, 2.5),
-        lambda mesh, basis, w, a: sg.nmse_curve(mesh, basis, [2.5]),
+        ("sparse", lambda mesh, basis, w, a: sg.solve_eigen(w, a, 2.5)),
+        ("dense", lambda mesh, basis, w, a: sg.solve_eigen(w, a, 2.5)),
+        ("dense", lambda mesh, basis, w, a: sg.solve_eigen(w, a, True)),
+        (None, lambda mesh, basis, w, a: summarize(basis).truncate(2.0)),
+        (None, lambda mesh, basis, w, a: sg.signature_matrix(basis, 2.5)),
+        (None, lambda mesh, basis, w, a: sg.wavelet_scales(2.5, 1.0, 20.0)),
+        (None, lambda mesh, basis, w, a: sg.reconstruct_vertices(mesh, basis, 2.5)),
+        (None, lambda mesh, basis, w, a: sg.nmse_curve(mesh, basis, [2.5])),
     ],
     ids=[
         "solve-sparse-k", "solve-dense-k", "solve-bool-k", "summary-truncate",
         "signature-R", "scales-L", "reconstruct-k", "nmse-k",
     ],
 )
-def test_counts_that_are_not_integers_are_invalid(bumpy2, bumpy2_basis, call):
+def test_counts_that_are_not_integers_are_invalid(bumpy2, bumpy2_basis, route, call):
     stiffness, mass = sg.laplacian_matrices(bumpy2)
-    with pytest.raises(InvalidParam, match="must be an integer"):
+    # route: the eigensolver route of a solve_eigen call; None where nothing is solved
+    with nullcontext() if route is None else solver_route(route), pytest.raises(
+        InvalidParam, match="must be an integer"
+    ):
         call(bumpy2, bumpy2_basis, stiffness, mass)
