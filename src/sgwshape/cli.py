@@ -32,7 +32,7 @@ from .pipeline import (
     DatasetManifest,
     RunConfig,
     _csv_rows,
-    gsgw_for_mesh,
+    _gsgw_vectors,
     make_null_manifest,
     make_two_class_manifest,
     parameter_sweep,
@@ -256,9 +256,10 @@ def _cmd_gsgw(args) -> int:
     })
     p = signature_length(cfg.R)
     table = [["id", "label", *(f"v{i + 1}" for i in range(p))]]
+    vectors = _gsgw_vectors(args.meshes, cfg)
     table += [
-        [mesh_path, label, *(f"{x:.12g}" for x in gsgw_for_mesh(mesh_path, cfg).values.tolist())]
-        for mesh_path, label in zip(args.meshes, labels)
+        [mesh_path, label, *(f"{x:.12g}" for x in vector.values.tolist())]
+        for mesh_path, label, vector in zip(args.meshes, labels, vectors)
     ]
     _atomic_write_bytes(args.out, _csv_bytes(table))
     print(f"wrote {args.out} ({len(table) - 1} shapes, p={p})")

@@ -414,7 +414,7 @@ def _solve_misses(misses: list, cfg: RunConfig) -> list:
     # Forked inside the run's one-thread region, a worker inherits the count of 1
     # and the libraries found in /proc/self/maps, so it never sets a count: that
     # would re-create the OpenBLAS thread pools that fork shut down, and each new
-    # thread spins for about 65 ms before it sleeps. gc.freeze keeps the
+    # thread spins for about 120 ms before it sleeps. gc.freeze keeps the
     # worker's collections off the objects it inherits, so their pages are not
     # copied.
     pool = ProcessPoolExecutor(
@@ -463,16 +463,31 @@ def _summaries(paths, cfg: RunConfig, ks, diagnostics: RunDiagnostics) -> dict:
     return summaries
 
 
-def gsgw_for_mesh(path, cfg: RunConfig, diagnostics: RunDiagnostics | None = None) -> GsgwVector:
-    """Global descriptor of the mesh file at path under cfg, using the cache when set."""
+def _gsgw_vectors(paths, cfg: RunConfig, diagnostics: RunDiagnostics | None = None) -> list:
+    """Global descriptor of each mesh file of paths under cfg, in order.
+
+    One _summaries call in one _one_blas_thread region, so the misses of all
+    the paths share one worker pool; a path named twice is looked up and
+    solved once. Raises the first failure in the order of paths.
+    """
     diagnostics = RunDiagnostics() if diagnostics is None else diagnostics
     with _one_blas_thread():
-        summary = _summaries([path], cfg, [cfg.k], diagnostics)[path][cfg.k]
-    if isinstance(summary, SgwError):
-        raise summary
-    return descriptor_from_summary(
-        summary.truncate(cfg.k), cfg.R, area_factor=cfg.area_factor, normalize=cfg.normalize
-    )
+        summaries = _summaries(list(dict.fromkeys(paths)), cfg, [cfg.k], diagnostics)
+        vectors = []
+        for path in paths:
+            summary = summaries[path][cfg.k]
+            if isinstance(summary, SgwError):
+                raise summary
+            vectors.append(descriptor_from_summary(
+                summary.truncate(cfg.k), cfg.R, area_factor=cfg.area_factor,
+                normalize=cfg.normalize,
+            ))
+    return vectors
+
+
+def gsgw_for_mesh(path, cfg: RunConfig, diagnostics: RunDiagnostics | None = None) -> GsgwVector:
+    """Global descriptor of the mesh file at path under cfg, using the cache when set."""
+    return _gsgw_vectors([path], cfg, diagnostics)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import sgwshape as sg
 import sgwshape.pipeline as pipeline
 from conftest import make_unreadable, solver_route, write_two_tetrahedra
 from sgwshape import eigen, gsgw, stats
+from sgwshape.cli import main
 from sgwshape.errors import InvalidParam, ParseError, ValidationError
 from sgwshape.mesh_io import parse_mesh, read_mesh_bytes
 from sgwshape.pipeline import (
@@ -386,6 +387,24 @@ class TestDescriptorCache:
         assert warm.eigensolves == 0
         assert warm.eigen_cache_hits == 1
         np.testing.assert_array_equal(first.values, second.values)
+
+    def test_many_meshes_solve_once_each_and_raise_the_first_failure(self, tmp_path):
+        good, other = bumpy_file(tmp_path), bumpy_file(tmp_path, "other.off", seed=3)
+        cfg = sg.RunConfig(cache_dir=str(tmp_path / "cache"), **SMALL)
+        diag = RunDiagnostics()
+        vectors = pipeline._gsgw_vectors([good, other, good], cfg, diag)
+        assert (diag.eigensolves, diag.eigen_cache_hits) == (2, 0)
+        for path, vector in zip([good, other, good], vectors):
+            np.testing.assert_array_equal(vector.values, gsgw_for_mesh(path, cfg).values)
+
+        truncated = tmp_path / "truncated.off"
+        text = good.read_text()
+        truncated.write_text(text[: len(text) // 2])
+        missing = tmp_path / "missing.off"
+        with pytest.raises(ParseError, match="truncated.off"):
+            pipeline._gsgw_vectors([good, truncated, missing], cfg)
+        with pytest.raises(ParseError, match="missing.off: no such file"):
+            pipeline._gsgw_vectors([missing, truncated], cfg)
 
     def test_eigen_cache_serves_smaller_k(self, tmp_path):
         mesh = bumpy_file(tmp_path)
@@ -1142,6 +1161,33 @@ class TestWorkerPool:
             for workers in ("one", "pool"):
                 diagnostics = runs[workers, phase].diagnostics
                 assert (diagnostics.eigensolves, diagnostics.eigen_cache_hits) == (solves, hits)
+
+    def test_pooled_gsgw_writes_the_one_process_table(self, sparse_class, tmp_path,
+                                                       monkeypatch, capsys):
+        # every mesh of one gsgw command goes through one pool, and each is parsed there
+        meshes = [entry.path for entry in sparse_class.entries]
+        argv = ["gsgw", *meshes, meshes[0], "--k", "10", "--R", "3"]
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "_pool_size", lambda misses: 1)
+            assert main([*argv, "--cache-dir", str(tmp_path / "one-cache"),
+                         "--out", str(tmp_path / "one.csv")]) == 0
+        parent_pid = os.getpid()
+
+        def worker_parse(data, path):
+            _in_worker(parent_pid, path, "")
+            return parse_mesh(data, path)
+
+        monkeypatch.setattr(pipeline, "parse_mesh", worker_parse)
+        made = _pool_of_two(monkeypatch)
+        assert main([*argv, "--cache-dir", str(tmp_path / "pool-cache"),
+                     "--out", str(tmp_path / "pool.csv")]) == 0
+        capsys.readouterr()
+        assert len(made) == 1
+        assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+        assert len((tmp_path / "one.csv").read_text().splitlines()) == 1 + len(meshes) + 1
+        blobs = self.tree(tmp_path / "one-cache")
+        assert len(blobs) == len(meshes)
+        assert self.tree(tmp_path / "pool-cache") == blobs
 
     def test_errors_in_workers_carry_the_serial_text(self, tmp_path, monkeypatch):
         manifest_path = sg.make_two_class_manifest(tmp_path, n_per_group=3, subdivisions=1)

@@ -1,5 +1,7 @@
 """The one statistics entry: PCA basis, two-group MANOVA, and the permutation test."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -121,24 +123,68 @@ class TestWilksLambda:
 
 
 class TestGroupBasis:
-    """The PCA basis every comparison scores: one SVD of the centred descriptors."""
+    """The PCA basis every comparison scores: a QR, then one SVD, of the centred
+    descriptors."""
 
-    def test_svd_runs_at_one_blas_thread(self, monkeypatch):
+    def test_qr_and_svd_run_at_one_blas_thread(self, monkeypatch):
         controls = sg.eigen._openblas_thread_controls()
         if not controls:
             pytest.skip("no OpenBLAS thread control found")
         counts = []
-        real_svd = scipy.linalg.svd
 
-        def recording_svd(*args, **kwargs):
-            counts.append([get() for get, _ in controls])
-            return real_svd(*args, **kwargs)
+        def recording(name, call):
+            def record(*args, **kwargs):
+                counts.append((name, [get() for get, _ in controls]))
+                return call(*args, **kwargs)
+            return record
 
-        monkeypatch.setattr(sg.stats.linalg, "svd", recording_svd)
+        monkeypatch.setattr(sg.stats.linalg, "qr", recording("qr", scipy.linalg.qr))
+        monkeypatch.setattr(sg.stats.linalg, "svd", recording("svd", scipy.linalg.svd))
         before = [get() for get, _ in controls]
         sg.compare_groups(gaussian_two_groups(n_per=10, p=6, seed=1), 3, n_perm=10, seed=0)
-        assert counts == [[1] * len(controls)]
+        assert counts == [("qr", [1] * len(controls)), ("svd", [1] * len(controls))]
         assert [get() for get, _ in controls] == before
+
+    @staticmethod
+    def qr_first(monkeypatch, X, d):
+        """(_group_basis of X at d, the singular values its SVD returned)."""
+        values = []
+        svd = scipy.linalg.svd
+
+        def recording(*args, **kwargs):
+            result = svd(*args, **kwargs)
+            values.append(result[1])
+            return result
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sg.stats.linalg, "svd", recording)
+            basis = sg.stats._group_basis(X, d)
+        (s,) = values
+        return basis, s
+
+    @pytest.mark.parametrize("n, p", [(20, 495), (20, 20), (20, 2)])
+    def test_matches_the_full_svd(self, monkeypatch, n, p):
+        # the full SVD of the centred X, right vectors and all, is the reference
+        rng = np.random.default_rng(p)
+        X = rng.standard_normal((n, p)) * np.linspace(1.0, 0.05, p)
+        u, s, _ = scipy.linalg.svd(X - X.mean(axis=0), full_matrices=False)
+        for d in range(1, min(n - 1, p) + 1):
+            basis, got = self.qr_first(monkeypatch, X, d)
+            assert basis.shape == (n, d)
+            np.testing.assert_allclose(got, s, rtol=0, atol=1e-13 * s[0])
+            np.testing.assert_allclose(
+                basis @ basis.T, u[:, :d] @ u[:, :d].T, rtol=0, atol=1e-12
+            )
+
+    def test_rank_check_matches_the_full_svd(self):
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((20, 4)) @ rng.standard_normal((4, 495))  # rank 4 once centred
+        s = scipy.linalg.svd(X - X.mean(axis=0), compute_uv=False)
+        rank = int(np.count_nonzero(s > sg.stats._RANK_FLOOR * s[0]))
+        assert rank == 4
+        assert sg.stats._group_basis(X, rank).shape == (20, rank)
+        with pytest.raises(SingularScatter, match=f"numerical rank {rank} is below the dimension 5"):
+            sg.stats._group_basis(X, rank + 1)
 
     def test_shape_and_orthonormal_columns(self):
         data = gaussian_two_groups(n_per=10, p=6, seed=1)
@@ -324,6 +370,35 @@ class TestBatchedLambda:
             if not mask[0]:  # compare_groups tests the group of the first row
                 mask = ~mask
             assert lam == wilks(sg.DataMatrix(x, mask.tolist()), x.shape[1])
+
+    @staticmethod
+    def rowwise_lambdas(U, masks):
+        """Wilks' lambda laid out mask by mask, (B, n) weights and (B, d) delta: the
+        reference order of every product and sum."""
+        n_first = masks.sum(axis=1)
+        n_second = U.shape[0] - n_first
+        weights = np.where(masks, (1.0 / n_first)[:, None], (-1.0 / n_second)[:, None])
+        delta = sum(w[:, None] * u for w, u in zip(weights.T, U))
+        return 1.0 - (n_first * n_second / U.shape[0]) * sum(c * c for c in delta.T)
+
+    @pytest.mark.parametrize("batch", [1, 7, 1000])
+    @pytest.mark.parametrize("exhaustive", [False, True], ids=["sampled", "enumerated"])
+    def test_bitwise_the_rowwise_formulation(self, batch, exhaustive):
+        rng = np.random.default_rng(batch)
+        cases = 0
+        while cases < 30:
+            x, n = self.random_case(rng)
+            mask = self.random_masks(rng, n, 1)[0]
+            space = math.comb(n, int(mask.sum()))
+            if space < batch or (not exhaustive and space == batch):
+                continue
+            n_perm = space if exhaustive else batch
+            block = next(sg.stats._mask_blocks(mask, n_perm, int(rng.integers(100))))[:batch]
+            assert len(block) == batch and sg.stats._replicates(mask, n_perm)[1] == exhaustive
+            basis = sg.stats._group_basis(x, x.shape[1])
+            got = sg.stats._lambdas(basis, block)
+            assert got.tobytes() == self.rowwise_lambdas(basis, block).tobytes()
+            cases += 1
 
     def test_matches_determinant_ratio(self):
         rng = np.random.default_rng(31)
