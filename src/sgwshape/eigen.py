@@ -225,6 +225,12 @@ def _window(k: int) -> int:
     return 39 * -(-(k + _CLUSTER_BUFFER) // 39)
 
 
+def _largest_k(m: int, window: int | None = None) -> int:
+    """Largest k solve_eigen takes for m vertices (m dense, m - 1 sparse), or of a window."""
+    limit = m if m <= DENSE_CUTOFF else m - 1
+    return limit if window is None else min(window - _CLUSTER_BUFFER, limit)
+
+
 def _shift_invert(b, sigma: float) -> tuple[LinearOperator, np.ndarray]:
     """``x -> (B - sigma I)^{-1} x`` in band order, from one banded Cholesky factor.
 
@@ -295,7 +301,7 @@ def solve_eigen(stiffness, mass, k: int) -> EigenBasis:
         raise InvalidParam("mass matrix diagonal must be positive")
     k = _integer("k", k)
     method = "dense" if m <= DENSE_CUTOFF else "sparse"
-    limit = m if method == "dense" else m - 1
+    limit = _largest_k(m)
     if not 1 <= k <= limit:
         raise InvalidParam(f"k must be in [1, {limit}], got {k}")
 

@@ -131,7 +131,7 @@ class SpectralSummary:
         """Summary of the first k <= self.k pairs (self when k == self.k)."""
         k = _integer("k", k)
         if not 1 <= k <= self.k:
-            raise InvalidParam(f"cannot truncate a {self.k}-pair summary to k={k}")
+            raise InvalidParam(f"k must be in [1, {self.k}], got {k}")
         if k == self.k:
             return self
         return SpectralSummary(self.eigenvalues[:k], self.w_area[:k], self.total_area)

@@ -8,24 +8,24 @@ recorded in the report instead of aborting the run.
 
 A run first reduces each mesh file of its two-group strata to a spectral
 summary (eigenvalues, area weights and total area, see ``gsgw``), once per
-solve window among its ks (see ``eigen``), so every k of one window is
-served, bitwise, by a prefix of one solve. The run's process reads and
-hashes each such file once, looks it up in the cache once per window and
-serves the hits, keeping no mesh bytes; the misses are solved in forked
-worker processes (see _solve_misses), each from its file read anew. A run
-is one one-thread OpenBLAS region (see _compare_strata), so no report
-depends on the worker count (``taskset`` sets it). It then walks the strata
-once, in sorted order. Every descriptor follows in closed form from a
-summary, g = K w (see ``gsgw``): a stratum evaluates each shape's kernel
-bank once per k of the grid, at its largest R, and every (R, k) cell takes
-the product over a prefix of those rows. Summaries are cached under the
-SHA-256 of the mesh file's bytes plus lumping and window, one blob each (a
-head line that ends in the body's SHA-256, then 2K+1 float64 values),
-written atomically; a blob of K pairs serves any k <= K of its window (see
-_cached_summary for a miss). A rerun against a warm cache parses no mesh
-and performs no eigensolves, except for a mesh too small for a window's
-largest k. Its reports are byte-identical to a cold run's, whatever k the
-cache was filled at.
+solve window among its ks (see ``eigen``), at the largest k of the window
+that the mesh allows, so every k of one window is served, bitwise, by a
+prefix of one solve. The run's process reads and hashes each such file
+once, looks it up in the cache once per window and serves the hits,
+keeping no mesh bytes; the misses are solved in forked worker processes
+(see _solve_misses), each from its file read anew. A run is one one-thread
+OpenBLAS region (see _compare_strata), so no report depends on the worker
+count (``taskset`` sets it). It then walks the strata once, in sorted
+order. Every descriptor follows in closed form from a summary, g = K w
+(see ``gsgw``): a stratum evaluates each shape's kernel bank once per k of
+the grid, at its largest R, and every (R, k) cell takes the product over a
+prefix of those rows. Summaries are cached under the SHA-256 of the mesh
+file's bytes plus lumping and window, one blob each (a head line that ends
+in the body's SHA-256, then 2K+1 float64 values), written atomically and
+never replaced: it holds every pair its window serves (see _cached_summary
+for a miss). A rerun against a warm cache parses no mesh and performs no
+eigensolves, and its reports are byte-identical to a cold run's, whatever
+k of a window filled the cache.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from . import stats
-from .eigen import _one_blas_thread, _window, solve_eigen
+from .eigen import _largest_k, _one_blas_thread, _window, solve_eigen
 from .errors import (
     NUMERICAL_ERRORS,
     InvalidParam,
@@ -315,16 +315,23 @@ def _cache_entry(digest: str, cfg: RunConfig, window: int) -> tuple:
     of the mesh file whose bytes have the SHA-256 digest."""
     cache_path = Path(cfg.cache_dir) / f"spectrum-{digest}-{cfg.lumping}-{window}.sgwc"
     # a blob copied under another file's name has another head line
-    return cache_path, f"SGWSPEC3 {digest} {cfg.lumping} {window} ".encode()
+    return cache_path, f"SGWSPEC4 {digest} {cfg.lumping} {window} ".encode()
 
 
-def _cached_summary(cache_path: Path, head: bytes, k: int) -> SpectralSummary | None:
-    """The summary stored at cache_path under head with at least k pairs, or None on a miss.
+def _blob(head: bytes, summary: SpectralSummary) -> bytes:
+    """The blob that stores summary under head (the layout _cached_summary reads)."""
+    body = np.concatenate(([summary.total_area], summary.eigenvalues, summary.w_area))
+    body = body.astype("<f8").tobytes()
+    return head + hashlib.sha256(body).hexdigest().encode() + b"\n" + body
+
+
+def _cached_summary(cache_path: Path, head: bytes) -> SpectralSummary | None:
+    """The summary stored at cache_path under head, or None on a miss.
 
     A blob is a line, head then the body's SHA-256 (hex), then the body:
     little-endian float64 values, the total area, K eigenvalues and K area
     weights. It is a hit only when that line is exact, the body holds 2K+1
-    floats with K >= k, and they are values a solve could have written: all
+    floats with K >= 1, and they are values a solve could have written: all
     finite, a total area > 0, eigenvalues that start at >= 0 and do not
     descend, and weights >= 0 (a check of input from outside the program).
     """
@@ -335,7 +342,7 @@ def _cached_summary(cache_path: Path, head: bytes, k: int) -> SpectralSummary | 
     line, _, body = blob.partition(b"\n")
     n_floats, ragged = divmod(len(body), 8)
     if not (
-        not ragged and n_floats % 2 and n_floats >= 2 * k + 1
+        not ragged and n_floats % 2 and n_floats > 1
         and line == head + hashlib.sha256(body).hexdigest().encode()
     ):
         return None
@@ -353,40 +360,27 @@ def _cached_summary(cache_path: Path, head: bytes, k: int) -> SpectralSummary | 
     return SpectralSummary(eigenvalues, w_area, float(total_area))
 
 
-def _solve(path, cfg: RunConfig, ks) -> dict:
-    """k -> summary or SgwError, for each k of ks, of the mesh file at path.
+def _solve(path, cfg: RunConfig, window: int) -> SpectralSummary | SgwError:
+    """A solve window's summary of the mesh file at path, or the SgwError that stopped it.
 
-    One task of a run's solves, in a worker process or in this one, for the
-    ks of one window. The mesh is solved once, at the largest k of ks that
-    solve_eigen accepts for it: every k up to that one maps to that summary,
-    and each larger k to the InvalidParam that solve_eigen raised for it. A
-    failure of any other kind maps every k that was not refused to it. It
-    looks nothing up (see _summaries), and its caller holds a
-    _one_blas_thread region. It hashes the very bytes it parses, so the blob
-    it writes when cfg.cache_dir is set carries their key.
+    One task of a run's solves, in a worker process or in this one. The mesh
+    is solved once, at the largest k of the window that solve_eigen takes
+    for it (see eigen._largest_k), so the one summary serves every k of the
+    window, and its truncate refuses a k past the mesh. It looks nothing up
+    (see _summaries), and its caller holds a _one_blas_thread region. It
+    hashes the very bytes it parses, so the blob it writes when
+    cfg.cache_dir is set carries their key.
     """
-    refused = {}
     try:
         data = read_mesh_bytes(path)
         stiffness, mass = laplacian_matrices(parse_mesh(data, path), lumping=cfg.lumping)
-        for k in sorted(ks, reverse=True):
-            try:
-                basis = solve_eigen(stiffness, mass, k)
-                break
-            except InvalidParam as exc:
-                refused[k] = exc
-        else:
-            return refused
-        summary = summarize(basis)
+        summary = summarize(solve_eigen(stiffness, mass, _largest_k(stiffness.shape[0], window)))
     except SgwError as exc:
-        return {**dict.fromkeys(ks, exc), **refused}
+        return exc
     if cfg.cache_dir is not None:
-        cache_path, head = _cache_entry(hashlib.sha256(data).hexdigest(), cfg, _window(max(ks)))
-        body = np.concatenate(([summary.total_area], summary.eigenvalues, summary.w_area))
-        body = body.astype("<f8").tobytes()
-        head += hashlib.sha256(body).hexdigest().encode() + b"\n"
-        _atomic_write_bytes(cache_path, head + body)
-    return {**dict.fromkeys(ks, summary), **refused}
+        cache_path, head = _cache_entry(hashlib.sha256(data).hexdigest(), cfg, window)
+        _atomic_write_bytes(cache_path, _blob(head, summary))
+    return summary
 
 
 def _pool_size(misses: int) -> int:
@@ -400,7 +394,7 @@ def _pool_size(misses: int) -> int:
 
 
 def _solve_misses(misses: list, cfg: RunConfig) -> list:
-    """_solve of each (path, ks) of misses, in order.
+    """_solve of each (path, window) of misses, in order.
 
     With _pool_size of 2 or more they run in that many forked worker
     processes, else one after another in this one. A worker that dies ends
@@ -410,7 +404,7 @@ def _solve_misses(misses: list, cfg: RunConfig) -> list:
     """
     workers = _pool_size(len(misses))
     if workers < 2:
-        return [_solve(path, cfg, ks) for path, ks in misses]
+        return [_solve(path, cfg, window) for path, window in misses]
     # Forked inside the run's one-thread region, a worker inherits the count of 1
     # and the libraries found in /proc/self/maps, so it never sets a count: that
     # would re-create the OpenBLAS thread pools that fork shut down, and each new
@@ -420,46 +414,43 @@ def _solve_misses(misses: list, cfg: RunConfig) -> list:
     pool = ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"), initializer=gc.freeze
     )
-    paths, kss = zip(*misses)
+    paths, windows = zip(*misses)
     try:
-        return list(pool.map(_solve, paths, itertools.repeat(cfg), kss))
+        return list(pool.map(_solve, paths, itertools.repeat(cfg), windows))
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _summaries(paths, cfg: RunConfig, ks, diagnostics: RunDiagnostics) -> dict:
-    """path -> {k: SpectralSummary or SgwError} for each of paths and each k of ks.
+def _summaries(paths, cfg: RunConfig, windows, diagnostics: RunDiagnostics) -> dict:
+    """path -> {window: SpectralSummary or SgwError} for each of paths and windows.
 
     The one place a file is looked up in cfg's cache: this process reads and
-    hashes each distinct path once, looks it up once per window of ks, at the
-    window's largest k, and serves the hits. _solve_misses then solves each
-    missed (path, window) once (see _solve for a k too large for a mesh); two
-    files with the same bytes are two misses, each writing one blob atomically.
+    hashes each distinct path once, looks it up once per window, and serves
+    the hits. _solve_misses then solves each missed (path, window) once (see
+    _solve); two files with the same bytes are two misses, each writing one
+    blob atomically.
     """
-    windows: dict = {}  # window -> its ks, ascending
-    for k in sorted(ks):
-        windows.setdefault(_window(k), []).append(k)
     summaries, misses = {}, []
     for path in paths:
         summaries[path] = {}
         if cfg.cache_dir is None:
-            misses += [(path, window_ks) for window_ks in windows.values()]
+            misses += [(path, window) for window in windows]
             continue
         try:
             digest = hashlib.sha256(read_mesh_bytes(path)).hexdigest()
         except SgwError as exc:
-            summaries[path] = dict.fromkeys(ks, exc)
+            summaries[path] = dict.fromkeys(windows, exc)
             continue
-        for window, window_ks in windows.items():
-            summary = _cached_summary(*_cache_entry(digest, cfg, window), window_ks[-1])
+        for window in windows:
+            summary = _cached_summary(*_cache_entry(digest, cfg, window))
             if summary is None:
-                misses.append((path, window_ks))
+                misses.append((path, window))
             else:
                 diagnostics.eigen_cache_hits += 1
-                summaries[path].update(dict.fromkeys(window_ks, summary))
-    for (path, _), outcome in zip(misses, _solve_misses(misses, cfg)):
-        diagnostics.eigensolves += any(isinstance(s, SpectralSummary) for s in outcome.values())
-        summaries[path].update(outcome)
+                summaries[path][window] = summary
+    for (path, window), outcome in zip(misses, _solve_misses(misses, cfg)):
+        diagnostics.eigensolves += isinstance(outcome, SpectralSummary)
+        summaries[path][window] = outcome
     return summaries
 
 
@@ -471,11 +462,12 @@ def _gsgw_vectors(paths, cfg: RunConfig, diagnostics: RunDiagnostics | None = No
     solved once. Raises the first failure in the order of paths.
     """
     diagnostics = RunDiagnostics() if diagnostics is None else diagnostics
+    window = _window(cfg.k)
     with _one_blas_thread():
-        summaries = _summaries(list(dict.fromkeys(paths)), cfg, [cfg.k], diagnostics)
+        summaries = _summaries(list(dict.fromkeys(paths)), cfg, [window], diagnostics)
         vectors = []
         for path in paths:
-            summary = summaries[path][cfg.k]
+            summary = summaries[path][window]
             if isinstance(summary, SgwError):
                 raise summary
             vectors.append(descriptor_from_summary(
@@ -514,10 +506,11 @@ def _cell_matrices(entries, summaries: dict, grid: list, base: dict) -> list:
     evaluated once per distinct k of the grid, at its largest R; each cell's
     row is the product over the first p(R) of them (see gsgw), written into
     the cell's (n, p) matrix, and the rows are dropped before the next shape.
-    A shape's failure at a k, stored or raised here, fails that k's cells
-    and names its subject and stage: [load] for a stored ParseError or
-    ValidationError, else [descriptor]. The first in manifest order wins; a
-    matrix that stats rejects fails as a whole.
+    A shape's failure at a k, stored for its window or raised here (such as
+    a k past its pairs), fails that k's cells and names its subject and
+    stage: [load] for a stored ParseError or ValidationError, else
+    [descriptor]. The first in manifest order wins; a matrix that stats
+    rejects fails as a whole.
     """
     cfg = grid[0]
     R_max = max(cell_cfg.R for cell_cfg in grid)
@@ -530,7 +523,7 @@ def _cell_matrices(entries, summaries: dict, grid: list, base: dict) -> list:
             live = [i for i in cells if not isinstance(outcomes[i], StratumResult)]
             if not live:
                 continue
-            summary = summaries[entry.path][k]
+            summary = summaries[entry.path][_window(k)]
             if isinstance(summary, SgwError):
                 stage = "load" if isinstance(summary, (ParseError, ValidationError)) else "descriptor"
                 failed = _failure(base, f"{entry.subject} [{stage}]: {summary}", summary)
@@ -538,7 +531,8 @@ def _cell_matrices(entries, summaries: dict, grid: list, base: dict) -> list:
                     outcomes[i] = failed
                 continue
             try:
-                rows = _kernel_rows(summary.eigenvalues[:k], R_max)
+                summary = summary.truncate(k)
+                rows = _kernel_rows(summary.eigenvalues, R_max)
             except SgwError as exc:
                 for i in live:
                     outcomes[i] = _failure(base, f"{entry.subject} [descriptor]: {exc}", exc)
@@ -569,10 +563,10 @@ def _compare_strata(manifest: DatasetManifest, grid: list):
     Before any stratum is compared, each mesh file of a stratum with two
     groups is summarised once per solve window of the grid's ks, at the
     largest k of the window that it allows (see _summaries and _solve), with
-    an SgwError kept in the place of a summary, per k. Each such stratum then
-    compares every cell's descriptor matrix (the cells differ only in R and
-    k) in one stats.compare_cells call, so its permutation masks are drawn
-    once for the whole grid. A failure stays on its own cell and stratum.
+    an SgwError kept in the place of a summary, per window. Each such
+    stratum then compares every cell's descriptor matrix (the cells differ
+    only in R and k) in one stats.compare_cells call, so its permutation
+    masks are drawn once for the whole grid. A failure stays on its own cell and stratum.
 
     The whole walk is one _one_blas_thread region: the cache lookups, the
     worker pool, the descriptor matrices and the stats. Each OpenBLAS is set
@@ -593,8 +587,8 @@ def _compare_strata(manifest: DatasetManifest, grid: list):
             for entries, groups in strata.values() if len(groups) == 2
             for entry in entries
         )
-        ks = list(dict.fromkeys(cell_cfg.k for cell_cfg in grid))
-        summaries = _summaries(paths, cfg, ks, diagnostics)
+        windows = sorted({_window(cell_cfg.k) for cell_cfg in grid})
+        summaries = _summaries(paths, cfg, windows, diagnostics)
         columns = []  # per stratum, one StratumResult per cell
         for (bone, side), (entries, groups) in strata.items():
             base = {
@@ -660,12 +654,11 @@ def parameter_sweep(manifest: DatasetManifest, cfg: RunConfig, Rs, ks) -> SweepR
 
     Every mesh is read, eigensolved (or served from the cache) and
     summarised once per solve window of the grid's ks (see eigen), at the
-    largest k of that window; each grid cell then takes its descriptors from
-    a prefix of those summaries in memory, bitwise those of a one-cell run,
-    and each stratum draws its permutation masks once for every cell. A mesh
-    too small for some k of a window is solved at the largest k of the window
-    that it allows, and only the cells of the larger ks fail, each with the
-    error that run_group_comparison gives at that k.
+    largest k of that window that it allows; each grid cell then takes its
+    descriptors from a prefix of those summaries in memory, bitwise those of
+    a one-cell run, and each stratum draws its permutation masks once for
+    every cell. Only the cells of a k past a mesh fail, each with the error
+    that run_group_comparison gives at that k.
     """
     Rs = [_integer("R", r) for r in Rs]
     ks = [_integer("k", k) for k in ks]

@@ -282,9 +282,7 @@ def compare_cells(datas, pca_dims: int, n_perm: int, seed: int) -> list:
         try:
             pca_dims = _pca_dims(data, pca_dims)
             lam, manova_p, basis = _manova(data, pca_dims)
-            n_perm = _integer("n_perm", n_perm)
-            if n_perm < 1:
-                raise InvalidParam(f"need n_perm >= 1, got {n_perm}")
+            n_perm = _integer("n_perm", n_perm, 1)
             seed = _integer("seed", seed, 0)
             setups.append((lam, manova_p, (basis, lam)))
         except SgwError as exc:

@@ -88,6 +88,7 @@ MALFORMED_BLOBS = {
     "trailing-byte": lambda head, body: head + b"\n" + body + b"\0",
     "empty-file": lambda head, body: b"",
     "head-line-only": lambda head, body: head + b"\n",
+    "total-area-only": lambda head, body: _signed(head, body[:8]),
     # an edited body under the head line of the one it replaced
     "one-weight-bit-flipped": lambda head, body: head + b"\n" + _with_low_bit_flipped(body, -1),
     "nan-total-area": lambda head, body: head + b"\n" + _with_value(body, 0, np.nan),
@@ -417,14 +418,18 @@ class TestDescriptorCache:
         assert diag.eigensolves == 0
         assert diag.eigen_cache_hits == 1
 
-    def test_larger_k_is_a_miss(self, tmp_path):
+    def test_every_k_of_a_window_is_served_by_one_blob(self, tmp_path):
+        # the first solve of window 39 stores its 31 pairs, so a larger k of the
+        # window is served as well as a smaller one
         mesh = bumpy_file(tmp_path)
         cfg = sg.RunConfig(cache_dir=str(tmp_path / "cache"), **SMALL)
-        gsgw_for_mesh(mesh, cfg, RunDiagnostics())
-
-        diag = RunDiagnostics()
-        gsgw_for_mesh(mesh, replace(cfg, k=12), diag)
-        assert diag.eigensolves == 1
+        for k, solves in ((10, 1), (31, 0), (2, 0)):
+            diag = RunDiagnostics()
+            got = gsgw_for_mesh(mesh, replace(cfg, k=k), diag)
+            assert (diag.eigensolves, diag.eigen_cache_hits) == (solves, 1 - solves)
+            uncached = gsgw_for_mesh(mesh, replace(cfg, k=k, cache_dir=None))
+            np.testing.assert_array_equal(got.values, uncached.values)
+        assert len(list((tmp_path / "cache").iterdir())) == 1
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_BLOBS))
     def test_malformed_blob_is_a_miss(self, tmp_path, case):
@@ -448,8 +453,9 @@ class TestDescriptorCache:
 
         (blob,) = cache.glob("*.sgwc")
         values = np.frombuffer(blob.read_bytes().split(b"\n", 1)[1], dtype="<f8")
+        stored_k = len(values) // 2
         _set_blob_value(blob, 3, values[2])
-        _set_blob_value(blob, cfg.k + 3, 0.0)
+        _set_blob_value(blob, stored_k + 3, 0.0)
         diag = RunDiagnostics()
         gsgw_for_mesh(mesh, cfg, diag)
         assert diag.eigensolves == 0 and diag.eigen_cache_hits == 1
@@ -466,15 +472,16 @@ class TestDescriptorCache:
         assert names == [f"spectrum-{digest}-{cfg.lumping}-39.sgwc"]
         head, body = (cache / names[0]).read_bytes().split(b"\n", 1)
         body_digest = hashlib.sha256(body).hexdigest()
-        assert head == f"SGWSPEC3 {digest} {cfg.lumping} 39 {body_digest}".encode()
-        assert len(body) == 8 * (2 * cfg.k + 1)
+        assert head == f"SGWSPEC4 {digest} {cfg.lumping} 39 {body_digest}".encode()
+        # the blob holds every pair of its window, 39 less the buffer, at any k of it
+        assert len(body) == 8 * (2 * 31 + 1)
         areas = sg.laplacian_matrices(sg.load_mesh(mesh), lumping=cfg.lumping)[1].diagonal()
         assert np.frombuffer(body, dtype="<f8")[0] == areas.sum()
 
     def test_window_is_part_of_the_key(self, tmp_path):
-        # a blob of 40 pairs (window 78) holds the 10 that k = 10 asks for, but
-        # the sparse route solves k = 10 in window 39, whose pairs differ in the
-        # last bits
+        # a blob of 42 pairs (window 78, all that m = 42 allows) holds the 10 that
+        # k = 10 asks for, but the sparse route solves k = 10 in window 39, whose
+        # pairs differ in the last bits
         mesh = bumpy_file(tmp_path)
         cache = tmp_path / "cache"
         wide = sg.RunConfig(cache_dir=str(cache), **{**SMALL, "k": 40})
@@ -503,9 +510,9 @@ class TestDescriptorCache:
         looked_up = []
         cached_summary = pipeline._cached_summary
 
-        def recording_lookup(cache_path, head, k):
+        def recording_lookup(cache_path, head):
             looked_up.append(cache_path.name)
-            return cached_summary(cache_path, head, k)
+            return cached_summary(cache_path, head)
 
         monkeypatch.setattr(pipeline, "_cached_summary", recording_lookup)
         for solves, hits in ((1, 0), (0, 1)):
@@ -514,6 +521,28 @@ class TestDescriptorCache:
             assert (diag.eigensolves, diag.eigen_cache_hits) == (solves, hits)
         assert earlier.name not in looked_up
         assert len(list(cache.iterdir())) == 2
+
+    def test_earlier_format_blob_under_the_same_name_is_overwritten(self, tmp_path):
+        # an SGWSPEC3 blob was written at the k that asked for it, so its 11
+        # pairs would read as a mesh that takes no more than 11
+        mesh = bumpy_file(tmp_path)
+        cache = tmp_path / "cache"
+        cfg = sg.RunConfig(cache_dir=str(cache), **{**SMALL, "k": 31})
+        digest = hashlib.sha256(mesh.read_bytes()).hexdigest()
+        stiffness, mass = sg.laplacian_matrices(sg.load_mesh(mesh), lumping=cfg.lumping)
+        summary = gsgw.summarize(sg.solve_eigen(stiffness, mass, 11))
+        head = f"SGWSPEC3 {digest} {cfg.lumping} 39 ".encode()
+        earlier = cache / f"spectrum-{digest}-{cfg.lumping}-39.sgwc"
+        cache.mkdir()
+        earlier.write_bytes(pipeline._blob(head, summary))
+
+        diag = RunDiagnostics()
+        got = gsgw_for_mesh(mesh, cfg, diag)
+        assert (diag.eigensolves, diag.eigen_cache_hits) == (1, 0)
+        assert earlier.read_bytes().startswith(f"SGWSPEC4 {digest} ".encode())
+        assert [p.name for p in cache.iterdir()] == [earlier.name]
+        uncached = gsgw_for_mesh(mesh, replace(cfg, cache_dir=None))
+        np.testing.assert_array_equal(got.values, uncached.values)
 
     def test_rewritten_file_is_a_miss(self, tmp_path):
         mesh = bumpy_file(tmp_path)
@@ -997,9 +1026,9 @@ class TestWalkOverStrata:
             read.append(Path(path).name)
             return read_mesh_bytes(path)
 
-        def counting_solve(path, cfg, ks):
-            summarised.append((Path(path).name, max(ks)))
-            return solve(path, cfg, ks)
+        def counting_solve(path, cfg, window):
+            summarised.append((Path(path).name, window))
+            return solve(path, cfg, window)
 
         monkeypatch.setattr(pipeline, "read_mesh_bytes", counting_read)
         monkeypatch.setattr(pipeline, "_solve", counting_solve)
@@ -1014,8 +1043,8 @@ class TestWalkOverStrata:
             per_cell = [[cell.stratum for cell in run.cells[i : i + 3]] for i in range(0, 12, 3)]
             assert len(run.cells) == 12
 
-        solve_k = 10 if command == "compare" else 9
-        assert summarised == [(name, solve_k) for name in self.SOLVED]
+        # every k of both commands falls in the first window, 39 pairs
+        assert summarised == [(name, 39) for name in self.SOLVED]
         assert read == self.SOLVED  # the one-group stratum's files are never read
         assert run.diagnostics.eigensolves == 5  # the distinct good files
         cut = tmp_path / "cut.off"
@@ -1047,9 +1076,9 @@ class TestWalkOverStrata:
         lookups = []
         cached_summary = pipeline._cached_summary
 
-        def counting_lookup(cache_path, head, k):
+        def counting_lookup(cache_path, head):
             lookups.append(cache_path.name)
-            return cached_summary(cache_path, head, k)
+            return cached_summary(cache_path, head)
 
         monkeypatch.setattr(pipeline, "_cached_summary", counting_lookup)
         # the spy records in this process, so the run's meshes are solved here too
@@ -1456,15 +1485,15 @@ class TestParameterSweep:
     def test_k_past_the_meshes_fails_only_its_cells(self, two_class, tmp_path, route):
         # the meshes have m = 42: the dense route takes k <= 42, the sparse one k < 42.
         # The grid spans two windows, 39 (k = 10) and 78 (k = 42 and 50). Each mesh
-        # is solved once per window, at the largest k of it that the mesh takes:
-        # twice on the dense route, and once on the sparse one, which takes no k of
-        # window 78. A cell of a larger k carries the error compare gives at that k
+        # is solved once per window, at the largest k of it that the mesh takes (31,
+        # then 42 dense or 41 sparse): twice on either route. A cell of a larger k
+        # carries the error compare gives at that k
         cfg = sg.RunConfig(**{**SMALL, "cache_dir": str(tmp_path / "cache")})
         limit = 41 if route == "sparse" else 42
         with solver_route(route):
             sweep = self.assert_sweep_equals_cells(two_class, cfg, Rs=[2, 3], ks=[10, 42, 50])
             warm = sg.parameter_sweep(two_class, cfg, Rs=[2, 3], ks=[10, 42, 50])
-        assert sweep.diagnostics.eigensolves == (6 if route == "sparse" else 12)
+        assert sweep.diagnostics.eigensolves == 12
         for cell in sweep.cells:
             if cell.k <= limit:
                 assert cell.stratum.error is None
@@ -1474,6 +1503,28 @@ class TestParameterSweep:
                     f"s000 [descriptor]: k must be in [1, {limit}], got {cell.k}"
                 )
         assert warm.cells == sweep.cells
+
+    def test_warm_sweep_past_a_mesh_parses_nothing(self, two_class, tmp_path, monkeypatch):
+        # k = 50 is past every m = 42 mesh; its window's blob holds the 42 pairs
+        # each mesh takes, so a warm rerun is served from the cache alone
+        parsed = []
+        # the spy records in this process, so the cold run's meshes are parsed here too
+        monkeypatch.setattr(pipeline, "_pool_size", lambda misses: 1)
+
+        def counting_parse(data, path):
+            parsed.append(path)
+            return parse_mesh(data, path)
+
+        monkeypatch.setattr(pipeline, "parse_mesh", counting_parse)
+        cfg = sg.RunConfig(cache_dir=str(tmp_path / "cache"), **SMALL)
+        cold = sg.parameter_sweep(two_class, cfg, Rs=[2], ks=[10, 50])
+        assert len(parsed) == cold.diagnostics.eigensolves == 12
+        parsed.clear()
+        warm = sg.parameter_sweep(two_class, cfg, Rs=[2], ks=[10, 50])
+        assert parsed == []
+        assert (warm.diagnostics.eigensolves, warm.diagnostics.eigen_cache_hits) == (0, 12)
+        assert warm.cells == cold.cells
+        assert cold.cells[1].stratum.error == "s000 [descriptor]: k must be in [1, 42], got 50"
 
     @staticmethod
     def assert_sweep_equals_cells(manifest, cfg, Rs, ks):
@@ -1533,16 +1584,17 @@ class TestParameterSweep:
         # the first failure in manifest order on the k = 10 cells
         summaries = pipeline._summaries
 
-        def doctored(paths, cfg, ks, diagnostics):
-            found = summaries(paths, cfg, ks, diagnostics)
+        def doctored(paths, cfg, windows, diagnostics):
+            found = summaries(paths, cfg, windows, diagnostics)
             for path, outcome in found.items():
-                summary = outcome[max(ks)]
+                (summary,) = outcome.values()
                 if Path(path).name == "sphere_001.off":
                     eigenvalues = summary.eigenvalues.copy()
                     eigenvalues[:8] = 0.0
-                    found[path] = dict.fromkeys(ks, replace(summary, eigenvalues=eigenvalues))
+                    found[path] = dict.fromkeys(windows, replace(summary, eigenvalues=eigenvalues))
                 elif Path(path).name == "ellipsoid_000.off":
-                    found[path] = dict.fromkeys(ks, replace(summary, w_area=np.full(summary.k, 1.5e308)))
+                    w_area = np.full(summary.k, 1.5e308)
+                    found[path] = dict.fromkeys(windows, replace(summary, w_area=w_area))
             return found
 
         monkeypatch.setattr(pipeline, "_summaries", doctored)

@@ -56,10 +56,13 @@ BAD_COUNTS = [
     (2.5, 99, 0, "pca dimension must be an integer, got 2.5"),
     (True, 99, 0, "pca dimension must be an integer, got True"),
     (2, True, 0, "n_perm must be an integer, got True"),
+    (2, 0, 0, "n_perm must be >= 1, got 0"),
     (2, 99, 0.5, "seed must be an integer, got 0.5"),
     (2, 99, -1, "seed must be >= 0, got -1"),
 ]
-BAD_COUNT_IDS = ["float-pca-dims", "bool-pca-dims", "bool-n-perm", "float-seed", "negative-seed"]
+BAD_COUNT_IDS = [
+    "float-pca-dims", "bool-pca-dims", "bool-n-perm", "zero-n-perm", "float-seed", "negative-seed",
+]
 
 
 def wilks(data, d):
@@ -544,7 +547,7 @@ class TestCompareCells:
             (5, 3, GroupCountError, "exactly 2 groups"),
             (5, 2, SingularScatter, "exceeds within-group degrees of freedom 4"),
             (3, 2, SingularScatter, "numerical rank 2 is below the dimension 3"),
-            (2, 2, InvalidParam, "n_perm >= 1"),
+            (2, 2, InvalidParam, "n_perm must be >= 1, got 0"),
         ],
     )
     def test_setup_error_order(self, d, groups, error, match):
