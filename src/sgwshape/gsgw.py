@@ -10,15 +10,20 @@ vertices gives the closed form g = K w with w_l = sum_j a_j^3 phi_l(j)^2,
 so the descriptor never needs the p x m signature matrix: a per-mesh
 ``SpectralSummary`` of k eigenvalues and k weights is enough.
 
-``_descriptor_into`` is the one place that computes g = K w. The public
+Levels share scale fractions, so K has only 272 distinct rows at R = 30
+for its p = 495 (see ``sgws``): with K_d those rows and index the map from
+the p entries to them, g = (K_d w)[index], one dot product per distinct row.
+
+``_descriptor_into`` is the one place that computes it. The public
 ``descriptor_from_summary`` calls it for one shape; a batch run of
 ``pipeline`` calls it for every (R, k) cell of a stratum, writing each row
-of the cell's descriptor matrix in place. The kernel rows of level L do not
-depend on R (see ``sgws``), so the run evaluates each shape's bank once per
-k, at the grid's largest R, and each cell's row is the product over the
-first p(R) of those rows. Slicing the rows, not the product, keeps every
-entry bitwise equal to ``descriptor_from_summary`` at R: OpenBLAS blocks
-the matrix-vector product by its row count.
+of the cell's descriptor matrix in place. The distinct rows at R are the
+first ones at any larger R (see ``sgws``), so the run evaluates each
+shape's bank once per k, at the grid's largest R, and each cell's row
+takes the product over the first rows of that bank, those of its own R.
+Slicing the rows, not the product, keeps every entry bitwise equal to
+``descriptor_from_summary`` at R: OpenBLAS blocks the matrix-vector product
+by its row count.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from scipy.linalg.blas import dgemv
 
 from .eigen import EigenBasis
 from .errors import DimensionMismatch, InvalidParam, _integer
-from .sgws import SignatureMatrix, _kernel_rows, signature_length
+from .sgws import SignatureMatrix, _distinct_kernel_rows, _level_layout, signature_length
 
 __all__ = [
     "GsgwVector",
@@ -150,32 +155,37 @@ def summarize(basis: EigenBasis) -> SpectralSummary:
 
 
 def _descriptor_into(
-    g: np.ndarray, rows: np.ndarray, summary: SpectralSummary, area_factor: bool, normalize: bool
+    g: np.ndarray, rows: np.ndarray, R: int, summary: SpectralSummary, area_factor: bool,
+    normalize: bool,
 ) -> None:
-    """Write g = K w into the contiguous (p,) float64 array g.
+    """Write g = (K_d w)[index] at resolution R into the (p,) float64 array g.
 
-    K is ``rows``, the (p, k) kernel rows of the summary's first k pairs.
-    With ``area_factor`` the weights are the first k of w_area; without it
-    they are ones, the diagonal of Phi^T A Phi = I, so that descriptor is a
-    function of the eigenvalues alone. ``normalize`` divides by the total
-    area squared: under the area factor g goes as length^4, so this removes
-    surface size, but not the dependence on tessellation density. Raises
-    InvalidParam when an entry is not finite.
+    ``rows`` are the distinct kernel rows of the summary's first k pairs at R
+    or at a larger R (see ``sgws._level_layout``); the product runs over the
+    first ones, those of R alone. With ``area_factor`` the weights are the
+    first k of w_area; without it they are ones, the diagonal of
+    Phi^T A Phi = I, so that descriptor is a function of the eigenvalues
+    alone. ``normalize`` divides by the total area squared: under the area
+    factor g goes as length^4, so this removes surface size, but not the
+    dependence on tessellation density. Raises InvalidParam when an entry is
+    not finite.
     """
+    a, _, index = _level_layout(R)
     k = rows.shape[1]
     weights = summary.w_area[:k] if area_factor else np.ones(k)
     # scipy's BLAS, not numpy's (see summarize); the transposed view of C-ordered
     # rows is Fortran-ordered, so nothing is copied, and each entry is one dot product
-    dgemv(1.0, rows.T, weights, y=g, trans=1, overwrite_y=1)
+    distinct = dgemv(1.0, rows[: a.shape[0] + 1].T, weights, trans=1)
     if normalize:
-        g /= summary.total_area**2
-    _require_finite(g)
+        distinct /= summary.total_area**2
+    _require_finite(distinct)
+    np.take(distinct, index, out=g)
 
 
 def descriptor_from_summary(
     summary: SpectralSummary, R: int, area_factor: bool = True, normalize: bool = False
 ) -> GsgwVector:
-    """Closed-form g = K w; equals ``aggregate(signature_matrix(...))``.
+    """Closed-form g = (K_d w)[index]; equals ``aggregate(signature_matrix(...))``.
 
     The summary's eigenvalues set the kernel rows at resolution R; the
     weights and ``normalize`` are those of ``_descriptor_into``. Without the
@@ -183,7 +193,8 @@ def descriptor_from_summary(
     """
     if normalize and not area_factor:
         raise InvalidParam("normalize needs the area factor")
-    rows = _kernel_rows(summary.eigenvalues, R)
-    g = np.zeros(rows.shape[0])
-    _descriptor_into(g, rows, summary, area_factor, normalize)
+    g = np.empty(signature_length(R))
+    _descriptor_into(
+        g, _distinct_kernel_rows(summary.eigenvalues, R), R, summary, area_factor, normalize
+    )
     return GsgwVector(g, R=R)

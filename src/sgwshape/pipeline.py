@@ -59,7 +59,7 @@ from .gsgw import GsgwVector, SpectralSummary, _descriptor_into, descriptor_from
 from .laplacian import LUMPING_SCHEMES, laplacian_matrices
 from .mesh_io import _synthetic_settings, make_synthetic, parse_mesh, read_mesh_bytes, write_mesh
 from .outputs import _atomic_write_bytes, _csv_bytes, _nearest_existing
-from .sgws import _kernel_rows, signature_length
+from .sgws import _distinct_kernel_rows, signature_length
 
 __all__ = [
     "ManifestEntry",
@@ -502,10 +502,11 @@ def _cell_matrices(entries, summaries: dict, grid: list, base: dict) -> list:
     """Per cell config of grid, the stratum's descriptor matrix, or the StratumResult
     of that cell's first failure.
 
-    One walk over the entries, in manifest order. A shape's kernel rows are
-    evaluated once per distinct k of the grid, at its largest R; each cell's
-    row is the product over the first p(R) of them (see gsgw), written into
-    the cell's (n, p) matrix, and the rows are dropped before the next shape.
+    One walk over the entries, in manifest order. A shape's distinct kernel
+    rows are evaluated once per distinct k of the grid, at its largest R;
+    each cell's row is the product over the first of them, those of its own
+    R, spread over its p entries (see gsgw), written into the cell's (n, p)
+    matrix, and the rows are dropped before the next shape.
     A shape's failure at a k, stored for its window or raised here (such as
     a k past its pairs), fails that k's cells and names its subject and
     stage: [load] for a stored ParseError or ValidationError, else
@@ -532,7 +533,7 @@ def _cell_matrices(entries, summaries: dict, grid: list, base: dict) -> list:
                 continue
             try:
                 summary = summary.truncate(k)
-                rows = _kernel_rows(summary.eigenvalues, R_max)
+                rows = _distinct_kernel_rows(summary.eigenvalues, R_max)
             except SgwError as exc:
                 for i in live:
                     outcomes[i] = _failure(base, f"{entry.subject} [descriptor]: {exc}", exc)
@@ -541,8 +542,7 @@ def _cell_matrices(entries, summaries: dict, grid: list, base: dict) -> list:
                 matrix = outcomes[i]
                 try:
                     _descriptor_into(
-                        matrix[row], rows[: matrix.shape[1]], summary,
-                        cfg.area_factor, cfg.normalize,
+                        matrix[row], rows, grid[i].R, summary, cfg.area_factor, cfg.normalize
                     )
                 except SgwError as exc:
                     outcomes[i] = _failure(base, f"{entry.subject} [descriptor]: {exc}", exc)

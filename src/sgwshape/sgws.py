@@ -19,12 +19,24 @@ is the largest of the k eigenvalues the kernels receive and lambda_min =
 lambda_max / 20 (Hammond, Vandergheynst and Gribonval, "Wavelets on graphs
 via spectral graph theory", ACHA 2011). ``spectrum_bounds`` is the one
 place that derives it; every kernel function takes the eigenvalues and R.
+
+Scale i of level L sits at the fraction i / (L - 1) of the way from
+log(2/lambda_min) to log(2/lambda_max). Levels share fractions: 1/2 is
+scale 1 of level 3 and scale 2 of level 5. So each scale is computed from
+its fraction a/b in lowest terms, as exp(a * ((log t_fine - log t_coarse) /
+b) + log t_coarse), with the endpoints 0/1 and 1/1 pinned at t_coarse and
+t_fine: scales that are equal in exact arithmetic are bitwise equal, and so
+are the signature and descriptor entries they give. At R = 30 the p = 495
+entries hold 271 distinct band-pass fractions and one low-pass row, 272
+distinct kernel rows; ``_level_layout`` maps the entries to them, and the
+signature and descriptor evaluate each distinct row once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,25 +71,36 @@ def signature_length(R: int) -> int:
     return (R + 1) * (R + 2) // 2 - 1
 
 
+def _fraction_scales(a, b, t_coarse: float, t_fine: float) -> np.ndarray:
+    """The scales at the fractions a/b, in lowest terms, of the log axis from
+    t_coarse to t_fine; 0/1 and 1/1 are the pinned endpoints."""
+    start = math.log(t_coarse)
+    scales = np.exp(a * ((math.log(t_fine) - start) / b) + start)
+    scales[a == 0] = t_coarse
+    scales[a == b] = t_fine
+    return scales
+
+
 def wavelet_scales(L: int, lambda_min: float, lambda_max: float) -> np.ndarray:
     """L scales log-equispaced from 2/lambda_min down to 2/lambda_max.
 
     Endpoints are exact; the sequence is strictly decreasing. L = 1 returns
-    just the coarsest scale 2/lambda_min.
+    just the coarsest scale 2/lambda_min. Scale i is computed from the
+    fraction i / (L - 1) in lowest terms (see the module docstring), so it is
+    bitwise the scale of any level with the same fraction. InvalidParam
+    unless 0 < lambda_min < lambda_max < inf and 2/lambda_min is finite.
     """
     L = _integer("L", L, 1)
-    if not (0.0 < lambda_min < lambda_max):
+    if not (0.0 < lambda_min < lambda_max < math.inf):
         raise InvalidParam(
-            f"need 0 < lambda_min < lambda_max, got ({lambda_min}, {lambda_max})"
+            f"need 0 < lambda_min < lambda_max < inf, got ({lambda_min}, {lambda_max})"
         )
-    t_coarse = 2.0 / lambda_min
-    if L == 1:
-        return np.array([t_coarse])
-    t_fine = 2.0 / lambda_max
-    t = np.exp(np.linspace(math.log(t_coarse), math.log(t_fine), L))
-    t[0] = t_coarse
-    t[-1] = t_fine
-    return t
+    t_coarse = 2.0 / float(lambda_min)
+    if t_coarse == math.inf:
+        raise InvalidParam(f"the coarsest scale 2/lambda_min overflows at lambda_min = {lambda_min}")
+    i, b = np.arange(L), max(L - 1, 1)
+    divisors = np.gcd(i, b)
+    return _fraction_scales(i // divisors, b // divisors, t_coarse, 2.0 / float(lambda_max))
 
 
 def spectrum_bounds(eigenvalues) -> tuple[float, float]:
@@ -86,7 +109,9 @@ def spectrum_bounds(eigenvalues) -> tuple[float, float]:
     lambda_max is the largest given eigenvalue; lambda_min is pinned at a
     twentieth of it, which keeps the band-pass scales anchored to the
     resolved part of the spectrum. Needs at least 2 eigenvalues, otherwise
-    lambda_max would be the trivial zero mode.
+    lambda_max would be the trivial zero mode. NumericalError unless
+    lambda_min is a positive normal float and the coarsest scale 2/lambda_min
+    is finite, the grid ``wavelet_scales`` can represent.
     """
     lam = np.asarray(eigenvalues, dtype=np.float64)
     if lam.shape[0] < 2:
@@ -94,7 +119,14 @@ def spectrum_bounds(eigenvalues) -> tuple[float, float]:
     lam_max = float(lam[-1])
     if lam_max <= 0.0:
         raise NumericalError("largest eigenvalue is zero; spectrum carries no band to analyze")
-    return lam_max / 20.0, lam_max
+    lambda_min = lam_max / 20.0
+    # a normal lambda_min is below inf, and 2 / lambda_min <= 2 / 2.2e-308 is finite
+    if not sys.float_info.min <= lambda_min < math.inf:
+        raise NumericalError(
+            f"largest eigenvalue {lam_max!r} has no representable scale grid: "
+            "lambda_max / 20 must be a positive normal float"
+        )
+    return lambda_min, lam_max
 
 
 def scaling_kernel(x, lambda_min: float):
@@ -134,72 +166,68 @@ class SignatureMatrix:
 
 @functools.lru_cache(maxsize=32)
 def _level_layout(R: int) -> tuple:
-    """The index layout of ``_kernel_rows`` at resolution R, built once per R
-    (for the 32 latest).
+    """The distinct kernel rows at resolution R and the map from the p entries
+    to them, built once per R (for the 32 latest).
 
-    (divisors, positions, triangle, fine, coarse, low_pass, band_pass), all
-    read-only: each level's linspace divisor max(L - 1, 1) and the positions
-    0 .. R - 1; the lower-triangle mask whose row L - 1 holds level L's L
-    scales; the indices, among all scales, of every level's finest scale
-    (levels >= 2) and coarsest scale; and the rows of the low-pass and
-    band-pass kernels among the p rows. Level L holds L band-pass rows and
-    then its low-pass row, which therefore sits at index L(L+3)/2 - 1.
+    (a, b, index), all read-only. Distinct row 0 is the low-pass kernel;
+    row r >= 1 is the band-pass kernel at the fraction a[r - 1] / b[r - 1],
+    in lowest terms. The fractions are in order of first appearance, level
+    by level, so the rows at R are the first ones at any larger R: level L
+    adds the fractions whose denominator is L - 1. Entry e of the p
+    signature entries (level-major, as in ``SignatureMatrix``) takes row
+    index[e]. At R = 30 there are 272 rows.
     """
-    levels = np.arange(1, R + 1)
-    low_pass = levels * (levels + 3) // 2 - 1
-    band_pass = np.ones(signature_length(R), dtype=bool)
-    band_pass[low_pass] = False
-    layout = (
-        np.maximum(levels - 1, 1),
-        np.arange(R),
-        np.tri(R, dtype=bool),
-        (levels * (levels + 1) // 2 - 1)[1:],
-        levels * (levels - 1) // 2,
-        low_pass,
-        band_pass,
-    )
+    rows: dict = {}  # (a, b) -> its distinct row
+    index = []
+    for level in range(1, R + 1):
+        b = max(level - 1, 1)
+        for i in range(level):
+            divisor = math.gcd(i, b)
+            index.append(rows.setdefault((i // divisor, b // divisor), len(rows) + 1))
+        index.append(0)
+    layout = (*map(np.array, zip(*rows)), np.array(index))
     for array in layout:
         array.setflags(write=False)
     return layout
 
 
-def _kernel_rows(eigenvalues, R: int) -> np.ndarray:
-    """(p, k) matrix of kernel evaluations, one row per signature entry.
+def _distinct_kernel_rows(eigenvalues, R: int) -> np.ndarray:
+    """(len(a) + 1, k) matrix of the distinct kernel rows of ``_level_layout(R)``.
 
-    Row r holds the weights applied to the k eigenvalue terms for entry r,
-    so every vertex signature is this matrix times phi(j)^2. The scale grid
-    comes from ``spectrum_bounds(eigenvalues)``. All band-pass rows come
-    from one broadcast product; each entry is the same scalar arithmetic as
-    evaluating the kernel row by row. No row depends on R, only on its
-    level, so the rows at R are the first p(R) rows at any larger R.
+    Row r holds the weights applied to the k eigenvalue terms; the scale
+    grid comes from ``spectrum_bounds(eigenvalues)``. Each entry is the same
+    scalar arithmetic as evaluating the kernel at one scale of
+    ``wavelet_scales``, and no row depends on R, so the rows at R are the
+    first rows at any larger R.
     """
-    p = signature_length(R)
-    divisors, positions, triangle, fine, coarse, low_pass, band_pass = _level_layout(R)
+    a, b, _ = _level_layout(R)
     lam = np.asarray(eigenvalues, dtype=np.float64)
     lambda_min, lambda_max = spectrum_bounds(lam)
-    t_coarse, t_fine = 2.0 / lambda_min, 2.0 / lambda_max
-    start, stop = math.log(t_coarse), math.log(t_fine)
-    # Every level's wavelet_scales in one pass of the same arithmetic: linspace's
-    # i * ((stop - start) / (L - 1)) + start, one exp, then the endpoints pinned.
-    step = (stop - start) / divisors
-    scales = np.exp((positions * step[:, None] + start)[triangle])
-    scales[fine] = t_fine
-    scales[coarse] = t_coarse
-    rows = np.empty((p, lam.shape[0]))
-    rows[band_pass] = mexican_hat(scales[:, None] * lam)
-    rows[low_pass] = scaling_kernel(lam, lambda_min)
+    rows = np.empty((a.shape[0] + 1, lam.shape[0]))
+    rows[0] = scaling_kernel(lam, lambda_min)
+    scales = _fraction_scales(a, b, 2.0 / lambda_min, 2.0 / lambda_max)
+    band = np.multiply(scales[:, None], lam, out=rows[1:])
+    band *= np.exp(-band)  # mexican_hat, in place
     return rows
+
+
+def _kernel_rows(eigenvalues, R: int) -> np.ndarray:
+    """(p, k) matrix of kernel evaluations, one row per signature entry: the
+    distinct rows spread over the entries by ``_level_layout(R)``'s index, so
+    every vertex signature is this matrix times phi(j)^2."""
+    return _distinct_kernel_rows(eigenvalues, R)[_level_layout(R)[2]]
 
 
 def signature_matrix(
     basis: EigenBasis, R: int, area_factor: bool = True
 ) -> SignatureMatrix:
-    """Signatures of every vertex as one product: kernel rows times (phi^2)^T."""
+    """Signatures of every vertex as one product, (K_d (phi^2)^T)[index]: the
+    distinct kernel rows times (phi^2)^T, spread over the p entries."""
     R = _integer("resolution R", R, 1)
-    values = _kernel_rows(basis.eigenvalues, R) @ (basis.eigenvectors**2).T
+    values = _distinct_kernel_rows(basis.eigenvalues, R) @ (basis.eigenvectors**2).T
     if area_factor:
-        values = values * basis.vertex_areas**2
-    return SignatureMatrix(values, R=R)
+        values *= basis.vertex_areas**2
+    return SignatureMatrix(values[_level_layout(R)[2]], R=R)
 
 
 def write_signature_csv(sig: SignatureMatrix, path) -> None:

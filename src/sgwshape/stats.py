@@ -33,9 +33,20 @@ split, with delta the difference of the group means of the rows of U, the
 left singular vectors of the centred data (the Hotelling T^2 equivalence;
 Anderson, *An Introduction to Multivariate Statistical Analysis*, ch. 5).
 The F transform is exact for two groups, with (d, n - d - 1) degrees of freedom.
-A block of B masks is scored with delta laid out as (d, B): each of the n
-steps over U's rows is one length-B product per column and one in-place
-add, in the order of a mask-by-mask sum, so lambda does not depend on B.
+
+A mask is scored from its two group sums of U's rows, S1 and S2, as
+delta = S1 / n1 - S2 / n2. The sums come from subset tables, built once per
+basis and walk (meet in the middle; Horowitz and Sahni, J. ACM 21, 1974):
+each of the ceil(n / 8) tables holds the 256 subset sums of 8 rows of U,
+filled in row order by in-place doubling, so entry c is exactly the sum of
+the rows whose bits are set in c, added in row order. A block of masks is
+packed once into one byte per 8 rows, for every cell, and a group's sum is
+its bytes' table entries added in table order: ceil(n / 8) lookups, not n
+adds. Every step is elementwise over the masks, the squares of delta are
+summed column by column, and no BLAS call or reduction whose order depends
+on the block is made, so lambda does not depend on B. A mask and its
+complement swap S1 and S2 and so negate delta exactly: the true mask and
+its complement tie the observed lambda bitwise in any block.
 
 The permutation masks depend only on the labels, n_perm and the seed: one
 generator shuffles the true mask row by row, or, when the label space is no
@@ -70,6 +81,9 @@ _BLOCK = 1024
 
 # Singular values below this fraction of the largest count as round-off, not rank.
 _RANK_FLOOR = 1e-8
+
+# The number of bits set in each byte.
+_BITS_SET = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -168,21 +182,52 @@ def _group_basis(X: np.ndarray, d: int) -> np.ndarray:
     return u[:, :d]
 
 
-def _lambdas(U: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Wilks' lambda of each row of the (B, n) boolean `masks` over the basis U."""
-    n_first = masks.sum(axis=1)
-    n_second = U.shape[0] - n_first
-    weights = np.where(np.ascontiguousarray(masks.T), 1.0 / n_first, -1.0 / n_second)
-    # Exact by construction: elementwise sums in a fixed order over U's rows, then its
-    # columns, so the true mask ties the observed lambda in any batch (BLAS may not).
-    delta = np.zeros((U.shape[1], len(masks)))
-    step = np.empty_like(delta)
-    for u, w in zip(U, weights):
-        delta += np.multiply(u[:, None], w, out=step)
-    squares = np.zeros(len(masks))
+def _subset_tables(U: np.ndarray) -> np.ndarray:
+    """(ceil(n / 8), d, 256) subset sums of the n rows of U, 8 rows per table.
+
+    Entry [t, :, c] is the sum, in row order, of the rows 8t + j whose bit j
+    is set in c: for each bit j, every table's entry c + 2^j is filled as its
+    entry c plus its row j, for every c < 2^j. A short last table is padded
+    with zero rows, which no code selects.
+    """
+    n, d = U.shape
+    rows = np.zeros((-(-n // 8) * 8, d))
+    rows[:n] = U
+    rows = rows.reshape(-1, 8, d)
+    tables = np.zeros((rows.shape[0], d, 256))
+    for bit in range(8):
+        half = 1 << bit
+        np.add(tables[:, :, :half], rows[:, bit, :, None], out=tables[:, :, half : 2 * half])
+    return tables
+
+
+def _coded(masks: np.ndarray) -> tuple:
+    """(codes, complement codes, n1, n2) of the (B, n) boolean masks: codes[t, i]
+    is the byte of mask i's rows 8t .. 8t + 7, bit j for row 8t + j, and the
+    complement's byte has the other rows' bits."""
+    n = masks.shape[1]
+    codes = np.ascontiguousarray(np.packbits(masks, axis=1, bitorder="little").T)
+    every_row = np.packbits(np.ones(n, dtype=bool), bitorder="little")
+    n_first = _BITS_SET[codes].sum(axis=0)
+    return codes, codes ^ every_row[:, None], n_first, n - n_first
+
+
+def _group_sums(tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """(d, B) sums over each coded group: its table entries added in table order."""
+    sums = np.take(tables[0], codes[0], axis=1)
+    for table, code in zip(tables[1:], codes[1:]):
+        sums += np.take(table, code, axis=1)
+    return sums
+
+
+def _table_lambdas(tables: np.ndarray, coded: tuple) -> np.ndarray:
+    """Wilks' lambda of each ``_coded`` mask over the subset tables of a basis."""
+    codes, complements, n_first, n_second = coded
+    delta = _group_sums(tables, codes) / n_first - _group_sums(tables, complements) / n_second
+    squares = np.zeros(delta.shape[1])
     for c in delta:
-        squares += np.multiply(c, c, out=step[0])
-    lam = 1.0 - (n_first * n_second / U.shape[0]) * squares
+        squares += c * c
+    lam = 1.0 - (n_first * n_second / (n_first + n_second)) * squares
     if np.any(lam <= 0.0):
         raise SingularScatter(
             "within-group scatter matrix is singular; reduce the feature dimension"
@@ -190,9 +235,14 @@ def _lambdas(U: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return lam
 
 
+def _lambdas(U: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Wilks' lambda of each row of the (B, n) boolean `masks` over the basis U."""
+    return _table_lambdas(_subset_tables(U), _coded(masks))
+
+
 def _manova(data: DataMatrix, d: int) -> tuple:
     """(Wilks' lambda, its F-tail p-value) on the top-d PCA basis of the data, plus
-    that basis, which a permutation walk scores."""
+    that basis's subset tables, which a permutation walk scores."""
     mask = data.two_group_mask()
     n = data.n
     if d > n - 2:
@@ -200,13 +250,13 @@ def _manova(data: DataMatrix, d: int) -> tuple:
             f"feature dimension {d} exceeds within-group degrees of freedom {n - 2}; "
             "reduce the dimension"
         )
-    basis = _group_basis(data.X, d)
-    lam = float(_lambdas(basis, mask[None])[0])
+    tables = _subset_tables(_group_basis(data.X, d))
+    lam = float(_table_lambdas(tables, _coded(mask[None]))[0])
     dof2 = n - d - 1
-    # f_stat >= 0 because _lambdas gives lam <= 1; fdtrc (the F survival function, the
+    # f_stat >= 0 because _table_lambdas gives lam <= 1; fdtrc (the F survival function, the
     # same call scipy.stats.f.sf makes) returns NaN, not 1, for a negative argument.
     f_stat = (dof2 / d) * (1.0 - lam) / lam
-    return lam, float(fdtrc(d, dof2, f_stat)), basis
+    return lam, float(fdtrc(d, dof2, f_stat)), tables
 
 
 def _replicates(mask: np.ndarray, n_perm: int) -> tuple[int, bool]:
@@ -235,10 +285,11 @@ def _mask_blocks(mask: np.ndarray, n_perm: int, seed: int):
 
 
 def _permutation_ps(cells: list, mask: np.ndarray, n_perm: int, seed: int) -> list:
-    """Permutation p-value of each (basis, observed) cell, from one walk over the masks.
+    """Permutation p-value of each (subset tables, observed) cell, from one walk over
+    the masks.
 
-    Every cell is scored against each block as it is drawn, so one block is
-    live at a time. An SgwError entry, or a cell whose scoring raises one,
+    Each block is coded once as it is drawn and scored against every cell,
+    so one block is live at a time. An SgwError entry, or a cell whose scoring raises one,
     keeps that error and leaves the walk; the walk stops when no cell is left,
     and at least one must enter it. The p-value is
     ``(1 + #{permuted lambda <= observed}) / (n_perm + 1)``, or the exact
@@ -247,10 +298,11 @@ def _permutation_ps(cells: list, mask: np.ndarray, n_perm: int, seed: int) -> li
     outcomes = [cell if isinstance(cell, SgwError) else 0 for cell in cells]
     live = [i for i, cell in enumerate(cells) if not isinstance(cell, SgwError)]
     for block in _mask_blocks(mask, n_perm, seed):
+        coded = _coded(block)
         for i in live:
-            basis, observed = cells[i]
+            tables, observed = cells[i]
             try:
-                outcomes[i] += int(np.count_nonzero(_lambdas(basis, block) <= observed))
+                outcomes[i] += int(np.count_nonzero(_table_lambdas(tables, coded) <= observed))
             except SgwError as exc:
                 outcomes[i] = exc
         live = [i for i in live if not isinstance(outcomes[i], SgwError)]
@@ -281,10 +333,10 @@ def compare_cells(datas, pca_dims: int, n_perm: int, seed: int) -> list:
     for data in datas:
         try:
             pca_dims = _pca_dims(data, pca_dims)
-            lam, manova_p, basis = _manova(data, pca_dims)
+            lam, manova_p, tables = _manova(data, pca_dims)
             n_perm = _integer("n_perm", n_perm, 1)
             seed = _integer("seed", seed, 0)
-            setups.append((lam, manova_p, (basis, lam)))
+            setups.append((lam, manova_p, (tables, lam)))
         except SgwError as exc:
             setups.append(exc)
     if all(isinstance(setup, SgwError) for setup in setups):

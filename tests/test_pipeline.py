@@ -759,6 +759,43 @@ class TestRunGroupComparison:
         assert warm.report_dict() == cold.report_dict()
         assert blob.read_bytes() == written
 
+    def test_unrepresentable_scale_grid_fails_only_its_stratum(self, tmp_path, capsys):
+        # a blob whose eigenvalues ramp from 0 to 5e-324 passes the cache's checks,
+        # but lambda_k / 20 is zero: the run used to die in a ZeroDivisionError
+        data = tmp_path / "data"
+        manifest = sg.make_two_class_manifest(data, n_per_group=3, subdivisions=2)
+        header, *rows = manifest.read_text().splitlines()
+        right = [row.replace(",left", ",right") for row in rows if "sphere_000" not in row]
+        manifest.write_text("\n".join([header, *rows, *right]) + "\n")
+        cache = tmp_path / "cache"
+
+        def compare(out):
+            return main(["compare", str(manifest), "--pca-dims", "2", "--n-perm", "50",
+                         "--cache-dir", str(cache), "--out-dir", str(tmp_path / out)])
+
+        assert compare("cold") == 0
+        digest = hashlib.sha256((data / "sphere_000.off").read_bytes()).hexdigest()
+        (blob,) = cache.glob(f"spectrum-{digest}-*.sgwc")
+        head, body = blob.read_bytes().split(b"\n", 1)
+        values = np.frombuffer(body, dtype="<f8").copy()
+        stored_k = len(values) // 2
+        values[1 : stored_k + 1] = np.linspace(0.0, 5e-324, stored_k)
+        blob.write_bytes(_signed(head, values.tobytes()))
+        assert pipeline._cached_summary(blob, head.rsplit(b" ", 1)[0] + b" ") is not None
+        capsys.readouterr()
+
+        assert compare("warm") == 0
+        assert "Traceback" not in capsys.readouterr().err
+        cold, warm = (
+            {s["side"]: s for s in json.loads((tmp_path / out / "report.json").read_text())["strata"]}
+            for out in ("cold", "warm")
+        )
+        assert warm["right"] == cold["right"] and warm["right"]["error"] is None
+        assert warm["left"]["error"] == (
+            "s000 [descriptor]: largest eigenvalue 5e-324 has no representable scale grid: "
+            "lambda_max / 20 must be a positive normal float"
+        )
+
     def test_single_group_stratum_is_skipped(self, tmp_path):
         mesh_path = tmp_path / "m.off"
         sg.write_mesh(sg.make_synthetic("unit_sphere", 1), mesh_path)
@@ -1612,18 +1649,18 @@ class TestParameterSweep:
                 assert cell.stratum.error_kind == "usage"
 
     def test_one_kernel_evaluation_per_shape_and_k(self, two_class, monkeypatch):
-        # a stratum evaluates each shape's kernel bank once per k of the grid, at
-        # its largest R, and every cell takes a prefix of those rows
+        # a stratum evaluates each shape's distinct kernel rows once per k of the
+        # grid, at its largest R, and every cell takes a prefix of those rows
         evaluated = []
 
         def spy(module):
-            real = module._kernel_rows
+            real = module._distinct_kernel_rows
 
             def counting(eigenvalues, R):
                 evaluated.append((len(eigenvalues), R))
                 return real(eigenvalues, R)
 
-            monkeypatch.setattr(module, "_kernel_rows", counting)
+            monkeypatch.setattr(module, "_distinct_kernel_rows", counting)
 
         spy(pipeline)
         spy(gsgw)

@@ -1,6 +1,8 @@
 """Wavelet kernels, spectrum-derived scale grids, and per-vertex signatures."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from scipy.linalg.blas import dgemv
 
 import sgwshape as sg
 from sgwshape.errors import InvalidParam, NumericalError
-from sgwshape.gsgw import descriptor_from_summary, summarize
-from sgwshape.sgws import _kernel_rows
+from sgwshape.gsgw import SpectralSummary, descriptor_from_summary, summarize
+from sgwshape.sgws import _distinct_kernel_rows, _kernel_rows, _level_layout
 
 PEAK = math.exp(-1.0)
 
@@ -69,6 +71,17 @@ class TestWaveletScales:
         with pytest.raises(InvalidParam):
             sg.wavelet_scales(3, 5.0, 5.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "L, lo, hi",
+        [(3, 1.0, math.inf), (3, 5e-324, 1.0), (1, 5e-324, 1.0), (3, 1.0, math.nan)],
+    )
+    def test_unrepresentable_grid_is_refused(self, L, lo, hi):
+        # an infinite bound used to raise a bare math domain error, and an
+        # overflowing coarsest scale to give NaN or inf scales
+        with pytest.raises(InvalidParam):
+            sg.wavelet_scales(L, lo, hi)
+
     @settings(max_examples=60)
     @given(
         L=st.integers(min_value=2, max_value=12),
@@ -112,6 +125,22 @@ class TestSpectrumBounds:
         with pytest.raises(NumericalError):
             sg.spectrum_bounds(np.array([0.0, 0.0]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("top", [5e-324, 1e-307, math.nan, math.inf])
+    def test_unrepresentable_grid_is_numerical(self, top):
+        # lambda_max / 20 must be a positive normal float: 5e-324 / 20 is zero,
+        # which used to end a run in a ZeroDivisionError
+        with pytest.raises(NumericalError, match="no representable scale grid"):
+            sg.spectrum_bounds(np.array([0.0, top]))
+        with pytest.raises(NumericalError, match="no representable scale grid"):
+            _kernel_rows(np.r_[np.zeros(30), top], 30)
+
+    @pytest.mark.filterwarnings("error")
+    def test_smallest_representable_grid(self):
+        top = 20 * sys.float_info.min
+        assert sg.spectrum_bounds(np.array([0.0, top])) == (sys.float_info.min, top)
+        assert np.isfinite(_kernel_rows(np.linspace(0.0, top, 31), 30)).all()
+
 
 def row_by_row(lam, R):
     """Kernel rows one scale at a time, on the grid spectrum_bounds gives."""
@@ -122,6 +151,62 @@ def row_by_row(lam, R):
             loop.append(sg.mexican_hat(t * lam))
         loop.append(sg.scaling_kernel(lam, lo))
     return np.array(loop)
+
+
+def entry_fractions(R):
+    """Per signature entry, level-major: its scale's fraction i / (L - 1) of the
+    grid, or None for a scaling entry."""
+    return [
+        Fraction(i, max(level - 1, 1)) if i < level else None
+        for level in range(1, R + 1)
+        for i in range(level + 1)
+    ]
+
+
+def random_spectra(count):
+    """Seeded ascending spectra of 2-60 eigenvalues from 0, over several magnitudes."""
+    rng = np.random.default_rng(2)
+    for _ in range(count):
+        k = int(rng.integers(2, 61))
+        lam = np.sort(rng.uniform(0.0, 10.0 ** rng.uniform(-3, 3), k))
+        lam[0] = 0.0
+        yield lam
+
+
+class TestEqualFractions:
+    """Scales that are equal fractions of the grid, at any level, are bitwise equal,
+    and so are the kernel rows and descriptor entries they give."""
+
+    R = 30
+
+    def spectra(self, icosphere2_basis):
+        return [icosphere2_basis.eigenvalues, *random_spectra(200)]
+
+    def test_scales_across_levels(self, icosphere2_basis):
+        for lam in self.spectra(icosphere2_basis):
+            lo, hi = sg.spectrum_bounds(lam)
+            scales: dict = {}
+            for level in range(1, self.R + 1):
+                for i, t in enumerate(sg.wavelet_scales(level, lo, hi)):
+                    scales.setdefault(Fraction(i, max(level - 1, 1)), set()).add(t)
+            assert len(scales) == 271
+            assert all(len(same) == 1 for same in scales.values())
+
+    def test_kernel_rows_and_descriptor(self, icosphere2_basis):
+        fractions = entry_fractions(self.R)
+        rng = np.random.default_rng(3)
+        for lam in self.spectra(icosphere2_basis):
+            rows = _kernel_rows(lam, self.R)
+            summary = SpectralSummary(lam, rng.uniform(0.5, 2.0, len(lam)), 1.0)
+            g = descriptor_from_summary(summary, self.R).values
+            same_rows: dict = {}
+            same_entries: dict = {}
+            for fraction, row, entry in zip(fractions, rows, g):
+                same_rows.setdefault(fraction, set()).add(row.tobytes())
+                same_entries.setdefault(fraction, set()).add(entry)
+            assert len(same_rows) == 272
+            assert all(len(same) == 1 for same in same_rows.values())
+            assert all(len(same) == 1 for same in same_entries.values())
 
 
 class TestKernelRows:
@@ -148,14 +233,20 @@ class TestKernelRows:
 
     @pytest.mark.parametrize("k", [2, 11, 31])
     def test_rows_at_R_are_a_prefix_of_the_rows_at_a_larger_R(self, icosphere2_basis, k):
-        # no row depends on R, so a sweep evaluates the bank once, at its
-        # largest R; the product over a prefix of those rows is the descriptor
+        # no row depends on R, so a sweep evaluates the distinct rows once, at
+        # its largest R; the product over the prefix of those rows that R has,
+        # spread over the entries, is the descriptor
         summary = summarize(icosphere2_basis).truncate(k)
-        largest = _kernel_rows(summary.eigenvalues, 30)
+        largest = _distinct_kernel_rows(summary.eigenvalues, 30)
+        entries = _kernel_rows(summary.eigenvalues, 30)
         for R in range(1, 31):
-            prefix = largest[: sg.signature_length(R)]
-            np.testing.assert_array_equal(_kernel_rows(summary.eigenvalues, R), prefix)
-            g = dgemv(1.0, prefix.T, summary.w_area, trans=1)
+            a, _, index = _level_layout(R)
+            prefix = largest[: len(a) + 1]
+            np.testing.assert_array_equal(_distinct_kernel_rows(summary.eigenvalues, R), prefix)
+            np.testing.assert_array_equal(
+                _kernel_rows(summary.eigenvalues, R), entries[: sg.signature_length(R)]
+            )
+            g = dgemv(1.0, prefix.T, summary.w_area, trans=1)[index]
             np.testing.assert_array_equal(g, descriptor_from_summary(summary, R).values)
 
 
@@ -175,14 +266,22 @@ class TestSignatureMatrix:
             want = self.brute_force(basis, 3, j, area_factor)
             np.testing.assert_allclose(sig.values[:, j], want, rtol=1e-13)
 
-    def test_level_major_ordering_duplicates(self):
+    @pytest.mark.parametrize("R", [2, 30])
+    def test_level_major_ordering_duplicates(self, R):
         # level 1 reuses the coarsest level 2 scale, so those rows coincide,
-        # as do every level's scaling rows
+        # as do every level's scaling rows; at any R two entries coincide
+        # exactly when they are both scaling entries or their scales are the
+        # same fraction of the grid
         basis = toy_basis()
-        sig = sg.signature_matrix(basis, 2).values
+        sig = sg.signature_matrix(basis, R).values
         np.testing.assert_array_equal(sig[0], sig[2])
         np.testing.assert_array_equal(sig[1], sig[4])
         assert not np.array_equal(sig[2], sig[3])
+        rows: dict = {}
+        for fraction, row in zip(entry_fractions(R), sig):
+            rows.setdefault(fraction, set()).add(row.tobytes())
+        assert all(len(same) == 1 for same in rows.values())
+        assert len(set.union(*rows.values())) == len(rows) == len(_level_layout(R)[0]) + 1
 
     def test_signature_is_nonnegative(self, icosphere2_basis):
         assert sg.signature_matrix(icosphere2_basis, 3).values.min() >= 0.0

@@ -375,18 +375,44 @@ class TestBatchedLambda:
             assert lam == wilks(sg.DataMatrix(x, mask.tolist()), x.shape[1])
 
     @staticmethod
-    def rowwise_lambdas(U, masks):
-        """Wilks' lambda laid out mask by mask, (B, n) weights and (B, d) delta: the
-        reference order of every product and sum."""
-        n_first = masks.sum(axis=1)
-        n_second = U.shape[0] - n_first
-        weights = np.where(masks, (1.0 / n_first)[:, None], (-1.0 / n_second)[:, None])
-        delta = sum(w[:, None] * u for w, u in zip(weights.T, U))
-        return 1.0 - (n_first * n_second / U.shape[0]) * sum(c * c for c in delta.T)
+    def chunk_sum(rows, picked, start, stop):
+        """The sum of the picked rows start .. stop - 1, in row order from zero."""
+        total = [0.0] * len(rows[0])
+        for j in range(start, stop):
+            if picked[j]:
+                total = [x + y for x, y in zip(total, rows[j])]
+        return total
+
+    @classmethod
+    def chunked_lambdas(cls, U, masks):
+        """Wilks' lambda of each mask in pure Python, in the reference order of every
+        sum: each group's rows summed in chunks of 8 rows, each in row order, the
+        chunks added in order, delta = S1 / n1 - S2 / n2, and its squares summed
+        column by column."""
+        rows = U.tolist()
+        n = len(rows)
+        lams = []
+        for mask in masks.tolist():
+            sums = []
+            for picked in (mask, [not bit for bit in mask]):
+                chunks = [cls.chunk_sum(rows, picked, start, min(start + 8, n))
+                          for start in range(0, n, 8)]
+                total = chunks[0]
+                for chunk in chunks[1:]:
+                    total = [x + y for x, y in zip(total, chunk)]
+                sums.append(total)
+            n_first = sum(mask)
+            n_second = n - n_first
+            squares = 0.0
+            for s1, s2 in zip(*sums):
+                c = s1 / n_first - s2 / n_second
+                squares += c * c
+            lams.append(1.0 - (n_first * n_second / n) * squares)
+        return np.array(lams)
 
     @pytest.mark.parametrize("batch", [1, 7, 1000])
     @pytest.mark.parametrize("exhaustive", [False, True], ids=["sampled", "enumerated"])
-    def test_bitwise_the_rowwise_formulation(self, batch, exhaustive):
+    def test_bitwise_the_chunked_formulation(self, batch, exhaustive):
         rng = np.random.default_rng(batch)
         cases = 0
         while cases < 30:
@@ -400,8 +426,27 @@ class TestBatchedLambda:
             assert len(block) == batch and sg.stats._replicates(mask, n_perm)[1] == exhaustive
             basis = sg.stats._group_basis(x, x.shape[1])
             got = sg.stats._lambdas(basis, block)
-            assert got.tobytes() == self.rowwise_lambdas(basis, block).tobytes()
+            assert got.tobytes() == self.chunked_lambdas(basis, block).tobytes()
             cases += 1
+
+    @pytest.mark.parametrize("n", [8, 9, 16, 17, 70])
+    def test_chunk_edges(self, n):
+        # a full last table, a one-row one, and at n = 70 a code of 9 bytes
+        rng = np.random.default_rng(n)
+        U = sg.stats._group_basis(rng.standard_normal((n, 4)), 3)
+        tables = sg.stats._subset_tables(U)
+        assert tables.shape == (-(-n // 8), 3, 256)
+        rows = U.tolist()
+        for t in range(tables.shape[0]):
+            stop = min(8 * t + 8, n)
+            for code in range(1 << (stop - 8 * t)):
+                picked = [False] * (8 * t) + [bool(code >> j & 1) for j in range(stop - 8 * t)]
+                assert tables[t, :, code].tolist() == self.chunk_sum(rows, picked, 8 * t, stop)
+        masks = self.random_masks(rng, n, 200)
+        got = sg.stats._lambdas(U, masks)
+        assert got.tobytes() == self.chunked_lambdas(U, masks).tobytes()
+        # a mask and its complement tie bitwise
+        assert got.tobytes() == sg.stats._lambdas(U, ~masks).tobytes()
 
     def test_matches_determinant_ratio(self):
         rng = np.random.default_rng(31)
@@ -501,15 +546,15 @@ class TestCompareCells:
     def test_scoring_error_stays_on_its_cell(self, monkeypatch):
         datas = self.cells()
         expected = [sg.compare_groups(data, 2, 300, 0) for data in datas]
-        doomed = sg.stats._group_basis(datas[1].X, 2)
-        lambdas = sg.stats._lambdas
+        doomed = sg.stats._subset_tables(sg.stats._group_basis(datas[1].X, 2))
+        table_lambdas = sg.stats._table_lambdas
 
-        def failing(basis, masks):
-            if len(masks) > 1 and np.array_equal(basis, doomed):
+        def failing(tables, coded):
+            if coded[0].shape[1] > 1 and np.array_equal(tables, doomed):
                 raise SingularScatter("within-group scatter matrix is singular")
-            return lambdas(basis, masks)
+            return table_lambdas(tables, coded)
 
-        monkeypatch.setattr(sg.stats, "_lambdas", failing)
+        monkeypatch.setattr(sg.stats, "_table_lambdas", failing)
         results = sg.stats.compare_cells(datas, 2, 300, 0)
         assert isinstance(results[1], SingularScatter)
         assert [results[0], results[2]] == [expected[0], expected[2]]
