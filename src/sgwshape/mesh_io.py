@@ -19,6 +19,8 @@ component. Meshes with boundary are accepted.
 from __future__ import annotations
 
 import math
+import os
+import stat
 import warnings
 from pathlib import Path
 
@@ -241,15 +243,29 @@ def load_mesh(path) -> TriangleMesh:
 
 
 def read_mesh_bytes(path) -> bytes:
-    """The bytes of a mesh file whose extension names a known format."""
-    p = Path(path)
-    if not p.is_file():
-        raise ParseError(f"{p}: no such file")
-    _parser_for(p)
+    """The bytes of a mesh file whose extension names a known format.
+
+    One ``os.stat`` and one ``open(path, "rb")``; a name with a known
+    extension builds no Path unless an error names the file. A path that is
+    missing, names anything but a regular file (a directory, a FIFO) or
+    holds a NUL byte is "no such file", and is never opened, so a FIFO
+    cannot block the read.
+    """
     try:
-        return p.read_bytes()
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except (OSError, ValueError):
+        regular = False
+    if not regular:
+        raise ParseError(f"{Path(path)}: no such file")
+    # splitext finds a known extension only where Path.suffix finds the same
+    # one; any other name gets _parser_for's verdict and message
+    if os.path.splitext(path)[1].lower() not in _PARSERS:
+        _parser_for(Path(path))
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
     except OSError as exc:
-        raise ParseError(f"{p}: cannot read ({exc.strerror})") from None
+        raise ParseError(f"{Path(path)}: cannot read ({exc.strerror})") from None
 
 
 def parse_mesh(data: bytes, path) -> TriangleMesh:

@@ -91,7 +91,8 @@ def _csv_rows(path: Path) -> list:
     bytes that are not UTF-8, are a ParseError.
     """
     try:
-        text = path.read_bytes().decode("utf-8-sig")
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8-sig")
     except OSError as exc:
         raise ParseError(f"{path}: cannot read ({exc.strerror})") from None
     except UnicodeDecodeError as exc:
@@ -312,8 +313,12 @@ class RunResult:
 
 def _cache_entry(digest: str, cfg: RunConfig, window: int) -> tuple:
     """(blob path, head line up to the body's digest) in cfg's cache of a window's summary
-    of the mesh file whose bytes have the SHA-256 digest."""
-    cache_path = Path(cfg.cache_dir) / f"spectrum-{digest}-{cfg.lumping}-{window}.sgwc"
+    of the mesh file whose bytes have the SHA-256 digest.
+
+    The path is a str joined by os.path.join, naming the file that
+    Path(cfg.cache_dir) / name names, so a lookup builds no Path.
+    """
+    cache_path = os.path.join(cfg.cache_dir, f"spectrum-{digest}-{cfg.lumping}-{window}.sgwc")
     # a blob copied under another file's name has another head line
     return cache_path, f"SGWSPEC4 {digest} {cfg.lumping} {window} ".encode()
 
@@ -325,10 +330,12 @@ def _blob(head: bytes, summary: SpectralSummary) -> bytes:
     return head + hashlib.sha256(body).hexdigest().encode() + b"\n" + body
 
 
-def _cached_summary(cache_path: Path, head: bytes) -> SpectralSummary | None:
+def _cached_summary(cache_path: str, head: bytes) -> SpectralSummary | None:
     """The summary stored at cache_path under head, or None on a miss.
 
-    A blob is a line, head then the body's SHA-256 (hex), then the body:
+    The blob is read with one ``open(cache_path, "rb")``, the call that
+    read_mesh_bytes reads a mesh with; a path it cannot open is a miss. A
+    blob is a line, head then the body's SHA-256 (hex), then the body:
     little-endian float64 values, the total area, K eigenvalues and K area
     weights. It is a hit only when that line is exact, the body holds 2K+1
     floats with K >= 1, and they are values a solve could have written: all
@@ -336,7 +343,8 @@ def _cached_summary(cache_path: Path, head: bytes) -> SpectralSummary | None:
     descend, and weights >= 0 (a check of input from outside the program).
     """
     try:
-        blob = cache_path.read_bytes()
+        with open(cache_path, "rb") as handle:
+            blob = handle.read()
     except OSError:
         return None
     line, _, body = blob.partition(b"\n")

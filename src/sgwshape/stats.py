@@ -5,7 +5,7 @@ over several data matrices that share one label tuple. Each comparison
 reduces the n x p descriptor matrix to its top ``pca_dims`` PCA scores,
 tests group separation with a one-way two-group MANOVA (Wilks' lambda and
 its exact F transform), and backs it with a nonparametric permutation test
-that reshuffles group labels with one seeded generator per call.
+that reshuffles group labels from one seeded PCG64 stream per call.
 
 Each comparison takes its basis from the centred n x p descriptor matrix
 X: its first d left singular vectors span the top-d PCA scores, and Wilks'
@@ -48,9 +48,14 @@ on the block is made, so lambda does not depend on B. A mask and its
 complement swap S1 and S2 and so negate delta exactly: the true mask and
 its complement tie the observed lambda bitwise in any block.
 
-The permutation masks depend only on the labels, n_perm and the seed: one
-generator shuffles the true mask row by row, or, when the label space is no
-larger than n_perm, every split is enumerated. So ``compare_cells`` tests
+The permutation masks depend only on the labels, n_perm and the seed: each
+sampled mask ranks n keys read from the raw stream of one PCG64 bit
+generator (see _mask_blocks), or, when the label space is no larger than
+n_perm, every split is enumerated. NumPy keeps a bit generator's raw stream
+fixed across releases (NEP 19), but not the output of ``Generator`` methods
+such as ``permuted``, so a sampled p-value does not move with a NumPy
+upgrade. A 1000-mask block of n = 20 is drawn in about 0.15 ms at one
+thread, against 0.40-0.45 ms for ``permuted``. So ``compare_cells`` tests
 several data matrices over one label tuple (the (R, k) cells of a sweep
 stratum) in one walk: each block of masks is drawn once and scored against
 every cell, and each cell's result equals its own ``compare_groups``.
@@ -269,19 +274,28 @@ def _mask_blocks(mask: np.ndarray, n_perm: int, seed: int):
     """The permutation masks of the split `mask`, as (B, n) boolean blocks of <= _BLOCK rows.
 
     Enumerated when _replicates says so (the seed is then ignored), else
-    shuffled by one generator per call: ``permuted`` shuffles a block row by
-    row, so the first masks depend neither on _BLOCK nor on n_perm.
+    drawn from one PCG64 stream per call: each mask takes n raw 64-bit
+    integers as the keys of its n rows, whose low ceil(log2 n) bits are
+    replaced by the row's index so no two keys tie, and its first group is
+    the rows of its n1 smallest keys, picked by a partition threshold. The
+    stream is read in order, so the first masks depend neither on _BLOCK
+    nor on n_perm.
     """
-    n = len(mask)
+    n, n1 = len(mask), int(mask.sum())
     count, exhaustive = _replicates(mask, n_perm)
-    splits = combinations(range(n), int(mask.sum()))
-    rng = None if exhaustive else np.random.default_rng(seed)
+    splits = combinations(range(n), n1)
+    stream = None if exhaustive else np.random.PCG64(seed)
+    index_bits = np.uint64((1 << (n - 1).bit_length()) - 1)
+    rows = np.arange(n, dtype=np.uint64)
     for start in range(0, count, _BLOCK):
         size = min(_BLOCK, count - start)
         if exhaustive:
             yield np.array([np.bincount(first, minlength=n) > 0 for first in islice(splits, size)])
         else:
-            yield rng.permuted(np.tile(mask, (size, 1)), axis=1)
+            keys = stream.random_raw((size, n))
+            keys &= ~index_bits
+            keys |= rows
+            yield keys <= np.partition(keys, n1 - 1, axis=1)[:, n1 - 1, None]
 
 
 def _permutation_ps(cells: list, mask: np.ndarray, n_perm: int, seed: int) -> list:

@@ -1,10 +1,10 @@
 """Shared fixtures: canonical meshes and their eigen decompositions."""
 
+import builtins
 import errno
 import os
 import sys
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,16 +122,17 @@ def write_two_tetrahedra(path):
 
 
 def make_unreadable(monkeypatch, name):
-    """Make Path.read_bytes refuse every file called name, as a mode of 000 does
-    for any user but root; forked workers inherit the patch."""
-    read_bytes = Path.read_bytes
+    """Make open, the call by which the package reads every mesh, blob and CSV,
+    refuse every file called name, as a mode of 000 does for any user but root;
+    forked workers inherit the patch."""
+    real_open = builtins.open
 
-    def refusing(path):
-        if path.name == name:
-            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
-        return read_bytes(path)
+    def refusing(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.path.basename(file) == name:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(file))
+        return real_open(file, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "read_bytes", refusing)
+    monkeypatch.setattr(builtins, "open", refusing)
 
 
 def reference_icosphere(subdivisions):

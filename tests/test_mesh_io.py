@@ -1,6 +1,9 @@
 """Mesh container, file formats, synthetic generators."""
 
+import os
+import threading
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,6 +15,7 @@ import sgwshape as sg
 import sgwshape.mesh_io as mesh_io
 import sgwshape.pipeline as pipeline
 from conftest import (
+    make_unreadable,
     reference_icosphere,
     reference_off_bytes,
     reference_synthetic,
@@ -958,6 +962,64 @@ class TestLoadDispatch:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="no such file"):
             sg.load_mesh(tmp_path / "nope.off")
+
+    @pytest.mark.parametrize("name", ["mesh.stl", "mesh", "mesh.off.", ".off"])
+    def test_unknown_extension_keeps_its_message(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_text("whatever")
+        with pytest.raises(ParseError) as raised:
+            mesh_io.read_mesh_bytes(str(path))
+        assert str(raised.value) == (
+            f"{path}: cannot infer format from extension {Path(name).suffix!r}"
+        )
+
+    @pytest.mark.parametrize("name", ["MESH.OFF", "..off", "a.b.ply"])
+    def test_extension_is_read_as_path_suffix(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"bytes")
+        assert mesh_io.read_mesh_bytes(str(path)) == b"bytes"
+
+    def test_directory_is_no_such_file(self, tmp_path):
+        (tmp_path / "x.off").mkdir()
+        with pytest.raises(ParseError) as raised:
+            mesh_io.read_mesh_bytes(tmp_path / "x.off")
+        assert str(raised.value) == f"{tmp_path / 'x.off'}: no such file"
+
+    def test_nul_byte_is_no_such_file(self, tmp_path):
+        path = f"{tmp_path}/x\0.off"
+        with pytest.raises(ParseError) as raised:
+            mesh_io.read_mesh_bytes(path)
+        assert str(raised.value) == f"{Path(path)}: no such file"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    def test_fifo_is_no_such_file_and_never_opened(self, tmp_path):
+        fifo = tmp_path / "x.off"
+        os.mkfifo(fifo)
+        raised = []
+
+        def read():
+            try:
+                mesh_io.read_mesh_bytes(fifo)
+            except ParseError as exc:
+                raised.append(str(exc))
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        reader.join(5.0)
+        blocked = reader.is_alive()
+        if blocked:  # it opened the FIFO and waits for a writer: let it go
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join()
+        assert not blocked
+        assert raised == [f"{fifo}: no such file"]
+
+    def test_unreadable_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.off"
+        path.write_text("OFF\n")
+        make_unreadable(monkeypatch, "x.off")
+        with pytest.raises(ParseError) as raised:
+            mesh_io.read_mesh_bytes(str(path))
+        assert str(raised.value) == f"{path}: cannot read (Permission denied)"
 
 
 class TestSynthetic:

@@ -1,5 +1,6 @@
 """Manifest handling, caching, batch runs, sweeps, synthetic populations."""
 
+import builtins
 import csv
 import hashlib
 import json
@@ -511,7 +512,7 @@ class TestDescriptorCache:
         cached_summary = pipeline._cached_summary
 
         def recording_lookup(cache_path, head):
-            looked_up.append(cache_path.name)
+            looked_up.append(os.path.basename(cache_path))
             return cached_summary(cache_path, head)
 
         monkeypatch.setattr(pipeline, "_cached_summary", recording_lookup)
@@ -1114,7 +1115,7 @@ class TestWalkOverStrata:
         cached_summary = pipeline._cached_summary
 
         def counting_lookup(cache_path, head):
-            lookups.append(cache_path.name)
+            lookups.append(os.path.basename(cache_path))
             return cached_summary(cache_path, head)
 
         monkeypatch.setattr(pipeline, "_cached_summary", counting_lookup)
@@ -1126,6 +1127,32 @@ class TestWalkOverStrata:
             run = sg.run_group_comparison(two_class, cfg)
             assert (run.diagnostics.eigensolves, run.diagnostics.eigen_cache_hits) == (solves, hits)
             assert sorted(lookups) == sorted(p.name for p in (tmp_path / "cache").iterdir())
+
+    def test_warm_run_opens_each_file_once_and_each_blob_once_per_window(
+        self, two_strata, tmp_path, monkeypatch
+    ):
+        # ks 10 and 32 fall in the solve windows 39 and 78; each stratum lists
+        # the same six files
+        cache = tmp_path / "cache"
+        cfg = sg.RunConfig(cache_dir=str(cache), **SMALL)
+        cold = sg.parameter_sweep(two_strata, cfg, Rs=[3], ks=[10, 32])
+        opened = []
+        real_open = builtins.open
+
+        def recording(file, *args, **kwargs):
+            opened.append(os.fspath(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording)
+        warm = sg.parameter_sweep(two_strata, cfg, Rs=[3], ks=[10, 32])
+        monkeypatch.undo()
+        assert warm == cold
+        assert (warm.diagnostics.eigensolves, warm.diagnostics.eigen_cache_hits) == (0, 12)
+        files = sorted({entry.path for entry in two_strata.entries})
+        blobs = sorted(str(path) for path in cache.iterdir())
+        assert len(files) == 6 and len(blobs) == 12
+        assert sorted(path for path in opened if path.endswith(".off")) == files
+        assert sorted(path for path in opened if path.endswith(".sgwc")) == blobs
 
 
 @pytest.fixture(scope="module")
@@ -1673,14 +1700,14 @@ class TestParameterSweep:
 
     def test_masks_are_drawn_once_per_stratum(self, two_strata, monkeypatch):
         drawn = []
-        default_rng = np.random.default_rng
+        pcg64 = np.random.PCG64
 
         def counting(*args, **kwargs):
             if sys._getframe(1).f_globals["__name__"] == "sgwshape.stats":
                 drawn.append(args)
-            return default_rng(*args, **kwargs)
+            return pcg64(*args, **kwargs)
 
-        monkeypatch.setattr("sgwshape.stats.np.random.default_rng", counting)
+        monkeypatch.setattr("sgwshape.stats.np.random.PCG64", counting)
         cfg = sg.RunConfig(**{**SMALL, "n_perm": 10})
         sweep = sg.parameter_sweep(two_strata, cfg, Rs=[1, 2, 3], ks=[6, 8, 10])
         assert len(sweep.cells) == 18

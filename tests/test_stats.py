@@ -1,12 +1,14 @@
 """The one statistics entry: PCA basis, two-group MANOVA, and the permutation test."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import chdtrc
 
 import sgwshape as sg
 from sgwshape.errors import GroupCountError, InvalidParam, SgwError, SingularScatter
@@ -468,10 +470,10 @@ class TestBatchedLambda:
     @pytest.mark.parametrize(
         "n_per, p, shift, data_seed, n_perm, seed, expected",
         [
-            (8, 3, 0.5, 17, 200, 5, 0.4427860696517413),
-            (10, 4, 0.3, 21, 999, 7, 0.772),
+            (8, 3, 0.5, 17, 200, 5, 0.46766169154228854),
+            (10, 4, 0.3, 21, 999, 7, 0.745),
             (3, 2, 0.0, 14, 100, 0, 0.5),  # C(6, 3) = 20 <= 100: enumerated
-            (10, 8, 0.3, 3, 3000, 11, 0.06664445184938354),  # spans 3 blocks of masks
+            (10, 8, 0.3, 3, 3000, 11, 0.06731089636787738),  # spans 3 blocks of masks
         ],
     )
     def test_p_values_are_pinned(self, n_per, p, shift, data_seed, n_perm, seed, expected):
@@ -492,7 +494,7 @@ class TestBatchedLambda:
 
 
 class TestMaskStream:
-    """Sampled masks come from one generator per call, shuffled row by row."""
+    """Sampled masks rank raw keys from one PCG64 stream per call, one mask after another."""
 
     MASK = np.array([True] * 6 + [False] * 9)  # C(15, 6) = 5005 splits
 
@@ -509,6 +511,58 @@ class TestMaskStream:
 
     def test_first_masks_do_not_depend_on_n_perm(self):
         assert np.array_equal(self.masks(self.MASK, 500, 4), self.masks(self.MASK, 3000, 4)[:500])
+
+    @pytest.mark.parametrize(
+        "mask, n_perm, seed",
+        [
+            (MASK, 2500, 9),  # spans 3 blocks
+            (MASK[::-1], 300, 0),
+            (np.arange(16) % 3 == 0, 400, 5),  # n = 16: the row index fills 4 bits
+            (np.arange(17) < 8, 400, 6),  # n = 17: 5 bits
+            (np.arange(20) < 10, 1100, 2**64 - 1),
+        ],
+    )
+    def test_equals_a_reference_on_the_raw_integers(self, mask, n_perm, seed):
+        # each mask takes the next n raw integers; a key keeps the top 64 - b bits
+        # and holds the row index in its low b = ceil(log2 n) bits; the n1 rows
+        # of the smallest keys form the first group
+        n, n1 = len(mask), int(mask.sum())
+        raw = np.random.PCG64(seed).random_raw(n_perm * n).tolist()
+        b = math.ceil(math.log2(n))
+        expected = []
+        for i in range(n_perm):
+            keys = [raw[i * n + j] >> b << b | j for j in range(n)]
+            first = set(sorted(range(n), key=keys.__getitem__)[:n1])
+            expected.append([j in first for j in range(n)])
+        assert self.masks(mask, n_perm, seed).tolist() == expected
+
+    def test_inclusion_and_pair_counts_are_uniform(self):
+        # 20 000 masks of 10 rows in 20, one seed: each row's inclusion count and
+        # each pair's co-inclusion count against the uniform law over the C(20, 10)
+        # splits, by chi-square on the exact covariance of the counts
+        n, n1, draws = 20, 10, 20_000
+        masks = self.masks(np.arange(n) < n1, draws, 0).astype(np.int64)
+        share = n1 / n
+        inclusion = masks.sum(axis=0)
+        # one mask's row indicators have covariance share (1 - share) n / (n - 1)
+        # times the projection off the all-ones vector, of rank n - 1
+        chi2 = ((inclusion - draws * share) ** 2).sum() / (
+            draws * share * (1 - share) * n / (n - 1)
+        )
+        assert chdtrc(n - 1, chi2) > 1e-3
+
+        def all_in(size):  # the chance that `size` given rows all fall in the first group
+            return math.perm(n1, size) / math.perm(n, size)
+
+        pairs = list(combinations(range(n), 2))
+        both = masks.T @ masks
+        together = np.array([both[i, j] for i, j in pairs])
+        cov = np.array([[all_in(len({*a, *b})) for b in pairs] for a in pairs]) - all_in(2) ** 2
+        w, v = np.linalg.eigh(cov)
+        kept = w > 1e-10 * w[-1]
+        assert kept.sum() == len(pairs) - 1  # the pair counts of a mask sum to C(n1, 2)
+        z = v[:, kept].T @ (together - draws * all_in(2))
+        assert chdtrc(kept.sum(), (z * z / w[kept]).sum() / draws) > 1e-3
 
     @pytest.mark.parametrize("mask", [MASK, MASK[::-1], np.arange(15) % 2 == 0])
     def test_every_row_keeps_the_group_sizes(self, mask):
