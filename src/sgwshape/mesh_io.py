@@ -18,6 +18,7 @@ component. Meshes with boundary are accepted.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import stat
@@ -245,22 +246,23 @@ def load_mesh(path) -> TriangleMesh:
 def read_mesh_bytes(path) -> bytes:
     """The bytes of a mesh file whose extension names a known format.
 
-    One ``os.stat`` and one ``open(path, "rb")``; a name with a known
-    extension builds no Path unless an error names the file. A path that is
-    missing, names anything but a regular file (a directory, a FIFO) or
-    holds a NUL byte is "no such file", and is never opened, so a FIFO
-    cannot block the read.
+    One ``os.stat`` and one ``open(path, "rb")``. A path that is missing,
+    names anything but a regular file (a directory, a FIFO) or holds a NUL
+    byte is "no such file", and is never opened, so a FIFO cannot block the
+    read. Any other failure of the stat or the read, such as a parent
+    directory without search permission, is "cannot read (<reason>)".
     """
     try:
         regular = stat.S_ISREG(os.stat(path).st_mode)
-    except (OSError, ValueError):
+    except ValueError:
+        regular = False
+    except OSError as exc:
+        if exc.errno not in (errno.ENOENT, errno.ENOTDIR):
+            raise ParseError(f"{Path(path)}: cannot read ({exc.strerror})") from None
         regular = False
     if not regular:
         raise ParseError(f"{Path(path)}: no such file")
-    # splitext finds a known extension only where Path.suffix finds the same
-    # one; any other name gets _parser_for's verdict and message
-    if os.path.splitext(path)[1].lower() not in _PARSERS:
-        _parser_for(Path(path))
+    _parser_for(Path(path))
     try:
         with open(path, "rb") as handle:
             return handle.read()

@@ -54,8 +54,8 @@ generator (see _mask_blocks), or, when the label space is no larger than
 n_perm, every split is enumerated. NumPy keeps a bit generator's raw stream
 fixed across releases (NEP 19), but not the output of ``Generator`` methods
 such as ``permuted``, so a sampled p-value does not move with a NumPy
-upgrade. A 1000-mask block of n = 20 is drawn in about 0.15 ms at one
-thread, against 0.40-0.45 ms for ``permuted``. So ``compare_cells`` tests
+upgrade. A 1000-mask block of n = 20 is drawn in 0.12-0.14 ms at one
+thread, against 0.33-0.40 ms for ``permuted``. So ``compare_cells`` tests
 several data matrices over one label tuple (the (R, k) cells of a sweep
 stratum) in one walk: each block of masks is drawn once and scored against
 every cell, and each cell's result equals its own ``compare_groups``.

@@ -1,5 +1,6 @@
 """Mesh container, file formats, synthetic generators."""
 
+import errno
 import os
 import threading
 import warnings
@@ -963,7 +964,7 @@ class TestLoadDispatch:
         with pytest.raises(ParseError, match="no such file"):
             sg.load_mesh(tmp_path / "nope.off")
 
-    @pytest.mark.parametrize("name", ["mesh.stl", "mesh", "mesh.off.", ".off"])
+    @pytest.mark.parametrize("name", ["mesh.stl", "mesh"])
     def test_unknown_extension_keeps_its_message(self, tmp_path, name):
         path = tmp_path / name
         path.write_text("whatever")
@@ -972,12 +973,6 @@ class TestLoadDispatch:
         assert str(raised.value) == (
             f"{path}: cannot infer format from extension {Path(name).suffix!r}"
         )
-
-    @pytest.mark.parametrize("name", ["MESH.OFF", "..off", "a.b.ply"])
-    def test_extension_is_read_as_path_suffix(self, tmp_path, name):
-        path = tmp_path / name
-        path.write_bytes(b"bytes")
-        assert mesh_io.read_mesh_bytes(str(path)) == b"bytes"
 
     def test_directory_is_no_such_file(self, tmp_path):
         (tmp_path / "x.off").mkdir()
@@ -1012,6 +1007,30 @@ class TestLoadDispatch:
             reader.join()
         assert not blocked
         assert raised == [f"{fifo}: no such file"]
+
+    def test_unsearchable_directory_cannot_be_read(self, tmp_path, monkeypatch):
+        # as os.stat fails under a parent directory of mode 000, for any user but root
+        path = tmp_path / "x.off"
+        path.write_text("OFF\n")
+        real_stat = os.stat
+
+        def refusing(target, *args, **kwargs):
+            if os.fspath(target) == str(path):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return real_stat(target, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", refusing)
+        with pytest.raises(ParseError) as raised:
+            mesh_io.read_mesh_bytes(str(path))
+        assert str(raised.value) == f"{path}: cannot read (Permission denied)"
+
+    def test_symlink_loop_cannot_be_read(self, tmp_path):
+        path = tmp_path / "x.off"
+        os.symlink(tmp_path / "y.off", path)
+        os.symlink(path, tmp_path / "y.off")
+        with pytest.raises(ParseError) as raised:
+            mesh_io.read_mesh_bytes(path)
+        assert str(raised.value) == f"{path}: cannot read ({os.strerror(errno.ELOOP)})"
 
     def test_unreadable_file(self, tmp_path, monkeypatch):
         path = tmp_path / "x.off"
