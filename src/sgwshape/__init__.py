@@ -8,7 +8,7 @@ and compares two shape populations with MANOVA plus a permutation test.
 
 __version__ = "0.1.0"
 
-from .eigen import DENSE_CUTOFF, EigenBasis, solve_eigen
+from .eigen import EigenBasis, solve_eigen
 from .errors import (
     ConvergenceError,
     DegenerateMass,
@@ -71,7 +71,6 @@ __all__ = [
     "EigenBasis",
     "solve_eigen",
     "spectrum_bounds",
-    "DENSE_CUTOFF",
     "SignatureMatrix",
     "mexican_hat",
     "scaling_kernel",

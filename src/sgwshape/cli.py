@@ -106,8 +106,8 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _add_solver_flags(parser):
-    """--lumping, the one solver flag: every command takes the eigensolver route from
-    the mesh size alone (see eigen), so a single solve gives the pairs a run stores."""
+    """--lumping, the one solver flag: every command solves by the one eigensolver
+    route (see eigen), so a single solve gives the pairs a run stores."""
     parser.add_argument(
         "--lumping", default="mixed", choices=LUMPING_SCHEMES,
         help="vertex area scheme (default mixed)",

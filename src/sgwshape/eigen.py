@@ -9,38 +9,35 @@ B is built straight from W's CSR entries, rounded as scipy's sparse
 products and sum would round them (see _similarity). W must have a
 symmetric sparsity pattern (its values are symmetrized).
 
-Two routes share this reduction: a dense one (scipy.linalg.eigh on the full
-B) and a sparse shift-invert Lanczos one (scipy.sparse.linalg.eigsh, which
-solves only the low end of the spectrum). The route follows the vertex count
-alone: dense at or below DENSE_CUTOFF = 600 vertices, sparse above it, so
-every caller of one mesh gets the pairs a run stores for it. Both routes
-check their pairs against lambda_k, so no check depends on the length unit.
+One route solves every mesh: shift-invert Lanczos
+(scipy.sparse.linalg.eigsh), which solves only the low end of the spectrum.
+Lanczos cannot return all m pairs, so k is in [1, m - 1]. The pairs are
+checked against lambda_k, so no check depends on the length unit.
 
-The sparse route returns the first k pairs of a window that depends on k
-only through a rung (see _window): Lanczos's pairs move in the last bits
-with how many it solves, so every k of one window gets, bitwise, a prefix of
-one solve. It scales B by the 4^e that puts its mean diagonal in [1/2, 2),
+The solve returns the first k pairs of a window that depends on k only
+through a rung (see _window): Lanczos's pairs move in the last bits with how
+many it solves, so every k of one window gets, bitwise, a prefix of one
+solve. It scales B by the 4^e that puts its mean diagonal in [1/2, 2),
 exactly (the factor scales by 2^e), so Lanczos sees one magnitude at every
 length scale.
 
-The sparse route's shift sigma is negative and B is positive semidefinite
-(W is the P1 finite-element stiffness matrix), so ``B - sigma I`` is
-positive definite. The whole Lanczos solve runs in B's reverse Cuthill-McKee
-order, whose narrow band holds one banded Cholesky factor (dpbtrf, see
-_shift_invert) that serves every application of ``(B - sigma I)^{-1}``. No
-such factor exists when B has an eigenvalue at or below sigma, or when B is
-zero (then sigma is zero); the solve is then rejected as not positive
-semidefinite.
+The shift sigma is negative and B is positive semidefinite (W is the P1
+finite-element stiffness matrix), so ``B - sigma I`` is positive definite.
+The whole Lanczos solve runs in B's reverse Cuthill-McKee order, whose
+narrow band holds one banded Cholesky factor (dpbtrf, see _shift_invert)
+that serves every application of ``(B - sigma I)^{-1}``. No such factor
+exists when B has an eigenvalue at or below sigma, or when B is zero (then
+sigma is zero); the solve is then rejected as not positive semidefinite.
 
-Threads: every solve, on either route, sets every OpenBLAS loaded into the
-process to one thread for its dense ``eigh``, or for its band factor and
-Lanczos loop, and puts back the thread counts it found when it returns or
-raises. So a solve's pairs do not depend on the thread count: a single
-command or library call returns bitwise the pairs whose summaries a batch
-run, which is one ``_one_blas_thread`` region from start to end (its
-descriptor products and SVDs too), stores in its blobs. The libraries are
-found once per process, from ``/proc/self/maps``; where none is found
-(another BLAS, another OS) the solve runs at the default count.
+Threads: every solve sets every OpenBLAS loaded into the process to one
+thread for its band factor and Lanczos loop, and puts back the thread
+counts it found when it returns or raises. So a solve's pairs do not depend
+on the thread count: a single command or library call returns bitwise the
+pairs whose summaries a batch run, which is one ``_one_blas_thread`` region
+from start to end (its descriptor products and SVDs too), stores in its
+blobs. The libraries are found once per process, from ``/proc/self/maps``;
+where none is found (another BLAS, another OS) the solve runs at the
+default count.
 
 Determinism: the Lanczos starting vector is drawn from a fixed-seed
 generator, and every eigenvector's sign is normalized so its
@@ -55,22 +52,18 @@ import functools
 import math
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ConvergenceError, InvalidParam, NumericalError, _integer
 
-__all__ = ["EigenBasis", "solve_eigen", "DENSE_CUTOFF"]
-
-# largest vertex count solved densely; larger meshes take the sparse route
-DENSE_CUTOFF = 600
+__all__ = ["EigenBasis", "solve_eigen"]
 
 _LANCZOS_SEED = 20230817
 
@@ -106,14 +99,11 @@ class EigenBasis:
     eigenvalues : (k,) float64, nonnegative, ascending
     eigenvectors : (m, k) float64, ``Phi.T A Phi = I``
     vertex_areas : (m,) float64, diagonal of A
-    method : str
-        Route actually used, "dense" or "sparse".
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     vertex_areas: np.ndarray
-    method: str = field(default="dense", compare=False)
 
     def __post_init__(self):
         for arr in (self.eigenvalues, self.eigenvectors, self.vertex_areas):
@@ -126,6 +116,11 @@ class EigenBasis:
     @property
     def m(self) -> int:
         return self.eigenvectors.shape[0]
+
+    @property
+    def method(self) -> str:
+        """The eigensolver route, always "sparse"; kept for readers of the old field."""
+        return "sparse"
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -220,15 +215,14 @@ def _similarity(w: sparse.csr_matrix, inv_sqrt: np.ndarray) -> sparse.csr_matrix
 
 
 def _window(k: int) -> int:
-    """Pairs the sparse route solves for k, before the cap at m - 1: the least multiple
+    """Pairs solve_eigen solves for k, before the cap at m - 1: the least multiple
     of 39 (the default k = 31 plus the buffer) that holds k plus the buffer."""
     return 39 * -(-(k + _CLUSTER_BUFFER) // 39)
 
 
 def _largest_k(m: int, window: int | None = None) -> int:
-    """Largest k solve_eigen takes for m vertices (m dense, m - 1 sparse), or of a window."""
-    limit = m if m <= DENSE_CUTOFF else m - 1
-    return limit if window is None else min(window - _CLUSTER_BUFFER, limit)
+    """Largest k solve_eigen takes for m vertices (m - 1), or of a window."""
+    return m - 1 if window is None else min(window - _CLUSTER_BUFFER, m - 1)
 
 
 def _shift_invert(b, sigma: float) -> tuple[LinearOperator, np.ndarray]:
@@ -266,15 +260,15 @@ def _shift_invert(b, sigma: float) -> tuple[LinearOperator, np.ndarray]:
 def solve_eigen(stiffness, mass, k: int) -> EigenBasis:
     """Compute the k smallest eigenpairs of ``W phi = lambda A phi``.
 
-    The route is dense at m <= DENSE_CUTOFF and sparse above it; either runs
-    at one OpenBLAS thread (see the module docstring).
+    Shift-invert Lanczos over one banded Cholesky factor, at one OpenBLAS
+    thread (see the module docstring).
 
     Parameters
     ----------
     stiffness : (m, m) symmetric sparse matrix
         Its sparsity pattern must be symmetric; its values are symmetrized.
     mass : (m, m) diagonal sparse matrix with positive diagonal
-    k : int, 1 <= k <= m on the dense route, 1 <= k <= m - 1 on the sparse one
+    k : int, 1 <= k <= m - 1
 
     Raises
     ------
@@ -285,8 +279,8 @@ def solve_eigen(stiffness, mass, k: int) -> EigenBasis:
         Lanczos failure, or a residual ``||W phi - lambda A phi||`` above
         2e-10 lambda_k ``||A phi||`` on any returned pair.
     NumericalError
-        An eigenvalue below -1e-10 lambda_k, or (sparse route) a shifted
-        matrix ``B - sigma I`` with no Cholesky factor.
+        An eigenvalue below -1e-10 lambda_k, or a shifted matrix
+        ``B - sigma I`` with no Cholesky factor.
     """
     w = sparse.csr_matrix(stiffness)
     m = w.shape[0]
@@ -300,7 +294,6 @@ def solve_eigen(stiffness, mass, k: int) -> EigenBasis:
     if (areas <= 0.0).any():
         raise InvalidParam("mass matrix diagonal must be positive")
     k = _integer("k", k)
-    method = "dense" if m <= DENSE_CUTOFF else "sparse"
     limit = _largest_k(m)
     if not 1 <= k <= limit:
         raise InvalidParam(f"k must be in [1, {limit}], got {k}")
@@ -309,41 +302,37 @@ def solve_eigen(stiffness, mass, k: int) -> EigenBasis:
     b = _similarity(w, inv_sqrt)
 
     with _one_blas_thread():
-        if method == "dense":
-            solved, vecs = eigh(b.toarray())
-            vecs = vecs[:, :k]
-        else:
-            # Solve past the requested k: restarted Lanczos can drop members of a
-            # degenerate cluster sitting exactly at the window edge, and the
-            # oversolve buffer pushes that edge out. ARPACK's default Krylov size,
-            # max(2 * k_solve + 1, 20), then finds every member of a cluster
-            # inside it.
-            k_solve = min(_window(k), m - 1)
-            # 4^e puts the mean diagonal in [1/2, 2) (e = 0 for a zero B)
-            scale = math.ldexp(1.0, -2 * (math.frexp(float(np.mean(b.diagonal())))[1] // 2))
-            b.data *= scale
-            sigma = -0.01 * float(np.mean(b.diagonal()))
-            v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(m)
-            op_inv, perm = _shift_invert(b, sigma)
-            try:
-                # Lanczos runs in band order; with OPinv given, eigsh reads only
-                # the shape and dtype of its first argument
-                vals, band_vecs = eigsh(
-                    op_inv,
-                    k=k_solve,
-                    sigma=sigma,
-                    which="LM",
-                    v0=v0[perm],
-                    tol=0,
-                    maxiter=max(1000, 50 * k_solve),
-                    OPinv=op_inv,
-                )
-            except Exception as exc:
-                raise ConvergenceError(f"sparse eigensolver failed: {exc}") from exc
-            order = np.argsort(vals)
-            solved = vals[order] / scale
-            vecs = np.empty((m, k))
-            vecs[perm] = band_vecs[:, order[:k]]
+        # Solve past the requested k: restarted Lanczos can drop members of a
+        # degenerate cluster sitting exactly at the window edge, and the
+        # oversolve buffer pushes that edge out. ARPACK's default Krylov size,
+        # max(2 * k_solve + 1, 20), then finds every member of a cluster
+        # inside it.
+        k_solve = min(_window(k), m - 1)
+        # 4^e puts the mean diagonal in [1/2, 2) (e = 0 for a zero B)
+        scale = math.ldexp(1.0, -2 * (math.frexp(float(np.mean(b.diagonal())))[1] // 2))
+        b.data *= scale
+        sigma = -0.01 * float(np.mean(b.diagonal()))
+        v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(m)
+        op_inv, perm = _shift_invert(b, sigma)
+        try:
+            # Lanczos runs in band order; with OPinv given, eigsh reads only
+            # the shape and dtype of its first argument
+            vals, band_vecs = eigsh(
+                op_inv,
+                k=k_solve,
+                sigma=sigma,
+                which="LM",
+                v0=v0[perm],
+                tol=0,
+                maxiter=max(1000, 50 * k_solve),
+                OPinv=op_inv,
+            )
+        except Exception as exc:
+            raise ConvergenceError(f"sparse eigensolver failed: {exc}") from exc
+        order = np.argsort(vals)
+        solved = vals[order] / scale
+        vecs = np.empty((m, k))
+        vecs[perm] = band_vecs[:, order[:k]]
     vals = solved[:k]
 
     # the checks' scale is lambda_k (lambda_2 at k = 1: lambda_1 of a closed mesh
@@ -371,5 +360,4 @@ def solve_eigen(stiffness, mass, k: int) -> EigenBasis:
         np.ascontiguousarray(vals),
         np.ascontiguousarray(phi),
         np.ascontiguousarray(areas),
-        method=method,
     )

@@ -320,7 +320,7 @@ def _cache_entry(digest: str, cfg: RunConfig, window: int) -> tuple:
     """
     cache_path = os.path.join(cfg.cache_dir, f"spectrum-{digest}-{cfg.lumping}-{window}.sgwc")
     # a blob copied under another file's name has another head line
-    return cache_path, f"SGWSPEC4 {digest} {cfg.lumping} {window} ".encode()
+    return cache_path, f"SGWSPEC5 {digest} {cfg.lumping} {window} ".encode()
 
 
 def _blob(head: bytes, summary: SpectralSummary) -> bytes:

@@ -3,11 +3,10 @@
 import builtins
 import errno
 import os
-import sys
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import sgwshape as sg
 import sgwshape.eigen as eigen
@@ -88,21 +87,22 @@ def triangle_areas(mesh):
 def first_pairs(basis, k):
     """The basis of the first k pairs of `basis`."""
     return sg.EigenBasis(
-        basis.eigenvalues[:k].copy(), basis.eigenvectors[:, :k].copy(), basis.vertex_areas,
-        method=basis.method,
+        basis.eigenvalues[:k].copy(), basis.eigenvectors[:, :k].copy(), basis.vertex_areas
     )
 
 
-@contextmanager
-def solver_route(route):
-    """Every solve inside takes `route`, "dense" or "sparse", whatever the mesh size.
+def full_basis(stiffness, mass):
+    """All m pairs of (W, A), from scipy.linalg.eigh of the B that solve_eigen solves.
 
-    It moves eigen.DENSE_CUTOFF, the one route lever, through its own
-    MonkeyPatch, so module- and session-scoped fixtures can use it too.
+    solve_eigen stops at m - 1 pairs; this is the oracle of the tests that need
+    every pair. Eigenvalues are clamped at zero and signs fixed as solve_eigen's.
     """
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(eigen, "DENSE_CUTOFF", {"dense": sys.maxsize, "sparse": 0}[route])
-        yield
+    areas = mass.diagonal()
+    inv_sqrt = 1.0 / np.sqrt(areas)
+    vals, vecs = scipy.linalg.eigh(eigen._similarity(stiffness.tocsr(), inv_sqrt).toarray())
+    return sg.EigenBasis(
+        np.maximum(vals, 0.0), eigen._fix_signs(inv_sqrt[:, None] * vecs), areas
+    )
 
 
 def apply_operator(stiffness, mass, f):

@@ -15,7 +15,7 @@ from scipy.stats import kstest, ttest_ind
 
 import sgwshape as sg
 
-from conftest import random_rotation, rigid_transform, solver_route
+from conftest import full_basis, random_rotation, rigid_transform
 
 _reporter = None
 
@@ -88,8 +88,7 @@ def test_criterion_02_dense_oracle_equivalence():
     worst_ortho = 0.0
     for name, mesh, k in meshes:
         stiffness, mass = sg.laplacian_matrices(mesh)
-        with solver_route("sparse"):
-            sparse = sg.solve_eigen(stiffness, mass, k)
+        sparse = sg.solve_eigen(stiffness, mass, k)
         oracle = scipy.linalg.eigh(
             stiffness.toarray(), mass.toarray(), eigvals_only=True
         )[:k]
@@ -198,8 +197,7 @@ def test_criterion_06_hand_oracle_signature():
 
 def test_criterion_07_nmse_anchors():
     small = sg.make_synthetic("unit_sphere", 1)  # m = 42, closed
-    with solver_route("dense"):
-        small_basis = _solve(small, small.m)
+    small_basis = full_basis(*sg.laplacian_matrices(small))
     full = sg.nmse_curve(small, small_basis, [1, small.m])
     anchor_exact = full.nmse[0] == 1.0
     tail_tiny = full.nmse[-1] < 1e-12

@@ -18,7 +18,7 @@ EXPORTED = {
     # meshes
     "TriangleMesh", "load_mesh", "write_mesh", "make_synthetic",
     # Laplacian and eigenpairs
-    "laplacian_matrices", "EigenBasis", "solve_eigen", "DENSE_CUTOFF",
+    "laplacian_matrices", "EigenBasis", "solve_eigen",
     # signatures and descriptors
     "spectrum_bounds", "SignatureMatrix", "mexican_hat", "scaling_kernel",
     "wavelet_scales", "signature_length", "signature_matrix",

@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 import sgwshape as sg
 from sgwshape import eigen, mesh_io
 
-from conftest import planar_grid, solver_route
+from conftest import planar_grid
 
 
 def reference_corner_geometry(mesh):
@@ -143,8 +143,7 @@ def test_band_and_shift_are_the_reference(mesh, monkeypatch):
 
     monkeypatch.setattr(eigen, "dpbtrf", band_spy)
     monkeypatch.setattr(eigen, "eigsh", eigsh_spy)
-    with solver_route("sparse"):
-        sg.solve_eigen(stiffness, mass, 3)
+    sg.solve_eigen(stiffness, mass, 3)
 
     b = reference_sparse_route_matrix(stiffness, mass.diagonal())
     assert 0.5 <= np.mean(b.diagonal()) < 2.0
@@ -155,18 +154,19 @@ def test_band_and_shift_are_the_reference(mesh, monkeypatch):
     assert seen["band"].tobytes() == expected.tobytes()
 
 
-def test_dense_matrix_is_the_reference(mesh, monkeypatch):
+def test_similarity_matrix_is_the_reference(mesh, monkeypatch):
+    # B before its power-of-four scale, which solve_eigen applies in place
     stiffness, mass = sg.laplacian_matrices(mesh)
     seen = {}
-    eigh = eigen.eigh
+    similarity = eigen._similarity
 
-    def eigh_spy(matrix):
-        seen["matrix"] = matrix.copy()
-        return eigh(matrix)
+    def similarity_spy(*args):
+        b = similarity(*args)
+        seen["matrix"] = b.toarray()
+        return b
 
-    monkeypatch.setattr(eigen, "eigh", eigh_spy)
-    with solver_route("dense"):
-        sg.solve_eigen(stiffness, mass, 3)
+    monkeypatch.setattr(eigen, "_similarity", similarity_spy)
+    sg.solve_eigen(stiffness, mass, 3)
     expected = reference_similarity(stiffness, mass.diagonal()).toarray()
     assert seen["matrix"].tobytes() == expected.tobytes()
 
@@ -187,8 +187,7 @@ def test_stored_zeros_are_not_in_the_band(monkeypatch):
         return dpbtrf(ab, **kwargs)
 
     monkeypatch.setattr(eigen, "dpbtrf", band_spy)
-    with solver_route("sparse"):
-        sg.solve_eigen(stiffness, mass, 3)
+    sg.solve_eigen(stiffness, mass, 3)
     b = reference_sparse_route_matrix(stiffness, mass.diagonal())
     assert b.nnz == 31
     expected = reference_band(b, -0.01 * float(np.mean(b.diagonal())))

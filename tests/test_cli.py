@@ -134,8 +134,8 @@ class TestEigen:
 
     @pytest.mark.parametrize("subdivisions, m", [(2, 162), (3, 642)])
     def test_eigen_writes_the_pairs_a_run_stores(self, tmp_path, capsys, subdivisions, m):
-        # m = 162 takes the dense route and m = 642 the sparse one; on either, the
-        # eigenvalues eigen writes are, bitwise, those of the blob gsgw stores
+        # at m = 162 and at m = 642, the eigenvalues eigen writes are, bitwise,
+        # those of the blob gsgw stores
         mesh = tmp_path / "bumpy.off"
         sg.write_mesh(sg.make_synthetic("bumpy_sphere", subdivisions, seed=1), mesh)
         assert sg.load_mesh(mesh).m == m
@@ -778,7 +778,7 @@ class TestSweepAndPlots:
     @pytest.mark.parametrize(
         "extra, code, error",
         [
-            (("--ks-grid", "50"), 2, "s000 [descriptor]: k must be in [1, 42], got 50"),
+            (("--ks-grid", "50"), 2, "s000 [descriptor]: k must be in [1, 41], got 50"),
             (("--pca-dims", "5"), 3, "[stats] feature dimension 5 exceeds within-group degrees "
                                      "of freedom 4; reduce the dimension"),
         ],
@@ -1177,8 +1177,8 @@ class TestParser:
         ],
     )
     def test_runs_refuse_a_route(self, argv, capsys):
-        # every command takes the route from the mesh size, so a single solve writes
-        # the pairs a run stores, and a run's blobs carry no route choice
+        # every command solves by the one route, so a single solve writes the pairs
+        # a run stores, and a run's blobs carry no route choice
         with pytest.raises(SystemExit) as excinfo:
             main([*argv, "--method", "dense"])
         assert excinfo.value.code == 2

@@ -3,7 +3,7 @@
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from sgwshape import eigen
 from sgwshape.errors import ConvergenceError, InvalidParam, NumericalError
 from sgwshape.gsgw import descriptor_from_summary, summarize
 
-from conftest import random_rotation, rigid_transform, solver_route
+from conftest import first_pairs, full_basis, random_rotation, rigid_transform
 
 
 # the OpenBLAS thread controls this process found, before any test replaces the lookup
@@ -31,6 +31,19 @@ def _threads():
 def small_problem(mesh, k=10):
     stiffness, mass = sg.laplacian_matrices(mesh)
     return sg.solve_eigen(stiffness, mass, k)
+
+
+# the smallest meshes Lanczos solves, with no two eigenvalues equal, so that
+# each eigenvector is fixed up to the sign solve_eigen normalizes
+TINY_MESHES = {
+    "triangle": lambda: sg.TriangleMesh(
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.3, 0.8, 0.0]], [[0, 1, 2]]
+    ),
+    "tetrahedron": lambda: sg.TriangleMesh(
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.2, 0.9, 0.0], [0.3, 0.2, 0.8]],
+        [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]],
+    ),
+}
 
 
 class TestSolveEigen:
@@ -72,10 +85,9 @@ class TestSolveEigen:
         np.testing.assert_array_equal(a.eigenvectors, b.eigenvectors)
 
     def test_dense_and_sparse_agree(self, icosphere2):
-        with solver_route("dense"):
-            dense = small_problem(icosphere2, k=20)
-        with solver_route("sparse"):
-            sparse = small_problem(icosphere2, k=20)
+        # the dense reference is scipy.linalg.eigh of the same B
+        dense = first_pairs(full_basis(*sg.laplacian_matrices(icosphere2)), 20)
+        sparse = small_problem(icosphere2, k=20)
         scale = dense.eigenvalues[-1]
         assert np.abs(dense.eigenvalues - sparse.eigenvalues).max() < 1e-9 * scale
 
@@ -83,12 +95,9 @@ class TestSolveEigen:
     def test_sparse_keeps_degenerate_clusters(self, icosphere3, k):
         # the icosphere's spectrum comes in exactly degenerate clusters (the
         # l = 5 band is indices 25-35); at ARPACK's default Krylov size the
-        # sparse route must still return every member at the window edge
-        with solver_route("dense"):
-            dense = small_problem(icosphere3, k=k)
-        with solver_route("sparse"):
-            sparse = small_problem(icosphere3, k=k)
-        assert sparse.method == "sparse"
+        # solve must still return every member at the window edge
+        dense = first_pairs(full_basis(*sg.laplacian_matrices(icosphere3)), k)
+        sparse = small_problem(icosphere3, k=k)
         scale = dense.eigenvalues[-1]
         assert np.abs(dense.eigenvalues - sparse.eigenvalues).max() < 1e-9 * scale
 
@@ -102,7 +111,7 @@ class TestSolveEigen:
         b = (inv_sqrt @ stiffness @ inv_sqrt).toarray()
         expected = scipy.linalg.eigh((b + b.T) * 0.5, eigvals_only=True, subset_by_index=[0, 30])
         sparse = sg.solve_eigen(stiffness, mass, 31)
-        assert mesh.m == 2562 and sparse.method == "sparse"
+        assert mesh.m == 2562
         scale = expected[-1]
         assert np.abs(np.maximum(expected, 0.0) - sparse.eigenvalues).max() < 1e-9 * scale
 
@@ -114,20 +123,40 @@ class TestSolveEigen:
         stiffness, mass = sg.laplacian_matrices(mesh)
         cut = sg.solve_eigen(stiffness, mass, 31)
         wide = sg.solve_eigen(stiffness, mass, 48)
-        assert mesh.m == 10242 and cut.method == "sparse"
+        assert mesh.m == 10242
         scale = cut.eigenvalues[-1]
         assert np.abs(wide.eigenvalues[:31] - cut.eigenvalues).max() < 1e-9 * scale
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_sparse_matches_dense_pair_by_pair(self, seed):
-        # the sparse route solves in band order and puts the eigenvectors back in
-        # vertex order; a wrong reordering moves the vectors and the area weights
-        mesh = sg.make_synthetic("bumpy_sphere", 3, seed=seed)
-        with solver_route("dense"):
-            dense = small_problem(mesh, k=31)
-        sparse = small_problem(mesh, k=31)
-        assert mesh.m == 642 and sparse.method == "sparse"
-        scale = dense.eigenvalues[-1]
+    @pytest.mark.parametrize(
+        "mesh, k",
+        [
+            *[
+                pytest.param(TINY_MESHES[name], k, id=f"{name}-k{k}")
+                for name, ks in (("triangle", (1, 2)), ("tetrahedron", (1, 2, 3)))
+                for k in ks
+            ],
+            *[
+                pytest.param(
+                    partial(sg.make_synthetic, "bumpy_sphere", s, seed=seed), k,
+                    id=f"bumpy{s}-seed{seed}",
+                )
+                for s, k, seeds in ((0, 11, (1, 2)), (1, 31, (1, 2)), (2, 31, (1, 2)),
+                                    (3, 31, (1, 2, 3)))
+                for seed in seeds
+            ],
+        ],
+    )
+    def test_sparse_matches_dense_pair_by_pair(self, mesh, k):
+        # Lanczos solves in band order and puts the eigenvectors back in vertex
+        # order; a wrong reordering moves the vectors and the area weights. The
+        # reference is scipy.linalg.eigh of the same B, from a single triangle up
+        # to m = 642, at k up to m - 1
+        stiffness, mass = sg.laplacian_matrices(mesh())
+        full = full_basis(stiffness, mass)
+        dense = first_pairs(full, k)
+        sparse = sg.solve_eigen(stiffness, mass, k)
+        # lambda_k, or lambda_2 at k = 1, as solve_eigen's own checks
+        scale = full.eigenvalues[max(k, 2) - 1]
         assert np.abs(sparse.eigenvalues - dense.eigenvalues).max() <= 1e-12 * scale
         np.testing.assert_allclose(summarize(sparse).w_area, summarize(dense).w_area, rtol=1e-10)
         np.testing.assert_allclose(
@@ -135,7 +164,7 @@ class TestSolveEigen:
         )
 
     def test_relabelled_vertices_give_the_same_spectrum(self):
-        # the sparse route's band ordering depends on the vertex labels; the
+        # the band ordering depends on the vertex labels; the
         # eigenvalues and the area weights must not
         mesh = sg.make_synthetic("bumpy_sphere", 3, seed=2)
         order = np.random.default_rng(11).permutation(mesh.m)
@@ -174,13 +203,22 @@ class TestSolveEigen:
         with pytest.raises(InvalidParam):
             sg.solve_eigen(stiffness, mass, icosphere2.m + 1)
 
-    @pytest.mark.parametrize("route, limit", [("dense", 162), ("sparse", 161)])
-    def test_one_k_range_per_route(self, icosphere2, route, limit):
-        # Lanczos cannot return all m pairs, so the sparse route stops at m - 1
-        stiffness, mass = sg.laplacian_matrices(icosphere2)
-        with solver_route(route), pytest.raises(InvalidParam) as raised:
-            sg.solve_eigen(stiffness, mass, limit + 1)
-        assert str(raised.value) == f"k must be in [1, {limit}], got {limit + 1}"
+    @pytest.mark.parametrize(
+        "mesh",
+        [
+            *TINY_MESHES.values(),
+            partial(sg.make_synthetic, "bumpy_sphere", 0, seed=1),
+            partial(sg.make_synthetic, "unit_sphere", 2),
+        ],
+        ids=[*TINY_MESHES, "bumpy0", "icosphere2"],
+    )
+    def test_k_stops_at_m_minus_1(self, mesh):
+        # Lanczos cannot return all m pairs
+        mesh = mesh()
+        stiffness, mass = sg.laplacian_matrices(mesh)
+        with pytest.raises(InvalidParam) as raised:
+            sg.solve_eigen(stiffness, mass, mesh.m)
+        assert str(raised.value) == f"k must be in [1, {mesh.m - 1}], got {mesh.m}"
 
     @pytest.mark.parametrize(
         "shape, mass_size, message",
@@ -203,19 +241,12 @@ class TestSolveEigen:
         with pytest.raises(InvalidParam, match="mass"):
             sg.solve_eigen(stiffness, mass, 2)
 
-    def test_indefinite_operator_rejected(self):
-        stiffness = (-sp.identity(6)).tocsr()
-        mass = sp.identity(6, format="csr")
-        with pytest.raises(NumericalError, match="negative"):
-            sg.solve_eigen(stiffness, mass, 3)
-
     def test_asymmetric_pattern_rejected(self):
         stiffness = sp.csr_matrix(np.triu(np.ones((6, 6))))
         with pytest.raises(InvalidParam, match="symmetric sparsity pattern"):
             sg.solve_eigen(stiffness, sp.identity(6, format="csr"), 3)
 
-    @pytest.mark.parametrize("route", ["dense", "sparse"])
-    def test_duplicate_entries_are_summed(self, icosphere2, icosphere2_basis, route):
+    def test_duplicate_entries_are_summed(self, icosphere2, icosphere2_basis):
         # each entry of W stored as two halves, each row in descending column order
         stiffness, mass = sg.laplacian_matrices(icosphere2)
         indices, data = [], []
@@ -225,20 +256,21 @@ class TestSolveEigen:
             data += np.repeat(stiffness.data[row][::-1] / 2, 2).tolist()
         split = sp.csr_matrix((data, indices, 2 * stiffness.indptr), shape=stiffness.shape)
         assert not split.has_canonical_format
-        with solver_route(route):
-            basis = sg.solve_eigen(split, mass, 31)
+        basis = sg.solve_eigen(split, mass, 31)
         np.testing.assert_allclose(
             basis.eigenvalues[1:], icosphere2_basis.eigenvalues[1:], rtol=1e-10
         )
 
     @pytest.mark.parametrize(
-        "stiffness", [-sp.identity(20), sp.csr_matrix((20, 20))], ids=["minus-identity", "zero"]
+        "stiffness",
+        [-sp.identity(20), sp.csr_matrix((20, 20)), -sp.identity(6)],
+        ids=["minus-identity", "zero", "minus-identity-6"],
     )
     def test_indefinite_operator_rejected_on_sparse_route(self, stiffness):
         # the shifted matrix has no Cholesky factor; solving with a partial
         # factor would hand Lanczos a wrong operator
-        mass = sp.identity(20, format="csr")
-        with solver_route("sparse"), pytest.raises(
+        mass = sp.identity(stiffness.shape[0], format="csr")
+        with pytest.raises(
             NumericalError, match="stiffness matrix is not positive semidefinite"
         ):
             sg.solve_eigen(stiffness, mass, 3)
@@ -258,63 +290,52 @@ class TestLengthUnit:
     A goes as c^2 and each eigenvalue as 1/c^2, so a mesh in metres and the same
     mesh in millimetres are held to the same bar."""
 
-    @pytest.mark.parametrize(
-        "subdivisions, route", [(2, "auto"), (3, "auto"), (4, "auto"), (2, "sparse"), (3, "dense")]
-    )
-    def test_every_scale_solves(self, subdivisions, route):
-        # "auto": the route the mesh size gives
-        with nullcontext() if route == "auto" else solver_route(route):
-            reference = sg.solve_eigen(*scaled_problem(subdivisions, 1.0), 31)
-            for c in (1e-3, 1e3):
-                got = sg.solve_eigen(*scaled_problem(subdivisions, c), 31)
-                assert got.method == reference.method
-                scaled = got.eigenvalues * c**2
-                assert scaled[0] <= 1e-10 * reference.eigenvalues[-1]
-                np.testing.assert_allclose(scaled[1:], reference.eigenvalues[1:], rtol=1e-10, atol=0)
+    @pytest.mark.parametrize("subdivisions", [2, 3, 4])
+    def test_every_scale_solves(self, subdivisions):
+        reference = sg.solve_eigen(*scaled_problem(subdivisions, 1.0), 31)
+        for c in (1e-3, 1e3):
+            got = sg.solve_eigen(*scaled_problem(subdivisions, c), 31)
+            scaled = got.eigenvalues * c**2
+            assert scaled[0] <= 1e-10 * reference.eigenvalues[-1]
+            np.testing.assert_allclose(scaled[1:], reference.eigenvalues[1:], rtol=1e-10, atol=0)
 
-    @pytest.mark.parametrize("route", ["dense", "sparse"])
-    def test_one_pair_is_checked_against_lambda_2(self, route):
+    def test_one_pair_is_checked_against_lambda_2(self):
         # lambda_1 of a closed mesh is zero, so it cannot set the scale
         for c in _SCALES:
             stiffness, mass = scaled_problem(2, c)
-            with solver_route(route):
-                basis = sg.solve_eigen(stiffness, mass, 1)
+            basis = sg.solve_eigen(stiffness, mass, 1)
             assert basis.eigenvalues[0] <= 1e-10 / c**2
             np.testing.assert_allclose(
                 basis.eigenvectors[:, 0], 1.0 / np.sqrt(mass.diagonal().sum()), rtol=1e-8
             )
 
     @pytest.mark.parametrize("c", _SCALES)
-    @pytest.mark.parametrize(
-        "subdivisions, route, solver", [(2, "dense", "eigh"), (3, "sparse", "eigsh")]
-    )
-    def test_a_perturbed_pair_is_refused(self, monkeypatch, c, subdivisions, route, solver):
+    @pytest.mark.parametrize("subdivisions", [2, 3])
+    def test_a_perturbed_pair_is_refused(self, monkeypatch, c, subdivisions):
         # every eigenvalue 1e-6 relative off; the gate with a unit, 1e-8 on
         # ||W phi - lambda A phi|| / ||A phi||, let this through at c = 1e3
-        found = getattr(eigen, solver)
+        found = eigen.eigsh
 
         def perturbed(*args, **kwargs):
             vals, vecs = found(*args, **kwargs)
             return vals * (1.0 + 1e-6), vecs
 
-        monkeypatch.setattr(eigen, solver, perturbed)
-        with solver_route(route), pytest.raises(
+        monkeypatch.setattr(eigen, "eigsh", perturbed)
+        with pytest.raises(
             ConvergenceError, match=r"residual .* \(relative to lambda_k\) exceeds"
         ):
             sg.solve_eigen(*scaled_problem(subdivisions, c), 31)
 
     @pytest.mark.parametrize("c", _SCALES)
-    @pytest.mark.parametrize("route", ["dense", "sparse"])
-    def test_a_negative_eigenvalue_is_refused(self, c, route):
+    def test_a_negative_eigenvalue_is_refused(self, c):
         # W - delta A has the pairs of (W, A) with each eigenvalue lowered by
         # delta, so its lowest is -delta = -1e-6 lambda_k: far outside round-off
         # at every scale. The check's old floor of 1.0 (a unit of 1/length^2)
         # clamped it to zero at c = 1e3
         stiffness, mass = scaled_problem(2, c)
-        with solver_route(route):
-            lam_k = sg.solve_eigen(stiffness, mass, 31).eigenvalues[-1]
-            with pytest.raises(NumericalError, match="negative beyond round-off"):
-                sg.solve_eigen(stiffness - 1e-6 * lam_k * mass, mass, 31)
+        lam_k = sg.solve_eigen(stiffness, mass, 31).eigenvalues[-1]
+        with pytest.raises(NumericalError, match="negative beyond round-off"):
+            sg.solve_eigen(stiffness - 1e-6 * lam_k * mass, mass, 31)
 
     @pytest.mark.parametrize("subdivisions, c", [(3, 1e-12), (4, 1e-11)])
     def test_tiny_meshes_solve_on_the_sparse_route(self, subdivisions, c):
@@ -323,13 +344,12 @@ class TestLengthUnit:
         # raised ConvergenceError
         reference = sg.solve_eigen(*scaled_problem(subdivisions, 1.0), 31)
         got = sg.solve_eigen(*scaled_problem(subdivisions, c), 31)
-        assert got.method == "sparse"
         lam_k = reference.eigenvalues[-1]
         assert np.abs(got.eigenvalues * c**2 - reference.eigenvalues).max() <= 1e-14 * lam_k
 
 
 class TestWindow:
-    """The sparse route solves a window that depends on k only through its rung."""
+    """solve_eigen solves a window that depends on k only through its rung."""
 
     def test_rungs_of_39_with_a_buffer_of_8(self):
         for k in range(1, 400):
@@ -355,9 +375,8 @@ class TestWindow:
             return eigsh(*args, **kwargs)
 
         monkeypatch.setattr(eigen, "eigsh", counting_eigsh)
-        with solver_route("sparse"):
-            for k in (3, 35):
-                small_problem(mesh, k=k)
+        for k in (3, 35):
+            small_problem(mesh, k=k)
         assert mesh.m == 42 and solved == [39, 41]
 
 
@@ -389,24 +408,21 @@ def two_threads():
 
 @pytest.fixture
 def solver_threads(monkeypatch):
-    """The thread counts of every OpenBLAS found, recorded at each eigh or eigsh call."""
+    """The thread counts of every OpenBLAS found, recorded at each eigsh call."""
     seen = []
+    real = eigen.eigsh
 
-    def spy(real):
-        def recording(*args, **kwargs):
-            seen.append(_threads())
-            return real(*args, **kwargs)
+    def recording(*args, **kwargs):
+        seen.append(_threads())
+        return real(*args, **kwargs)
 
-        return recording
-
-    for name in ("eigh", "eigsh"):
-        monkeypatch.setattr(eigen, name, spy(getattr(eigen, name)))
+    monkeypatch.setattr(eigen, "eigsh", recording)
     return seen
 
 
 @pytest.fixture(scope="module")
 def bumpy2_file(tmp_path_factory):
-    """A bumpy sphere at m = 162, which takes the dense route, as an OFF file."""
+    """A bumpy sphere at m = 162 as an OFF file."""
     path = tmp_path_factory.mktemp("bumpy2") / "bumpy2.off"
     sg.write_mesh(sg.make_synthetic("bumpy_sphere", 2, seed=1), path)
     return path
@@ -492,20 +508,12 @@ class TestSparseSolveThreads:
 
 @_NEEDS_OPENBLAS
 class TestSolvesAtOneThread:
-    def test_dense_solve_runs_at_one_thread(self, bumpy2_file, two_threads, solver_threads):
-        stiffness, mass = sg.laplacian_matrices(sg.load_mesh(bumpy2_file))
-        assert sg.solve_eigen(stiffness, mass, 31).method == "dense"
-        assert solver_threads == [[1] * len(_CONTROLS)]
-        assert _threads() == two_threads
-
-    @pytest.mark.parametrize("route", ["dense", "sparse"])
-    def test_pairs_do_not_depend_on_the_thread_count(self, bumpy2_file, two_threads, route):
+    def test_pairs_do_not_depend_on_the_thread_count(self, bumpy2_file, two_threads):
         # a solve inside a run's one-thread region gives the pairs a run stores
         stiffness, mass = sg.laplacian_matrices(sg.load_mesh(bumpy2_file))
-        with solver_route(route):
-            default = sg.solve_eigen(stiffness, mass, 31)
-            with eigen._one_blas_thread():
-                one_thread = sg.solve_eigen(stiffness, mass, 31)
+        default = sg.solve_eigen(stiffness, mass, 31)
+        with eigen._one_blas_thread():
+            one_thread = sg.solve_eigen(stiffness, mass, 31)
         np.testing.assert_array_equal(default.eigenvalues, one_thread.eigenvalues)
         np.testing.assert_array_equal(default.eigenvectors, one_thread.eigenvectors)
 
@@ -519,26 +527,22 @@ class TestSolvesAtOneThread:
 
 
 @pytest.mark.parametrize(
-    "route, call",
+    "call",
     [
-        ("sparse", lambda mesh, basis, w, a: sg.solve_eigen(w, a, 2.5)),
-        ("dense", lambda mesh, basis, w, a: sg.solve_eigen(w, a, 2.5)),
-        ("dense", lambda mesh, basis, w, a: sg.solve_eigen(w, a, True)),
-        (None, lambda mesh, basis, w, a: summarize(basis).truncate(2.0)),
-        (None, lambda mesh, basis, w, a: sg.signature_matrix(basis, 2.5)),
-        (None, lambda mesh, basis, w, a: sg.wavelet_scales(2.5, 1.0, 20.0)),
-        (None, lambda mesh, basis, w, a: sg.reconstruct_vertices(mesh, basis, 2.5)),
-        (None, lambda mesh, basis, w, a: sg.nmse_curve(mesh, basis, [2.5])),
+        lambda mesh, basis, w, a: sg.solve_eigen(w, a, 2.5),
+        lambda mesh, basis, w, a: sg.solve_eigen(w, a, True),
+        lambda mesh, basis, w, a: summarize(basis).truncate(2.0),
+        lambda mesh, basis, w, a: sg.signature_matrix(basis, 2.5),
+        lambda mesh, basis, w, a: sg.wavelet_scales(2.5, 1.0, 20.0),
+        lambda mesh, basis, w, a: sg.reconstruct_vertices(mesh, basis, 2.5),
+        lambda mesh, basis, w, a: sg.nmse_curve(mesh, basis, [2.5]),
     ],
     ids=[
-        "solve-sparse-k", "solve-dense-k", "solve-bool-k", "summary-truncate",
+        "solve-k", "solve-bool-k", "summary-truncate",
         "signature-R", "scales-L", "reconstruct-k", "nmse-k",
     ],
 )
-def test_counts_that_are_not_integers_are_invalid(bumpy2, bumpy2_basis, route, call):
+def test_counts_that_are_not_integers_are_invalid(bumpy2, bumpy2_basis, call):
     stiffness, mass = sg.laplacian_matrices(bumpy2)
-    # route: the eigensolver route of a solve_eigen call; None where nothing is solved
-    with nullcontext() if route is None else solver_route(route), pytest.raises(
-        InvalidParam, match="must be an integer"
-    ):
+    with pytest.raises(InvalidParam, match="must be an integer"):
         call(bumpy2, bumpy2_basis, stiffness, mass)

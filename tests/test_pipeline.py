@@ -20,7 +20,7 @@ import pytest
 
 import sgwshape as sg
 import sgwshape.pipeline as pipeline
-from conftest import make_unreadable, solver_route, write_two_tetrahedra
+from conftest import first_pairs, full_basis, make_unreadable, write_two_tetrahedra
 from sgwshape import eigen, gsgw, stats
 from sgwshape.cli import main
 from sgwshape.errors import InvalidParam, ParseError, ValidationError
@@ -360,7 +360,7 @@ class TestRunConfig:
             sg.RunConfig(jobs=2)
 
     def test_method_is_not_a_setting(self):
-        # a run takes the solver route from the mesh size, so no field sets it
+        # a run has one solver route, so no field sets it
         with pytest.raises(TypeError, match="method"):
             sg.RunConfig(method="dense")
 
@@ -473,16 +473,16 @@ class TestDescriptorCache:
         assert names == [f"spectrum-{digest}-{cfg.lumping}-39.sgwc"]
         head, body = (cache / names[0]).read_bytes().split(b"\n", 1)
         body_digest = hashlib.sha256(body).hexdigest()
-        assert head == f"SGWSPEC4 {digest} {cfg.lumping} 39 {body_digest}".encode()
+        assert head == f"SGWSPEC5 {digest} {cfg.lumping} 39 {body_digest}".encode()
         # the blob holds every pair of its window, 39 less the buffer, at any k of it
         assert len(body) == 8 * (2 * 31 + 1)
         areas = sg.laplacian_matrices(sg.load_mesh(mesh), lumping=cfg.lumping)[1].diagonal()
         assert np.frombuffer(body, dtype="<f8")[0] == areas.sum()
 
     def test_window_is_part_of_the_key(self, tmp_path):
-        # a blob of 42 pairs (window 78, all that m = 42 allows) holds the 10 that
-        # k = 10 asks for, but the sparse route solves k = 10 in window 39, whose
-        # pairs differ in the last bits
+        # a blob of 41 pairs (window 78, all that m = 42 allows) holds the 10 that
+        # k = 10 asks for, but k = 10 is solved in window 39, whose pairs differ
+        # in the last bits
         mesh = bumpy_file(tmp_path)
         cache = tmp_path / "cache"
         wide = sg.RunConfig(cache_dir=str(cache), **{**SMALL, "k": 40})
@@ -523,16 +523,28 @@ class TestDescriptorCache:
         assert earlier.name not in looked_up
         assert len(list(cache.iterdir())) == 2
 
-    def test_earlier_format_blob_under_the_same_name_is_overwritten(self, tmp_path):
+    @pytest.mark.parametrize(
+        "tag, earlier_basis",
+        [
+            ("SGWSPEC3", lambda w, a: sg.solve_eigen(w, a, 11)),
+            ("SGWSPEC4", lambda w, a: first_pairs(full_basis(w, a), 31)),
+        ],
+        ids=["SGWSPEC3", "SGWSPEC4"],
+    )
+    def test_earlier_format_blob_under_the_same_name_is_overwritten(
+        self, tmp_path, tag, earlier_basis
+    ):
         # an SGWSPEC3 blob was written at the k that asked for it, so its 11
-        # pairs would read as a mesh that takes no more than 11
+        # pairs would read as a mesh that takes no more than 11. An SGWSPEC4 blob
+        # of a mesh of m <= 600 holds the pairs of a dense eigh, which differ in
+        # the last bits from the Lanczos pairs a cold run now stores
         mesh = bumpy_file(tmp_path)
         cache = tmp_path / "cache"
         cfg = sg.RunConfig(cache_dir=str(cache), **{**SMALL, "k": 31})
         digest = hashlib.sha256(mesh.read_bytes()).hexdigest()
         stiffness, mass = sg.laplacian_matrices(sg.load_mesh(mesh), lumping=cfg.lumping)
-        summary = gsgw.summarize(sg.solve_eigen(stiffness, mass, 11))
-        head = f"SGWSPEC3 {digest} {cfg.lumping} 39 ".encode()
+        summary = gsgw.summarize(earlier_basis(stiffness, mass))
+        head = f"{tag} {digest} {cfg.lumping} 39 ".encode()
         earlier = cache / f"spectrum-{digest}-{cfg.lumping}-39.sgwc"
         cache.mkdir()
         earlier.write_bytes(pipeline._blob(head, summary))
@@ -540,7 +552,7 @@ class TestDescriptorCache:
         diag = RunDiagnostics()
         got = gsgw_for_mesh(mesh, cfg, diag)
         assert (diag.eigensolves, diag.eigen_cache_hits) == (1, 0)
-        assert earlier.read_bytes().startswith(f"SGWSPEC4 {digest} ".encode())
+        assert earlier.read_bytes().startswith(f"SGWSPEC5 {digest} ".encode())
         assert [p.name for p in cache.iterdir()] == [earlier.name]
         uncached = gsgw_for_mesh(mesh, replace(cfg, cache_dir=None))
         np.testing.assert_array_equal(got.values, uncached.values)
@@ -673,8 +685,8 @@ class TestRunGroupComparison:
             assert got.permutation_p == found[1].permutation_p
 
     def test_cache_filled_at_a_larger_k_gives_the_cold_report(self, sparse_class, tmp_path):
-        # m = 642 takes the sparse route, whose pairs depend in the last bits on
-        # how many it solves: k = 11 and k = 31 both solve the window of 39
+        # the eigensolver's pairs depend in the last bits on how many it
+        # solves: k = 11 and k = 31 both solve the window of 39
         cold = sg.run_group_comparison(sparse_class, sg.RunConfig(k=11, pca_dims=2))
         cache = str(tmp_path / "cache")
         sg.run_group_comparison(sparse_class, sg.RunConfig(k=31, pca_dims=2, cache_dir=cache))
@@ -1157,7 +1169,7 @@ class TestWalkOverStrata:
 
 @pytest.fixture(scope="module")
 def sparse_class(tmp_path_factory):
-    """3 + 3 bumpy shapes at m = 642, which take the sparse route."""
+    """3 + 3 bumpy shapes at m = 642."""
     out = tmp_path_factory.mktemp("sparseclass")
     return sg.DatasetManifest.load(
         sg.make_two_class_manifest(out, n_per_group=3, subdivisions=3)
@@ -1545,31 +1557,27 @@ class TestParameterSweep:
         compare = sg.run_group_comparison(manifest, replace(cfg, k=10))
         assert compare.strata[0].error == sweep.cells[0].stratum.error
 
-    @pytest.mark.parametrize("route", ["dense", "sparse"])
-    def test_k_past_the_meshes_fails_only_its_cells(self, two_class, tmp_path, route):
-        # the meshes have m = 42: the dense route takes k <= 42, the sparse one k < 42.
-        # The grid spans two windows, 39 (k = 10) and 78 (k = 42 and 50). Each mesh
-        # is solved once per window, at the largest k of it that the mesh takes (31,
-        # then 42 dense or 41 sparse): twice on either route. A cell of a larger k
+    def test_k_past_the_meshes_fails_only_its_cells(self, two_class, tmp_path):
+        # the meshes have m = 42, so k < 42. The grid spans two windows, 39 (k = 10)
+        # and 78 (k = 42 and 50). Each mesh is solved once per window, at the largest
+        # k of it that the mesh takes (31, then 41): twice. A cell of a larger k
         # carries the error compare gives at that k
         cfg = sg.RunConfig(**{**SMALL, "cache_dir": str(tmp_path / "cache")})
-        limit = 41 if route == "sparse" else 42
-        with solver_route(route):
-            sweep = self.assert_sweep_equals_cells(two_class, cfg, Rs=[2, 3], ks=[10, 42, 50])
-            warm = sg.parameter_sweep(two_class, cfg, Rs=[2, 3], ks=[10, 42, 50])
+        sweep = self.assert_sweep_equals_cells(two_class, cfg, Rs=[2, 3], ks=[10, 42, 50])
+        warm = sg.parameter_sweep(two_class, cfg, Rs=[2, 3], ks=[10, 42, 50])
         assert sweep.diagnostics.eigensolves == 12
         for cell in sweep.cells:
-            if cell.k <= limit:
+            if cell.k <= 41:
                 assert cell.stratum.error is None
             else:
                 assert cell.stratum.error_kind == "usage"
                 assert cell.stratum.error == (
-                    f"s000 [descriptor]: k must be in [1, {limit}], got {cell.k}"
+                    f"s000 [descriptor]: k must be in [1, 41], got {cell.k}"
                 )
         assert warm.cells == sweep.cells
 
     def test_warm_sweep_past_a_mesh_parses_nothing(self, two_class, tmp_path, monkeypatch):
-        # k = 50 is past every m = 42 mesh; its window's blob holds the 42 pairs
+        # k = 50 is past every m = 42 mesh; its window's blob holds the 41 pairs
         # each mesh takes, so a warm rerun is served from the cache alone
         parsed = []
         # the spy records in this process, so the cold run's meshes are parsed here too
@@ -1588,7 +1596,7 @@ class TestParameterSweep:
         assert parsed == []
         assert (warm.diagnostics.eigensolves, warm.diagnostics.eigen_cache_hits) == (0, 12)
         assert warm.cells == cold.cells
-        assert cold.cells[1].stratum.error == "s000 [descriptor]: k must be in [1, 42], got 50"
+        assert cold.cells[1].stratum.error == "s000 [descriptor]: k must be in [1, 41], got 50"
 
     @staticmethod
     def assert_sweep_equals_cells(manifest, cfg, Rs, ks):
@@ -1623,7 +1631,7 @@ class TestParameterSweep:
         assert {c.stratum.comparison.n_permutations for c in sweep.cells} == {scored}
 
     def test_sweep_across_windows_equals_its_cells(self, sparse_class):
-        # m = 642 takes the sparse route: k = 11 and 31 share the window of 39
+        # at m = 642, k = 11 and 31 share the window of 39
         # pairs, and k = 40 solves that of 78, so the sweep solves each mesh twice
         sweep = self.assert_sweep_equals_cells(
             sparse_class, sg.RunConfig(**SMALL), Rs=[3], ks=[11, 31, 40]

@@ -6,15 +6,13 @@ import pytest
 import sgwshape as sg
 from sgwshape.errors import InvalidParam, ValidationError
 
-from conftest import random_rotation, rigid_transform, solver_route
+from conftest import full_basis, random_rotation, rigid_transform
 
 
 @pytest.fixture(scope="module")
 def ico_full_basis():
     mesh = sg.make_synthetic("unit_sphere", 0)  # 12 vertices
-    stiffness, mass = sg.laplacian_matrices(mesh)
-    with solver_route("dense"):
-        return mesh, sg.solve_eigen(stiffness, mass, mesh.m)
+    return mesh, full_basis(*sg.laplacian_matrices(mesh))
 
 
 class TestReconstruction:
